@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from contention.data import CLASS_NAMES, NormStats
-from contention.errors import DataError, SchemaError, ShapeError
+from contention.errors import ContentionError, DataError, SchemaError, ShapeError
 from contention.graph import MetricGraph, normalize_adjacency
 from contention.model import ModelConfig, ModelParams
 
@@ -102,6 +102,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    try:
+        return _from_payload(payload, path)
+    except ContentionError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(
+            f"checkpoint {path} has a missing or malformed field "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _from_payload(payload: dict, path: Path) -> Checkpoint:
     for key in ("format_version", "model", "params", "graph", "normalization", "class_names"):
         if key not in payload:
             raise SchemaError(f"checkpoint {path} is missing key '{key}'")
@@ -115,12 +127,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except TypeError as exc:
         raise SchemaError(f"bad model config in checkpoint: {exc}") from exc
     shapes = ModelParams.shapes(cfg)
-    arrays = {}
+    blocks = []
     for name in ModelParams._ORDER:
         if name not in payload["params"]:
             raise SchemaError(f"checkpoint is missing parameter block '{name}'")
-        arrays[name] = _decode_floats(payload["params"][name], shapes[name], f"parameter {name}")
-    params = ModelParams(**arrays)
+        blocks.append(_decode_floats(payload["params"][name], shapes[name], f"parameter {name}"))
+    params = ModelParams(cfg, np.concatenate([b.ravel() for b in blocks]))
 
     g = payload["graph"]
     dim = int(g["dim"])

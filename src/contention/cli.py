@@ -38,7 +38,6 @@ from contention.errors import (
 )
 from contention.graph import build_graph, graph_stats, pearson_matrix
 from contention.ingest import apply_weak_labels, ingest_csv
-from contention.model import forward
 from contention.pipeline import prepare, run_prepared
 from contention.rng import RngStream
 from contention.sweeps import (
@@ -48,7 +47,7 @@ from contention.sweeps import (
     sweep_dim,
     write_sweep_csv,
 )
-from contention.train import METRIC_FIELDS, EvalMetrics, evaluate, write_history_csv
+from contention.train import METRIC_FIELDS, EvalMetrics, evaluate, score, write_history_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -255,10 +254,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     ckpt, windows, graph = _load_eval_inputs(args)
     out_dir = Path(args.out) if args.out else None
-    rows = []
-    for wid, w in enumerate(windows):
-        pred, _ = forward(w.values, graph, ckpt.params)
-        rows.append((wid, pred))
+    pred = score(ckpt.params, graph, windows)
     header = (
         ["window_id"]
         + [f"logit_{c}" for c in ckpt.class_names]
@@ -266,17 +262,19 @@ def cmd_predict(args: argparse.Namespace) -> int:
         + ["predicted_class"]
     )
     lines = [",".join(header)]
-    for wid, pred in rows:
+    for wid, (logits, probabilities, label) in enumerate(
+        zip(pred.logits, pred.probabilities, pred.label)
+    ):
         cells = [str(wid)]
-        cells += [repr(float(z)) for z in pred.logits]
-        cells += [repr(float(p)) for p in pred.probabilities]
-        cells.append(ckpt.class_names[pred.label])
+        cells += [repr(float(z)) for z in logits]
+        cells += [repr(float(p)) for p in probabilities]
+        cells.append(ckpt.class_names[label])
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "predictions.csv").write_text(text)
-        print(f"wrote {len(rows)} predictions to {out_dir / 'predictions.csv'}")
+        print(f"wrote {len(windows)} predictions to {out_dir / 'predictions.csv'}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

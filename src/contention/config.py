@@ -2,7 +2,9 @@
 
 Parsing is strict: any key the schema does not know is rejected with its
 full dotted path, so a typo like "learning_rte" fails loudly before any
-work starts instead of silently training with defaults.
+work starts instead of silently training with defaults. A scalar field must
+hold a JSON value of its annotated type ("64" is not an int, true is not an
+int, 1 is a float).
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from contention.data import ScenarioConfig
@@ -56,13 +60,27 @@ class RunConfig:
             )
 
 
+def _admits(hint, value) -> bool:
+    """Whether a JSON value fits a field's annotation; only scalar annotations are checked."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    kinds = typing.get_args(hint) if union else (hint,)
+    if not all(k in (int, float, bool, str, type(None)) for k in kinds):
+        return True
+    return type(value) in kinds or (type(value) is int and float in kinds)
+
+
 def _strict_kwargs(section: str, data: dict, cls) -> dict:
+    """data, checked to name only fields of cls and to give scalars their annotated type."""
     if not isinstance(data, dict):
         raise ConfigError(f"config section '{section}' must be an object")
-    allowed = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key '{section}.{key}'")
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        where = f"{section}.{key}" if section else key
+        if key not in hints:
+            raise ConfigError(f"unknown config key '{where}'")
+        if not _admits(hints[key], value):
+            kind = getattr(hints[key], "__name__", hints[key])
+            raise ConfigError(f"config key '{where}' must be {kind}, got {value!r}")
     return data
 
 
@@ -96,16 +114,8 @@ def _build_schema(data: dict) -> TraceSchema:
     )
 
 
-_TOP_LEVEL = {
-    "scenario", "model", "train", "schema", "ingest",
-    "corr_threshold", "split_fractions", "n_windows", "out_dir",
-}
-
-
 def run_config_from_dict(data: dict) -> RunConfig:
-    for key in data:
-        if key not in _TOP_LEVEL:
-            raise ConfigError(f"unknown config key '{key}'")
+    _strict_kwargs("", data, RunConfig)
     kwargs = {}
     if "scenario" in data:
         kwargs["scenario"] = _build_scenario(data["scenario"])

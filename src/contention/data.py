@@ -454,6 +454,7 @@ def read_dataset(path: str | Path) -> list[MetricWindow]:
     col = {name: i for i, name in enumerate(names)}
     values: dict[int, np.ndarray] = {}
     labels: dict[int, int | None] = {}
+    cells: dict[int, str] = {}  # each window's label cell as first read
     filled: dict[int, int] = {}
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
@@ -474,10 +475,20 @@ def read_dataset(path: str | Path) -> list[MetricWindow]:
                 raise SchemaError(f"{path}:{lineno}: unknown metric '{name}'")
             if not 0 <= t < t_len:
                 raise DataError(f"{path}:{lineno}: t={t} outside [0, {t_len})")
+            cell = row["label"]
             if wid not in values:
+                try:
+                    labels[wid] = int(cell) if cell else None
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: unparseable label: {exc}") from exc
                 values[wid] = np.full((t_len, len(names)), np.nan)
-                labels[wid] = int(row["label"]) if row["label"] else None
+                cells[wid] = cell
                 filled[wid] = 0
+            elif cell != cells[wid]:  # compared as text: parsing every row costs ~10% of a read
+                raise DataError(
+                    f"{path}:{lineno}: window {wid} has label {cell!r}, "
+                    f"an earlier row gave {cells[wid]!r}"
+                )
             values[wid][t, col[name]] = value
             filled[wid] += 1
     if len(values) != int(manifest["n_windows"]):

@@ -1,4 +1,4 @@
-"""Dense numeric kernels: products, activations, stable losses, gradient checking.
+"""Dense numeric kernels: softmax, stable losses, initialization, gradient checking.
 
 Everything here operates on float64 numpy arrays. No public function emits
 NaN or Inf for finite inputs within its documented range; the softmax and
@@ -17,40 +17,18 @@ from contention.errors import NumericError, ShapeError
 from contention.rng import RngStream
 
 
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a 2-D float64 array; ShapeError for anything else."""
-    a = np.asarray(values, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit conformance checking."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def tanh_map(a) -> np.ndarray:
-    """Elementwise hyperbolic tangent; output strictly inside (-1, 1)."""
-    return np.tanh(np.asarray(a, dtype=np.float64))
-
-
 def softmax(z) -> np.ndarray:
-    """Normalized confidence scores for a logit vector.
+    """Normalized confidence scores for a logit vector, or for each row of a stack.
 
-    Uses max-subtraction so arbitrarily large logits cannot overflow. The
+    Uses max-subtraction so arbitrarily large logits cannot overflow. Each
     result sums to 1 within 1e-12 and is invariant to adding a constant to
     every logit.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ShapeError(f"softmax expects a nonempty 1-D vector, got shape {z.shape}")
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    if z.ndim not in (1, 2) or z.shape[-1] == 0:
+        raise ShapeError(f"softmax expects nonempty logit vectors, got shape {z.shape}")
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def sigmoid(x):

@@ -7,9 +7,11 @@ nodes, and K fully parameter-disjoint heads emit one logit per contention
 class. The encoder and propagation weights are shaped only by T and the
 layer widths, never by D, so one parameter set serves any metric count.
 
-All gradients are exact reverse-mode derivatives, checked against central
-differences in the test suite. tanh keeps every layer smooth so those
-checks are well-defined everywhere.
+Every stage takes one (T, D) window or an (N, T, D) stack of windows through
+the same code; `forward` chains the stages and `backward` returns the
+gradient summed over the stack. All gradients are exact reverse-mode
+derivatives, checked against central differences in the test suite. tanh
+keeps every layer smooth so those checks are well-defined everywhere.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from contention.errors import CacheMismatchError, ConfigError, ShapeError
 from contention.graph import MetricGraph
 from contention.linalg import glorot_init, softmax
 from contention.rng import RngStream
-
-ENCODED = "encoded"
-PROPAGATED = "propagated"
 
 
 @dataclass(frozen=True)
@@ -42,33 +41,40 @@ class ModelConfig:
                 raise ConfigError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModelParams:
-    """All trainable weights.
+    """All trainable weights: one flat float64 buffer and a named view per block.
+
+    The blocks (see `shapes`) are views into `flat`, in `_ORDER`: writing
+    into a block writes the buffer, and an update of `flat` in place moves
+    every block. Building from a flat vector does not copy it.
 
     Encoder and propagation blocks are shared across every metric and every
     class; each head k owns its block exclusively, so per-class gradients
     touch no other head (verified by the gradient-sparsity tests).
     """
 
-    enc_w1: np.ndarray  # (encoder_hidden, window_len)
-    enc_b1: np.ndarray  # (encoder_hidden,)
-    enc_w2: np.ndarray  # (embed_width, encoder_hidden)
-    enc_b2: np.ndarray  # (embed_width,)
-    prop_w1: np.ndarray  # (embed_width, propagation_width)
-    prop_b1: np.ndarray  # (propagation_width,)
-    prop_w2: np.ndarray  # (propagation_width, propagation_width)
-    prop_b2: np.ndarray  # (propagation_width,)
-    head_w: np.ndarray  # (num_classes, head_hidden, propagation_width)
-    head_b: np.ndarray  # (num_classes, head_hidden)
-    head_u: np.ndarray  # (num_classes, head_hidden)
-    head_c: np.ndarray  # (num_classes,)
+    cfg: ModelConfig
+    flat: np.ndarray
 
     _ORDER = (
         "enc_w1", "enc_b1", "enc_w2", "enc_b2",
         "prop_w1", "prop_b1", "prop_w2", "prop_b2",
         "head_w", "head_b", "head_u", "head_c",
     )
+
+    def __post_init__(self):
+        flat = np.ascontiguousarray(self.flat, dtype=np.float64)
+        blocks = self.block_slices(self.cfg)
+        total = blocks[-1][1].stop
+        if flat.shape != (total,):
+            raise ShapeError(
+                f"expected a flat vector of {total} parameters, got shape {flat.shape}"
+            )
+        object.__setattr__(self, "flat", flat)
+        shapes = self.shapes(self.cfg)
+        for name, sl in blocks:
+            object.__setattr__(self, name, flat[sl].reshape(shapes[name]))
 
     @staticmethod
     def shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -84,39 +90,15 @@ class ModelParams:
         }
 
     def validate(self, cfg: ModelConfig) -> None:
-        for name, shape in self.shapes(cfg).items():
-            actual = getattr(self, name).shape
-            if actual != shape:
-                raise ShapeError(f"parameter {name} has shape {actual}, expected {shape}")
+        if self.cfg != cfg:
+            raise ShapeError(f"parameters are shaped for {self.cfg}, expected {cfg}")
 
     @classmethod
     def zeros(cls, cfg: ModelConfig) -> "ModelParams":
-        return cls(**{name: np.zeros(shape) for name, shape in cls.shapes(cfg).items()})
+        return cls(cfg, np.zeros(cls.block_slices(cfg)[-1][1].stop))
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{name: getattr(self, name).copy() for name in self._ORDER})
-
-    def accumulate(self, other: "ModelParams") -> None:
-        """In-place elementwise add, used for batch gradient accumulation."""
-        for name in self._ORDER:
-            getattr(self, name).__iadd__(getattr(other, name))
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([getattr(self, name).ravel() for name in self._ORDER])
-
-    @classmethod
-    def from_vector(cls, cfg: ModelConfig, vec: np.ndarray) -> "ModelParams":
-        shapes = cls.shapes(cfg)
-        vec = np.asarray(vec, dtype=np.float64)
-        total = sum(int(np.prod(s)) for s in shapes.values())
-        if vec.shape != (total,):
-            raise ShapeError(f"expected a flat vector of {total} parameters, got shape {vec.shape}")
-        out, offset = {}, 0
-        for name in cls._ORDER:
-            size = int(np.prod(shapes[name]))
-            out[name] = vec[offset : offset + size].reshape(shapes[name])
-            offset += size
-        return cls(**out)
+        return ModelParams(self.cfg, self.flat.copy())
 
     @classmethod
     def block_slices(cls, cfg: ModelConfig) -> list[tuple[str, slice]]:
@@ -132,142 +114,134 @@ class ModelParams:
 
 def init_params(cfg: ModelConfig, rng: RngStream) -> ModelParams:
     """Glorot-uniform weights, zero biases. Deterministic given the stream."""
-    k, dd, dp = cfg.num_classes, cfg.head_hidden, cfg.propagation_width
     p = ModelParams.zeros(cfg)
-    p.enc_w1 = glorot_init(cfg.encoder_hidden, cfg.window_len, rng.substream(0))
-    p.enc_w2 = glorot_init(cfg.embed_width, cfg.encoder_hidden, rng.substream(1))
-    p.prop_w1 = glorot_init(cfg.embed_width, cfg.propagation_width, rng.substream(2))
-    p.prop_w2 = glorot_init(cfg.propagation_width, cfg.propagation_width, rng.substream(3))
-    p.head_w = np.stack([glorot_init(dd, dp, rng.substream(4 + 2 * i)) for i in range(k)])
-    p.head_u = np.stack(
-        [glorot_init(1, dd, rng.substream(5 + 2 * i))[0] for i in range(k)]
-    )
+    p.enc_w1[...] = glorot_init(cfg.encoder_hidden, cfg.window_len, rng.substream(0))
+    p.enc_w2[...] = glorot_init(cfg.embed_width, cfg.encoder_hidden, rng.substream(1))
+    p.prop_w1[...] = glorot_init(cfg.embed_width, cfg.propagation_width, rng.substream(2))
+    p.prop_w2[...] = glorot_init(cfg.propagation_width, cfg.propagation_width, rng.substream(3))
+    for i in range(cfg.num_classes):
+        p.head_w[i] = glorot_init(cfg.head_hidden, cfg.propagation_width, rng.substream(4 + 2 * i))
+        p.head_u[i] = glorot_init(1, cfg.head_hidden, rng.substream(5 + 2 * i))[0]
     return p
 
 
 @dataclass(frozen=True)
-class NodeEmbeddings:
-    """Per-metric embedding rows, tagged by pipeline stage."""
-
-    stage: str
-    values: np.ndarray  # (D, width)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class Prediction:
-    logits: np.ndarray  # (K,)
-    probabilities: np.ndarray  # (K,) softmax of logits
-    label: int  # argmax of logits, lowest index on ties
+    logits: np.ndarray  # (K,) for a window, (N, K) for a stack
+    probabilities: np.ndarray  # softmax of each logit row
+    label: int | np.ndarray  # argmax of each logit row, lowest index on ties
 
 
 @dataclass(slots=True)
 class ForwardCache:
-    """Intermediates retained for the backward pass."""
+    """Intermediates retained for the backward pass.
 
-    x: np.ndarray  # (T, D) normalized input
+    Shapes are those of a stack; the arrays of one window lack the leading N.
+    """
+
+    x: np.ndarray  # (N, T, D) normalized input
     graph: MetricGraph
     params: ModelParams
-    z1: np.ndarray  # (encoder_hidden, D) first encoder activation
-    h: np.ndarray  # (D, embed_width) encoded nodes
-    ah: np.ndarray  # (D, embed_width) operator applied to h
-    h1: np.ndarray  # (D, propagation_width) first propagation activation
-    ah1: np.ndarray  # (D, propagation_width) operator applied to h1
-    ht: np.ndarray  # (D, propagation_width) propagated nodes
-    r: np.ndarray  # (propagation_width,) mean readout
-    head_tanh: np.ndarray  # (K, head_hidden)
+    z1: np.ndarray  # (N, D, encoder_hidden) first encoder activation
+    h: np.ndarray  # (N, D, embed_width) encoded nodes
+    ah: np.ndarray  # (N, D, embed_width) operator applied to h
+    h1: np.ndarray  # (N, D, propagation_width) first propagation activation
+    ah1: np.ndarray  # (N, D, propagation_width) operator applied to h1
+    ht: np.ndarray  # (N, D, propagation_width) propagated nodes
+    r: np.ndarray  # (N, propagation_width) mean readout
+    head_tanh: np.ndarray  # (N, K, head_hidden)
 
 
-def encode(values: np.ndarray, params: ModelParams) -> NodeEmbeddings:
+def encode(x: np.ndarray, params: ModelParams, saved: dict | None = None) -> np.ndarray:
     """Shared two-layer temporal encoder applied to every metric column.
 
-    For each column x_i of the (T, D) window:
+    Maps a (T, D) window to (D, embed_width) node rows, or an (N, T, D)
+    stack to (N, D, embed_width). For each column x_i:
     h_i = tanh(W2 tanh(W1 x_i + b1) + b2). The same weights serve every
     metric, which is what makes the model independent of D and equivariant
-    to metric permutations.
+    to metric permutations. `saved`, when given, receives the activations
+    backward needs.
     """
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"window must be a (T, D) matrix, got shape {x.shape}")
-    t_expected = params.enc_w1.shape[1]
-    if x.shape[0] != t_expected:
-        raise ShapeError(f"window has {x.shape[0]} timesteps, encoder expects {t_expected}")
-    z1 = np.tanh(params.enc_w1 @ x + params.enc_b1[:, None])
-    h = np.tanh(params.enc_w2 @ z1 + params.enc_b2[:, None]).T
-    return NodeEmbeddings(stage=ENCODED, values=h)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"expected a (T, D) window or an (N, T, D) stack, got shape {x.shape}")
+    t_expected = params.cfg.window_len
+    if x.shape[-2] != t_expected:
+        raise ShapeError(f"window has {x.shape[-2]} timesteps, encoder expects {t_expected}")
+    z1 = np.tanh(x.swapaxes(-1, -2) @ params.enc_w1.T + params.enc_b1)
+    h = np.tanh(z1 @ params.enc_w2.T + params.enc_b2)
+    if saved is not None:
+        saved.update(z1=z1, h=h)
+    return h
 
 
-def propagate(g: MetricGraph, h: NodeEmbeddings, params: ModelParams) -> NodeEmbeddings:
+def propagate(
+    g: MetricGraph, h: np.ndarray, params: ModelParams, saved: dict | None = None
+) -> np.ndarray:
     """Two rounds of normalized-adjacency mixing with dense layer weights.
 
     Two hops let a metric's influence reach the neighbors of its neighbors,
     which is how chained cross-resource effects show up in the embedding.
     """
-    if h.stage != ENCODED:
-        raise ShapeError(f"propagate expects {ENCODED} embeddings, got stage '{h.stage}'")
-    if g.dim != h.dim:
-        raise ShapeError(f"graph has {g.dim} vertices but embeddings have {h.dim} rows")
-    ah = g.normalized @ h.values
+    if g.dim != h.shape[-2]:
+        raise ShapeError(
+            f"graph has {g.dim} vertices but the embeddings cover {h.shape[-2]} metrics"
+        )
+    ah = g.normalized @ h
     h1 = np.tanh(ah @ params.prop_w1 + params.prop_b1)
     ah1 = g.normalized @ h1
     ht = np.tanh(ah1 @ params.prop_w2 + params.prop_b2)
-    return NodeEmbeddings(stage=PROPAGATED, values=ht)
+    if saved is not None:
+        saved.update(ah=ah, h1=h1, ah1=ah1, ht=ht)
+    return ht
 
 
-def heads(ht: NodeEmbeddings, params: ModelParams) -> np.ndarray:
+def heads(ht: np.ndarray, params: ModelParams, saved: dict | None = None) -> np.ndarray:
     """Mean readout followed by K parameter-disjoint scoring heads.
 
     r = mean over node rows; z_k = u_k . tanh(Wh_k r + bh_k) + c_k. Head k's
     logit depends on no other head's parameters.
     """
-    if ht.stage != PROPAGATED:
-        raise ShapeError(f"heads expects {PROPAGATED} embeddings, got stage '{ht.stage}'")
-    r = ht.values.mean(axis=0)
-    t = np.tanh(params.head_w @ r + params.head_b)
-    return (params.head_u * t).sum(axis=1) + params.head_c
+    k, dd, dp = params.head_w.shape
+    r = ht.sum(axis=-2) / ht.shape[-2]  # the mean, without np.mean's call overhead
+    pre = (r @ params.head_w.reshape(k * dd, dp).T).reshape(*r.shape[:-1], k, dd)
+    t = np.tanh(pre + params.head_b)
+    if saved is not None:
+        saved.update(r=r, head_tanh=t)
+    return (params.head_u * t).sum(axis=-1) + params.head_c
 
 
 def predict(logits: np.ndarray) -> Prediction:
-    """Confidence distribution and hard label for a logit vector.
+    """Confidence distribution and hard label for a logit vector or a stack of them.
 
     The label is the argmax of the logits with ties broken toward the lowest
     index; softmax is monotone, so this always agrees with argmax of the
-    probabilities.
+    probabilities. One logit vector gives an int label.
     """
     z = np.asarray(logits, dtype=np.float64)
-    return Prediction(logits=z, probabilities=softmax(z), label=int(np.argmax(z)))
+    label = np.argmax(z, axis=-1)
+    return Prediction(
+        logits=z, probabilities=softmax(z), label=int(label) if z.ndim == 1 else label
+    )
 
 
 def forward(
     values: np.ndarray, g: MetricGraph, params: ModelParams
 ) -> tuple[Prediction, ForwardCache]:
-    """Full pass over one window, retaining intermediates for backward."""
+    """Full pass over a (T, D) window or an (N, T, D) stack, retaining intermediates.
+
+    A window gives (K,) logits and an int label, a stack (N, K) logits and
+    (N,) labels.
+    """
     x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"window must be a (T, D) matrix, got shape {x.shape}")
-    if x.shape[0] != params.enc_w1.shape[1]:
-        raise ShapeError(
-            f"window has {x.shape[0]} timesteps, encoder expects {params.enc_w1.shape[1]}"
-        )
-    if g.dim != x.shape[1]:
-        raise ShapeError(f"graph has {g.dim} vertices but window has {x.shape[1]} metrics")
-    z1 = np.tanh(params.enc_w1 @ x + params.enc_b1[:, None])
-    h = np.tanh(params.enc_w2 @ z1 + params.enc_b2[:, None]).T
-    ah = g.normalized @ h
-    h1 = np.tanh(ah @ params.prop_w1 + params.prop_b1)
-    ah1 = g.normalized @ h1
-    ht = np.tanh(ah1 @ params.prop_w2 + params.prop_b2)
-    r = ht.mean(axis=0)
-    head_tanh = np.tanh(params.head_w @ r + params.head_b)
-    z = (params.head_u * head_tanh).sum(axis=1) + params.head_c
-    cache = ForwardCache(
-        x=x, graph=g, params=params, z1=z1, h=h, ah=ah, h1=h1, ah1=ah1, ht=ht,
-        r=r, head_tanh=head_tanh,
-    )
-    return predict(z), cache
+    saved: dict[str, np.ndarray] = {}
+    z = heads(propagate(g, encode(x, params, saved), params, saved), params, saved)
+    return predict(z), ForwardCache(x=x, graph=g, params=params, **saved)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """(N, D, width) node rows as one (N * D, width) matrix."""
+    return a.reshape(-1, a.shape[-1])
 
 
 def backward(
@@ -276,56 +250,53 @@ def backward(
     g: MetricGraph,
     params: ModelParams,
 ) -> ModelParams:
-    """Exact gradients of dloss_dz . z with respect to every parameter.
+    """Exact gradients of sum_n dloss_dz[n] . z[n] with respect to every parameter.
 
-    Heads whose dloss_dz entry is zero receive exactly zero gradient, which
-    is what keeps the per-class tasks decoupled during training.
+    dloss_dz has the shape of the forward pass's logits: (K,) for a window,
+    (N, K) for a stack. Heads whose dloss_dz column is zero receive exactly
+    zero gradient, which is what keeps the per-class tasks decoupled during
+    training.
     """
     if g is not cache.graph and not np.array_equal(g.normalized, cache.graph.normalized):
         raise CacheMismatchError("graph differs from the one used in forward")
     if params is not cache.params:
         raise CacheMismatchError("params differ from the ones used in forward")
     dz = np.asarray(dloss_dz, dtype=np.float64)
-    k = params.head_c.shape[0]
-    if dz.shape != (k,):
-        raise CacheMismatchError(f"dloss_dz must have shape ({k},), got {dz.shape}")
-
-    grads = ModelParams.zeros(
-        ModelConfig(
-            window_len=params.enc_w1.shape[1],
-            num_classes=k,
-            encoder_hidden=params.enc_w1.shape[0],
-            embed_width=params.enc_w2.shape[0],
-            propagation_width=params.prop_w1.shape[1],
-            head_hidden=params.head_b.shape[1],
+    if dz.shape != cache.head_tanh.shape[:-1]:
+        raise CacheMismatchError(
+            f"dloss_dz must have the logits' shape {cache.head_tanh.shape[:-1]}, got {dz.shape}"
         )
-    )
-    t = cache.head_tanh
-    grads.head_u = dz[:, None] * t
-    grads.head_c = dz.copy()
-    da = dz[:, None] * params.head_u * (1.0 - t * t)  # (K, head_hidden)
-    grads.head_w = da[:, :, None] * cache.r[None, None, :]
-    grads.head_b = da
-    dr = (params.head_w * da[:, :, None]).sum(axis=(0, 1))  # (propagation_width,)
+    arrays = (cache.x, cache.z1, cache.h, cache.ah, cache.h1, cache.ah1, cache.ht, cache.r,
+              cache.head_tanh, dz)
+    if cache.x.ndim == 2:  # one window: view its arrays as a stack of one
+        arrays = tuple(a[None] for a in arrays)
+    x, z1, h, ah, h1, ah1, ht, r, t, dz = arrays
+    n = x.shape[0]
 
-    d = cache.ht.shape[0]
-    dht = np.repeat((dr / d)[None, :], d, axis=0)
+    grads = ModelParams.zeros(params.cfg)
+    grads.head_u[...] = (dz[:, :, None] * t).sum(axis=0)
+    grads.head_c[...] = dz.sum(axis=0)
+    da = dz[:, :, None] * params.head_u * (1.0 - t * t)  # (N, K, head_hidden)
+    grads.head_b[...] = da.sum(axis=0)
+    da = da.reshape(n, -1)  # (N, K * head_hidden), the row order of head_w's blocks
+    grads.head_w[...] = (da.T @ r).reshape(params.head_w.shape)
+    dr = da @ params.head_w.reshape(da.shape[1], -1)  # (N, propagation_width)
 
-    dp2 = dht * (1.0 - cache.ht * cache.ht)
-    grads.prop_w2 = cache.ah1.T @ dp2
-    grads.prop_b2 = dp2.sum(axis=0)
-    dh1 = cache.graph.normalized.T @ (dp2 @ params.prop_w2.T)
+    a = cache.graph.normalized
+    dp2 = (dr / ht.shape[1])[:, None, :] * (1.0 - ht * ht)
+    grads.prop_w2[...] = _rows(ah1).T @ _rows(dp2)
+    grads.prop_b2[...] = dp2.sum(axis=(0, 1))
+    dh1 = a.T @ (dp2 @ params.prop_w2.T)
 
-    dp1 = dh1 * (1.0 - cache.h1 * cache.h1)
-    grads.prop_w1 = cache.ah.T @ dp1
-    grads.prop_b1 = dp1.sum(axis=0)
-    dh = cache.graph.normalized.T @ (dp1 @ params.prop_w1.T)
+    dp1 = dh1 * (1.0 - h1 * h1)
+    grads.prop_w1[...] = _rows(ah).T @ _rows(dp1)
+    grads.prop_b1[...] = dp1.sum(axis=(0, 1))
+    dh = a.T @ (dp1 @ params.prop_w1.T)
 
-    henc = cache.h.T  # (embed_width, D), equals tanh of the second pre-activation
-    da2 = dh.T * (1.0 - henc * henc)
-    grads.enc_w2 = da2 @ cache.z1.T
-    grads.enc_b2 = da2.sum(axis=1)
-    da1 = (params.enc_w2.T @ da2) * (1.0 - cache.z1 * cache.z1)
-    grads.enc_w1 = da1 @ cache.x.T
-    grads.enc_b1 = da1.sum(axis=1)
+    da2 = dh * (1.0 - h * h)  # (N, D, embed_width)
+    grads.enc_w2[...] = _rows(da2).T @ _rows(z1)
+    grads.enc_b2[...] = da2.sum(axis=(0, 1))
+    da1 = (da2 @ params.enc_w2) * (1.0 - z1 * z1)  # (N, D, encoder_hidden)
+    grads.enc_w1[...] = _rows(da1).T @ _rows(x.swapaxes(1, 2))
+    grads.enc_b1[...] = da1.sum(axis=(0, 1))
     return grads

@@ -1,8 +1,9 @@
 """Mini-batch training with Adam and adaptive task weights, plus evaluation.
 
 The loop is deliberately plain: per epoch, a seeded shuffle fixes the batch
-membership, every window runs forward/backward individually, gradients are
-reduced in ascending window order, and one Adam step applies per batch.
+membership, each batch runs as one stacked forward/backward pass whose
+gradient is summed over its windows, and one Adam step applies per batch.
+Evaluation scores windows in stacks of SCORE_CHUNK.
 Given the same config and seed the whole trajectory is bit-reproducible,
 which the acceptance suite checks at the file level.
 
@@ -30,7 +31,15 @@ from contention.losses import (
     task_losses,
     update_weights,
 )
-from contention.model import ModelConfig, ModelParams, backward, forward, init_params
+from contention.model import (
+    ModelConfig,
+    ModelParams,
+    Prediction,
+    backward,
+    forward,
+    init_params,
+    predict,
+)
 from contention.rng import RngStream
 
 
@@ -86,8 +95,8 @@ def adam_step(
     state: AdamState,
     cfg: TrainConfig,
     blocks: list[tuple[str, slice]] | None = None,
-) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update on the flat parameter vector.
+) -> AdamState:
+    """One bias-corrected Adam update, applied in place to the flat parameter vector.
 
     A non-finite gradient aborts training; when block slices are supplied the
     error names the parameter block that went bad instead of a bare index.
@@ -109,8 +118,8 @@ def adam_step(
     v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
     m_hat = m / (1.0 - cfg.beta1 ** t)
     v_hat = v / (1.0 - cfg.beta2 ** t)
-    new_theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-    return new_theta, AdamState(m=m, v=v, step=t)
+    theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    return AdamState(m=m, v=v, step=t)
 
 
 @dataclass(frozen=True)
@@ -194,14 +203,23 @@ def _check_labeled(windows: list[MetricWindow], what: str) -> np.ndarray:
     return np.array(labels, dtype=np.int64)
 
 
+# Windows per forward pass when scoring. One pass over a whole dataset would
+# keep every window's intermediates alive at once, about 25 kB per window;
+# stacks of 64 score as fast per window as larger ones.
+SCORE_CHUNK = 64
+
+
+def score(params: ModelParams, graph: MetricGraph, windows: list[MetricWindow]) -> Prediction:
+    """Logits, probabilities and labels of every window, SCORE_CHUNK windows per pass."""
+    chunks = (windows[i : i + SCORE_CHUNK] for i in range(0, len(windows), SCORE_CHUNK))
+    logits = [forward(np.stack([w.values for w in c]), graph, params)[0].logits for c in chunks]
+    return predict(np.concatenate(logits))
+
+
 def evaluate(params: ModelParams, graph: MetricGraph, windows: list[MetricWindow]) -> EvalMetrics:
     labels = _check_labeled(windows, "evaluation")
-    k = params.head_c.shape[0]
-    preds = np.empty(len(windows), dtype=np.int64)
-    for i, w in enumerate(windows):
-        pred, _ = forward(w.values, graph, params)
-        preds[i] = pred.label
-    return metrics_from_confusion(confusion_matrix(labels, preds, k))
+    preds = score(params, graph, windows).label
+    return metrics_from_confusion(confusion_matrix(labels, preds, params.cfg.num_classes))
 
 
 @dataclass(frozen=True)
@@ -241,7 +259,7 @@ def train(
     rng = RngStream(cfg.seed)
     params = init_params(model_cfg, rng.substream(0))
     blocks = ModelParams.block_slices(model_cfg)
-    adam = AdamState.zeros(params.to_vector().size)
+    adam = AdamState.zeros(params.flat.size)
     state = TaskWeightState.initial(model_cfg.num_classes, cfg.dwa_temperature)
     history = TrainHistory()
     best_params = params.copy()
@@ -254,12 +272,9 @@ def train(
         loss_sum = np.zeros(model_cfg.num_classes)
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
-            caches = []
-            logits = np.empty((batch.size, model_cfg.num_classes))
-            for row, idx in enumerate(batch):
-                pred, cache = forward(train_windows[idx].values, g, params)
-                logits[row] = pred.logits
-                caches.append(cache)
+            # gathered per batch: a stack of the whole split would double its memory
+            pred, cache = forward(np.stack([train_windows[i].values for i in batch]), g, params)
+            logits = pred.logits
             batch_losses = task_losses(logits, train_labels[batch])
             combined = combine(batch_losses, state)
             if not np.isfinite(combined):
@@ -267,11 +282,8 @@ def train(
                     f"non-finite training loss at epoch {epoch}, batch {batch_index}"
                 )
             dz = combine_grads(task_logit_grads(logits, train_labels[batch]), state)
-            total = ModelParams.zeros(model_cfg)
-            for row in range(batch.size):
-                total.accumulate(backward(caches[row], dz[row], g, params))
-            theta, adam = adam_step(params.to_vector(), total.to_vector(), adam, cfg, blocks)
-            params = ModelParams.from_vector(model_cfg, theta)
+            grads = backward(cache, dz, g, params)
+            adam = adam_step(params.flat, grads.flat, adam, cfg, blocks)
             loss_sum += batch_losses * batch.size
         epoch_losses = loss_sum / n
         val_metrics = evaluate(params, g, val_windows)

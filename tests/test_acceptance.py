@@ -84,25 +84,21 @@ def test_criterion_01_multitask_gradient_check():
     graph = random_graph(4, seed=0)
     params = init_params(model_cfg, RngStream(0))
     gen = RngStream(0, (5,)).generator()
-    xs = [gen.normal(size=(8, 4)) for _ in range(6)]
+    xs = np.stack([gen.normal(size=(8, 4)) for _ in range(6)])
     labels = np.array([0, 1, 2, 0, 1, 2])
     state = TaskWeightState(
         weights=np.array([1.25, 0.8, 0.95]), history=(), temperature=2.0
     )
 
     def loss_fn(theta: np.ndarray) -> float:
-        candidate = ModelParams.from_vector(model_cfg, theta)
-        logits = np.stack([forward(x, graph, candidate)[0].logits for x in xs])
+        logits = forward(xs, graph, ModelParams(model_cfg, theta))[0].logits
         return combine(task_losses(logits, labels), state)
 
-    results = [forward(x, graph, params) for x in xs]
-    logits = np.stack([pred.logits for pred, _ in results])
-    dz = combine_grads(task_logit_grads(logits, labels), state)
-    grad = ModelParams.zeros(model_cfg)
-    for (_, cache), row in zip(results, dz):
-        grad.accumulate(backward(cache, row, graph, params))
+    pred, cache = forward(xs, graph, params)
+    dz = combine_grads(task_logit_grads(pred.logits, labels), state)
+    grad = backward(cache, dz, graph, params)
 
-    err = finite_diff_check(loss_fn, params.to_vector(), grad.to_vector(), h=1e-5)
+    err = finite_diff_check(loss_fn, params.flat, grad.flat, h=1e-5)
     elapsed = time.perf_counter() - start
     ok = err <= 1e-4 and elapsed < 10.0
     _verdict(

@@ -7,6 +7,7 @@ produce bitwise-identical logits.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def _checkpoint(seed=0, dim=4):
     )
     params = init_params(cfg, RngStream(seed))
     # nudge weights off the clean init so we serialize post-training values
-    params.enc_w1 += 1e-13 * RngStream(seed, (70,)).generator().normal(
+    params.enc_w1[...] += 1e-13 * RngStream(seed, (70,)).generator().normal(
         size=params.enc_w1.shape
     )
     graph = random_graph(dim, seed=seed, threshold=0.25)
@@ -66,7 +67,7 @@ class TestRoundTrip:
         save_checkpoint(ckpt, path)
         back = load_checkpoint(path)
         assert back.model_cfg == ckpt.model_cfg
-        assert np.array_equal(back.params.to_vector(), ckpt.params.to_vector())
+        assert np.array_equal(back.params.flat, ckpt.params.flat)
         assert np.array_equal(back.graph.adjacency, ckpt.graph.adjacency)
         assert back.graph.threshold == ckpt.graph.threshold
         assert np.array_equal(back.norm.mean, ckpt.norm.mean)
@@ -115,8 +116,8 @@ class TestRoundTrip:
 class TestSaveValidation:
     def test_rejects_wrong_param_shape(self, tmp_path):
         ckpt = _checkpoint()
-        ckpt.params.prop_w1 = np.zeros((2, 2))
-        with pytest.raises(ShapeError, match="prop_w1"):
+        ckpt.params = init_params(replace(ckpt.model_cfg, propagation_width=2), RngStream(0))
+        with pytest.raises(ShapeError, match="propagation_width=2"):
             save_checkpoint(ckpt, tmp_path / "x.json")
 
     def test_rejects_class_name_count(self, tmp_path):
@@ -212,6 +213,36 @@ class TestLoadValidation:
         path = self._saved(tmp_path)
         self._rewrite(path, lambda p: p["model"].update(depth=3))
         with pytest.raises(SchemaError, match="model config"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("graph", "dim", None),
+            ("graph", "adjacency", None),
+            ("graph", "threshold", None),
+            ("normalization", "mean", None),
+            ("normalization", "std", None),
+            ("graph", "dim", "four"),
+            ("graph", "threshold", [0.5]),
+            ("graph", None, []),
+            ("normalization", None, "none"),
+        ],
+    )
+    def test_missing_or_mistyped_field(self, tmp_path, section, key, value):
+        """A missing key (value None) or a value of the wrong type is a SchemaError."""
+        path = self._saved(tmp_path)
+
+        def poison(p):
+            if key is None:
+                p[section] = value
+            elif value is None:
+                del p[section][key]
+            else:
+                p[section][key] = value
+
+        self._rewrite(path, poison)
+        with pytest.raises(SchemaError, match="missing or malformed"):
             load_checkpoint(path)
 
 

@@ -547,6 +547,32 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     assert "learning_rte" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"train": {"batch_size": "64"}}, "train.batch_size"),
+        ({"train": {"max_epochs": True}}, "train.max_epochs"),
+        ({"model": {"window_len": 32.0}}, "model.window_len"),
+        ({"scenario": {"noise_std": "0.2"}}, "scenario.noise_std"),
+        ({"ingest": {"stride": "8"}}, "ingest.stride"),
+        ({"n_windows": [10]}, "n_windows"),
+    ],
+)
+def test_config_value_of_wrong_type_is_a_config_error(tmp_path, capsys, config, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    rc = main(["gen", "--config", str(path), "--out", str(tmp_path / "o"), "--n", "1"])
+    assert rc == EXIT_CONFIG
+    assert f"config key '{key}' must be" in capsys.readouterr().err
+
+
+def test_config_int_is_accepted_where_a_float_is_expected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"train": {"learning_rate": 1}, "corr_threshold": 0}))
+    rc = main(["gen", "--config", str(path), "--out", str(tmp_path / "o"), "--n", "1"])
+    assert rc == EXIT_OK
+
+
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])

@@ -568,6 +568,29 @@ class TestDatasetFiles:
         with pytest.raises(DataError, match=":4:"):
             read_dataset(path)
 
+    def _set_label(self, path, line, label):
+        lines = path.read_text().splitlines()
+        parts = lines[line].split(",")
+        parts[1] = label
+        lines[line] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_read_reports_bad_label_with_line_number(self, tmp_path):
+        path = self._written(tmp_path)
+        self._set_label(path, 25, "x")  # the first row of window 1
+        with pytest.raises(DataError, match=r"ds\.csv:26: unparseable label"):
+            read_dataset(path)
+
+    def test_read_rejects_conflicting_labels_in_one_window(self, tmp_path):
+        path = self._written(tmp_path)
+        first = path.read_text().splitlines()[1].split(",")[1]
+        self._set_label(path, 7, str((int(first) + 1) % 3))
+        with pytest.raises(DataError, match=r"ds\.csv:8: window 0 has label"):
+            read_dataset(path)
+        self._set_label(path, 7, "")
+        with pytest.raises(DataError, match=r":8: window 0 has label ''"):
+            read_dataset(path)
+
     def test_read_rejects_unknown_metric(self, tmp_path):
         path = self._written(tmp_path)
         lines = path.read_text().splitlines()

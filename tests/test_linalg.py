@@ -13,10 +13,8 @@ from contention.linalg import (
     bce_from_logit,
     finite_diff_check,
     glorot_init,
-    matmul,
     sigmoid,
     softmax,
-    tanh_map,
 )
 from contention.rng import RngStream
 
@@ -33,69 +31,6 @@ def _rng(seed):
     return RngStream(seed, (1,)).generator()
 
 
-class TestMatmul:
-    def test_identity(self):
-        b = _rng(0).normal(size=(3, 4))
-        assert np.array_equal(matmul(np.eye(3), b), b)
-
-    def test_zero(self):
-        b = _rng(1).normal(size=(4, 2))
-        assert np.array_equal(matmul(np.zeros((3, 4)), b), np.zeros((3, 2)))
-
-    def test_matches_triple_loop_oracle(self):
-        """Random 3x4 . 4x2 against an explicit scalar triple loop."""
-        gen = _rng(2)
-        a = gen.normal(size=(3, 4))
-        b = gen.normal(size=(4, 2))
-        want = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(2):
-                acc = 0.0
-                for k in range(4):
-                    acc += a[i, k] * b[k, j]
-                want[i, j] = acc
-        assert np.max(np.abs(matmul(a, b) - want)) <= 1e-12
-
-    def test_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3, 2\)"):
-            matmul(np.zeros((3, 4)), np.zeros((3, 2)))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 16), st.integers(1, 16), st.integers(1, 16), st.integers(0, 10_000))
-    def test_associativity(self, m, n, p, seed):
-        gen = _rng(seed)
-        a = gen.uniform(-1, 1, size=(m, n))
-        b = gen.uniform(-1, 1, size=(n, p))
-        c = gen.uniform(-1, 1, size=(p, 3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.max(np.abs(left - right)) <= 1e-9
-
-
-class TestTanh:
-    def test_zero_fixed_point(self):
-        assert np.array_equal(tanh_map(np.zeros((2, 3))), np.zeros((2, 3)))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_odd_symmetry(self, seed):
-        x = _rng(seed).normal(scale=3.0, size=(4, 4))
-        assert np.allclose(tanh_map(x), -tanh_map(-x), atol=0, rtol=0)
-
-    def test_matches_scalar_reference(self):
-        """math.tanh evaluates each scalar independently of the array path."""
-        x = _rng(3).normal(scale=2.0, size=(5, 5))
-        want = np.array([[math.tanh(v) for v in row] for row in x])
-        assert np.max(np.abs(tanh_map(x) - want)) <= 1e-14
-
-    def test_bounded(self):
-        # tanh saturates to exactly +-1.0 in float64 for |x| >~ 19, so the
-        # strict inequality only holds for moderate arguments.
-        out = tanh_map(np.array([[-1e6, -18.0, 18.0, 1e6]]))
-        assert np.all(out >= -1.0) and np.all(out <= 1.0)
-        assert out[0, 1] > -1.0 and out[0, 2] < 1.0
-
-
 class TestSoftmax:
     def test_constant_vector_is_uniform(self):
         for c in (-7.5, 0.0, 123.0):
@@ -108,6 +43,15 @@ class TestSoftmax:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             softmax(np.array([]))
+        with pytest.raises(ShapeError):
+            softmax(np.zeros((2, 0)))
+
+    def test_stack_rows_equal_vector_softmax(self):
+        z = _rng(3).normal(scale=10.0, size=(7, 5))
+        z[2] += 800.0
+        p = softmax(z)
+        for row, zi in zip(p, z):
+            assert np.array_equal(row, softmax(zi))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 10_000))

@@ -3,8 +3,12 @@
 The backward pass is verified against central finite differences of the
 scalar objective dz . logits(theta), treating the whole parameter set as one
 flat vector. That oracle exercises every weight block at once and would
-catch a wrong transpose, a dropped term, or a stale cache slot.
+catch a wrong transpose, a dropped term, or a stale cache slot. A stack of
+windows is checked against the same windows passed one at a time.
 """
+
+import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +19,9 @@ from contention.errors import CacheMismatchError, ConfigError, ShapeError
 from contention.graph import MetricGraph, identity_graph, normalize_adjacency
 from contention.linalg import finite_diff_check, softmax
 from contention.model import (
-    ENCODED,
-    PROPAGATED,
     ForwardCache,
     ModelConfig,
     ModelParams,
-    NodeEmbeddings,
     backward,
     encode,
     forward,
@@ -31,7 +32,9 @@ from contention.model import (
 )
 from contention.rng import RngStream
 
-from conftest import random_graph
+from conftest import random_graph, random_windows
+
+train_module = importlib.import_module("contention.train")  # the package exports train() as `train`
 
 
 def _window(t, d, seed):
@@ -64,19 +67,29 @@ class TestConfigAndParams:
         }
 
     def test_vector_round_trip(self, tiny_model_cfg):
+        """Params built on a flat vector share its memory: no copy either way."""
         p = init_params(tiny_model_cfg, RngStream(0))
-        vec = p.to_vector()
-        q = ModelParams.from_vector(tiny_model_cfg, vec)
+        q = ModelParams(tiny_model_cfg, p.flat)
+        assert q.flat is p.flat
         for name in ModelParams._ORDER:
+            assert np.shares_memory(getattr(q, name), p.flat)
             assert np.array_equal(getattr(p, name), getattr(q, name))
+        p.flat[0] += 1.0
+        assert q.enc_w1[0, 0] == p.flat[0]
 
     def test_from_vector_wrong_length(self, tiny_model_cfg):
         with pytest.raises(ShapeError, match="flat vector"):
-            ModelParams.from_vector(tiny_model_cfg, np.zeros(7))
+            ModelParams(tiny_model_cfg, np.zeros(7))
+
+    def test_blocks_cannot_be_rebound(self, tiny_model_cfg):
+        """Rebinding a block would detach it from the flat buffer."""
+        p = init_params(tiny_model_cfg, RngStream(0))
+        with pytest.raises(AttributeError):
+            p.prop_w2 = np.zeros_like(p.prop_w2)
 
     def test_block_slices_partition_the_vector(self, tiny_model_cfg):
         p = init_params(tiny_model_cfg, RngStream(1))
-        vec = p.to_vector()
+        vec = p.flat
         slices = ModelParams.block_slices(tiny_model_cfg)
         assert slices[0][1].start == 0
         assert slices[-1][1].stop == vec.size
@@ -88,13 +101,6 @@ class TestConfigAndParams:
                 vec[s].reshape(shapes[name]), getattr(p, name)
             )
 
-    def test_accumulate(self, tiny_model_cfg):
-        a = init_params(tiny_model_cfg, RngStream(2))
-        b = init_params(tiny_model_cfg, RngStream(3))
-        want = a.to_vector() + b.to_vector()
-        a.accumulate(b)
-        assert np.array_equal(a.to_vector(), want)
-
     def test_copy_is_deep(self, tiny_model_cfg):
         a = init_params(tiny_model_cfg, RngStream(4))
         b = a.copy()
@@ -102,9 +108,8 @@ class TestConfigAndParams:
         assert a.enc_w1[0, 0] != b.enc_w1[0, 0]
 
     def test_validate_catches_wrong_shape(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(5))
-        p.prop_w2 = np.zeros((2, 2))
-        with pytest.raises(ShapeError, match="prop_w2"):
+        p = init_params(replace(tiny_model_cfg, propagation_width=2), RngStream(5))
+        with pytest.raises(ShapeError, match="propagation_width=2"):
             p.validate(tiny_model_cfg)
 
 
@@ -112,12 +117,12 @@ class TestInit:
     def test_deterministic(self, tiny_model_cfg):
         a = init_params(tiny_model_cfg, RngStream(7))
         b = init_params(tiny_model_cfg, RngStream(7))
-        assert np.array_equal(a.to_vector(), b.to_vector())
+        assert np.array_equal(a.flat, b.flat)
 
     def test_seed_changes_weights(self, tiny_model_cfg):
         a = init_params(tiny_model_cfg, RngStream(7))
         b = init_params(tiny_model_cfg, RngStream(8))
-        assert not np.array_equal(a.to_vector(), b.to_vector())
+        assert not np.array_equal(a.flat, b.flat)
 
     def test_biases_zero_weights_bounded(self, tiny_model_cfg):
         cfg = tiny_model_cfg
@@ -149,9 +154,9 @@ class TestInit:
 class TestEncode:
     def test_shape_and_stage(self, tiny_model_cfg):
         p = init_params(tiny_model_cfg, RngStream(0))
-        h = encode(_window(8, 4, 1), p)
-        assert h.stage == ENCODED
-        assert h.values.shape == (4, tiny_model_cfg.embed_width)
+        x = _window(8, 4, 1)
+        assert encode(x, p).shape == (4, tiny_model_cfg.embed_width)
+        assert encode(np.stack([x, x, x]), p).shape == (3, 4, tiny_model_cfg.embed_width)
 
     def test_columns_encoded_independently(self, tiny_model_cfg):
         """Shared encoder: batch output equals one-column-at-a-time output."""
@@ -160,14 +165,14 @@ class TestEncode:
         h = encode(x, p)
         for j in range(5):
             single = encode(x[:, j : j + 1], p)
-            assert np.max(np.abs(single.values[0] - h.values[j])) <= 1e-15
+            assert np.max(np.abs(single[0] - h[j])) <= 1e-15
 
     def test_metric_permutation_equivariance(self, tiny_model_cfg):
         p = init_params(tiny_model_cfg, RngStream(2))
         x = _window(8, 6, 3)
         perm = np.array([3, 0, 5, 1, 4, 2])
-        a = encode(x, p).values[perm]
-        b = encode(x[:, perm], p).values
+        a = encode(x, p)[perm]
+        b = encode(x[:, perm], p)
         assert np.array_equal(a, b)
 
     def test_wrong_window_len(self, tiny_model_cfg):
@@ -179,6 +184,8 @@ class TestEncode:
         p = init_params(tiny_model_cfg, RngStream(3))
         with pytest.raises(ShapeError):
             encode(np.zeros(8), p)
+        with pytest.raises(ShapeError):
+            encode(np.zeros((2, 2, 8, 4)), p)
 
 
 class TestPropagate:
@@ -186,16 +193,7 @@ class TestPropagate:
         p = init_params(tiny_model_cfg, RngStream(0))
         g = random_graph(4, seed=0)
         ht = propagate(g, encode(_window(8, 4, 1), p), p)
-        assert ht.stage == PROPAGATED
-        assert ht.values.shape == (4, tiny_model_cfg.propagation_width)
-
-    def test_requires_encoded_stage(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(0))
-        g = random_graph(4, seed=0)
-        h = encode(_window(8, 4, 1), p)
-        once = propagate(g, h, p)
-        with pytest.raises(ShapeError, match="stage"):
-            propagate(g, once, p)
+        assert ht.shape == (4, tiny_model_cfg.propagation_width)
 
     def test_dim_mismatch(self, tiny_model_cfg):
         p = init_params(tiny_model_cfg, RngStream(0))
@@ -209,8 +207,8 @@ class TestPropagate:
         x = _window(8, 4, 5)
         y = x.copy()
         y[:, 2] += 10.0
-        a = propagate(identity_graph(4), encode(x, p), p).values
-        b = propagate(identity_graph(4), encode(y, p), p).values
+        a = propagate(identity_graph(4), encode(x, p), p)
+        b = propagate(identity_graph(4), encode(y, p), p)
         changed = np.abs(a - b).max(axis=1)
         assert changed[2] > 1e-6
         for j in (0, 1, 3):
@@ -225,8 +223,8 @@ class TestPropagate:
         x = _window(8, 4, 5)
         y = x.copy()
         y[:, 2] += 10.0
-        a = propagate(g, encode(x, p), p).values
-        b = propagate(g, encode(y, p), p).values
+        a = propagate(g, encode(x, p), p)
+        b = propagate(g, encode(y, p), p)
         changed = np.abs(a - b).max(axis=1)
         assert changed[0] > 1e-9 and changed[2] > 1e-9
         # 1 and 3 are two hops away from nothing: untouched
@@ -234,12 +232,6 @@ class TestPropagate:
 
 
 class TestHeadsAndPredict:
-    def test_requires_propagated_stage(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(0))
-        h = encode(_window(8, 4, 1), p)
-        with pytest.raises(ShapeError, match="stage"):
-            heads(h, p)
-
     def test_logit_count(self, tiny_model_cfg):
         p = init_params(tiny_model_cfg, RngStream(0))
         g = random_graph(4, seed=1)
@@ -267,9 +259,8 @@ class TestHeadsAndPredict:
         vals = RngStream(3, (21,)).generator().normal(
             size=(4, tiny_model_cfg.propagation_width)
         )
-        ht = NodeEmbeddings(stage=PROPAGATED, values=vals)
-        doubled = NodeEmbeddings(stage=PROPAGATED, values=np.vstack([vals, vals]))
-        assert np.max(np.abs(heads(ht, p) - heads(doubled, p))) <= 1e-12
+        doubled = np.vstack([vals, vals])
+        assert np.max(np.abs(heads(vals, p) - heads(doubled, p))) <= 1e-12
 
     def test_predict_fields(self):
         z = np.array([0.2, 1.4, -0.3])
@@ -280,6 +271,7 @@ class TestHeadsAndPredict:
 
     def test_predict_tie_breaks_low(self):
         assert predict(np.array([2.0, 2.0, 1.0])).label == 0
+        assert predict(np.array([[2.0, 2.0, 1.0], [0.0, 3.0, 3.0]])).label.tolist() == [0, 1]
 
 
 class TestForward:
@@ -290,6 +282,7 @@ class TestForward:
         pred, cache = forward(x, g, p)
         staged = heads(propagate(g, encode(x, p), p), p)
         assert np.array_equal(pred.logits, staged)
+        assert isinstance(pred.label, int) and pred.logits.shape == (3,)
         assert cache.x.shape == (8, 4)
         assert cache.params is p
         assert cache.graph is g
@@ -334,14 +327,14 @@ class TestBackward:
         dz = RngStream(1, (22,)).generator().normal(size=cfg.num_classes)
 
         _, cache = forward(x, g, p)
-        analytic = backward(cache, dz, g, p).to_vector()
+        analytic = backward(cache, dz, g, p).flat
 
         def objective(vec):
-            q = ModelParams.from_vector(cfg, vec)
+            q = ModelParams(cfg, vec)
             pred, _ = forward(x, g, q)
             return float(dz @ pred.logits)
 
-        err = finite_diff_check(objective, p.to_vector(), analytic)
+        err = finite_diff_check(objective, p.flat, analytic)
         assert err <= 1e-4, f"max relative gradient error {err}"
 
     def test_finite_differences_identity_graph(self, tiny_model_cfg):
@@ -351,13 +344,13 @@ class TestBackward:
         x = _window(cfg.window_len, 4, 60)
         dz = np.array([1.0, -2.0, 0.5])
         _, cache = forward(x, g, p)
-        analytic = backward(cache, dz, g, p).to_vector()
+        analytic = backward(cache, dz, g, p).flat
 
         def objective(vec):
-            pred, _ = forward(x, g, ModelParams.from_vector(cfg, vec))
+            pred, _ = forward(x, g, ModelParams(cfg, vec))
             return float(dz @ pred.logits)
 
-        assert finite_diff_check(objective, p.to_vector(), analytic) <= 1e-4
+        assert finite_diff_check(objective, p.flat, analytic) <= 1e-4
 
     def test_zero_sensitivity_heads_get_zero_gradient(self, tiny_model_cfg):
         p, g, x = self._setup(tiny_model_cfg, seed=1)
@@ -377,11 +370,11 @@ class TestBackward:
         gen = RngStream(4, (23,)).generator()
         dz1 = gen.normal(size=3)
         dz2 = gen.normal(size=3)
-        ga = backward(cache, dz1, g, p).to_vector()
-        gb = backward(cache, dz2, g, p).to_vector()
-        gsum = backward(cache, dz1 + dz2, g, p).to_vector()
+        ga = backward(cache, dz1, g, p).flat
+        gb = backward(cache, dz2, g, p).flat
+        gsum = backward(cache, dz1 + dz2, g, p).flat
         assert np.max(np.abs(gsum - (ga + gb))) <= 1e-12
-        gscaled = backward(cache, 3.0 * dz1, g, p).to_vector()
+        gscaled = backward(cache, 3.0 * dz1, g, p).flat
         assert np.max(np.abs(gscaled - 3.0 * ga)) <= 1e-12
 
     def test_rejects_foreign_params(self, tiny_model_cfg):
@@ -406,7 +399,7 @@ class TestBackward:
             threshold=g.threshold,
         )
         grads = backward(cache, np.ones(3), twin, p)
-        assert np.all(np.isfinite(grads.to_vector()))
+        assert np.all(np.isfinite(grads.flat))
 
     def test_rejects_wrong_dz_shape(self, tiny_model_cfg):
         p, g, x = self._setup(tiny_model_cfg, seed=6)
@@ -433,10 +426,72 @@ class TestBackward:
         x = gen.normal(size=(cfg.window_len, d))
         dz = gen.normal(size=cfg.num_classes)
         _, cache = forward(x, g, p)
-        analytic = backward(cache, dz, g, p).to_vector()
+        analytic = backward(cache, dz, g, p).flat
 
         def objective(vec):
-            pred, _ = forward(x, g, ModelParams.from_vector(cfg, vec))
+            pred, _ = forward(x, g, ModelParams(cfg, vec))
             return float(dz @ pred.logits)
 
-        assert finite_diff_check(objective, p.to_vector(), analytic) <= 1e-4
+        assert finite_diff_check(objective, p.flat, analytic) <= 1e-4
+
+
+class TestBatched:
+    """A stack of windows goes through the same code as one window at a time."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 6), st.integers(0, 10_000))
+    def test_stack_forward_matches_each_window(self, n, d, seed):
+        cfg = ModelConfig(window_len=8, num_classes=3, encoder_hidden=6,
+                          embed_width=5, propagation_width=4, head_hidden=3)
+        p = init_params(cfg, RngStream(seed))
+        g = random_graph(d, seed=seed, threshold=0.3)
+        xs = RngStream(seed, (26,)).generator().normal(size=(n, cfg.window_len, d))
+        pred, cache = forward(xs, g, p)
+        assert pred.logits.shape == (n, cfg.num_classes)
+        assert cache.x.shape == (n, cfg.window_len, d)
+        for i in range(n):
+            one, _ = forward(xs[i], g, p)
+            assert np.max(np.abs(pred.logits[i] - one.logits)) <= 1e-12
+            assert np.max(np.abs(pred.probabilities[i] - one.probabilities)) <= 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 6), st.integers(0, 10_000))
+    def test_stack_backward_is_sum_of_window_gradients(self, n, d, seed):
+        cfg = ModelConfig(window_len=8, num_classes=3, encoder_hidden=6,
+                          embed_width=5, propagation_width=4, head_hidden=3)
+        p = init_params(cfg, RngStream(seed))
+        g = random_graph(d, seed=seed, threshold=0.3)
+        gen = RngStream(seed, (27,)).generator()
+        xs = gen.normal(size=(n, cfg.window_len, d))
+        dz = gen.normal(size=(n, cfg.num_classes))
+        _, cache = forward(xs, g, p)
+        stacked = backward(cache, dz, g, p).flat
+        summed = np.zeros_like(stacked)
+        for i in range(n):
+            _, one = forward(xs[i], g, p)
+            summed += backward(one, dz[i], g, p).flat
+        assert np.max(np.abs(stacked - summed)) <= 1e-12
+
+    def test_stack_backward_rejects_window_shaped_dz(self, tiny_model_cfg):
+        p = init_params(tiny_model_cfg, RngStream(0))
+        g = random_graph(4, seed=0)
+        _, cache = forward(np.stack([_window(8, 4, 1), _window(8, 4, 2)]), g, p)
+        with pytest.raises(CacheMismatchError, match="logits' shape"):
+            backward(cache, np.ones(3), g, p)
+
+    def test_chunked_scoring_does_not_depend_on_n(self, tiny_model_cfg, monkeypatch):
+        """Scores of a window are the same whatever else is scored with it."""
+        monkeypatch.setattr(train_module, "SCORE_CHUNK", 4)
+        p = init_params(tiny_model_cfg, RngStream(11))
+        g = random_graph(4, seed=5)
+        windows = random_windows(11, 8, 4, seed=3)
+        full = train_module.score(p, g, windows)
+        assert full.logits.shape == (11, 3) and full.label.shape == (11,)
+        for n in (1, 4, 5, 10):
+            part = train_module.score(p, g, windows[:n])
+            assert np.max(np.abs(part.logits - full.logits[:n])) <= 1e-12
+            assert np.array_equal(part.label, full.label[:n])
+        for i, w in enumerate(windows):
+            one, _ = forward(w.values, g, p)
+            assert np.max(np.abs(full.logits[i] - one.logits)) <= 1e-12
+            assert full.label[i] == one.label

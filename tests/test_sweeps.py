@@ -97,7 +97,7 @@ class TestRunSynthetic:
     def test_deterministic(self):
         a = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=5)
         b = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=5)
-        assert np.array_equal(a.params.to_vector(), b.params.to_vector())
+        assert np.array_equal(a.params.flat, b.params.flat)
         assert a.test_metrics.accuracy == b.test_metrics.accuracy
         assert a.test_metrics.macro_f1 == b.test_metrics.macro_f1
 

@@ -72,7 +72,7 @@ class TestAdam:
         theta = np.array([0.5])
         state = AdamState.zeros(1)
         for step, g in enumerate((0.3, -0.2, 0.1)):
-            theta, state = adam_step(theta, np.array([g]), state, cfg)
+            state = adam_step(theta, np.array([g]), state, cfg)
             assert state.step == step + 1
             assert abs(theta[0] - ADAM_THETAS[step]) <= 1e-15
             assert abs(state.m[0] - ADAM_MS[step]) <= 1e-16
@@ -81,17 +81,16 @@ class TestAdam:
     def test_zero_gradient_is_a_fixed_point(self):
         cfg = TrainConfig()
         theta = np.array([1.0, -2.0])
-        new_theta, state = adam_step(theta, np.zeros(2), AdamState.zeros(2), cfg)
-        assert np.array_equal(new_theta, theta)
+        state = adam_step(theta, np.zeros(2), AdamState.zeros(2), cfg)
+        assert np.array_equal(theta, [1.0, -2.0])
         assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
 
     def test_first_step_size_is_learning_rate(self):
         """Bias correction makes the first update ~lr regardless of scale."""
         cfg = TrainConfig(learning_rate=0.05)
         for scale in (1e-3, 1.0, 1e3):
-            theta, _ = adam_step(
-                np.array([0.0]), np.array([scale]), AdamState.zeros(1), cfg
-            )
+            theta = np.array([0.0])
+            adam_step(theta, np.array([scale]), AdamState.zeros(1), cfg)
             assert theta[0] == pytest.approx(-0.05, rel=1e-4)
 
     def test_nonfinite_gradient_names_index(self):
@@ -106,11 +105,11 @@ class TestAdam:
         )
         params = init_params(cfg, RngStream(0))
         blocks = ModelParams.block_slices(cfg)
-        grad = np.zeros(params.to_vector().size)
+        grad = np.zeros(params.flat.size)
         sl = dict(blocks)["prop_w1"]
         grad[sl.start] = np.inf
         with pytest.raises(NumericError, match="prop_w1"):
-            adam_step(params.to_vector(), grad, AdamState.zeros(grad.size), TrainConfig(), blocks)
+            adam_step(params.flat, grad, AdamState.zeros(grad.size), TrainConfig(), blocks)
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
@@ -131,9 +130,9 @@ class TestAdam:
         state = AdamState.zeros(size)
         for _ in range(3):
             grad = gen.normal(scale=10.0, size=size)
-            new_theta, state = adam_step(theta, grad, state, cfg)
-            assert np.max(np.abs(new_theta - theta)) <= cfg.learning_rate * 1.2
-            theta = new_theta
+            before = theta.copy()
+            state = adam_step(theta, grad, state, cfg)
+            assert np.max(np.abs(theta - before)) <= cfg.learning_rate * 1.2
 
 
 class TestConfusion:
@@ -302,7 +301,7 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=16, max_epochs=3, patience=5, seed=7)
         p1, h1 = train(train_w, val_w, graph, cfg, TINY_TRAIN_MODEL)
         p2, h2 = train(train_w, val_w, graph, cfg, TINY_TRAIN_MODEL)
-        assert np.array_equal(p1.to_vector(), p2.to_vector())
+        assert np.array_equal(p1.flat, p2.flat)
         assert len(h1.records) == len(h2.records)
         for r1, r2 in zip(h1.records, h2.records):
             assert np.array_equal(r1.task_losses, r2.task_losses)
@@ -314,7 +313,7 @@ class TestTrainLoop:
         train_w, val_w, graph = _toy_problem(50, seed=4)
         p1, _ = train(train_w, val_w, graph, TrainConfig(max_epochs=2, seed=0), TINY_TRAIN_MODEL)
         p2, _ = train(train_w, val_w, graph, TrainConfig(max_epochs=2, seed=1), TINY_TRAIN_MODEL)
-        assert not np.array_equal(p1.to_vector(), p2.to_vector())
+        assert not np.array_equal(p1.flat, p2.flat)
 
     def test_weight_schedule(self):
         """All-ones weights for the first two epochs, sum K afterwards."""
