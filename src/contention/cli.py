@@ -26,6 +26,7 @@ from contention.data import (
     apply_norm,
     fit_norm,
     generate,
+    manifest_path,
     read_dataset,
     write_dataset,
 )
@@ -55,11 +56,17 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+HASH_BLOCK = 1 << 20  # bytes read at a time by git_blob_sha1
+
+
 def git_blob_sha1(path: str | Path) -> str:
-    """Content hash identical to `git hash-object` on the file."""
-    data = Path(path).read_bytes()
-    header = f"blob {len(data)}\x00".encode("ascii")
-    return hashlib.sha1(header + data).hexdigest()
+    """Content hash identical to `git hash-object` on the file, read in blocks."""
+    path = Path(path)
+    digest = hashlib.sha1(f"blob {path.stat().st_size}\x00".encode("ascii"))
+    with path.open("rb") as fh:
+        while block := fh.read(HASH_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, seed,
@@ -186,10 +193,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     history_path = out_dir / "history.csv"
     save_checkpoint(ckpt, ckpt_path)
     write_history_csv(result.history, history_path)
-    data_path = Path(args.data)
     _write_manifest(
         out_dir, "train", cfg, seed,
-        inputs=[data_path, data_path.with_name(data_path.stem + ".manifest.json")],
+        inputs=[Path(args.data), manifest_path(args.data)],
         outputs=[ckpt_path.name, history_path.name],
     )
     best = result.history.best_epoch

@@ -9,7 +9,9 @@ graph real class-relevant structure to discover.
 
 Also here: a hand-written threshold baseline used to certify that generated
 scenarios are learnable at all, z-score normalization fitted on the training
-split, stratified splitting, and the CSV-plus-manifest dataset interchange.
+split, stratified splitting, and the dataset interchange: one CSV row per
+window (window id, label, then the T x D values flattened time-major) with a
+JSON manifest sidecar.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ GROUP_NAMES = ("cpu", "mem", "disk", "net")
 # pattern into exactly one downstream group.
 DOWNSTREAM = {"cpu": "disk", "disk": "net", "mem": "cpu", "net": "mem"}
 
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -384,7 +386,7 @@ def _apportion(n: int, fractions: tuple[float, float, float]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Dataset interchange: long-form CSV plus a JSON manifest sidecar.
+# Dataset interchange: one CSV row per window plus a JSON manifest sidecar.
 
 
 def manifest_path(dataset_path: str | Path) -> Path:
@@ -392,11 +394,20 @@ def manifest_path(dataset_path: str | Path) -> Path:
     return p.with_name(p.stem + ".manifest.json")
 
 
-def write_dataset(path: str | Path, windows: list[MetricWindow], source: str = "") -> None:
-    """One CSV row per (window, t, metric) cell, plus the manifest sidecar.
+def _header(window_len: int, metric_names: tuple[str, ...]) -> list[str]:
+    """`window_id,label` then `<metric>@<t>` with t outer: a window's values.ravel()."""
+    return ["window_id", "label"] + [
+        f"{name}@{t}" for t in range(window_len) for name in metric_names
+    ]
 
-    Values are written with repr, which round-trips doubles exactly, so the
-    same windows always produce byte-identical files.
+
+def write_dataset(path: str | Path, windows: list[MetricWindow], source: str = "") -> None:
+    """One CSV row per window, plus the manifest sidecar.
+
+    A row is the window id, the label (empty when unlabeled), then the T x D
+    values in row-major order. Values are written with repr, which
+    round-trips doubles exactly, so the same windows always produce
+    byte-identical files.
     """
     if not windows:
         raise DataError("refusing to write an empty dataset")
@@ -409,14 +420,12 @@ def write_dataset(path: str | Path, windows: list[MetricWindow], source: str = "
         if w.metric_names != first.metric_names:
             raise DataError(f"window '{w.source}' has mismatched metric names")
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["window_id", "label", "metric_name", "t", "value"])
+        writer.writerow(_header(first.window_len, first.metric_names))
         for wid, w in enumerate(windows):
             label = "" if w.label is None else str(int(w.label))
-            for t in range(w.window_len):
-                for d, name in enumerate(w.metric_names):
-                    writer.writerow([wid, label, name, t, repr(float(w.values[t, d]))])
+            writer.writerow([wid, label, *map(repr, w.values.ravel().tolist())])
     manifest = {
         "format_version": DATASET_FORMAT_VERSION,
         "n_windows": len(windows),
@@ -430,7 +439,19 @@ def write_dataset(path: str | Path, windows: list[MetricWindow], source: str = "
     manifest_path(path).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _positive_int(manifest: dict, key: str, mpath: Path) -> int:
+    value = manifest[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SchemaError(f"manifest {mpath}: '{key}' must be a positive integer, got {value!r}")
+    return value
+
+
 def read_dataset(path: str | Path) -> list[MetricWindow]:
+    """Windows of a dataset written by write_dataset, checked against its manifest.
+
+    Every malformed file ends in a DataError naming the file and line, and
+    nothing is sized by a manifest count that the file has not confirmed.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
@@ -441,70 +462,57 @@ def read_dataset(path: str | Path) -> list[MetricWindow]:
         manifest = json.loads(mpath.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"manifest {mpath} is not valid JSON: {exc}") from exc
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != DATASET_FORMAT_VERSION:
+        raise SchemaError(
+            f"manifest {mpath} has format_version {version!r}, not {DATASET_FORMAT_VERSION}; "
+            "regenerate the dataset with `contention gen` or `contention ingest`"
+        )
     for key in ("n_windows", "window_len", "metric_count", "metric_names", "source"):
         if key not in manifest:
             raise SchemaError(f"manifest {mpath} is missing key '{key}'")
-    t_len = int(manifest["window_len"])
-    names = tuple(manifest["metric_names"])
-    if len(names) != int(manifest["metric_count"]):
-        raise SchemaError(
-            f"manifest lists {len(names)} metric names for metric_count "
-            f"{manifest['metric_count']}"
-        )
-    col = {name: i for i, name in enumerate(names)}
-    values: dict[int, np.ndarray] = {}
-    labels: dict[int, int | None] = {}
-    cells: dict[int, str] = {}  # each window's label cell as first read
-    filled: dict[int, int] = {}
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["window_id", "label", "metric_name", "t", "value"]
-        if reader.fieldnames != expected:
-            raise SchemaError(
-                f"dataset header {reader.fieldnames} does not match {expected}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                wid = int(row["window_id"])
-                t = int(row["t"])
-                value = float(row["value"])
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: unparseable row: {exc}") from exc
-            name = row["metric_name"]
-            if name not in col:
-                raise SchemaError(f"{path}:{lineno}: unknown metric '{name}'")
-            if not 0 <= t < t_len:
-                raise DataError(f"{path}:{lineno}: t={t} outside [0, {t_len})")
-            cell = row["label"]
-            if wid not in values:
-                try:
-                    labels[wid] = int(cell) if cell else None
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: unparseable label: {exc}") from exc
-                values[wid] = np.full((t_len, len(names)), np.nan)
-                cells[wid] = cell
-                filled[wid] = 0
-            elif cell != cells[wid]:  # compared as text: parsing every row costs ~10% of a read
-                raise DataError(
-                    f"{path}:{lineno}: window {wid} has label {cell!r}, "
-                    f"an earlier row gave {cells[wid]!r}"
+    n_windows, t_len, d = (
+        _positive_int(manifest, key, mpath) for key in ("n_windows", "window_len", "metric_count")
+    )
+    names = manifest["metric_names"]
+    if not isinstance(names, list) or len(names) != d or not all(isinstance(n, str) for n in names):
+        raise SchemaError(f"manifest {mpath}: 'metric_names' must be metric_count {d} strings")
+    names, width, windows = tuple(names), 2 + t_len * d, []
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            if len(header) != width:
+                raise SchemaError(
+                    f"{path}:1: header has {len(header)} columns, the manifest's "
+                    f"window_len {t_len} x {d} metrics needs {width}"
                 )
-            values[wid][t, col[name]] = value
-            filled[wid] += 1
-    if len(values) != int(manifest["n_windows"]):
-        raise DataError(
-            f"{path} holds {len(values)} windows, manifest says {manifest['n_windows']}"
-        )
-    windows = []
-    for wid in sorted(values):
-        if filled[wid] != t_len * len(names) or not np.all(np.isfinite(values[wid])):
-            raise DataError(f"{path}: window {wid} is incomplete")
-        windows.append(
-            MetricWindow(
-                values=values[wid],
-                label=labels[wid],
-                source=f"{manifest['source']}[{wid}]",
-                metric_names=names,
-            )
-        )
+            for col, (got, want) in enumerate(zip(header, _header(t_len, names)), start=1):
+                if got != want:
+                    raise SchemaError(
+                        f"{path}:1: header column {col} is {got!r}, the manifest gives {want!r}"
+                    )
+            for row in reader:
+                where, wid = f"{path}:{reader.line_num}", len(windows)
+                if len(row) != width:
+                    raise DataError(f"{where}: {len(row)} cells, expected {width}")
+                if row[0] != str(wid):
+                    raise DataError(f"{where}: window_id {row[0]!r}, expected {wid}")
+                try:
+                    label = int(row[1]) if row[1] else None
+                except ValueError as exc:
+                    raise DataError(f"{where}: unparseable label: {exc}") from exc
+                if label is not None and not 0 <= label < NUM_CLASSES:
+                    raise DataError(f"{where}: label {label} outside [0, {NUM_CLASSES})")
+                try:
+                    values = np.array(list(map(float, row[2:]))).reshape(t_len, d)
+                except ValueError as exc:
+                    raise DataError(f"{where}: unparseable value: {exc}") from exc
+                if not np.isfinite(values).all():
+                    raise DataError(f"{where}: window {wid} has a non-finite value")
+                windows.append(MetricWindow(values, label, f"{manifest['source']}[{wid}]", names))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: unreadable CSV: {exc}") from exc
+    if len(windows) != n_windows:
+        raise DataError(f"{path} holds {len(windows)} windows, manifest says {n_windows}")
     return windows

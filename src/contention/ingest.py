@@ -97,46 +97,28 @@ class IngestResult:
     machines: int
 
 
-def _resample(
-    samples: list[tuple[int, np.ndarray]], step: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Bucket-mean resample; returns (series, observed mask, first timestamp)."""
-    samples.sort(key=lambda pair: pair[0])
-    t0 = samples[0][0]
-    n_buckets = (samples[-1][0] - t0) // step + 1
-    width = samples[0][1].shape[0]
-    sums = np.zeros((n_buckets, width))
-    counts = np.zeros(n_buckets, dtype=np.int64)
-    for ts, row in samples:
-        b = (ts - t0) // step
-        sums[b] += row
-        counts[b] += 1
-    observed = counts > 0
-    series = np.full((n_buckets, width), np.nan)
-    series[observed] = sums[observed] / counts[observed, None]
-    return series, observed, t0
+def _segments(samples: list[tuple[int, np.ndarray]], step: int, max_fill: int):
+    """Bucket-mean resample one machine's time-sorted samples, split at long gaps.
 
-
-def _forward_fill(series: np.ndarray, observed: np.ndarray, max_fill: int) -> np.ndarray:
-    """Fill interior missing runs of length <= max_fill with the last value.
-
-    Longer runs stay missing (NaN); the first and last buckets are observed
-    by construction, so every missing run sits between two observations.
+    Buckets count steps from the machine's first timestamp. A run of more than
+    max_fill empty buckets ends a segment and is never allocated: forward fill
+    may not bridge it, so no window may touch it. Yields each segment's first
+    bucket and its series, shorter runs filled with the last observed value.
     """
-    filled = series.copy()
-    i = 0
-    n = len(observed)
-    while i < n:
-        if observed[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and not observed[j]:
-            j += 1
-        if j - i <= max_fill and i > 0:
-            filled[i:j] = filled[i - 1]
-        i = j
-    return filled
+    t0 = samples[0][0]
+    buckets = [(ts - t0) // step for ts, _ in samples]
+    cuts = [i for i in range(1, len(buckets)) if buckets[i] - buckets[i - 1] > max_fill + 1]
+    for lo, hi in zip([0, *cuts], [*cuts, len(samples)]):
+        first = buckets[lo]
+        sums = np.zeros((buckets[hi - 1] - first + 1, samples[lo][1].shape[0]))
+        counts = np.zeros(len(sums), dtype=np.int64)
+        for b, (_, row) in zip(buckets[lo:hi], samples[lo:hi]):
+            sums[b - first] += row
+            counts[b - first] += 1
+        observed = counts > 0
+        sums[observed] /= counts[observed, None]
+        last = np.maximum.accumulate(np.where(observed, np.arange(len(sums)), 0))
+        yield first, sums[last]
 
 
 def ingest_csv(
@@ -151,7 +133,8 @@ def ingest_csv(
     path = Path(path)
     if not path.exists():
         raise DataError(f"trace file not found: {path}")
-    required = [schema.machine_column, schema.timestamp_column, *schema.metric_names]
+    names = schema.metric_names
+    required = [schema.machine_column, schema.timestamp_column, *names]
     per_machine: dict[str, list[tuple[int, np.ndarray]]] = {}
     skipped = 0
     with path.open(newline="", encoding="utf-8") as fh:
@@ -163,7 +146,7 @@ def ingest_csv(
         for row in reader:
             try:
                 ts = int(row[schema.timestamp_column])
-                vals = np.array([float(row[c]) for c in schema.metric_names])
+                vals = np.array([float(row[c]) for c in names])
             except (TypeError, ValueError):
                 skipped += 1
                 continue
@@ -176,23 +159,24 @@ def ingest_csv(
                 continue
             per_machine.setdefault(machine, []).append((ts, vals))
 
-    t, stride = cfg.window_len, cfg.effective_stride
+    t, stride, step = cfg.window_len, cfg.effective_stride, cfg.resample_step
     windows: list[MetricWindow] = []
     for machine in sorted(per_machine):
-        series, observed, t0 = _resample(per_machine[machine], cfg.resample_step)
-        filled = _forward_fill(series, observed, cfg.max_fill)
-        complete = np.all(np.isfinite(filled), axis=1)
-        for start in range(0, len(filled) - t + 1, stride):
-            if not complete[start : start + t].all():
-                continue
-            windows.append(
-                MetricWindow(
-                    values=filled[start : start + t].copy(),
-                    label=None,
-                    source=f"{machine}@{t0 + start * cfg.resample_step}",
-                    metric_names=schema.metric_names,
+        samples = sorted(per_machine[machine], key=lambda pair: pair[0])
+        for first, filled in _segments(samples, step, cfg.max_fill):
+            complete = np.all(np.isfinite(filled), axis=1)
+            # windows start on the machine's grid, every stride buckets from its first
+            for start in range(-first % stride, len(filled) - t + 1, stride):
+                if not complete[start : start + t].all():
+                    continue
+                windows.append(
+                    MetricWindow(
+                        values=filled[start : start + t].copy(),
+                        label=None,
+                        source=f"{machine}@{samples[0][0] + (first + start) * step}",
+                        metric_names=names,
+                    )
                 )
-            )
     if not windows:
         raise DataError(
             f"trace {path} produced no complete windows "

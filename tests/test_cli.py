@@ -6,7 +6,9 @@ outputs are all exercised without spawning subprocesses (except one smoke
 test for the module entry point).
 """
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +39,8 @@ from contention.train import METRIC_FIELDS
 
 # sha1("blob 6\0hello\n"), the id git itself assigns to that blob
 GIT_HELLO_SHA = "ce013625030ba8dba906f756967f9e9ca394464a"
+# sha1("blob 0\0"), the empty blob
+GIT_EMPTY_SHA = "e69de29bb2d1d6434b8b29ae775ad8c2e48c5391"
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -97,6 +101,14 @@ def test_git_blob_sha1_matches_git_semantics(tmp_path):
     path = tmp_path / "hello.txt"
     path.write_bytes(b"hello\n")
     assert git_blob_sha1(path) == GIT_HELLO_SHA
+    empty = tmp_path / "empty"
+    empty.write_bytes(b"")
+    assert git_blob_sha1(empty) == GIT_EMPTY_SHA
+    # larger than one read block, with the block boundary inside the data
+    data = bytes(range(256)) * (cli.HASH_BLOCK // 256 * 2 + 3)
+    big = tmp_path / "big"
+    big.write_bytes(data)
+    assert git_blob_sha1(big) == hashlib.sha1(b"blob %d\x00" % len(data) + data).hexdigest()
 
 
 # ---------------------------------------------------------------- gen
@@ -580,10 +592,14 @@ def test_missing_subcommand_is_a_usage_error():
 
 
 def test_module_entry_point_prints_usage():
+    # the child imports the package from where this test did, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "contention.cli", "--help"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "usage: contention" in proc.stdout

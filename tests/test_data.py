@@ -7,8 +7,10 @@ the chi-square bound 18.467 is the 0.001 tail for 4 degrees of freedom while
 the observed statistic is under 1.
 """
 
+import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,6 +496,48 @@ class TestDatasetFiles:
         back = read_dataset(path)
         assert all(w.label is None for w in back)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 4))
+        t = data.draw(st.integers(1, 5))
+        d = data.draw(st.integers(1, 4))
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        names = tuple(
+            data.draw(st.lists(st.text('ab@,"', min_size=1, max_size=3), min_size=d,
+                               max_size=d, unique=True))
+        )
+        ws = [
+            MetricWindow(
+                values=np.array(data.draw(st.lists(floats, min_size=t * d, max_size=t * d)))
+                .reshape(t, d),
+                label=data.draw(st.none() | st.integers(0, len(CLASS_NAMES) - 1)),
+                source=f"h:{i}",
+                metric_names=names,
+            )
+            for i in range(n)
+        ]
+        folder = tmp_path_factory.mktemp("prop")
+        first, second = folder / "a.csv", folder / "b.csv"
+        write_dataset(first, ws, source="h")
+        back = read_dataset(first)
+        assert [w.label for w in back] == [w.label for w in ws]
+        assert all(w.metric_names == names for w in back)
+        for orig, rt in zip(ws, back, strict=True):
+            assert rt.values.tobytes() == orig.values.tobytes()  # bit for bit, -0.0 too
+        write_dataset(second, back, source="h")
+        assert second.read_bytes() == first.read_bytes()
+        assert manifest_path(second).read_bytes() == manifest_path(first).read_bytes()
+
+    def test_row_is_the_flattened_window(self, tmp_path):
+        w = MetricWindow(np.array([[1.0, 2.0], [3.0, 0.1]]), 4, "w", ("a", "b"))
+        path = tmp_path / "one.csv"
+        write_dataset(path, [w])
+        assert path.read_text().splitlines() == [
+            "window_id,label,a@0,b@0,a@1,b@1",
+            "0,4,1.0,2.0,3.0,0.1",
+        ]
+
     def test_write_is_byte_deterministic(self, tmp_path):
         ws = generate(ScenarioConfig(metric_count=4), 4, RngStream(3, (0,)))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -507,7 +551,7 @@ class TestDatasetFiles:
         path = tmp_path / "m.csv"
         write_dataset(path, ws, source="origin")
         manifest = json.loads(manifest_path(path).read_text())
-        assert manifest["format_version"] == 1
+        assert manifest["format_version"] == 2
         assert manifest["n_windows"] == 2
         assert manifest["window_len"] == 8
         assert manifest["metric_count"] == 4
@@ -526,20 +570,36 @@ class TestDatasetFiles:
         with pytest.raises(DataError, match="not found"):
             read_dataset(tmp_path / "absent.csv")
         orphan = tmp_path / "orphan.csv"
-        orphan.write_text("window_id,label,metric_name,t,value\n")
+        orphan.write_text("window_id,label,m0@0\n")
         with pytest.raises(DataError, match="manifest"):
             read_dataset(orphan)
 
     def _written(self, tmp_path):
+        """Two windows of T=8 x D=3: a header and two rows of 26 cells."""
         ws = random_windows(2, 8, 3, seed=8)
         path = tmp_path / "ds.csv"
         write_dataset(path, ws, source="s")
         return path
 
+    def _set_cell(self, path, line, col, text):
+        lines = path.read_text().splitlines()
+        parts = lines[line].split(",")
+        parts[col] = text
+        lines[line] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+
+    def _set_manifest(self, path, **fields):
+        m = json.loads(manifest_path(path).read_text())
+        m.update(fields)
+        manifest_path(path).write_text(json.dumps(m))
+
     def test_read_rejects_bad_manifest_json(self, tmp_path):
         path = self._written(tmp_path)
         manifest_path(path).write_text("{nope")
         with pytest.raises(SchemaError, match="JSON"):
+            read_dataset(path)
+        manifest_path(path).write_text("[]")
+        with pytest.raises(SchemaError, match="format_version None"):
             read_dataset(path)
 
     def test_read_rejects_missing_manifest_key(self, tmp_path):
@@ -550,70 +610,137 @@ class TestDatasetFiles:
         with pytest.raises(SchemaError, match="window_len"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("version", [1, 3, "2", None])
+    def test_read_rejects_other_format_version(self, tmp_path, version):
+        path = self._written(tmp_path)
+        self._set_manifest(path, format_version=version)
+        with pytest.raises(SchemaError, match="format_version .*regenerate the dataset"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"window_len": "8"}, "'window_len' must be a positive integer"),
+            ({"n_windows": True}, "'n_windows' must be a positive integer"),
+            ({"n_windows": 0}, "'n_windows' must be a positive integer"),
+            ({"metric_names": "m0m1m2"}, "'metric_names' must be metric_count 3 strings"),
+            ({"metric_names": ["m0", "m1", 2]}, "'metric_names' must be metric_count 3"),
+            ({"metric_count": 4}, "'metric_names' must be metric_count 4 strings"),
+            ({"metric_count": 0}, "'metric_count' must be a positive integer"),
+        ],
+    )
+    def test_read_rejects_mistyped_manifest_field(self, tmp_path, fields, match):
+        path = self._written(tmp_path)
+        self._set_manifest(path, **fields)
+        with pytest.raises(SchemaError, match=match):
+            read_dataset(path)
+
     def test_read_rejects_wrong_header(self, tmp_path):
         path = self._written(tmp_path)
         lines = path.read_text().splitlines()
         lines[0] = "id,label,metric,t,value"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match="header"):
-            read_dataset(path)
-
-    def test_read_reports_bad_value_with_line_number(self, tmp_path):
-        path = self._written(tmp_path)
-        lines = path.read_text().splitlines()
-        parts = lines[3].split(",")
-        parts[-1] = "not-a-number"
-        lines[3] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=":4:"):
-            read_dataset(path)
-
-    def _set_label(self, path, line, label):
-        lines = path.read_text().splitlines()
-        parts = lines[line].split(",")
-        parts[1] = label
-        lines[line] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-
-    def test_read_reports_bad_label_with_line_number(self, tmp_path):
-        path = self._written(tmp_path)
-        self._set_label(path, 25, "x")  # the first row of window 1
-        with pytest.raises(DataError, match=r"ds\.csv:26: unparseable label"):
-            read_dataset(path)
-
-    def test_read_rejects_conflicting_labels_in_one_window(self, tmp_path):
-        path = self._written(tmp_path)
-        first = path.read_text().splitlines()[1].split(",")[1]
-        self._set_label(path, 7, str((int(first) + 1) % 3))
-        with pytest.raises(DataError, match=r"ds\.csv:8: window 0 has label"):
-            read_dataset(path)
-        self._set_label(path, 7, "")
-        with pytest.raises(DataError, match=r":8: window 0 has label ''"):
+        with pytest.raises(SchemaError, match=r"ds\.csv:1: header has 5 columns.* needs 26"):
             read_dataset(path)
 
     def test_read_rejects_unknown_metric(self, tmp_path):
         path = self._written(tmp_path)
-        lines = path.read_text().splitlines()
-        parts = lines[1].split(",")
-        parts[2] = "ghost"
-        lines[1] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match="ghost"):
+        self._set_cell(path, 0, 5, "ghost@1")
+        with pytest.raises(SchemaError, match=r":1: header column 6 is 'ghost@1'.*'m0@1'"):
+            read_dataset(path)
+
+    def test_read_rejects_metric_major_header(self, tmp_path):
+        path = self._written(tmp_path)
+        self._set_cell(path, 0, 3, "m0@1")
+        with pytest.raises(SchemaError, match=r"header column 4 is 'm0@1'.*'m1@0'"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"n_windows": 10**12}, "holds 2 windows, manifest says 1000000000000"),
+            ({"window_len": 10**12}, "header has 26 columns"),
+            ({"n_windows": 10**12, "window_len": 10**12}, "header has 26 columns"),
+        ],
+    )
+    def test_read_allocates_nothing_from_unconfirmed_manifest_sizes(
+        self, tmp_path, fields, match
+    ):
+        path = self._written(tmp_path)
+        self._set_manifest(path, **fields)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=match):
+                read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_read_reports_bad_value_with_line_number(self, tmp_path):
+        path = self._written(tmp_path)
+        self._set_cell(path, 2, 7, "not-a-number")
+        with pytest.raises(DataError, match=r"ds\.csv:3: unparseable value"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_read_rejects_nonfinite_value(self, tmp_path, text):
+        path = self._written(tmp_path)
+        self._set_cell(path, 1, 25, text)
+        with pytest.raises(DataError, match=r"ds\.csv:2: window 0 has a non-finite value"):
+            read_dataset(path)
+
+    def test_read_reports_bad_label_with_line_number(self, tmp_path):
+        path = self._written(tmp_path)
+        self._set_cell(path, 2, 1, "x")  # window 1
+        with pytest.raises(DataError, match=r"ds\.csv:3: unparseable label"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("label", ["-1", str(len(CLASS_NAMES))])
+    def test_read_rejects_label_outside_classes(self, tmp_path, label):
+        path = self._written(tmp_path)
+        self._set_cell(path, 2, 1, label)
+        with pytest.raises(DataError, match=rf":3: label {label} outside \[0, 5\)"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("window_id", ["0", "2", "01", "x", ""])
+    def test_read_rejects_window_id_other_than_row_index(self, tmp_path, window_id):
+        path = self._written(tmp_path)
+        self._set_cell(path, 2, 0, window_id)
+        with pytest.raises(DataError, match=rf":3: window_id '{window_id}', expected 1"):
             read_dataset(path)
 
     def test_read_rejects_incomplete_window(self, tmp_path):
         path = self._written(tmp_path)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(DataError, match="incomplete"):
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"ds\.csv:3: 25 cells, expected 26"):
+            read_dataset(path)
+        lines[2] += ",1.0,2.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"ds\.csv:3: 27 cells, expected 26"):
             read_dataset(path)
 
     def test_read_rejects_count_mismatch(self, tmp_path):
         path = self._written(tmp_path)
-        m = json.loads(manifest_path(path).read_text())
-        m["n_windows"] = 5
-        manifest_path(path).write_text(json.dumps(m))
-        with pytest.raises(DataError, match="manifest says 5"):
+        self._set_manifest(path, n_windows=5)
+        with pytest.raises(DataError, match="holds 2 windows, manifest says 5"):
+            read_dataset(path)
+        self._set_manifest(path, n_windows=2)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(DataError, match="holds 1 windows, manifest says 2"):
+            read_dataset(path)
+
+    def test_read_rejects_unreadable_csv(self, tmp_path):
+        path = self._written(tmp_path)
+        self._set_cell(path, 2, 4, "9" * (csv.field_size_limit() + 1))
+        with pytest.raises(DataError, match=r"ds\.csv: unreadable CSV"):
+            read_dataset(path)
+        path = self._written(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b",", b",\xff\xfe", 30))
+        with pytest.raises(DataError, match=r"ds\.csv: unreadable CSV"):
             read_dataset(path)
 
     def test_manifest_path_shape(self):

@@ -4,6 +4,8 @@ Every expected window value in here was computed by hand from the bucket
 means, so a change to the resampling or fill rules breaks these on purpose.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,25 @@ class TestIngestCsv:
         w = result.windows[0]
         for b in (1, 2, 3):
             assert np.array_equal(w.values[b], np.array([1.0, 2.0]))
+
+    def test_long_gap_split_on_machine_grid_without_allocating_it(self, tmp_path):
+        # 10**8 s is 1666666 buckets of 60 s plus 40 s: a dense series over the
+        # gap would need ~100 MB; the segments after the split need a few kB
+        rows = [("m1", 60 * k, float(k), 0.0) for k in range(4)]
+        rows += [("m1", 10**8 + 60 * k, float(k), 1.0) for k in range(8)]
+        path = _write_trace(tmp_path, rows)
+        tracemalloc.start()
+        try:
+            result = ingest_csv(path, SCHEMA, IngestConfig(window_len=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the second segment starts at bucket 1666666; windows start every 4
+        # buckets from bucket 0, so its only full window starts at 1666668
+        assert [w.source for w in result.windows] == ["m1@0", f"m1@{1666668 * 60}"]
+        assert np.array_equal(result.windows[0].values[:, 0], [0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(result.windows[1].values[:, 0], [2.0, 3.0, 4.0, 5.0])
 
     def test_default_stride_non_overlapping(self, tmp_path):
         rows = [("m1", 60 * t, float(t), 0.0) for t in range(8)]
