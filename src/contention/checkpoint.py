@@ -46,8 +46,7 @@ def _decode_floats(payload, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 @dataclass
 class Checkpoint:
-    model_cfg: ModelConfig
-    params: ModelParams
+    params: ModelParams  # params.cfg is the model config
     graph: MetricGraph
     norm: NormStats
     class_names: tuple[str, ...] = CLASS_NAMES
@@ -57,8 +56,7 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    cfg = ckpt.model_cfg
-    ckpt.params.validate(cfg)
+    cfg = ckpt.params.cfg
     if len(ckpt.class_names) != cfg.num_classes:
         raise ShapeError(
             f"{len(ckpt.class_names)} class names for {cfg.num_classes} classes"
@@ -157,7 +155,6 @@ def _from_payload(payload: dict, path: Path) -> Checkpoint:
             f"checkpoint lists {len(class_names)} class names for {cfg.num_classes} classes"
         )
     return Checkpoint(
-        model_cfg=cfg,
         params=params,
         graph=graph,
         norm=norm,

@@ -121,7 +121,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     out_dir = resolve_out_dir(args.out, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     windows = generate(cfg.scenario, n, RngStream(seed).substream(0))
-    dataset_path = out_dir / "dataset.csv"
+    dataset_path = out_dir / "dataset.npy"
     write_dataset(dataset_path, windows, source=f"synthetic:{seed}")
     print(f"wrote {len(windows)} windows to {dataset_path}")
     for name, count in _class_histogram(windows).items():
@@ -142,7 +142,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if not windows:
             raise DataError("weak labeling left zero labeled windows")
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset_path = out_dir / "dataset.csv"
+    dataset_path = out_dir / "dataset.npy"
     write_dataset(dataset_path, windows, source=f"trace:{Path(args.trace).name}")
     print(
         f"ingested {result.machines} machines -> {len(windows)} windows "
@@ -180,7 +180,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = run_prepared(prepared, cfg.model, train_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = Checkpoint(
-        model_cfg=cfg.model,
         params=result.params,
         graph=result.graph_used,
         norm=prepared.norm,
@@ -210,10 +209,10 @@ def _load_eval_inputs(args: argparse.Namespace):
     ckpt = load_checkpoint(args.checkpoint)
     windows = read_dataset(args.data)
     t = windows[0].window_len
-    if t != ckpt.model_cfg.window_len:
+    if t != ckpt.params.cfg.window_len:
         raise ShapeError(
             f"dataset windows have {t} timesteps, checkpoint expects "
-            f"{ckpt.model_cfg.window_len}"
+            f"{ckpt.params.cfg.window_len}"
         )
     d = windows[0].metric_count
     if d == ckpt.graph.dim:
@@ -331,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", default=None, help="JSON run config path")
         if data:
-            p.add_argument("--data", required=True, help="dataset CSV path")
+            p.add_argument("--data", required=True,
+                           help="dataset .npy path, with its .manifest.json beside it")
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="checkpoint JSON path")
         p.add_argument("--out", default=None, help="output directory")

@@ -95,13 +95,8 @@ def _build_scenario(data: dict) -> ScenarioConfig:
 
 
 def _build_schema(data: dict) -> TraceSchema:
-    if not isinstance(data, dict):
-        raise ConfigError("config section 'schema' must be an object")
-    allowed = {"machine_column", "timestamp_column", "metric_columns"}
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key 'schema.{key}'")
-    for key in allowed:
+    _strict_kwargs("schema", data, TraceSchema)
+    for key in ("machine_column", "timestamp_column", "metric_columns"):
         if key not in data:
             raise ConfigError(f"config section 'schema' is missing '{key}'")
     columns = data["metric_columns"]

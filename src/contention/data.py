@@ -9,14 +9,13 @@ graph real class-relevant structure to discover.
 
 Also here: a hand-written threshold baseline used to certify that generated
 scenarios are learnable at all, z-score normalization fitted on the training
-split, stratified splitting, and the dataset interchange: one CSV row per
-window (window id, label, then the T x D values flattened time-major) with a
-JSON manifest sidecar.
+split, stratified splitting, and the dataset files: one (N, T, D) float64
+.npy array of window values beside a JSON manifest that holds the sizes,
+metric names and one label per window.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -43,7 +42,8 @@ GROUP_NAMES = ("cpu", "mem", "disk", "net")
 # pattern into exactly one downstream group.
 DOWNSTREAM = {"cpu": "disk", "disk": "net", "mem": "cpu", "net": "mem"}
 
-DATASET_FORMAT_VERSION = 2
+DATASET_FORMAT_VERSION = 3
+VALUES_DTYPE = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
@@ -386,7 +386,7 @@ def _apportion(n: int, fractions: tuple[float, float, float]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Dataset interchange: one CSV row per window plus a JSON manifest sidecar.
+# Dataset files: one (N, T, D) float64 .npy plus a JSON manifest sidecar.
 
 
 def manifest_path(dataset_path: str | Path) -> Path:
@@ -394,19 +394,11 @@ def manifest_path(dataset_path: str | Path) -> Path:
     return p.with_name(p.stem + ".manifest.json")
 
 
-def _header(window_len: int, metric_names: tuple[str, ...]) -> list[str]:
-    """`window_id,label` then `<metric>@<t>` with t outer: a window's values.ravel()."""
-    return ["window_id", "label"] + [
-        f"{name}@{t}" for t in range(window_len) for name in metric_names
-    ]
-
-
 def write_dataset(path: str | Path, windows: list[MetricWindow], source: str = "") -> None:
-    """One CSV row per window, plus the manifest sidecar.
+    """The windows' values as one C-order (N, T, D) float64 .npy, plus the manifest.
 
-    A row is the window id, the label (empty when unlabeled), then the T x D
-    values in row-major order. Values are written with repr, which
-    round-trips doubles exactly, so the same windows always produce
+    The manifest holds the sizes, metric names, source and one label per
+    window (null when unlabeled). The same windows always produce
     byte-identical files.
     """
     if not windows:
@@ -420,12 +412,10 @@ def write_dataset(path: str | Path, windows: list[MetricWindow], source: str = "
         if w.metric_names != first.metric_names:
             raise DataError(f"window '{w.source}' has mismatched metric names")
     path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_header(first.window_len, first.metric_names))
-        for wid, w in enumerate(windows):
-            label = "" if w.label is None else str(int(w.label))
-            writer.writerow([wid, label, *map(repr, w.values.ravel().tolist())])
+    # through a handle: np.save given a path appends ".npy" to a name that lacks it
+    with path.open("wb") as fh:
+        np.save(fh, np.stack([w.values for w in windows]).astype(VALUES_DTYPE, copy=False),
+                allow_pickle=False)
     manifest = {
         "format_version": DATASET_FORMAT_VERSION,
         "n_windows": len(windows),
@@ -435,6 +425,7 @@ def write_dataset(path: str | Path, windows: list[MetricWindow], source: str = "
         "metric_names": list(first.metric_names),
         "class_names": list(CLASS_NAMES),
         "source": source or first.source,
+        "labels": [None if w.label is None else int(w.label) for w in windows],
     }
     manifest_path(path).write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -449,8 +440,10 @@ def _positive_int(manifest: dict, key: str, mpath: Path) -> int:
 def read_dataset(path: str | Path) -> list[MetricWindow]:
     """Windows of a dataset written by write_dataset, checked against its manifest.
 
-    Every malformed file ends in a DataError naming the file and line, and
-    nothing is sized by a manifest count that the file has not confirmed.
+    Every malformed file ends in a DataError naming the file. The array is
+    memory-mapped and its dtype and shape checked against the manifest before
+    anything is copied, so a header or manifest claiming more than the file
+    holds allocates nothing. The windows are views into one (N, T, D) array.
     """
     path = Path(path)
     if not path.exists():
@@ -459,8 +452,8 @@ def read_dataset(path: str | Path) -> list[MetricWindow]:
     if not mpath.exists():
         raise DataError(f"dataset manifest not found: {mpath}")
     try:
-        manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    except (ValueError, OSError) as exc:
         raise SchemaError(f"manifest {mpath} is not valid JSON: {exc}") from exc
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != DATASET_FORMAT_VERSION:
@@ -468,51 +461,44 @@ def read_dataset(path: str | Path) -> list[MetricWindow]:
             f"manifest {mpath} has format_version {version!r}, not {DATASET_FORMAT_VERSION}; "
             "regenerate the dataset with `contention gen` or `contention ingest`"
         )
-    for key in ("n_windows", "window_len", "metric_count", "metric_names", "source"):
+    for key in ("n_windows", "window_len", "metric_count", "metric_names", "source", "labels"):
         if key not in manifest:
             raise SchemaError(f"manifest {mpath} is missing key '{key}'")
     n_windows, t_len, d = (
         _positive_int(manifest, key, mpath) for key in ("n_windows", "window_len", "metric_count")
     )
-    names = manifest["metric_names"]
+    names, source, labels = manifest["metric_names"], manifest["source"], manifest["labels"]
     if not isinstance(names, list) or len(names) != d or not all(isinstance(n, str) for n in names):
         raise SchemaError(f"manifest {mpath}: 'metric_names' must be metric_count {d} strings")
-    names, width, windows = tuple(names), 2 + t_len * d, []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            if len(header) != width:
-                raise SchemaError(
-                    f"{path}:1: header has {len(header)} columns, the manifest's "
-                    f"window_len {t_len} x {d} metrics needs {width}"
-                )
-            for col, (got, want) in enumerate(zip(header, _header(t_len, names)), start=1):
-                if got != want:
-                    raise SchemaError(
-                        f"{path}:1: header column {col} is {got!r}, the manifest gives {want!r}"
-                    )
-            for row in reader:
-                where, wid = f"{path}:{reader.line_num}", len(windows)
-                if len(row) != width:
-                    raise DataError(f"{where}: {len(row)} cells, expected {width}")
-                if row[0] != str(wid):
-                    raise DataError(f"{where}: window_id {row[0]!r}, expected {wid}")
-                try:
-                    label = int(row[1]) if row[1] else None
-                except ValueError as exc:
-                    raise DataError(f"{where}: unparseable label: {exc}") from exc
-                if label is not None and not 0 <= label < NUM_CLASSES:
-                    raise DataError(f"{where}: label {label} outside [0, {NUM_CLASSES})")
-                try:
-                    values = np.array(list(map(float, row[2:]))).reshape(t_len, d)
-                except ValueError as exc:
-                    raise DataError(f"{where}: unparseable value: {exc}") from exc
-                if not np.isfinite(values).all():
-                    raise DataError(f"{where}: window {wid} has a non-finite value")
-                windows.append(MetricWindow(values, label, f"{manifest['source']}[{wid}]", names))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise DataError(f"{path}: unreadable CSV: {exc}") from exc
-    if len(windows) != n_windows:
-        raise DataError(f"{path} holds {len(windows)} windows, manifest says {n_windows}")
-    return windows
+    if not isinstance(source, str):
+        raise SchemaError(f"manifest {mpath}: 'source' must be a string, got {source!r}")
+    if not isinstance(labels, list) or len(labels) != n_windows:
+        raise SchemaError(f"manifest {mpath}: 'labels' must be a list of {n_windows} entries")
+    for i, label in enumerate(labels):
+        if label is not None and (type(label) is not int or not 0 <= label < NUM_CLASSES):
+            raise SchemaError(
+                f"manifest {mpath}: label {label!r} of window {i} is neither null "
+                f"nor an integer in [0, {NUM_CLASSES})"
+            )
+    # numpy's header parser answers hostile bytes with ValueError, OSError,
+    # SyntaxError, IndexError, OverflowError or tokenize.TokenError, and warns
+    # before it rejects a shape whose size overflows
+    try:
+        with np.errstate(over="ignore"):
+            mapped = np.lib.format.open_memmap(path, mode="r")
+    except Exception as exc:
+        raise DataError(f"{path} is not a readable .npy array: {exc}") from exc
+    if mapped.dtype != VALUES_DTYPE or mapped.shape != (n_windows, t_len, d):
+        raise SchemaError(
+            f"{path} holds a {mapped.dtype.str} array of shape {mapped.shape}; "
+            f"the manifest needs {VALUES_DTYPE.str} of shape {(n_windows, t_len, d)}"
+        )
+    values = np.array(mapped)
+    finite = np.isfinite(values).all(axis=(1, 2))
+    if not finite.all():
+        raise DataError(f"{path}: window {int(np.argmin(finite))} has a non-finite value")
+    names = tuple(names)
+    return [
+        MetricWindow(v, label, f"{source}[{i}]", names)
+        for i, (v, label) in enumerate(zip(values, labels))
+    ]

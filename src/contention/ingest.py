@@ -2,9 +2,9 @@
 
 Input is a headered UTF-8 CSV with one sample per row: a machine id column,
 an integer-seconds timestamp column, and one column per monitored metric.
-Per machine the samples are bucket-mean resampled onto a fixed step, short
-interior gaps are forward-filled, and sliding windows are cut from the
-filled series; any window still touching a missing bucket is dropped.
+Per machine the samples are bucket-mean resampled onto a fixed step and the
+series is split at every gap longer than forward fill may bridge; shorter
+gaps are forward-filled, and sliding windows are cut from each segment.
 
 Real traces carry no contention labels, so weak labeling assigns classes by
 per-group utilization thresholds. Windows where no group runs hot stay
@@ -139,36 +139,36 @@ def ingest_csv(
     skipped = 0
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in required:
-            if column not in header:
-                raise SchemaError(f"trace {path} is missing required column '{column}'")
-        for row in reader:
-            try:
-                ts = int(row[schema.timestamp_column])
-                vals = np.array([float(row[c]) for c in names])
-            except (TypeError, ValueError):
-                skipped += 1
-                continue
-            if not np.all(np.isfinite(vals)):
-                skipped += 1
-                continue
-            machine = row[schema.machine_column]
-            if machine is None or machine == "":
-                skipped += 1
-                continue
-            per_machine.setdefault(machine, []).append((ts, vals))
+        try:
+            header = reader.fieldnames or []
+            for column in required:
+                if column not in header:
+                    raise SchemaError(f"trace {path} is missing required column '{column}'")
+            for row in reader:
+                try:
+                    ts = int(row[schema.timestamp_column])
+                    vals = np.array([float(row[c]) for c in names])
+                except (TypeError, ValueError):
+                    skipped += 1
+                    continue
+                if not np.all(np.isfinite(vals)):
+                    skipped += 1
+                    continue
+                machine = row[schema.machine_column]
+                if machine is None or machine == "":
+                    skipped += 1
+                    continue
+                per_machine.setdefault(machine, []).append((ts, vals))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"trace {path}: unreadable CSV: {exc}") from exc
 
     t, stride, step = cfg.window_len, cfg.effective_stride, cfg.resample_step
     windows: list[MetricWindow] = []
     for machine in sorted(per_machine):
         samples = sorted(per_machine[machine], key=lambda pair: pair[0])
         for first, filled in _segments(samples, step, cfg.max_fill):
-            complete = np.all(np.isfinite(filled), axis=1)
             # windows start on the machine's grid, every stride buckets from its first
             for start in range(-first % stride, len(filled) - t + 1, stride):
-                if not complete[start : start + t].all():
-                    continue
                 windows.append(
                     MetricWindow(
                         values=filled[start : start + t].copy(),

@@ -89,10 +89,6 @@ class ModelParams:
             "head_u": (k, dd), "head_c": (k,),
         }
 
-    def validate(self, cfg: ModelConfig) -> None:
-        if self.cfg != cfg:
-            raise ShapeError(f"parameters are shaped for {self.cfg}, expected {cfg}")
-
     @classmethod
     def zeros(cls, cfg: ModelConfig) -> "ModelParams":
         return cls(cfg, np.zeros(cls.block_slices(cfg)[-1][1].stop))

@@ -372,7 +372,7 @@ def test_criterion_08_determinism(tmp_path):
         assert (
             cli_main(
                 ["train", "--config", str(cfg_path),
-                 "--data", str(data_dir / "dataset.csv"),
+                 "--data", str(data_dir / "dataset.npy"),
                  "--out", str(out), "--seed", "0"]
             )
             == 0
@@ -390,7 +390,6 @@ def test_criterion_08_determinism(tmp_path):
     ckpt_path = tmp_path / "roundtrip.json"
     save_checkpoint(
         Checkpoint(
-            model_cfg=TINY_MODEL,
             params=result.params,
             graph=result.graph_used,
             norm=result.prepared.norm,

@@ -7,7 +7,6 @@ produce bitwise-identical logits.
 """
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +48,6 @@ def _checkpoint(seed=0, dim=4):
     gen = RngStream(seed, (71,)).generator()
     norm = NormStats(mean=gen.normal(size=dim), std=np.abs(gen.normal(size=dim)) + 0.1)
     return Checkpoint(
-        model_cfg=cfg,
         params=params,
         graph=graph,
         norm=norm,
@@ -66,7 +64,7 @@ class TestRoundTrip:
         path = tmp_path / "ckpt.json"
         save_checkpoint(ckpt, path)
         back = load_checkpoint(path)
-        assert back.model_cfg == ckpt.model_cfg
+        assert back.params.cfg == ckpt.params.cfg
         assert np.array_equal(back.params.flat, ckpt.params.flat)
         assert np.array_equal(back.graph.adjacency, ckpt.graph.adjacency)
         assert back.graph.threshold == ckpt.graph.threshold
@@ -114,12 +112,6 @@ class TestRoundTrip:
 
 
 class TestSaveValidation:
-    def test_rejects_wrong_param_shape(self, tmp_path):
-        ckpt = _checkpoint()
-        ckpt.params = init_params(replace(ckpt.model_cfg, propagation_width=2), RngStream(0))
-        with pytest.raises(ShapeError, match="propagation_width=2"):
-            save_checkpoint(ckpt, tmp_path / "x.json")
-
     def test_rejects_class_name_count(self, tmp_path):
         ckpt = _checkpoint()
         ckpt.class_names = ("A", "B")

@@ -84,7 +84,7 @@ def workspace(tmp_path_factory):
     rc = main(["gen", "--config", str(cfg), "--out", str(data_dir),
                "--n", "80", "--seed", "1"])
     assert rc == EXIT_OK
-    data = data_dir / "dataset.csv"
+    data = data_dir / "dataset.npy"
     rc = main(["train", "--config", str(cfg), "--data", str(data),
                "--out", str(run_dir), "--seed", "0"])
     assert rc == EXIT_OK
@@ -120,14 +120,14 @@ def test_gen_writes_dataset_and_histogram(tmp_path, capsys):
     rc = main(["gen", "--config", str(cfg), "--out", str(out),
                "--n", "12", "--seed", "3"])
     assert rc == EXIT_OK
-    windows = read_dataset(out / "dataset.csv")
+    windows = read_dataset(out / "dataset.npy")
     assert len(windows) == 12
     assert windows[0].window_len == 8
     assert windows[0].metric_count == 4
     assert all(w.label is not None for w in windows)
     assert all(w.source.startswith("synthetic:3") for w in windows)
     captured = capsys.readouterr().out
-    assert f"wrote 12 windows to {out / 'dataset.csv'}" in captured
+    assert f"wrote 12 windows to {out / 'dataset.npy'}" in captured
     shown = [name for name in CLASS_NAMES if name in captured]
     assert shown, "class histogram missing from output"
 
@@ -136,13 +136,13 @@ def test_gen_defaults_come_from_the_config(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"
     assert main(["gen", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    windows = read_dataset(out / "dataset.csv")
+    windows = read_dataset(out / "dataset.npy")
     assert len(windows) == 48  # config n_windows
     # seed fell back to train.seed == 0
     explicit = tmp_path / "explicit"
     main(["gen", "--config", str(cfg), "--out", str(explicit),
           "--seed", "0"])
-    assert (out / "dataset.csv").read_bytes() == (explicit / "dataset.csv").read_bytes()
+    assert (out / "dataset.npy").read_bytes() == (explicit / "dataset.npy").read_bytes()
 
 
 def test_gen_is_deterministic_and_seed_sensitive(tmp_path):
@@ -151,7 +151,7 @@ def test_gen_is_deterministic_and_seed_sensitive(tmp_path):
     for out, seed in zip(outs, ("5", "5", "6")):
         assert main(["gen", "--config", str(cfg), "--out", str(out),
                      "--n", "10", "--seed", seed]) == EXIT_OK
-    a, b, c = (out.joinpath("dataset.csv").read_bytes() for out in outs)
+    a, b, c = (out.joinpath("dataset.npy").read_bytes() for out in outs)
     assert a == b
     assert a != c
 
@@ -172,7 +172,7 @@ def test_out_dir_env_var_is_used_when_flag_absent(tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv(OUT_DIR_ENV, str(env_dir))
     assert main(["gen", "--config", str(cfg), "--n", "4", "--seed", "0"]) == EXIT_OK
-    assert (env_dir / "dataset.csv").exists()
+    assert (env_dir / "dataset.npy").exists()
 
 
 def test_out_flag_beats_env_var(tmp_path, monkeypatch):
@@ -182,7 +182,7 @@ def test_out_flag_beats_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(OUT_DIR_ENV, str(env_dir))
     assert main(["gen", "--config", str(cfg), "--out", str(explicit),
                  "--n", "4", "--seed", "0"]) == EXIT_OK
-    assert (explicit / "dataset.csv").exists()
+    assert (explicit / "dataset.npy").exists()
     assert not env_dir.exists()
 
 
@@ -191,7 +191,7 @@ def test_config_out_dir_is_the_last_resort(tmp_path, monkeypatch):
     target = tmp_path / "from_cfg"
     cfg = write_config(tmp_path / "cfg.json", out_dir=str(target))
     assert main(["gen", "--config", str(cfg), "--n", "4", "--seed", "0"]) == EXIT_OK
-    assert (target / "dataset.csv").exists()
+    assert (target / "dataset.npy").exists()
 
 
 # ---------------------------------------------------------------- ingest
@@ -226,7 +226,7 @@ def test_ingest_weak_labels_hot_cpu(tmp_path, capsys):
     rc = main(["ingest", "--config", str(cfg), "--trace", str(trace),
                "--out", str(out)])
     assert rc == EXIT_OK
-    windows = read_dataset(out / "dataset.csv")
+    windows = read_dataset(out / "dataset.npy")
     assert len(windows) == 2
     assert all(int(w.label) == 0 for w in windows)  # CPU class
     captured = capsys.readouterr().out
@@ -241,7 +241,7 @@ def test_ingest_without_weak_labels_keeps_unlabeled_windows(tmp_path):
     rc = main(["ingest", "--config", str(cfg), "--trace", str(trace),
                "--out", str(out), "--no-weak-label"])
     assert rc == EXIT_OK
-    windows = read_dataset(out / "dataset.csv")
+    windows = read_dataset(out / "dataset.npy")
     assert len(windows) == 2
     assert all(w.label is None for w in windows)
 
@@ -267,10 +267,30 @@ def test_ingest_requires_a_schema_section(tmp_path, capsys):
 def test_ingest_missing_trace_is_a_data_error(tmp_path, capsys):
     cfg = ingest_config(tmp_path / "cfg.json")
     rc = main(["ingest", "--config", str(cfg),
-               "--trace", str(tmp_path / "nope.csv"),
+               "--trace", str(tmp_path / "nope.npy"),
                "--out", str(tmp_path / "out")])
     assert rc == EXIT_DATA
     assert "not found" in capsys.readouterr().err
+
+
+def test_ingest_non_utf8_trace_is_a_data_error(tmp_path, capsys):
+    cfg = ingest_config(tmp_path / "cfg.json")
+    trace = _write_trace(tmp_path / "trace.csv", cpu=0.95)
+    trace.write_bytes(trace.read_bytes().replace(b"m1,60,", b"m1,60,\xff\xfe"))
+    rc = main(["ingest", "--config", str(cfg), "--trace", str(trace),
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_DATA
+    assert f"trace {trace}: unreadable CSV" in capsys.readouterr().err
+
+
+def test_ingest_oversized_field_is_a_data_error(tmp_path, capsys):
+    cfg = ingest_config(tmp_path / "cfg.json")
+    trace = _write_trace(tmp_path / "trace.csv", cpu=0.95)
+    trace.write_text(trace.read_text().replace("m1,60,", "m1,60," + "9" * 200_000))
+    rc = main(["ingest", "--config", str(cfg), "--trace", str(trace),
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_DATA
+    assert f"trace {trace}: unreadable CSV" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- graph
@@ -288,7 +308,7 @@ def test_graph_prints_structure_summary(workspace, capsys):
 
 
 def test_graph_missing_dataset_is_a_data_error(tmp_path, capsys):
-    rc = main(["graph", "--data", str(tmp_path / "nope.csv")])
+    rc = main(["graph", "--data", str(tmp_path / "nope.npy")])
     assert rc == EXIT_DATA
     assert "not found" in capsys.readouterr().err
 
@@ -393,7 +413,7 @@ def test_eval_rejects_wrong_window_length(workspace, tmp_path, capsys):
     assert main(["gen", "--config", str(cfg), "--out", str(out),
                  "--n", "6", "--seed", "0"]) == EXIT_OK
     rc = main(["eval", "--checkpoint", str(workspace["ckpt"]),
-               "--data", str(out / "dataset.csv")])
+               "--data", str(out / "dataset.npy")])
     assert rc == EXIT_DATA
     assert "timesteps" in capsys.readouterr().err
 
@@ -408,7 +428,7 @@ def test_eval_refits_on_different_metric_count(workspace, tmp_path, capsys):
     assert main(["gen", "--config", str(cfg), "--out", str(out),
                  "--n", "20", "--seed", "0"]) == EXIT_OK
     rc = main(["eval", "--checkpoint", str(workspace["ckpt"]),
-               "--data", str(out / "dataset.csv")])
+               "--data", str(out / "dataset.npy")])
     assert rc == EXIT_OK
     captured = capsys.readouterr()
     assert "refitting normalization" in captured.err
@@ -426,7 +446,7 @@ def test_eval_warns_when_metric_names_differ(workspace, tmp_path, capsys):
         )
         for w in windows
     ]
-    path = tmp_path / "renamed.csv"
+    path = tmp_path / "renamed.npy"
     write_dataset(path, renamed, source="renamed")
     rc = main(["eval", "--checkpoint", str(workspace["ckpt"]),
                "--data", str(path)])
@@ -568,6 +588,8 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
         ({"scenario": {"noise_std": "0.2"}}, "scenario.noise_std"),
         ({"ingest": {"stride": "8"}}, "ingest.stride"),
         ({"n_windows": [10]}, "n_windows"),
+        ({"schema": {"machine_column": 5, "timestamp_column": "ts",
+                     "metric_columns": {"cpu_util": "cpu"}}}, "schema.machine_column"),
     ],
 )
 def test_config_value_of_wrong_type_is_a_config_error(tmp_path, capsys, config, key):

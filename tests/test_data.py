@@ -7,10 +7,10 @@ the chi-square bound 18.467 is the 0.001 tail for 4 degrees of freedom while
 the observed statistic is under 1.
 """
 
-import csv
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -479,7 +479,7 @@ class TestSplit:
 class TestDatasetFiles:
     def test_round_trip_exact(self, tmp_path):
         ws = generate(ScenarioConfig(metric_count=4), 6, RngStream(1, (0,)))
-        path = tmp_path / "ds.csv"
+        path = tmp_path / "ds.npy"
         write_dataset(path, ws, source="unit")
         back = read_dataset(path)
         assert len(back) == 6
@@ -491,7 +491,7 @@ class TestDatasetFiles:
 
     def test_unlabeled_round_trip(self, tmp_path):
         ws = random_windows(3, 8, 4, seed=2, labeled=False)
-        path = tmp_path / "u.csv"
+        path = tmp_path / "u.npy"
         write_dataset(path, ws)
         back = read_dataset(path)
         assert all(w.label is None for w in back)
@@ -503,10 +503,8 @@ class TestDatasetFiles:
         t = data.draw(st.integers(1, 5))
         d = data.draw(st.integers(1, 4))
         floats = st.floats(allow_nan=False, allow_infinity=False)
-        names = tuple(
-            data.draw(st.lists(st.text('ab@,"', min_size=1, max_size=3), min_size=d,
-                               max_size=d, unique=True))
-        )
+        names = tuple(data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=d,
+                                         max_size=d, unique=True)))
         ws = [
             MetricWindow(
                 values=np.array(data.draw(st.lists(floats, min_size=t * d, max_size=t * d)))
@@ -518,7 +516,7 @@ class TestDatasetFiles:
             for i in range(n)
         ]
         folder = tmp_path_factory.mktemp("prop")
-        first, second = folder / "a.csv", folder / "b.csv"
+        first, second = folder / "a.npy", folder / "b.npy"
         write_dataset(first, ws, source="h")
         back = read_dataset(first)
         assert [w.label for w in back] == [w.label for w in ws]
@@ -530,17 +528,26 @@ class TestDatasetFiles:
         assert manifest_path(second).read_bytes() == manifest_path(first).read_bytes()
 
     def test_row_is_the_flattened_window(self, tmp_path):
-        w = MetricWindow(np.array([[1.0, 2.0], [3.0, 0.1]]), 4, "w", ("a", "b"))
-        path = tmp_path / "one.csv"
-        write_dataset(path, [w])
-        assert path.read_text().splitlines() == [
-            "window_id,label,a@0,b@0,a@1,b@1",
-            "0,4,1.0,2.0,3.0,0.1",
+        a = MetricWindow(np.array([[1.0, 2.0], [3.0, 0.1]]), 4, "a", ("x", "y"))
+        b = MetricWindow(np.array([[5.0, 6.0], [7.0, 8.0]]), None, "b", ("x", "y"))
+        path = tmp_path / "two.npy"
+        write_dataset(path, [a, b])
+        stacked = np.load(path, allow_pickle=False)
+        assert stacked.dtype.str == "<f8" and stacked.flags.c_contiguous
+        assert stacked.reshape(2, -1).tolist() == [[1.0, 2.0, 3.0, 0.1], [5.0, 6.0, 7.0, 8.0]]
+        assert json.loads(manifest_path(path).read_text())["labels"] == [4, None]
+
+    def test_write_keeps_the_name_it_is_given(self, tmp_path):
+        path = tmp_path / "windows.bin"
+        write_dataset(path, random_windows(2, 8, 3, seed=1), source="s")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "windows.bin", "windows.manifest.json"
         ]
+        assert len(read_dataset(path)) == 2
 
     def test_write_is_byte_deterministic(self, tmp_path):
         ws = generate(ScenarioConfig(metric_count=4), 4, RngStream(3, (0,)))
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        p1, p2 = tmp_path / "a.npy", tmp_path / "b.npy"
         write_dataset(p1, ws, source="s")
         write_dataset(p2, ws, source="s")
         assert p1.read_bytes() == p2.read_bytes()
@@ -548,45 +555,39 @@ class TestDatasetFiles:
 
     def test_manifest_contents(self, tmp_path):
         ws = generate(ScenarioConfig(metric_count=4, window_len=8), 2, RngStream(4, (0,)))
-        path = tmp_path / "m.csv"
+        path = tmp_path / "m.npy"
         write_dataset(path, ws, source="origin")
         manifest = json.loads(manifest_path(path).read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert manifest["n_windows"] == 2
         assert manifest["window_len"] == 8
         assert manifest["metric_count"] == 4
         assert manifest["metric_names"] == list(ws[0].metric_names)
         assert manifest["class_names"] == list(CLASS_NAMES)
         assert manifest["source"] == "origin"
+        assert manifest["labels"] == [w.label for w in ws]
 
     def test_write_rejects_empty_and_mismatched(self, tmp_path):
         with pytest.raises(DataError):
-            write_dataset(tmp_path / "e.csv", [])
+            write_dataset(tmp_path / "e.npy", [])
         mixed = random_windows(1, 8, 4, seed=5) + random_windows(1, 8, 5, seed=6)
         with pytest.raises(ShapeError):
-            write_dataset(tmp_path / "mix.csv", mixed)
+            write_dataset(tmp_path / "mix.npy", mixed)
 
     def test_read_missing_files(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
-            read_dataset(tmp_path / "absent.csv")
-        orphan = tmp_path / "orphan.csv"
-        orphan.write_text("window_id,label,m0@0\n")
+            read_dataset(tmp_path / "absent.npy")
+        orphan = tmp_path / "orphan.npy"
+        np.save(orphan, np.zeros((1, 8, 3)))
         with pytest.raises(DataError, match="manifest"):
             read_dataset(orphan)
 
     def _written(self, tmp_path):
-        """Two windows of T=8 x D=3: a header and two rows of 26 cells."""
+        """Two labeled windows of T=8 x D=3."""
         ws = random_windows(2, 8, 3, seed=8)
-        path = tmp_path / "ds.csv"
+        path = tmp_path / "ds.npy"
         write_dataset(path, ws, source="s")
         return path
-
-    def _set_cell(self, path, line, col, text):
-        lines = path.read_text().splitlines()
-        parts = lines[line].split(",")
-        parts[col] = text
-        lines[line] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
 
     def _set_manifest(self, path, **fields):
         m = json.loads(manifest_path(path).read_text())
@@ -595,9 +596,10 @@ class TestDatasetFiles:
 
     def test_read_rejects_bad_manifest_json(self, tmp_path):
         path = self._written(tmp_path)
-        manifest_path(path).write_text("{nope")
-        with pytest.raises(SchemaError, match="JSON"):
-            read_dataset(path)
+        for text in (b"{nope", b"\xff\xfe{}"):
+            manifest_path(path).write_bytes(text)
+            with pytest.raises(SchemaError, match="JSON"):
+                read_dataset(path)
         manifest_path(path).write_text("[]")
         with pytest.raises(SchemaError, match="format_version None"):
             read_dataset(path)
@@ -610,7 +612,7 @@ class TestDatasetFiles:
         with pytest.raises(SchemaError, match="window_len"):
             read_dataset(path)
 
-    @pytest.mark.parametrize("version", [1, 3, "2", None])
+    @pytest.mark.parametrize("version", [1, 2, "3", None])
     def test_read_rejects_other_format_version(self, tmp_path, version):
         path = self._written(tmp_path)
         self._set_manifest(path, format_version=version)
@@ -627,6 +629,9 @@ class TestDatasetFiles:
             ({"metric_names": ["m0", "m1", 2]}, "'metric_names' must be metric_count 3"),
             ({"metric_count": 4}, "'metric_names' must be metric_count 4 strings"),
             ({"metric_count": 0}, "'metric_count' must be a positive integer"),
+            ({"source": ["s"]}, "'source' must be a string"),
+            ({"labels": [0]}, "'labels' must be a list of 2 entries"),
+            ({"labels": {"0": 0, "1": 1}}, "'labels' must be a list of 2 entries"),
         ],
     )
     def test_read_rejects_mistyped_manifest_field(self, tmp_path, fields, match):
@@ -635,32 +640,38 @@ class TestDatasetFiles:
         with pytest.raises(SchemaError, match=match):
             read_dataset(path)
 
+    def _replace_array(self, path, array):
+        with path.open("wb") as fh:
+            np.save(fh, array)
+
     def test_read_rejects_wrong_header(self, tmp_path):
         path = self._written(tmp_path)
-        lines = path.read_text().splitlines()
-        lines[0] = "id,label,metric,t,value"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match=r"ds\.csv:1: header has 5 columns.* needs 26"):
-            read_dataset(path)
+        values = np.load(path)
+        for dtype in ("<f4", ">f8", "<i8", "<c16"):
+            self._replace_array(path, values.astype(dtype))
+            with pytest.raises(SchemaError, match=rf"ds\.npy holds a \{dtype} array of shape"
+                                                  r" \(2, 8, 3\); the manifest needs <f8"):
+                read_dataset(path)
 
     def test_read_rejects_unknown_metric(self, tmp_path):
         path = self._written(tmp_path)
-        self._set_cell(path, 0, 5, "ghost@1")
-        with pytest.raises(SchemaError, match=r":1: header column 6 is 'ghost@1'.*'m0@1'"):
+        values = np.load(path)
+        self._replace_array(path, np.concatenate([values, values[:, :, :1]], axis=2))
+        with pytest.raises(SchemaError, match=r"shape \(2, 8, 4\); .* shape \(2, 8, 3\)"):
             read_dataset(path)
 
     def test_read_rejects_metric_major_header(self, tmp_path):
         path = self._written(tmp_path)
-        self._set_cell(path, 0, 3, "m0@1")
-        with pytest.raises(SchemaError, match=r"header column 4 is 'm0@1'.*'m1@0'"):
+        self._replace_array(path, np.ascontiguousarray(np.load(path).transpose(0, 2, 1)))
+        with pytest.raises(SchemaError, match=r"shape \(2, 3, 8\); .* shape \(2, 8, 3\)"):
             read_dataset(path)
 
     @pytest.mark.parametrize(
         "fields, match",
         [
-            ({"n_windows": 10**12}, "holds 2 windows, manifest says 1000000000000"),
-            ({"window_len": 10**12}, "header has 26 columns"),
-            ({"n_windows": 10**12, "window_len": 10**12}, "header has 26 columns"),
+            ({"n_windows": 10**12}, "'labels' must be a list of 1000000000000"),
+            ({"window_len": 10**12}, r"the manifest needs <f8 of shape \(2, 1000000000000, 3\)"),
+            ({"n_windows": 10**12, "window_len": 10**12}, "'labels' must be a list"),
         ],
     )
     def test_read_allocates_nothing_from_unconfirmed_manifest_sizes(
@@ -677,71 +688,67 @@ class TestDatasetFiles:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_read_reports_bad_value_with_line_number(self, tmp_path):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_read_rejects_nonfinite_value(self, tmp_path, value):
         path = self._written(tmp_path)
-        self._set_cell(path, 2, 7, "not-a-number")
-        with pytest.raises(DataError, match=r"ds\.csv:3: unparseable value"):
+        values = np.load(path)
+        values[1, 7, 2] = value
+        self._replace_array(path, values)
+        with pytest.raises(DataError, match=r"ds\.npy: window 1 has a non-finite value"):
             read_dataset(path)
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
-    def test_read_rejects_nonfinite_value(self, tmp_path, text):
+    @pytest.mark.parametrize("label", ["x", 1.0, True, [1]])
+    def test_read_reports_bad_label_with_window_index(self, tmp_path, label):
         path = self._written(tmp_path)
-        self._set_cell(path, 1, 25, text)
-        with pytest.raises(DataError, match=r"ds\.csv:2: window 0 has a non-finite value"):
+        self._set_manifest(path, labels=[0, label])
+        with pytest.raises(SchemaError, match=r"label .* of window 1 is neither null nor an"):
             read_dataset(path)
 
-    def test_read_reports_bad_label_with_line_number(self, tmp_path):
-        path = self._written(tmp_path)
-        self._set_cell(path, 2, 1, "x")  # window 1
-        with pytest.raises(DataError, match=r"ds\.csv:3: unparseable label"):
-            read_dataset(path)
-
-    @pytest.mark.parametrize("label", ["-1", str(len(CLASS_NAMES))])
+    @pytest.mark.parametrize("label", [-1, len(CLASS_NAMES)])
     def test_read_rejects_label_outside_classes(self, tmp_path, label):
         path = self._written(tmp_path)
-        self._set_cell(path, 2, 1, label)
-        with pytest.raises(DataError, match=rf":3: label {label} outside \[0, 5\)"):
-            read_dataset(path)
-
-    @pytest.mark.parametrize("window_id", ["0", "2", "01", "x", ""])
-    def test_read_rejects_window_id_other_than_row_index(self, tmp_path, window_id):
-        path = self._written(tmp_path)
-        self._set_cell(path, 2, 0, window_id)
-        with pytest.raises(DataError, match=rf":3: window_id '{window_id}', expected 1"):
+        self._set_manifest(path, labels=[0, label])
+        with pytest.raises(SchemaError, match=rf"label {label} of window 1 .* in \[0, 5\)"):
             read_dataset(path)
 
     def test_read_rejects_incomplete_window(self, tmp_path):
         path = self._written(tmp_path)
-        lines = path.read_text().splitlines()
-        lines[2] = lines[2].rsplit(",", 1)[0]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=r"ds\.csv:3: 25 cells, expected 26"):
-            read_dataset(path)
-        lines[2] += ",1.0,2.0"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=r"ds\.csv:3: 27 cells, expected 26"):
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DataError, match=r"ds\.npy is not a readable \.npy array"):
             read_dataset(path)
 
     def test_read_rejects_count_mismatch(self, tmp_path):
         path = self._written(tmp_path)
-        self._set_manifest(path, n_windows=5)
-        with pytest.raises(DataError, match="holds 2 windows, manifest says 5"):
+        self._set_manifest(path, n_windows=5, labels=[0] * 5)
+        with pytest.raises(SchemaError, match=r"shape \(2, 8, 3\); .* shape \(5, 8, 3\)"):
             read_dataset(path)
-        self._set_manifest(path, n_windows=2)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(DataError, match="holds 1 windows, manifest says 2"):
+        self._set_manifest(path, n_windows=2, labels=[0, 0])
+        self._replace_array(path, np.load(path)[:1])
+        with pytest.raises(SchemaError, match=r"shape \(1, 8, 3\); .* shape \(2, 8, 3\)"):
             read_dataset(path)
 
-    def test_read_rejects_unreadable_csv(self, tmp_path):
+    def test_read_rejects_unreadable_npy(self, tmp_path):
         path = self._written(tmp_path)
-        self._set_cell(path, 2, 4, "9" * (csv.field_size_limit() + 1))
-        with pytest.raises(DataError, match=r"ds\.csv: unreadable CSV"):
-            read_dataset(path)
-        path = self._written(tmp_path)
-        path.write_bytes(path.read_bytes().replace(b",", b",\xff\xfe", 30))
-        with pytest.raises(DataError, match=r"ds\.csv: unreadable CSV"):
-            read_dataset(path)
+        values = np.load(path)
+        object_array = np.empty(values.shape, dtype=object)
+        object_array[...] = 0.0
+        with path.open("wb") as fh:
+            np.save(fh, object_array, allow_pickle=True)
+        pickled = path.read_bytes()
+        with path.open("wb") as fh:
+            np.savez(fh, values=values)
+        zipped = path.read_bytes()
+        with path.open("wb") as fh:  # a size past int64, rejected without a numpy warning
+            header = {"descr": "<f8", "fortran_order": False, "shape": (2**40, 2**40)}
+            np.lib.format.write_array_header_1_0(fh, header)
+        overflowing = path.read_bytes()
+        for content in (b"", b"window_id,label\n0,1\n", pickled, zipped, overflowing):
+            path.write_bytes(content)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(DataError, match=r"ds\.npy is not a readable \.npy array"):
+                    read_dataset(path)
+            assert not caught
 
     def test_manifest_path_shape(self):
-        assert manifest_path("runs/foo.csv").name == "foo.manifest.json"
+        assert manifest_path("runs/foo.npy").name == "foo.manifest.json"

@@ -8,7 +8,6 @@ windows is checked against the same windows passed one at a time.
 """
 
 import importlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,11 +105,6 @@ class TestConfigAndParams:
         b = a.copy()
         b.enc_w1[0, 0] += 1.0
         assert a.enc_w1[0, 0] != b.enc_w1[0, 0]
-
-    def test_validate_catches_wrong_shape(self, tiny_model_cfg):
-        p = init_params(replace(tiny_model_cfg, propagation_width=2), RngStream(5))
-        with pytest.raises(ShapeError, match="propagation_width=2"):
-            p.validate(tiny_model_cfg)
 
 
 class TestInit:
