@@ -97,9 +97,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not path.exists():
         raise DataError(f"checkpoint file not found: {path}")
     try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"checkpoint {path} is not valid UTF-8 JSON: {exc}") from exc
     try:
         return _from_payload(payload, path)
     except ContentionError:

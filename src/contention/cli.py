@@ -148,6 +148,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"ingested {result.machines} machines -> {len(windows)} windows "
         f"({result.skipped_rows} rows skipped, {dropped} windows unlabeled/dropped)"
     )
+    print(
+        f"  of {result.rows_read} rows read: {result.rows_unparseable} unparseable, "
+        f"{result.rows_nonfinite} non-finite, {result.rows_no_machine} without machine id"
+    )
     print(f"wrote {dataset_path}")
     return EXIT_OK
 

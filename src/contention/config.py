@@ -90,6 +90,12 @@ def _build_scenario(data: dict) -> ScenarioConfig:
     if groups is not None:
         if not isinstance(groups, dict):
             raise ConfigError("scenario.groups must map group name to metric indices")
+        for name, cols in groups.items():
+            if not isinstance(cols, list) or not all(type(c) is int for c in cols):
+                raise ConfigError(
+                    f"config key 'scenario.groups.{name}' must be a list of metric indices, "
+                    f"got {cols!r}"
+                )
         data["groups"] = tuple((name, tuple(cols)) for name, cols in groups.items())
     return ScenarioConfig(**data)
 
@@ -128,7 +134,12 @@ def run_config_from_dict(data: dict) -> RunConfig:
         if key in data:
             kwargs[key] = data[key]
     if "split_fractions" in data:
-        kwargs["split_fractions"] = tuple(data["split_fractions"])
+        fractions = data["split_fractions"]
+        if not isinstance(fractions, list) or not all(_admits(float, f) for f in fractions):
+            raise ConfigError(
+                f"config key 'split_fractions' must be a list of numbers, got {fractions!r}"
+            )
+        kwargs["split_fractions"] = tuple(fractions)
     return RunConfig(**kwargs)
 
 
@@ -140,9 +151,9 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return run_config_from_dict(data)

@@ -348,7 +348,7 @@ def split(
     """
     if len(fractions) != 3:
         raise ConfigError(f"need 3 split fractions, got {len(fractions)}")
-    if any(f <= 0 for f in fractions):
+    if not all(f > 0 for f in fractions):  # also rejects nan
         raise ConfigError(f"split fractions must be positive, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got sum {sum(fractions)}")

@@ -2,18 +2,33 @@
 
 Input is a headered UTF-8 CSV with one sample per row: a machine id column,
 an integer-seconds timestamp column, and one column per monitored metric.
-Per machine the samples are bucket-mean resampled onto a fixed step and the
-series is split at every gap longer than forward fill may bridge; shorter
-gaps are forward-filled, and sliding windows are cut from each segment.
+Columns are found by header name; when a name repeats, its last column is
+read. The file is parsed in one pass into flat buffers: timestamps as Python
+ints (of any size), metric values as float64 and machine ids as small integer
+codes. Blank lines are ignored. A row is skipped and counted under the first
+of these reasons that applies:
+
+1. unparseable: it is too short to hold the timestamp or a metric cell, the
+   timestamp is not an integer, or a metric cell is not a number;
+2. non-finite: a metric value is nan or infinite;
+3. no machine id: its machine cell is empty or missing.
+
+The kept rows are grouped by machine and stable-sorted by timestamp. Each
+machine's samples are bucket-mean resampled onto a fixed step counted from
+its first timestamp, and the series is split at every run of empty buckets
+longer than forward fill may bridge; shorter runs are filled with the last
+observed value. Windows are cut from each segment, starting every stride
+buckets from the machine's first bucket.
 
 Real traces carry no contention labels, so weak labeling assigns classes by
-per-group utilization thresholds. Windows where no group runs hot stay
-unlabeled and are excluded from supervised use.
+per-group utilization thresholds, computed over the stacked windows. Windows
+where no group runs hot stay unlabeled and are excluded from supervised use.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -93,31 +108,41 @@ class IngestConfig:
 @dataclass(frozen=True)
 class IngestResult:
     windows: list[MetricWindow]
-    skipped_rows: int
-    machines: int
+    machines: int  # machines with at least one kept row
+    rows_read: int  # data rows, blank lines not counted
+    rows_unparseable: int
+    rows_nonfinite: int
+    rows_no_machine: int
+
+    @property
+    def skipped_rows(self) -> int:
+        return self.rows_unparseable + self.rows_nonfinite + self.rows_no_machine
 
 
-def _segments(samples: list[tuple[int, np.ndarray]], step: int, max_fill: int):
+def _segments(stamps: np.ndarray, values: np.ndarray, step: int, max_fill: int):
     """Bucket-mean resample one machine's time-sorted samples, split at long gaps.
 
-    Buckets count steps from the machine's first timestamp. A run of more than
-    max_fill empty buckets ends a segment and is never allocated: forward fill
-    may not bridge it, so no window may touch it. Yields each segment's first
-    bucket and its series, shorter runs filled with the last observed value.
+    stamps is an object array of the samples' timestamps (Python ints, so a
+    stamp beyond int64 stays exact) and values their (n, D) rows. Buckets
+    count steps from the machine's first timestamp. A run of more than
+    max_fill empty buckets ends a segment and is never allocated: forward
+    fill may not bridge it, so no window may touch it. Yields each segment's
+    first bucket and its series, shorter runs filled with the last observed
+    value.
     """
-    t0 = samples[0][0]
-    buckets = [(ts - t0) // step for ts, _ in samples]
-    cuts = [i for i in range(1, len(buckets)) if buckets[i] - buckets[i - 1] > max_fill + 1]
-    for lo, hi in zip([0, *cuts], [*cuts, len(samples)]):
+    buckets = (stamps - stamps[0]) // step
+    cuts = (np.flatnonzero(np.diff(buckets) > max_fill + 1) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(buckets)]):
         first = buckets[lo]
-        sums = np.zeros((buckets[hi - 1] - first + 1, samples[lo][1].shape[0]))
-        counts = np.zeros(len(sums), dtype=np.int64)
-        for b, (_, row) in zip(buckets[lo:hi], samples[lo:hi]):
-            sums[b - first] += row
-            counts[b - first] += 1
+        offsets = (buckets[lo:hi] - first).astype(np.int64)
+        n = int(offsets[-1]) + 1
+        sums = np.zeros((n, values.shape[1]))
+        # adds in row order, so each bucket sums exactly as a sequential +=
+        np.add.at(sums, offsets, values[lo:hi])
+        counts = np.bincount(offsets, minlength=n)
         observed = counts > 0
         sums[observed] /= counts[observed, None]
-        last = np.maximum.accumulate(np.where(observed, np.arange(len(sums)), 0))
+        last = np.maximum.accumulate(np.where(observed, np.arange(n), 0))
         yield first, sums[last]
 
 
@@ -126,110 +151,145 @@ def ingest_csv(
 ) -> IngestResult:
     """Cut fixed-length windows from a raw trace CSV, one machine at a time.
 
-    Rows that fail to parse (bad timestamp, non-numeric or non-finite metric)
-    are skipped and counted rather than aborting the run; a trace with zero
+    Rows that fail a check (see the module docstring) are skipped and
+    counted by reason rather than aborting the run; a trace with zero
     complete windows is an error, since silence there would be misleading.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"trace file not found: {path}")
     names = schema.metric_names
-    required = [schema.machine_column, schema.timestamp_column, *names]
-    per_machine: dict[str, list[tuple[int, np.ndarray]]] = {}
-    skipped = 0
+    stamps: list[int] = []
+    values = array("d")
+    machine_of = array("q")
+    code: dict[str, int] = {}
+    rows_read = unparseable = 0
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            header = reader.fieldnames or []
-            for column in required:
-                if column not in header:
+            index = {name: i for i, name in enumerate(next(reader, []))}
+            for column in (schema.machine_column, schema.timestamp_column, *names):
+                if column not in index:
                     raise SchemaError(f"trace {path} is missing required column '{column}'")
+            mi, ti = index[schema.machine_column], index[schema.timestamp_column]
+            cols = [index[name] for name in names]
             for row in reader:
+                if not row:
+                    continue
+                rows_read += 1
                 try:
-                    ts = int(row[schema.timestamp_column])
-                    vals = np.array([float(row[c]) for c in names])
-                except (TypeError, ValueError):
-                    skipped += 1
+                    ts = int(row[ti])
+                    cells = [float(row[c]) for c in cols]
+                except (IndexError, ValueError):
+                    unparseable += 1
                     continue
-                if not np.all(np.isfinite(vals)):
-                    skipped += 1
-                    continue
-                machine = row[schema.machine_column]
-                if machine is None or machine == "":
-                    skipped += 1
-                    continue
-                per_machine.setdefault(machine, []).append((ts, vals))
+                stamps.append(ts)
+                values.fromlist(cells)
+                machine = row[mi] if mi < len(row) else ""
+                machine_of.append(code.setdefault(machine, len(code)))
         except (csv.Error, UnicodeDecodeError) as exc:
             raise DataError(f"trace {path}: unreadable CSV: {exc}") from exc
 
+    values = np.frombuffer(values, dtype=np.float64).reshape(-1, len(names))
+    machine_of = np.frombuffer(machine_of, dtype=np.int64)
+    finite = np.isfinite(values).all(axis=1)
+    named = machine_of != code.get("", -1)
+    keep = finite & named
+    rows_per_code = np.bincount(machine_of[keep], minlength=len(code))
+    machines = sorted(m for m, c in code.items() if rows_per_code[c])
+    rank = np.zeros(len(code), dtype=np.int64)
+    rank[[code[m] for m in machines]] = np.arange(len(machines))
+    # rows grouped by machine in name order, each machine's stable-sorted by time
+    stamps = np.array(stamps, dtype=object)
+    rows = np.flatnonzero(keep)
+    rows = rows[np.argsort(stamps[rows], kind="stable")]
+    rows = rows[np.argsort(rank[machine_of[rows]], kind="stable")]
+    bounds = np.cumsum([0, *rows_per_code[[code[m] for m in machines]]]).tolist()
+
     t, stride, step = cfg.window_len, cfg.effective_stride, cfg.resample_step
     windows: list[MetricWindow] = []
-    for machine in sorted(per_machine):
-        samples = sorted(per_machine[machine], key=lambda pair: pair[0])
-        for first, filled in _segments(samples, step, cfg.max_fill):
+    for machine, lo, hi in zip(machines, bounds, bounds[1:]):
+        mine = rows[lo:hi]
+        t0 = stamps[mine[0]]
+        for first, filled in _segments(stamps[mine], values[mine], step, cfg.max_fill):
             # windows start on the machine's grid, every stride buckets from its first
             for start in range(-first % stride, len(filled) - t + 1, stride):
                 windows.append(
                     MetricWindow(
                         values=filled[start : start + t].copy(),
                         label=None,
-                        source=f"{machine}@{samples[0][0] + (first + start) * step}",
+                        source=f"{machine}@{t0 + (first + start) * step}",
                         metric_names=names,
                     )
                 )
+    result = IngestResult(
+        windows=windows,
+        machines=len(machines),
+        rows_read=rows_read,
+        rows_unparseable=unparseable,
+        rows_nonfinite=int(np.count_nonzero(~finite)),
+        rows_no_machine=int(np.count_nonzero(finite & ~named)),
+    )
     if not windows:
         raise DataError(
             f"trace {path} produced no complete windows "
-            f"(T={t}, step={cfg.resample_step}s, {skipped} rows skipped)"
+            f"(T={t}, step={cfg.resample_step}s, {result.skipped_rows} rows skipped)"
         )
-    return IngestResult(windows=windows, skipped_rows=skipped, machines=len(per_machine))
+    return result
+
+
+def _group_means(values: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
+    """(N,) mean of each window's cells in columns cols, over an (N, T, D) stack.
+
+    Each window's cells are summed as one contiguous row taken column by
+    column. That is the order in which numpy sums a single window's
+    `window[:, cols].mean()` (the fancy-indexed slice is laid out column by
+    column), so each mean equals the single window's, bit for bit.
+    """
+    cells = np.ascontiguousarray(values.transpose(0, 2, 1)[:, list(cols)])
+    return cells.reshape(len(values), -1).mean(axis=1)
 
 
 def default_weak_thresholds(
-    windows: list[MetricWindow], groups: dict[str, tuple[int, ...]]
+    values: np.ndarray, groups: dict[str, tuple[int, ...]]
 ) -> dict[str, float]:
-    """Hot thresholds per group: fixed for cpu/mem, dataset-relative for disk/net.
+    """Hot thresholds per group: fixed for cpu/mem, relative to the (N, T, D) stack for disk/net.
 
     CPU and memory utilizations have natural saturation scales, so fixed
     cutoffs apply; disk and net rates do not, so those cutoffs sit at the
     95th percentile of the dataset's own window-level group means.
     """
-    if not windows:
+    if len(values) == 0:
         raise DataError("cannot derive thresholds from an empty dataset")
     out = {"cpu": 0.85, "mem": 0.90}
     for name in ("disk", "net"):
         cols = groups.get(name, ())
-        if not cols:
-            out[name] = np.inf
-            continue
-        means = [float(w.values[:, list(cols)].mean()) for w in windows]
-        out[name] = float(np.percentile(means, 95))
+        out[name] = float(np.percentile(_group_means(values, cols), 95)) if cols else np.inf
     return out
 
 
-def weak_label(
-    window: MetricWindow,
+def weak_labels(
+    values: np.ndarray,
     thresholds: dict[str, float],
     groups: dict[str, tuple[int, ...]],
-) -> int | None:
-    """Threshold heuristic: one hot group names the class, several mean HYBRID.
+) -> np.ndarray:
+    """Label each window of an (N, T, D) stack: one hot group names the class, several mean HYBRID.
 
-    A group is hot when the window mean of its metrics exceeds its threshold.
-    No hot group yields no label; callers drop such windows from supervised
-    splits rather than inventing a sixth class.
+    A group is hot in a window when the window mean of its metrics exceeds
+    its threshold. A window with no hot group gets -1 (no label); callers
+    drop such windows from supervised splits rather than inventing a sixth
+    class.
     """
-    hot = []
+    labels = np.full(len(values), -1)
+    hot = np.zeros(len(values), dtype=np.int64)
     for name in GROUP_NAMES:
         cols = groups.get(name, ())
-        if not cols:
-            continue
-        if float(window.values[:, list(cols)].mean()) > thresholds[name]:
-            hot.append(name)
-    if not hot:
-        return None
-    if len(hot) >= 2:
-        return int(ContentionClass.HYBRID)
-    return int(GROUP_CLASS[hot[0]])
+        if cols:
+            mask = _group_means(values, cols) > thresholds[name]
+            labels[mask] = GROUP_CLASS[name]
+            hot += mask
+    labels[hot >= 2] = ContentionClass.HYBRID
+    return labels
 
 
 def apply_weak_labels(
@@ -238,14 +298,11 @@ def apply_weak_labels(
     thresholds: dict[str, float] | None = None,
 ) -> tuple[list[MetricWindow], int]:
     """Label every window it can; returns (labeled windows, dropped count)."""
+    if not windows:
+        raise DataError("cannot weak-label an empty dataset")
+    values = np.stack([w.values for w in windows])
     if thresholds is None:
-        thresholds = default_weak_thresholds(windows, groups)
-    labeled = []
-    dropped = 0
-    for w in windows:
-        label = weak_label(w, thresholds, groups)
-        if label is None:
-            dropped += 1
-        else:
-            labeled.append(replace(w, label=label))
-    return labeled, dropped
+        thresholds = default_weak_thresholds(values, groups)
+    labels = weak_labels(values, thresholds, groups).tolist()
+    labeled = [replace(w, label=label) for w, label in zip(windows, labels) if label >= 0]
+    return labeled, len(windows) - len(labeled)

@@ -590,6 +590,11 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
         ({"n_windows": [10]}, "n_windows"),
         ({"schema": {"machine_column": 5, "timestamp_column": "ts",
                      "metric_columns": {"cpu_util": "cpu"}}}, "schema.machine_column"),
+        ({"split_fractions": 5}, "split_fractions"),
+        ({"split_fractions": ["a", "b", "c"]}, "split_fractions"),
+        ({"split_fractions": [0.5, True, 0.5]}, "split_fractions"),
+        ({"scenario": {"groups": {"cpu": 5}}}, "scenario.groups.cpu"),
+        ({"scenario": {"groups": {"cpu": ["x"]}}}, "scenario.groups.cpu"),
     ],
 )
 def test_config_value_of_wrong_type_is_a_config_error(tmp_path, capsys, config, key):
@@ -598,6 +603,22 @@ def test_config_value_of_wrong_type_is_a_config_error(tmp_path, capsys, config, 
     rc = main(["gen", "--config", str(path), "--out", str(tmp_path / "o"), "--n", "1"])
     assert rc == EXIT_CONFIG
     assert f"config key '{key}' must be" in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"out_dir": "\xff\xfe"}')
+    rc = main(["gen", "--config", str(path), "--out", str(tmp_path / "o"), "--n", "1"])
+    assert rc == EXIT_CONFIG
+    assert "not valid UTF-8 JSON" in capsys.readouterr().err
+
+
+def test_non_utf8_checkpoint_is_a_data_error(workspace, tmp_path, capsys):
+    path = tmp_path / "checkpoint.json"
+    path.write_bytes(workspace["ckpt"].read_bytes().replace(b'"class_names"', b'"\xff\xfe"'))
+    rc = main(["eval", "--checkpoint", str(path), "--data", str(workspace["data"])])
+    assert rc == EXIT_DATA
+    assert "not valid UTF-8 JSON" in capsys.readouterr().err
 
 
 def test_config_int_is_accepted_where_a_float_is_expected(tmp_path):

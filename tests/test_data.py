@@ -450,6 +450,8 @@ class TestSplit:
             split(ws, (0.8, 0.3, -0.1), RngStream(0))
         with pytest.raises(ConfigError, match="sum"):
             split(ws, (0.5, 0.3, 0.1), RngStream(0))
+        with pytest.raises(ConfigError, match="positive"):
+            split(ws, (float("nan"), 0.5, 0.5), RngStream(0))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
