@@ -26,7 +26,7 @@ from contention.graph import MetricGraph, build_graph, identity_graph, pearson_m
 from contention.model import ModelConfig, ModelParams, forward, init_params, predict
 from contention.pipeline import PreparedData, RunResult, prepare, run_synthetic
 from contention.rng import RngStream
-from contention.train import EvalMetrics, TrainConfig, evaluate, train
+from contention.train import EvalMetrics, TrainConfig, evaluate
 
 __version__ = "0.1.0"
 
@@ -61,6 +61,5 @@ __all__ = [
     "run_synthetic",
     "save_checkpoint",
     "split",
-    "train",
     "write_dataset",
 ]

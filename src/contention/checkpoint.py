@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from contention.config import _strict_kwargs
 from contention.data import CLASS_NAMES, NormStats
-from contention.errors import ContentionError, DataError, SchemaError, ShapeError
+from contention.errors import ConfigError, ContentionError, DataError, SchemaError, ShapeError
 from contention.graph import MetricGraph, normalize_adjacency
 from contention.model import ModelConfig, ModelParams
 
@@ -121,8 +122,8 @@ def _from_payload(payload: dict, path: Path) -> Checkpoint:
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
     try:
-        cfg = ModelConfig(**payload["model"])
-    except TypeError as exc:
+        cfg = ModelConfig(**_strict_kwargs("model", payload["model"], ModelConfig))
+    except ConfigError as exc:
         raise SchemaError(f"bad model config in checkpoint: {exc}") from exc
     shapes = ModelParams.shapes(cfg)
     blocks = []
@@ -139,10 +140,13 @@ def _from_payload(payload: dict, path: Path) -> Checkpoint:
         raise ShapeError(f"adjacency has shape {adjacency.shape}, expected {(dim, dim)}")
     if not np.array_equal(adjacency, adjacency.T) or np.any(np.diag(adjacency) != 0):
         raise DataError("checkpoint adjacency must be symmetric with a zero diagonal")
+    if not np.all((adjacency == 0) | (adjacency == 1)):
+        raise DataError("checkpoint adjacency entries must be 0 or 1")
+    threshold = float(g["threshold"])
+    if not 0.0 <= threshold <= 1.0:
+        raise DataError(f"checkpoint graph threshold must lie in [0, 1], got {threshold}")
     graph = MetricGraph(
-        adjacency=adjacency,
-        normalized=normalize_adjacency(adjacency),
-        threshold=float(g["threshold"]),
+        adjacency=adjacency, normalized=normalize_adjacency(adjacency), threshold=threshold
     )
 
     norm = NormStats(

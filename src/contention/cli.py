@@ -24,21 +24,15 @@ from contention.data import (
     CLASS_NAMES,
     MetricWindow,
     apply_norm,
-    fit_norm,
     generate,
     manifest_path,
     read_dataset,
     write_dataset,
 )
-from contention.errors import (
-    CacheMismatchError,
-    ConfigError,
-    DataError,
-    NumericError,
-    ShapeError,
-)
+from contention.errors import ConfigError, DataError, NumericError, ShapeError
 from contention.graph import build_graph, graph_stats, pearson_matrix
 from contention.ingest import apply_weak_labels, ingest_csv
+from contention.linalg import softmax
 from contention.pipeline import prepare, run_prepared
 from contention.rng import RngStream
 from contention.sweeps import (
@@ -219,31 +213,24 @@ def _load_eval_inputs(args: argparse.Namespace):
             f"{ckpt.params.cfg.window_len}"
         )
     d = windows[0].metric_count
-    if d == ckpt.graph.dim:
-        norm, graph = ckpt.norm, ckpt.graph
-        if ckpt.metric_names and ckpt.metric_names != windows[0].metric_names:
-            print(
-                "warning: dataset metric names differ from the ones the "
-                "checkpoint was trained on",
-                file=sys.stderr,
-            )
-    else:
+    if d != ckpt.graph.dim:
+        # normalization and graph come from the training split only, never from scored data
+        raise ShapeError(
+            f"dataset windows have {d} metrics, checkpoint graph covers {ckpt.graph.dim}"
+        )
+    if ckpt.metric_names and ckpt.metric_names != windows[0].metric_names:
         print(
-            f"warning: dataset has {d} metrics, checkpoint graph covers "
-            f"{ckpt.graph.dim}; refitting normalization and graph on the "
-            "provided dataset",
+            "warning: dataset metric names differ from the ones the "
+            "checkpoint was trained on",
             file=sys.stderr,
         )
-        norm = fit_norm(windows)
-        graph = build_graph(pearson_matrix([apply_norm(w, norm) for w in windows]),
-                            ckpt.graph.threshold)
-    normalized = [apply_norm(w, norm) for w in windows]
-    return ckpt, normalized, graph
+    normalized = [apply_norm(w, ckpt.norm) for w in windows]
+    return ckpt, normalized
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    ckpt, windows, graph = _load_eval_inputs(args)
-    metrics = evaluate(ckpt.params, graph, windows)
+    ckpt, windows = _load_eval_inputs(args)
+    metrics = evaluate(ckpt.params, ckpt.graph, windows)
     _print_metrics(f"evaluation over {len(windows)} windows", metrics)
     _print_confusion(metrics.confusion, ckpt.class_names)
     if args.out:
@@ -261,9 +248,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    ckpt, windows, graph = _load_eval_inputs(args)
+    ckpt, windows = _load_eval_inputs(args)
     out_dir = Path(args.out) if args.out else None
-    pred = score(ckpt.params, graph, windows)
+    pred = score(ckpt.params, ckpt.graph, windows)
     header = (
         ["window_id"]
         + [f"logit_{c}" for c in ckpt.class_names]
@@ -272,7 +259,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     )
     lines = [",".join(header)]
     for wid, (logits, probabilities, label) in enumerate(
-        zip(pred.logits, pred.probabilities, pred.label)
+        zip(pred.logits, softmax(pred.logits), pred.label)
     ):
         cells = [str(wid)]
         cells += [repr(float(z)) for z in logits]
@@ -389,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError, CacheMismatchError) as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -27,7 +27,3 @@ class SchemaError(DataError):
 
 class NumericError(ContentionError, RuntimeError):
     """A computation produced or encountered non-finite values."""
-
-
-class CacheMismatchError(ContentionError, RuntimeError):
-    """Backward pass invoked with a cache from a different forward call."""

@@ -3,10 +3,10 @@
 Input is a headered UTF-8 CSV with one sample per row: a machine id column,
 an integer-seconds timestamp column, and one column per monitored metric.
 Columns are found by header name; when a name repeats, its last column is
-read. The file is parsed in one pass into flat buffers: timestamps as Python
-ints (of any size), metric values as float64 and machine ids as small integer
-codes. Blank lines are ignored. A row is skipped and counted under the first
-of these reasons that applies:
+read; a leading byte-order mark is dropped. The file is parsed in one pass
+into flat buffers: timestamps as Python ints (of any size), metric values as
+float64 and machine ids as small integer codes. Blank lines are ignored. A
+row is skipped and counted under the first of these reasons that applies:
 
 1. unparseable: it is too short to hold the timestamp or a metric cell, the
    timestamp is not an integer, or a metric cell is not a number;
@@ -83,12 +83,17 @@ class TraceSchema:
         return {name: tuple(cols) for name, cols in out.items()}
 
 
+# Upper bound on max_fill. A segment holds at most max_fill + 1 buckets per
+# kept row, so this bounds what resampling allocates per row of the trace.
+MAX_FILL_LIMIT = 64
+
+
 @dataclass(frozen=True)
 class IngestConfig:
     window_len: int = 32
     stride: int | None = None  # defaults to window_len: non-overlapping windows
     resample_step: int = 60  # seconds per bucket
-    max_fill: int = 3  # longest run of missing buckets forward fill may bridge
+    max_fill: int = 3  # longest run of missing buckets forward fill may bridge, <= MAX_FILL_LIMIT
 
     def __post_init__(self):
         if self.window_len < 1:
@@ -97,8 +102,10 @@ class IngestConfig:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
         if self.resample_step < 1:
             raise ConfigError(f"resample_step must be >= 1, got {self.resample_step}")
-        if self.max_fill < 0:
-            raise ConfigError(f"max_fill must be >= 0, got {self.max_fill}")
+        if not 0 <= self.max_fill <= MAX_FILL_LIMIT:
+            raise ConfigError(
+                f"max_fill must lie in [0, {MAX_FILL_LIMIT}], got {self.max_fill}"
+            )
 
     @property
     def effective_stride(self) -> int:
@@ -164,7 +171,7 @@ def ingest_csv(
     machine_of = array("q")
     code: dict[str, int] = {}
     rows_read = unparseable = 0
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             index = {name: i for i, name in enumerate(next(reader, []))}

@@ -22,7 +22,15 @@ RATIO_FLOOR = 1e-8
 DEFAULT_TEMPERATURE = 2.0
 
 
-def _check_logits_labels(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def task_losses(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean one-vs-rest binary cross-entropy per class, shape (K,), and its logit gradient.
+
+    Task k treats every window as a binary example: target 1 where the true
+    label equals k, else 0. Each task averages over all N windows, so a rare
+    class still contributes mostly easy negatives to its own task. The
+    gradient d losses[k] / d logits[:, k] has shape (N, K) and equals
+    (sigmoid(z) - target) / N.
+    """
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels)
     if z.ndim != 2:
@@ -37,26 +45,8 @@ def _check_logits_labels(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nda
         raise DataError(
             f"label {int(y[bad[0]])} at sample {int(bad[0])} is outside [0, {k - 1}]"
         )
-    return z, y.astype(np.int64)
-
-
-def task_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Mean one-vs-rest binary cross-entropy per class, shape (K,).
-
-    Task k treats every window as a binary example: target 1 where the true
-    label equals k, else 0. Each task averages over all N windows, so a rare
-    class still contributes mostly easy negatives to its own task.
-    """
-    z, y = _check_logits_labels(logits, labels)
-    onehot = (y[:, None] == np.arange(z.shape[1])[None, :]).astype(np.float64)
-    return bce_from_logit(z, onehot).mean(axis=0)
-
-
-def task_logit_grads(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d task_losses / d logits, shape (N, K): (sigmoid(z) - target) / N."""
-    z, y = _check_logits_labels(logits, labels)
-    onehot = (y[:, None] == np.arange(z.shape[1])[None, :]).astype(np.float64)
-    return (sigmoid(z) - onehot) / z.shape[0]
+    onehot = (y.astype(np.int64)[:, None] == np.arange(k)[None, :]).astype(np.float64)
+    return bce_from_logit(z, onehot).mean(axis=0), (sigmoid(z) - onehot) / z.shape[0]
 
 
 @dataclass(frozen=True)

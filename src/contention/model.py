@@ -16,14 +16,20 @@ keeps every layer smooth so those checks are well-defined everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from contention.errors import CacheMismatchError, ConfigError, ShapeError
+from contention.errors import ConfigError, ShapeError
 from contention.graph import MetricGraph
-from contention.linalg import glorot_init, softmax
+from contention.linalg import glorot_init
 from contention.rng import RngStream
+
+
+# Bound on the trainable parameter count, checked before anything is allocated:
+# 8 MB per copy of the weights, of which training holds about five.
+MAX_PARAMETERS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,11 @@ class ModelConfig:
         for f in fields(self):
             if getattr(self, f.name) < 1:
                 raise ConfigError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
+        count = ModelParams.parameter_count(self)
+        if count > MAX_PARAMETERS:
+            raise ConfigError(
+                f"model has {count} parameters, more than the limit of {MAX_PARAMETERS}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +101,12 @@ class ModelParams:
         }
 
     @classmethod
+    def parameter_count(cls, cfg: ModelConfig) -> int:
+        return sum(math.prod(shape) for shape in cls.shapes(cfg).values())
+
+    @classmethod
     def zeros(cls, cfg: ModelConfig) -> "ModelParams":
-        return cls(cfg, np.zeros(cls.block_slices(cfg)[-1][1].stop))
+        return cls(cfg, np.zeros(cls.parameter_count(cfg)))
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.cfg, self.flat.copy())
@@ -124,7 +139,6 @@ def init_params(cfg: ModelConfig, rng: RngStream) -> ModelParams:
 @dataclass(frozen=True)
 class Prediction:
     logits: np.ndarray  # (K,) for a window, (N, K) for a stack
-    probabilities: np.ndarray  # softmax of each logit row
     label: int | np.ndarray  # argmax of each logit row, lowest index on ties
 
 
@@ -208,7 +222,7 @@ def heads(ht: np.ndarray, params: ModelParams, saved: dict | None = None) -> np.
 
 
 def predict(logits: np.ndarray) -> Prediction:
-    """Confidence distribution and hard label for a logit vector or a stack of them.
+    """Hard label for a logit vector or a stack of them.
 
     The label is the argmax of the logits with ties broken toward the lowest
     index; softmax is monotone, so this always agrees with argmax of the
@@ -216,9 +230,7 @@ def predict(logits: np.ndarray) -> Prediction:
     """
     z = np.asarray(logits, dtype=np.float64)
     label = np.argmax(z, axis=-1)
-    return Prediction(
-        logits=z, probabilities=softmax(z), label=int(label) if z.ndim == 1 else label
-    )
+    return Prediction(logits=z, label=int(label) if z.ndim == 1 else label)
 
 
 def forward(
@@ -240,26 +252,22 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def backward(
-    cache: ForwardCache,
-    dloss_dz: np.ndarray,
-    g: MetricGraph,
-    params: ModelParams,
-) -> ModelParams:
+def backward(cache: ForwardCache, dloss_dz: np.ndarray, grads: ModelParams) -> ModelParams:
     """Exact gradients of sum_n dloss_dz[n] . z[n] with respect to every parameter.
 
-    dloss_dz has the shape of the forward pass's logits: (K,) for a window,
-    (N, K) for a stack. Heads whose dloss_dz column is zero receive exactly
-    zero gradient, which is what keeps the per-class tasks decoupled during
-    training.
+    The parameters and the graph are the ones the forward pass used, read
+    from the cache. dloss_dz has the shape of the forward pass's logits: (K,)
+    for a window, (N, K) for a stack. Every block of `grads` is overwritten,
+    so one buffer serves every call; it is returned. Heads whose dloss_dz
+    column is zero receive exactly zero gradient, which is what keeps the
+    per-class tasks decoupled during training.
     """
-    if g is not cache.graph and not np.array_equal(g.normalized, cache.graph.normalized):
-        raise CacheMismatchError("graph differs from the one used in forward")
-    if params is not cache.params:
-        raise CacheMismatchError("params differ from the ones used in forward")
+    params = cache.params
+    if grads.cfg != params.cfg:
+        raise ShapeError(f"gradient buffer is for {grads.cfg}, parameters for {params.cfg}")
     dz = np.asarray(dloss_dz, dtype=np.float64)
     if dz.shape != cache.head_tanh.shape[:-1]:
-        raise CacheMismatchError(
+        raise ShapeError(
             f"dloss_dz must have the logits' shape {cache.head_tanh.shape[:-1]}, got {dz.shape}"
         )
     arrays = (cache.x, cache.z1, cache.h, cache.ah, cache.h1, cache.ah1, cache.ht, cache.r,
@@ -269,7 +277,6 @@ def backward(
     x, z1, h, ah, h1, ah1, ht, r, t, dz = arrays
     n = x.shape[0]
 
-    grads = ModelParams.zeros(params.cfg)
     grads.head_u[...] = (dz[:, :, None] * t).sum(axis=0)
     grads.head_c[...] = dz.sum(axis=0)
     da = dz[:, :, None] * params.head_u * (1.0 - t * t)  # (N, K, head_hidden)

@@ -27,7 +27,6 @@ from contention.losses import (
     TaskWeightState,
     combine,
     combine_grads,
-    task_logit_grads,
     task_losses,
     update_weights,
 )
@@ -210,7 +209,7 @@ SCORE_CHUNK = 64
 
 
 def score(params: ModelParams, graph: MetricGraph, windows: list[MetricWindow]) -> Prediction:
-    """Logits, probabilities and labels of every window, SCORE_CHUNK windows per pass."""
+    """Logits and labels of every window, SCORE_CHUNK windows per pass."""
     chunks = (windows[i : i + SCORE_CHUNK] for i in range(0, len(windows), SCORE_CHUNK))
     logits = [forward(np.stack([w.values for w in c]), graph, params)[0].logits for c in chunks]
     return predict(np.concatenate(logits))
@@ -259,6 +258,7 @@ def train(
     rng = RngStream(cfg.seed)
     params = init_params(model_cfg, rng.substream(0))
     blocks = ModelParams.block_slices(model_cfg)
+    grads = ModelParams.zeros(model_cfg)  # every batch's backward overwrites it
     adam = AdamState.zeros(params.flat.size)
     state = TaskWeightState.initial(model_cfg.num_classes, cfg.dwa_temperature)
     history = TrainHistory()
@@ -274,15 +274,13 @@ def train(
             batch = order[start : start + cfg.batch_size]
             # gathered per batch: a stack of the whole split would double its memory
             pred, cache = forward(np.stack([train_windows[i].values for i in batch]), g, params)
-            logits = pred.logits
-            batch_losses = task_losses(logits, train_labels[batch])
+            batch_losses, dlogits = task_losses(pred.logits, train_labels[batch])
             combined = combine(batch_losses, state)
             if not np.isfinite(combined):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch}, batch {batch_index}"
                 )
-            dz = combine_grads(task_logit_grads(logits, train_labels[batch]), state)
-            grads = backward(cache, dz, g, params)
+            backward(cache, combine_grads(dlogits, state), grads)
             adam = adam_step(params.flat, grads.flat, adam, cfg, blocks)
             loss_sum += batch_losses * batch.size
         epoch_losses = loss_sum / n

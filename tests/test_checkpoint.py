@@ -195,6 +195,38 @@ class TestLoadValidation:
         with pytest.raises(DataError, match="diagonal"):
             load_checkpoint(path)
 
+    def test_adjacency_entries_must_be_zero_or_one(self, tmp_path):
+        path = self._saved(tmp_path)
+
+        def poison(p):
+            adjacency = p["graph"]["adjacency"]
+            for i, row in enumerate(adjacency):
+                adjacency[i] = [0 if i == j else 2 for j in range(len(row))]
+
+        self._rewrite(path, poison)
+        with pytest.raises(DataError, match="0 or 1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("threshold", ["nan", "-0.5", "1.5"])
+    def test_threshold_must_lie_in_unit_interval(self, tmp_path, threshold):
+        path = self._saved(tmp_path)
+        self._rewrite(path, lambda p: p["graph"].update(threshold=threshold))
+        with pytest.raises(DataError, match=r"threshold must lie in \[0, 1\]"):
+            load_checkpoint(path)
+
+    def test_model_field_of_wrong_type(self, tmp_path):
+        """true is not an int, though Python would take it as 1."""
+        path = self._saved(tmp_path)
+        self._rewrite(path, lambda p: p["model"].update(window_len=True))
+        with pytest.raises(SchemaError, match="model.window_len"):
+            load_checkpoint(path)
+
+    def test_model_over_the_parameter_bound(self, tmp_path):
+        path = self._saved(tmp_path)
+        self._rewrite(path, lambda p: p["model"].update(encoder_hidden=10**6, embed_width=10**6))
+        with pytest.raises(SchemaError, match="parameters"):
+            load_checkpoint(path)
+
     def test_class_name_count_mismatch(self, tmp_path):
         path = self._saved(tmp_path)
         self._rewrite(path, lambda p: p.update(class_names=["A"]))

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +29,7 @@ from contention.cli import (
 )
 from contention.config import OUT_DIR_ENV, config_digest, load_run_config
 from contention.data import CLASS_NAMES, MetricWindow, read_dataset, write_dataset
-from contention.errors import (
-    CacheMismatchError,
-    ConfigError,
-    DataError,
-    NumericError,
-    ShapeError,
-)
+from contention.errors import ConfigError, DataError, NumericError, ShapeError
 from contention.train import METRIC_FIELDS
 
 # sha1("blob 6\0hello\n"), the id git itself assigns to that blob
@@ -283,6 +278,52 @@ def test_ingest_non_utf8_trace_is_a_data_error(tmp_path, capsys):
     assert f"trace {trace}: unreadable CSV" in capsys.readouterr().err
 
 
+def test_ingest_reads_a_trace_with_a_byte_order_mark(tmp_path, capsys):
+    cfg = ingest_config(tmp_path / "cfg.json")
+    trace = _write_trace(tmp_path / "trace.csv", cpu=0.95)
+    trace.write_bytes(b"\xef\xbb\xbf" + trace.read_bytes())
+    rc = main(["ingest", "--config", str(cfg), "--trace", str(trace),
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_OK
+    assert "ingested 1 machines -> 2 windows" in capsys.readouterr().out
+
+
+def test_ingest_max_fill_beyond_its_bound_is_a_config_error(tmp_path, capsys):
+    """Without the bound, these two rows 10**11 buckets apart would be one segment."""
+    cfg = ingest_config(
+        tmp_path / "cfg.json",
+        ingest={"window_len": 4, "resample_step": 1, "max_fill": 10**12},
+    )
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"machine,ts,cpu_util,mem_util\nm1,0,0.9,0.2\nm1,{10**11},0.9,0.2\n")
+    rc = main(["ingest", "--config", str(cfg), "--trace", str(trace),
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert "max_fill must lie in [0, 64]" in capsys.readouterr().err
+
+
+def test_model_over_the_parameter_bound_exits_before_allocating(workspace, tmp_path, capsys):
+    """7.28 TiB of weights: the config path exits 2, the checkpoint path 3."""
+    huge = {"encoder_hidden": 1_000_000, "embed_width": 1_000_000}
+    cfg = write_config(tmp_path / "cfg.json", model={"window_len": 8, **huge})
+    ckpt = tmp_path / "checkpoint.json"
+    payload = json.loads(workspace["ckpt"].read_text())
+    payload["model"].update(huge)
+    ckpt.write_text(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        rc_train = main(["train", "--config", str(cfg), "--data", str(workspace["data"]),
+                         "--out", str(tmp_path / "run")])
+        rc_eval = main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"])])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc_train, rc_eval) == (EXIT_CONFIG, EXIT_DATA)
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.count("more than the limit of 1000000") == 2
+
+
 def test_ingest_oversized_field_is_a_data_error(tmp_path, capsys):
     cfg = ingest_config(tmp_path / "cfg.json")
     trace = _write_trace(tmp_path / "trace.csv", cpu=0.95)
@@ -418,7 +459,8 @@ def test_eval_rejects_wrong_window_length(workspace, tmp_path, capsys):
     assert "timesteps" in capsys.readouterr().err
 
 
-def test_eval_refits_on_different_metric_count(workspace, tmp_path, capsys):
+def test_eval_and_predict_reject_different_metric_count(workspace, tmp_path, capsys):
+    """Normalization and graph are never refitted on the scored data."""
     cfg = write_config(
         tmp_path / "cfg.json",
         scenario={"metric_count": 8, "window_len": 8, "separation": 3.0,
@@ -427,12 +469,14 @@ def test_eval_refits_on_different_metric_count(workspace, tmp_path, capsys):
     out = tmp_path / "wide"
     assert main(["gen", "--config", str(cfg), "--out", str(out),
                  "--n", "20", "--seed", "0"]) == EXIT_OK
-    rc = main(["eval", "--checkpoint", str(workspace["ckpt"]),
-               "--data", str(out / "dataset.npy")])
-    assert rc == EXIT_OK
-    captured = capsys.readouterr()
-    assert "refitting normalization" in captured.err
-    assert "evaluation over 20 windows" in captured.out
+    capsys.readouterr()
+    for command in ("eval", "predict"):
+        rc = main([command, "--checkpoint", str(workspace["ckpt"]),
+                   "--data", str(out / "dataset.npy")])
+        assert rc == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "dataset windows have 8 metrics, checkpoint graph covers 4" in captured.err
+        assert captured.out == ""
 
 
 def test_eval_warns_when_metric_names_differ(workspace, tmp_path, capsys):
@@ -551,7 +595,6 @@ def test_sweep_unknown_kind_is_a_usage_error(tmp_path):
         (DataError("boom"), EXIT_DATA),
         (ShapeError("boom"), EXIT_DATA),
         (NumericError("boom"), EXIT_NUMERIC),
-        (CacheMismatchError("boom"), EXIT_NUMERIC),
     ],
 )
 def test_error_classes_map_to_documented_exit_codes(monkeypatch, capsys, exc, code):

@@ -21,7 +21,6 @@ from contention.losses import (
     TaskWeightState,
     combine,
     combine_grads,
-    task_logit_grads,
     task_losses,
     update_weights,
 )
@@ -56,12 +55,12 @@ def _random_case(n, k, seed):
 
 class TestTaskLosses:
     def test_zero_logits_give_ln2_everywhere(self):
-        got = task_losses(np.zeros((1, 2)), np.array([0]))
+        got = task_losses(np.zeros((1, 2)), np.array([0]))[0]
         assert np.max(np.abs(got - LN2)) <= 1e-15
 
     def test_matches_scalar_loop(self):
         z, y = _random_case(13, 4, seed=0)
-        got = task_losses(z, y)
+        got = task_losses(z, y)[0]
         assert np.max(np.abs(got - brute_task_losses(z, y))) <= 1e-12
 
     def test_confident_correct_is_near_zero(self):
@@ -69,7 +68,7 @@ class TestTaskLosses:
         y = np.array([0, 1, 2, 0, 1, 2])
         for i, label in enumerate(y):
             z[i, label] = 40.0
-        assert np.max(task_losses(z, y)) <= 1e-12
+        assert np.max(task_losses(z, y)[0]) <= 1e-12
 
     def test_empty_batch_rejected(self):
         with pytest.raises(DataError, match="zero windows"):
@@ -92,20 +91,22 @@ class TestTaskLosses:
     @given(st.integers(1, 20), st.integers(1, 6), st.integers(0, 10_000))
     def test_nonnegative_finite(self, n, k, seed):
         z, y = _random_case(n, k, seed)
-        losses = task_losses(z, y)
+        losses = task_losses(z, y)[0]
         assert losses.shape == (k,)
         assert np.all(losses >= 0.0) and np.all(np.isfinite(losses))
 
 
 class TestTaskLogitGrads:
+    """The gradient that task_losses returns beside the losses."""
+
     def test_zero_logits_closed_form(self):
-        got = task_logit_grads(np.zeros((2, 2)), np.array([0, 1]))
+        got = task_losses(np.zeros((2, 2)), np.array([0, 1]))[1]
         want = (0.5 - np.array([[1.0, 0.0], [0.0, 1.0]])) / 2.0
         assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_matches_finite_differences(self):
         z, y = _random_case(4, 3, seed=1)
-        grads = task_logit_grads(z, y)
+        grads = task_losses(z, y)[1]
         h = 1e-6
         for i in range(z.shape[0]):
             for j in range(z.shape[1]):
@@ -113,7 +114,7 @@ class TestTaskLogitGrads:
                 zp[i, j] += h
                 zm[i, j] -= h
                 numeric = (
-                    task_losses(zp, y).sum() - task_losses(zm, y).sum()
+                    task_losses(zp, y)[0].sum() - task_losses(zm, y)[0].sum()
                 ) / (2 * h)
                 assert abs(grads[i, j] - numeric) <= 1e-8
 
@@ -126,7 +127,7 @@ class TestTaskLogitGrads:
                 zp, zm = z.copy(), z.copy()
                 zp[:, j] += h
                 zm[:, j] -= h
-                slope = (task_losses(zp, y)[k] - task_losses(zm, y)[k]) / (2 * h)
+                slope = (task_losses(zp, y)[0][k] - task_losses(zm, y)[0][k]) / (2 * h)
                 if j != k:
                     assert abs(slope) <= 1e-10
 
@@ -134,7 +135,7 @@ class TestTaskLogitGrads:
     @given(st.integers(1, 15), st.integers(1, 5), st.integers(0, 10_000))
     def test_bounded_by_inverse_n(self, n, k, seed):
         z, y = _random_case(n, k, seed)
-        g = task_logit_grads(z, y)
+        g = task_losses(z, y)[1]
         assert g.shape == (n, k)
         assert np.max(np.abs(g)) <= 1.0 / n + 1e-15
 
@@ -274,7 +275,7 @@ class TestCombine:
         state = TaskWeightState.initial(3)
         state = update_weights(state, np.array([0.5, 0.6, 0.7]))
         state = update_weights(state, np.array([0.45, 0.3, 0.6]))
-        grads = combine_grads(task_logit_grads(z, y), state)
+        grads = combine_grads(task_losses(z, y)[1], state)
         h = 1e-6
         for i in range(z.shape[0]):
             for j in range(z.shape[1]):
@@ -282,8 +283,8 @@ class TestCombine:
                 zp[i, j] += h
                 zm[i, j] -= h
                 numeric = (
-                    combine(task_losses(zp, y), state)
-                    - combine(task_losses(zm, y), state)
+                    combine(task_losses(zp, y)[0], state)
+                    - combine(task_losses(zm, y)[0], state)
                 ) / (2 * h)
                 assert abs(grads[i, j] - numeric) <= 1e-8
 
