@@ -45,6 +45,12 @@ def _decode_floats(payload, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
+def _names(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise SchemaError(f"checkpoint {what} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 @dataclass
 class Checkpoint:
     params: ModelParams  # params.cfg is the model config
@@ -99,13 +105,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(f"checkpoint file not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long
         raise SchemaError(f"checkpoint {path} is not valid UTF-8 JSON: {exc}") from exc
     try:
         return _from_payload(payload, path)
     except ContentionError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(
             f"checkpoint {path} has a missing or malformed field "
             f"({type(exc).__name__}: {exc})"
@@ -153,7 +159,7 @@ def _from_payload(payload: dict, path: Path) -> Checkpoint:
         mean=_decode_floats(payload["normalization"]["mean"], (dim,), "normalization mean"),
         std=_decode_floats(payload["normalization"]["std"], (dim,), "normalization std"),
     )
-    class_names = tuple(payload["class_names"])
+    class_names = _names(payload["class_names"], "class names")
     if len(class_names) != cfg.num_classes:
         raise SchemaError(
             f"checkpoint lists {len(class_names)} class names for {cfg.num_classes} classes"
@@ -163,7 +169,7 @@ def _from_payload(payload: dict, path: Path) -> Checkpoint:
         graph=graph,
         norm=norm,
         class_names=class_names,
-        metric_names=tuple(payload.get("metric_names", ())),
+        metric_names=_names(payload.get("metric_names", []), "metric names"),
         train_seed=int(payload.get("train_seed", 0)),
         config_digest=str(payload.get("config_digest", "")),
     )

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -51,6 +53,8 @@ EXIT_NUMERIC = 4
 
 
 HASH_BLOCK = 1 << 20  # bytes read at a time by git_blob_sha1
+# BLAS reductions split by thread count, so these set the last bits of a trained model
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def git_blob_sha1(path: str | Path) -> str:
@@ -63,6 +67,18 @@ def git_blob_sha1(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _numeric_environment() -> dict:
+    """The software and thread settings that decide the bits of a trained model."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, seed,
                     inputs: list[Path], outputs: list[str]) -> None:
     manifest = {
@@ -73,6 +89,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, seed,
             {"path": str(p), "git_sha1": git_blob_sha1(p)} for p in inputs if p.exists()
         ],
         "outputs": outputs,
+        "environment": _numeric_environment(),
     }
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -91,6 +108,15 @@ def _print_confusion(confusion: np.ndarray, class_names: tuple[str, ...]) -> Non
     for i, name in enumerate(class_names):
         row = "".join(f"{int(v):>{cell}}" for v in confusion[i])
         print(f"true {name:<{cell}}{row}")
+
+
+def _print_per_class(metrics: EvalMetrics, class_names: tuple[str, ...]) -> None:
+    cell = max(6, max(len(c) for c in class_names) + 1)
+    print("per-class scores")
+    print(f"  {'class':<{cell}}{'precision':>10}{'recall':>10}{'f1':>10}{'support':>10}")
+    for name, p, r, f, n in zip(class_names, metrics.precision, metrics.recall, metrics.f1,
+                                metrics.support):
+        print(f"  {name:<{cell}}{p:>10.4f}{r:>10.4f}{f:>10.4f}{int(n):>10}")
 
 
 def _class_histogram(windows: list[MetricWindow]) -> dict[str, int]:
@@ -113,8 +139,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if n < 1:
         raise ConfigError(f"--n must be >= 1, got {n}")
     out_dir = resolve_out_dir(args.out, cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     windows = generate(cfg.scenario, n, RngStream(seed).substream(0))
+    out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.npy"
     write_dataset(dataset_path, windows, source=f"synthetic:{seed}")
     print(f"wrote {len(windows)} windows to {dataset_path}")
@@ -232,6 +258,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ckpt, windows = _load_eval_inputs(args)
     metrics = evaluate(ckpt.params, ckpt.graph, windows)
     _print_metrics(f"evaluation over {len(windows)} windows", metrics)
+    _print_per_class(metrics, ckpt.class_names)
     _print_confusion(metrics.confusion, ckpt.class_names)
     if args.out:
         out_dir = Path(args.out)
@@ -243,7 +270,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             fh.write("true_class," + ",".join(ckpt.class_names) + "\n")
             for i, name in enumerate(ckpt.class_names):
                 fh.write(name + "," + ",".join(str(int(v)) for v in metrics.confusion[i]) + "\n")
-        print(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'confusion.csv'}")
+        with (out_dir / "per_class.csv").open("w", newline="") as fh:
+            fh.write("class,precision,recall,f1,support\n")
+            for name, p, r, f, n in zip(ckpt.class_names, metrics.precision, metrics.recall,
+                                        metrics.f1, metrics.support):
+                fh.write(f"{name},{float(p)!r},{float(r)!r},{float(f)!r},{int(n)}\n")
+        print(f"wrote {out_dir / 'metrics.csv'}, {out_dir / 'confusion.csv'} and "
+              f"{out_dir / 'per_class.csv'}")
     return EXIT_OK
 
 

@@ -4,7 +4,8 @@ Parsing is strict: any key the schema does not know is rejected with its
 full dotted path, so a typo like "learning_rte" fails loudly before any
 work starts instead of silently training with defaults. A scalar field must
 hold a JSON value of its annotated type ("64" is not an int, true is not an
-int, 1 is a float).
+int, 1 is a float), and a float field a finite one (not NaN, Infinity or an
+integer beyond the double range).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import types
 import typing
@@ -61,12 +63,21 @@ class RunConfig:
 
 
 def _admits(hint, value) -> bool:
-    """Whether a JSON value fits a field's annotation; only scalar annotations are checked."""
+    """Whether a JSON value fits a field's annotation; only scalar annotations are checked.
+
+    A value given to a float field must also be finite as a float: JSON
+    parsing admits NaN, Infinity and integers too large for a double.
+    """
     union = typing.get_origin(hint) in (typing.Union, types.UnionType)
     kinds = typing.get_args(hint) if union else (hint,)
     if not all(k in (int, float, bool, str, type(None)) for k in kinds):
         return True
-    return type(value) in kinds or (type(value) is int and float in kinds)
+    if float in kinds and type(value) in (int, float):
+        try:
+            return math.isfinite(value)
+        except OverflowError:
+            return False
+    return type(value) in kinds
 
 
 def _strict_kwargs(section: str, data: dict, cls) -> dict:
@@ -152,7 +163,7 @@ def load_run_config(path: str | Path | None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long
         raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

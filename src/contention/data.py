@@ -7,6 +7,14 @@ contended group's pattern into one fixed downstream group. The leak chain
 (cpu -> disk -> net, mem -> cpu, net -> mem) is what gives the correlation
 graph real class-relevant structure to discover.
 
+Each window draws its label and its noise from its own RNG substream, so a
+dataset does not depend on the order in which windows are made. The
+generator nonetheless builds all windows at once in one (N, T, D) buffer:
+the AR(1) recursion runs over the whole stack one time step at a time, and
+each class's signals are computed once and added to that class's windows.
+Both orders of work give the same bits as building one window at a time.
+MAX_METRIC_COUNT and MAX_GENERATED_VALUES bound what a scenario may ask for.
+
 Also here: a hand-written threshold baseline used to certify that generated
 scenarios are learnable at all, z-score normalization fitted on the training
 split, stratified splitting, and the dataset files: one (N, T, D) float64
@@ -44,6 +52,11 @@ DOWNSTREAM = {"cpu": "disk", "disk": "net", "mem": "cpu", "net": "mem"}
 
 DATASET_FORMAT_VERSION = 3
 VALUES_DTYPE = np.dtype("<f8")
+# Bounds on what one synthetic scenario may ask for, checked before anything
+# is allocated: the metrics of one window, and the values of one generated
+# dataset (8 bytes each).
+MAX_METRIC_COUNT = 1024
+MAX_GENERATED_VALUES = 10**8
 
 
 @dataclass(frozen=True)
@@ -104,8 +117,10 @@ class ScenarioConfig:
     groups: tuple[tuple[str, tuple[int, ...]], ...] | None = None
 
     def __post_init__(self):
-        if self.metric_count < 4:
-            raise ConfigError(f"need at least 4 metrics, got {self.metric_count}")
+        if not 4 <= self.metric_count <= MAX_METRIC_COUNT:
+            raise ConfigError(
+                f"metric_count must lie in [4, {MAX_METRIC_COUNT}], got {self.metric_count}"
+            )
         if self.window_len < 8:
             raise ConfigError(f"window_len must be >= 8, got {self.window_len}")
         if self.separation < 0:
@@ -218,34 +233,47 @@ def class_signals(cfg: ScenarioConfig, label: int) -> dict[str, np.ndarray]:
     return signals
 
 
-def _one_window(cfg: ScenarioConfig, stream: RngStream, index: int) -> MetricWindow:
-    gen = stream.generator()
-    label = int(gen.integers(NUM_CLASSES))
-    eps = gen.normal(0.0, cfg.noise_std, size=(cfg.window_len, cfg.metric_count))
-    x = np.empty_like(eps)
-    x[0] = eps[0]
-    for t in range(1, cfg.window_len):
-        x[t] = cfg.ar_coeff * x[t - 1] + eps[t]
-    group_map = cfg.group_map
-    for name, sig in class_signals(cfg, label).items():
-        x[:, list(group_map[name])] += sig[:, None]
-    return MetricWindow(
-        values=x,
-        label=label,
-        source=f"synthetic:{stream.seed}:{index}",
-        metric_names=cfg.metric_names(),
-    )
-
-
 def generate(cfg: ScenarioConfig, n: int, rng: RngStream) -> list[MetricWindow]:
     """n labeled synthetic windows, class drawn uniformly per window.
 
-    Every window uses its own RNG substream indexed by window number, so the
-    dataset is identical no matter what order (or concurrency) produced it.
+    Window i draws its label and then its (T, D) noise from its own RNG
+    substream `rng.substream(i)`, so the dataset is identical no matter what
+    order (or concurrency) produced it. The windows are built together in one
+    (N, T, D) buffer: the noise is written straight into it, the AR(1)
+    recursion runs in place over the whole stack one step at a time, and each
+    class's signals are built once and added to that class's rows. The
+    returned windows are views into that buffer.
     """
     if n < 1:
         raise ConfigError(f"window count must be >= 1, got {n}")
-    return [_one_window(cfg, rng.substream(i), i) for i in range(n)]
+    t_len, d = cfg.window_len, cfg.metric_count
+    if n * t_len * d > MAX_GENERATED_VALUES:
+        raise ConfigError(
+            f"{n} windows of {t_len} x {d} values exceed the limit of "
+            f"{MAX_GENERATED_VALUES} generated values"
+        )
+    x = np.empty((n, t_len, d))
+    labels = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        gen = rng.substream(i).generator()
+        labels[i] = gen.integers(NUM_CLASSES)
+        x[i] = gen.normal(0.0, cfg.noise_std, size=(t_len, d))
+    for t in range(1, t_len):
+        # eps[t] + a * x[t-1] is bitwise a * x[t-1] + eps[t]: IEEE addition commutes
+        x[:, t] += cfg.ar_coeff * x[:, t - 1]
+    group_map = cfg.group_map
+    for label in range(NUM_CLASSES):
+        rows = np.flatnonzero(labels == label)
+        block = x[rows]
+        # the groups are disjoint, so each cell gets at most one add
+        for name, sig in class_signals(cfg, label).items():
+            block[:, :, list(group_map[name])] += sig[:, None]
+        x[rows] = block
+    names = cfg.metric_names()
+    return [
+        MetricWindow(values, int(label), f"synthetic:{rng.seed}:{i}", names)
+        for i, (values, label) in enumerate(zip(x, labels))
+    ]
 
 
 def _group_series(window: MetricWindow, cols: tuple[int, ...]) -> np.ndarray:
@@ -453,7 +481,7 @@ def read_dataset(path: str | Path) -> list[MetricWindow]:
         raise DataError(f"dataset manifest not found: {mpath}")
     try:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         raise SchemaError(f"manifest {mpath} is not valid JSON: {exc}") from exc
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != DATASET_FORMAT_VERSION:

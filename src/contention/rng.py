@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from contention.errors import ConfigError
+
 ALGORITHM = "philox-4x64"
 
 
@@ -20,6 +22,10 @@ ALGORITHM = "philox-4x64"
 class RngStream:
     seed: int
     path: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream.

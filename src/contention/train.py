@@ -128,6 +128,14 @@ class EvalMetrics:
     macro_recall: float
     macro_f1: float
     confusion: np.ndarray  # (K, K) counts, rows = true class, cols = predicted
+    precision: np.ndarray  # (K,) per class, the macro scores are their means
+    recall: np.ndarray  # (K,)
+    f1: np.ndarray  # (K,)
+
+    @property
+    def support(self) -> np.ndarray:
+        """(K,) true windows per class."""
+        return self.confusion.sum(axis=1)
 
     def as_row(self) -> dict[str, float]:
         return {
@@ -182,6 +190,9 @@ def metrics_from_confusion(c: np.ndarray) -> EvalMetrics:
         macro_recall=float(recall.mean()),
         macro_f1=float(f1.mean()),
         confusion=c,
+        precision=precision,
+        recall=recall,
+        f1=f1,
     )
 
 

@@ -9,6 +9,7 @@ test for the module entry point).
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -149,6 +150,37 @@ def test_gen_is_deterministic_and_seed_sensitive(tmp_path):
     a, b, c = (out.joinpath("dataset.npy").read_bytes() for out in outs)
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize(
+    "config, n, message",
+    [({"scenario": {"metric_count": 10**12}}, "12", "metric_count must lie in [4, 1024]"),
+     ({}, str(10**12), "limit of 100000000 generated values")],
+    ids=["metric_count", "window_count"],
+)
+def test_gen_beyond_its_bounds_exits_before_allocating(tmp_path, capsys, config, n, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        rc = main(["gen", "--config", str(cfg), "--out", str(out), "--n", n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_CONFIG
+    assert peak < 1 << 20
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["gen", "--seed", "-1"], ["sweep", "--kind", "batch",
+                                                              "--seeds", "0,-1"]])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path / "cfg.json")
+    rc = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 def test_gen_rejects_nonpositive_count(tmp_path, capsys):
@@ -379,6 +411,28 @@ def test_train_manifest_records_inputs_and_digest(workspace):
     assert sidecar in by_path
 
 
+def test_train_manifest_records_the_numeric_environment(workspace, tmp_path, monkeypatch):
+    """The manifest records the settings of its own run; checkpoint.json holds none of them."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    rerun = tmp_path / "rerun"
+    assert main(["train", "--config", str(workspace["cfg"]), "--data", str(workspace["data"]),
+                 "--out", str(rerun), "--seed", "0"]) == EXIT_OK
+    env = json.loads((rerun / "run_manifest.json").read_text())["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert isinstance(env["blas"]["name"], str) and isinstance(env["blas"]["version"], str)
+    assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "3"
+    assert env["thread_env"]["MKL_NUM_THREADS"] is None
+    assert set(env["thread_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                      "MKL_NUM_THREADS"}
+    assert env["cpu_count"] == os.cpu_count()
+    first = json.loads((workspace["run"] / "run_manifest.json").read_text())
+    assert first["environment"]["numpy"] == np.__version__
+    assert (rerun / "checkpoint.json").read_bytes() == (
+        workspace["run"] / "checkpoint.json").read_bytes()
+
+
 def test_train_checkpoint_stores_dataset_metric_names(workspace):
     ckpt = load_checkpoint(workspace["ckpt"])
     windows = read_dataset(workspace["data"])
@@ -440,6 +494,29 @@ def test_eval_writes_metric_and_confusion_csv(workspace, tmp_path):
         int(cell) for line in confusion_lines[1:] for cell in line.split(",")[1:]
     )
     assert total == 80
+
+
+def test_eval_writes_and_prints_per_class_scores(workspace, tmp_path, capsys):
+    out = tmp_path / "eval"
+    rc = main(["eval", "--checkpoint", str(workspace["ckpt"]),
+               "--data", str(workspace["data"]), "--out", str(out)])
+    assert rc == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "per-class scores" in printed
+    lines = (out / "per_class.csv").read_text().splitlines()
+    assert lines[0] == "class,precision,recall,f1,support"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == list(CLASS_NAMES)
+    confusion = [line.split(",")[1:] for line in
+                 (out / "confusion.csv").read_text().splitlines()[1:]]
+    assert [int(r[4]) for r in rows] == [sum(int(v) for v in row) for row in confusion]
+    metrics = dict(zip(*(line.split(",") for line in
+                         (out / "metrics.csv").read_text().splitlines())))
+    for column, macro in ((1, "macro_precision"), (2, "macro_recall"), (3, "macro_f1")):
+        scores = np.array([float(r[column]) for r in rows])
+        assert float(scores.mean()) == float(metrics[macro])
+    for name, r in zip(CLASS_NAMES, rows):
+        assert name in printed and f"{float(r[3]):.4f}" in printed
 
 
 def test_eval_rejects_wrong_window_length(workspace, tmp_path, capsys):

@@ -21,6 +21,8 @@ from contention.data import (
     CLASS_NAMES,
     DOWNSTREAM,
     GROUP_NAMES,
+    MAX_GENERATED_VALUES,
+    MAX_METRIC_COUNT,
     ContentionClass,
     MetricWindow,
     NormStats,
@@ -164,11 +166,22 @@ class TestScenarioConfig:
             {"leak_lag": -1},
             {"ar_coeff": 1.0},
             {"noise_std": 0.0},
+            {"metric_count": MAX_METRIC_COUNT + 4},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
+
+    def test_oversized_metric_count_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=rf"lie in \[4, {MAX_METRIC_COUNT}\]"):
+                ScenarioConfig(metric_count=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestClassSignals:
@@ -251,6 +264,80 @@ class TestClassSignals:
             class_signals(ScenarioConfig(), 5)
 
 
+# ---------------------------------------------------------------------------
+# Per-window reference: the generator that the stacked build replaced, kept
+# verbatim apart from returning plain tuples.
+
+
+def _reference_generate(cfg, n, rng):
+    """(values, label, source) per window, one window and one AR loop at a time."""
+    out = []
+    for index in range(n):
+        stream = rng.substream(index)
+        gen = stream.generator()
+        label = int(gen.integers(len(CLASS_NAMES)))
+        eps = gen.normal(0.0, cfg.noise_std, size=(cfg.window_len, cfg.metric_count))
+        x = np.empty_like(eps)
+        x[0] = eps[0]
+        for t in range(1, cfg.window_len):
+            x[t] = cfg.ar_coeff * x[t - 1] + eps[t]
+        group_map = cfg.group_map
+        for name, sig in class_signals(cfg, label).items():
+            x[:, list(group_map[name])] += sig[:, None]
+        out.append((x, label, f"synthetic:{stream.seed}:{index}"))
+    return out
+
+
+@st.composite
+def _scenarios(draw):
+    """Scenario configs over window and metric sizes, custom groups and edge knobs."""
+    t_len = draw(st.integers(8, 40))
+    d = draw(st.integers(4, 24))
+    if d % 4 == 0 and draw(st.booleans()):
+        groups = None
+    else:
+        # every metric to one group, each group non-empty
+        cols = draw(st.permutations(range(d)))
+        cuts = sorted(draw(st.lists(st.integers(1, d - 1), min_size=3, max_size=3,
+                                    unique=True)))
+        parts = np.split(np.array(cols), cuts)
+        groups = tuple((name, tuple(int(c) for c in part))
+                       for name, part in zip(draw(st.permutations(GROUP_NAMES)), parts))
+    return ScenarioConfig(
+        metric_count=d,
+        window_len=t_len,
+        separation=draw(st.sampled_from([0.0, 0.3, 1.0, 4.0])),
+        leakage=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        leak_lag=draw(st.integers(0, t_len - 1)),
+        ar_coeff=draw(st.sampled_from([-0.95, -0.5, 0.0, 0.8, 0.99])),
+        noise_std=draw(st.sampled_from([1e-3, 0.2, 3.0])),
+        groups=groups,
+    )
+
+
+class TestGenerateMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=_scenarios(), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_values_labels_and_sources_equal(self, cfg, n, seed):
+        rng = RngStream(seed, (0,))
+        got = generate(cfg, n, rng)
+        want = _reference_generate(cfg, n, rng)
+        assert len(got) == n
+        for w, (values, label, source) in zip(got, want):
+            assert w.values.tobytes() == values.tobytes()
+            assert w.label == label
+            assert w.source == source
+            assert w.metric_names == cfg.metric_names()
+
+    def test_default_scenario_over_500_windows(self):
+        rng = RngStream(0, (0,))
+        got = generate(ScenarioConfig(), 500, rng)
+        want = _reference_generate(ScenarioConfig(), 500, rng)
+        assert np.stack([w.values for w in got]).tobytes() == np.stack(
+            [v for v, _, _ in want]).tobytes()
+        assert [w.label for w in got] == [label for _, label, _ in want]
+
+
 class TestGenerate:
     def test_deterministic_and_order_independent(self):
         cfg = ScenarioConfig()
@@ -272,6 +359,23 @@ class TestGenerate:
     def test_rejects_zero_windows(self):
         with pytest.raises(ConfigError):
             generate(ScenarioConfig(), 0, RngStream(0))
+
+    @pytest.mark.parametrize("n", [MAX_GENERATED_VALUES // (32 * 12) + 1, 10**12])
+    def test_oversized_dataset_allocates_nothing(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"limit of {MAX_GENERATED_VALUES}"):
+                generate(ScenarioConfig(), n, RngStream(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_windows_are_views_of_one_stack(self):
+        ws = generate(ScenarioConfig(), 4, RngStream(0, (0,)))
+        base = ws[0].values.base
+        assert base is not None and base.shape == (4, 32, 12)
+        assert all(w.values.base is base for w in ws)
 
     def test_class_balance_chi_square(self):
         """chi2 over 5000 draws stays under the 0.001 tail (18.467, 4 dof)."""
@@ -598,7 +702,7 @@ class TestDatasetFiles:
 
     def test_read_rejects_bad_manifest_json(self, tmp_path):
         path = self._written(tmp_path)
-        for text in (b"{nope", b"\xff\xfe{}"):
+        for text in (b"{nope", b"\xff\xfe{}", b"[" * 100_000, b'{"n_windows": ' + b"9" * 5000 + b"}"):
             manifest_path(path).write_bytes(text)
             with pytest.raises(SchemaError, match="JSON"):
                 read_dataset(path)

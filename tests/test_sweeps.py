@@ -213,6 +213,9 @@ class TestSweeps:
                 macro_recall=acc,
                 macro_f1=acc,
                 confusion=np.zeros((2, 2), dtype=np.int64),
+                precision=np.full(2, acc),
+                recall=np.full(2, acc),
+                f1=np.full(2, acc),
             )
 
         row = SweepRow(setting=1.0, per_seed=[fake(0.5), fake(0.7), fake(0.9)])

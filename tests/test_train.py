@@ -198,6 +198,18 @@ class TestMetrics:
         assert m.macro_recall == 0.5
         assert m.macro_f1 == 0.5
 
+    def test_per_class_scores_hand_counted(self):
+        """Class 1 is absent from truth and predictions; class 2 is never predicted."""
+        c = np.array([[3, 0, 0, 1], [0, 0, 0, 0], [1, 0, 0, 1], [0, 0, 0, 2]])
+        m = metrics_from_confusion(c)
+        assert m.precision.tolist() == [0.75, 0.0, 0.0, 0.5]
+        assert m.recall.tolist() == [0.75, 0.0, 0.0, 1.0]
+        assert m.f1.tolist() == [0.75, 0.0, 0.0, 2.0 * 0.5 / 1.5]
+        assert m.support.tolist() == [4, 0, 2, 2]
+        assert m.macro_precision == float(m.precision.mean())
+        assert m.macro_recall == float(m.recall.mean())
+        assert m.macro_f1 == float(m.f1.mean())
+
     def test_constant_predictor(self):
         """Everything predicted as class 0 over a balanced 5-class set."""
         labels = np.repeat(np.arange(5), 4)
