@@ -12,6 +12,7 @@ from contention.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from contention.data import (
     CLASS_NAMES,
     ContentionClass,
+    Dataset,
     MetricWindow,
     NormStats,
     ScenarioConfig,
@@ -20,6 +21,7 @@ from contention.data import (
     generate,
     read_dataset,
     split,
+    stack_windows,
     write_dataset,
 )
 from contention.graph import MetricGraph, build_graph, identity_graph, pearson_matrix
@@ -34,6 +36,7 @@ __all__ = [
     "CLASS_NAMES",
     "Checkpoint",
     "ContentionClass",
+    "Dataset",
     "EvalMetrics",
     "MetricGraph",
     "MetricWindow",
@@ -61,5 +64,6 @@ __all__ = [
     "run_synthetic",
     "save_checkpoint",
     "split",
+    "stack_windows",
     "write_dataset",
 ]

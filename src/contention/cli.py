@@ -24,11 +24,12 @@ from contention.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from contention.config import RunConfig, config_digest, load_run_config, resolve_out_dir
 from contention.data import (
     CLASS_NAMES,
-    MetricWindow,
+    NUM_CLASSES,
     apply_norm,
     generate,
     manifest_path,
     read_dataset,
+    stack_windows,
     write_dataset,
 )
 from contention.errors import ConfigError, DataError, NumericError, ShapeError
@@ -119,14 +120,10 @@ def _print_per_class(metrics: EvalMetrics, class_names: tuple[str, ...]) -> None
         print(f"  {name:<{cell}}{p:>10.4f}{r:>10.4f}{f:>10.4f}{int(n):>10}")
 
 
-def _class_histogram(windows: list[MetricWindow]) -> dict[str, int]:
-    counts = {name: 0 for name in CLASS_NAMES}
-    unlabeled = 0
-    for w in windows:
-        if w.label is None:
-            unlabeled += 1
-        else:
-            counts[CLASS_NAMES[int(w.label)]] += 1
+def _class_histogram(labels: np.ndarray) -> dict[str, int]:
+    """Windows per class, then the unlabeled ones when there are any."""
+    unlabeled, *per_class = np.bincount(labels + 1, minlength=NUM_CLASSES + 1).tolist()
+    counts = dict(zip(CLASS_NAMES, per_class))
     if unlabeled:
         counts["unlabeled"] = unlabeled
     return counts
@@ -139,12 +136,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if n < 1:
         raise ConfigError(f"--n must be >= 1, got {n}")
     out_dir = resolve_out_dir(args.out, cfg)
-    windows = generate(cfg.scenario, n, RngStream(seed).substream(0))
+    data = stack_windows(generate(cfg.scenario, n, RngStream(seed).substream(0)),
+                         source=f"synthetic:{seed}")
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.npy"
-    write_dataset(dataset_path, windows, source=f"synthetic:{seed}")
-    print(f"wrote {len(windows)} windows to {dataset_path}")
-    for name, count in _class_histogram(windows).items():
+    write_dataset(dataset_path, data)
+    print(f"wrote {len(data)} windows to {dataset_path}")
+    for name, count in _class_histogram(data.labels).items():
         print(f"  {name:<10} {count}")
     return EXIT_OK
 
@@ -163,7 +161,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             raise DataError("weak labeling left zero labeled windows")
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.npy"
-    write_dataset(dataset_path, windows, source=f"trace:{Path(args.trace).name}")
+    write_dataset(dataset_path, stack_windows(windows, source=f"trace:{Path(args.trace).name}"))
     print(
         f"ingested {result.machines} machines -> {len(windows)} windows "
         f"({result.skipped_rows} rows skipped, {dropped} windows unlabeled/dropped)"
@@ -178,8 +176,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
-    windows = read_dataset(args.data)
-    graph = build_graph(pearson_matrix(windows), cfg.corr_threshold)
+    graph = build_graph(pearson_matrix(read_dataset(args.data)), cfg.corr_threshold)
     stats = graph_stats(graph)
     print(f"metric graph over {graph.dim} metrics at |corr| >= {cfg.corr_threshold}")
     print(f"  edges     {stats.edges}")
@@ -197,9 +194,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else cfg.train.seed
     train_cfg = replace(cfg.train, seed=seed)
     out_dir = resolve_out_dir(args.out, cfg)
-    windows = read_dataset(args.data)
+    data = read_dataset(args.data)
     prepared = prepare(
-        windows, cfg.split_fractions, cfg.corr_threshold, RngStream(seed).substream(1)
+        data, cfg.split_fractions, cfg.corr_threshold, RngStream(seed).substream(1)
     )
     result = run_prepared(prepared, cfg.model, train_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -208,7 +205,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         graph=result.graph_used,
         norm=prepared.norm,
         class_names=CLASS_NAMES,
-        metric_names=windows[0].metric_names,
+        metric_names=data.metric_names,
         train_seed=seed,
         config_digest=config_digest(cfg),
     )
@@ -229,35 +226,34 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_eval_inputs(args: argparse.Namespace):
-    """Shared eval/predict plumbing: checkpoint plus normalized windows."""
+    """Shared eval/predict plumbing: checkpoint plus the normalized dataset."""
     ckpt = load_checkpoint(args.checkpoint)
-    windows = read_dataset(args.data)
-    t = windows[0].window_len
+    data = read_dataset(args.data)
+    t = data.window_len
     if t != ckpt.params.cfg.window_len:
         raise ShapeError(
             f"dataset windows have {t} timesteps, checkpoint expects "
             f"{ckpt.params.cfg.window_len}"
         )
-    d = windows[0].metric_count
+    d = data.metric_count
     if d != ckpt.graph.dim:
         # normalization and graph come from the training split only, never from scored data
         raise ShapeError(
             f"dataset windows have {d} metrics, checkpoint graph covers {ckpt.graph.dim}"
         )
-    if ckpt.metric_names and ckpt.metric_names != windows[0].metric_names:
+    if ckpt.metric_names and ckpt.metric_names != data.metric_names:
         print(
             "warning: dataset metric names differ from the ones the "
             "checkpoint was trained on",
             file=sys.stderr,
         )
-    normalized = [apply_norm(w, ckpt.norm) for w in windows]
-    return ckpt, normalized
+    return ckpt, apply_norm(data, ckpt.norm)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    ckpt, windows = _load_eval_inputs(args)
-    metrics = evaluate(ckpt.params, ckpt.graph, windows)
-    _print_metrics(f"evaluation over {len(windows)} windows", metrics)
+    ckpt, data = _load_eval_inputs(args)
+    metrics = evaluate(ckpt.params, ckpt.graph, data)
+    _print_metrics(f"evaluation over {len(data)} windows", metrics)
     _print_per_class(metrics, ckpt.class_names)
     _print_confusion(metrics.confusion, ckpt.class_names)
     if args.out:
@@ -281,9 +277,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    ckpt, windows = _load_eval_inputs(args)
+    ckpt, data = _load_eval_inputs(args)
     out_dir = Path(args.out) if args.out else None
-    pred = score(ckpt.params, ckpt.graph, windows)
+    pred = score(ckpt.params, ckpt.graph, data)
     header = (
         ["window_id"]
         + [f"logit_{c}" for c in ckpt.class_names]
@@ -303,7 +299,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "predictions.csv").write_text(text)
-        print(f"wrote {len(windows)} predictions to {out_dir / 'predictions.csv'}")
+        print(f"wrote {len(data)} predictions to {out_dir / 'predictions.csv'}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -15,11 +15,16 @@ each class's signals are computed once and added to that class's windows.
 Both orders of work give the same bits as building one window at a time.
 MAX_METRIC_COUNT and MAX_GENERATED_VALUES bound what a scenario may ask for.
 
+Every consumer works on a Dataset: the values of N windows as one (N, T, D)
+array with one label per window (-1 when unlabeled). The generator and the
+trace loader still return MetricWindow objects, one per window;
+stack_windows turns such a list into a Dataset.
+
 Also here: a hand-written threshold baseline used to certify that generated
 scenarios are learnable at all, z-score normalization fitted on the training
-split, stratified splitting, and the dataset files: one (N, T, D) float64
-.npy array of window values beside a JSON manifest that holds the sizes,
-metric names and one label per window.
+split, stratified splitting into index arrays, and the dataset files: one
+(N, T, D) float64 .npy array of window values beside a JSON manifest that
+holds the sizes, metric names and one label per window.
 """
 
 from __future__ import annotations
@@ -87,6 +92,64 @@ class MetricWindow:
     @property
     def metric_count(self) -> int:
         return self.values.shape[1]
+
+
+UNLABELED = -1
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """N windows of T x D aligned metric series as one array, with their labels."""
+
+    values: np.ndarray  # (N, T, D) float64, rows of each window are timesteps
+    labels: np.ndarray  # (N,) int64, UNLABELED for a window without a class
+    metric_names: tuple[str, ...]
+    source: str = ""
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=np.float64)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if v.ndim != 3:
+            raise ShapeError(f"dataset values must be (N, T, D), got shape {v.shape}")
+        if labels.shape != v.shape[:1]:
+            raise ShapeError(f"{labels.shape} labels for {v.shape[0]} windows")
+        if len(self.metric_names) != v.shape[2]:
+            raise ShapeError(f"{len(self.metric_names)} metric names for {v.shape[2]} columns")
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "metric_names", tuple(self.metric_names))
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def window_len(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def metric_count(self) -> int:
+        return self.values.shape[2]
+
+    def subset(self, index: np.ndarray) -> "Dataset":
+        """The windows at `index`, in its order, gathered into a new array."""
+        return replace(self, values=self.values[index], labels=self.labels[index])
+
+
+def stack_windows(windows: list[MetricWindow], source: str = "") -> Dataset:
+    """One Dataset of equally shaped windows, in list order."""
+    if not windows:
+        raise DataError("cannot stack an empty list of windows")
+    first = windows[0]
+    for w in windows[1:]:
+        if w.values.shape != first.values.shape:
+            raise ShapeError(
+                f"window '{w.source}' has shape {w.values.shape}, expected {first.values.shape}"
+            )
+        if w.metric_names != first.metric_names:
+            raise DataError(f"window '{w.source}' has mismatched metric names")
+    labels = [UNLABELED if w.label is None else int(w.label) for w in windows]
+    return Dataset(np.stack([w.values for w in windows]), np.array(labels, dtype=np.int64),
+                   first.metric_names, source)
 
 
 def default_groups(metric_count: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -345,34 +408,53 @@ class NormStats:
         return self.mean.shape[0]
 
 
-def fit_norm(windows: list[MetricWindow]) -> NormStats:
+def fit_norm(data: Dataset) -> NormStats:
     """Population mean/std per metric over all rows of all windows."""
-    if not windows:
+    if not len(data):
         raise DataError("cannot fit normalization on an empty split")
-    stacked = np.concatenate([w.values for w in windows], axis=0)
-    mean = stacked.mean(axis=0)
-    std = np.maximum(stacked.std(axis=0), NormStats.STD_FLOOR)
+    rows = data.values.reshape(-1, data.metric_count)
+    mean = rows.mean(axis=0)
+    std = np.maximum(rows.std(axis=0), NormStats.STD_FLOOR)
     return NormStats(mean=mean, std=std)
 
 
-def apply_norm(window: MetricWindow, stats: NormStats) -> MetricWindow:
-    if window.metric_count != stats.metric_count:
+def apply_norm(data: Dataset | MetricWindow, stats: NormStats) -> Dataset | MetricWindow:
+    """A Dataset or a MetricWindow z-scored with `stats`, in one broadcast."""
+    if data.metric_count != stats.metric_count:
         raise ShapeError(
-            f"window has {window.metric_count} metrics, stats cover {stats.metric_count}"
+            f"data has {data.metric_count} metrics, stats cover {stats.metric_count}"
         )
-    return replace(window, values=(window.values - stats.mean) / stats.std)
+    values = data.values - stats.mean
+    values /= stats.std  # in place: one new array, not two
+    return replace(data, values=values)
+
+
+def stratified_shuffle(labels: np.ndarray, rng: RngStream) -> list[np.ndarray]:
+    """Window indices per label, smallest label first, each shuffled.
+
+    One generator from `rng` shuffles the strata in turn, each from its
+    indices in ascending order; unlabeled windows form their own stratum.
+    """
+    gen = rng.generator()
+    strata = []
+    for key in np.unique(labels):
+        idx = np.flatnonzero(labels == key)
+        gen.shuffle(idx)
+        strata.append(idx)
+    return strata
 
 
 def split(
-    windows: list[MetricWindow],
+    labels: np.ndarray,
     fractions: tuple[float, float, float],
     rng: RngStream,
-) -> tuple[list[MetricWindow], list[MetricWindow], list[MetricWindow]]:
-    """Seeded stratified train/val/test split.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded stratified train/val/test split of windows by their labels.
 
-    Within each class the windows are shuffled and apportioned by largest
-    remainder, so every split's per-class count is within one window of the
-    exact proportional share. Unlabeled windows form their own stratum.
+    Returns each part's window indices. Within each class the windows are
+    shuffled and apportioned by largest remainder, so every split's
+    per-class count is within one window of the exact proportional share.
+    Each part lists its strata in label order.
     """
     if len(fractions) != 3:
         raise ConfigError(f"need 3 split fractions, got {len(fractions)}")
@@ -380,25 +462,18 @@ def split(
         raise ConfigError(f"split fractions must be positive, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got sum {sum(fractions)}")
-    if not windows:
+    if not len(labels):
         raise DataError("cannot split an empty dataset")
-    strata: dict[int, list[int]] = {}
-    for i, w in enumerate(windows):
-        strata.setdefault(-1 if w.label is None else int(w.label), []).append(i)
-    gen = rng.generator()
-    parts: tuple[list[MetricWindow], ...] = ([], [], [])
-    for key in sorted(strata):
-        idx = np.array(strata[key])
-        gen.shuffle(idx)
-        counts = _apportion(len(idx), fractions)
-        offset = 0
-        for part, count in zip(parts, counts):
-            part.extend(windows[i] for i in idx[offset : offset + count])
-            offset += count
-    for name, part in zip(("train", "val", "test"), parts):
-        if not part:
+    parts: tuple[list[np.ndarray], ...] = ([], [], [])
+    for idx in stratified_shuffle(labels, rng):
+        bounds = np.cumsum([0] + _apportion(idx.size, fractions))
+        for part, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            part.append(idx[lo:hi])
+    out = tuple(np.concatenate(part) for part in parts)
+    for name, part in zip(("train", "val", "test"), out):
+        if not part.size:
             raise ConfigError(f"split fractions {fractions} leave the {name} split empty")
-    return parts
+    return out
 
 
 def _apportion(n: int, fractions: tuple[float, float, float]) -> list[int]:
@@ -422,38 +497,29 @@ def manifest_path(dataset_path: str | Path) -> Path:
     return p.with_name(p.stem + ".manifest.json")
 
 
-def write_dataset(path: str | Path, windows: list[MetricWindow], source: str = "") -> None:
-    """The windows' values as one C-order (N, T, D) float64 .npy, plus the manifest.
+def write_dataset(path: str | Path, data: Dataset) -> None:
+    """The values as one C-order (N, T, D) float64 .npy, plus the manifest.
 
     The manifest holds the sizes, metric names, source and one label per
-    window (null when unlabeled). The same windows always produce
+    window (null when unlabeled). The same dataset always produces
     byte-identical files.
     """
-    if not windows:
+    if not len(data):
         raise DataError("refusing to write an empty dataset")
-    first = windows[0]
-    for w in windows[1:]:
-        if w.values.shape != first.values.shape:
-            raise ShapeError(
-                f"window '{w.source}' has shape {w.values.shape}, expected {first.values.shape}"
-            )
-        if w.metric_names != first.metric_names:
-            raise DataError(f"window '{w.source}' has mismatched metric names")
     path = Path(path)
     # through a handle: np.save given a path appends ".npy" to a name that lacks it
     with path.open("wb") as fh:
-        np.save(fh, np.stack([w.values for w in windows]).astype(VALUES_DTYPE, copy=False),
-                allow_pickle=False)
+        np.save(fh, data.values.astype(VALUES_DTYPE, copy=False), allow_pickle=False)
     manifest = {
         "format_version": DATASET_FORMAT_VERSION,
-        "n_windows": len(windows),
-        "window_len": first.window_len,
-        "metric_count": first.metric_count,
+        "n_windows": len(data),
+        "window_len": data.window_len,
+        "metric_count": data.metric_count,
         "num_classes": NUM_CLASSES,
-        "metric_names": list(first.metric_names),
+        "metric_names": list(data.metric_names),
         "class_names": list(CLASS_NAMES),
-        "source": source or first.source,
-        "labels": [None if w.label is None else int(w.label) for w in windows],
+        "source": data.source,
+        "labels": [None if label < 0 else label for label in data.labels.tolist()],
     }
     manifest_path(path).write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -465,13 +531,13 @@ def _positive_int(manifest: dict, key: str, mpath: Path) -> int:
     return value
 
 
-def read_dataset(path: str | Path) -> list[MetricWindow]:
-    """Windows of a dataset written by write_dataset, checked against its manifest.
+def read_dataset(path: str | Path) -> Dataset:
+    """The dataset written by write_dataset, checked against its manifest.
 
     Every malformed file ends in a DataError naming the file. The array is
     memory-mapped and its dtype and shape checked against the manifest before
     anything is copied, so a header or manifest claiming more than the file
-    holds allocates nothing. The windows are views into one (N, T, D) array.
+    holds allocates nothing. Unlabeled windows get the label UNLABELED.
     """
     path = Path(path)
     if not path.exists():
@@ -525,8 +591,5 @@ def read_dataset(path: str | Path) -> list[MetricWindow]:
     finite = np.isfinite(values).all(axis=(1, 2))
     if not finite.all():
         raise DataError(f"{path}: window {int(np.argmin(finite))} has a non-finite value")
-    names = tuple(names)
-    return [
-        MetricWindow(v, label, f"{source}[{i}]", names)
-        for i, (v, label) in enumerate(zip(values, labels))
-    ]
+    labels = np.array([UNLABELED if label is None else label for label in labels], dtype=np.int64)
+    return Dataset(values, labels, tuple(names), source)

@@ -62,19 +62,14 @@ class GraphStats:
     degree_histogram: tuple[int, ...]  # index = degree, value = vertex count
 
 
-def pearson_matrix(windows) -> CorrelationMatrix:
-    """Correlation between metrics over the concatenation of all windows.
+def pearson_matrix(data) -> CorrelationMatrix:
+    """Correlation between metrics over all rows of all windows of a Dataset.
 
     Two-pass computation: per-metric means first, then centered products.
-    All windows must share T and D.
     """
-    if not windows:
+    if not len(data):
         raise ShapeError("pearson_matrix needs at least one window")
-    shapes = {w.values.shape for w in windows}
-    if len(shapes) != 1:
-        raise ShapeError(f"windows disagree on shape: {sorted(shapes)}")
-    stacked = np.concatenate([w.values for w in windows], axis=0)  # (N, D)
-    return pearson_from_series(stacked)
+    return pearson_from_series(data.values.reshape(-1, data.metric_count))
 
 
 def pearson_from_series(series: np.ndarray) -> CorrelationMatrix:

@@ -1,4 +1,4 @@
-"""End-to-end glue: windows in, trained model and test metrics out.
+"""End-to-end glue: a dataset in, trained model and test metrics out.
 
 Keeps the leakage rules in one place: normalization statistics and the
 metric graph both come from the training split only, and the validation and
@@ -9,14 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from contention.data import (
-    MetricWindow,
+    Dataset,
     NormStats,
     ScenarioConfig,
     apply_norm,
     fit_norm,
     generate,
     split,
+    stack_windows,
 )
 from contention.graph import DEFAULT_CORR_THRESHOLD, MetricGraph, build_graph, pearson_matrix
 from contention.model import ModelConfig, ModelParams
@@ -35,38 +38,43 @@ DEFAULT_SPLIT = (0.7, 0.15, 0.15)
 
 @dataclass
 class PreparedData:
-    train: list[MetricWindow]
-    val: list[MetricWindow]
-    test: list[MetricWindow]
+    train: Dataset
+    val: Dataset
+    test: Dataset
     norm: NormStats
     graph: MetricGraph
 
 
 def prepare(
-    windows: list[MetricWindow],
+    data: Dataset,
     fractions: tuple[float, float, float],
     corr_threshold: float,
     split_rng: RngStream,
 ) -> PreparedData:
     """Split, normalize, and build the metric graph from the train split."""
-    train_w, val_w, test_w = split(windows, fractions, split_rng)
-    return prepare_parts(train_w, val_w, test_w, corr_threshold)
+    return prepare_parts(data, split(data.labels, fractions, split_rng), corr_threshold)
 
 
 def prepare_parts(
-    train_w: list[MetricWindow],
-    val_w: list[MetricWindow],
-    test_w: list[MetricWindow],
+    data: Dataset,
+    parts: tuple[np.ndarray, np.ndarray, np.ndarray],
     corr_threshold: float,
 ) -> PreparedData:
-    """Normalize pre-split parts and build the graph from the train part."""
-    norm = fit_norm(train_w)
-    train_n = [apply_norm(w, norm) for w in train_w]
-    graph = build_graph(pearson_matrix(train_n), corr_threshold)
+    """Normalize the train, val and test windows at the given indices of `data`
+    and build the graph from the train part.
+
+    Each part is gathered and then normalized, and its raw copy dropped
+    before the next step, so at most one raw part is alive at a time.
+    """
+    train_i, val_i, test_i = parts
+    train_d = data.subset(train_i)
+    norm = fit_norm(train_d)
+    train_d = apply_norm(train_d, norm)
+    graph = build_graph(pearson_matrix(train_d), corr_threshold)
     return PreparedData(
-        train=train_n,
-        val=[apply_norm(w, norm) for w in val_w],
-        test=[apply_norm(w, norm) for w in test_w],
+        train=train_d,
+        val=apply_norm(data.subset(val_i), norm),
+        test=apply_norm(data.subset(test_i), norm),
         norm=norm,
         graph=graph,
     )
@@ -98,8 +106,8 @@ def run_synthetic(
     data and optimization randomness can be varied apart.
     """
     rng = RngStream(data_seed)
-    windows = generate(scenario, n_windows, rng.substream(0))
-    prepared = prepare(windows, fractions, corr_threshold, rng.substream(1))
+    data = stack_windows(generate(scenario, n_windows, rng.substream(0)))
+    prepared = prepare(data, fractions, corr_threshold, rng.substream(1))
     return run_prepared(prepared, model_cfg, train_cfg)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from contention.data import MetricWindow, ScenarioConfig, generate
+from contention.data import ScenarioConfig, generate, stack_windows, stratified_shuffle
 from contention.errors import ConfigError
 from contention.graph import DEFAULT_CORR_THRESHOLD
 from contention.model import ModelConfig
@@ -87,28 +87,18 @@ def sweep_batch(
     return SweepTable(kind="batch", setting_name="batch_size", seeds=tuple(seeds), rows=rows)
 
 
-def subsample_stratified(
-    windows: list[MetricWindow], fraction: float, rng: RngStream
-) -> list[MetricWindow]:
-    """Seeded per-class subsample keeping original window order.
+def subsample_stratified(labels: np.ndarray, fraction: float, rng: RngStream) -> np.ndarray:
+    """Seeded per-class subsample of windows by their labels, as ascending indices.
 
     Each class contributes round(fraction * count) windows (at least one),
-    chosen by a seeded shuffle; the survivors are returned in their original
-    relative order, so fraction 1.0 reproduces the input list exactly.
+    chosen by a seeded shuffle; the survivors keep their original relative
+    order, so fraction 1.0 selects every window.
     """
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"train fraction must lie in (0, 1], got {fraction}")
-    strata: dict[int, list[int]] = {}
-    for i, w in enumerate(windows):
-        strata.setdefault(-1 if w.label is None else int(w.label), []).append(i)
-    gen = rng.generator()
-    keep: list[int] = []
-    for key in sorted(strata):
-        idx = np.array(strata[key])
-        gen.shuffle(idx)
-        count = max(1, int(np.floor(fraction * idx.size + 0.5)))
-        keep.extend(int(i) for i in idx[:count])
-    return [windows[i] for i in sorted(keep)]
+    keep = [idx[: max(1, int(np.floor(fraction * idx.size + 0.5)))]
+            for idx in stratified_shuffle(labels, rng)]
+    return np.sort(np.concatenate(keep))
 
 
 def sweep_datasize(
@@ -120,19 +110,19 @@ def sweep_datasize(
     prepared_by_seed = {}
     for seed in seeds:
         rng = RngStream(seed)
-        windows = generate(spec.scenario, spec.n_windows, rng.substream(0))
+        data = stack_windows(generate(spec.scenario, spec.n_windows, rng.substream(0)))
         prepared_by_seed[seed] = prepare(
-            windows, spec.fractions, spec.corr_threshold, rng.substream(1)
+            data, spec.fractions, spec.corr_threshold, rng.substream(1)
         )
     rows = []
     for fraction in fractions:
         per_seed = []
         for seed in seeds:
             prepared = prepared_by_seed[seed]
-            sub = subsample_stratified(
-                prepared.train, fraction, RngStream(seed).substream(2)
+            keep = subsample_stratified(
+                prepared.train.labels, fraction, RngStream(seed).substream(2)
             )
-            trimmed = replace(prepared, train=sub)
+            trimmed = replace(prepared, train=prepared.train.subset(keep))
             result = run_prepared(trimmed, spec.model_cfg, replace(spec.train_cfg, seed=seed))
             per_seed.append(result.test_metrics)
         rows.append(SweepRow(setting=float(fraction), per_seed=per_seed))

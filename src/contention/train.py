@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from contention.data import CLASS_NAMES, MetricWindow
+from contention.data import CLASS_NAMES, Dataset
 from contention.errors import ConfigError, DataError, NumericError
 from contention.graph import MetricGraph, identity_graph
 from contention.losses import (
@@ -40,6 +40,11 @@ from contention.model import (
     predict,
 )
 from contention.rng import RngStream
+
+
+# Adam moves each weight by about the rate per step, so past this bound the
+# first step already drives the tanh units into saturation.
+MAX_LEARNING_RATE = 1.0
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,10 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate <= MAX_LEARNING_RATE:
+            raise ConfigError(
+                f"learning_rate must lie in (0, {MAX_LEARNING_RATE}], got {self.learning_rate}"
+            )
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0.0 <= b < 1.0:
@@ -202,15 +209,13 @@ def effective_graph(graph: MetricGraph, cfg: TrainConfig) -> MetricGraph:
     return graph if cfg.graph_propagation else identity_graph(graph.dim)
 
 
-def _check_labeled(windows: list[MetricWindow], what: str) -> np.ndarray:
-    if not windows:
+def _check_labeled(data: Dataset, what: str) -> np.ndarray:
+    if not len(data):
         raise DataError(f"{what} set is empty")
-    labels = []
-    for w in windows:
-        if w.label is None:
-            raise DataError(f"{what} window '{w.source}' has no label")
-        labels.append(int(w.label))
-    return np.array(labels, dtype=np.int64)
+    unlabeled = np.flatnonzero(data.labels < 0)
+    if unlabeled.size:
+        raise DataError(f"{what} window {int(unlabeled[0])} has no label")
+    return data.labels
 
 
 # Windows per forward pass when scoring. One pass over a whole dataset would
@@ -219,16 +224,17 @@ def _check_labeled(windows: list[MetricWindow], what: str) -> np.ndarray:
 SCORE_CHUNK = 64
 
 
-def score(params: ModelParams, graph: MetricGraph, windows: list[MetricWindow]) -> Prediction:
+def score(params: ModelParams, graph: MetricGraph, data: Dataset) -> Prediction:
     """Logits and labels of every window, SCORE_CHUNK windows per pass."""
-    chunks = (windows[i : i + SCORE_CHUNK] for i in range(0, len(windows), SCORE_CHUNK))
-    logits = [forward(np.stack([w.values for w in c]), graph, params)[0].logits for c in chunks]
+    x = data.values
+    logits = [forward(x[i : i + SCORE_CHUNK], graph, params)[0].logits
+              for i in range(0, len(x), SCORE_CHUNK)]
     return predict(np.concatenate(logits))
 
 
-def evaluate(params: ModelParams, graph: MetricGraph, windows: list[MetricWindow]) -> EvalMetrics:
-    labels = _check_labeled(windows, "evaluation")
-    preds = score(params, graph, windows).label
+def evaluate(params: ModelParams, graph: MetricGraph, data: Dataset) -> EvalMetrics:
+    labels = _check_labeled(data, "evaluation")
+    preds = score(params, graph, data).label
     return metrics_from_confusion(confusion_matrix(labels, preds, params.cfg.num_classes))
 
 
@@ -248,8 +254,8 @@ class TrainHistory:
 
 
 def train(
-    train_windows: list[MetricWindow],
-    val_windows: list[MetricWindow],
+    train_data: Dataset,
+    val_data: Dataset,
     graph: MetricGraph,
     cfg: TrainConfig,
     model_cfg: ModelConfig,
@@ -259,12 +265,12 @@ def train(
     Splits arrive already normalized and the graph already built from the
     training split alone; this function never touches raw statistics.
     """
-    train_labels = _check_labeled(train_windows, "training")
-    _check_labeled(val_windows, "validation")
+    train_labels = _check_labeled(train_data, "training")
+    _check_labeled(val_data, "validation")
     g = effective_graph(graph, cfg)
-    if g.dim != train_windows[0].metric_count:
+    if g.dim != train_data.metric_count:
         raise ConfigError(
-            f"graph covers {g.dim} metrics, windows carry {train_windows[0].metric_count}"
+            f"graph covers {g.dim} metrics, windows carry {train_data.metric_count}"
         )
     rng = RngStream(cfg.seed)
     params = init_params(model_cfg, rng.substream(0))
@@ -275,7 +281,7 @@ def train(
     history = TrainHistory()
     best_params = params.copy()
     best_f1 = -1.0
-    n = len(train_windows)
+    n = len(train_data)
 
     for epoch in range(cfg.max_epochs):
         order = np.arange(n)
@@ -283,8 +289,7 @@ def train(
         loss_sum = np.zeros(model_cfg.num_classes)
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
-            # gathered per batch: a stack of the whole split would double its memory
-            pred, cache = forward(np.stack([train_windows[i].values for i in batch]), g, params)
+            pred, cache = forward(train_data.values[batch], g, params)
             batch_losses, dlogits = task_losses(pred.logits, train_labels[batch])
             combined = combine(batch_losses, state)
             if not np.isfinite(combined):
@@ -295,7 +300,7 @@ def train(
             adam = adam_step(params.flat, grads.flat, adam, cfg, blocks)
             loss_sum += batch_losses * batch.size
         epoch_losses = loss_sum / n
-        val_metrics = evaluate(params, g, val_windows)
+        val_metrics = evaluate(params, g, val_data)
         history.records.append(
             EpochRecord(
                 epoch=epoch,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contention.data import MetricWindow
+from contention.data import MetricWindow, stack_windows
 from contention.graph import CorrelationMatrix, build_graph
 from contention.model import ModelConfig
 from contention.rng import RngStream
@@ -42,3 +42,8 @@ def random_windows(n: int, t: int, d: int, seed: int, labeled=True, num_classes=
             )
         )
     return out
+
+
+def random_dataset(n: int, t: int, d: int, seed: int, labeled=True, num_classes=3):
+    """random_windows stacked into one Dataset."""
+    return stack_windows(random_windows(n, t, d, seed, labeled, num_classes), source="fixture")

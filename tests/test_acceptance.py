@@ -22,6 +22,7 @@ from contention.data import (
     ScenarioConfig,
     baseline_accuracy,
     generate,
+    stack_windows,
 )
 from contention.graph import build_graph, normalize_adjacency, pearson_matrix
 from contention.ingest import IngestConfig, TraceSchema, ingest_csv
@@ -194,7 +195,8 @@ def test_criterion_04_synthetic_recovery():
     test_w = generate(scenario, 500, rng.substream(2))
 
     gate = baseline_accuracy(test_w, scenario)
-    prepared = prepare_parts(train_w, val_w, test_w, corr_threshold=0.3)
+    parts = (np.arange(2000), np.arange(2000, 2500), np.arange(2500, 3000))
+    prepared = prepare_parts(stack_windows(train_w + val_w + test_w), parts, corr_threshold=0.3)
     result = run_prepared(prepared, ModelConfig(), TrainConfig())
     m = result.test_metrics
     elapsed = time.perf_counter() - start
@@ -254,7 +256,7 @@ def test_criterion_06_graph_oracles():
                 continue
             cov = float(((series[:, i] - means[i]) * (series[:, j] - means[j])).mean())
             expected[i, j] = cov / (sds[i] * sds[j])
-    pearson_err = float(np.max(np.abs(pearson_matrix(windows).values - expected)))
+    pearson_err = float(np.max(np.abs(pearson_matrix(stack_windows(windows)).values - expected)))
 
     gen = RngStream(64).generator()
     norm_err = 0.0
@@ -272,7 +274,7 @@ def test_criterion_06_graph_oracles():
                 want[i, j] = a / np.sqrt(degrees[i] * degrees[j])
         norm_err = max(norm_err, float(np.max(np.abs(got - want))))
 
-    corr = pearson_matrix(random_windows(6, t=40, d=8, seed=9))
+    corr = pearson_matrix(stack_windows(random_windows(6, t=40, d=8, seed=9)))
     previous = None
     nested = True
     for tau in np.linspace(0.0, 0.9, 10):
@@ -396,15 +398,11 @@ def test_criterion_08_determinism(tmp_path):
         ckpt_path,
     )
     loaded = load_checkpoint(ckpt_path)
-    test_windows = result.prepared.test
+    test_windows = result.prepared.test.values
     before = np.stack(
-        [forward(w.values, result.graph_used, result.params)[0].logits
-         for w in test_windows]
+        [forward(x, result.graph_used, result.params)[0].logits for x in test_windows]
     )
-    after = np.stack(
-        [forward(w.values, loaded.graph, loaded.params)[0].logits
-         for w in test_windows]
-    )
+    after = np.stack([forward(x, loaded.graph, loaded.params)[0].logits for x in test_windows])
     logits_bitwise = np.array_equal(before, after)
     ok = history_identical and logits_bitwise
     _verdict(

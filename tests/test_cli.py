@@ -13,6 +13,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,9 @@ from contention.cli import (
     main,
 )
 from contention.config import OUT_DIR_ENV, config_digest, load_run_config
-from contention.data import CLASS_NAMES, MetricWindow, read_dataset, write_dataset
+from contention.data import CLASS_NAMES, UNLABELED, read_dataset, split, write_dataset
 from contention.errors import ConfigError, DataError, NumericError, ShapeError
+from contention.rng import RngStream
 from contention.train import METRIC_FIELDS
 
 # sha1("blob 6\0hello\n"), the id git itself assigns to that blob
@@ -116,24 +118,25 @@ def test_gen_writes_dataset_and_histogram(tmp_path, capsys):
     rc = main(["gen", "--config", str(cfg), "--out", str(out),
                "--n", "12", "--seed", "3"])
     assert rc == EXIT_OK
-    windows = read_dataset(out / "dataset.npy")
-    assert len(windows) == 12
-    assert windows[0].window_len == 8
-    assert windows[0].metric_count == 4
-    assert all(w.label is not None for w in windows)
-    assert all(w.source.startswith("synthetic:3") for w in windows)
+    data = read_dataset(out / "dataset.npy")
+    assert len(data) == 12
+    assert data.window_len == 8
+    assert data.metric_count == 4
+    assert np.all(data.labels >= 0)
+    assert data.source == "synthetic:3"
     captured = capsys.readouterr().out
     assert f"wrote 12 windows to {out / 'dataset.npy'}" in captured
-    shown = [name for name in CLASS_NAMES if name in captured]
-    assert shown, "class histogram missing from output"
+    counts = np.bincount(data.labels, minlength=len(CLASS_NAMES))
+    for name, count in zip(CLASS_NAMES, counts):
+        assert f"  {name:<10} {count}\n" in captured
+    assert "unlabeled" not in captured
 
 
 def test_gen_defaults_come_from_the_config(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"
     assert main(["gen", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    windows = read_dataset(out / "dataset.npy")
-    assert len(windows) == 48  # config n_windows
+    assert len(read_dataset(out / "dataset.npy")) == 48  # config n_windows
     # seed fell back to train.seed == 0
     explicit = tmp_path / "explicit"
     main(["gen", "--config", str(cfg), "--out", str(explicit),
@@ -253,9 +256,8 @@ def test_ingest_weak_labels_hot_cpu(tmp_path, capsys):
     rc = main(["ingest", "--config", str(cfg), "--trace", str(trace),
                "--out", str(out)])
     assert rc == EXIT_OK
-    windows = read_dataset(out / "dataset.npy")
-    assert len(windows) == 2
-    assert all(int(w.label) == 0 for w in windows)  # CPU class
+    data = read_dataset(out / "dataset.npy")
+    assert data.labels.tolist() == [0, 0]  # CPU class
     captured = capsys.readouterr().out
     assert "ingested 1 machines -> 2 windows" in captured
     assert "0 rows skipped" in captured
@@ -268,9 +270,7 @@ def test_ingest_without_weak_labels_keeps_unlabeled_windows(tmp_path):
     rc = main(["ingest", "--config", str(cfg), "--trace", str(trace),
                "--out", str(out), "--no-weak-label"])
     assert rc == EXIT_OK
-    windows = read_dataset(out / "dataset.npy")
-    assert len(windows) == 2
-    assert all(w.label is None for w in windows)
+    assert read_dataset(out / "dataset.npy").labels.tolist() == [UNLABELED] * 2
 
 
 def test_ingest_with_nothing_hot_fails_loudly(tmp_path, capsys):
@@ -433,10 +433,32 @@ def test_train_manifest_records_the_numeric_environment(workspace, tmp_path, mon
         workspace["run"] / "checkpoint.json").read_bytes()
 
 
+def test_train_manifests_record_each_blas_thread_count(workspace, tmp_path):
+    """Two child processes train at 1 and 2 BLAS threads; each manifest records its own."""
+    cfg = load_run_config(workspace["cfg"])
+    train_idx, _, _ = split(read_dataset(workspace["data"]).labels, cfg.split_fractions,
+                            RngStream(0).substream(1))
+    assert len(train_idx) % cfg.train.batch_size, "the last batch must be a partial one"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    recorded = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "contention.cli", "train", "--config", str(workspace["cfg"]),
+             "--data", str(workspace["data"]), "--out", str(out), "--seed", "0"],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        recorded.append(manifest["environment"]["thread_env"]["OPENBLAS_NUM_THREADS"])
+    assert recorded == ["1", "2"]
+
+
 def test_train_checkpoint_stores_dataset_metric_names(workspace):
     ckpt = load_checkpoint(workspace["ckpt"])
-    windows = read_dataset(workspace["data"])
-    assert ckpt.metric_names == windows[0].metric_names
+    assert ckpt.metric_names == read_dataset(workspace["data"]).metric_names
     assert ckpt.class_names == CLASS_NAMES
     assert ckpt.train_seed == 0
 
@@ -557,18 +579,10 @@ def test_eval_and_predict_reject_different_metric_count(workspace, tmp_path, cap
 
 
 def test_eval_warns_when_metric_names_differ(workspace, tmp_path, capsys):
-    windows = read_dataset(workspace["data"])[:10]
-    renamed = [
-        MetricWindow(
-            values=w.values,
-            label=w.label,
-            source=w.source,
-            metric_names=tuple(f"x{i}" for i in range(w.metric_count)),
-        )
-        for w in windows
-    ]
+    data = read_dataset(workspace["data"]).subset(np.arange(10))
+    renamed = replace(data, metric_names=tuple(f"x{i}" for i in range(data.metric_count)))
     path = tmp_path / "renamed.npy"
-    write_dataset(path, renamed, source="renamed")
+    write_dataset(path, renamed)
     rc = main(["eval", "--checkpoint", str(workspace["ckpt"]),
                "--data", str(path)])
     assert rc == EXIT_OK
@@ -746,6 +760,16 @@ def test_config_int_is_accepted_where_a_float_is_expected(tmp_path):
     path.write_text(json.dumps({"train": {"learning_rate": 1}, "corr_threshold": 0}))
     rc = main(["gen", "--config", str(path), "--out", str(tmp_path / "o"), "--n", "1"])
     assert rc == EXIT_OK
+
+
+def test_learning_rate_above_one_exits_before_writing(workspace, tmp_path, capsys):
+    path = write_config(tmp_path / "cfg.json", train={"learning_rate": 1e300})
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(path), "--data", str(workspace["data"]),
+               "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "learning_rate must lie in (0, 1.0], got 1e+300" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_subcommand_is_a_usage_error():

@@ -23,10 +23,13 @@ from contention.data import (
     GROUP_NAMES,
     MAX_GENERATED_VALUES,
     MAX_METRIC_COUNT,
+    UNLABELED,
     ContentionClass,
+    Dataset,
     MetricWindow,
     NormStats,
     ScenarioConfig,
+    _apportion,
     apply_norm,
     baseline_accuracy,
     baseline_predict,
@@ -37,13 +40,15 @@ from contention.data import (
     manifest_path,
     read_dataset,
     split,
+    stack_windows,
     write_dataset,
 )
 from contention.errors import ConfigError, DataError, SchemaError, ShapeError
 from contention.graph import pearson_from_series
 from contention.rng import RngStream
+from contention.sweeps import subsample_stratified
 
-from conftest import random_windows
+from conftest import random_dataset, random_windows
 
 
 def _delayed(sig, lag):
@@ -458,9 +463,9 @@ class TestBaseline:
 
 class TestNormalization:
     def test_matches_scalar_oracle(self):
-        ws = random_windows(3, 6, 4, seed=0)
-        stats = fit_norm(ws)
-        stacked = np.concatenate([w.values for w in ws], axis=0)
+        data = random_dataset(3, 6, 4, seed=0)
+        stats = fit_norm(data)
+        stacked = np.concatenate(list(data.values), axis=0)
         n = stacked.shape[0]
         for j in range(4):
             mean = sum(stacked[i, j] for i in range(n)) / n
@@ -469,115 +474,231 @@ class TestNormalization:
             assert abs(stats.std[j] - math.sqrt(var)) <= 1e-12
 
     def test_apply_standardizes(self):
-        ws = random_windows(10, 8, 3, seed=1)
-        stats = fit_norm(ws)
-        normed = np.concatenate([apply_norm(w, stats).values for w in ws], axis=0)
+        data = random_dataset(10, 8, 3, seed=1)
+        normed = apply_norm(data, fit_norm(data)).values.reshape(-1, 3)
         assert np.max(np.abs(normed.mean(axis=0))) <= 1e-12
         assert np.max(np.abs(normed.std(axis=0) - 1.0)) <= 1e-12
 
     def test_constant_metric_floored(self):
         vals = np.ones((5, 2))
         vals[:, 1] = np.arange(5.0)
-        w = MetricWindow(values=vals, label=0, source="x", metric_names=("a", "b"))
-        stats = fit_norm([w])
+        data = Dataset(vals[None], np.array([0]), ("a", "b"))
+        stats = fit_norm(data)
         assert stats.std[0] == NormStats.STD_FLOOR == 1e-8
-        out = apply_norm(w, stats)
-        assert np.all(out.values[:, 0] == 0.0)
+        assert np.all(apply_norm(data, stats).values[0, :, 0] == 0.0)
+        w = MetricWindow(values=vals, label=0, source="x", metric_names=("a", "b"))
+        assert np.all(apply_norm(w, stats).values[:, 0] == 0.0)
 
     def test_apply_preserves_label_and_names(self):
+        data = random_dataset(4, 6, 3, seed=2, labeled=False)
+        out = apply_norm(data, fit_norm(data))
+        assert np.array_equal(out.labels, data.labels)
+        assert out.metric_names == data.metric_names
+        assert out.source == data.source
         w = random_windows(1, 6, 3, seed=2)[0]
-        out = apply_norm(w, fit_norm([w]))
-        assert out.label == w.label
-        assert out.metric_names == w.metric_names
-        assert out.source == w.source
+        one = apply_norm(w, fit_norm(stack_windows([w])))
+        assert (one.label, one.metric_names, one.source) == (w.label, w.metric_names, w.source)
 
     def test_metric_count_mismatch(self):
-        ws = random_windows(2, 6, 3, seed=3)
-        other = random_windows(1, 6, 4, seed=4)[0]
+        stats = fit_norm(random_dataset(2, 6, 3, seed=3))
         with pytest.raises(ShapeError):
-            apply_norm(other, fit_norm(ws))
+            apply_norm(random_windows(1, 6, 4, seed=4)[0], stats)
+        with pytest.raises(ShapeError):
+            apply_norm(random_dataset(1, 6, 4, seed=4), stats)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            fit_norm([])
+            fit_norm(Dataset(np.empty((0, 6, 3)), np.empty(0), ("a", "b", "c")))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 9), st.integers(1, 6), st.integers(0, 10_000))
+    def test_dataset_equals_per_window_bit_for_bit(self, n, t, d, seed):
+        ws = random_windows(n, t, d, seed=seed)
+        data = stack_windows(ws)
+        stats = fit_norm(data)
+        want = np.stack([apply_norm(w, stats).values for w in ws])
+        assert apply_norm(data, stats).values.tobytes() == want.tobytes()
+        # fit_norm over the reshaped stack equals the old fit over concatenated windows
+        rows = np.concatenate([w.values for w in ws], axis=0)
+        assert stats.mean.tobytes() == rows.mean(axis=0).tobytes()
+        assert stats.std.tobytes() == np.maximum(rows.std(axis=0), 1e-8).tobytes()
+
+
+class TestStackWindows:
+    def test_labels_and_order(self):
+        ws = random_windows(4, 8, 3, seed=0) + random_windows(2, 8, 3, seed=1, labeled=False)
+        data = stack_windows(ws, source="s")
+        assert len(data) == 6 and data.values.shape == (6, 8, 3)
+        assert data.labels.tolist() == [w.label for w in ws[:4]] + [UNLABELED] * 2
+        for w, v in zip(ws, data.values):
+            assert np.array_equal(w.values, v)
+        assert (data.metric_names, data.source) == (ws[0].metric_names, "s")
+
+    def test_rejects_empty_and_renamed(self):
+        with pytest.raises(DataError):
+            stack_windows([])
+        renamed = [MetricWindow(w.values, w.label, w.source, ("a", "b", "c", "d"))
+                   for w in random_windows(1, 8, 4, seed=7)]
+        with pytest.raises(DataError, match="metric names"):
+            stack_windows(random_windows(1, 8, 4, seed=5) + renamed)
+
+    def test_dataset_rejects_inconsistent_fields(self):
+        with pytest.raises(ShapeError, match=r"\(N, T, D\)"):
+            Dataset(np.zeros((8, 3)), np.zeros(8), ("a", "b", "c"))
+        with pytest.raises(ShapeError, match="labels"):
+            Dataset(np.zeros((2, 8, 3)), np.zeros(3), ("a", "b", "c"))
+        with pytest.raises(ShapeError, match="metric names"):
+            Dataset(np.zeros((2, 8, 3)), np.zeros(2), ("a", "b"))
+
+    def test_subset_gathers_in_index_order(self):
+        data = random_dataset(6, 4, 2, seed=3)
+        sub = data.subset(np.array([4, 0, 5]))
+        assert np.array_equal(sub.values, data.values[[4, 0, 5]])
+        assert sub.labels.tolist() == data.labels[[4, 0, 5]].tolist()
+        assert sub.metric_names == data.metric_names
+
+
+def _reference_split(windows, fractions, rng):
+    """The list-based split this package used before index arrays: the reference."""
+    strata = {}
+    for i, w in enumerate(windows):
+        strata.setdefault(-1 if w.label is None else int(w.label), []).append(i)
+    gen = rng.generator()
+    parts = ([], [], [])
+    for key in sorted(strata):
+        idx = np.array(strata[key])
+        gen.shuffle(idx)
+        counts = _apportion(len(idx), fractions)
+        offset = 0
+        for part, count in zip(parts, counts):
+            part.extend(windows[i] for i in idx[offset : offset + count])
+            offset += count
+    return parts
+
+
+def _reference_subsample(windows, fraction, rng):
+    """The list-based subsample_stratified of the sweeps before index arrays."""
+    strata = {}
+    for i, w in enumerate(windows):
+        strata.setdefault(-1 if w.label is None else int(w.label), []).append(i)
+    gen = rng.generator()
+    keep = []
+    for key in sorted(strata):
+        idx = np.array(strata[key])
+        gen.shuffle(idx)
+        count = max(1, int(np.floor(fraction * idx.size + 0.5)))
+        keep.extend(int(i) for i in idx[:count])
+    return [windows[i] for i in sorted(keep)]
+
+
+def _labeled_mix(labels):
+    """One tiny window per entry of `labels` (None = unlabeled)."""
+    return [MetricWindow(np.full((1, 1), float(i)), label, f"w{i}", ("m",))
+            for i, label in enumerate(labels)]
+
+
+class TestIndexSelectionMatchesReference:
+    """split and subsample_stratified pick the windows the list versions picked,
+    in the same order, from the same RNG draws."""
+
+    FRACTIONS = (0.6, 0.25, 0.15)
+
+    def _check(self, ws, seed):
+        labels = stack_windows(ws).labels
+        want = _reference_split(ws, self.FRACTIONS, RngStream(seed, (2,)))
+        got = split(labels, self.FRACTIONS, RngStream(seed, (2,)))
+        for part_w, part_i in zip(want, got, strict=True):
+            assert [w.source for w in part_w] == [ws[i].source for i in part_i]
+        for fraction in (0.1, 0.5, 1.0):
+            want = _reference_subsample(ws, fraction, RngStream(seed, (3,)))
+            got = subsample_stratified(labels, fraction, RngStream(seed, (3,)))
+            assert [w.source for w in want] == [ws[i].source for i in got]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.none() | st.integers(0, len(CLASS_NAMES) - 1), min_size=12,
+                    max_size=80), st.integers(0, 10_000))
+    def test_label_mixes_with_unlabeled_windows(self, labels, seed):
+        ws = _labeled_mix(labels)
+        if not all(_reference_split(ws, self.FRACTIONS, RngStream(seed, (2,)))):
+            with pytest.raises(ConfigError, match="empty"):  # the index version refuses
+                split(stack_windows(ws).labels, self.FRACTIONS, RngStream(seed, (2,)))
+            return
+        self._check(ws, seed)
+
+    def test_default_windows(self):
+        ws = generate(ScenarioConfig(), 3000, RngStream(0, (0,)))
+        self._check(ws, seed=1)
 
 
 class TestSplit:
-    def _label_counts(self, part):
-        return np.bincount(
-            [w.label for w in part if w.label is not None], minlength=5
-        )
+    def _label_counts(self, labels):
+        return np.bincount(labels[labels >= 0], minlength=5)
+
+    def _labels(self, n, seed):
+        return stack_windows(generate(ScenarioConfig(), n, RngStream(seed, (0,)))).labels
 
     def test_partition_is_exact(self):
-        ws = generate(ScenarioConfig(), 120, RngStream(0, (0,)))
-        tr, va, te = split(ws, (0.7, 0.15, 0.15), RngStream(1, (0,)))
+        tr, va, te = split(self._labels(120, 0), (0.7, 0.15, 0.15), RngStream(1, (0,)))
         assert len(tr) + len(va) + len(te) == 120
-        seen = {id(w) for w in tr} | {id(w) for w in va} | {id(w) for w in te}
-        assert len(seen) == 120
+        assert np.array_equal(np.sort(np.concatenate([tr, va, te])), np.arange(120))
 
     def test_deterministic(self):
-        ws = generate(ScenarioConfig(), 60, RngStream(2, (0,)))
-        a = split(ws, (0.6, 0.2, 0.2), RngStream(3, (0,)))
-        b = split(ws, (0.6, 0.2, 0.2), RngStream(3, (0,)))
+        labels = self._labels(60, 2)
+        a = split(labels, (0.6, 0.2, 0.2), RngStream(3, (0,)))
+        b = split(labels, (0.6, 0.2, 0.2), RngStream(3, (0,)))
         for pa, pb in zip(a, b):
-            assert [w.source for w in pa] == [w.source for w in pb]
+            assert np.array_equal(pa, pb)
 
     def test_seed_changes_assignment(self):
-        ws = generate(ScenarioConfig(), 60, RngStream(2, (0,)))
-        a = split(ws, (0.6, 0.2, 0.2), RngStream(3, (0,)))
-        b = split(ws, (0.6, 0.2, 0.2), RngStream(4, (0,)))
-        assert any(
-            [w.source for w in pa] != [w.source for w in pb]
-            for pa, pb in zip(a, b)
-        )
+        labels = self._labels(60, 2)
+        a = split(labels, (0.6, 0.2, 0.2), RngStream(3, (0,)))
+        b = split(labels, (0.6, 0.2, 0.2), RngStream(4, (0,)))
+        assert any(not np.array_equal(pa, pb) for pa, pb in zip(a, b))
 
     def test_stratification_within_one_window(self):
-        ws = generate(ScenarioConfig(), 400, RngStream(5, (0,)))
+        labels = self._labels(400, 5)
         fractions = (0.7, 0.15, 0.15)
-        parts = split(ws, fractions, RngStream(6, (0,)))
-        totals = self._label_counts(ws)
+        parts = split(labels, fractions, RngStream(6, (0,)))
+        totals = self._label_counts(labels)
         for part, f in zip(parts, fractions):
-            counts = self._label_counts(part)
+            counts = self._label_counts(labels[part])
             for c in range(5):
                 assert abs(counts[c] - f * totals[c]) <= 1.0
 
     def test_unlabeled_windows_form_their_own_stratum(self):
-        ws = random_windows(30, 8, 4, seed=7, labeled=False)
-        tr, va, te = split(ws, (0.5, 0.25, 0.25), RngStream(8, (0,)))
+        labels = np.full(30, UNLABELED)
+        tr, va, te = split(labels, (0.5, 0.25, 0.25), RngStream(8, (0,)))
         assert (len(tr), len(va), len(te)) == (15, 8, 7)
 
     def test_fraction_validation(self):
-        ws = random_windows(10, 8, 4, seed=9)
+        labels = random_dataset(10, 8, 4, seed=9).labels
         with pytest.raises(ConfigError):
-            split(ws, (0.5, 0.5), RngStream(0))
+            split(labels, (0.5, 0.5), RngStream(0))
         with pytest.raises(ConfigError):
-            split(ws, (0.8, 0.3, -0.1), RngStream(0))
+            split(labels, (0.8, 0.3, -0.1), RngStream(0))
         with pytest.raises(ConfigError, match="sum"):
-            split(ws, (0.5, 0.3, 0.1), RngStream(0))
+            split(labels, (0.5, 0.3, 0.1), RngStream(0))
         with pytest.raises(ConfigError, match="positive"):
-            split(ws, (float("nan"), 0.5, 0.5), RngStream(0))
+            split(labels, (float("nan"), 0.5, 0.5), RngStream(0))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
-            split([], (0.6, 0.2, 0.2), RngStream(0))
+            split(np.empty(0, dtype=np.int64), (0.6, 0.2, 0.2), RngStream(0))
 
     def test_empty_part_rejected(self):
-        ws = random_windows(2, 8, 4, seed=10, labeled=False)
         with pytest.raises(ConfigError, match="empty"):
-            split(ws, (0.9, 0.05, 0.05), RngStream(0))
+            split(np.full(2, UNLABELED), (0.9, 0.05, 0.05), RngStream(0))
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(30, 80), st.integers(0, 10_000))
     def test_property_partition_and_stratification(self, n, seed):
-        ws = random_windows(n, 8, 4, seed=seed, num_classes=3)
+        labels = random_dataset(n, 8, 4, seed=seed, num_classes=3).labels
         fractions = (0.5, 0.25, 0.25)
-        parts = split(ws, fractions, RngStream(seed, (2,)))
+        parts = split(labels, fractions, RngStream(seed, (2,)))
         assert sum(len(p) for p in parts) == n
-        totals = np.bincount([w.label for w in ws], minlength=3)
+        totals = np.bincount(labels, minlength=3)
         for part, f in zip(parts, fractions):
-            counts = np.bincount(
-                [w.label for w in part], minlength=3
-            )
+            counts = np.bincount(labels[part], minlength=3)
             for c in range(3):
                 assert abs(counts[c] - f * totals[c]) <= 1.0
 
@@ -586,21 +707,20 @@ class TestDatasetFiles:
     def test_round_trip_exact(self, tmp_path):
         ws = generate(ScenarioConfig(metric_count=4), 6, RngStream(1, (0,)))
         path = tmp_path / "ds.npy"
-        write_dataset(path, ws, source="unit")
+        write_dataset(path, stack_windows(ws, source="unit"))
         back = read_dataset(path)
         assert len(back) == 6
-        for i, (orig, rt) in enumerate(zip(ws, back)):
-            assert np.array_equal(orig.values, rt.values)
-            assert orig.label == rt.label
-            assert rt.metric_names == orig.metric_names
-            assert rt.source == f"unit[{i}]"
+        for orig, values, label in zip(ws, back.values, back.labels, strict=True):
+            assert np.array_equal(orig.values, values)
+            assert orig.label == label
+        assert back.metric_names == ws[0].metric_names
+        assert back.source == "unit"
 
     def test_unlabeled_round_trip(self, tmp_path):
-        ws = random_windows(3, 8, 4, seed=2, labeled=False)
         path = tmp_path / "u.npy"
-        write_dataset(path, ws)
-        back = read_dataset(path)
-        assert all(w.label is None for w in back)
+        write_dataset(path, random_dataset(3, 8, 4, seed=2, labeled=False))
+        assert read_dataset(path).labels.tolist() == [UNLABELED] * 3
+        assert json.loads(manifest_path(path).read_text())["labels"] == [None] * 3
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -623,13 +743,13 @@ class TestDatasetFiles:
         ]
         folder = tmp_path_factory.mktemp("prop")
         first, second = folder / "a.npy", folder / "b.npy"
-        write_dataset(first, ws, source="h")
+        write_dataset(first, stack_windows(ws, source="h"))
         back = read_dataset(first)
-        assert [w.label for w in back] == [w.label for w in ws]
-        assert all(w.metric_names == names for w in back)
-        for orig, rt in zip(ws, back, strict=True):
-            assert rt.values.tobytes() == orig.values.tobytes()  # bit for bit, -0.0 too
-        write_dataset(second, back, source="h")
+        assert back.labels.tolist() == [UNLABELED if w.label is None else w.label for w in ws]
+        assert back.metric_names == names
+        for orig, values in zip(ws, back.values, strict=True):
+            assert values.tobytes() == orig.values.tobytes()  # bit for bit, -0.0 too
+        write_dataset(second, back)
         assert second.read_bytes() == first.read_bytes()
         assert manifest_path(second).read_bytes() == manifest_path(first).read_bytes()
 
@@ -637,7 +757,7 @@ class TestDatasetFiles:
         a = MetricWindow(np.array([[1.0, 2.0], [3.0, 0.1]]), 4, "a", ("x", "y"))
         b = MetricWindow(np.array([[5.0, 6.0], [7.0, 8.0]]), None, "b", ("x", "y"))
         path = tmp_path / "two.npy"
-        write_dataset(path, [a, b])
+        write_dataset(path, stack_windows([a, b]))
         stacked = np.load(path, allow_pickle=False)
         assert stacked.dtype.str == "<f8" and stacked.flags.c_contiguous
         assert stacked.reshape(2, -1).tolist() == [[1.0, 2.0, 3.0, 0.1], [5.0, 6.0, 7.0, 8.0]]
@@ -645,24 +765,24 @@ class TestDatasetFiles:
 
     def test_write_keeps_the_name_it_is_given(self, tmp_path):
         path = tmp_path / "windows.bin"
-        write_dataset(path, random_windows(2, 8, 3, seed=1), source="s")
+        write_dataset(path, random_dataset(2, 8, 3, seed=1))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "windows.bin", "windows.manifest.json"
         ]
         assert len(read_dataset(path)) == 2
 
     def test_write_is_byte_deterministic(self, tmp_path):
-        ws = generate(ScenarioConfig(metric_count=4), 4, RngStream(3, (0,)))
+        data = stack_windows(generate(ScenarioConfig(metric_count=4), 4, RngStream(3, (0,))))
         p1, p2 = tmp_path / "a.npy", tmp_path / "b.npy"
-        write_dataset(p1, ws, source="s")
-        write_dataset(p2, ws, source="s")
+        write_dataset(p1, data)
+        write_dataset(p2, data)
         assert p1.read_bytes() == p2.read_bytes()
         assert manifest_path(p1).read_text() == manifest_path(p2).read_text()
 
     def test_manifest_contents(self, tmp_path):
         ws = generate(ScenarioConfig(metric_count=4, window_len=8), 2, RngStream(4, (0,)))
         path = tmp_path / "m.npy"
-        write_dataset(path, ws, source="origin")
+        write_dataset(path, stack_windows(ws, source="origin"))
         manifest = json.loads(manifest_path(path).read_text())
         assert manifest["format_version"] == 3
         assert manifest["n_windows"] == 2
@@ -674,11 +794,12 @@ class TestDatasetFiles:
         assert manifest["labels"] == [w.label for w in ws]
 
     def test_write_rejects_empty_and_mismatched(self, tmp_path):
-        with pytest.raises(DataError):
-            write_dataset(tmp_path / "e.npy", [])
-        mixed = random_windows(1, 8, 4, seed=5) + random_windows(1, 8, 5, seed=6)
+        with pytest.raises(DataError, match="empty"):
+            write_dataset(tmp_path / "e.npy", Dataset(np.empty((0, 8, 4)), np.empty(0), "abcd"))
+        assert not list(tmp_path.iterdir())
+        # windows of different shapes never become a Dataset to write
         with pytest.raises(ShapeError):
-            write_dataset(tmp_path / "mix.npy", mixed)
+            stack_windows(random_windows(1, 8, 4, seed=5) + random_windows(1, 8, 5, seed=6))
 
     def test_read_missing_files(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -690,9 +811,8 @@ class TestDatasetFiles:
 
     def _written(self, tmp_path):
         """Two labeled windows of T=8 x D=3."""
-        ws = random_windows(2, 8, 3, seed=8)
         path = tmp_path / "ds.npy"
-        write_dataset(path, ws, source="s")
+        write_dataset(path, random_dataset(2, 8, 3, seed=8))
         return path
 
     def _set_manifest(self, path, **fields):

@@ -18,7 +18,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from contention.cli import EXIT_DATA, EXIT_OK, main
-from contention.data import ScenarioConfig, generate, manifest_path, read_dataset, write_dataset
+from contention.data import (
+    ScenarioConfig,
+    generate,
+    manifest_path,
+    read_dataset,
+    stack_windows,
+    write_dataset,
+)
 from contention.errors import DataError
 from contention.rng import RngStream
 
@@ -73,7 +80,7 @@ def original(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz-src")
     windows = generate(ScenarioConfig(**CONFIG["scenario"]), N, RngStream(3, (0,)))
     data = root / "dataset.npy"
-    write_dataset(data, windows, source="fuzz")
+    write_dataset(data, stack_windows(windows, source="fuzz"))
     config = root / "config.json"
     config.write_text(json.dumps(CONFIG))
     return data, config
@@ -91,10 +98,10 @@ def _copy(original, tmp_path_factory):
 def _read_fails_or_holds_n_windows(path) -> bool:
     """True when read_dataset raises a DataError; any other exception propagates."""
     try:
-        windows = read_dataset(path)
+        data = read_dataset(path)
     except DataError:
         return True
-    assert len(windows) == N
+    assert len(data) == N
     return False
 
 

@@ -1,4 +1,4 @@
-"""Hostile checkpoints and run configs: the two JSON loaders and the CLI on broken input.
+"""Hostile checkpoints, run configs and traces: the loaders and the CLI on broken input.
 
 Every input here is random bytes, random JSON, or a valid file with one part
 broken: bytes overwritten, one field deleted, or one field (or one element
@@ -6,10 +6,14 @@ of an array) replaced by random JSON. load_checkpoint may only raise a
 DataError or ShapeError, which the CLI turns into exit code 3, and
 load_run_config only a ConfigError, exit code 2; `contention eval` and
 `contention train` on these files exit 0, 2 or 3, never with a traceback.
+`contention ingest` gets the same treatment for its trace and for the
+`schema` and `ingest` sections of its config, and no such run may allocate
+more than INGEST_PEAK_BYTES, whatever sizes the trace or config claim.
 """
 
 import json
 import shutil
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 from contention.checkpoint import load_checkpoint
 from contention.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from contention.config import load_run_config
-from contention.data import ScenarioConfig, generate, write_dataset
+from contention.data import ScenarioConfig, generate, stack_windows, write_dataset
 from contention.errors import ConfigError, DataError, ShapeError
 from contention.rng import RngStream
 
@@ -51,8 +55,8 @@ def original(tmp_path_factory):
     """A valid dataset, a run config that trains on it in one epoch, and its checkpoint."""
     root = tmp_path_factory.mktemp("loader-fuzz")
     data = root / "dataset.npy"
-    write_dataset(data, generate(ScenarioConfig(**CONFIG["scenario"]), N, RngStream(3, (0,))),
-                  source="fuzz")
+    windows = generate(ScenarioConfig(**CONFIG["scenario"]), N, RngStream(3, (0,)))
+    write_dataset(data, stack_windows(windows, source="fuzz"))
     config = root / "config.json"
     config.write_text(json.dumps(CONFIG))
     assert main(["train", "--config", str(config), "--data", str(data),
@@ -268,3 +272,137 @@ def test_overwritten_config_bytes(original, tmp_path_factory, capsys, data):
     failed = _load_config_fails(config)
     rc = _train_exit(config, original, tmp_path_factory, capsys)
     assert _train_outcome_ok(rc, failed)
+
+
+# ---------------------------------------------------------------------- ingest
+
+INGEST_PEAK_BYTES = 4 << 20
+INGEST_CONFIG = {
+    "schema": {"machine_column": "machine", "timestamp_column": "ts",
+               "metric_columns": {"cpu": "cpu", "mem": "mem", "disk": "disk", "net": "net"}},
+    "ingest": {"window_len": 4, "resample_step": 60, "max_fill": 2},
+}
+
+
+def _valid_trace() -> str:
+    """Two machines, 24 samples each a minute apart, one hot on cpu, with a short gap."""
+    gen = RngStream(5, (0,)).generator()
+    lines = ["machine,ts,cpu,mem,disk,net"]
+    for machine, cpu in (("a", 0.95), ("b", 0.2)):
+        for i in range(24):
+            if machine == "b" and i in (9, 10):
+                continue
+            cells = [cpu, 0.3, *gen.uniform(0.0, 1.0, 2)]
+            lines.append(f"{machine},{i * 60}," + ",".join(f"{c:.3f}" for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+def _ingest_exit(trace: bytes, config: bytes, tmp_path_factory, capsys) -> int:
+    """Exit code of `contention ingest`, whose tracemalloc peak must stay bounded."""
+    folder = tmp_path_factory.mktemp("ingest")
+    (folder / "trace.csv").write_bytes(trace)
+    (folder / "config.json").write_bytes(config)
+    tracemalloc.start()
+    try:
+        rc = main(["ingest", "--config", str(folder / "config.json"),
+                   "--trace", str(folder / "trace.csv"), "--out", str(folder / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    if rc != EXIT_OK:
+        assert "error:" in err
+    assert peak < INGEST_PEAK_BYTES
+    shutil.rmtree(folder)
+    return rc
+
+
+def test_valid_trace_ingests(tmp_path_factory, capsys):
+    config = json.dumps(INGEST_CONFIG).encode()
+    assert _ingest_exit(_valid_trace().encode(), config, tmp_path_factory, capsys) == EXIT_OK
+
+
+@FUZZ
+@given(content=st.binary(max_size=512) | st.text(alphabet=",\n\r\"0123456789.-eE abcnmt",
+                                                 max_size=512).map(str.encode))
+def test_random_bytes_as_trace(tmp_path_factory, capsys, content):
+    config = json.dumps(INGEST_CONFIG).encode()
+    assert _ingest_exit(content, config, tmp_path_factory, capsys) in (EXIT_OK, EXIT_DATA)
+
+
+cells = (st.integers() | st.floats() | st.text(max_size=6)
+         | st.sampled_from(["nan", "inf", "-inf", "1e308", "1e309", "9" * 5000, ""])).map(str)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_trace(tmp_path_factory, capsys, data):
+    """A valid trace with lines dropped, duplicated or swapped, cells replaced, or bytes hit."""
+    lines = _valid_trace().splitlines()
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        kind = data.draw(st.sampled_from(["drop", "duplicate", "swap", "cell", "cells"]))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
+        elif kind == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            row = lines[i].split(",")
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(cells)
+            if kind == "cells":  # a row of another width
+                row += data.draw(st.lists(cells, max_size=3)) if data.draw(st.booleans()) else []
+                row = row[: data.draw(st.integers(0, len(row)))]
+            lines[i] = ",".join(row)
+        if not lines:
+            break
+    trace = ("\n".join(lines) + "\n").encode()
+    if data.draw(st.booleans()):
+        trace = _overwritten(trace, data)
+    config = json.dumps(INGEST_CONFIG).encode()
+    assert _ingest_exit(trace, config, tmp_path_factory, capsys) in (EXIT_OK, EXIT_DATA)
+
+
+@FUZZ
+@given(data=st.data())
+def test_schema_or_ingest_field_replaced_or_deleted(tmp_path_factory, capsys, data):
+    config = tmp_path_factory.mktemp("cfg") / "config.json"
+    config.write_text(json.dumps(_mutated(INGEST_CONFIG, data)))
+    failed = _load_config_fails(config)
+    rc = _ingest_exit(_valid_trace().encode(), config.read_bytes(), tmp_path_factory, capsys)
+    assert rc == EXIT_CONFIG if failed else rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
+
+
+@FUZZ
+@given(data=st.data())
+def test_overwritten_ingest_config_bytes(tmp_path_factory, capsys, data):
+    config = _overwritten(json.dumps(INGEST_CONFIG).encode(), data)
+    rc = _ingest_exit(_valid_trace().encode(), config, tmp_path_factory, capsys)
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
+
+
+@pytest.mark.parametrize(
+    "ingest, stamps",
+    [
+        ({"window_len": 10**12}, None),
+        ({"window_len": 2, "stride": 10**12}, None),
+        ({"resample_step": 1, "max_fill": 64}, [0, 10**11, 2 * 10**11]),
+        ({"resample_step": 10**30}, None),
+        ({}, [0, 60, 10**30, 10**30 + 60, -(10**40)]),
+        ({"window_len": 2, "resample_step": 1}, [0, 1, 2**63, 2**63 + 1]),
+    ],
+    ids=["huge-window", "huge-stride", "fill-to-the-bound", "huge-step", "stamps-past-int64",
+         "stamps-across-int64"],
+)
+def test_sizes_a_config_or_trace_claims_allocate_nothing(tmp_path_factory, capsys, ingest,
+                                                          stamps):
+    lines = _valid_trace().splitlines()
+    if stamps is not None:
+        lines = lines[:1] + [f"a,{t},0.95,0.3,0.1,0.1" for t in stamps]
+    config = json.loads(json.dumps(INGEST_CONFIG))
+    config["ingest"].update(ingest)
+    rc = _ingest_exit(("\n".join(lines) + "\n").encode(), json.dumps(config).encode(),
+                      tmp_path_factory, capsys)
+    assert rc in (EXIT_OK, EXIT_DATA)

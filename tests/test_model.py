@@ -33,7 +33,7 @@ from contention.model import (
 )
 from contention.rng import RngStream
 
-from conftest import random_graph, random_windows
+from conftest import random_dataset, random_graph
 
 
 def _window(t, d, seed):
@@ -489,14 +489,14 @@ class TestBatched:
         monkeypatch.setattr(train_module, "SCORE_CHUNK", 4)
         p = init_params(tiny_model_cfg, RngStream(11))
         g = random_graph(4, seed=5)
-        windows = random_windows(11, 8, 4, seed=3)
-        full = train_module.score(p, g, windows)
+        data = random_dataset(11, 8, 4, seed=3)
+        full = train_module.score(p, g, data)
         assert full.logits.shape == (11, 3) and full.label.shape == (11,)
         for n in (1, 4, 5, 10):
-            part = train_module.score(p, g, windows[:n])
+            part = train_module.score(p, g, data.subset(np.arange(n)))
             assert np.max(np.abs(part.logits - full.logits[:n])) <= 1e-12
             assert np.array_equal(part.label, full.label[:n])
-        for i, w in enumerate(windows):
-            one, _ = forward(w.values, g, p)
+        for i, x in enumerate(data.values):
+            one, _ = forward(x, g, p)
             assert np.max(np.abs(full.logits[i] - one.logits)) <= 1e-12
             assert full.label[i] == one.label

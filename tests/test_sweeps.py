@@ -9,7 +9,7 @@ not score quality.
 import numpy as np
 import pytest
 
-from contention.data import ScenarioConfig, fit_norm, generate
+from contention.data import ScenarioConfig, apply_norm, fit_norm, generate, stack_windows
 from contention.errors import ConfigError
 from contention.graph import build_graph, pearson_matrix
 from contention.model import ModelConfig
@@ -36,7 +36,7 @@ from contention.sweeps import (
 )
 from contention.train import METRIC_FIELDS, EvalMetrics, TrainConfig
 
-from conftest import random_windows
+from conftest import random_dataset
 
 TINY_SCENARIO = ScenarioConfig(
     metric_count=4, window_len=8, separation=3.0, noise_std=0.1, leak_lag=2
@@ -46,6 +46,10 @@ TINY_MODEL = ModelConfig(
     embed_width=6, propagation_width=6, head_hidden=4,
 )
 TINY_TRAIN = TrainConfig(batch_size=16, max_epochs=2, patience=5, seed=0)
+def _generated(n, rng):
+    return stack_windows(generate(TINY_SCENARIO, n, rng))
+
+
 TINY_SPEC = SweepSpec(
     scenario=TINY_SCENARIO,
     n_windows=120,
@@ -56,39 +60,38 @@ TINY_SPEC = SweepSpec(
 
 class TestPrepare:
     def test_norm_comes_from_train_split_only(self):
-        windows = generate(TINY_SCENARIO, 90, RngStream(0, (60,)))
-        prepared = prepare(windows, (0.6, 0.2, 0.2), 0.3, RngStream(1, (60,)))
-        stacked = np.concatenate([w.values for w in prepared.train], axis=0)
+        data = _generated(90, RngStream(0, (60,)))
+        prepared = prepare(data, (0.6, 0.2, 0.2), 0.3, RngStream(1, (60,)))
+        stacked = prepared.train.values.reshape(-1, 4)
         assert np.max(np.abs(stacked.mean(axis=0))) <= 1e-10
         assert np.max(np.abs(stacked.std(axis=0) - 1.0)) <= 1e-10
         # val/test were scaled with the train statistics, so they are close
         # to standardized but not exactly
-        other = np.concatenate([w.values for w in prepared.val], axis=0)
+        other = prepared.val.values.reshape(-1, 4)
         assert 0.0 < np.max(np.abs(other.mean(axis=0))) < 1.0
 
     def test_graph_built_from_normalized_train(self):
-        windows = generate(TINY_SCENARIO, 90, RngStream(2, (60,)))
-        prepared = prepare(windows, (0.6, 0.2, 0.2), 0.3, RngStream(3, (60,)))
+        data = _generated(90, RngStream(2, (60,)))
+        prepared = prepare(data, (0.6, 0.2, 0.2), 0.3, RngStream(3, (60,)))
         want = build_graph(pearson_matrix(prepared.train), 0.3)
         assert np.array_equal(prepared.graph.adjacency, want.adjacency)
         assert prepared.graph.threshold == 0.3
 
     def test_prepare_parts_respects_given_split(self):
-        parts = [
-            generate(TINY_SCENARIO, n, RngStream(4 + i, (60,)))
-            for i, n in enumerate((40, 10, 12))
-        ]
-        prepared = prepare_parts(*parts, corr_threshold=0.3)
+        data = _generated(62, RngStream(4, (60,)))
+        parts = (np.arange(22, 62), np.arange(10), np.arange(10, 22))
+        prepared = prepare_parts(data, parts, corr_threshold=0.3)
         assert len(prepared.train) == 40
         assert len(prepared.val) == 10
         assert len(prepared.test) == 12
-        raw_norm = fit_norm(parts[0])
+        raw_norm = fit_norm(data.subset(parts[0]))
         assert np.array_equal(prepared.norm.mean, raw_norm.mean)
         assert np.array_equal(prepared.norm.std, raw_norm.std)
+        assert np.array_equal(prepared.val.values, apply_norm(data.subset(parts[1]), raw_norm).values)
 
     def test_split_sizes_follow_fractions(self):
-        windows = generate(TINY_SCENARIO, 100, RngStream(7, (60,)))
-        prepared = prepare(windows, DEFAULT_SPLIT, 0.3, RngStream(8, (60,)))
+        data = _generated(100, RngStream(7, (60,)))
+        prepared = prepare(data, DEFAULT_SPLIT, 0.3, RngStream(8, (60,)))
         assert len(prepared.train) + len(prepared.val) + len(prepared.test) == 100
         assert abs(len(prepared.train) - 70) <= 3
 
@@ -104,9 +107,7 @@ class TestRunSynthetic:
     def test_data_seed_changes_data_not_init(self):
         a = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=0)
         b = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=1)
-        assert not np.array_equal(
-            a.prepared.train[0].values, b.prepared.train[0].values
-        )
+        assert not np.array_equal(a.prepared.train.values[0], b.prepared.train.values[0])
 
     def test_val_metrics_are_best_epoch(self):
         result = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=2)
@@ -123,43 +124,37 @@ class TestRunSynthetic:
 
 class TestSubsample:
     def test_fraction_one_is_identity(self):
-        windows = random_windows(30, 8, 4, seed=0, num_classes=5)
-        out = subsample_stratified(windows, 1.0, RngStream(1, (61,)))
-        assert len(out) == 30
-        assert all(a is b for a, b in zip(out, windows))
+        labels = random_dataset(30, 8, 4, seed=0, num_classes=5).labels
+        out = subsample_stratified(labels, 1.0, RngStream(1, (61,)))
+        assert np.array_equal(out, np.arange(30))
 
     def test_per_class_rounded_count(self):
         # 10 windows of one class at fraction 0.25: floor(2.5 + 0.5) = 3 keep
-        windows = random_windows(10, 8, 4, seed=1, num_classes=1)
-        out = subsample_stratified(windows, 0.25, RngStream(2, (61,)))
+        labels = random_dataset(10, 8, 4, seed=1, num_classes=1).labels
+        out = subsample_stratified(labels, 0.25, RngStream(2, (61,)))
         assert len(out) == 3
 
     def test_rare_class_never_vanishes(self):
-        from dataclasses import replace
-
-        windows = random_windows(40, 8, 4, seed=2, num_classes=2)
-        lone = replace(random_windows(1, 8, 4, seed=3)[0], label=4)
-        out = subsample_stratified(windows + [lone], 0.1, RngStream(3, (61,)))
-        assert any(w is lone for w in out)
+        labels = np.append(random_dataset(40, 8, 4, seed=2, num_classes=2).labels, 4)
+        out = subsample_stratified(labels, 0.1, RngStream(3, (61,)))
+        assert 40 in out
 
     def test_preserves_original_order(self):
-        windows = random_windows(50, 8, 4, seed=4, num_classes=3)
-        out = subsample_stratified(windows, 0.5, RngStream(4, (61,)))
-        index_of = {id(w): i for i, w in enumerate(windows)}
-        got = [index_of[id(w)] for w in out]
-        assert got == sorted(got)
+        labels = random_dataset(50, 8, 4, seed=4, num_classes=3).labels
+        out = subsample_stratified(labels, 0.5, RngStream(4, (61,)))
+        assert out.tolist() == sorted(set(out.tolist()))
 
     def test_deterministic(self):
-        windows = random_windows(40, 8, 4, seed=5, num_classes=3)
-        a = subsample_stratified(windows, 0.4, RngStream(6, (61,)))
-        b = subsample_stratified(windows, 0.4, RngStream(6, (61,)))
-        assert [id(w) for w in a] == [id(w) for w in b]
+        labels = random_dataset(40, 8, 4, seed=5, num_classes=3).labels
+        a = subsample_stratified(labels, 0.4, RngStream(6, (61,)))
+        b = subsample_stratified(labels, 0.4, RngStream(6, (61,)))
+        assert np.array_equal(a, b)
 
     def test_fraction_bounds(self):
-        windows = random_windows(10, 8, 4, seed=6)
+        labels = random_dataset(10, 8, 4, seed=6).labels
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ConfigError, match="fraction"):
-                subsample_stratified(windows, bad, RngStream(0))
+                subsample_stratified(labels, bad, RngStream(0))
 
 
 class TestSweeps:

@@ -6,18 +6,21 @@ four-window fixture; the training loop is exercised end to end on a small,
 strongly separated synthetic problem.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contention.data import ScenarioConfig, generate
+from contention.data import UNLABELED, ScenarioConfig, generate, stack_windows
 from contention.errors import ConfigError, DataError, NumericError
 from contention.graph import build_graph, identity_graph, pearson_matrix
 from contention.model import ModelConfig, ModelParams, forward, init_params
 from contention.rng import RngStream
 from contention.train import (
     METRIC_FIELDS,
+    SCORE_CHUNK,
     AdamState,
     TrainConfig,
     adam_step,
@@ -25,6 +28,7 @@ from contention.train import (
     effective_graph,
     evaluate,
     metrics_from_confusion,
+    score,
     train,
     write_history_csv,
 )
@@ -59,6 +63,8 @@ class TestTrainConfig:
             {"beta2": -0.1},
             {"adam_eps": 0.0},
             {"dwa_temperature": 0.0},
+            {"learning_rate": 1.5},
+            {"learning_rate": 1e300},
         ],
     )
     def test_validation(self, kwargs):
@@ -251,9 +257,9 @@ def _toy_problem(n=60, seed=0):
     cfg = ScenarioConfig(
         metric_count=4, window_len=8, separation=3.0, noise_std=0.1, leak_lag=2
     )
-    windows = generate(cfg, n, RngStream(seed, (50,)))
-    train_w = windows[: int(0.8 * n)]
-    val_w = windows[int(0.8 * n) :]
+    data = stack_windows(generate(cfg, n, RngStream(seed, (50,))))
+    cut = int(0.8 * n)
+    train_w, val_w = data.subset(np.arange(cut)), data.subset(np.arange(cut, n))
     graph = build_graph(pearson_matrix(train_w), threshold=0.3)
     return train_w, val_w, graph
 
@@ -281,30 +287,50 @@ class TestEvaluate:
         train_w, val_w, graph = _toy_problem(30, seed=2)
         params = init_params(TINY_TRAIN_MODEL, RngStream(1))
         m = evaluate(params, graph, val_w)
-        preds = []
-        for w in val_w:
-            pred, _ = forward(w.values, graph, params)
-            preds.append(pred.label)
-        want = metrics_from_confusion(
-            confusion_matrix([w.label for w in val_w], preds, 5)
-        )
+        preds = [forward(x, graph, params)[0].label for x in val_w.values]
+        want = metrics_from_confusion(confusion_matrix(val_w.labels, preds, 5))
         assert m.accuracy == want.accuracy
         assert np.array_equal(m.confusion, want.confusion)
 
     def test_unlabeled_window_named(self):
         train_w, _, graph = _toy_problem(20, seed=3)
-        from dataclasses import replace
-
-        bad = [replace(train_w[0], label=None)]
+        labels = train_w.labels.copy()
+        labels[3] = UNLABELED
         params = init_params(TINY_TRAIN_MODEL, RngStream(1))
-        with pytest.raises(DataError, match=bad[0].source):
-            evaluate(params, graph, bad)
+        with pytest.raises(DataError, match="evaluation window 3 has no label"):
+            evaluate(params, graph, replace(train_w, labels=labels))
 
     def test_empty_rejected(self):
-        _, _, graph = _toy_problem(20, seed=3)
+        train_w, _, graph = _toy_problem(20, seed=3)
         params = init_params(TINY_TRAIN_MODEL, RngStream(1))
         with pytest.raises(DataError, match="empty"):
-            evaluate(params, graph, [])
+            evaluate(params, graph, train_w.subset(np.arange(0)))
+
+
+def _reference_score(params, graph, windows):
+    """The per-window path score replaced: each chunk stacked from its windows."""
+    chunks = (windows[i : i + SCORE_CHUNK] for i in range(0, len(windows), SCORE_CHUNK))
+    return np.concatenate([forward(np.stack(c), graph, params)[0].logits for c in chunks])
+
+
+class TestScore:
+    def test_slices_equal_stacked_windows_bit_for_bit(self):
+        """Slices of the dataset's array give the bits of chunks stacked window by
+        window, also for a chunk that starts mid-array and for a partial last one."""
+        data = stack_windows(generate(ScenarioConfig(), 3 * SCORE_CHUNK + 17,
+                                      RngStream(0, (51,))))
+        params = init_params(ModelConfig(), RngStream(2))
+        graph = build_graph(pearson_matrix(data), threshold=0.3)
+        got = score(params, graph, data).logits
+        assert got.tobytes() == _reference_score(params, graph, list(data.values)).tobytes()
+        tail = data.subset(np.arange(5, len(data)))
+        assert (score(params, graph, tail).logits.tobytes()
+                == _reference_score(params, graph, list(tail.values)).tobytes())
+        # against one window at a time the matmul shapes differ, so the last bits may
+        for x, logits in zip(data.values, got):
+            one = forward(x, graph, params)[0]
+            assert np.max(np.abs(one.logits - logits)) <= 1e-12
+            assert one.label == int(np.argmax(logits))
 
 
 class TestTrainLoop:
@@ -400,11 +426,11 @@ class TestTrainLoop:
             train(train_w, val_w, identity_graph(7), TrainConfig(max_epochs=1), TINY_TRAIN_MODEL)
 
     def test_unlabeled_training_window_rejected(self):
-        from dataclasses import replace
-
         train_w, val_w, graph = _toy_problem(20, seed=12)
-        train_w = [replace(train_w[0], label=None)] + train_w[1:]
-        with pytest.raises(DataError, match="has no label"):
+        labels = train_w.labels.copy()
+        labels[0] = UNLABELED
+        train_w = replace(train_w, labels=labels)
+        with pytest.raises(DataError, match="training window 0 has no label"):
             train(train_w, val_w, graph, TrainConfig(max_epochs=1), TINY_TRAIN_MODEL)
 
 
