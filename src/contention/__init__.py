@@ -21,7 +21,6 @@ from contention.data import (
     generate,
     read_dataset,
     split,
-    stack_windows,
     write_dataset,
 )
 from contention.graph import MetricGraph, build_graph, identity_graph, pearson_matrix
@@ -64,6 +63,5 @@ __all__ = [
     "run_synthetic",
     "save_checkpoint",
     "split",
-    "stack_windows",
     "write_dataset",
 ]

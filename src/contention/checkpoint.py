@@ -13,7 +13,7 @@ byte-identical file, and reloaded parameters yield bitwise-equal logits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,14 +70,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         )
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "model": {
-            "window_len": cfg.window_len,
-            "num_classes": cfg.num_classes,
-            "encoder_hidden": cfg.encoder_hidden,
-            "embed_width": cfg.embed_width,
-            "propagation_width": cfg.propagation_width,
-            "head_hidden": cfg.head_hidden,
-        },
+        "model": asdict(cfg),
         "params": {
             name: _encode_floats(getattr(ckpt.params, name))
             for name in ModelParams._ORDER

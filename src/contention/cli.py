@@ -29,7 +29,6 @@ from contention.data import (
     generate,
     manifest_path,
     read_dataset,
-    stack_windows,
     write_dataset,
 )
 from contention.errors import ConfigError, DataError, NumericError, ShapeError
@@ -133,11 +132,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     seed = args.seed if args.seed is not None else cfg.train.seed
     n = args.n if args.n is not None else cfg.n_windows
-    if n < 1:
-        raise ConfigError(f"--n must be >= 1, got {n}")
     out_dir = resolve_out_dir(args.out, cfg)
-    data = stack_windows(generate(cfg.scenario, n, RngStream(seed).substream(0)),
-                         source=f"synthetic:{seed}")
+    data = generate(cfg.scenario, n, RngStream(seed).substream(0))
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.npy"
     write_dataset(dataset_path, data)
@@ -153,17 +149,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise ConfigError("ingestion requires a 'schema' section in the config")
     out_dir = resolve_out_dir(args.out, cfg)
     result = ingest_csv(args.trace, cfg.schema, cfg.ingest)
-    windows = result.windows
-    dropped = 0
+    data, dropped = result.windows, 0
     if args.weak_label:
-        windows, dropped = apply_weak_labels(windows, cfg.schema.group_map())
-        if not windows:
+        data, dropped = apply_weak_labels(data, cfg.schema.group_map())
+        if not len(data):
             raise DataError("weak labeling left zero labeled windows")
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.npy"
-    write_dataset(dataset_path, stack_windows(windows, source=f"trace:{Path(args.trace).name}"))
+    write_dataset(dataset_path, data)
     print(
-        f"ingested {result.machines} machines -> {len(windows)} windows "
+        f"ingested {result.machines} machines -> {len(data)} windows "
         f"({result.skipped_rows} rows skipped, {dropped} windows unlabeled/dropped)"
     )
     print(

@@ -15,10 +15,11 @@ each class's signals are computed once and added to that class's windows.
 Both orders of work give the same bits as building one window at a time.
 MAX_METRIC_COUNT and MAX_GENERATED_VALUES bound what a scenario may ask for.
 
-Every consumer works on a Dataset: the values of N windows as one (N, T, D)
-array with one label per window (-1 when unlabeled). The generator and the
-trace loader still return MetricWindow objects, one per window;
-stack_windows turns such a list into a Dataset.
+Every producer and consumer works on a Dataset: the values of N windows as
+one (N, T, D) array with one label per window (-1 when unlabeled). The
+generator returns its buffer as one, and so does the trace loader. Iterating
+a Dataset yields one MetricWindow view per window, for code that reads
+single windows.
 
 Also here: a hand-written threshold baseline used to certify that generated
 scenarios are learnable at all, z-score normalization fitted on the training
@@ -33,6 +34,7 @@ import json
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -134,22 +136,17 @@ class Dataset:
         """The windows at `index`, in its order, gathered into a new array."""
         return replace(self, values=self.values[index], labels=self.labels[index])
 
+    def __iter__(self) -> Iterator[MetricWindow]:
+        """Window i as a view of its values, with source "{source}:{i}"."""
+        for i, (values, label) in enumerate(zip(self.values, self.labels.tolist())):
+            yield MetricWindow(values, None if label < 0 else label, f"{self.source}:{i}",
+                               self.metric_names)
 
-def stack_windows(windows: list[MetricWindow], source: str = "") -> Dataset:
-    """One Dataset of equally shaped windows, in list order."""
-    if not windows:
-        raise DataError("cannot stack an empty list of windows")
-    first = windows[0]
-    for w in windows[1:]:
-        if w.values.shape != first.values.shape:
-            raise ShapeError(
-                f"window '{w.source}' has shape {w.values.shape}, expected {first.values.shape}"
-            )
-        if w.metric_names != first.metric_names:
-            raise DataError(f"window '{w.source}' has mismatched metric names")
-    labels = [UNLABELED if w.label is None else int(w.label) for w in windows]
-    return Dataset(np.stack([w.values for w in windows]), np.array(labels, dtype=np.int64),
-                   first.metric_names, source)
+
+def first_nonfinite(values: np.ndarray) -> int:
+    """Index of the first window of an (N, T, D) stack holding a non-finite value, or -1."""
+    finite = np.isfinite(values).all(axis=(1, 2))
+    return -1 if finite.all() else int(np.argmin(finite))
 
 
 def default_groups(metric_count: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -296,7 +293,7 @@ def class_signals(cfg: ScenarioConfig, label: int) -> dict[str, np.ndarray]:
     return signals
 
 
-def generate(cfg: ScenarioConfig, n: int, rng: RngStream) -> list[MetricWindow]:
+def generate(cfg: ScenarioConfig, n: int, rng: RngStream) -> Dataset:
     """n labeled synthetic windows, class drawn uniformly per window.
 
     Window i draws its label and then its (T, D) noise from its own RNG
@@ -304,8 +301,8 @@ def generate(cfg: ScenarioConfig, n: int, rng: RngStream) -> list[MetricWindow]:
     order (or concurrency) produced it. The windows are built together in one
     (N, T, D) buffer: the noise is written straight into it, the AR(1)
     recursion runs in place over the whole stack one step at a time, and each
-    class's signals are built once and added to that class's rows. The
-    returned windows are views into that buffer.
+    class's signals are built once and added to that class's rows. That
+    buffer is returned as a Dataset with source "synthetic:{rng.seed}".
     """
     if n < 1:
         raise ConfigError(f"window count must be >= 1, got {n}")
@@ -332,11 +329,10 @@ def generate(cfg: ScenarioConfig, n: int, rng: RngStream) -> list[MetricWindow]:
         for name, sig in class_signals(cfg, label).items():
             block[:, :, list(group_map[name])] += sig[:, None]
         x[rows] = block
-    names = cfg.metric_names()
-    return [
-        MetricWindow(values, int(label), f"synthetic:{rng.seed}:{i}", names)
-        for i, (values, label) in enumerate(zip(x, labels))
-    ]
+    bad = first_nonfinite(x)
+    if bad >= 0:
+        raise DataError(f"window 'synthetic:{rng.seed}:{bad}' contains non-finite values")
+    return Dataset(x, labels, cfg.metric_names(), f"synthetic:{rng.seed}")
 
 
 def _group_series(window: MetricWindow, cols: tuple[int, ...]) -> np.ndarray:
@@ -387,11 +383,11 @@ def baseline_predict(window: MetricWindow, cfg: ScenarioConfig) -> int:
     return int(max(ratios, key=lambda c: ratios[c]))
 
 
-def baseline_accuracy(windows: list[MetricWindow], cfg: ScenarioConfig) -> float:
-    if not windows:
+def baseline_accuracy(data: Dataset, cfg: ScenarioConfig) -> float:
+    if not len(data):
         raise DataError("cannot score an empty dataset")
-    hits = sum(1 for w in windows if w.label is not None and baseline_predict(w, cfg) == w.label)
-    return hits / len(windows)
+    hits = sum(1 for w in data if w.label is not None and baseline_predict(w, cfg) == w.label)
+    return hits / len(data)
 
 
 @dataclass(frozen=True)
@@ -588,8 +584,8 @@ def read_dataset(path: str | Path) -> Dataset:
             f"the manifest needs {VALUES_DTYPE.str} of shape {(n_windows, t_len, d)}"
         )
     values = np.array(mapped)
-    finite = np.isfinite(values).all(axis=(1, 2))
-    if not finite.all():
-        raise DataError(f"{path}: window {int(np.argmin(finite))} has a non-finite value")
+    bad = first_nonfinite(values)
+    if bad >= 0:
+        raise DataError(f"{path}: window {bad} has a non-finite value")
     labels = np.array([UNLABELED if label is None else label for label in labels], dtype=np.int64)
     return Dataset(values, labels, tuple(names), source)

@@ -120,7 +120,7 @@ def build_graph(corr: CorrelationMatrix, threshold: float = DEFAULT_CORR_THRESHO
     )
 
 
-def identity_graph(dim: int, threshold: float = 1.0) -> MetricGraph:
+def identity_graph(dim: int) -> MetricGraph:
     """Edge-free graph whose propagation operator is the identity.
 
     Used for the no-propagation ablation: with this graph the propagation
@@ -129,7 +129,7 @@ def identity_graph(dim: int, threshold: float = 1.0) -> MetricGraph:
     if dim < 1:
         raise ShapeError(f"graph needs at least one vertex, got {dim}")
     adjacency = np.zeros((dim, dim))
-    return MetricGraph(adjacency=adjacency, normalized=np.eye(dim), threshold=float(threshold))
+    return MetricGraph(adjacency=adjacency, normalized=np.eye(dim), threshold=1.0)
 
 
 def graph_stats(g: MetricGraph) -> GraphStats:

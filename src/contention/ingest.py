@@ -1,4 +1,4 @@
-"""Real-trace ingestion: raw machine samples to MetricWindows.
+"""Real-trace ingestion: raw machine samples to one Dataset of windows.
 
 Input is a headered UTF-8 CSV with one sample per row: a machine id column,
 an integer-seconds timestamp column, and one column per monitored metric.
@@ -18,11 +18,13 @@ machine's samples are bucket-mean resampled onto a fixed step counted from
 its first timestamp, and the series is split at every run of empty buckets
 longer than forward fill may bridge; shorter runs are filled with the last
 observed value. Windows are cut from each segment, starting every stride
-buckets from the machine's first bucket.
+buckets from the machine's first bucket, and stacked once into an unlabeled
+Dataset; a parallel tuple names each window's machine and start time.
 
 Real traces carry no contention labels, so weak labeling assigns classes by
-per-group utilization thresholds, computed over the stacked windows. Windows
-where no group runs hot stay unlabeled and are excluded from supervised use.
+per-group utilization thresholds, computed over the dataset's windows.
+Windows where no group runs hot stay unlabeled and are dropped from the
+labeled subset it returns.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from contention.data import GROUP_NAMES, ContentionClass, MetricWindow
+from contention.data import GROUP_NAMES, UNLABELED, ContentionClass, Dataset, first_nonfinite
 from contention.errors import ConfigError, DataError, SchemaError
 
 GROUP_CLASS = {
@@ -114,7 +116,8 @@ class IngestConfig:
 
 @dataclass(frozen=True)
 class IngestResult:
-    windows: list[MetricWindow]
+    windows: Dataset  # unlabeled, source "trace:{file name}"
+    sources: tuple[str, ...]  # "{machine}@{start timestamp}" per window
     machines: int  # machines with at least one kept row
     rows_read: int  # data rows, blank lines not counted
     rows_unparseable: int
@@ -214,35 +217,39 @@ def ingest_csv(
     bounds = np.cumsum([0, *rows_per_code[[code[m] for m in machines]]]).tolist()
 
     t, stride, step = cfg.window_len, cfg.effective_stride, cfg.resample_step
-    windows: list[MetricWindow] = []
+    slices: list[np.ndarray] = []
+    sources: list[str] = []
     for machine, lo, hi in zip(machines, bounds, bounds[1:]):
         mine = rows[lo:hi]
         t0 = stamps[mine[0]]
         for first, filled in _segments(stamps[mine], values[mine], step, cfg.max_fill):
             # windows start on the machine's grid, every stride buckets from its first
             for start in range(-first % stride, len(filled) - t + 1, stride):
-                windows.append(
-                    MetricWindow(
-                        values=filled[start : start + t].copy(),
-                        label=None,
-                        source=f"{machine}@{t0 + (first + start) * step}",
-                        metric_names=names,
-                    )
-                )
-    result = IngestResult(
-        windows=windows,
+                slices.append(filled[start : start + t])
+                sources.append(f"{machine}@{t0 + (first + start) * step}")
+    nonfinite = int(np.count_nonzero(~finite))
+    no_machine = int(np.count_nonzero(finite & ~named))
+    if not slices:
+        raise DataError(
+            f"trace {path} produced no complete windows (T={t}, step={cfg.resample_step}s, "
+            f"{unparseable + nonfinite + no_machine} rows skipped)"
+        )
+    # the window slices are views of the resampled segments: drop the parsed rows
+    # first, so the stack never sits beside both
+    del values, stamps
+    stacked = np.stack(slices)
+    bad = first_nonfinite(stacked)  # a bucket's sum can overflow
+    if bad >= 0:
+        raise DataError(f"window '{sources[bad]}' contains non-finite values")
+    return IngestResult(
+        windows=Dataset(stacked, np.full(len(slices), UNLABELED), names, f"trace:{path.name}"),
+        sources=tuple(sources),
         machines=len(machines),
         rows_read=rows_read,
         rows_unparseable=unparseable,
-        rows_nonfinite=int(np.count_nonzero(~finite)),
-        rows_no_machine=int(np.count_nonzero(finite & ~named)),
+        rows_nonfinite=nonfinite,
+        rows_no_machine=no_machine,
     )
-    if not windows:
-        raise DataError(
-            f"trace {path} produced no complete windows "
-            f"(T={t}, step={cfg.resample_step}s, {result.skipped_rows} rows skipped)"
-        )
-    return result
 
 
 def _group_means(values: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
@@ -300,16 +307,15 @@ def weak_labels(
 
 
 def apply_weak_labels(
-    windows: list[MetricWindow],
+    data: Dataset,
     groups: dict[str, tuple[int, ...]],
     thresholds: dict[str, float] | None = None,
-) -> tuple[list[MetricWindow], int]:
-    """Label every window it can; returns (labeled windows, dropped count)."""
-    if not windows:
+) -> tuple[Dataset, int]:
+    """Label every window it can; returns (the labeled windows in order, dropped count)."""
+    if not len(data):
         raise DataError("cannot weak-label an empty dataset")
-    values = np.stack([w.values for w in windows])
     if thresholds is None:
-        thresholds = default_weak_thresholds(values, groups)
-    labels = weak_labels(values, thresholds, groups).tolist()
-    labeled = [replace(w, label=label) for w, label in zip(windows, labels) if label >= 0]
-    return labeled, len(windows) - len(labeled)
+        thresholds = default_weak_thresholds(data.values, groups)
+    labels = weak_labels(data.values, thresholds, groups)
+    keep = np.flatnonzero(labels >= 0)
+    return replace(data, values=data.values[keep], labels=labels[keep]), len(data) - len(keep)

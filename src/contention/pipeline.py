@@ -19,7 +19,6 @@ from contention.data import (
     fit_norm,
     generate,
     split,
-    stack_windows,
 )
 from contention.graph import DEFAULT_CORR_THRESHOLD, MetricGraph, build_graph, pearson_matrix
 from contention.model import ModelConfig, ModelParams
@@ -106,7 +105,7 @@ def run_synthetic(
     data and optimization randomness can be varied apart.
     """
     rng = RngStream(data_seed)
-    data = stack_windows(generate(scenario, n_windows, rng.substream(0)))
+    data = generate(scenario, n_windows, rng.substream(0))
     prepared = prepare(data, fractions, corr_threshold, rng.substream(1))
     return run_prepared(prepared, model_cfg, train_cfg)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from contention.data import ScenarioConfig, generate, stack_windows, stratified_shuffle
+from contention.data import ScenarioConfig, generate, stratified_shuffle
 from contention.errors import ConfigError
 from contention.graph import DEFAULT_CORR_THRESHOLD
 from contention.model import ModelConfig
@@ -110,7 +110,7 @@ def sweep_datasize(
     prepared_by_seed = {}
     for seed in seeds:
         rng = RngStream(seed)
-        data = stack_windows(generate(spec.scenario, spec.n_windows, rng.substream(0)))
+        data = generate(spec.scenario, spec.n_windows, rng.substream(0))
         prepared_by_seed[seed] = prepare(
             data, spec.fractions, spec.corr_threshold, rng.substream(1)
         )

@@ -144,14 +144,6 @@ class EvalMetrics:
         """(K,) true windows per class."""
         return self.confusion.sum(axis=1)
 
-    def as_row(self) -> dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-        }
-
 
 METRIC_FIELDS = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
 

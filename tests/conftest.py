@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contention.data import MetricWindow, stack_windows
+from contention.data import UNLABELED, Dataset
 from contention.graph import CorrelationMatrix, build_graph
 from contention.model import ModelConfig
 from contention.rng import RngStream
@@ -28,22 +28,18 @@ def random_graph(dim: int, seed: int, threshold: float = 0.3):
     return build_graph(CorrelationMatrix(values=c), threshold)
 
 
-def random_windows(n: int, t: int, d: int, seed: int, labeled=True, num_classes=3):
-    gen = RngStream(seed, (88,)).generator()
-    names = tuple(f"m{i}" for i in range(d))
-    out = []
-    for i in range(n):
-        out.append(
-            MetricWindow(
-                values=gen.normal(size=(t, d)),
-                label=int(gen.integers(num_classes)) if labeled else None,
-                source=f"fixture:{i}",
-                metric_names=names,
-            )
-        )
-    return out
-
-
 def random_dataset(n: int, t: int, d: int, seed: int, labeled=True, num_classes=3):
-    """random_windows stacked into one Dataset."""
-    return stack_windows(random_windows(n, t, d, seed, labeled, num_classes), source="fixture")
+    """n windows of standard normal values; each window draws its values, then its label."""
+    gen = RngStream(seed, (88,)).generator()
+    values = np.empty((n, t, d))
+    labels = np.full(n, UNLABELED)
+    for i in range(n):
+        values[i] = gen.normal(size=(t, d))
+        if labeled:
+            labels[i] = gen.integers(num_classes)
+    return Dataset(values, labels, tuple(f"m{i}" for i in range(d)), "fixture")
+
+
+def random_windows(n: int, t: int, d: int, seed: int, labeled=True, num_classes=3):
+    """random_dataset as a list of windows, sources "fixture:{i}"."""
+    return list(random_dataset(n, t, d, seed, labeled, num_classes))

@@ -15,15 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_graph, random_windows
+from conftest import random_dataset, random_graph
 from contention.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from contention.cli import main as cli_main
-from contention.data import (
-    ScenarioConfig,
-    baseline_accuracy,
-    generate,
-    stack_windows,
-)
+from contention.data import Dataset, ScenarioConfig, baseline_accuracy, generate
 from contention.graph import build_graph, normalize_adjacency, pearson_matrix
 from contention.ingest import IngestConfig, TraceSchema, ingest_csv
 from contention.linalg import finite_diff_check, softmax
@@ -190,13 +185,18 @@ def test_criterion_04_synthetic_recovery():
     start = time.perf_counter()
     scenario = ScenarioConfig()
     rng = RngStream(7)
-    train_w = generate(scenario, 2000, rng.substream(0))
-    val_w = generate(scenario, 500, rng.substream(1))
-    test_w = generate(scenario, 500, rng.substream(2))
+    train_d, val_d, test_d = (
+        generate(scenario, n, rng.substream(k)) for k, n in enumerate((2000, 500, 500))
+    )
 
-    gate = baseline_accuracy(test_w, scenario)
+    gate = baseline_accuracy(test_d, scenario)
     parts = (np.arange(2000), np.arange(2000, 2500), np.arange(2500, 3000))
-    prepared = prepare_parts(stack_windows(train_w + val_w + test_w), parts, corr_threshold=0.3)
+    whole = Dataset(
+        np.concatenate([train_d.values, val_d.values, test_d.values]),
+        np.concatenate([train_d.labels, val_d.labels, test_d.labels]),
+        scenario.metric_names(),
+    )
+    prepared = prepare_parts(whole, parts, corr_threshold=0.3)
     result = run_prepared(prepared, ModelConfig(), TrainConfig())
     m = result.test_metrics
     elapsed = time.perf_counter() - start
@@ -243,8 +243,8 @@ def test_criterion_05_propagation_ablation():
 
 
 def test_criterion_06_graph_oracles():
-    windows = random_windows(4, t=30, d=5, seed=6)
-    series = np.vstack([w.values for w in windows])
+    data = random_dataset(4, t=30, d=5, seed=6)
+    series = np.vstack([w.values for w in data])
     n, d = series.shape
     means = series.sum(axis=0) / n
     sds = np.sqrt(((series - means) ** 2).sum(axis=0) / n)
@@ -256,7 +256,7 @@ def test_criterion_06_graph_oracles():
                 continue
             cov = float(((series[:, i] - means[i]) * (series[:, j] - means[j])).mean())
             expected[i, j] = cov / (sds[i] * sds[j])
-    pearson_err = float(np.max(np.abs(pearson_matrix(stack_windows(windows)).values - expected)))
+    pearson_err = float(np.max(np.abs(pearson_matrix(data).values - expected)))
 
     gen = RngStream(64).generator()
     norm_err = 0.0
@@ -274,7 +274,7 @@ def test_criterion_06_graph_oracles():
                 want[i, j] = a / np.sqrt(degrees[i] * degrees[j])
         norm_err = max(norm_err, float(np.max(np.abs(got - want))))
 
-    corr = pearson_matrix(stack_windows(random_windows(6, t=40, d=8, seed=9)))
+    corr = pearson_matrix(random_dataset(6, t=40, d=8, seed=9))
     previous = None
     nested = True
     for tau in np.linspace(0.0, 0.9, 10):
@@ -501,20 +501,19 @@ def test_criterion_10_ingestion_oracle(tmp_path):
         "beta@480": expect([6.5, 6.5, 7.0, 7.25]),
     }
     count_ok = len(result.windows) == 3 and result.machines == 2
-    sources = [w.source for w in result.windows]
-    sources_ok = sources == list(wanted)
+    sources_ok = list(result.sources) == list(wanted)
     values_ok = all(
-        np.array_equal(w.values, wanted[w.source]) for w in result.windows
+        np.array_equal(values, wanted[source])
+        for values, source in zip(result.windows.values, result.sources, strict=True)
     )
 
     # raising max_fill to the gap length bridges it, recovering beta's windows
     bridged = ingest_csv(trace, schema, IngestConfig(window_len=4, max_fill=4))
-    bridged_sources = [w.source for w in bridged.windows]
     gap_rule_ok = (
         len(bridged.windows) == 5
-        and bridged_sources == ["alpha@0", "alpha@240", "beta@0", "beta@240", "beta@480"]
+        and bridged.sources == ("alpha@0", "alpha@240", "beta@0", "beta@240", "beta@480")
         and np.array_equal(
-            next(w for w in bridged.windows if w.source == "beta@240").values,
+            bridged.windows.values[bridged.sources.index("beta@240")],
             expect([5.25, 5.25, 6.0, 6.25]),
         )
     )

@@ -192,6 +192,7 @@ def test_gen_rejects_nonpositive_count(tmp_path, capsys):
                "--n", "0"])
     assert rc == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ------------------------------------------------------ out dir resolution

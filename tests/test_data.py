@@ -40,7 +40,6 @@ from contention.data import (
     manifest_path,
     read_dataset,
     split,
-    stack_windows,
     write_dataset,
 )
 from contention.errors import ConfigError, DataError, SchemaError, ShapeError
@@ -338,9 +337,9 @@ class TestGenerateMatchesReference:
         rng = RngStream(0, (0,))
         got = generate(ScenarioConfig(), 500, rng)
         want = _reference_generate(ScenarioConfig(), 500, rng)
-        assert np.stack([w.values for w in got]).tobytes() == np.stack(
-            [v for v, _, _ in want]).tobytes()
-        assert [w.label for w in got] == [label for _, label, _ in want]
+        assert got.values.tobytes() == np.stack([v for v, _, _ in want]).tobytes()
+        assert got.labels.tolist() == [label for _, label, _ in want]
+        assert got.source == "synthetic:0"
 
 
 class TestGenerate:
@@ -365,6 +364,11 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             generate(ScenarioConfig(), 0, RngStream(0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow
+    def test_overflowing_noise_names_the_window(self):
+        with pytest.raises(DataError, match=r"window 'synthetic:2:0' contains non-finite values"):
+            generate(ScenarioConfig(noise_std=1e308), 3, RngStream(2, (0,)))
+
     @pytest.mark.parametrize("n", [MAX_GENERATED_VALUES // (32 * 12) + 1, 10**12])
     def test_oversized_dataset_allocates_nothing(self, n):
         tracemalloc.start()
@@ -377,15 +381,14 @@ class TestGenerate:
         assert peak < 1 << 20
 
     def test_windows_are_views_of_one_stack(self):
-        ws = generate(ScenarioConfig(), 4, RngStream(0, (0,)))
-        base = ws[0].values.base
-        assert base is not None and base.shape == (4, 32, 12)
-        assert all(w.values.base is base for w in ws)
+        data = generate(ScenarioConfig(), 4, RngStream(0, (0,)))
+        assert data.values.shape == (4, 32, 12)
+        assert all(w.values.base is data.values for w in data)
 
     def test_class_balance_chi_square(self):
         """chi2 over 5000 draws stays under the 0.001 tail (18.467, 4 dof)."""
         ws = generate(ScenarioConfig(), 5000, RngStream(77, (0,)))
-        counts = np.bincount([w.label for w in ws], minlength=5)
+        counts = np.bincount(ws.labels, minlength=5)
         chi2 = float((((counts - 1000.0) ** 2) / 1000.0).sum())
         assert chi2 < 18.467
 
@@ -457,8 +460,9 @@ class TestBaseline:
         assert 0 <= baseline_predict(quiet, cfg) <= 3
 
     def test_empty_rejected(self):
+        cfg = ScenarioConfig()
         with pytest.raises(DataError):
-            baseline_accuracy([], ScenarioConfig())
+            baseline_accuracy(Dataset(np.empty((0, 32, 12)), np.empty(0), cfg.metric_names()), cfg)
 
 
 class TestNormalization:
@@ -495,8 +499,9 @@ class TestNormalization:
         assert np.array_equal(out.labels, data.labels)
         assert out.metric_names == data.metric_names
         assert out.source == data.source
-        w = random_windows(1, 6, 3, seed=2)[0]
-        one = apply_norm(w, fit_norm(stack_windows([w])))
+        single = random_dataset(1, 6, 3, seed=2)
+        w = next(iter(single))
+        one = apply_norm(w, fit_norm(single))
         assert (one.label, one.metric_names, one.source) == (w.label, w.metric_names, w.source)
 
     def test_metric_count_mismatch(self):
@@ -513,8 +518,8 @@ class TestNormalization:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 9), st.integers(1, 6), st.integers(0, 10_000))
     def test_dataset_equals_per_window_bit_for_bit(self, n, t, d, seed):
-        ws = random_windows(n, t, d, seed=seed)
-        data = stack_windows(ws)
+        data = random_dataset(n, t, d, seed=seed)
+        ws = list(data)
         stats = fit_norm(data)
         want = np.stack([apply_norm(w, stats).values for w in ws])
         assert apply_norm(data, stats).values.tobytes() == want.tobytes()
@@ -524,23 +529,16 @@ class TestNormalization:
         assert stats.std.tobytes() == np.maximum(rows.std(axis=0), 1e-8).tobytes()
 
 
-class TestStackWindows:
-    def test_labels_and_order(self):
-        ws = random_windows(4, 8, 3, seed=0) + random_windows(2, 8, 3, seed=1, labeled=False)
-        data = stack_windows(ws, source="s")
-        assert len(data) == 6 and data.values.shape == (6, 8, 3)
-        assert data.labels.tolist() == [w.label for w in ws[:4]] + [UNLABELED] * 2
-        for w, v in zip(ws, data.values):
-            assert np.array_equal(w.values, v)
-        assert (data.metric_names, data.source) == (ws[0].metric_names, "s")
-
-    def test_rejects_empty_and_renamed(self):
-        with pytest.raises(DataError):
-            stack_windows([])
-        renamed = [MetricWindow(w.values, w.label, w.source, ("a", "b", "c", "d"))
-                   for w in random_windows(1, 8, 4, seed=7)]
-        with pytest.raises(DataError, match="metric names"):
-            stack_windows(random_windows(1, 8, 4, seed=5) + renamed)
+class TestDataset:
+    def test_iter_yields_window_views_in_order(self):
+        data = Dataset(np.arange(48.0).reshape(4, 4, 3), [2, UNLABELED, 0, 4], ("a", "b", "c"), "s")
+        ws = list(data)
+        assert [w.label for w in ws] == [2, None, 0, 4]
+        assert all(type(w.label) is int for w in ws if w.label is not None)
+        assert [w.source for w in ws] == ["s:0", "s:1", "s:2", "s:3"]
+        for w, v in zip(ws, data.values, strict=True):
+            assert np.shares_memory(w.values, data.values) and np.array_equal(w.values, v)
+            assert w.metric_names == ("a", "b", "c")
 
     def test_dataset_rejects_inconsistent_fields(self):
         with pytest.raises(ShapeError, match=r"\(N, T, D\)"):
@@ -593,8 +591,8 @@ def _reference_subsample(windows, fraction, rng):
 
 def _labeled_mix(labels):
     """One tiny window per entry of `labels` (None = unlabeled)."""
-    return [MetricWindow(np.full((1, 1), float(i)), label, f"w{i}", ("m",))
-            for i, label in enumerate(labels)]
+    return Dataset(np.arange(float(len(labels))).reshape(-1, 1, 1),
+                   [UNLABELED if label is None else label for label in labels], ("m",), "w")
 
 
 class TestIndexSelectionMatchesReference:
@@ -603,8 +601,8 @@ class TestIndexSelectionMatchesReference:
 
     FRACTIONS = (0.6, 0.25, 0.15)
 
-    def _check(self, ws, seed):
-        labels = stack_windows(ws).labels
+    def _check(self, data, seed):
+        ws, labels = list(data), data.labels
         want = _reference_split(ws, self.FRACTIONS, RngStream(seed, (2,)))
         got = split(labels, self.FRACTIONS, RngStream(seed, (2,)))
         for part_w, part_i in zip(want, got, strict=True):
@@ -618,16 +616,15 @@ class TestIndexSelectionMatchesReference:
     @given(st.lists(st.none() | st.integers(0, len(CLASS_NAMES) - 1), min_size=12,
                     max_size=80), st.integers(0, 10_000))
     def test_label_mixes_with_unlabeled_windows(self, labels, seed):
-        ws = _labeled_mix(labels)
-        if not all(_reference_split(ws, self.FRACTIONS, RngStream(seed, (2,)))):
+        data = _labeled_mix(labels)
+        if not all(_reference_split(list(data), self.FRACTIONS, RngStream(seed, (2,)))):
             with pytest.raises(ConfigError, match="empty"):  # the index version refuses
-                split(stack_windows(ws).labels, self.FRACTIONS, RngStream(seed, (2,)))
+                split(data.labels, self.FRACTIONS, RngStream(seed, (2,)))
             return
-        self._check(ws, seed)
+        self._check(data, seed)
 
     def test_default_windows(self):
-        ws = generate(ScenarioConfig(), 3000, RngStream(0, (0,)))
-        self._check(ws, seed=1)
+        self._check(generate(ScenarioConfig(), 3000, RngStream(0, (0,))), seed=1)
 
 
 class TestSplit:
@@ -635,7 +632,7 @@ class TestSplit:
         return np.bincount(labels[labels >= 0], minlength=5)
 
     def _labels(self, n, seed):
-        return stack_windows(generate(ScenarioConfig(), n, RngStream(seed, (0,)))).labels
+        return generate(ScenarioConfig(), n, RngStream(seed, (0,))).labels
 
     def test_partition_is_exact(self):
         tr, va, te = split(self._labels(120, 0), (0.7, 0.15, 0.15), RngStream(1, (0,)))
@@ -705,16 +702,16 @@ class TestSplit:
 
 class TestDatasetFiles:
     def test_round_trip_exact(self, tmp_path):
-        ws = generate(ScenarioConfig(metric_count=4), 6, RngStream(1, (0,)))
+        data = generate(ScenarioConfig(metric_count=4), 6, RngStream(1, (0,)))
         path = tmp_path / "ds.npy"
-        write_dataset(path, stack_windows(ws, source="unit"))
+        write_dataset(path, data)
         back = read_dataset(path)
         assert len(back) == 6
-        for orig, values, label in zip(ws, back.values, back.labels, strict=True):
+        for orig, values, label in zip(data, back.values, back.labels, strict=True):
             assert np.array_equal(orig.values, values)
             assert orig.label == label
-        assert back.metric_names == ws[0].metric_names
-        assert back.source == "unit"
+        assert back.metric_names == data.metric_names
+        assert back.source == "synthetic:1"
 
     def test_unlabeled_round_trip(self, tmp_path):
         path = tmp_path / "u.npy"
@@ -731,33 +728,26 @@ class TestDatasetFiles:
         floats = st.floats(allow_nan=False, allow_infinity=False)
         names = tuple(data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=d,
                                          max_size=d, unique=True)))
-        ws = [
-            MetricWindow(
-                values=np.array(data.draw(st.lists(floats, min_size=t * d, max_size=t * d)))
-                .reshape(t, d),
-                label=data.draw(st.none() | st.integers(0, len(CLASS_NAMES) - 1)),
-                source=f"h:{i}",
-                metric_names=names,
-            )
-            for i in range(n)
-        ]
+        cells = data.draw(st.lists(floats, min_size=n * t * d, max_size=n * t * d))
+        labels = data.draw(st.lists(st.none() | st.integers(0, len(CLASS_NAMES) - 1),
+                                    min_size=n, max_size=n))
+        labels = [UNLABELED if label is None else label for label in labels]
+        values = np.array(cells).reshape(n, t, d)
         folder = tmp_path_factory.mktemp("prop")
         first, second = folder / "a.npy", folder / "b.npy"
-        write_dataset(first, stack_windows(ws, source="h"))
+        write_dataset(first, Dataset(values, labels, names, "h"))
         back = read_dataset(first)
-        assert back.labels.tolist() == [UNLABELED if w.label is None else w.label for w in ws]
+        assert back.labels.tolist() == labels
         assert back.metric_names == names
-        for orig, values in zip(ws, back.values, strict=True):
-            assert values.tobytes() == orig.values.tobytes()  # bit for bit, -0.0 too
+        assert back.values.tobytes() == values.tobytes()  # bit for bit, -0.0 too
         write_dataset(second, back)
         assert second.read_bytes() == first.read_bytes()
         assert manifest_path(second).read_bytes() == manifest_path(first).read_bytes()
 
     def test_row_is_the_flattened_window(self, tmp_path):
-        a = MetricWindow(np.array([[1.0, 2.0], [3.0, 0.1]]), 4, "a", ("x", "y"))
-        b = MetricWindow(np.array([[5.0, 6.0], [7.0, 8.0]]), None, "b", ("x", "y"))
+        values = np.array([[[1.0, 2.0], [3.0, 0.1]], [[5.0, 6.0], [7.0, 8.0]]])
         path = tmp_path / "two.npy"
-        write_dataset(path, stack_windows([a, b]))
+        write_dataset(path, Dataset(values, [4, UNLABELED], ("x", "y")))
         stacked = np.load(path, allow_pickle=False)
         assert stacked.dtype.str == "<f8" and stacked.flags.c_contiguous
         assert stacked.reshape(2, -1).tolist() == [[1.0, 2.0, 3.0, 0.1], [5.0, 6.0, 7.0, 8.0]]
@@ -772,7 +762,7 @@ class TestDatasetFiles:
         assert len(read_dataset(path)) == 2
 
     def test_write_is_byte_deterministic(self, tmp_path):
-        data = stack_windows(generate(ScenarioConfig(metric_count=4), 4, RngStream(3, (0,))))
+        data = generate(ScenarioConfig(metric_count=4), 4, RngStream(3, (0,)))
         p1, p2 = tmp_path / "a.npy", tmp_path / "b.npy"
         write_dataset(p1, data)
         write_dataset(p2, data)
@@ -780,26 +770,26 @@ class TestDatasetFiles:
         assert manifest_path(p1).read_text() == manifest_path(p2).read_text()
 
     def test_manifest_contents(self, tmp_path):
-        ws = generate(ScenarioConfig(metric_count=4, window_len=8), 2, RngStream(4, (0,)))
+        data = generate(ScenarioConfig(metric_count=4, window_len=8), 2, RngStream(4, (0,)))
         path = tmp_path / "m.npy"
-        write_dataset(path, stack_windows(ws, source="origin"))
+        write_dataset(path, data)
         manifest = json.loads(manifest_path(path).read_text())
         assert manifest["format_version"] == 3
         assert manifest["n_windows"] == 2
         assert manifest["window_len"] == 8
         assert manifest["metric_count"] == 4
-        assert manifest["metric_names"] == list(ws[0].metric_names)
+        assert manifest["metric_names"] == list(data.metric_names)
         assert manifest["class_names"] == list(CLASS_NAMES)
-        assert manifest["source"] == "origin"
-        assert manifest["labels"] == [w.label for w in ws]
+        assert manifest["source"] == "synthetic:4"
+        assert manifest["labels"] == data.labels.tolist()
 
     def test_write_rejects_empty_and_mismatched(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
             write_dataset(tmp_path / "e.npy", Dataset(np.empty((0, 8, 4)), np.empty(0), "abcd"))
         assert not list(tmp_path.iterdir())
-        # windows of different shapes never become a Dataset to write
+        # values and metric names that disagree never become a Dataset to write
         with pytest.raises(ShapeError):
-            stack_windows(random_windows(1, 8, 4, seed=5) + random_windows(1, 8, 5, seed=6))
+            Dataset(np.zeros((2, 8, 5)), np.zeros(2), "abcd")
 
     def test_read_missing_files(self, tmp_path):
         with pytest.raises(DataError, match="not found"):

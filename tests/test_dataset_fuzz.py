@@ -11,6 +11,7 @@ traceback.
 import json
 import shutil
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from contention.data import (
     generate,
     manifest_path,
     read_dataset,
-    stack_windows,
     write_dataset,
 )
 from contention.errors import DataError
@@ -80,7 +80,7 @@ def original(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz-src")
     windows = generate(ScenarioConfig(**CONFIG["scenario"]), N, RngStream(3, (0,)))
     data = root / "dataset.npy"
-    write_dataset(data, stack_windows(windows, source="fuzz"))
+    write_dataset(data, replace(windows, source="fuzz"))
     config = root / "config.json"
     config.write_text(json.dumps(CONFIG))
     return data, config

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contention.data import Dataset, stack_windows
+from contention.data import Dataset
 from contention.errors import ConfigError, ShapeError
 from contention.graph import (
     DEFAULT_CORR_THRESHOLD,
@@ -27,7 +27,7 @@ from contention.graph import (
 )
 from contention.rng import RngStream
 
-from conftest import random_graph, random_windows
+from conftest import random_dataset, random_graph
 
 
 def brute_pearson(x):
@@ -87,20 +87,15 @@ class TestPearson:
             assert c[j, j] == 1.0
 
     def test_windows_concatenated(self):
-        windows = random_windows(5, 8, 4, seed=3)
-        series = np.concatenate([w.values for w in windows], axis=0)
-        a = pearson_matrix(stack_windows(windows)).values
+        data = random_dataset(5, 8, 4, seed=3)
+        series = np.concatenate([w.values for w in data], axis=0)
+        a = pearson_matrix(data).values
         b = pearson_from_series(series).values
         assert a.tobytes() == b.tobytes()
 
     def test_empty_windows_rejected(self):
         with pytest.raises(ShapeError):
             pearson_matrix(Dataset(np.empty((0, 8, 4)), np.empty(0), "abcd"))
-
-    def test_shape_disagreement_rejected(self):
-        mixed = random_windows(2, 8, 4, seed=4) + random_windows(1, 8, 6, seed=5)
-        with pytest.raises(ShapeError, match="expected"):  # before any correlation is taken
-            stack_windows(mixed)
 
     def test_single_sample_rejected(self):
         with pytest.raises(ShapeError):

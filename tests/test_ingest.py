@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from contention.data import GROUP_NAMES, ContentionClass, MetricWindow
+from contention.data import GROUP_NAMES, UNLABELED, ContentionClass, Dataset, MetricWindow
 from contention.errors import ConfigError, DataError, SchemaError
 from contention.ingest import (
     GROUP_CLASS,
@@ -120,7 +120,7 @@ class TestIngestCsv:
         assert result.machines == 1
         assert result.skipped_rows == 0
         assert len(result.windows) == 1
-        w = result.windows[0]
+        values = result.windows.values[0]
         want = np.array(
             [
                 [0.3, 0.5],  # mean of the two bucket-0 samples
@@ -129,10 +129,11 @@ class TestIngestCsv:
                 [0.9, 0.3],
             ]
         )
-        assert np.max(np.abs(w.values - want)) <= 1e-15
-        assert w.label is None
-        assert w.metric_names == ("cpu_util", "mem_util")
-        assert w.source == "m1@0"
+        assert np.max(np.abs(values - want)) <= 1e-15
+        assert result.windows.labels.tolist() == [UNLABELED]
+        assert result.windows.metric_names == ("cpu_util", "mem_util")
+        assert result.windows.source == "trace:trace.csv"
+        assert result.sources == ("m1@0",)
 
     def test_short_gap_forward_filled(self, tmp_path):
         rows = [
@@ -144,8 +145,8 @@ class TestIngestCsv:
         path = _write_trace(tmp_path, rows)
         result = ingest_csv(path, SCHEMA, IngestConfig(window_len=4, max_fill=1))
         assert len(result.windows) == 1
-        w = result.windows[0]
-        assert np.array_equal(w.values[2], np.array([3.0, 4.0]))  # carried forward
+        values = result.windows.values[0]
+        assert np.array_equal(values[2], np.array([3.0, 4.0]))  # carried forward
 
     def test_long_gap_drops_window(self, tmp_path):
         rows = [
@@ -164,9 +165,9 @@ class TestIngestCsv:
         ]
         path = _write_trace(tmp_path, rows)
         result = ingest_csv(path, SCHEMA, IngestConfig(window_len=5, max_fill=3))
-        w = result.windows[0]
+        values = result.windows.values[0]
         for b in (1, 2, 3):
-            assert np.array_equal(w.values[b], np.array([1.0, 2.0]))
+            assert np.array_equal(values[b], np.array([1.0, 2.0]))
 
     def test_long_gap_split_on_machine_grid_without_allocating_it(self, tmp_path):
         # 10**8 s is 1666666 buckets of 60 s plus 40 s: a dense series over the
@@ -183,24 +184,24 @@ class TestIngestCsv:
         assert peak < 1 << 20
         # the second segment starts at bucket 1666666; windows start every 4
         # buckets from bucket 0, so its only full window starts at 1666668
-        assert [w.source for w in result.windows] == ["m1@0", f"m1@{1666668 * 60}"]
-        assert np.array_equal(result.windows[0].values[:, 0], [0.0, 1.0, 2.0, 3.0])
-        assert np.array_equal(result.windows[1].values[:, 0], [2.0, 3.0, 4.0, 5.0])
+        assert list(result.sources) == ["m1@0", f"m1@{1666668 * 60}"]
+        assert np.array_equal(result.windows.values[0][:, 0], [0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(result.windows.values[1][:, 0], [2.0, 3.0, 4.0, 5.0])
 
     def test_default_stride_non_overlapping(self, tmp_path):
         rows = [("m1", 60 * t, float(t), 0.0) for t in range(8)]
         path = _write_trace(tmp_path, rows)
         result = ingest_csv(path, SCHEMA, IngestConfig(window_len=4))
         assert len(result.windows) == 2
-        assert result.windows[0].source == "m1@0"
-        assert result.windows[1].source == "m1@240"
+        assert result.sources[0] == "m1@0"
+        assert result.sources[1] == "m1@240"
 
     def test_stride_one_overlapping(self, tmp_path):
         rows = [("m1", 60 * t, float(t), 0.0) for t in range(6)]
         path = _write_trace(tmp_path, rows)
         result = ingest_csv(path, SCHEMA, IngestConfig(window_len=4, stride=1))
         assert len(result.windows) == 3
-        starts = [w.values[0, 0] for w in result.windows]
+        starts = result.windows.values[:, 0, 0].tolist()
         assert starts == [0.0, 1.0, 2.0]
 
     def test_machines_split_and_sorted(self, tmp_path):
@@ -209,7 +210,7 @@ class TestIngestCsv:
         path = _write_trace(tmp_path, rows)
         result = ingest_csv(path, SCHEMA, IngestConfig(window_len=4))
         assert result.machines == 2
-        assert [w.source for w in result.windows] == ["alpha@0", "zeta@0"]
+        assert list(result.sources) == ["alpha@0", "zeta@0"]
 
     def test_bad_rows_skipped_and_counted(self, tmp_path):
         rows = [
@@ -271,15 +272,15 @@ class TestIngestCsv:
         )
         result = ingest_csv(path, SCHEMA, IngestConfig(window_len=4))
         assert result.skipped_rows == 0
-        assert np.array_equal(result.windows[0].values[:, 0], [0.5, 1.5, 2.5, 3.5])
+        assert np.array_equal(result.windows.values[0][:, 0], [0.5, 1.5, 2.5, 3.5])
 
     def test_timestamps_beyond_int64_stay_exact(self, tmp_path):
         base = 10**20 + 7
         rows = [("m1", base + 60 * k, float(k), 0.0) for k in range(4)]
         path = _write_trace(tmp_path, rows)
         result = ingest_csv(path, SCHEMA, IngestConfig(window_len=4))
-        assert [w.source for w in result.windows] == [f"m1@{base}"]
-        assert np.array_equal(result.windows[0].values[:, 0], [0.0, 1.0, 2.0, 3.0])
+        assert list(result.sources) == [f"m1@{base}"]
+        assert np.array_equal(result.windows.values[0][:, 0], [0.0, 1.0, 2.0, 3.0])
 
     def test_machine_with_only_skipped_rows_is_not_counted(self, tmp_path):
         rows = [("m1", 60 * k, 1.0, 1.0) for k in range(4)] + [("m2", 0, "nan", 1.0)]
@@ -297,6 +298,15 @@ class TestIngestCsv:
         with pytest.raises(DataError, match="not found"):
             ingest_csv(tmp_path / "nope.csv", SCHEMA, IngestConfig())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow
+    def test_overflowing_bucket_sum_names_the_window(self, tmp_path):
+        rows = [("m1", 60 * k, 1.0, 1.0) for k in range(4)]
+        rows += [("m2", 0, 1e308, 1.0), ("m2", 30, 1e308, 1.0)]
+        rows += [("m2", 60 * k, 1.0, 1.0) for k in range(1, 4)]
+        path = _write_trace(tmp_path, rows)
+        with pytest.raises(DataError, match=r"window 'm2@0' contains non-finite values"):
+            ingest_csv(path, SCHEMA, IngestConfig(window_len=4))
+
     def test_unsorted_timestamps_handled(self, tmp_path):
         rows = [
             ("m1", 180, 4.0, 0.0),
@@ -306,7 +316,7 @@ class TestIngestCsv:
         ]
         path = _write_trace(tmp_path, rows)
         result = ingest_csv(path, SCHEMA, IngestConfig(window_len=4))
-        assert np.array_equal(result.windows[0].values[:, 0], [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(result.windows.values[0][:, 0], [1.0, 2.0, 3.0, 4.0])
 
 
 def _flat_window(cpu, mem, disk, net):
@@ -321,6 +331,11 @@ def _flat_window(cpu, mem, disk, net):
 
 def _stack(*windows):
     return np.stack([w.values for w in windows])
+
+
+def _dataset(*windows):
+    """The windows as one unlabeled Dataset."""
+    return Dataset(_stack(*windows), np.full(len(windows), UNLABELED), windows[0].metric_names)
 
 
 def _label(window, th):
@@ -352,7 +367,7 @@ class TestWeakLabels:
         with pytest.raises(DataError):
             default_weak_thresholds(np.zeros((0, 8, 4)), FOUR_GROUPS)
         with pytest.raises(DataError):
-            apply_weak_labels([], FOUR_GROUPS, TH)
+            apply_weak_labels(Dataset(np.zeros((0, 8, 4)), np.zeros(0), "cmdn"), FOUR_GROUPS, TH)
 
     def test_single_hot_group_names_class(self):
         assert _label(_flat_window(0.9, 0.1, 0, 0), TH) == ContentionClass.CPU
@@ -385,24 +400,25 @@ class TestWeakLabels:
         ]
 
     def test_apply_weak_labels(self):
-        windows = [
+        data = _dataset(
             _flat_window(0.9, 0.1, 0.0, 0.0),
             _flat_window(0.1, 0.1, 0.0, 0.0),
             _flat_window(0.9, 0.95, 0.0, 0.0),
-        ]
-        labeled, dropped = apply_weak_labels(windows, FOUR_GROUPS, TH)
+        )
+        labeled, dropped = apply_weak_labels(data, FOUR_GROUPS, TH)
         assert dropped == 1
         assert [w.label for w in labeled] == [
             int(ContentionClass.CPU),
             int(ContentionClass.HYBRID),
         ]
         assert all(type(w.label) is int for w in labeled)
-        # originals stay unlabeled; labeling returns replacements
-        assert all(w.label is None for w in windows)
+        assert np.array_equal(labeled.values, data.values[[0, 2]])
+        # the input stays unlabeled; labeling returns a new dataset
+        assert data.labels.tolist() == [UNLABELED] * 3
 
     def test_apply_derives_thresholds_when_missing(self):
-        windows = [_flat_window(0.9, 0.1, 1.0, 1.0) for _ in range(3)]
-        labeled, dropped = apply_weak_labels(windows, FOUR_GROUPS)
+        data = _dataset(*(_flat_window(0.9, 0.1, 1.0, 1.0) for _ in range(3)))
+        labeled, dropped = apply_weak_labels(data, FOUR_GROUPS)
         # disk/net thresholds sit at the 95th percentile of identical means,
         # so neither group is strictly above them; only cpu runs hot
         assert dropped == 0
@@ -587,19 +603,19 @@ class TestColumnarMatchesReference:
         assert result.rows_nonfinite == counts["nonfinite"]
         assert result.rows_no_machine == counts["no_machine"]
         assert result.skipped_rows == sum(counts.values()) - counts["read"]
-        assert [w.source for w in result.windows] == [w.source for w in want]
-        for got, ref in zip(result.windows, want):
-            assert got.values.tobytes() == ref.values.tobytes()
-            assert got.metric_names == ref.metric_names and got.label is None
+        assert list(result.sources) == [w.source for w in want]
+        for got, ref in zip(result.windows.values, want, strict=True):
+            assert got.tobytes() == ref.values.tobytes()
+            assert result.windows.metric_names == ref.metric_names
+        assert np.all(result.windows.labels == UNLABELED)
         groups = schema.group_map()
         labels = _reference_weak_labels(want, groups)
         if all(label is None for label in labels):
             return
         labeled, dropped = apply_weak_labels(result.windows, groups)
-        assert [w.label for w in labeled] == [label for label in labels if label is not None]
-        assert [w.source for w in labeled] == [
-            w.source for w, label in zip(want, labels) if label is not None
-        ]
+        assert labeled.labels.tolist() == [label for label in labels if label is not None]
+        kept = [w.values for w, label in zip(want, labels) if label is not None]
+        assert labeled.values.tobytes() == np.stack(kept).tobytes()
         assert dropped == labels.count(None)
 
     @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ more than INGEST_PEAK_BYTES, whatever sizes the trace or config claim.
 import json
 import shutil
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from contention.checkpoint import load_checkpoint
 from contention.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from contention.config import load_run_config
-from contention.data import ScenarioConfig, generate, stack_windows, write_dataset
+from contention.data import ScenarioConfig, generate, write_dataset
 from contention.errors import ConfigError, DataError, ShapeError
 from contention.rng import RngStream
 
@@ -56,7 +57,7 @@ def original(tmp_path_factory):
     root = tmp_path_factory.mktemp("loader-fuzz")
     data = root / "dataset.npy"
     windows = generate(ScenarioConfig(**CONFIG["scenario"]), N, RngStream(3, (0,)))
-    write_dataset(data, stack_windows(windows, source="fuzz"))
+    write_dataset(data, replace(windows, source="fuzz"))
     config = root / "config.json"
     config.write_text(json.dumps(CONFIG))
     assert main(["train", "--config", str(config), "--data", str(data),

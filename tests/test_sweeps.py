@@ -9,7 +9,7 @@ not score quality.
 import numpy as np
 import pytest
 
-from contention.data import ScenarioConfig, apply_norm, fit_norm, generate, stack_windows
+from contention.data import ScenarioConfig, apply_norm, fit_norm, generate
 from contention.errors import ConfigError
 from contention.graph import build_graph, pearson_matrix
 from contention.model import ModelConfig
@@ -47,7 +47,7 @@ TINY_MODEL = ModelConfig(
 )
 TINY_TRAIN = TrainConfig(batch_size=16, max_epochs=2, patience=5, seed=0)
 def _generated(n, rng):
-    return stack_windows(generate(TINY_SCENARIO, n, rng))
+    return generate(TINY_SCENARIO, n, rng)
 
 
 TINY_SPEC = SweepSpec(

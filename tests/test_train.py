@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contention.data import UNLABELED, ScenarioConfig, generate, stack_windows
+from contention.data import UNLABELED, ScenarioConfig, generate
 from contention.errors import ConfigError, DataError, NumericError
 from contention.graph import build_graph, identity_graph, pearson_matrix
 from contention.model import ModelConfig, ModelParams, forward, init_params
@@ -238,8 +238,8 @@ class TestMetrics:
         assert m.macro_precision == pytest.approx(mp_, abs=1e-12)
         assert m.macro_recall == pytest.approx(mr, abs=1e-12)
         assert m.macro_f1 == pytest.approx(mf, abs=1e-12)
-        for value in m.as_row().values():
-            assert 0.0 <= value <= 1.0
+        for name in METRIC_FIELDS:
+            assert 0.0 <= getattr(m, name) <= 1.0
 
     def test_micro_consistency(self):
         """accuracy == micro recall == trace/N by construction."""
@@ -257,7 +257,7 @@ def _toy_problem(n=60, seed=0):
     cfg = ScenarioConfig(
         metric_count=4, window_len=8, separation=3.0, noise_std=0.1, leak_lag=2
     )
-    data = stack_windows(generate(cfg, n, RngStream(seed, (50,))))
+    data = generate(cfg, n, RngStream(seed, (50,)))
     cut = int(0.8 * n)
     train_w, val_w = data.subset(np.arange(cut)), data.subset(np.arange(cut, n))
     graph = build_graph(pearson_matrix(train_w), threshold=0.3)
@@ -317,8 +317,7 @@ class TestScore:
     def test_slices_equal_stacked_windows_bit_for_bit(self):
         """Slices of the dataset's array give the bits of chunks stacked window by
         window, also for a chunk that starts mid-array and for a partial last one."""
-        data = stack_windows(generate(ScenarioConfig(), 3 * SCORE_CHUNK + 17,
-                                      RngStream(0, (51,))))
+        data = generate(ScenarioConfig(), 3 * SCORE_CHUNK + 17, RngStream(0, (51,)))
         params = init_params(ModelConfig(), RngStream(2))
         graph = build_graph(pearson_matrix(data), threshold=0.3)
         got = score(params, graph, data).logits
