@@ -37,13 +37,7 @@ from contention.ingest import apply_weak_labels, ingest_csv
 from contention.linalg import softmax
 from contention.pipeline import prepare, run_prepared
 from contention.rng import RngStream
-from contention.sweeps import (
-    SweepSpec,
-    sweep_batch,
-    sweep_datasize,
-    sweep_dim,
-    write_sweep_csv,
-)
+from contention.sweeps import SWEEPS, write_sweep_csv
 from contention.train import METRIC_FIELDS, EvalMetrics, evaluate, score, write_history_csv
 
 EXIT_OK = 0
@@ -309,16 +303,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
     out_dir = resolve_out_dir(args.out, cfg)
-    spec = SweepSpec(
-        scenario=cfg.scenario,
-        n_windows=cfg.n_windows,
-        model_cfg=cfg.model,
-        train_cfg=cfg.train,
-        fractions=cfg.split_fractions,
-        corr_threshold=cfg.corr_threshold,
-    )
-    runner = {"batch": sweep_batch, "datasize": sweep_datasize, "dim": sweep_dim}[args.kind]
-    table = runner(spec, seeds=seeds)
+    table = SWEEPS[args.kind](cfg, seeds=seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"sweep_{table.kind}.csv"
     write_sweep_csv(table, path)
@@ -329,7 +314,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cells = "  ".join(
             f"{m}={row.mean(m):.4f}+/-{row.std(m):.4f}" for m in METRIC_FIELDS
         )
-        print(f"  {table.setting_name}={row.setting:g}: {cells}")
+        print(f"  {table.setting_name}={row.label}: {cells}")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -381,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, data=True, checkpoint=True, config=False)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("sweep", help="run a sensitivity sweep")
+    p = sub.add_parser("sweep", help="run a sensitivity sweep or the ablation arms")
     common(p)
-    p.add_argument("--kind", required=True, choices=("batch", "datasize", "dim"))
+    p.add_argument("--kind", required=True, choices=tuple(SWEEPS))
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seed list")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -13,7 +13,8 @@ generator nonetheless builds all windows at once in one (N, T, D) buffer:
 the AR(1) recursion runs over the whole stack one time step at a time, and
 each class's signals are computed once and added to that class's windows.
 Both orders of work give the same bits as building one window at a time.
-MAX_METRIC_COUNT and MAX_GENERATED_VALUES bound what a scenario may ask for.
+MAX_METRIC_COUNT, MAX_GENERATED_VALUES and MAX_SCENARIO_SCALE bound what a
+scenario may ask for.
 
 Every producer and consumer works on a Dataset: the values of N windows as
 one (N, T, D) array with one label per window (-1 when unlabeled). The
@@ -60,10 +61,13 @@ DOWNSTREAM = {"cpu": "disk", "disk": "net", "mem": "cpu", "net": "mem"}
 DATASET_FORMAT_VERSION = 3
 VALUES_DTYPE = np.dtype("<f8")
 # Bounds on what one synthetic scenario may ask for, checked before anything
-# is allocated: the metrics of one window, and the values of one generated
-# dataset (8 bytes each).
+# is allocated: the metrics of one window, the values of one generated
+# dataset (8 bytes each), and the signal amplitude and noise scale. With
+# |ar_coeff| < 1 and at most MAX_GENERATED_VALUES steps, a bounded scale
+# keeps every generated value far inside the double range.
 MAX_METRIC_COUNT = 1024
 MAX_GENERATED_VALUES = 10**8
+MAX_SCENARIO_SCALE = 1e6
 
 
 @dataclass(frozen=True)
@@ -183,8 +187,10 @@ class ScenarioConfig:
             )
         if self.window_len < 8:
             raise ConfigError(f"window_len must be >= 8, got {self.window_len}")
-        if self.separation < 0:
-            raise ConfigError(f"separation must be >= 0, got {self.separation}")
+        if not 0 <= self.separation <= MAX_SCENARIO_SCALE:
+            raise ConfigError(
+                f"separation must lie in [0, {MAX_SCENARIO_SCALE:g}], got {self.separation}"
+            )
         if not 0.0 <= self.leakage <= 1.0:
             raise ConfigError(f"leakage must lie in [0, 1], got {self.leakage}")
         if not 0 <= self.leak_lag < self.window_len:
@@ -193,8 +199,10 @@ class ScenarioConfig:
             )
         if not abs(self.ar_coeff) < 1.0:
             raise ConfigError(f"ar_coeff must lie in (-1, 1), got {self.ar_coeff}")
-        if self.noise_std <= 0:
-            raise ConfigError(f"noise_std must be positive, got {self.noise_std}")
+        if not 0 < self.noise_std <= MAX_SCENARIO_SCALE:
+            raise ConfigError(
+                f"noise_std must lie in (0, {MAX_SCENARIO_SCALE:g}], got {self.noise_std}"
+            )
         groups = self.groups
         if groups is None:
             groups = default_groups(self.metric_count)

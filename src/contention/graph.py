@@ -9,7 +9,7 @@ with implicit self-loops, so isolated metrics still see themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

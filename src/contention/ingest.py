@@ -147,11 +147,14 @@ def _segments(stamps: np.ndarray, values: np.ndarray, step: int, max_fill: int):
         offsets = (buckets[lo:hi] - first).astype(np.int64)
         n = int(offsets[-1]) + 1
         sums = np.zeros((n, values.shape[1]))
-        # adds in row order, so each bucket sums exactly as a sequential +=
-        np.add.at(sums, offsets, values[lo:hi])
-        counts = np.bincount(offsets, minlength=n)
-        observed = counts > 0
-        sums[observed] /= counts[observed, None]
+        # a bucket that sums past the double range turns inf or nan here, and
+        # the window check downstream reports it as a data error
+        with np.errstate(over="ignore", invalid="ignore"):
+            # adds in row order, so each bucket sums exactly as a sequential +=
+            np.add.at(sums, offsets, values[lo:hi])
+            counts = np.bincount(offsets, minlength=n)
+            observed = counts > 0
+            sums[observed] /= counts[observed, None]
         last = np.maximum.accumulate(np.where(observed, np.arange(n), 0))
         yield first, sums[last]
 

@@ -1,4 +1,4 @@
-"""Dense numeric kernels: softmax, stable losses, initialization, gradient checking.
+"""Dense numeric kernels: softmax, stable losses, initialization.
 
 Everything here operates on float64 numpy arrays. No public function emits
 NaN or Inf for finite inputs within its documented range; the softmax and
@@ -9,11 +9,10 @@ practical magnitude stay finite.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 import numpy as np
 
-from contention.errors import NumericError, ShapeError
+from contention.errors import ShapeError
 from contention.rng import RngStream
 
 
@@ -60,37 +59,3 @@ def glorot_init(rows: int, cols: int, rng: RngStream) -> np.ndarray:
         raise ShapeError(f"weight block needs positive dims, got {rows}x{cols}")
     a = math.sqrt(6.0 / (rows + cols))
     return rng.generator().uniform(-a, a, size=(rows, cols))
-
-
-def finite_diff_check(
-    loss_fn: Callable[[np.ndarray], float],
-    params: np.ndarray,
-    analytic_grad: np.ndarray,
-    h: float = 1e-5,
-) -> float:
-    """Max relative error between an analytic gradient and central differences.
-
-    For each parameter i the numeric slope (L(p_i+h) - L(p_i-h)) / 2h is
-    compared with analytic_grad[i]; the relative error uses the guard
-    denominator max(1e-8, |analytic| + |numeric|). loss_fn must be
-    deterministic and smooth at the evaluation point.
-    """
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-    theta = np.asarray(params, dtype=np.float64).ravel()
-    grad = np.asarray(analytic_grad, dtype=np.float64).ravel()
-    if theta.shape != grad.shape:
-        raise ShapeError(f"params shape {theta.shape} != gradient shape {grad.shape}")
-    worst = 0.0
-    for i in range(theta.size):
-        bumped = theta.copy()
-        bumped[i] = theta[i] + h
-        up = float(loss_fn(bumped))
-        bumped[i] = theta[i] - h
-        down = float(loss_fn(bumped))
-        if not (math.isfinite(up) and math.isfinite(down)):
-            raise NumericError(f"non-finite loss while perturbing parameter {i}")
-        numeric = (up - down) / (2.0 * h)
-        denom = max(1e-8, abs(grad[i]) + abs(numeric))
-        worst = max(worst, abs(grad[i] - numeric) / denom)
-    return worst

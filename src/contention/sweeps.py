@@ -1,6 +1,7 @@
-"""Sensitivity harnesses: batch size, training-set size, metric dimensionality.
+"""Sweeps over one run config: batch size, training-set size, metric count, ablation arm.
 
-Each sweep trains a fresh model per (setting, seed) cell and reports the
+Each sweep trains a fresh model per (setting, seed) cell, the seed driving
+both data and training so that one seed's cells are paired, and reports the
 mean and standard deviation of the four test metrics per setting. Trend
 shapes are recorded for inspection, never asserted: they are dataset
 properties, not contracts.
@@ -9,41 +10,39 @@ properties, not contracts.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from contention.config import RunConfig
 from contention.data import ScenarioConfig, generate, stratified_shuffle
 from contention.errors import ConfigError
-from contention.graph import DEFAULT_CORR_THRESHOLD
-from contention.model import ModelConfig
-from contention.pipeline import DEFAULT_SPLIT, RunResult, prepare, run_prepared, run_synthetic
+from contention.pipeline import RunResult, prepare, run_prepared, run_synthetic
 from contention.rng import RngStream
-from contention.train import METRIC_FIELDS, EvalMetrics, TrainConfig
+from contention.train import METRIC_FIELDS, EvalMetrics
 
 BATCH_SIZES = (16, 32, 64, 128)
 DATA_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 METRIC_DIMS = (8, 12, 16, 24)
 DEFAULT_SWEEP_SEEDS = (0, 1, 2)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Base experiment shared by every cell of a sweep."""
-
-    scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
-    n_windows: int = 1000
-    model_cfg: ModelConfig = field(default_factory=ModelConfig)
-    train_cfg: TrainConfig = field(default_factory=TrainConfig)
-    fractions: tuple[float, float, float] = DEFAULT_SPLIT
-    corr_threshold: float = DEFAULT_CORR_THRESHOLD
+# the two mechanisms the paper credits, each switched off on its own
+ABLATION_ARMS = {
+    "full": {"graph_propagation": True, "adaptive_weights": True},
+    "no-propagation": {"graph_propagation": False, "adaptive_weights": True},
+    "static-weights": {"graph_propagation": True, "adaptive_weights": False},
+}
 
 
 @dataclass
 class SweepRow:
-    setting: float
+    setting: float | str  # an arm name in the ablation sweep
     per_seed: list[EvalMetrics]
+
+    @property
+    def label(self) -> str:
+        return self.setting if isinstance(self.setting, str) else f"{self.setting:g}"
 
     def mean(self, metric: str) -> float:
         return float(np.mean([getattr(m, metric) for m in self.per_seed]))
@@ -60,31 +59,27 @@ class SweepTable:
     rows: list[SweepRow]
 
 
-def _cell(spec: SweepSpec, train_cfg: TrainConfig, seed: int) -> RunResult:
-    return run_synthetic(
-        spec.scenario,
-        spec.n_windows,
-        spec.model_cfg,
-        train_cfg,
-        data_seed=seed,
-        fractions=spec.fractions,
-        corr_threshold=spec.corr_threshold,
-    )
+def _grid(kind: str, setting_name: str, settings: Sequence, seeds: Sequence[int],
+          cell: Callable[..., RunResult]) -> SweepTable:
+    """One row per setting, one cell(setting, seed) run per seed in it."""
+    seeds = tuple(seeds)
+    rows = [SweepRow(setting if isinstance(setting, str) else float(setting),
+                     [cell(setting, seed).test_metrics for seed in seeds])
+            for setting in settings]
+    return SweepTable(kind=kind, setting_name=setting_name, seeds=seeds, rows=rows)
 
 
-def sweep_batch(
-    spec: SweepSpec,
-    sizes: tuple[int, ...] = BATCH_SIZES,
-    seeds: tuple[int, ...] = DEFAULT_SWEEP_SEEDS,
-) -> SweepTable:
-    rows = []
-    for size in sizes:
-        per_seed = [
-            _cell(spec, replace(spec.train_cfg, batch_size=size, seed=seed), seed).test_metrics
-            for seed in seeds
-        ]
-        rows.append(SweepRow(setting=float(size), per_seed=per_seed))
-    return SweepTable(kind="batch", setting_name="batch_size", seeds=tuple(seeds), rows=rows)
+def _run(cfg: RunConfig, seed: int, scenario: ScenarioConfig | None = None, **train) -> RunResult:
+    """run_synthetic at cfg seeded by seed, with train fields overridden."""
+    return run_synthetic(scenario or cfg.scenario, cfg.n_windows, cfg.model,
+                         replace(cfg.train, seed=seed, **train), data_seed=seed,
+                         fractions=cfg.split_fractions, corr_threshold=cfg.corr_threshold)
+
+
+def sweep_batch(cfg: RunConfig, sizes: Sequence[int] = BATCH_SIZES,
+                seeds: Sequence[int] = DEFAULT_SWEEP_SEEDS) -> SweepTable:
+    return _grid("batch", "batch_size", sizes, seeds,
+                 lambda size, seed: _run(cfg, seed, batch_size=size))
 
 
 def subsample_stratified(labels: np.ndarray, fraction: float, rng: RngStream) -> np.ndarray:
@@ -101,54 +96,41 @@ def subsample_stratified(labels: np.ndarray, fraction: float, rng: RngStream) ->
     return np.sort(np.concatenate(keep))
 
 
-def sweep_datasize(
-    spec: SweepSpec,
-    fractions: tuple[float, ...] = DATA_FRACTIONS,
-    seeds: tuple[int, ...] = DEFAULT_SWEEP_SEEDS,
-) -> SweepTable:
+def sweep_datasize(cfg: RunConfig, fractions: Sequence[float] = DATA_FRACTIONS,
+                   seeds: Sequence[int] = DEFAULT_SWEEP_SEEDS) -> SweepTable:
     """Vary only the training split size; validation and test stay fixed."""
-    prepared_by_seed = {}
+    prepared = {}
     for seed in seeds:
         rng = RngStream(seed)
-        data = generate(spec.scenario, spec.n_windows, rng.substream(0))
-        prepared_by_seed[seed] = prepare(
-            data, spec.fractions, spec.corr_threshold, rng.substream(1)
-        )
-    rows = []
-    for fraction in fractions:
-        per_seed = []
-        for seed in seeds:
-            prepared = prepared_by_seed[seed]
-            keep = subsample_stratified(
-                prepared.train.labels, fraction, RngStream(seed).substream(2)
-            )
-            trimmed = replace(prepared, train=prepared.train.subset(keep))
-            result = run_prepared(trimmed, spec.model_cfg, replace(spec.train_cfg, seed=seed))
-            per_seed.append(result.test_metrics)
-        rows.append(SweepRow(setting=float(fraction), per_seed=per_seed))
-    return SweepTable(
-        kind="datasize", setting_name="train_fraction", seeds=tuple(seeds), rows=rows
-    )
+        data = generate(cfg.scenario, cfg.n_windows, rng.substream(0))
+        prepared[seed] = prepare(data, cfg.split_fractions, cfg.corr_threshold, rng.substream(1))
+
+    def cell(fraction: float, seed: int) -> RunResult:
+        full = prepared[seed]
+        keep = subsample_stratified(full.train.labels, fraction, RngStream(seed).substream(2))
+        trimmed = replace(full, train=full.train.subset(keep))
+        return run_prepared(trimmed, cfg.model, replace(cfg.train, seed=seed))
+
+    return _grid("datasize", "train_fraction", fractions, seeds, cell)
 
 
-def sweep_dim(
-    spec: SweepSpec,
-    dims: tuple[int, ...] = METRIC_DIMS,
-    seeds: tuple[int, ...] = DEFAULT_SWEEP_SEEDS,
-) -> SweepTable:
+def sweep_dim(cfg: RunConfig, dims: Sequence[int] = METRIC_DIMS,
+              seeds: Sequence[int] = DEFAULT_SWEEP_SEEDS) -> SweepTable:
     """Regenerate data per metric count; the model config never changes,
     exercising the D-independence of the parameterization."""
-    rows = []
-    for dim in dims:
-        scenario = replace(spec.scenario, metric_count=dim, groups=None)
-        per_seed = []
-        for seed in seeds:
-            sub_spec = replace(spec, scenario=scenario)
-            per_seed.append(
-                _cell(sub_spec, replace(spec.train_cfg, seed=seed), seed).test_metrics
-            )
-        rows.append(SweepRow(setting=float(dim), per_seed=per_seed))
-    return SweepTable(kind="dim", setting_name="metric_count", seeds=tuple(seeds), rows=rows)
+    return _grid("dim", "metric_count", dims, seeds, lambda dim, seed: _run(
+        cfg, seed, scenario=replace(cfg.scenario, metric_count=dim, groups=None)))
+
+
+def sweep_ablation(cfg: RunConfig, arms: Sequence[str] = tuple(ABLATION_ARMS),
+                   seeds: Sequence[int] = DEFAULT_SWEEP_SEEDS) -> SweepTable:
+    """Train each named arm of ABLATION_ARMS on every seed's data split and initialization."""
+    return _grid("ablation", "arm", arms, seeds,
+                 lambda arm, seed: _run(cfg, seed, **ABLATION_ARMS[arm]))
+
+
+SWEEPS = {"batch": sweep_batch, "datasize": sweep_datasize, "dim": sweep_dim,
+          "ablation": sweep_ablation}
 
 
 def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
@@ -159,7 +141,7 @@ def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in table.rows:
-            out = [repr(row.setting), len(row.per_seed)]
+            out = [str(row.setting), len(row.per_seed)]  # str of a float is its repr
             for metric in METRIC_FIELDS:
                 out += [repr(row.mean(metric)), repr(row.std(metric))]
             writer.writerow(out)

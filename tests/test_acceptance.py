@@ -15,13 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_dataset, random_graph
+from conftest import finite_diff_check, random_dataset, random_graph
 from contention.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from contention.cli import main as cli_main
+from contention.config import RunConfig
 from contention.data import Dataset, ScenarioConfig, baseline_accuracy, generate
 from contention.graph import build_graph, normalize_adjacency, pearson_matrix
 from contention.ingest import IngestConfig, TraceSchema, ingest_csv
-from contention.linalg import finite_diff_check, softmax
+from contention.linalg import softmax
 from contention.losses import (
     TaskWeightState,
     combine,
@@ -38,7 +39,7 @@ from contention.model import (
 )
 from contention.pipeline import prepare_parts, run_prepared, run_synthetic
 from contention.rng import RngStream
-from contention.sweeps import SweepSpec, sweep_batch, sweep_datasize, sweep_dim
+from contention.sweeps import sweep_ablation, sweep_batch, sweep_datasize, sweep_dim
 from contention.train import TrainConfig, confusion_matrix, metrics_from_confusion
 
 
@@ -216,17 +217,15 @@ def test_criterion_04_synthetic_recovery():
 
 def test_criterion_05_propagation_ablation():
     start = time.perf_counter()
-    scenario = ScenarioConfig(separation=0.5, leakage=0.5)
-    gaps = []
-    per_seed = []
-    for seed in range(5):
-        scores = {}
-        for flag in (True, False):
-            cfg = TrainConfig(max_epochs=30, seed=seed, graph_propagation=flag)
-            result = run_synthetic(scenario, 1500, ModelConfig(), cfg, data_seed=seed)
-            scores[flag] = result.test_metrics.macro_f1
-        gaps.append(scores[True] - scores[False])
-        per_seed.append(f"{scores[True]:.3f}/{scores[False]:.3f}")
+    cfg = RunConfig(
+        scenario=ScenarioConfig(separation=0.5, leakage=0.5),
+        n_windows=1500,
+        train=TrainConfig(max_epochs=30),
+    )
+    table = sweep_ablation(cfg, arms=("full", "no-propagation"), seeds=range(5))
+    full, flat = ([m.macro_f1 for m in row.per_seed] for row in table.rows)
+    gaps = [a - b for a, b in zip(full, flat)]
+    per_seed = [f"{a:.3f}/{b:.3f}" for a, b in zip(full, flat)]
     mean_gap = float(np.mean(gaps))
     elapsed = time.perf_counter() - start
     ok = mean_gap >= 0.02
@@ -420,12 +419,12 @@ def test_criterion_08_determinism(tmp_path):
 
 def test_criterion_09_sensitivity_harnesses():
     start = time.perf_counter()
-    spec = SweepSpec(n_windows=600, train_cfg=TrainConfig(max_epochs=12))
+    cfg = RunConfig(n_windows=600, train=TrainConfig(max_epochs=12))
     seeds = (0, 1, 2)
     tables = {
-        "batch_size": sweep_batch(spec, seeds=seeds),
-        "train_fraction": sweep_datasize(spec, seeds=seeds),
-        "metric_count": sweep_dim(spec, seeds=seeds),
+        "batch_size": sweep_batch(cfg, seeds=seeds),
+        "train_fraction": sweep_datasize(cfg, seeds=seeds),
+        "metric_count": sweep_dim(cfg, seeds=seeds),
     }
     elapsed = time.perf_counter() - start
 

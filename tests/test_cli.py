@@ -13,6 +13,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -158,8 +159,10 @@ def test_gen_is_deterministic_and_seed_sensitive(tmp_path):
 @pytest.mark.parametrize(
     "config, n, message",
     [({"scenario": {"metric_count": 10**12}}, "12", "metric_count must lie in [4, 1024]"),
-     ({}, str(10**12), "limit of 100000000 generated values")],
-    ids=["metric_count", "window_count"],
+     ({}, str(10**12), "limit of 100000000 generated values"),
+     ({"scenario": {"noise_std": 1e308}}, "12", "noise_std must lie in (0, 1e+06], got 1e+308"),
+     ({"scenario": {"separation": 1e308}}, "12", "separation must lie in [0, 1e+06], got 1e+308")],
+    ids=["metric_count", "window_count", "noise_std", "separation"],
 )
 def test_gen_beyond_its_bounds_exits_before_allocating(tmp_path, capsys, config, n, message):
     cfg = tmp_path / "cfg.json"
@@ -173,7 +176,9 @@ def test_gen_beyond_its_bounds_exits_before_allocating(tmp_path, capsys, config,
         tracemalloc.stop()
     assert rc == EXIT_CONFIG
     assert peak < 1 << 20
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
     assert not out.exists()
 
 
@@ -355,6 +360,20 @@ def test_model_over_the_parameter_bound_exits_before_allocating(workspace, tmp_p
     assert peak < 1 << 20
     err = capsys.readouterr().err
     assert err.count("more than the limit of 1000000") == 2
+
+
+def test_ingest_overflowing_bucket_is_one_error_line(tmp_path, capsys):
+    """Two samples of 1e308 in one bucket sum past the double range."""
+    cfg = ingest_config(tmp_path / "cfg.json")
+    trace = _write_trace(tmp_path / "trace.csv", cpu=0.95)
+    trace.write_text(trace.read_text().replace("m1,0,0.95,0.2", "m1,0,1e308,0.2\nm1,0,1e308,0.2"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["ingest", "--config", str(cfg), "--trace", str(trace),
+                   "--out", str(tmp_path / "out")])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == "error: window 'm1@0' contains non-finite values\n"
+    assert [str(w.message) for w in caught] == []
 
 
 def test_ingest_oversized_field_is_a_data_error(tmp_path, capsys):
@@ -652,6 +671,29 @@ def test_sweep_batch_writes_table_and_manifest(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "sweep over seeds [0]" in captured
     assert f"wrote {table_path}" in captured
+
+
+def test_sweep_ablation_writes_one_row_per_arm(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", n_windows=48)
+    out = tmp_path / "ablation"
+    rc = main(["sweep", "--config", str(cfg), "--kind", "ablation",
+               "--seeds", "0,1", "--out", str(out)])
+    assert rc == EXIT_OK
+    table_path = out / "sweep_ablation.csv"
+    lines = table_path.read_text().splitlines()
+    assert lines[0] == "arm,n_seeds," + ",".join(
+        f"{stat}_{m}" for m in METRIC_FIELDS for stat in ("mean", "std")
+    )
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["full", "2"], ["no-propagation", "2"], ["static-weights", "2"]
+    ]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["command"] == "sweep:ablation"
+    assert manifest["seed"] == [0, 1]
+    assert manifest["outputs"] == ["sweep_ablation.csv"]
+    captured = capsys.readouterr().out
+    assert "arm sweep over seeds [0, 1]" in captured
+    assert "  arm=no-propagation: accuracy=" in captured
 
 
 def test_sweep_rejects_malformed_seed_list(tmp_path, capsys):

@@ -23,6 +23,7 @@ from contention.data import (
     GROUP_NAMES,
     MAX_GENERATED_VALUES,
     MAX_METRIC_COUNT,
+    MAX_SCENARIO_SCALE,
     UNLABELED,
     ContentionClass,
     Dataset,
@@ -171,11 +172,22 @@ class TestScenarioConfig:
             {"ar_coeff": 1.0},
             {"noise_std": 0.0},
             {"metric_count": MAX_METRIC_COUNT + 4},
+            {"separation": 1e308},
+            {"noise_std": 1e308},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
+
+    def test_largest_scale_generates_finite_values_without_warnings(self):
+        cfg = ScenarioConfig(
+            separation=MAX_SCENARIO_SCALE, noise_std=MAX_SCENARIO_SCALE, ar_coeff=0.999
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = generate(cfg, 20, RngStream(0))
+        assert np.isfinite(data.values).all()
 
     def test_oversized_metric_count_allocates_nothing(self):
         tracemalloc.start()
@@ -366,8 +378,11 @@ class TestGenerate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow
     def test_overflowing_noise_names_the_window(self):
+        """generate's finite check backs up the scale bound, set past it here."""
+        cfg = ScenarioConfig()
+        object.__setattr__(cfg, "noise_std", 1e308)
         with pytest.raises(DataError, match=r"window 'synthetic:2:0' contains non-finite values"):
-            generate(ScenarioConfig(noise_std=1e308), 3, RngStream(2, (0,)))
+            generate(cfg, 3, RngStream(2, (0,)))
 
     @pytest.mark.parametrize("n", [MAX_GENERATED_VALUES // (32 * 12) + 1, 10**12])
     def test_oversized_dataset_allocates_nothing(self, n):

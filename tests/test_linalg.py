@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import finite_diff_check
 from contention.errors import NumericError, ShapeError
-from contention.linalg import (
-    bce_from_logit,
-    finite_diff_check,
-    glorot_init,
-    sigmoid,
-    softmax,
-)
+from contention.linalg import bce_from_logit, glorot_init, sigmoid, softmax
 from contention.rng import RngStream
 
 LN2 = 0.6931471805599453

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import contention.train as train_module
 from contention.errors import ConfigError, ShapeError
 from contention.graph import MetricGraph, identity_graph, normalize_adjacency
-from contention.linalg import finite_diff_check
 from contention.model import (
     MAX_PARAMETERS,
     ForwardCache,
@@ -33,7 +32,7 @@ from contention.model import (
 )
 from contention.rng import RngStream
 
-from conftest import random_dataset, random_graph
+from conftest import finite_diff_check, random_dataset, random_graph
 
 
 def _window(t, d, seed):

@@ -6,9 +6,12 @@ with whose statistics, which rows reproduce the unswept run, table shape),
 not score quality.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from contention.config import RunConfig
 from contention.data import ScenarioConfig, apply_norm, fit_norm, generate
 from contention.errors import ConfigError
 from contention.graph import build_graph, pearson_matrix
@@ -17,18 +20,18 @@ from contention.pipeline import (
     DEFAULT_SPLIT,
     prepare,
     prepare_parts,
-    run_prepared,
     run_synthetic,
 )
 from contention.rng import RngStream
 from contention.sweeps import (
+    ABLATION_ARMS,
     BATCH_SIZES,
     DATA_FRACTIONS,
     DEFAULT_SWEEP_SEEDS,
     METRIC_DIMS,
     SweepRow,
-    SweepSpec,
     subsample_stratified,
+    sweep_ablation,
     sweep_batch,
     sweep_datasize,
     sweep_dim,
@@ -50,11 +53,11 @@ def _generated(n, rng):
     return generate(TINY_SCENARIO, n, rng)
 
 
-TINY_SPEC = SweepSpec(
+TINY_CFG = RunConfig(
     scenario=TINY_SCENARIO,
     n_windows=120,
-    model_cfg=TINY_MODEL,
-    train_cfg=TINY_TRAIN,
+    model=TINY_MODEL,
+    train=TINY_TRAIN,
 )
 
 
@@ -176,29 +179,51 @@ class TestSweeps:
                     assert 0.0 <= getattr(metrics, field) <= 1.0
 
     def test_sweep_batch(self):
-        table = sweep_batch(TINY_SPEC, sizes=(16, 32), seeds=(0, 1))
+        table = sweep_batch(TINY_CFG, sizes=(16, 32), seeds=(0, 1))
         self._check_table(table, "batch", "batch_size", (16, 32), (0, 1))
 
     def test_sweep_datasize_and_full_fraction_reproduces_unswept(self):
-        table = sweep_datasize(TINY_SPEC, fractions=(0.5, 1.0), seeds=(0, 1))
+        table = sweep_datasize(TINY_CFG, fractions=(0.5, 1.0), seeds=(0, 1))
         self._check_table(table, "datasize", "train_fraction", (0.5, 1.0), (0, 1))
         full_row = table.rows[1]
         for i, seed in enumerate((0, 1)):
-            from dataclasses import replace
-
             unswept = run_synthetic(
-                TINY_SPEC.scenario,
-                TINY_SPEC.n_windows,
-                TINY_SPEC.model_cfg,
-                replace(TINY_SPEC.train_cfg, seed=seed),
+                TINY_CFG.scenario,
+                TINY_CFG.n_windows,
+                TINY_CFG.model,
+                replace(TINY_CFG.train, seed=seed),
                 data_seed=seed,
             )
             assert full_row.per_seed[i].accuracy == unswept.test_metrics.accuracy
             assert full_row.per_seed[i].macro_f1 == unswept.test_metrics.macro_f1
 
     def test_sweep_dim_reuses_one_model_config(self):
-        table = sweep_dim(TINY_SPEC, dims=(4, 8), seeds=(0,))
+        table = sweep_dim(TINY_CFG, dims=(4, 8), seeds=(0,))
         self._check_table(table, "dim", "metric_count", (4, 8), (0,))
+
+    def test_sweep_ablation_arms_reproduce_flagged_runs(self):
+        arms = ("static-weights", "full", "no-propagation")
+        table = sweep_ablation(TINY_CFG, arms=arms, seeds=(0, 1))
+        assert table.kind == "ablation"
+        assert table.setting_name == "arm"
+        assert table.seeds == (0, 1)
+        assert [row.setting for row in table.rows] == list(arms)
+        for row in table.rows:
+            for i, seed in enumerate((0, 1)):
+                flagged = replace(TINY_TRAIN, seed=seed, **ABLATION_ARMS[row.setting])
+                unswept = run_synthetic(
+                    TINY_SCENARIO, TINY_CFG.n_windows, TINY_MODEL, flagged, data_seed=seed
+                )
+                for field in METRIC_FIELDS:
+                    assert getattr(row.per_seed[i], field) == getattr(unswept.test_metrics, field)
+                assert np.array_equal(row.per_seed[i].confusion, unswept.test_metrics.confusion)
+
+    def test_ablation_arms_switch_one_mechanism_each(self):
+        assert ABLATION_ARMS == {
+            "full": {"graph_propagation": True, "adaptive_weights": True},
+            "no-propagation": {"graph_propagation": False, "adaptive_weights": True},
+            "static-weights": {"graph_propagation": True, "adaptive_weights": False},
+        }
 
     def test_row_statistics(self):
         def fake(acc):
@@ -220,7 +245,7 @@ class TestSweeps:
 
 class TestSweepCsv:
     def test_header_and_shape(self, tmp_path):
-        table = sweep_batch(TINY_SPEC, sizes=(16,), seeds=(0,))
+        table = sweep_batch(TINY_CFG, sizes=(16,), seeds=(0,))
         path = tmp_path / "sweep.csv"
         write_sweep_csv(table, path)
         lines = path.read_text().splitlines()
@@ -238,7 +263,7 @@ class TestSweepCsv:
             assert 0.0 <= value <= 1.0
 
     def test_deterministic_bytes(self, tmp_path):
-        table = sweep_datasize(TINY_SPEC, fractions=(1.0,), seeds=(0,))
+        table = sweep_datasize(TINY_CFG, fractions=(1.0,), seeds=(0,))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_sweep_csv(table, a)
         write_sweep_csv(table, b)
