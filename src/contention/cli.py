@@ -302,6 +302,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seeds must be comma-separated integers: {exc}") from exc
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ConfigError(f"--seeds names seed {repeated[0]} more than once")
     out_dir = resolve_out_dir(args.out, cfg)
     table = SWEEPS[args.kind](cfg, seeds=seeds)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -191,6 +191,16 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, argv):
     assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
+def test_repeated_sweep_seed_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    rc = main(["sweep", "--kind", "batch", "--seeds", "0,3,0", "--config", str(cfg),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: --seeds names seed 0 more than once\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_gen_rejects_nonpositive_count(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o"),

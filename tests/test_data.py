@@ -45,7 +45,7 @@ from contention.data import (
 )
 from contention.errors import ConfigError, DataError, SchemaError, ShapeError
 from contention.graph import pearson_from_series
-from contention.rng import RngStream
+from contention.rng import KEY_BLOCK, RngStream
 from contention.sweeps import subsample_stratified
 
 from conftest import random_dataset, random_windows
@@ -333,9 +333,13 @@ def _scenarios(draw):
 
 class TestGenerateMatchesReference:
     @settings(max_examples=80, deadline=None)
-    @given(cfg=_scenarios(), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
-    def test_values_labels_and_sources_equal(self, cfg, n, seed):
-        rng = RngStream(seed, (0,))
+    @given(cfg=_scenarios(), n=st.integers(1, 30),
+           # one, two and three 32-bit entropy words per seed
+           seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                          st.integers(2**64, 2**96 - 1)),
+           path=st.lists(st.integers(0, 2**40), max_size=3))
+    def test_values_labels_and_sources_equal(self, cfg, n, seed, path):
+        rng = RngStream(seed, tuple(path))
         got = generate(cfg, n, rng)
         want = _reference_generate(cfg, n, rng)
         assert len(got) == n
@@ -352,6 +356,14 @@ class TestGenerateMatchesReference:
         assert got.values.tobytes() == np.stack([v for v, _, _ in want]).tobytes()
         assert got.labels.tolist() == [label for _, label, _ in want]
         assert got.source == "synthetic:0"
+
+    def test_window_count_past_one_key_block(self):
+        cfg = ScenarioConfig(metric_count=4, window_len=8)
+        rng = RngStream(2**40 + 3, (0,))
+        got = generate(cfg, KEY_BLOCK + 1, rng)
+        want = _reference_generate(cfg, KEY_BLOCK + 1, rng)
+        assert got.values.tobytes() == np.stack([v for v, _, _ in want]).tobytes()
+        assert got.labels.tolist() == [label for _, label, _ in want]
 
 
 class TestGenerate:

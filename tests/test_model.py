@@ -19,7 +19,6 @@ from contention.errors import ConfigError, ShapeError
 from contention.graph import MetricGraph, identity_graph, normalize_adjacency
 from contention.model import (
     MAX_PARAMETERS,
-    ForwardCache,
     ModelConfig,
     ModelParams,
     backward,

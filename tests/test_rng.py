@@ -1,9 +1,11 @@
 """Determinism and independence guarantees of the splittable RNG streams."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contention.errors import ConfigError
 from contention.rng import ALGORITHM, RngStream
 
 
@@ -93,3 +95,44 @@ def test_replay_property(seed, path):
     assert np.array_equal(
         s.generator().standard_normal(8), s.generator().standard_normal(8)
     )
+
+
+@pytest.mark.parametrize("seed,path", [(-1, ()), (0, (-1,)), (0, (1, -3)), (0, (1.5,)),
+                                       (0, ("2",)), (0.0, ()), (True, ())])
+def test_negative_or_non_integer_entries_are_config_errors(seed, path):
+    with pytest.raises(ConfigError, match="must be a non-negative integer"):
+        RngStream(seed, path)
+
+
+def _draws(gen):
+    """Integer, normal and uniform draws; the odd count of int32 draws leaves
+    a buffered 32-bit half-word that the next stream must not inherit."""
+    return (
+        gen.integers(0, 1000, size=3, dtype=np.int32).tolist(),
+        gen.integers(0, 1 << 62, size=2).tolist(),
+        gen.standard_normal(5).tolist(),
+        gen.random(3).tolist(),
+    )
+
+
+@pytest.mark.parametrize("seed,path", [(0, ()), (0, (0,)), (7, (1, 2, 3)), (2**40 + 3, (0,)),
+                                       (2**64, (2**32,)), (2**96 + 5, (2**33 + 1, 0))])
+def test_substream_generators_draw_like_substream_generator(seed, path):
+    stream = RngStream(seed, path)
+    got = [_draws(gen) for gen in stream.substream_generators(40)]
+    want = [_draws(stream.substream(i).generator()) for i in range(40)]
+    assert got == want
+
+
+def test_substream_generators_of_zero_streams():
+    assert list(RngStream(0).substream_generators(0)) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**128), st.lists(st.integers(0, 2**70), max_size=4),
+       st.integers(1, 6))
+def test_substream_generator_keys_equal_seed_sequence(seed, path, n):
+    stream = RngStream(seed, tuple(path))
+    for i, gen in enumerate(stream.substream_generators(n)):
+        want = np.random.SeedSequence((seed, *path, i)).generate_state(2, np.uint64)
+        assert gen.bit_generator.state["state"]["key"].tolist() == want.tolist()
