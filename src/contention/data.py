@@ -7,14 +7,13 @@ contended group's pattern into one fixed downstream group. The leak chain
 (cpu -> disk -> net, mem -> cpu, net -> mem) is what gives the correlation
 graph real class-relevant structure to discover.
 
-Each window draws its label and its noise from its own RNG substream, so a
-dataset does not depend on the order in which windows are made. The
-substreams' Philox keys are derived in blocks of windows at a time and equal
-the keys `RngStream.generator()` derives through numpy's SeedSequence, the
-reference. The generator builds all windows at once in one (N, T, D) buffer:
-the AR(1) recursion runs over the whole stack one time step at a time, and
-each class's signals are computed once and added to that class's windows.
-Both orders of work give the same bits as building one window at a time.
+Each window draws its label and its noise from its own Philox counter block
+under the dataset's one key, so a dataset does not depend on the order in
+which windows are made. The generator builds all windows at once in one
+(N, T, D) buffer: the AR(1) recursion runs over the whole stack one time
+step at a time, and each class's signals are computed once and added to
+that class's windows. Both orders of work give the same bits as building
+one window at a time.
 MAX_METRIC_COUNT, MAX_GENERATED_VALUES and MAX_SCENARIO_SCALE bound what a
 scenario may ask for.
 
@@ -306,16 +305,15 @@ def class_signals(cfg: ScenarioConfig, label: int) -> dict[str, np.ndarray]:
 def generate(cfg: ScenarioConfig, n: int, rng: RngStream) -> Dataset:
     """n labeled synthetic windows, class drawn uniformly per window.
 
-    Window i draws its label and then its (T, D) noise from its own RNG
-    substream `rng.substream(i)`, so the dataset is identical no matter what
-    order (or concurrency) produced it. The substreams come from
-    `rng.substream_generators(n)`, which derives their keys in blocks and
-    draws exactly what `rng.substream(i).generator()` would. The windows
-    are built together in one (N, T, D) buffer: the noise is written
-    straight into it, the AR(1) recursion runs in place over the whole stack
-    one step at a time, and each class's signals are built once and added to
-    that class's rows. That buffer is returned as a Dataset with source
-    "synthetic:{rng.seed}".
+    Window i draws its label and then its (T, D) noise from counter block i
+    of `rng`, which `rng.block_generators(n)` yields: the generator of
+    `rng.generator().bit_generator.jumped(i)`. Window i thus depends only on
+    (seed, path, i), so the dataset is identical no matter what order (or
+    concurrency) produced it. The windows are built together in one
+    (N, T, D) buffer: the noise is written straight into it, the AR(1)
+    recursion runs in place over the whole stack one step at a time, and
+    each class's signals are built once and added to that class's rows.
+    That buffer is returned as a Dataset with source "synthetic:{rng.seed}".
     """
     if n < 1:
         raise ConfigError(f"window count must be >= 1, got {n}")
@@ -327,7 +325,7 @@ def generate(cfg: ScenarioConfig, n: int, rng: RngStream) -> Dataset:
         )
     x = np.empty((n, t_len, d))
     labels = np.empty(n, dtype=np.int64)
-    for i, gen in enumerate(rng.substream_generators(n)):
+    for i, gen in enumerate(rng.block_generators(n)):
         labels[i] = gen.integers(NUM_CLASSES)
         x[i] = gen.normal(0.0, cfg.noise_std, size=(t_len, d))
     for t in range(1, t_len):

@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from conftest import finite_diff_check, random_dataset, random_graph
 from contention.checkpoint import Checkpoint, load_checkpoint, save_checkpoint

@@ -98,10 +98,15 @@ def test_replay_property(seed, path):
 
 
 @pytest.mark.parametrize("seed,path", [(-1, ()), (0, (-1,)), (0, (1, -3)), (0, (1.5,)),
-                                       (0, ("2",)), (0.0, ()), (True, ())])
+                                       (0, ("2",)), (0.0, ()), (True, ()), (0, (1.7,)),
+                                       (0, (True,)), (0, ("3",))])
 def test_negative_or_non_integer_entries_are_config_errors(seed, path):
     with pytest.raises(ConfigError, match="must be a non-negative integer"):
         RngStream(seed, path)
+    if path:
+        # substream refuses the bad last entry before any coercion
+        with pytest.raises(ConfigError, match="must be a non-negative integer"):
+            RngStream(seed, path[:-1]).substream(path[-1])
 
 
 def _draws(gen):
@@ -117,22 +122,13 @@ def _draws(gen):
 
 @pytest.mark.parametrize("seed,path", [(0, ()), (0, (0,)), (7, (1, 2, 3)), (2**40 + 3, (0,)),
                                        (2**64, (2**32,)), (2**96 + 5, (2**33 + 1, 0))])
-def test_substream_generators_draw_like_substream_generator(seed, path):
+def test_block_generators_draw_like_jumped(seed, path):
     stream = RngStream(seed, path)
-    got = [_draws(gen) for gen in stream.substream_generators(40)]
-    want = [_draws(stream.substream(i).generator()) for i in range(40)]
+    got = [_draws(gen) for gen in stream.block_generators(40)]
+    want = [_draws(np.random.Generator(stream.generator().bit_generator.jumped(i)))
+            for i in range(40)]
     assert got == want
 
 
-def test_substream_generators_of_zero_streams():
-    assert list(RngStream(0).substream_generators(0)) == []
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**128), st.lists(st.integers(0, 2**70), max_size=4),
-       st.integers(1, 6))
-def test_substream_generator_keys_equal_seed_sequence(seed, path, n):
-    stream = RngStream(seed, tuple(path))
-    for i, gen in enumerate(stream.substream_generators(n)):
-        want = np.random.SeedSequence((seed, *path, i)).generate_state(2, np.uint64)
-        assert gen.bit_generator.state["state"]["key"].tolist() == want.tolist()
+def test_block_generators_of_zero_blocks():
+    assert list(RngStream(0).block_generators(0)) == []
