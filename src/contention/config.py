@@ -20,7 +20,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from contention.data import ScenarioConfig
+from contention.data import NUM_CLASSES, ScenarioConfig
 from contention.errors import ConfigError
 from contention.graph import DEFAULT_CORR_THRESHOLD
 from contention.ingest import IngestConfig, TraceSchema
@@ -55,6 +55,10 @@ class RunConfig:
                 f"split_fractions needs 3 entries, got {len(self.split_fractions)}"
             )
         object.__setattr__(self, "split_fractions", tuple(self.split_fractions))
+        if self.model.num_classes != NUM_CLASSES:
+            raise ConfigError(
+                f"model.num_classes must be {NUM_CLASSES}, got {self.model.num_classes}"
+            )
         if self.model.window_len != self.scenario.window_len:
             raise ConfigError(
                 f"model.window_len {self.model.window_len} != "

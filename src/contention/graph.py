@@ -22,22 +22,6 @@ _VAR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix:
-    """Pearson coefficients between metric dimensions.
-
-    Symmetric with unit diagonal, except that constant (zero-variance)
-    metrics get an all-zero row and column, diagonal included, rather than
-    NaN: constant metrics do occur in real traces and must stay inert.
-    """
-
-    values: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class MetricGraph:
     """Thresholded metric graph plus its normalized propagation operator."""
 
@@ -62,7 +46,7 @@ class GraphStats:
     degree_histogram: tuple[int, ...]  # index = degree, value = vertex count
 
 
-def pearson_matrix(data) -> CorrelationMatrix:
+def pearson_matrix(data) -> np.ndarray:
     """Correlation between metrics over all rows of all windows of a Dataset.
 
     Two-pass computation: per-metric means first, then centered products.
@@ -72,8 +56,13 @@ def pearson_matrix(data) -> CorrelationMatrix:
     return pearson_from_series(data.values.reshape(-1, data.metric_count))
 
 
-def pearson_from_series(series: np.ndarray) -> CorrelationMatrix:
-    """Pearson matrix of an (N, D) sample-by-metric array."""
+def pearson_from_series(series: np.ndarray) -> np.ndarray:
+    """(D, D) Pearson matrix of an (N, D) sample-by-metric array.
+
+    Symmetric with unit diagonal, except that constant (zero-variance)
+    metrics get an all-zero row and column, diagonal included, rather than
+    NaN: constant metrics do occur in real traces and must stay inert.
+    """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ShapeError(f"need an (N>=2, D) series, got shape {x.shape}")
@@ -89,8 +78,7 @@ def pearson_from_series(series: np.ndarray) -> CorrelationMatrix:
     corr[~live, :] = 0.0
     corr[:, ~live] = 0.0
     corr[np.diag_indices(d)] = np.where(live, 1.0, 0.0)
-    corr = np.clip(corr, -1.0, 1.0)
-    return CorrelationMatrix(values=corr)
+    return np.clip(corr, -1.0, 1.0)
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
@@ -106,12 +94,11 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return (a + np.eye(a.shape[0])) * np.outer(inv, inv)
 
 
-def build_graph(corr: CorrelationMatrix, threshold: float = DEFAULT_CORR_THRESHOLD) -> MetricGraph:
-    """Edge (i, j) iff |corr_ij| >= threshold for i != j."""
+def build_graph(corr: np.ndarray, threshold: float = DEFAULT_CORR_THRESHOLD) -> MetricGraph:
+    """Edge (i, j) iff |corr_ij| >= threshold for i != j, from a (D, D) correlation matrix."""
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"correlation threshold must lie in [0, 1], got {threshold}")
-    c = corr.values
-    adjacency = (np.abs(c) >= threshold).astype(np.float64)
+    adjacency = (np.abs(corr) >= threshold).astype(np.float64)
     np.fill_diagonal(adjacency, 0.0)
     return MetricGraph(
         adjacency=adjacency,

@@ -12,6 +12,14 @@ also yields many independent streams through disjoint counter blocks
 `RngStream.block_generators(n)` gives blocks 0..n-1 of this stream's key:
 block i draws exactly what the generator of numpy's `Philox.jumped(i)` of
 this stream draws. That is how a dataset gives each window its own stream.
+
+Stream map: one run seed s, one path per use, so no two uses share draws.
+  (s, 0)         synthetic dataset; window i takes counter block i
+  (s, 1)         train/val/test split
+  (s, 2)         training-set subsample of the data-size sweep
+  (s, 3, 0, j)   initial weight matrix j
+  (s, 3, 1 + e)  batch order of epoch e
+  (s, 7)         held-out windows of the benchmark harness
 """
 
 from __future__ import annotations

@@ -3,6 +3,10 @@
 The loop is deliberately plain: per epoch, a seeded shuffle fixes the batch
 membership, each batch runs as one stacked forward/backward pass whose
 gradient is summed over its windows, and one Adam step applies per batch.
+The objective is `weights @ task_losses`, all ones until two epochs have
+completed and then, with adaptive weighting on, `update_weights` of the last
+two epochs' mean task losses. Initialization and shuffles draw from the
+seed's training streams (see the stream map in rng.py).
 Evaluation scores windows in stacks of SCORE_CHUNK.
 Given the same config and seed the whole trajectory is bit-reproducible,
 which the acceptance suite checks at the file level.
@@ -23,13 +27,7 @@ import numpy as np
 from contention.data import CLASS_NAMES, Dataset
 from contention.errors import ConfigError, DataError, NumericError
 from contention.graph import MetricGraph, identity_graph
-from contention.losses import (
-    TaskWeightState,
-    combine,
-    combine_grads,
-    task_losses,
-    update_weights,
-)
+from contention.losses import task_losses, update_weights
 from contention.model import (
     ModelConfig,
     ModelParams,
@@ -264,12 +262,13 @@ def train(
         raise ConfigError(
             f"graph covers {g.dim} metrics, windows carry {train_data.metric_count}"
         )
-    rng = RngStream(cfg.seed)
+    rng = RngStream(cfg.seed, (3,))  # training's own prefix in rng.py's stream map
     params = init_params(model_cfg, rng.substream(0))
     blocks = ModelParams.block_slices(model_cfg)
     grads = ModelParams.zeros(model_cfg)  # every batch's backward overwrites it
     adam = AdamState.zeros(params.flat.size)
-    state = TaskWeightState.initial(model_cfg.num_classes, cfg.dwa_temperature)
+    weights = np.ones(model_cfg.num_classes)  # rebound each epoch, never written in place
+    previous = None  # the last epoch's mean task losses
     history = TrainHistory()
     best_params = params.copy()
     best_f1 = -1.0
@@ -283,12 +282,11 @@ def train(
             batch = order[start : start + cfg.batch_size]
             pred, cache = forward(train_data.values[batch], g, params)
             batch_losses, dlogits = task_losses(pred.logits, train_labels[batch])
-            combined = combine(batch_losses, state)
-            if not np.isfinite(combined):
+            if not np.isfinite(np.dot(weights, batch_losses)):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch}, batch {batch_index}"
                 )
-            backward(cache, combine_grads(dlogits, state), grads)
+            backward(cache, dlogits * weights, grads)
             adam = adam_step(params.flat, grads.flat, adam, cfg, blocks)
             loss_sum += batch_losses * batch.size
         epoch_losses = loss_sum / n
@@ -297,13 +295,14 @@ def train(
             EpochRecord(
                 epoch=epoch,
                 task_losses=epoch_losses,
-                weights=state.weights.copy(),
-                combined_loss=combine(epoch_losses, state),
+                weights=weights,
+                combined_loss=float(np.dot(weights, epoch_losses)),
                 val=val_metrics,
             )
         )
-        if cfg.adaptive_weights:
-            state = update_weights(state, epoch_losses)
+        if cfg.adaptive_weights and previous is not None:
+            weights = update_weights(previous, epoch_losses, cfg.dwa_temperature)
+        previous = epoch_losses
         if val_metrics.macro_f1 > best_f1:
             best_f1 = val_metrics.macro_f1
             best_params = params.copy()

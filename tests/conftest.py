@@ -6,7 +6,7 @@ import pytest
 
 from contention.data import UNLABELED, Dataset
 from contention.errors import NumericError, ShapeError
-from contention.graph import CorrelationMatrix, build_graph
+from contention.graph import build_graph
 from contention.model import ModelConfig
 from contention.rng import RngStream
 
@@ -29,7 +29,7 @@ def random_graph(dim: int, seed: int, threshold: float = 0.3):
     c = np.clip(gen.normal(scale=0.6, size=(dim, dim)), -1.0, 1.0)
     c = (c + c.T) / 2.0
     np.fill_diagonal(c, 1.0)
-    return build_graph(CorrelationMatrix(values=c), threshold)
+    return build_graph(c, threshold)
 
 
 def random_dataset(n: int, t: int, d: int, seed: int, labeled=True, num_classes=3):

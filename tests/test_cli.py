@@ -825,6 +825,19 @@ def test_learning_rate_above_one_exits_before_writing(workspace, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("num_classes", [3, 6])
+def test_num_classes_other_than_five_exits_before_writing(workspace, tmp_path, capsys,
+                                                          num_classes):
+    path = write_config(tmp_path / "cfg.json", model={"window_len": 8, "num_classes": num_classes})
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(path), "--data", str(workspace["data"]),
+               "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: model.num_classes must be 5, got {num_classes}\n")
+    assert not out.exists()
+
+
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])

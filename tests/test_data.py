@@ -443,7 +443,7 @@ class TestGenerate:
                 ],
                 axis=1,
             )
-            c = pearson_from_series(series).values
+            c = pearson_from_series(series)
             gi = {name: i for i, name in enumerate(GROUP_NAMES)}
             linked_mean = np.mean([abs(c[gi[a], gi[b]]) for a, b in linked])
             unrelated_mean = np.mean([abs(c[gi[a], gi[b]]) for a, b in unrelated])

@@ -16,7 +16,6 @@ from contention.data import Dataset
 from contention.errors import ConfigError, ShapeError
 from contention.graph import (
     DEFAULT_CORR_THRESHOLD,
-    CorrelationMatrix,
     MetricGraph,
     build_graph,
     graph_stats,
@@ -64,13 +63,13 @@ def brute_normalize(adj):
 class TestPearson:
     def test_matches_brute_force(self):
         x = RngStream(0, (2,)).generator().normal(size=(40, 6))
-        got = pearson_from_series(x).values
+        got = pearson_from_series(x)
         assert np.max(np.abs(got - brute_pearson(x))) <= 1e-10
 
     def test_perfect_and_anti_correlation(self):
         t = np.linspace(0.0, 1.0, 20)
         x = np.stack([t, 2.0 * t + 3.0, -t], axis=1)
-        c = pearson_from_series(x).values
+        c = pearson_from_series(x)
         assert c[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert c[0, 2] == pytest.approx(-1.0, abs=1e-12)
         assert np.all(c <= 1.0) and np.all(c >= -1.0)
@@ -79,7 +78,7 @@ class TestPearson:
         gen = RngStream(1, (2,)).generator()
         x = gen.normal(size=(30, 4))
         x[:, 2] = 5.0
-        c = pearson_from_series(x).values
+        c = pearson_from_series(x)
         assert np.all(c[2, :] == 0.0)
         assert np.all(c[:, 2] == 0.0)
         assert c[2, 2] == 0.0
@@ -89,8 +88,8 @@ class TestPearson:
     def test_windows_concatenated(self):
         data = random_dataset(5, 8, 4, seed=3)
         series = np.concatenate([w.values for w in data], axis=0)
-        a = pearson_matrix(data).values
-        b = pearson_from_series(series).values
+        a = pearson_matrix(data)
+        b = pearson_from_series(series)
         assert a.tobytes() == b.tobytes()
 
     def test_empty_windows_rejected(self):
@@ -105,7 +104,7 @@ class TestPearson:
     @given(st.integers(2, 40), st.integers(1, 8), st.integers(0, 10_000))
     def test_symmetric_bounded_unit_diagonal(self, n, d, seed):
         x = RngStream(seed, (7,)).generator().normal(size=(n, d))
-        c = pearson_from_series(x).values
+        c = pearson_from_series(x)
         assert np.array_equal(c, c.T)
         assert np.all(c >= -1.0) and np.all(c <= 1.0)
         # random normal draws essentially never produce a constant column
@@ -113,8 +112,8 @@ class TestPearson:
 
     def test_dim_property(self):
         c = pearson_from_series(np.random.default_rng(0).normal(size=(10, 5)))
-        assert isinstance(c, CorrelationMatrix)
-        assert c.dim == 5
+        assert isinstance(c, np.ndarray)
+        assert c.shape == (5, 5)
 
 
 class TestNormalize:
@@ -156,7 +155,7 @@ class TestBuildGraph:
         c[0, 1] = c[1, 0] = 0.5
         c[1, 2] = c[2, 1] = -0.5
         c[0, 2] = c[2, 0] = 0.2
-        g = build_graph(CorrelationMatrix(c), threshold=0.5)
+        g = build_graph(c, threshold=0.5)
         want = np.zeros((3, 3))
         want[0, 1] = want[1, 0] = 1.0  # |0.5| >= 0.5
         want[1, 2] = want[2, 1] = 1.0  # |-0.5| >= 0.5
@@ -169,7 +168,7 @@ class TestBuildGraph:
         assert np.all(np.diag(g.adjacency) == 0.0)
 
     def test_threshold_bounds(self):
-        c = CorrelationMatrix(np.eye(2))
+        c = np.eye(2)
         for bad in (-0.1, 1.5):
             with pytest.raises(ConfigError, match=r"\[0, 1\]"):
                 build_graph(c, threshold=bad)

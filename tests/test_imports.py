@@ -1,7 +1,9 @@
-"""Every import in src/ and tests/ is used.
+"""Every import in src/ and tests/ is used, and every private name in src/.
 
 An AST scan stands in for a linter: a name an import binds must be read
-somewhere in its module, or be listed in the module's `__all__`.
+somewhere in its module, or be listed in the module's `__all__`. A
+module-level `_`-prefixed function, class or constant in src/ must be read
+somewhere in its own module, so deletions leave no private helper behind.
 """
 
 import ast
@@ -37,6 +39,22 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
     return [(line, name) for line, name in _imported(tree) if name not in read]
 
 
+def unused_privates(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of every module-level private definition its module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    private = [(line, name) for line, name in defined
+               if name.startswith("_") and not name.startswith("__")]
+    return [(line, name) for line, name in private if name not in read]
+
+
 def test_scan_finds_an_unused_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("from __future__ import annotations\nimport os\nimport numpy as np\n"
@@ -49,4 +67,22 @@ def test_no_unused_imports():
     assert files
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in files for line, name in unused_imports(path)]
+    assert found == []
+
+
+def test_scan_finds_an_unused_private_name(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("_LIMIT = 3\n_SPARE: int = 4\n__version__ = '1'\n"
+                      "def _used(x):\n    return x + _LIMIT\n"
+                      "def _unused():\n    pass\n"
+                      "class _Spare:\n    pass\n"
+                      "def public():\n    return _used(1)\n")
+    assert unused_privates(module) == [(2, "_SPARE"), (6, "_unused"), (8, "_Spare")]
+
+
+def test_no_unused_private_names():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in files for line, name in unused_privates(path)]
     assert found == []

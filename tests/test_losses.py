@@ -5,6 +5,8 @@ finite differences of the loss functions themselves; the ratio-based weight
 update against a frozen two-task example computed at 50-digit precision:
 with loss ratios (0.5, 1.0) and temperature 2, the weights are
 2 * softmax([0.25, 0.5]) = [0.8756469982284038, 1.1243530017715962].
+The cold start, all ones until two epochs have completed, belongs to the
+training loop and is checked on a two-epoch run.
 """
 
 import math
@@ -14,17 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contention.errors import ConfigError, DataError, ShapeError
-from contention.losses import (
-    DEFAULT_TEMPERATURE,
-    RATIO_FLOOR,
-    TaskWeightState,
-    combine,
-    combine_grads,
-    task_losses,
-    update_weights,
-)
+from contention.data import ScenarioConfig, generate
+from contention.errors import DataError, ShapeError
+from contention.graph import identity_graph
+from contention.losses import RATIO_FLOOR, task_losses, update_weights
+from contention.model import ModelConfig
 from contention.rng import RngStream
+from contention.train import TrainConfig, train
 
 LN2 = 0.6931471805599453
 FROZEN_WEIGHTS = (0.8756469982284038, 1.1243530017715962)
@@ -140,89 +138,55 @@ class TestTaskLogitGrads:
         assert np.max(np.abs(g)) <= 1.0 / n + 1e-15
 
 
-class TestWeightState:
-    def test_initial(self):
-        state = TaskWeightState.initial(5)
-        assert np.array_equal(state.weights, np.ones(5))
-        assert state.history == ()
-        assert state.temperature == DEFAULT_TEMPERATURE == 2.0
-        assert state.num_tasks == 5
-
-    def test_rejects_bad_temperature(self):
-        with pytest.raises(ConfigError, match="temperature"):
-            TaskWeightState.initial(3, temperature=0.0)
-
-    def test_rejects_zero_tasks(self):
-        with pytest.raises(ConfigError):
-            TaskWeightState.initial(0)
-
-    def test_rejects_long_history(self):
-        with pytest.raises(ShapeError):
-            TaskWeightState(
-                weights=np.ones(2),
-                history=(np.ones(2), np.ones(2), np.ones(2)),
-            )
-
-
 class TestUpdateWeights:
     def test_cold_start_stays_all_ones(self):
-        state = TaskWeightState.initial(3)
-        state = update_weights(state, np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(state.weights, np.ones(3))
-        assert len(state.history) == 1
+        """Training weighs every task 1 until two epochs have completed."""
+        data = generate(ScenarioConfig(metric_count=4, window_len=8), 20, RngStream(0, (32,)))
+        model = ModelConfig(window_len=8, encoder_hidden=4, embed_width=3,
+                            propagation_width=3, head_hidden=2)
+        cfg = TrainConfig(batch_size=8, max_epochs=2, seed=0)
+        _, history = train(data, data, identity_graph(4), cfg, model)
+        assert [r.epoch for r in history.records] == [0, 1]
+        assert all(np.array_equal(r.weights, np.ones(5)) for r in history.records)
 
     def test_frozen_two_task_example(self):
         """Ratios (0.5, 1.0) at temperature 2 give the frozen weights."""
-        state = TaskWeightState.initial(2)
-        state = update_weights(state, np.array([0.4, 0.3]))
-        state = update_weights(state, np.array([0.2, 0.3]))
-        assert np.max(np.abs(state.weights - np.array(FROZEN_WEIGHTS))) <= 1e-15
+        weights = update_weights(np.array([0.4, 0.3]), np.array([0.2, 0.3]), 2.0)
+        assert np.max(np.abs(weights - np.array(FROZEN_WEIGHTS))) <= 1e-15
 
     def test_equal_ratios_give_exact_ones(self):
         """Every task halving its loss must land on exactly 1.0, not 1 - ulp."""
-        state = TaskWeightState.initial(4)
-        state = update_weights(state, np.array([0.8, 0.6, 0.4, 0.2]))
-        state = update_weights(state, np.array([0.4, 0.3, 0.2, 0.1]))
-        assert np.all(state.weights == 1.0)
+        weights = update_weights(
+            np.array([0.8, 0.6, 0.4, 0.2]), np.array([0.4, 0.3, 0.2, 0.1]), 2.0
+        )
+        assert np.all(weights == 1.0)
 
     def test_slower_task_weighs_more(self):
-        state = TaskWeightState.initial(2)
-        state = update_weights(state, np.array([0.5, 0.5]))
-        state = update_weights(state, np.array([0.45, 0.25]))  # task 0 stalled
-        assert state.weights[0] > 1.0 > state.weights[1]
-
-    def test_history_keeps_two_newest(self):
-        state = TaskWeightState.initial(2)
-        first = np.array([3.0, 3.0])
-        second = np.array([2.0, 2.0])
-        third = np.array([1.0, 1.0])
-        state = update_weights(state, first)
-        state = update_weights(state, second)
-        state = update_weights(state, third)
-        assert len(state.history) == 2
-        assert np.array_equal(state.history[0], second)
-        assert np.array_equal(state.history[1], third)
+        # task 0 stalled
+        weights = update_weights(np.array([0.5, 0.5]), np.array([0.45, 0.25]), 2.0)
+        assert weights[0] > 1.0 > weights[1]
 
     def test_zero_previous_loss_is_floored(self):
-        state = TaskWeightState.initial(2)
-        state = update_weights(state, np.array([0.0, 1.0]))
-        state = update_weights(state, np.array([1e-6, 1.0]))
-        assert np.all(np.isfinite(state.weights))
+        weights = update_weights(np.array([0.0, 1.0]), np.array([1e-6, 1.0]), 2.0)
+        assert np.all(np.isfinite(weights))
         # 1e-6 / max(0, floor) = 100 >> 1, so the stalled task dominates
-        assert state.weights[0] > state.weights[1]
+        assert weights[0] > weights[1]
         assert RATIO_FLOOR == 1e-8
 
     def test_input_not_aliased(self):
-        """Mutating the caller's loss array must not rewrite history."""
-        state = TaskWeightState.initial(2)
-        losses = np.array([1.0, 2.0])
-        state = update_weights(state, losses)
-        losses[0] = 99.0
-        assert state.history[0][0] == 1.0
+        """The inputs are neither written to nor handed back, so a caller may
+        record both loss vectors and the weights side by side."""
+        previous, latest = np.array([1.0, 2.0]), np.array([0.5, 2.0])
+        weights = update_weights(previous, latest, 2.0)
+        assert previous.tolist() == [1.0, 2.0] and latest.tolist() == [0.5, 2.0]
+        assert not np.shares_memory(weights, previous)
+        assert not np.shares_memory(weights, latest)
 
     def test_wrong_shape(self):
         with pytest.raises(ShapeError):
-            update_weights(TaskWeightState.initial(3), np.ones(2))
+            update_weights(np.ones(3), np.ones(2), 2.0)
+        with pytest.raises(ShapeError):
+            update_weights(np.ones((2, 2)), np.ones((2, 2)), 2.0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -232,50 +196,25 @@ class TestUpdateWeights:
     )
     def test_weights_positive_and_sum_to_k(self, k, seed, temperature):
         gen = RngStream(seed, (31,)).generator()
-        state = TaskWeightState.initial(k, temperature=temperature)
-        for _ in range(4):
-            state = update_weights(state, gen.uniform(0.01, 2.0, size=k))
-        assert np.all(state.weights > 0.0)
-        assert abs(state.weights.sum() - k) <= 1e-12 * k
+        previous, latest = gen.uniform(0.01, 2.0, size=(2, k))
+        weights = update_weights(previous, latest, temperature)
+        assert np.all(weights > 0.0)
+        assert abs(weights.sum() - k) <= 1e-12 * k
 
     def test_high_temperature_flattens(self):
         losses_a = np.array([1.0, 1.0])
         losses_b = np.array([0.9, 0.3])
-        sharp = update_weights(
-            update_weights(TaskWeightState.initial(2, temperature=0.5), losses_a),
-            losses_b,
-        )
-        flat = update_weights(
-            update_weights(TaskWeightState.initial(2, temperature=50.0), losses_a),
-            losses_b,
-        )
-        assert abs(flat.weights[0] - 1.0) < abs(sharp.weights[0] - 1.0)
+        sharp = update_weights(losses_a, losses_b, 0.5)
+        flat = update_weights(losses_a, losses_b, 50.0)
+        assert abs(flat[0] - 1.0) < abs(sharp[0] - 1.0)
 
 
 class TestCombine:
-    def test_dot_product(self):
-        state = TaskWeightState(
-            weights=np.array([2.0, 0.5]), history=(np.ones(2), np.ones(2))
-        )
-        assert combine(np.array([1.0, 4.0]), state) == 4.0
-
-    def test_all_ones_is_plain_sum(self):
-        losses = np.array([0.3, 0.6, 0.9])
-        assert combine(losses, TaskWeightState.initial(3)) == pytest.approx(
-            losses.sum(), abs=1e-15
-        )
-
-    def test_wrong_shape(self):
-        with pytest.raises(ShapeError):
-            combine(np.ones(3), TaskWeightState.initial(2))
-
     def test_combined_gradient_consistency(self):
-        """d combine(task_losses) / d logits == combine_grads(logit grads)."""
+        """d (weights @ task_losses) / d logits == task logit grads * weights."""
         z, y = _random_case(5, 3, seed=3)
-        state = TaskWeightState.initial(3)
-        state = update_weights(state, np.array([0.5, 0.6, 0.7]))
-        state = update_weights(state, np.array([0.45, 0.3, 0.6]))
-        grads = combine_grads(task_losses(z, y)[1], state)
+        weights = update_weights(np.array([0.5, 0.6, 0.7]), np.array([0.45, 0.3, 0.6]), 2.0)
+        grads = task_losses(z, y)[1] * weights
         h = 1e-6
         for i in range(z.shape[0]):
             for j in range(z.shape[1]):
@@ -283,22 +222,6 @@ class TestCombine:
                 zp[i, j] += h
                 zm[i, j] -= h
                 numeric = (
-                    combine(task_losses(zp, y)[0], state)
-                    - combine(task_losses(zm, y)[0], state)
+                    weights @ task_losses(zp, y)[0] - weights @ task_losses(zm, y)[0]
                 ) / (2 * h)
                 assert abs(grads[i, j] - numeric) <= 1e-8
-
-
-class TestCombineGrads:
-    def test_scales_columns(self):
-        g = np.ones((3, 2))
-        state = TaskWeightState(
-            weights=np.array([2.0, 0.25]), history=(np.ones(2), np.ones(2))
-        )
-        out = combine_grads(g, state)
-        assert np.all(out[:, 0] == 2.0)
-        assert np.all(out[:, 1] == 0.25)
-
-    def test_wrong_shape(self):
-        with pytest.raises(ShapeError):
-            combine_grads(np.ones((3, 4)), TaskWeightState.initial(2))

@@ -1,12 +1,20 @@
 """Determinism and independence guarantees of the splittable RNG streams."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contention.cli import EXIT_OK
+from contention.cli import main as cli_main
+from contention.config import run_config_from_dict
+from contention.data import generate, write_dataset
 from contention.errors import ConfigError
+from contention.pipeline import run_synthetic
 from contention.rng import ALGORITHM, RngStream
+from contention.sweeps import sweep_datasize
 
 
 def test_algorithm_tag():
@@ -132,3 +140,51 @@ def test_block_generators_draw_like_jumped(seed, path):
 
 def test_block_generators_of_zero_blocks():
     assert list(RngStream(0).block_generators(0)) == []
+
+
+# A config small enough that each run below trains for seconds at most.
+SMALL_RUN = {
+    "scenario": {"metric_count": 4, "window_len": 8, "separation": 3.0, "noise_std": 0.1,
+                 "leak_lag": 2},
+    "model": {"window_len": 8, "encoder_hidden": 4, "embed_width": 3,
+              "propagation_width": 3, "head_hidden": 2},
+    "train": {"batch_size": 16, "max_epochs": 3, "patience": 3, "seed": 5},
+    "n_windows": 60,
+}
+
+
+def _run_synthetic(tmp_path):
+    cfg = run_config_from_dict(SMALL_RUN)
+    run_synthetic(cfg.scenario, cfg.n_windows, cfg.model, cfg.train, data_seed=cfg.train.seed)
+
+
+def _cli_train(tmp_path):
+    (tmp_path / "run.json").write_text(json.dumps(SMALL_RUN))
+    rc = cli_main(["train", "--config", str(tmp_path / "run.json"), "--data",
+                   str(tmp_path / "dataset.npy"), "--out", str(tmp_path / "out"), "--seed", "5"])
+    assert rc == EXIT_OK
+
+
+def _datasize_cell(tmp_path):
+    sweep_datasize(run_config_from_dict(SMALL_RUN), fractions=(0.5,), seeds=(5,))
+
+
+@pytest.mark.parametrize("run", [_run_synthetic, _cli_train, _datasize_cell])
+def test_no_stream_is_drawn_twice_in_one_run(run, tmp_path, monkeypatch):
+    """Data generation, the split, the subsample, initialization and every
+    epoch's batch order each draw from a stream of their own."""
+    cfg = run_config_from_dict(SMALL_RUN)
+    write_dataset(tmp_path / "dataset.npy",
+                  generate(cfg.scenario, cfg.n_windows, RngStream(5).substream(0)))
+    requested = []
+    generator = RngStream.generator
+
+    def recording(stream):
+        requested.append((stream.seed, stream.path))
+        return generator(stream)
+
+    monkeypatch.setattr(RngStream, "generator", recording)
+    run(tmp_path)
+    assert len(requested) > 3 + 14  # split, three shuffles and 14 weight matrices at least
+    repeated = sorted({key for key in requested if requested.count(key) > 1})
+    assert repeated == []
