@@ -210,6 +210,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     best = result.history.best_epoch
     print(f"trained {len(result.history.records)} epochs; best epoch {best}")
     _print_metrics("validation metrics (best epoch)", result.val_metrics)
+    _print_metrics("test metrics (held-out split)", result.test_metrics)
     print(f"wrote {ckpt_path} and {history_path}")
     return EXIT_OK
 
@@ -275,16 +276,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
         + [f"p_{c}" for c in ckpt.class_names]
         + ["predicted_class"]
     )
-    lines = [",".join(header)]
-    for wid, (logits, probabilities, label) in enumerate(
-        zip(pred.logits, softmax(pred.logits), pred.label)
-    ):
-        cells = [str(wid)]
-        cells += [repr(float(z)) for z in logits]
-        cells += [repr(float(p)) for p in probabilities]
-        cells.append(ckpt.class_names[label])
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+    rows = np.concatenate([pred.logits, softmax(pred.logits)], axis=1).tolist()
+    names = ckpt.class_names
+    # repr of a Python float is its shortest round-trip string
+    text = ",".join(header) + "\n" + "".join(
+        f"{wid},{','.join(map(repr, row))},{names[label]}\n"
+        for wid, (row, label) in enumerate(zip(rows, pred.label.tolist()))
+    )
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "predictions.csv").write_text(text)

@@ -12,6 +12,11 @@ the same code; `forward` chains the stages and `backward` returns the
 gradient summed over the stack. All gradients are exact reverse-mode
 derivatives, checked against central differences in the test suite. tanh
 keeps every layer smooth so those checks are well-defined everywhere.
+
+Each activation and each tanh derivative is computed in place in a fresh
+array, with the same operations in the same order as the textbook
+expressions, so the bits match them. `ForwardCache` arrays are never written
+after `forward` returns: one cache can serve any number of `backward` calls.
 """
 
 from __future__ import annotations
@@ -150,6 +155,7 @@ class ForwardCache:
     """
 
     x: np.ndarray  # (N, T, D) normalized input
+    xt: np.ndarray  # (N, D, T) C-contiguous transpose of x, the encoder's input rows
     graph: MetricGraph
     params: ModelParams
     z1: np.ndarray  # (N, D, encoder_hidden) first encoder activation
@@ -178,10 +184,15 @@ def encode(x: np.ndarray, params: ModelParams, saved: dict | None = None) -> np.
     t_expected = params.cfg.window_len
     if x.shape[-2] != t_expected:
         raise ShapeError(f"window has {x.shape[-2]} timesteps, encoder expects {t_expected}")
-    z1 = np.tanh(x.swapaxes(-1, -2) @ params.enc_w1.T + params.enc_b1)
-    h = np.tanh(z1 @ params.enc_w2.T + params.enc_b2)
+    xt = np.ascontiguousarray(x.swapaxes(-1, -2))
+    z1 = xt @ np.ascontiguousarray(params.enc_w1.T)
+    z1 += params.enc_b1
+    np.tanh(z1, out=z1)
+    h = z1 @ params.enc_w2.T
+    h += params.enc_b2
+    np.tanh(h, out=h)
     if saved is not None:
-        saved.update(z1=z1, h=h)
+        saved.update(xt=xt, z1=z1, h=h)
     return h
 
 
@@ -198,9 +209,13 @@ def propagate(
             f"graph has {g.dim} vertices but the embeddings cover {h.shape[-2]} metrics"
         )
     ah = g.normalized @ h
-    h1 = np.tanh(ah @ params.prop_w1 + params.prop_b1)
+    h1 = ah @ params.prop_w1
+    h1 += params.prop_b1
+    np.tanh(h1, out=h1)
     ah1 = g.normalized @ h1
-    ht = np.tanh(ah1 @ params.prop_w2 + params.prop_b2)
+    ht = ah1 @ params.prop_w2
+    ht += params.prop_b2
+    np.tanh(ht, out=ht)
     if saved is not None:
         saved.update(ah=ah, h1=h1, ah1=ah1, ht=ht)
     return ht
@@ -214,8 +229,9 @@ def heads(ht: np.ndarray, params: ModelParams, saved: dict | None = None) -> np.
     """
     k, dd, dp = params.head_w.shape
     r = ht.sum(axis=-2) / ht.shape[-2]  # the mean, without np.mean's call overhead
-    pre = (r @ params.head_w.reshape(k * dd, dp).T).reshape(*r.shape[:-1], k, dd)
-    t = np.tanh(pre + params.head_b)
+    t = (r @ params.head_w.reshape(k * dd, dp).T).reshape(*r.shape[:-1], k, dd)
+    t += params.head_b
+    np.tanh(t, out=t)
     if saved is not None:
         saved.update(r=r, head_tanh=t)
     return (params.head_u * t).sum(axis=-1) + params.head_c
@@ -252,6 +268,14 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
+def _through_tanh(upstream: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """upstream * (1 - a * a), the gradient through a = tanh(.), in one fresh array."""
+    d = a * a
+    np.subtract(1.0, d, out=d)
+    d *= upstream
+    return d
+
+
 def backward(cache: ForwardCache, dloss_dz: np.ndarray, grads: ModelParams) -> ModelParams:
     """Exact gradients of sum_n dloss_dz[n] . z[n] with respect to every parameter.
 
@@ -270,36 +294,36 @@ def backward(cache: ForwardCache, dloss_dz: np.ndarray, grads: ModelParams) -> M
         raise ShapeError(
             f"dloss_dz must have the logits' shape {cache.head_tanh.shape[:-1]}, got {dz.shape}"
         )
-    arrays = (cache.x, cache.z1, cache.h, cache.ah, cache.h1, cache.ah1, cache.ht, cache.r,
+    arrays = (cache.xt, cache.z1, cache.h, cache.ah, cache.h1, cache.ah1, cache.ht, cache.r,
               cache.head_tanh, dz)
     if cache.x.ndim == 2:  # one window: view its arrays as a stack of one
         arrays = tuple(a[None] for a in arrays)
-    x, z1, h, ah, h1, ah1, ht, r, t, dz = arrays
-    n = x.shape[0]
+    xt, z1, h, ah, h1, ah1, ht, r, t, dz = arrays
+    n = xt.shape[0]
 
     grads.head_u[...] = (dz[:, :, None] * t).sum(axis=0)
     grads.head_c[...] = dz.sum(axis=0)
-    da = dz[:, :, None] * params.head_u * (1.0 - t * t)  # (N, K, head_hidden)
+    da = _through_tanh(dz[:, :, None] * params.head_u, t)  # (N, K, head_hidden)
     grads.head_b[...] = da.sum(axis=0)
     da = da.reshape(n, -1)  # (N, K * head_hidden), the row order of head_w's blocks
     grads.head_w[...] = (da.T @ r).reshape(params.head_w.shape)
     dr = da @ params.head_w.reshape(da.shape[1], -1)  # (N, propagation_width)
 
     a = cache.graph.normalized
-    dp2 = (dr / ht.shape[1])[:, None, :] * (1.0 - ht * ht)
+    dp2 = _through_tanh((dr / ht.shape[1])[:, None, :], ht)
     grads.prop_w2[...] = _rows(ah1).T @ _rows(dp2)
     grads.prop_b2[...] = dp2.sum(axis=(0, 1))
     dh1 = a.T @ (dp2 @ params.prop_w2.T)
 
-    dp1 = dh1 * (1.0 - h1 * h1)
+    dp1 = _through_tanh(dh1, h1)
     grads.prop_w1[...] = _rows(ah).T @ _rows(dp1)
     grads.prop_b1[...] = dp1.sum(axis=(0, 1))
     dh = a.T @ (dp1 @ params.prop_w1.T)
 
-    da2 = dh * (1.0 - h * h)  # (N, D, embed_width)
+    da2 = _through_tanh(dh, h)  # (N, D, embed_width)
     grads.enc_w2[...] = _rows(da2).T @ _rows(z1)
     grads.enc_b2[...] = da2.sum(axis=(0, 1))
-    da1 = (da2 @ params.enc_w2) * (1.0 - z1 * z1)  # (N, D, encoder_hidden)
-    grads.enc_w1[...] = _rows(da1).T @ _rows(x.swapaxes(1, 2))
+    da1 = _through_tanh(da2 @ params.enc_w2, z1)  # (N, D, encoder_hidden)
+    grads.enc_w1[...] = _rows(da1).T @ _rows(xt)
     grads.enc_b1[...] = da1.sum(axis=(0, 1))
     return grads

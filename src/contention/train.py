@@ -102,8 +102,11 @@ def adam_step(
 ) -> AdamState:
     """One bias-corrected Adam update, applied in place to the flat parameter vector.
 
-    A non-finite gradient aborts training; when block slices are supplied the
-    error names the parameter block that went bad instead of a bare index.
+    The new moments and the step are built in fresh arrays with in-place
+    operations, in the order of the textbook expressions, so the bits match
+    them; `state` is never written. A non-finite gradient aborts training;
+    when block slices are supplied the error names the parameter block that
+    went bad instead of a bare index.
     """
     if theta.shape != grad.shape:
         raise ConfigError(f"theta shape {theta.shape} != grad shape {grad.shape}")
@@ -118,11 +121,20 @@ def adam_step(
                     break
         raise NumericError(f"non-finite gradient in {where}")
     t = state.step + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
-    theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    scratch = np.multiply(grad, 1.0 - cfg.beta1)
+    m = np.multiply(state.m, cfg.beta1)
+    m += scratch  # beta1 * m + (1 - beta1) * g
+    np.multiply(grad, 1.0 - cfg.beta2, out=scratch)
+    scratch *= grad
+    v = np.multiply(state.v, cfg.beta2)
+    v += scratch  # beta2 * v + ((1 - beta2) * g) * g
+    np.divide(v, 1.0 - cfg.beta2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += cfg.adam_eps  # sqrt(v_hat) + eps
+    step = np.divide(m, 1.0 - cfg.beta1 ** t)
+    step *= cfg.learning_rate
+    step /= scratch  # (lr * m_hat) / (sqrt(v_hat) + eps)
+    theta -= step
     return AdamState(m=m, v=v, step=t)
 
 

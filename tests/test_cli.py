@@ -31,10 +31,19 @@ from contention.cli import (
     main,
 )
 from contention.config import OUT_DIR_ENV, config_digest, load_run_config
-from contention.data import CLASS_NAMES, UNLABELED, read_dataset, split, write_dataset
+from contention.data import (
+    CLASS_NAMES,
+    UNLABELED,
+    apply_norm,
+    read_dataset,
+    split,
+    write_dataset,
+)
 from contention.errors import ConfigError, DataError, NumericError, ShapeError
+from contention.linalg import softmax
+from contention.pipeline import prepare
 from contention.rng import RngStream
-from contention.train import METRIC_FIELDS
+from contention.train import METRIC_FIELDS, evaluate, score
 
 # sha1("blob 6\0hello\n"), the id git itself assigns to that blob
 GIT_HELLO_SHA = "ce013625030ba8dba906f756967f9e9ca394464a"
@@ -515,6 +524,27 @@ def test_train_prints_progress_and_metrics(workspace, tmp_path, capsys):
         assert name in captured
 
 
+def test_train_prints_the_held_out_test_metrics(workspace, tmp_path, capsys):
+    rc = main(["train", "--config", str(workspace["cfg"]),
+               "--data", str(workspace["data"]),
+               "--out", str(tmp_path / "o"), "--seed", "0"])
+    assert rc == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    val_at = lines.index("validation metrics (best epoch)")
+    test_at = lines.index("test metrics (held-out split)")
+    assert test_at == val_at + 1 + len(METRIC_FIELDS)
+    # the test split of seed 0, scored by the checkpoint train wrote
+    cfg = load_run_config(workspace["cfg"])
+    prepared = prepare(read_dataset(workspace["data"]), cfg.split_fractions,
+                       cfg.corr_threshold, RngStream(0).substream(1))
+    ckpt = load_checkpoint(tmp_path / "o" / "checkpoint.json")
+    metrics = evaluate(ckpt.params, ckpt.graph, prepared.test)
+    width = max(len(m) for m in METRIC_FIELDS)
+    assert lines[test_at + 1 : test_at + 1 + len(METRIC_FIELDS)] == [
+        f"  {m:<{width}}  {getattr(metrics, m):.4f}" for m in METRIC_FIELDS
+    ]
+
+
 # ---------------------------------------------------------------- eval
 
 
@@ -643,6 +673,46 @@ def test_predict_streams_csv_to_stdout(workspace, capsys):
         probs = np.array([float(v) for v in cells[1 + k:1 + 2 * k]])
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert cells[-1] == CLASS_NAMES[int(np.argmax(logits))]
+
+
+def test_predict_csv_is_pinned_to_score_byte_for_byte(workspace, tmp_path, capsys):
+    ckpt = load_checkpoint(workspace["ckpt"])
+    pred = score(ckpt.params, ckpt.graph,
+                 apply_norm(read_dataset(workspace["data"]), ckpt.norm))
+    probs = softmax(pred.logits)
+    header = (
+        ["window_id"]
+        + [f"logit_{c}" for c in CLASS_NAMES]
+        + [f"p_{c}" for c in CLASS_NAMES]
+        + ["predicted_class"]
+    )
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join([str(i)]
+                 + [repr(float(v)) for v in pred.logits[i]]
+                 + [repr(float(v)) for v in probs[i]]
+                 + [CLASS_NAMES[int(pred.label[i])]]) + "\n"
+        for i in range(len(pred.label))
+    )
+    rc = main(["predict", "--checkpoint", str(workspace["ckpt"]),
+               "--data", str(workspace["data"])])
+    assert rc == EXIT_OK
+    stdout = capsys.readouterr().out
+    out = tmp_path / "pred"
+    rc = main(["predict", "--checkpoint", str(workspace["ckpt"]),
+               "--data", str(workspace["data"]), "--out", str(out)])
+    assert rc == EXIT_OK
+    written = (out / "predictions.csv").read_text()
+    assert stdout == expected
+    assert written == expected
+    k = len(CLASS_NAMES)
+    rows = [line.split(",") for line in written.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(80))
+    # every cell parses back to the exact float score and softmax produced
+    assert np.array_equal(np.array([[float(v) for v in r[1:1 + k]] for r in rows]),
+                          pred.logits)
+    assert np.array_equal(np.array([[float(v) for v in r[1 + k:1 + 2 * k]] for r in rows]),
+                          probs)
+    assert [r[-1] for r in rows] == [CLASS_NAMES[i] for i in pred.label]
 
 
 def test_predict_writes_file_with_out_flag(workspace, tmp_path, capsys):

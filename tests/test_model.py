@@ -8,6 +8,7 @@ windows is checked against the same windows passed one at a time.
 """
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from contention.graph import MetricGraph, identity_graph, normalize_adjacency
 from contention.model import (
     MAX_PARAMETERS,
     ModelConfig,
+    ForwardCache,
     ModelParams,
     backward,
     encode,
@@ -437,6 +439,53 @@ class TestBackward:
             return float(dz @ pred.logits)
 
         assert finite_diff_check(objective, p.flat, analytic) <= 1e-4
+
+
+STACK_OR_WINDOW = pytest.mark.parametrize("shape", [(3, 8, 4), (8, 4)], ids=["stack", "window"])
+
+
+class TestInPlaceKernels:
+    """The activations and derivatives are built in place; nothing shared is written."""
+
+    def _setup(self, cfg, shape):
+        p = init_params(cfg, RngStream(12))
+        g = random_graph(shape[-1], seed=12, threshold=0.25)
+        gen = RngStream(12, (28,)).generator()
+        x = gen.normal(size=shape)
+        dz = gen.normal(size=shape[:-2] + (cfg.num_classes,))
+        return p, g, x, dz
+
+    @STACK_OR_WINDOW
+    def test_forward_leaves_input_and_params_unchanged(self, tiny_model_cfg, shape):
+        p, g, x, _ = self._setup(tiny_model_cfg, shape)
+        x0, flat0 = x.copy(), p.flat.copy()
+        forward(x, g, p)
+        assert np.array_equal(x, x0)
+        assert np.array_equal(p.flat, flat0)
+
+    @STACK_OR_WINDOW
+    def test_activations_equal_the_out_of_place_expressions(self, tiny_model_cfg, shape):
+        """Past the first matmul, the bits are those of tanh(a @ W + b)."""
+        p, g, x, _ = self._setup(tiny_model_cfg, shape)
+        _, c = forward(x, g, p)
+        assert np.array_equal(c.xt, x.swapaxes(-1, -2))
+        assert np.array_equal(c.h, np.tanh(c.z1 @ p.enc_w2.T + p.enc_b2))
+        assert np.array_equal(c.h1, np.tanh(c.ah @ p.prop_w1 + p.prop_b1))
+        assert np.array_equal(c.ht, np.tanh(c.ah1 @ p.prop_w2 + p.prop_b2))
+
+    @STACK_OR_WINDOW
+    def test_backward_reads_the_cache_without_writing_it(self, tiny_model_cfg, shape):
+        p, g, x, dz = self._setup(tiny_model_cfg, shape)
+        _, cache = forward(x, g, p)
+        arrays = {f.name: getattr(cache, f.name) for f in fields(ForwardCache)
+                  if isinstance(getattr(cache, f.name), np.ndarray)}
+        before = {name: a.copy() for name, a in arrays.items()}
+        first = backward(cache, dz, ModelParams.zeros(p.cfg)).flat
+        second = backward(cache, dz, ModelParams.zeros(p.cfg)).flat
+        assert np.array_equal(first, second)
+        assert set(arrays) == {"x", "xt", "z1", "h", "ah", "h1", "ah1", "ht", "r", "head_tanh"}
+        for name, a in arrays.items():
+            assert np.array_equal(a, before[name]), name
 
 
 class TestBatched:

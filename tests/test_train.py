@@ -121,6 +121,30 @@ class TestAdam:
         with pytest.raises(ConfigError):
             adam_step(np.zeros(3), np.zeros(2), AdamState.zeros(3), TrainConfig())
 
+    @pytest.mark.parametrize("betas", [(0.9, 0.999), (0.5, 0.9)])
+    def test_matches_the_textbook_formula_bit_for_bit(self, betas):
+        cfg = TrainConfig(learning_rate=0.01, beta1=betas[0], beta2=betas[1])
+        gen = RngStream(5, (41,)).generator()
+        theta = gen.normal(size=200)
+        expected = theta.copy()
+        state = AdamState.zeros(theta.size)
+        m, v = np.zeros(theta.size), np.zeros(theta.size)
+        for t in range(1, 6):
+            grad = gen.normal(size=theta.size)
+            old, m_in, v_in, grad_in = state, state.m.copy(), state.v.copy(), grad.copy()
+            state = adam_step(theta, grad, old, cfg)
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
+            m_hat = m / (1.0 - cfg.beta1 ** t)
+            v_hat = v / (1.0 - cfg.beta2 ** t)
+            expected -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            assert state.step == t
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+            assert np.array_equal(theta, expected)
+            # neither the gradient nor the previous moments are written
+            assert np.array_equal(grad, grad_in)
+            assert np.array_equal(old.m, m_in) and np.array_equal(old.v, v_in)
+
     def test_state_not_mutated(self):
         state = AdamState.zeros(1)
         adam_step(np.array([0.1]), np.array([0.7]), state, TrainConfig())
