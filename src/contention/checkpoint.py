@@ -152,6 +152,9 @@ def _from_payload(payload: dict, path: Path) -> Checkpoint:
         mean=_decode_floats(payload["normalization"]["mean"], (dim,), "normalization mean"),
         std=_decode_floats(payload["normalization"]["std"], (dim,), "normalization std"),
     )
+    if np.any(norm.std < NormStats.STD_FLOOR):  # fit_norm never writes one below the floor
+        low = float(norm.std.min())
+        raise DataError(f"checkpoint normalization std {low!r} is below {NormStats.STD_FLOOR}")
     class_names = _names(payload["class_names"], "class names")
     if len(class_names) != cfg.num_classes:
         raise SchemaError(

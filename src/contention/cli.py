@@ -191,7 +191,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = Checkpoint(
         params=result.params,
-        graph=result.graph_used,
+        graph=prepared.graph,
         norm=prepared.norm,
         class_names=CLASS_NAMES,
         metric_names=data.metric_names,

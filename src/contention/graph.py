@@ -33,10 +33,6 @@ class MetricGraph:
     def dim(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
-    def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
 
 @dataclass(frozen=True)
 class GraphStats:

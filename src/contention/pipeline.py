@@ -23,14 +23,7 @@ from contention.data import (
 from contention.graph import DEFAULT_CORR_THRESHOLD, MetricGraph, build_graph, pearson_matrix
 from contention.model import ModelConfig, ModelParams
 from contention.rng import RngStream
-from contention.train import (
-    EvalMetrics,
-    TrainConfig,
-    TrainHistory,
-    effective_graph,
-    evaluate,
-    train,
-)
+from contention.train import EvalMetrics, TrainConfig, TrainHistory, evaluate, train
 
 DEFAULT_SPLIT = (0.7, 0.15, 0.15)
 
@@ -86,7 +79,15 @@ class RunResult:
     val_metrics: EvalMetrics
     test_metrics: EvalMetrics
     prepared: PreparedData
-    graph_used: MetricGraph  # identity when propagation is ablated off
+
+
+def prepare_synthetic(scenario: ScenarioConfig, n_windows: int, data_seed: int,
+                      fractions: tuple[float, float, float], corr_threshold: float) -> PreparedData:
+    """Generate and prepare one synthetic dataset; data_seed drives generation
+    and splitting through separate substreams."""
+    rng = RngStream(data_seed)
+    data = generate(scenario, n_windows, rng.substream(0))
+    return prepare(data, fractions, corr_threshold, rng.substream(1))
 
 
 def run_synthetic(
@@ -100,13 +101,10 @@ def run_synthetic(
 ) -> RunResult:
     """Generate, prepare, train, and score one synthetic experiment.
 
-    data_seed drives generation and splitting through separate substreams;
-    train_cfg.seed independently drives initialization and batch order, so
-    data and optimization randomness can be varied apart.
+    train_cfg.seed drives initialization and batch order independently of
+    data_seed, so data and optimization randomness can be varied apart.
     """
-    rng = RngStream(data_seed)
-    data = generate(scenario, n_windows, rng.substream(0))
-    prepared = prepare(data, fractions, corr_threshold, rng.substream(1))
+    prepared = prepare_synthetic(scenario, n_windows, data_seed, fractions, corr_threshold)
     return run_prepared(prepared, model_cfg, train_cfg)
 
 
@@ -114,12 +112,10 @@ def run_prepared(
     prepared: PreparedData, model_cfg: ModelConfig, train_cfg: TrainConfig
 ) -> RunResult:
     params, history = train(prepared.train, prepared.val, prepared.graph, train_cfg, model_cfg)
-    g = effective_graph(prepared.graph, train_cfg)
     return RunResult(
         params=params,
         history=history,
         val_metrics=history.records[history.best_epoch].val,
-        test_metrics=evaluate(params, g, prepared.test),
+        test_metrics=evaluate(params, prepared.graph, prepared.test),
         prepared=prepared,
-        graph_used=g,
     )

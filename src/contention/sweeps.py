@@ -5,6 +5,10 @@ both data and training so that one seed's cells are paired, and reports the
 mean and standard deviation of the four test metrics per setting. Trend
 shapes are recorded for inspection, never asserted: they are dataset
 properties, not contracts.
+
+The datasize and ablation sweeps prepare each seed's data once: a datasize
+cell trims its training split, the no-propagation arm replaces its graph
+with the identity graph, and the static-weights arm turns task weighting off.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from contention.config import RunConfig
-from contention.data import ScenarioConfig, generate, stratified_shuffle
+from contention.data import ScenarioConfig, stratified_shuffle
 from contention.errors import ConfigError
-from contention.pipeline import RunResult, prepare, run_prepared, run_synthetic
+from contention.graph import identity_graph
+from contention.pipeline import (PreparedData, RunResult, prepare_synthetic, run_prepared,
+                                 run_synthetic)
 from contention.rng import RngStream
 from contention.train import METRIC_FIELDS, EvalMetrics
 
@@ -28,11 +34,7 @@ DATA_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 METRIC_DIMS = (8, 12, 16, 24)
 DEFAULT_SWEEP_SEEDS = (0, 1, 2)
 # the two mechanisms the paper credits, each switched off on its own
-ABLATION_ARMS = {
-    "full": {"graph_propagation": True, "adaptive_weights": True},
-    "no-propagation": {"graph_propagation": False, "adaptive_weights": True},
-    "static-weights": {"graph_propagation": True, "adaptive_weights": False},
-}
+ABLATION_ARMS = ("full", "no-propagation", "static-weights")
 
 
 @dataclass
@@ -76,6 +78,12 @@ def _run(cfg: RunConfig, seed: int, scenario: ScenarioConfig | None = None, **tr
                          fractions=cfg.split_fractions, corr_threshold=cfg.corr_threshold)
 
 
+def _prepare_seeds(cfg: RunConfig, seeds: Sequence[int]) -> dict[int, PreparedData]:
+    """Each seed's synthetic data at cfg, prepared as run_synthetic prepares it."""
+    return {seed: prepare_synthetic(cfg.scenario, cfg.n_windows, seed, cfg.split_fractions,
+                                    cfg.corr_threshold) for seed in seeds}
+
+
 def sweep_batch(cfg: RunConfig, sizes: Sequence[int] = BATCH_SIZES,
                 seeds: Sequence[int] = DEFAULT_SWEEP_SEEDS) -> SweepTable:
     return _grid("batch", "batch_size", sizes, seeds,
@@ -99,11 +107,7 @@ def subsample_stratified(labels: np.ndarray, fraction: float, rng: RngStream) ->
 def sweep_datasize(cfg: RunConfig, fractions: Sequence[float] = DATA_FRACTIONS,
                    seeds: Sequence[int] = DEFAULT_SWEEP_SEEDS) -> SweepTable:
     """Vary only the training split size; validation and test stay fixed."""
-    prepared = {}
-    for seed in seeds:
-        rng = RngStream(seed)
-        data = generate(cfg.scenario, cfg.n_windows, rng.substream(0))
-        prepared[seed] = prepare(data, cfg.split_fractions, cfg.corr_threshold, rng.substream(1))
+    prepared = _prepare_seeds(cfg, seeds)
 
     def cell(fraction: float, seed: int) -> RunResult:
         full = prepared[seed]
@@ -122,11 +126,22 @@ def sweep_dim(cfg: RunConfig, dims: Sequence[int] = METRIC_DIMS,
         cfg, seed, scenario=replace(cfg.scenario, metric_count=dim, groups=None)))
 
 
-def sweep_ablation(cfg: RunConfig, arms: Sequence[str] = tuple(ABLATION_ARMS),
+def sweep_ablation(cfg: RunConfig, arms: Sequence[str] = ABLATION_ARMS,
                    seeds: Sequence[int] = DEFAULT_SWEEP_SEEDS) -> SweepTable:
     """Train each named arm of ABLATION_ARMS on every seed's data split and initialization."""
-    return _grid("ablation", "arm", arms, seeds,
-                 lambda arm, seed: _run(cfg, seed, **ABLATION_ARMS[arm]))
+    unknown = [arm for arm in arms if arm not in ABLATION_ARMS]
+    if unknown:
+        raise ConfigError(f"unknown ablation arm {unknown[0]!r}, expected one of {ABLATION_ARMS}")
+    prepared = _prepare_seeds(cfg, seeds)
+
+    def cell(arm: str, seed: int) -> RunResult:
+        data = prepared[seed]
+        if arm == "no-propagation":
+            data = replace(data, graph=identity_graph(data.graph.dim))
+        train_cfg = replace(cfg.train, seed=seed, adaptive_weights=arm != "static-weights")
+        return run_prepared(data, cfg.model, train_cfg)
+
+    return _grid("ablation", "arm", arms, seeds, cell)
 
 
 SWEEPS = {"batch": sweep_batch, "datasize": sweep_datasize, "dim": sweep_dim,

@@ -5,8 +5,10 @@ membership, each batch runs as one stacked forward/backward pass whose
 gradient is summed over its windows, and one Adam step applies per batch.
 The objective is `weights @ task_losses`, all ones until two epochs have
 completed and then, with adaptive weighting on, `update_weights` of the last
-two epochs' mean task losses. Initialization and shuffles draw from the
-seed's training streams (see the stream map in rng.py).
+two epochs' mean task losses. Of Adam's constants only the learning rate
+is a setting. The run propagates over the graph it is given (the
+no-propagation ablation gives it the identity graph). Initialization and
+shuffles draw from the seed's training streams (see the stream map in rng.py).
 Evaluation scores windows in stacks of SCORE_CHUNK.
 Given the same config and seed the whole trajectory is bit-reproducible,
 which the acceptance suite checks at the file level.
@@ -26,7 +28,7 @@ import numpy as np
 
 from contention.data import CLASS_NAMES, Dataset
 from contention.errors import ConfigError, DataError, NumericError
-from contention.graph import MetricGraph, identity_graph
+from contention.graph import MetricGraph
 from contention.losses import task_losses, update_weights
 from contention.model import (
     ModelConfig,
@@ -43,6 +45,8 @@ from contention.rng import RngStream
 # Adam moves each weight by about the rate per step, so past this bound the
 # first step already drives the tanh units into saturation.
 MAX_LEARNING_RATE = 1.0
+# Kingma & Ba's defaults for the moment decays and the denominator's epsilon
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -50,13 +54,9 @@ class TrainConfig:
     batch_size: int = 64
     max_epochs: int = 50
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     patience: int = 10  # epochs since the best validation macro-F1
     seed: int = 0
     adaptive_weights: bool = True  # off = static all-ones task weights
-    graph_propagation: bool = True  # off = identity operator (ablation)
     dwa_temperature: float = 2.0
 
     def __post_init__(self):
@@ -70,12 +70,6 @@ class TrainConfig:
             raise ConfigError(
                 f"learning_rate must lie in (0, {MAX_LEARNING_RATE}], got {self.learning_rate}"
             )
-        for name in ("beta1", "beta2"):
-            b = getattr(self, name)
-            if not 0.0 <= b < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {b}")
-        if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
         if self.dwa_temperature <= 0:
             raise ConfigError(
                 f"dwa_temperature must be positive, got {self.dwa_temperature}"
@@ -121,17 +115,17 @@ def adam_step(
                     break
         raise NumericError(f"non-finite gradient in {where}")
     t = state.step + 1
-    scratch = np.multiply(grad, 1.0 - cfg.beta1)
-    m = np.multiply(state.m, cfg.beta1)
-    m += scratch  # beta1 * m + (1 - beta1) * g
-    np.multiply(grad, 1.0 - cfg.beta2, out=scratch)
+    scratch = np.multiply(grad, 1.0 - BETA1)
+    m = np.multiply(state.m, BETA1)
+    m += scratch  # BETA1 * m + (1 - BETA1) * g
+    np.multiply(grad, 1.0 - BETA2, out=scratch)
     scratch *= grad
-    v = np.multiply(state.v, cfg.beta2)
-    v += scratch  # beta2 * v + ((1 - beta2) * g) * g
-    np.divide(v, 1.0 - cfg.beta2 ** t, out=scratch)
+    v = np.multiply(state.v, BETA2)
+    v += scratch  # BETA2 * v + ((1 - BETA2) * g) * g
+    np.divide(v, 1.0 - BETA2 ** t, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += cfg.adam_eps  # sqrt(v_hat) + eps
-    step = np.divide(m, 1.0 - cfg.beta1 ** t)
+    scratch += ADAM_EPS  # sqrt(v_hat) + eps
+    step = np.divide(m, 1.0 - BETA1 ** t)
     step *= cfg.learning_rate
     step /= scratch  # (lr * m_hat) / (sqrt(v_hat) + eps)
     theta -= step
@@ -205,12 +199,6 @@ def metrics_from_confusion(c: np.ndarray) -> EvalMetrics:
     )
 
 
-def effective_graph(graph: MetricGraph, cfg: TrainConfig) -> MetricGraph:
-    """The propagation operator the run actually uses: the built graph, or an
-    edgeless stand-in when graph propagation is ablated away."""
-    return graph if cfg.graph_propagation else identity_graph(graph.dim)
-
-
 def _check_labeled(data: Dataset, what: str) -> np.ndarray:
     if not len(data):
         raise DataError(f"{what} set is empty")
@@ -269,10 +257,9 @@ def train(
     """
     train_labels = _check_labeled(train_data, "training")
     _check_labeled(val_data, "validation")
-    g = effective_graph(graph, cfg)
-    if g.dim != train_data.metric_count:
+    if graph.dim != train_data.metric_count:
         raise ConfigError(
-            f"graph covers {g.dim} metrics, windows carry {train_data.metric_count}"
+            f"graph covers {graph.dim} metrics, windows carry {train_data.metric_count}"
         )
     rng = RngStream(cfg.seed, (3,))  # training's own prefix in rng.py's stream map
     params = init_params(model_cfg, rng.substream(0))
@@ -292,7 +279,7 @@ def train(
         loss_sum = np.zeros(model_cfg.num_classes)
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
-            pred, cache = forward(train_data.values[batch], g, params)
+            pred, cache = forward(train_data.values[batch], graph, params)
             batch_losses, dlogits = task_losses(pred.logits, train_labels[batch])
             if not np.isfinite(np.dot(weights, batch_losses)):
                 raise NumericError(
@@ -302,7 +289,7 @@ def train(
             adam = adam_step(params.flat, grads.flat, adam, cfg, blocks)
             loss_sum += batch_losses * batch.size
         epoch_losses = loss_sum / n
-        val_metrics = evaluate(params, g, val_data)
+        val_metrics = evaluate(params, graph, val_data)
         history.records.append(
             EpochRecord(
                 epoch=epoch,

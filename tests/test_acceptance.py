@@ -378,7 +378,7 @@ def test_criterion_08_determinism(tmp_path):
     save_checkpoint(
         Checkpoint(
             params=result.params,
-            graph=result.graph_used,
+            graph=result.prepared.graph,
             norm=result.prepared.norm,
         ),
         ckpt_path,
@@ -386,7 +386,7 @@ def test_criterion_08_determinism(tmp_path):
     loaded = load_checkpoint(ckpt_path)
     test_windows = result.prepared.test.values
     before = np.stack(
-        [forward(x, result.graph_used, result.params)[0].logits for x in test_windows]
+        [forward(x, result.prepared.graph, result.params)[0].logits for x in test_windows]
     )
     after = np.stack([forward(x, loaded.graph, loaded.params)[0].logits for x in test_windows])
     logits_bitwise = np.array_equal(before, after)

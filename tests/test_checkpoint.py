@@ -214,6 +214,19 @@ class TestLoadValidation:
         with pytest.raises(DataError, match=r"threshold must lie in \[0, 1\]"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("std", ["0", "-1", "1e-300"])
+    def test_std_below_the_fit_floor(self, tmp_path, std):
+        """fit_norm floors every std at NormStats.STD_FLOOR; a smaller one would
+        turn scored windows into inf or nan logits."""
+        path = self._saved(tmp_path)
+
+        def poison(p):
+            p["normalization"]["std"][1] = std
+
+        self._rewrite(path, poison)
+        with pytest.raises(DataError, match="normalization std .* is below 1e-08"):
+            load_checkpoint(path)
+
     def test_model_field_of_wrong_type(self, tmp_path):
         """true is not an int, though Python would take it as 1."""
         path = self._saved(tmp_path)
@@ -301,6 +314,11 @@ class TestRunConfig:
             run_config_from_dict({"train": {"learning_rte": 0.1}})
         with pytest.raises(ConfigError, match="unknown config key 'frobnicate'"):
             run_config_from_dict({"frobnicate": 1})
+        # the ablation switch and Adam's constants are no longer settings
+        removed = {"graph_propagation": False, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8}
+        for key, value in removed.items():
+            with pytest.raises(ConfigError, match=f"unknown config key 'train.{key}'"):
+                run_config_from_dict({"train": {key: value}})
 
     def test_window_len_consistency_enforced(self):
         with pytest.raises(ConfigError, match="window_len"):

@@ -160,7 +160,7 @@ class TestBuildGraph:
         want[0, 1] = want[1, 0] = 1.0  # |0.5| >= 0.5
         want[1, 2] = want[2, 1] = 1.0  # |-0.5| >= 0.5
         assert np.array_equal(g.adjacency, want)
-        assert g.edge_count == 2
+        assert graph_stats(g).edges == 2
 
     def test_diagonal_never_an_edge(self):
         c = pearson_from_series(RngStream(9, (2,)).generator().normal(size=(20, 5)))
@@ -189,7 +189,7 @@ class TestBuildGraph:
             g = build_graph(c, threshold=float(tau))
             if prev is not None:
                 assert np.all(prev.adjacency >= g.adjacency)
-                assert prev.edge_count >= g.edge_count
+                assert graph_stats(prev).edges >= graph_stats(g).edges
             prev = g
 
     def test_adjacency_symmetric_binary(self):
@@ -202,7 +202,7 @@ class TestIdentityGraph:
     def test_operator_is_identity(self):
         g = identity_graph(6)
         assert np.array_equal(g.normalized, np.eye(6))
-        assert g.edge_count == 0
+        assert graph_stats(g).edges == 0
         assert g.dim == 6
 
     def test_rejects_empty(self):

@@ -1,15 +1,19 @@
-"""Every import in src/ and tests/ is used, and every private name in src/.
+"""Every import in src/ and tests/ is used, every private name in src/, and every config field.
 
 An AST scan stands in for a linter: a name an import binds must be read
 somewhere in its module, or be listed in the module's `__all__`. A
 module-level `_`-prefixed function, class or constant in src/ must be read
 somewhere in its own module, so deletions leave no private helper behind.
+Every field of the run config's dataclasses must be read as an attribute
+somewhere in src/ outside its class's own `__post_init__`, so a setting
+whose last reader is deleted does not linger as a key that does nothing.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CONFIG_CLASSES = ("ScenarioConfig", "ModelConfig", "TrainConfig", "IngestConfig", "RunConfig")
 
 
 def _imported(tree: ast.Module) -> list[tuple[int, str]]:
@@ -86,3 +90,38 @@ def test_no_unused_private_names():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in files for line, name in unused_privates(path)]
     assert found == []
+
+
+def unread_config_fields(paths: list[Path], classes: tuple[str, ...]) -> list[str]:
+    """`Class.field` for every annotated field of the named classes that no
+    attribute read in `paths` takes, reads inside the class's own
+    `__post_init__` (its validation) aside; a class not found is listed too."""
+    fields, reads = {}, []  # reads: (attribute, class whose __post_init__ holds it, or None)
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in classes:
+                fields[node.name] = [n.target.id for n in node.body if isinstance(n, ast.AnnAssign)]
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                        owner.update({id(n): node.name for n in ast.walk(fn)})
+        reads += [(n.attr, owner.get(id(n))) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+    return [f"{cls} not found" for cls in classes if cls not in fields] + [
+        f"{cls}.{name}" for cls in classes for name in fields.get(cls, [])
+        if not any(attr == name and where != cls for attr, where in reads)]
+
+
+def test_scan_finds_an_unread_config_field(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("class Cfg:\n    used: int = 1\n    checked: int = 2\n    dead: int = 3\n"
+                      "    def __post_init__(self):\n        assert self.checked and self.used\n"
+                      "class Other:\n    def __post_init__(self, cfg):\n        cfg.checked\n"
+                      "def run(cfg):\n    return cfg.used\n")
+    assert unread_config_fields([module], ("Cfg", "Gone")) == ["Gone not found", "Cfg.dead"]
+
+
+def test_every_config_field_is_read():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert unread_config_fields(files, CONFIG_CLASSES) == []

@@ -13,13 +13,15 @@ import pytest
 
 from contention.config import RunConfig
 from contention.data import ScenarioConfig, apply_norm, fit_norm, generate
+from contention import sweeps
 from contention.errors import ConfigError
-from contention.graph import build_graph, pearson_matrix
+from contention.graph import build_graph, graph_stats, identity_graph, pearson_matrix
 from contention.model import ModelConfig
 from contention.pipeline import (
     DEFAULT_SPLIT,
     prepare,
     prepare_parts,
+    run_prepared,
     run_synthetic,
 )
 from contention.rng import RngStream
@@ -59,6 +61,9 @@ TINY_CFG = RunConfig(
     model=TINY_MODEL,
     train=TINY_TRAIN,
 )
+# the tiny scenario's train splits hold correlations of about 0.2 and none
+# of 0.3, so this threshold gives the no-propagation arm edges to remove
+ABLATION_CFG = replace(TINY_CFG, corr_threshold=0.2)
 
 
 class TestPrepare:
@@ -116,13 +121,6 @@ class TestRunSynthetic:
         result = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=2)
         best = result.history.records[result.history.best_epoch]
         assert result.val_metrics.macro_f1 == best.val.macro_f1
-
-    def test_ablated_run_uses_identity_operator(self):
-        cfg = TrainConfig(batch_size=16, max_epochs=2, graph_propagation=False, seed=0)
-        result = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, cfg, data_seed=3)
-        assert np.array_equal(result.graph_used.normalized, np.eye(4))
-        # the prepared graph itself is still the thresholded one
-        assert result.prepared.graph.edge_count >= 0
 
 
 class TestSubsample:
@@ -202,28 +200,60 @@ class TestSweeps:
         self._check_table(table, "dim", "metric_count", (4, 8), (0,))
 
     def test_sweep_ablation_arms_reproduce_flagged_runs(self):
+        """Each arm is run_prepared on its seed's prepared data: no-propagation
+        over the identity graph, static-weights with adaptive weighting off."""
         arms = ("static-weights", "full", "no-propagation")
-        table = sweep_ablation(TINY_CFG, arms=arms, seeds=(0, 1))
+        table = sweep_ablation(ABLATION_CFG, arms=arms, seeds=(0, 1))
         assert table.kind == "ablation"
         assert table.setting_name == "arm"
         assert table.seeds == (0, 1)
         assert [row.setting for row in table.rows] == list(arms)
-        for row in table.rows:
-            for i, seed in enumerate((0, 1)):
-                flagged = replace(TINY_TRAIN, seed=seed, **ABLATION_ARMS[row.setting])
-                unswept = run_synthetic(
-                    TINY_SCENARIO, TINY_CFG.n_windows, TINY_MODEL, flagged, data_seed=seed
-                )
+        for i, seed in enumerate((0, 1)):
+            rng = RngStream(seed)
+            data = generate(TINY_SCENARIO, ABLATION_CFG.n_windows, rng.substream(0))
+            prepared = prepare(data, ABLATION_CFG.split_fractions, ABLATION_CFG.corr_threshold,
+                               rng.substream(1))
+            assert graph_stats(prepared.graph).edges > 0  # so the identity graph changes the run
+            train_cfg = replace(TINY_TRAIN, seed=seed)
+            runs = {
+                "full": run_prepared(prepared, TINY_MODEL, train_cfg),
+                "no-propagation": run_prepared(
+                    replace(prepared, graph=identity_graph(4)), TINY_MODEL, train_cfg),
+                "static-weights": run_prepared(
+                    prepared, TINY_MODEL, replace(train_cfg, adaptive_weights=False)),
+            }
+            for row in table.rows:
+                want = runs[row.setting].test_metrics
                 for field in METRIC_FIELDS:
-                    assert getattr(row.per_seed[i], field) == getattr(unswept.test_metrics, field)
-                assert np.array_equal(row.per_seed[i].confusion, unswept.test_metrics.confusion)
+                    assert getattr(row.per_seed[i], field) == getattr(want, field)
+                assert np.array_equal(row.per_seed[i].confusion, want.confusion)
 
-    def test_ablation_arms_switch_one_mechanism_each(self):
-        assert ABLATION_ARMS == {
-            "full": {"graph_propagation": True, "adaptive_weights": True},
-            "no-propagation": {"graph_propagation": False, "adaptive_weights": True},
-            "static-weights": {"graph_propagation": True, "adaptive_weights": False},
-        }
+    def test_ablation_arms_switch_one_mechanism_each(self, monkeypatch):
+        """Against `full`, no-propagation changes only the graph and
+        static-weights only the task weighting."""
+        assert ABLATION_ARMS == ("full", "no-propagation", "static-weights")
+        calls = []
+
+        def recording(prepared, model_cfg, train_cfg):
+            calls.append((prepared, train_cfg))
+            return run_prepared(prepared, model_cfg, train_cfg)
+
+        monkeypatch.setattr(sweeps, "run_prepared", recording)
+        sweep_ablation(ABLATION_CFG, seeds=(3,))
+        (full, full_cfg), (flat, flat_cfg), (static, static_cfg) = calls
+        assert full_cfg == flat_cfg == replace(TINY_TRAIN, seed=3)
+        assert static_cfg == replace(full_cfg, adaptive_weights=False)
+        assert graph_stats(full.graph).edges > 0
+        assert graph_stats(flat.graph).edges == 0
+        assert np.array_equal(flat.graph.normalized, np.eye(4))
+        assert static.graph is full.graph
+        for part in ("train", "val", "test", "norm"):
+            assert getattr(flat, part) is getattr(full, part)
+            assert getattr(static, part) is getattr(full, part)
+
+    def test_unknown_ablation_arm_rejected(self):
+        with pytest.raises(ConfigError, match="unknown ablation arm 'no-graph'"):
+            sweep_ablation(TINY_CFG, arms=("full", "no-graph"), seeds=(0,))
 
     def test_row_statistics(self):
         def fake(acc):
