@@ -24,7 +24,7 @@ from contention.errors import ConfigError, ContentionError, DataError, SchemaErr
 from contention.graph import MetricGraph, normalize_adjacency
 from contention.model import ModelConfig, ModelParams
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 def _encode_floats(arr: np.ndarray):

@@ -97,7 +97,7 @@ class ModelParams:
         t, k = cfg.window_len, cfg.num_classes
         dh, de, dp, dd = cfg.encoder_hidden, cfg.embed_width, cfg.propagation_width, cfg.head_hidden
         return {
-            "enc_w1": (dh, t), "enc_b1": (dh,),
+            "enc_w1": (t, dh), "enc_b1": (dh,),  # W1.T, so xt @ enc_w1 needs no copy
             "enc_w2": (de, dh), "enc_b2": (de,),
             "prop_w1": (de, dp), "prop_b1": (dp,),
             "prop_w2": (dp, dp), "prop_b2": (dp,),
@@ -131,7 +131,7 @@ class ModelParams:
 def init_params(cfg: ModelConfig, rng: RngStream) -> ModelParams:
     """Glorot-uniform weights, zero biases. Deterministic given the stream."""
     p = ModelParams.zeros(cfg)
-    p.enc_w1[...] = glorot_init(cfg.encoder_hidden, cfg.window_len, rng.substream(0))
+    p.enc_w1[...] = glorot_init(cfg.encoder_hidden, cfg.window_len, rng.substream(0)).T
     p.enc_w2[...] = glorot_init(cfg.embed_width, cfg.encoder_hidden, rng.substream(1))
     p.prop_w1[...] = glorot_init(cfg.embed_width, cfg.propagation_width, rng.substream(2))
     p.prop_w2[...] = glorot_init(cfg.propagation_width, cfg.propagation_width, rng.substream(3))
@@ -185,7 +185,7 @@ def encode(x: np.ndarray, params: ModelParams, saved: dict | None = None) -> np.
     if x.shape[-2] != t_expected:
         raise ShapeError(f"window has {x.shape[-2]} timesteps, encoder expects {t_expected}")
     xt = np.ascontiguousarray(x.swapaxes(-1, -2))
-    z1 = xt @ np.ascontiguousarray(params.enc_w1.T)
+    z1 = xt @ params.enc_w1
     z1 += params.enc_b1
     np.tanh(z1, out=z1)
     h = z1 @ params.enc_w2.T
@@ -228,13 +228,16 @@ def heads(ht: np.ndarray, params: ModelParams, saved: dict | None = None) -> np.
     logit depends on no other head's parameters.
     """
     k, dd, dp = params.head_w.shape
-    r = ht.sum(axis=-2) / ht.shape[-2]  # the mean, without np.mean's call overhead
-    t = (r @ params.head_w.reshape(k * dd, dp).T).reshape(*r.shape[:-1], k, dd)
+    r = np.add.reduce(ht, axis=-2)  # the mean, without np.mean's call overhead
+    r /= ht.shape[-2]
+    t = (r @ params.head_w.reshape(k * dd, dp).T).reshape(r.shape[:-1] + (k, dd))
     t += params.head_b
     np.tanh(t, out=t)
     if saved is not None:
         saved.update(r=r, head_tanh=t)
-    return (params.head_u * t).sum(axis=-1) + params.head_c
+    z = np.add.reduce(params.head_u * t, axis=-1)
+    z += params.head_c
+    return z
 
 
 def predict(logits: np.ndarray) -> Prediction:
@@ -245,7 +248,7 @@ def predict(logits: np.ndarray) -> Prediction:
     probabilities. One logit vector gives an int label.
     """
     z = np.asarray(logits, dtype=np.float64)
-    label = np.argmax(z, axis=-1)
+    label = z.argmax(axis=-1)
     return Prediction(logits=z, label=int(label) if z.ndim == 1 else label)
 
 
@@ -258,9 +261,11 @@ def forward(
     (N,) labels.
     """
     x = np.asarray(values, dtype=np.float64)
-    saved: dict[str, np.ndarray] = {}
-    z = heads(propagate(g, encode(x, params, saved), params, saved), params, saved)
-    return predict(z), ForwardCache(x=x, graph=g, params=params, **saved)
+    s: dict[str, np.ndarray] = {}
+    z = heads(propagate(g, encode(x, params, s), params, s), params, s)
+    cache = ForwardCache(x, s["xt"], g, params, s["z1"], s["h"], s["ah"], s["h1"], s["ah1"],
+                         s["ht"], s["r"], s["head_tanh"])  # positional: half the keyword cost
+    return predict(z), cache
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -324,6 +329,6 @@ def backward(cache: ForwardCache, dloss_dz: np.ndarray, grads: ModelParams) -> M
     grads.enc_w2[...] = _rows(da2).T @ _rows(z1)
     grads.enc_b2[...] = da2.sum(axis=(0, 1))
     da1 = _through_tanh(da2 @ params.enc_w2, z1)  # (N, D, encoder_hidden)
-    grads.enc_w1[...] = _rows(da1).T @ _rows(xt)
+    grads.enc_w1[...] = (_rows(da1).T @ _rows(xt)).T  # dW1, stored as W1 is
     grads.enc_b1[...] = da1.sum(axis=(0, 1))
     return grads

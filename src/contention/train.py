@@ -70,7 +70,7 @@ class TrainConfig:
             raise ConfigError(
                 f"learning_rate must lie in (0, {MAX_LEARNING_RATE}], got {self.learning_rate}"
             )
-        if self.dwa_temperature <= 0:
+        if not self.dwa_temperature > 0:
             raise ConfigError(
                 f"dwa_temperature must be positive, got {self.dwa_temperature}"
             )

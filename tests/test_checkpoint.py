@@ -146,10 +146,14 @@ class TestLoadValidation:
         with pytest.raises(SchemaError, match="normalization"):
             load_checkpoint(path)
 
-    def test_version_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_mismatch(self, tmp_path, version):
+        """Version 1 stored enc_w1 transposed; its checkpoints must be retrained."""
         path = self._saved(tmp_path)
-        self._rewrite(path, lambda p: p.update(format_version=99))
-        with pytest.raises(SchemaError, match="version"):
+        self._rewrite(path, lambda p: p.update(format_version=version))
+        # a SchemaError is a DataError, which the CLI maps to exit 3
+        message = rf"format version {version} unsupported \(expected 2\)"
+        with pytest.raises(SchemaError, match=message):
             load_checkpoint(path)
 
     def test_missing_param_block(self, tmp_path):

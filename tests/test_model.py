@@ -465,10 +465,11 @@ class TestInPlaceKernels:
 
     @STACK_OR_WINDOW
     def test_activations_equal_the_out_of_place_expressions(self, tiny_model_cfg, shape):
-        """Past the first matmul, the bits are those of tanh(a @ W + b)."""
+        """Each activation has the bits of tanh(a @ W + b)."""
         p, g, x, _ = self._setup(tiny_model_cfg, shape)
         _, c = forward(x, g, p)
         assert np.array_equal(c.xt, x.swapaxes(-1, -2))
+        assert np.array_equal(c.z1, np.tanh(c.xt @ p.enc_w1 + p.enc_b1))
         assert np.array_equal(c.h, np.tanh(c.z1 @ p.enc_w2.T + p.enc_b2))
         assert np.array_equal(c.h1, np.tanh(c.ah @ p.prop_w1 + p.prop_b1))
         assert np.array_equal(c.ht, np.tanh(c.ah1 @ p.prop_w2 + p.prop_b2))

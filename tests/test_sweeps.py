@@ -1,7 +1,7 @@
 """Pipeline and sensitivity-harness tests on deliberately small runs.
 
-These runs are sized for speed, not accuracy: two epochs on a hundred tiny
-windows. The contracts under test are wiring contracts (who gets normalized
+These runs are sized for speed, not accuracy: two epochs (four in the
+ablation) on a hundred tiny windows. The contracts under test are wiring contracts (who gets normalized
 with whose statistics, which rows reproduce the unswept run, table shape),
 not score quality.
 """
@@ -55,15 +55,18 @@ def _generated(n, rng):
     return generate(TINY_SCENARIO, n, rng)
 
 
+# the tiny scenario's train splits hold correlations of about 0.2 and none
+# of 0.3, so this threshold gives propagation edges to work over
 TINY_CFG = RunConfig(
     scenario=TINY_SCENARIO,
     n_windows=120,
     model=TINY_MODEL,
     train=TINY_TRAIN,
+    corr_threshold=0.2,
 )
-# the tiny scenario's train splits hold correlations of about 0.2 and none
-# of 0.3, so this threshold gives the no-propagation arm edges to remove
-ABLATION_CFG = replace(TINY_CFG, corr_threshold=0.2)
+# task weights first move in the third epoch; four epochs at a faster rate
+# let them change the test metrics of a seed
+ABLATION_CFG = replace(TINY_CFG, train=replace(TINY_TRAIN, max_epochs=4, learning_rate=1e-2))
 
 
 class TestPrepare:
@@ -106,19 +109,25 @@ class TestPrepare:
 
 class TestRunSynthetic:
     def test_deterministic(self):
-        a = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=5)
-        b = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=5)
+        a = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=5,
+                          corr_threshold=TINY_CFG.corr_threshold)
+        b = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=5,
+                          corr_threshold=TINY_CFG.corr_threshold)
+        assert graph_stats(a.prepared.graph).edges > 0
         assert np.array_equal(a.params.flat, b.params.flat)
         assert a.test_metrics.accuracy == b.test_metrics.accuracy
         assert a.test_metrics.macro_f1 == b.test_metrics.macro_f1
 
     def test_data_seed_changes_data_not_init(self):
-        a = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=0)
-        b = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=1)
+        a = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=0,
+                          corr_threshold=TINY_CFG.corr_threshold)
+        b = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=1,
+                          corr_threshold=TINY_CFG.corr_threshold)
         assert not np.array_equal(a.prepared.train.values[0], b.prepared.train.values[0])
 
     def test_val_metrics_are_best_epoch(self):
-        result = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=2)
+        result = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=2,
+                               corr_threshold=TINY_CFG.corr_threshold)
         best = result.history.records[result.history.best_epoch]
         assert result.val_metrics.macro_f1 == best.val.macro_f1
 
@@ -191,6 +200,7 @@ class TestSweeps:
                 TINY_CFG.model,
                 replace(TINY_CFG.train, seed=seed),
                 data_seed=seed,
+                corr_threshold=TINY_CFG.corr_threshold,
             )
             assert full_row.per_seed[i].accuracy == unswept.test_metrics.accuracy
             assert full_row.per_seed[i].macro_f1 == unswept.test_metrics.macro_f1
@@ -208,13 +218,16 @@ class TestSweeps:
         assert table.setting_name == "arm"
         assert table.seeds == (0, 1)
         assert [row.setting for row in table.rows] == list(arms)
+        static, full = table.rows[0].per_seed, table.rows[1].per_seed
+        assert any(getattr(s, field) != getattr(f, field)  # task weighting is seen
+                   for s, f in zip(static, full) for field in METRIC_FIELDS)
         for i, seed in enumerate((0, 1)):
             rng = RngStream(seed)
             data = generate(TINY_SCENARIO, ABLATION_CFG.n_windows, rng.substream(0))
             prepared = prepare(data, ABLATION_CFG.split_fractions, ABLATION_CFG.corr_threshold,
                                rng.substream(1))
             assert graph_stats(prepared.graph).edges > 0  # so the identity graph changes the run
-            train_cfg = replace(TINY_TRAIN, seed=seed)
+            train_cfg = replace(ABLATION_CFG.train, seed=seed)
             runs = {
                 "full": run_prepared(prepared, TINY_MODEL, train_cfg),
                 "no-propagation": run_prepared(
@@ -241,7 +254,7 @@ class TestSweeps:
         monkeypatch.setattr(sweeps, "run_prepared", recording)
         sweep_ablation(ABLATION_CFG, seeds=(3,))
         (full, full_cfg), (flat, flat_cfg), (static, static_cfg) = calls
-        assert full_cfg == flat_cfg == replace(TINY_TRAIN, seed=3)
+        assert full_cfg == flat_cfg == replace(ABLATION_CFG.train, seed=3)
         assert static_cfg == replace(full_cfg, adaptive_weights=False)
         assert graph_stats(full.graph).edges > 0
         assert graph_stats(flat.graph).edges == 0

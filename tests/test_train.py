@@ -66,6 +66,7 @@ class TestTrainConfig:
             {"dwa_temperature": 0.0},
             {"learning_rate": 1.5},
             {"learning_rate": 1e300},
+            {"dwa_temperature": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
