@@ -1,9 +1,9 @@
 """Pipeline and sensitivity-harness tests on deliberately small runs.
 
 These runs are sized for speed, not accuracy: two epochs (four in the
-ablation) on a hundred tiny windows. The contracts under test are wiring contracts (who gets normalized
-with whose statistics, which rows reproduce the unswept run, table shape),
-not score quality.
+ablation) on a hundred tiny windows. The contracts under test are wiring
+contracts (who gets normalized with whose statistics, which rows reproduce
+the unswept run, table shape), not score quality.
 """
 
 from dataclasses import replace
@@ -107,27 +107,25 @@ class TestPrepare:
         assert abs(len(prepared.train) - 70) <= 3
 
 
+def _tiny_run(data_seed):
+    return run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=data_seed,
+                         corr_threshold=TINY_CFG.corr_threshold)
+
+
 class TestRunSynthetic:
     def test_deterministic(self):
-        a = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=5,
-                          corr_threshold=TINY_CFG.corr_threshold)
-        b = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=5,
-                          corr_threshold=TINY_CFG.corr_threshold)
+        a, b = _tiny_run(5), _tiny_run(5)
         assert graph_stats(a.prepared.graph).edges > 0
         assert np.array_equal(a.params.flat, b.params.flat)
         assert a.test_metrics.accuracy == b.test_metrics.accuracy
         assert a.test_metrics.macro_f1 == b.test_metrics.macro_f1
 
     def test_data_seed_changes_data_not_init(self):
-        a = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=0,
-                          corr_threshold=TINY_CFG.corr_threshold)
-        b = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=1,
-                          corr_threshold=TINY_CFG.corr_threshold)
+        a, b = _tiny_run(0), _tiny_run(1)
         assert not np.array_equal(a.prepared.train.values[0], b.prepared.train.values[0])
 
     def test_val_metrics_are_best_epoch(self):
-        result = run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=2,
-                               corr_threshold=TINY_CFG.corr_threshold)
+        result = _tiny_run(2)
         best = result.history.records[result.history.best_epoch]
         assert result.val_metrics.macro_f1 == best.val.macro_f1
 
