@@ -2,8 +2,10 @@
 
 A checkpoint is one JSON file holding the model config, every weight array,
 the metric graph (binary adjacency plus build threshold; the normalized
-operator is recomputed on load), the normalization statistics, class names,
-and provenance (training seed, config digest).
+operator is recomputed on load), the normalization statistics, the training
+dataset's metric names, and provenance (training seed, config digest). It
+holds no class names: the heads score the fixed classes `data.CLASS_NAMES`
+in order.
 
 Floats are stored as decimal strings with 17 significant digits, which
 round-trips IEEE doubles exactly: loading and saving again produces a
@@ -19,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from contention.config import _strict_kwargs
-from contention.data import CLASS_NAMES, NormStats
+from contention.data import NormStats
 from contention.errors import ConfigError, ContentionError, DataError, SchemaError, ShapeError
 from contention.graph import MetricGraph, normalize_adjacency
 from contention.model import ModelConfig, ModelParams
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 def _encode_floats(arr: np.ndarray):
@@ -56,21 +58,15 @@ class Checkpoint:
     params: ModelParams  # params.cfg is the model config
     graph: MetricGraph
     norm: NormStats
-    class_names: tuple[str, ...] = CLASS_NAMES
     metric_names: tuple[str, ...] = ()  # from the training dataset, for mismatch warnings
     train_seed: int = 0
     config_digest: str = ""
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    cfg = ckpt.params.cfg
-    if len(ckpt.class_names) != cfg.num_classes:
-        raise ShapeError(
-            f"{len(ckpt.class_names)} class names for {cfg.num_classes} classes"
-        )
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "model": asdict(cfg),
+        "model": asdict(ckpt.params.cfg),
         "params": {
             name: _encode_floats(getattr(ckpt.params, name))
             for name in ModelParams._ORDER
@@ -84,7 +80,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             "mean": _encode_floats(ckpt.norm.mean),
             "std": _encode_floats(ckpt.norm.std),
         },
-        "class_names": list(ckpt.class_names),
         "metric_names": list(ckpt.metric_names),
         "train_seed": int(ckpt.train_seed),
         "config_digest": ckpt.config_digest,
@@ -112,7 +107,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def _from_payload(payload: dict, path: Path) -> Checkpoint:
-    for key in ("format_version", "model", "params", "graph", "normalization", "class_names"):
+    for key in ("format_version", "model", "params", "graph", "normalization", "metric_names",
+                "train_seed", "config_digest"):
         if key not in payload:
             raise SchemaError(f"checkpoint {path} is missing key '{key}'")
     if payload["format_version"] != CHECKPOINT_FORMAT_VERSION:
@@ -155,17 +151,11 @@ def _from_payload(payload: dict, path: Path) -> Checkpoint:
     if np.any(norm.std < NormStats.STD_FLOOR):  # fit_norm never writes one below the floor
         low = float(norm.std.min())
         raise DataError(f"checkpoint normalization std {low!r} is below {NormStats.STD_FLOOR}")
-    class_names = _names(payload["class_names"], "class names")
-    if len(class_names) != cfg.num_classes:
-        raise SchemaError(
-            f"checkpoint lists {len(class_names)} class names for {cfg.num_classes} classes"
-        )
     return Checkpoint(
         params=params,
         graph=graph,
         norm=norm,
-        class_names=class_names,
-        metric_names=_names(payload.get("metric_names", []), "metric names"),
-        train_seed=int(payload.get("train_seed", 0)),
-        config_digest=str(payload.get("config_digest", "")),
+        metric_names=_names(payload["metric_names"], "metric names"),
+        train_seed=int(payload["train_seed"]),
+        config_digest=str(payload["config_digest"]),
     )

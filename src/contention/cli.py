@@ -95,20 +95,20 @@ def _print_metrics(title: str, metrics: EvalMetrics) -> None:
         print(f"  {name:<{width}}  {getattr(metrics, name):.4f}")
 
 
-def _print_confusion(confusion: np.ndarray, class_names: tuple[str, ...]) -> None:
-    cell = max(6, max(len(c) for c in class_names) + 1)
+def _print_confusion(confusion: np.ndarray) -> None:
+    cell = max(6, max(len(c) for c in CLASS_NAMES) + 1)
     print("confusion matrix (rows = true, cols = predicted)")
-    print(" " * (cell + 5) + "".join(f"{c:>{cell}}" for c in class_names))
-    for i, name in enumerate(class_names):
+    print(" " * (cell + 5) + "".join(f"{c:>{cell}}" for c in CLASS_NAMES))
+    for i, name in enumerate(CLASS_NAMES):
         row = "".join(f"{int(v):>{cell}}" for v in confusion[i])
         print(f"true {name:<{cell}}{row}")
 
 
-def _print_per_class(metrics: EvalMetrics, class_names: tuple[str, ...]) -> None:
-    cell = max(6, max(len(c) for c in class_names) + 1)
+def _print_per_class(metrics: EvalMetrics) -> None:
+    cell = max(6, max(len(c) for c in CLASS_NAMES) + 1)
     print("per-class scores")
     print(f"  {'class':<{cell}}{'precision':>10}{'recall':>10}{'f1':>10}{'support':>10}")
-    for name, p, r, f, n in zip(class_names, metrics.precision, metrics.recall, metrics.f1,
+    for name, p, r, f, n in zip(CLASS_NAMES, metrics.precision, metrics.recall, metrics.f1,
                                 metrics.support):
         print(f"  {name:<{cell}}{p:>10.4f}{r:>10.4f}{f:>10.4f}{int(n):>10}")
 
@@ -193,7 +193,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         params=result.params,
         graph=prepared.graph,
         norm=prepared.norm,
-        class_names=CLASS_NAMES,
         metric_names=data.metric_names,
         train_seed=seed,
         config_digest=config_digest(cfg),
@@ -244,8 +243,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ckpt, data = _load_eval_inputs(args)
     metrics = evaluate(ckpt.params, ckpt.graph, data)
     _print_metrics(f"evaluation over {len(data)} windows", metrics)
-    _print_per_class(metrics, ckpt.class_names)
-    _print_confusion(metrics.confusion, ckpt.class_names)
+    _print_per_class(metrics)
+    _print_confusion(metrics.confusion)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -253,12 +252,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
             fh.write(",".join(METRIC_FIELDS) + "\n")
             fh.write(",".join(repr(getattr(metrics, m)) for m in METRIC_FIELDS) + "\n")
         with (out_dir / "confusion.csv").open("w", newline="") as fh:
-            fh.write("true_class," + ",".join(ckpt.class_names) + "\n")
-            for i, name in enumerate(ckpt.class_names):
+            fh.write("true_class," + ",".join(CLASS_NAMES) + "\n")
+            for i, name in enumerate(CLASS_NAMES):
                 fh.write(name + "," + ",".join(str(int(v)) for v in metrics.confusion[i]) + "\n")
         with (out_dir / "per_class.csv").open("w", newline="") as fh:
             fh.write("class,precision,recall,f1,support\n")
-            for name, p, r, f, n in zip(ckpt.class_names, metrics.precision, metrics.recall,
+            for name, p, r, f, n in zip(CLASS_NAMES, metrics.precision, metrics.recall,
                                         metrics.f1, metrics.support):
                 fh.write(f"{name},{float(p)!r},{float(r)!r},{float(f)!r},{int(n)}\n")
         print(f"wrote {out_dir / 'metrics.csv'}, {out_dir / 'confusion.csv'} and "
@@ -272,15 +271,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     pred = score(ckpt.params, ckpt.graph, data)
     header = (
         ["window_id"]
-        + [f"logit_{c}" for c in ckpt.class_names]
-        + [f"p_{c}" for c in ckpt.class_names]
+        + [f"logit_{c}" for c in CLASS_NAMES]
+        + [f"p_{c}" for c in CLASS_NAMES]
         + ["predicted_class"]
     )
     rows = np.concatenate([pred.logits, softmax(pred.logits)], axis=1).tolist()
-    names = ckpt.class_names
     # repr of a Python float is its shortest round-trip string
     text = ",".join(header) + "\n" + "".join(
-        f"{wid},{','.join(map(repr, row))},{names[label]}\n"
+        f"{wid},{','.join(map(repr, row))},{CLASS_NAMES[label]}\n"
         for wid, (row, label) in enumerate(zip(rows, pred.label.tolist()))
     )
     if out_dir is not None:

@@ -20,7 +20,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from contention.data import NUM_CLASSES, ScenarioConfig
+from contention.data import ScenarioConfig, check_split_fractions
 from contention.errors import ConfigError
 from contention.graph import DEFAULT_CORR_THRESHOLD
 from contention.ingest import IngestConfig, TraceSchema
@@ -50,15 +50,8 @@ class RunConfig:
             )
         if self.n_windows < 1:
             raise ConfigError(f"n_windows must be >= 1, got {self.n_windows}")
-        if len(self.split_fractions) != 3:
-            raise ConfigError(
-                f"split_fractions needs 3 entries, got {len(self.split_fractions)}"
-            )
+        check_split_fractions(self.split_fractions)
         object.__setattr__(self, "split_fractions", tuple(self.split_fractions))
-        if self.model.num_classes != NUM_CLASSES:
-            raise ConfigError(
-                f"model.num_classes must be {NUM_CLASSES}, got {self.model.num_classes}"
-            )
         if self.model.window_len != self.scenario.window_len:
             raise ConfigError(
                 f"model.window_len {self.model.window_len} != "
@@ -99,22 +92,6 @@ def _strict_kwargs(section: str, data: dict, cls) -> dict:
     return data
 
 
-def _build_scenario(data: dict) -> ScenarioConfig:
-    data = dict(_strict_kwargs("scenario", data, ScenarioConfig))
-    groups = data.get("groups")
-    if groups is not None:
-        if not isinstance(groups, dict):
-            raise ConfigError("scenario.groups must map group name to metric indices")
-        for name, cols in groups.items():
-            if not isinstance(cols, list) or not all(type(c) is int for c in cols):
-                raise ConfigError(
-                    f"config key 'scenario.groups.{name}' must be a list of metric indices, "
-                    f"got {cols!r}"
-                )
-        data["groups"] = tuple((name, tuple(cols)) for name, cols in groups.items())
-    return ScenarioConfig(**data)
-
-
 def _build_schema(data: dict) -> TraceSchema:
     _strict_kwargs("schema", data, TraceSchema)
     for key in ("machine_column", "timestamp_column", "metric_columns"):
@@ -134,7 +111,9 @@ def run_config_from_dict(data: dict) -> RunConfig:
     _strict_kwargs("", data, RunConfig)
     kwargs = {}
     if "scenario" in data:
-        kwargs["scenario"] = _build_scenario(data["scenario"])
+        kwargs["scenario"] = ScenarioConfig(
+            **_strict_kwargs("scenario", data["scenario"], ScenarioConfig)
+        )
     if "model" in data:
         kwargs["model"] = ModelConfig(**_strict_kwargs("model", data["model"], ModelConfig))
     if "train" in data:

@@ -158,8 +158,7 @@ def default_groups(metric_count: int) -> tuple[tuple[str, tuple[int, ...]], ...]
     """Equal quarters of [0, D) in canonical group order."""
     if metric_count % 4 != 0 or metric_count < 4:
         raise ConfigError(
-            f"metric count {metric_count} does not divide into 4 equal resource groups; "
-            "pass an explicit group map"
+            f"metric count {metric_count} does not divide into 4 equal resource groups"
         )
     per = metric_count // 4
     return tuple(
@@ -170,7 +169,11 @@ def default_groups(metric_count: int) -> tuple[tuple[str, tuple[int, ...]], ...]
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Knobs of the synthetic contention simulator."""
+    """Knobs of the synthetic contention simulator.
+
+    The resource groups are fixed: equal quarters of the metrics in
+    GROUP_NAMES order (`default_groups`), so metric_count is a multiple of 4.
+    """
 
     metric_count: int = 12  # D
     window_len: int = 32  # T
@@ -179,7 +182,6 @@ class ScenarioConfig:
     leak_lag: int = 4  # steps of delay on leaked signal
     ar_coeff: float = 0.8
     noise_std: float = 0.2
-    groups: tuple[tuple[str, tuple[int, ...]], ...] | None = None
 
     def __post_init__(self):
         if not 4 <= self.metric_count <= MAX_METRIC_COUNT:
@@ -204,45 +206,14 @@ class ScenarioConfig:
             raise ConfigError(
                 f"noise_std must lie in (0, {MAX_SCENARIO_SCALE:g}], got {self.noise_std}"
             )
-        groups = self.groups
-        if groups is None:
-            groups = default_groups(self.metric_count)
-        else:
-            groups = _canonical_groups(groups, self.metric_count)
-        object.__setattr__(self, "groups", groups)
+        default_groups(self.metric_count)
 
     @property
     def group_map(self) -> dict[str, tuple[int, ...]]:
-        return dict(self.groups)
+        return dict(default_groups(self.metric_count))
 
     def metric_names(self) -> tuple[str, ...]:
-        names = [""] * self.metric_count
-        for group, cols in self.groups:
-            for j, col in enumerate(cols):
-                names[col] = f"{group}{j}"
-        return tuple(names)
-
-
-def _canonical_groups(groups, metric_count: int):
-    mapping = dict(groups)
-    if set(mapping) != set(GROUP_NAMES):
-        raise ConfigError(
-            f"group map must name exactly {sorted(GROUP_NAMES)}, got {sorted(mapping)}"
-        )
-    seen: set[int] = set()
-    for name in GROUP_NAMES:
-        cols = tuple(int(c) for c in mapping[name])
-        if not cols:
-            raise ConfigError(f"group '{name}' is empty")
-        if seen & set(cols):
-            raise ConfigError(f"group '{name}' overlaps another group")
-        seen |= set(cols)
-        mapping[name] = cols
-    if seen != set(range(metric_count)):
-        raise ConfigError(
-            f"groups must cover metrics 0..{metric_count - 1} exactly; covered {sorted(seen)}"
-        )
-    return tuple((name, mapping[name]) for name in GROUP_NAMES)
+        return tuple(f"{group}{j}" for group in GROUP_NAMES for j in range(self.metric_count // 4))
 
 
 def _delay(pattern: np.ndarray, lag: int) -> np.ndarray:
@@ -450,6 +421,16 @@ def stratified_shuffle(labels: np.ndarray, rng: RngStream) -> list[np.ndarray]:
     return strata
 
 
+def check_split_fractions(fractions) -> None:
+    """Three positive train/val/test fractions that sum to 1."""
+    if len(fractions) != 3:
+        raise ConfigError(f"split_fractions needs 3 entries, got {len(fractions)}")
+    if not all(f > 0 for f in fractions):  # also rejects nan
+        raise ConfigError(f"split_fractions must be positive, got {tuple(fractions)}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ConfigError(f"split_fractions must sum to 1, got sum {sum(fractions)}")
+
+
 def split(
     labels: np.ndarray,
     fractions: tuple[float, float, float],
@@ -462,12 +443,7 @@ def split(
     per-class count is within one window of the exact proportional share.
     Each part lists its strata in label order.
     """
-    if len(fractions) != 3:
-        raise ConfigError(f"need 3 split fractions, got {len(fractions)}")
-    if not all(f > 0 for f in fractions):  # also rejects nan
-        raise ConfigError(f"split fractions must be positive, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got sum {sum(fractions)}")
+    check_split_fractions(fractions)
     if not len(labels):
         raise DataError("cannot split an empty dataset")
     parts: tuple[list[np.ndarray], ...] = ([], [], [])

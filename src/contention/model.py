@@ -4,8 +4,9 @@ Pipeline per window: a shared two-layer temporal encoder maps each metric's
 T-step series to a node embedding, two rounds of normalized-adjacency
 propagation mix embeddings along the metric graph, a mean readout pools the
 nodes, and K fully parameter-disjoint heads emit one logit per contention
-class. The encoder and propagation weights are shaped only by T and the
-layer widths, never by D, so one parameter set serves any metric count.
+class. K is the fixed class count `data.NUM_CLASSES`, not a setting. The
+encoder and propagation weights are shaped only by T and the layer widths,
+never by D, so one parameter set serves any metric count.
 
 Every stage takes one (T, D) window or an (N, T, D) stack of windows through
 the same code; `forward` chains the stages and `backward` returns the
@@ -26,6 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from contention.data import NUM_CLASSES
 from contention.errors import ConfigError, ShapeError
 from contention.graph import MetricGraph
 from contention.linalg import glorot_init
@@ -40,7 +42,6 @@ MAX_PARAMETERS = 1_000_000
 @dataclass(frozen=True)
 class ModelConfig:
     window_len: int = 32  # T, timesteps per window
-    num_classes: int = 5  # K, contention classes
     encoder_hidden: int = 64
     embed_width: int = 32  # node embedding width out of the encoder
     propagation_width: int = 32
@@ -94,7 +95,7 @@ class ModelParams:
 
     @staticmethod
     def shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-        t, k = cfg.window_len, cfg.num_classes
+        t, k = cfg.window_len, NUM_CLASSES
         dh, de, dp, dd = cfg.encoder_hidden, cfg.embed_width, cfg.propagation_width, cfg.head_hidden
         return {
             "enc_w1": (t, dh), "enc_b1": (dh,),  # W1.T, so xt @ enc_w1 needs no copy
@@ -135,7 +136,7 @@ def init_params(cfg: ModelConfig, rng: RngStream) -> ModelParams:
     p.enc_w2[...] = glorot_init(cfg.embed_width, cfg.encoder_hidden, rng.substream(1))
     p.prop_w1[...] = glorot_init(cfg.embed_width, cfg.propagation_width, rng.substream(2))
     p.prop_w2[...] = glorot_init(cfg.propagation_width, cfg.propagation_width, rng.substream(3))
-    for i in range(cfg.num_classes):
+    for i in range(NUM_CLASSES):
         p.head_w[i] = glorot_init(cfg.head_hidden, cfg.propagation_width, rng.substream(4 + 2 * i))
         p.head_u[i] = glorot_init(1, cfg.head_hidden, rng.substream(5 + 2 * i))[0]
     return p

@@ -32,8 +32,6 @@ import numpy as np
 
 from contention.errors import ConfigError
 
-ALGORITHM = "philox-4x64"
-
 
 def _check_index(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:

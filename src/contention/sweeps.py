@@ -6,9 +6,11 @@ mean and standard deviation of the four test metrics per setting. Trend
 shapes are recorded for inspection, never asserted: they are dataset
 properties, not contracts.
 
-The datasize and ablation sweeps prepare each seed's data once: a datasize
-cell trims its training split, the no-propagation arm replaces its graph
-with the identity graph, and the static-weights arm turns task weighting off.
+Every cell trains through `run_prepared`. The batch, datasize and ablation
+sweeps prepare each seed's data once: a batch cell sets its batch size, a
+datasize cell trims its training split, the no-propagation arm replaces its
+graph with the identity graph, and the static-weights arm turns task
+weighting off. The dim sweep prepares new data for each (dim, seed) cell.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from contention.config import RunConfig
-from contention.data import ScenarioConfig, stratified_shuffle
+from contention.data import stratified_shuffle
 from contention.errors import ConfigError
 from contention.graph import identity_graph
-from contention.pipeline import (PreparedData, RunResult, prepare_synthetic, run_prepared,
-                                 run_synthetic)
+from contention.pipeline import PreparedData, RunResult, prepare_synthetic, run_prepared
 from contention.rng import RngStream
 from contention.train import METRIC_FIELDS, EvalMetrics
 
@@ -71,13 +72,6 @@ def _grid(kind: str, setting_name: str, settings: Sequence, seeds: Sequence[int]
     return SweepTable(kind=kind, setting_name=setting_name, seeds=seeds, rows=rows)
 
 
-def _run(cfg: RunConfig, seed: int, scenario: ScenarioConfig | None = None, **train) -> RunResult:
-    """run_synthetic at cfg seeded by seed, with train fields overridden."""
-    return run_synthetic(scenario or cfg.scenario, cfg.n_windows, cfg.model,
-                         replace(cfg.train, seed=seed, **train), data_seed=seed,
-                         fractions=cfg.split_fractions, corr_threshold=cfg.corr_threshold)
-
-
 def _prepare_seeds(cfg: RunConfig, seeds: Sequence[int]) -> dict[int, PreparedData]:
     """Each seed's synthetic data at cfg, prepared as run_synthetic prepares it."""
     return {seed: prepare_synthetic(cfg.scenario, cfg.n_windows, seed, cfg.split_fractions,
@@ -86,8 +80,9 @@ def _prepare_seeds(cfg: RunConfig, seeds: Sequence[int]) -> dict[int, PreparedDa
 
 def sweep_batch(cfg: RunConfig, sizes: Sequence[int] = BATCH_SIZES,
                 seeds: Sequence[int] = DEFAULT_SWEEP_SEEDS) -> SweepTable:
-    return _grid("batch", "batch_size", sizes, seeds,
-                 lambda size, seed: _run(cfg, seed, batch_size=size))
+    prepared = _prepare_seeds(cfg, seeds)
+    return _grid("batch", "batch_size", sizes, seeds, lambda size, seed: run_prepared(
+        prepared[seed], cfg.model, replace(cfg.train, seed=seed, batch_size=size)))
 
 
 def subsample_stratified(labels: np.ndarray, fraction: float, rng: RngStream) -> np.ndarray:
@@ -122,8 +117,12 @@ def sweep_dim(cfg: RunConfig, dims: Sequence[int] = METRIC_DIMS,
               seeds: Sequence[int] = DEFAULT_SWEEP_SEEDS) -> SweepTable:
     """Regenerate data per metric count; the model config never changes,
     exercising the D-independence of the parameterization."""
-    return _grid("dim", "metric_count", dims, seeds, lambda dim, seed: _run(
-        cfg, seed, scenario=replace(cfg.scenario, metric_count=dim, groups=None)))
+    def cell(dim: int, seed: int) -> RunResult:
+        data = prepare_synthetic(replace(cfg.scenario, metric_count=dim), cfg.n_windows, seed,
+                                 cfg.split_fractions, cfg.corr_threshold)
+        return run_prepared(data, cfg.model, replace(cfg.train, seed=seed))
+
+    return _grid("dim", "metric_count", dims, seeds, cell)
 
 
 def sweep_ablation(cfg: RunConfig, arms: Sequence[str] = ABLATION_ARMS,

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from contention.data import CLASS_NAMES, Dataset
+from contention.data import CLASS_NAMES, NUM_CLASSES, Dataset
 from contention.errors import ConfigError, DataError, NumericError
 from contention.graph import MetricGraph
 from contention.losses import task_losses, update_weights
@@ -225,7 +225,7 @@ def score(params: ModelParams, graph: MetricGraph, data: Dataset) -> Prediction:
 def evaluate(params: ModelParams, graph: MetricGraph, data: Dataset) -> EvalMetrics:
     labels = _check_labeled(data, "evaluation")
     preds = score(params, graph, data).label
-    return metrics_from_confusion(confusion_matrix(labels, preds, params.cfg.num_classes))
+    return metrics_from_confusion(confusion_matrix(labels, preds, NUM_CLASSES))
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def train(
     blocks = ModelParams.block_slices(model_cfg)
     grads = ModelParams.zeros(model_cfg)  # every batch's backward overwrites it
     adam = AdamState.zeros(params.flat.size)
-    weights = np.ones(model_cfg.num_classes)  # rebound each epoch, never written in place
+    weights = np.ones(NUM_CLASSES)  # rebound each epoch, never written in place
     previous = None  # the last epoch's mean task losses
     history = TrainHistory()
     best_params = params.copy()
@@ -276,7 +276,7 @@ def train(
     for epoch in range(cfg.max_epochs):
         order = np.arange(n)
         rng.substream(1 + epoch).generator().shuffle(order)
-        loss_sum = np.zeros(model_cfg.num_classes)
+        loss_sum = np.zeros(NUM_CLASSES)
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
             pred, cache = forward(train_data.values[batch], graph, params)
@@ -314,12 +314,10 @@ def train(
 def write_history_csv(history: TrainHistory, path: str | Path) -> None:
     """One row per epoch; floats via repr so identical runs write identical bytes."""
     path = Path(path)
-    k = len(history.records[0].task_losses) if history.records else len(CLASS_NAMES)
-    names = CLASS_NAMES if k == len(CLASS_NAMES) else tuple(f"task{i}" for i in range(k))
     header = (
         ["epoch"]
-        + [f"loss_{c}" for c in names]
-        + [f"weight_{c}" for c in names]
+        + [f"loss_{c}" for c in CLASS_NAMES]
+        + [f"weight_{c}" for c in CLASS_NAMES]
         + ["combined_loss"]
         + [f"val_{m}" for m in METRIC_FIELDS]
     )

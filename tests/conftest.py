@@ -16,7 +16,6 @@ def tiny_model_cfg():
     """Small widths keep gradient checks and training loops fast."""
     return ModelConfig(
         window_len=8,
-        num_classes=3,
         encoder_hidden=6,
         embed_width=5,
         propagation_width=5,

@@ -18,7 +18,7 @@ from conftest import finite_diff_check, random_dataset, random_graph
 from contention.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from contention.cli import main as cli_main
 from contention.config import RunConfig
-from contention.data import Dataset, ScenarioConfig, baseline_accuracy, generate
+from contention.data import NUM_CLASSES, Dataset, ScenarioConfig, baseline_accuracy, generate
 from contention.graph import build_graph, normalize_adjacency, pearson_matrix
 from contention.ingest import IngestConfig, TraceSchema, ingest_csv
 from contention.linalg import softmax
@@ -44,7 +44,6 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 TINY_MODEL = ModelConfig(
     window_len=8,
-    num_classes=5,
     encoder_hidden=8,
     embed_width=6,
     propagation_width=6,
@@ -64,7 +63,6 @@ def test_criterion_01_multitask_gradient_check():
     start = time.perf_counter()
     model_cfg = ModelConfig(
         window_len=8,
-        num_classes=3,
         encoder_hidden=6,
         embed_width=5,
         propagation_width=5,
@@ -74,8 +72,8 @@ def test_criterion_01_multitask_gradient_check():
     params = init_params(model_cfg, RngStream(0))
     gen = RngStream(0, (5,)).generator()
     xs = np.stack([gen.normal(size=(8, 4)) for _ in range(6)])
-    labels = np.array([0, 1, 2, 0, 1, 2])
-    weights = np.array([1.25, 0.8, 0.95])
+    labels = np.array([0, 1, 2, 3, 4, 2])
+    weights = np.array([1.25, 0.8, 0.95, 1.1, 0.9])
 
     def loss_fn(theta: np.ndarray) -> float:
         logits = forward(xs, graph, ModelParams(model_cfg, theta))[0].logits
@@ -139,7 +137,7 @@ def test_criterion_03_task_weight_invariants():
         float(w) == 1.0 for rec in records[:2] for w in np.asarray(rec.weights)
     )
 
-    k = TINY_MODEL.num_classes
+    k = NUM_CLASSES
     t = train_cfg.dwa_temperature
     sums_ok = True
     positive_ok = True
@@ -334,7 +332,6 @@ def test_criterion_08_determinism(tmp_path):
         },
         "model": {
             "window_len": 8,
-            "num_classes": 5,
             "encoder_hidden": 8,
             "embed_width": 6,
             "propagation_width": 6,

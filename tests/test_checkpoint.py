@@ -36,7 +36,7 @@ from conftest import random_graph
 
 def _checkpoint(seed=0, dim=4):
     cfg = ModelConfig(
-        window_len=8, num_classes=3, encoder_hidden=6,
+        window_len=8, encoder_hidden=6,
         embed_width=5, propagation_width=5, head_hidden=4,
     )
     params = init_params(cfg, RngStream(seed))
@@ -51,7 +51,6 @@ def _checkpoint(seed=0, dim=4):
         params=params,
         graph=graph,
         norm=norm,
-        class_names=("A", "B", "C"),
         metric_names=tuple(f"m{i}" for i in range(dim)),
         train_seed=seed,
         config_digest="d" * 64,
@@ -70,7 +69,6 @@ class TestRoundTrip:
         assert back.graph.threshold == ckpt.graph.threshold
         assert np.array_equal(back.norm.mean, ckpt.norm.mean)
         assert np.array_equal(back.norm.std, ckpt.norm.std)
-        assert back.class_names == ckpt.class_names
         assert back.metric_names == ckpt.metric_names
         assert back.train_seed == ckpt.train_seed
         assert back.config_digest == ckpt.config_digest
@@ -111,14 +109,6 @@ class TestRoundTrip:
         assert payload["model"]["window_len"] == 8
 
 
-class TestSaveValidation:
-    def test_rejects_class_name_count(self, tmp_path):
-        ckpt = _checkpoint()
-        ckpt.class_names = ("A", "B")
-        with pytest.raises(ShapeError, match="class names"):
-            save_checkpoint(ckpt, tmp_path / "x.json")
-
-
 class TestLoadValidation:
     def _saved(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -146,13 +136,14 @@ class TestLoadValidation:
         with pytest.raises(SchemaError, match="normalization"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_version_mismatch(self, tmp_path, version):
-        """Version 1 stored enc_w1 transposed; its checkpoints must be retrained."""
+        """Version 1 stored enc_w1 transposed, and version 2 a class count and
+        class names; their checkpoints must be retrained."""
         path = self._saved(tmp_path)
         self._rewrite(path, lambda p: p.update(format_version=version))
         # a SchemaError is a DataError, which the CLI maps to exit 3
-        message = rf"format version {version} unsupported \(expected 2\)"
+        message = rf"format version {version} unsupported \(expected 3\)"
         with pytest.raises(SchemaError, match=message):
             load_checkpoint(path)
 
@@ -242,12 +233,6 @@ class TestLoadValidation:
         path = self._saved(tmp_path)
         self._rewrite(path, lambda p: p["model"].update(encoder_hidden=10**6, embed_width=10**6))
         with pytest.raises(SchemaError, match="parameters"):
-            load_checkpoint(path)
-
-    def test_class_name_count_mismatch(self, tmp_path):
-        path = self._saved(tmp_path)
-        self._rewrite(path, lambda p: p.update(class_names=["A"]))
-        with pytest.raises(SchemaError, match="class names"):
             load_checkpoint(path)
 
     def test_unknown_model_field(self, tmp_path):
@@ -345,16 +330,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="missing"):
             run_config_from_dict({"schema": {"machine_column": "host"}})
 
-    def test_groups_parsed_from_dict(self):
-        cfg = run_config_from_dict(
-            {
-                "scenario": {
-                    "metric_count": 4,
-                    "groups": {"cpu": [0], "mem": [1], "disk": [2], "net": [3]},
+    def test_scenario_groups_is_an_unknown_key(self):
+        """The four resource groups are fixed quarters of the metrics, not a setting."""
+        with pytest.raises(ConfigError, match="unknown config key 'scenario.groups'"):
+            run_config_from_dict(
+                {
+                    "scenario": {
+                        "metric_count": 4,
+                        "groups": {"cpu": [0], "mem": [1], "disk": [2], "net": [3]},
+                    }
                 }
-            }
-        )
-        assert cfg.scenario.group_map["net"] == (3,)
+            )
 
     def test_load_none_gives_defaults(self):
         assert load_run_config(None) == RunConfig()

@@ -63,7 +63,6 @@ def write_config(path: Path, **overrides) -> Path:
         },
         "model": {
             "window_len": 8,
-            "num_classes": 5,
             "encoder_hidden": 8,
             "embed_width": 6,
             "propagation_width": 6,
@@ -498,7 +497,6 @@ def test_train_manifests_record_each_blas_thread_count(workspace, tmp_path):
 def test_train_checkpoint_stores_dataset_metric_names(workspace):
     ckpt = load_checkpoint(workspace["ckpt"])
     assert ckpt.metric_names == read_dataset(workspace["data"]).metric_names
-    assert ckpt.class_names == CLASS_NAMES
     assert ckpt.train_seed == 0
 
 
@@ -606,7 +604,7 @@ def test_eval_rejects_wrong_window_length(workspace, tmp_path, capsys):
         tmp_path / "cfg.json",
         scenario={"metric_count": 4, "window_len": 12, "separation": 3.0,
                   "noise_std": 0.1, "leak_lag": 2},
-        model={"window_len": 12, "num_classes": 5, "encoder_hidden": 8,
+        model={"window_len": 12, "encoder_hidden": 8,
                "embed_width": 6, "propagation_width": 6, "head_hidden": 4},
     )
     out = tmp_path / "long"
@@ -850,8 +848,6 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
         ({"split_fractions": 5}, "split_fractions"),
         ({"split_fractions": ["a", "b", "c"]}, "split_fractions"),
         ({"split_fractions": [0.5, True, 0.5]}, "split_fractions"),
-        ({"scenario": {"groups": {"cpu": 5}}}, "scenario.groups.cpu"),
-        ({"scenario": {"groups": {"cpu": ["x"]}}}, "scenario.groups.cpu"),
     ],
 )
 def test_config_value_of_wrong_type_is_a_config_error(tmp_path, capsys, config, key):
@@ -872,7 +868,7 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
 
 def test_non_utf8_checkpoint_is_a_data_error(workspace, tmp_path, capsys):
     path = tmp_path / "checkpoint.json"
-    path.write_bytes(workspace["ckpt"].read_bytes().replace(b'"class_names"', b'"\xff\xfe"'))
+    path.write_bytes(workspace["ckpt"].read_bytes().replace(b'"config_digest"', b'"\xff\xfe"'))
     rc = main(["eval", "--checkpoint", str(path), "--data", str(workspace["data"])])
     assert rc == EXIT_DATA
     assert "not valid UTF-8 JSON" in capsys.readouterr().err
@@ -895,16 +891,33 @@ def test_learning_rate_above_one_exits_before_writing(workspace, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fractions, message", [
+    ([0.5, 0.5, 0.5], "split_fractions must sum to 1, got sum 1.5"),
+    ([1.0, 0.0, 0.0], "split_fractions must be positive, got (1.0, 0.0, 0.0)"),
+])
+@pytest.mark.parametrize("command", ["gen", "graph"])
+def test_bad_split_fractions_exit_before_writing(workspace, tmp_path, capsys, command,
+                                                 fractions, message):
+    """gen and graph never split, yet they validate the whole config as train does."""
+    path = write_config(tmp_path / "cfg.json", split_fractions=fractions)
+    out = tmp_path / "data"
+    inputs = ["--n", "8"] if command == "gen" else ["--data", str(workspace["data"])]
+    rc = main([command, "--config", str(path), "--out", str(out)] + inputs)
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("num_classes", [3, 6])
 def test_num_classes_other_than_five_exits_before_writing(workspace, tmp_path, capsys,
                                                           num_classes):
+    """The class count is fixed, so the model section has no num_classes key."""
     path = write_config(tmp_path / "cfg.json", model={"window_len": 8, "num_classes": num_classes})
     out = tmp_path / "run"
     rc = main(["train", "--config", str(path), "--data", str(workspace["data"]),
                "--out", str(out)])
     assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"error: model.num_classes must be 5, got {num_classes}\n")
+    assert capsys.readouterr().err == "error: unknown config key 'model.num_classes'\n"
     assert not out.exists()
 
 

@@ -99,53 +99,6 @@ class TestGroups:
             with pytest.raises(ConfigError):
                 default_groups(bad)
 
-    def test_custom_groups_canonicalized(self):
-        cfg = ScenarioConfig(
-            metric_count=5,
-            groups=(
-                ("net", (4,)),
-                ("cpu", (0, 1)),
-                ("disk", (3,)),
-                ("mem", (2,)),
-            ),
-        )
-        assert [name for name, _ in cfg.groups] == list(GROUP_NAMES)
-        assert cfg.metric_names() == ("cpu0", "cpu1", "mem0", "disk0", "net0")
-
-    def test_group_validation(self):
-        with pytest.raises(ConfigError, match="exactly"):
-            ScenarioConfig(metric_count=4, groups=(("cpu", (0, 1, 2, 3)),))
-        with pytest.raises(ConfigError, match="overlap"):
-            ScenarioConfig(
-                metric_count=4,
-                groups=(
-                    ("cpu", (0, 1)),
-                    ("mem", (1,)),
-                    ("disk", (2,)),
-                    ("net", (3,)),
-                ),
-            )
-        with pytest.raises(ConfigError, match="cover"):
-            ScenarioConfig(
-                metric_count=5,
-                groups=(
-                    ("cpu", (0,)),
-                    ("mem", (1,)),
-                    ("disk", (2,)),
-                    ("net", (3,)),
-                ),
-            )
-        with pytest.raises(ConfigError, match="empty"):
-            ScenarioConfig(
-                metric_count=4,
-                groups=(
-                    ("cpu", (0, 1)),
-                    ("mem", ()),
-                    ("disk", (2,)),
-                    ("net", (3,)),
-                ),
-            )
-
 
 class TestScenarioConfig:
     def test_defaults(self):
@@ -163,6 +116,7 @@ class TestScenarioConfig:
         "kwargs",
         [
             {"metric_count": 3},
+            {"metric_count": 10},
             {"window_len": 7},
             {"separation": -0.1},
             {"leakage": 1.5},
@@ -306,28 +260,16 @@ def _reference_generate(cfg, n, rng):
 
 @st.composite
 def _scenarios(draw):
-    """Scenario configs over window and metric sizes, custom groups and edge knobs."""
+    """Scenario configs over window and metric sizes and edge knobs."""
     t_len = draw(st.integers(8, 40))
-    d = draw(st.integers(4, 24))
-    if d % 4 == 0 and draw(st.booleans()):
-        groups = None
-    else:
-        # every metric to one group, each group non-empty
-        cols = draw(st.permutations(range(d)))
-        cuts = sorted(draw(st.lists(st.integers(1, d - 1), min_size=3, max_size=3,
-                                    unique=True)))
-        parts = np.split(np.array(cols), cuts)
-        groups = tuple((name, tuple(int(c) for c in part))
-                       for name, part in zip(draw(st.permutations(GROUP_NAMES)), parts))
     return ScenarioConfig(
-        metric_count=d,
+        metric_count=4 * draw(st.integers(1, 6)),
         window_len=t_len,
         separation=draw(st.sampled_from([0.0, 0.3, 1.0, 4.0])),
         leakage=draw(st.sampled_from([0.0, 0.3, 1.0])),
         leak_lag=draw(st.integers(0, t_len - 1)),
         ar_coeff=draw(st.sampled_from([-0.95, -0.5, 0.0, 0.8, 0.99])),
         noise_std=draw(st.sampled_from([1e-3, 0.2, 3.0])),
-        groups=groups,
     )
 
 

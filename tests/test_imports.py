@@ -1,9 +1,12 @@
-"""Every import in src/ and tests/ is used, every private name in src/, and every config field.
+"""Every import in src/ and tests/ is used, every private name and constant in src/, and
+every config field.
 
 An AST scan stands in for a linter: a name an import binds must be read
 somewhere in its module, or be listed in the module's `__all__`. A
 module-level `_`-prefixed function, class or constant in src/ must be read
 somewhere in its own module, so deletions leave no private helper behind.
+A module-level UPPER_CASE constant in src/ must be read by some module in
+src/, as a name or as an attribute.
 Every field of the run config's dataclasses must be read as an attribute
 somewhere in src/ outside its class's own `__post_init__`, so a setting
 whose last reader is deleted does not linger as a key that does nothing.
@@ -43,17 +46,29 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
     return [(line, name) for line, name in _imported(tree) if name not in read]
 
 
+def _assigned(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every name a module-level assignment binds, tuple targets unpacked."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                names = t.elts if isinstance(t, ast.Tuple) else [t]
+                bound += [(node.lineno, n.id) for n in names if isinstance(n, ast.Name)]
+    return bound
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
 def unused_privates(path: Path) -> list[tuple[int, str]]:
     """(line, name) of every module-level private definition its module never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    defined = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defined.append((node.lineno, node.name))
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            defined += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    defined = [(node.lineno, node.name) for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    defined = sorted(defined + _assigned(tree))
+    read = _read_names(tree)
     private = [(line, name) for line, name in defined
                if name.startswith("_") and not name.startswith("__")]
     return [(line, name) for line, name in private if name not in read]
@@ -90,6 +105,32 @@ def test_no_unused_private_names():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in files for line, name in unused_privates(path)]
     assert found == []
+
+
+def unread_constants(paths: list[Path]) -> list[tuple[str, int, str]]:
+    """(file name, line, name) of every module-level UPPER_CASE constant that no
+    module in `paths` reads, by name or as an attribute."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    read = set()
+    for tree in trees.values():
+        read |= _read_names(tree)
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return [(name, line, const) for name, tree in trees.items()
+            for line, const in _assigned(tree) if const.isupper() and const not in read]
+
+
+def test_scan_finds_an_unread_constant(tmp_path):
+    first, second = tmp_path / "a.py", tmp_path / "b.py"
+    first.write_text("LIMIT = 3\nSPARE: int = 4\nLOW, HIGH = 1, 2\n__all__ = ['SPARE']\n")
+    second.write_text("import a\nSTEP = a.LIMIT + LOW\nprint(STEP)\n")
+    assert unread_constants([first, second]) == [("a.py", 2, "SPARE"), ("a.py", 3, "HIGH")]
+
+
+def test_no_unread_constants():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    assert unread_constants(files) == []
 
 
 def unread_config_fields(paths: list[Path], classes: tuple[str, ...]) -> list[str]:

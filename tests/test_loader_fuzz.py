@@ -32,7 +32,7 @@ N, T, D = 30, 8, 4
 CONFIG = {
     "scenario": {"metric_count": D, "window_len": T, "separation": 3.0, "noise_std": 0.1,
                  "leak_lag": 2},
-    "model": {"window_len": T, "num_classes": 5, "encoder_hidden": 4, "embed_width": 3,
+    "model": {"window_len": T, "encoder_hidden": 4, "embed_width": 3,
               "propagation_width": 3, "head_hidden": 3},
     "train": {"batch_size": 16, "max_epochs": 1, "learning_rate": 0.01, "seed": 0},
     "corr_threshold": 0.3,
@@ -46,6 +46,8 @@ json_values = st.recursive(
                                                                 max_size=4),
     max_leaves=8,
 )
+
+MISSING = object()  # a case value that deletes its key instead
 
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -155,17 +157,16 @@ def test_overwritten_checkpoint_bytes(original, tmp_path_factory, capsys, data):
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("class_names",), [1, 2, 3, 4, 5], "class names must be a list of strings"),
-        (("class_names", 2), None, "class names must be a list of strings"),
         (("metric_names",), [1, 2, 3, 4], "metric names must be a list of strings"),
         (("graph", "threshold"), 10**400, "OverflowError"),
         (("graph", "dim"), float("inf"), "OverflowError"),
         (("train_seed",), float("inf"), "OverflowError"),
+        (("train_seed",), MISSING, "missing key 'train_seed'"),
         (("normalization", "mean", 0), 10**400, "OverflowError"),
         (("params", "enc_w1", 0, 0), 10**400, "OverflowError"),
     ],
-    ids=["int-class-names", "null-class-name", "int-metric-names", "huge-threshold", "infinite-dim",
-         "infinite-seed", "huge-mean", "huge-weight"],
+    ids=["int-metric-names", "huge-threshold", "infinite-dim",
+         "infinite-seed", "missing-seed", "huge-mean", "huge-weight"],
 )
 def test_checkpoint_values_the_loader_rejects(original, tmp_path_factory, capsys, path, value,
                                               message):
@@ -173,7 +174,10 @@ def test_checkpoint_values_the_loader_rejects(original, tmp_path_factory, capsys
     parent = payload
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
     ckpt = _checkpoint_case(tmp_path_factory, json.dumps(payload).encode())
     with pytest.raises(DataError, match=message):
         load_checkpoint(ckpt)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contention.train as train_module
+from contention.data import NUM_CLASSES
 from contention.errors import ConfigError, ShapeError
 from contention.graph import MetricGraph, identity_graph, normalize_adjacency
 from contention.model import (
@@ -44,11 +45,11 @@ class TestConfigAndParams:
     def test_defaults(self):
         cfg = ModelConfig()
         assert cfg.window_len == 32
-        assert cfg.num_classes == 5
+        assert ModelParams.shapes(cfg)["head_c"] == (NUM_CLASSES,)
 
     def test_rejects_nonpositive_dims(self):
-        with pytest.raises(ConfigError, match="num_classes"):
-            ModelConfig(num_classes=0)
+        with pytest.raises(ConfigError, match="head_hidden"):
+            ModelConfig(head_hidden=0)
         with pytest.raises(ConfigError, match="window_len"):
             ModelConfig(window_len=-3)
 
@@ -71,7 +72,7 @@ class TestConfigAndParams:
         dims = {n for shape in shapes.values() for n in shape}
         assert dims == {
             tiny_model_cfg.window_len,
-            tiny_model_cfg.num_classes,
+            NUM_CLASSES,
             tiny_model_cfg.encoder_hidden,
             tiny_model_cfg.embed_width,
             tiny_model_cfg.propagation_width,
@@ -152,8 +153,8 @@ class TestInit:
 
     def test_heads_initialized_independently(self, tiny_model_cfg):
         p = init_params(tiny_model_cfg, RngStream(10))
-        for i in range(tiny_model_cfg.num_classes):
-            for j in range(i + 1, tiny_model_cfg.num_classes):
+        for i in range(NUM_CLASSES):
+            for j in range(i + 1, NUM_CLASSES):
                 assert not np.array_equal(p.head_w[i], p.head_w[j])
                 assert not np.array_equal(p.head_u[i], p.head_u[j])
 
@@ -243,7 +244,7 @@ class TestHeadsAndPredict:
         p = init_params(tiny_model_cfg, RngStream(0))
         g = random_graph(4, seed=1)
         z = heads(propagate(g, encode(_window(8, 4, 2), p), p), p)
-        assert z.shape == (tiny_model_cfg.num_classes,)
+        assert z.shape == (NUM_CLASSES,)
 
     def test_heads_are_parameter_disjoint(self, tiny_model_cfg):
         """Perturbing head j's weights must not move any other logit."""
@@ -288,7 +289,7 @@ class TestForward:
         pred, cache = forward(x, g, p)
         staged = heads(propagate(g, encode(x, p), p), p)
         assert np.array_equal(pred.logits, staged)
-        assert isinstance(pred.label, int) and pred.logits.shape == (3,)
+        assert isinstance(pred.label, int) and pred.logits.shape == (NUM_CLASSES,)
         assert cache.x.shape == (8, 4)
         assert cache.params is p
         assert cache.graph is g
@@ -298,7 +299,7 @@ class TestForward:
         p = init_params(tiny_model_cfg, RngStream(6))
         for d in (1, 3, 4, 9):
             pred, _ = forward(_window(8, d, d), identity_graph(d), p)
-            assert pred.logits.shape == (tiny_model_cfg.num_classes,)
+            assert pred.logits.shape == (NUM_CLASSES,)
 
     def test_permutation_invariance(self, tiny_model_cfg):
         """Relabeling metrics (and the graph with them) keeps logits fixed."""
@@ -330,7 +331,7 @@ class TestBackward:
     def test_matches_finite_differences(self, tiny_model_cfg):
         cfg = tiny_model_cfg
         p, g, x = self._setup(cfg)
-        dz = RngStream(1, (22,)).generator().normal(size=cfg.num_classes)
+        dz = RngStream(1, (22,)).generator().normal(size=NUM_CLASSES)
 
         _, cache = forward(x, g, p)
         analytic = backward(cache, dz, ModelParams.zeros(p.cfg)).flat
@@ -348,7 +349,7 @@ class TestBackward:
         p = init_params(cfg, RngStream(3))
         g = identity_graph(4)
         x = _window(cfg.window_len, 4, 60)
-        dz = np.array([1.0, -2.0, 0.5])
+        dz = np.array([1.0, -2.0, 0.5, 0.75, -1.5])
         _, cache = forward(x, g, p)
         analytic = backward(cache, dz, ModelParams.zeros(p.cfg)).flat
 
@@ -361,9 +362,9 @@ class TestBackward:
     def test_zero_sensitivity_heads_get_zero_gradient(self, tiny_model_cfg):
         p, g, x = self._setup(tiny_model_cfg, seed=1)
         _, cache = forward(x, g, p)
-        dz = np.array([0.0, 1.0, 0.0])
+        dz = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
         grads = backward(cache, dz, ModelParams.zeros(p.cfg))
-        for k in (0, 2):
+        for k in (0, 2, 3, 4):
             assert np.all(grads.head_w[k] == 0.0)
             assert np.all(grads.head_b[k] == 0.0)
             assert np.all(grads.head_u[k] == 0.0)
@@ -374,8 +375,8 @@ class TestBackward:
         p, g, x = self._setup(tiny_model_cfg, seed=2)
         _, cache = forward(x, g, p)
         gen = RngStream(4, (23,)).generator()
-        dz1 = gen.normal(size=3)
-        dz2 = gen.normal(size=3)
+        dz1 = gen.normal(size=NUM_CLASSES)
+        dz2 = gen.normal(size=NUM_CLASSES)
         ga = backward(cache, dz1, ModelParams.zeros(p.cfg)).flat
         gb = backward(cache, dz2, ModelParams.zeros(p.cfg)).flat
         gsum = backward(cache, dz1 + dz2, ModelParams.zeros(p.cfg)).flat
@@ -389,7 +390,7 @@ class TestBackward:
         g = random_graph(4, seed=7, threshold=0.25)
         gen = RngStream(7, (28,)).generator()
         xs = gen.normal(size=(5, tiny_model_cfg.window_len, 4))
-        dz = gen.normal(size=(5, tiny_model_cfg.num_classes))
+        dz = gen.normal(size=(5, NUM_CLASSES))
         _, cache = forward(xs, g, p)
         fresh = backward(cache, dz, ModelParams.zeros(p.cfg)).flat
         buf = ModelParams(p.cfg, np.full(p.flat.size, np.nan))
@@ -402,16 +403,16 @@ class TestBackward:
     def test_rejects_gradient_buffer_of_another_config(self, tiny_model_cfg):
         p, g, x = self._setup(tiny_model_cfg, seed=6)
         _, cache = forward(x, g, p)
-        other = ModelConfig(window_len=8, num_classes=1, encoder_hidden=6,
-                            embed_width=5, propagation_width=5, head_hidden=4)
+        other = ModelConfig(window_len=8, encoder_hidden=6,
+                            embed_width=5, propagation_width=5, head_hidden=3)
         with pytest.raises(ShapeError, match="gradient buffer"):
-            backward(cache, np.ones(3), ModelParams.zeros(other))
+            backward(cache, np.ones(NUM_CLASSES), ModelParams.zeros(other))
 
     def test_rejects_wrong_dz_shape(self, tiny_model_cfg):
         p, g, x = self._setup(tiny_model_cfg, seed=6)
         _, cache = forward(x, g, p)
         with pytest.raises(ShapeError, match="logits' shape"):
-            backward(cache, np.ones(5), ModelParams.zeros(p.cfg))
+            backward(cache, np.ones(NUM_CLASSES + 1), ModelParams.zeros(p.cfg))
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))
@@ -420,7 +421,6 @@ class TestBackward:
         gen = RngStream(seed, (24,)).generator()
         cfg = ModelConfig(
             window_len=int(gen.integers(2, 7)),
-            num_classes=int(gen.integers(2, 4)),
             encoder_hidden=int(gen.integers(2, 5)),
             embed_width=int(gen.integers(2, 5)),
             propagation_width=int(gen.integers(2, 5)),
@@ -430,7 +430,7 @@ class TestBackward:
         p = init_params(cfg, RngStream(seed, (25,)))
         g = random_graph(d, seed=seed, threshold=0.3)
         x = gen.normal(size=(cfg.window_len, d))
-        dz = gen.normal(size=cfg.num_classes)
+        dz = gen.normal(size=NUM_CLASSES)
         _, cache = forward(x, g, p)
         analytic = backward(cache, dz, ModelParams.zeros(p.cfg)).flat
 
@@ -452,7 +452,7 @@ class TestInPlaceKernels:
         g = random_graph(shape[-1], seed=12, threshold=0.25)
         gen = RngStream(12, (28,)).generator()
         x = gen.normal(size=shape)
-        dz = gen.normal(size=shape[:-2] + (cfg.num_classes,))
+        dz = gen.normal(size=shape[:-2] + (NUM_CLASSES,))
         return p, g, x, dz
 
     @STACK_OR_WINDOW
@@ -495,13 +495,13 @@ class TestBatched:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(1, 9), st.integers(1, 6), st.integers(0, 10_000))
     def test_stack_forward_matches_each_window(self, n, d, seed):
-        cfg = ModelConfig(window_len=8, num_classes=3, encoder_hidden=6,
+        cfg = ModelConfig(window_len=8, encoder_hidden=6,
                           embed_width=5, propagation_width=4, head_hidden=3)
         p = init_params(cfg, RngStream(seed))
         g = random_graph(d, seed=seed, threshold=0.3)
         xs = RngStream(seed, (26,)).generator().normal(size=(n, cfg.window_len, d))
         pred, cache = forward(xs, g, p)
-        assert pred.logits.shape == (n, cfg.num_classes)
+        assert pred.logits.shape == (n, NUM_CLASSES)
         assert cache.x.shape == (n, cfg.window_len, d)
         for i in range(n):
             one, _ = forward(xs[i], g, p)
@@ -510,13 +510,13 @@ class TestBatched:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(1, 9), st.integers(1, 6), st.integers(0, 10_000))
     def test_stack_backward_is_sum_of_window_gradients(self, n, d, seed):
-        cfg = ModelConfig(window_len=8, num_classes=3, encoder_hidden=6,
+        cfg = ModelConfig(window_len=8, encoder_hidden=6,
                           embed_width=5, propagation_width=4, head_hidden=3)
         p = init_params(cfg, RngStream(seed))
         g = random_graph(d, seed=seed, threshold=0.3)
         gen = RngStream(seed, (27,)).generator()
         xs = gen.normal(size=(n, cfg.window_len, d))
-        dz = gen.normal(size=(n, cfg.num_classes))
+        dz = gen.normal(size=(n, NUM_CLASSES))
         _, cache = forward(xs, g, p)
         stacked = backward(cache, dz, ModelParams.zeros(p.cfg)).flat
         summed = np.zeros_like(stacked)
@@ -530,7 +530,7 @@ class TestBatched:
         g = random_graph(4, seed=0)
         _, cache = forward(np.stack([_window(8, 4, 1), _window(8, 4, 2)]), g, p)
         with pytest.raises(ShapeError, match="logits' shape"):
-            backward(cache, np.ones(3), ModelParams.zeros(p.cfg))
+            backward(cache, np.ones(NUM_CLASSES), ModelParams.zeros(p.cfg))
 
     def test_chunked_scoring_does_not_depend_on_n(self, tiny_model_cfg, monkeypatch):
         """Scores of a window are the same whatever else is scored with it."""
@@ -539,7 +539,7 @@ class TestBatched:
         g = random_graph(4, seed=5)
         data = random_dataset(11, 8, 4, seed=3)
         full = train_module.score(p, g, data)
-        assert full.logits.shape == (11, 3) and full.label.shape == (11,)
+        assert full.logits.shape == (11, NUM_CLASSES) and full.label.shape == (11,)
         for n in (1, 4, 5, 10):
             part = train_module.score(p, g, data.subset(np.arange(n)))
             assert np.max(np.abs(part.logits - full.logits[:n])) <= 1e-12

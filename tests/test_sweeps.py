@@ -47,7 +47,7 @@ TINY_SCENARIO = ScenarioConfig(
     metric_count=4, window_len=8, separation=3.0, noise_std=0.1, leak_lag=2
 )
 TINY_MODEL = ModelConfig(
-    window_len=8, num_classes=5, encoder_hidden=8,
+    window_len=8, encoder_hidden=8,
     embed_width=6, propagation_width=6, head_hidden=4,
 )
 TINY_TRAIN = TrainConfig(batch_size=16, max_epochs=2, patience=5, seed=0)

@@ -108,7 +108,7 @@ class TestAdam:
 
     def test_nonfinite_gradient_names_block(self):
         cfg = ModelConfig(
-            window_len=8, num_classes=3, encoder_hidden=4,
+            window_len=8, encoder_hidden=4,
             embed_width=3, propagation_width=3, head_hidden=2,
         )
         params = init_params(cfg, RngStream(0))
@@ -290,7 +290,7 @@ def _toy_problem(n=60, seed=0):
 
 
 TINY_TRAIN_MODEL = ModelConfig(
-    window_len=8, num_classes=5, encoder_hidden=8,
+    window_len=8, encoder_hidden=8,
     embed_width=6, propagation_width=6, head_hidden=4,
 )
 
