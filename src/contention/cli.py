@@ -25,17 +25,19 @@ from contention.config import RunConfig, config_digest, load_run_config, resolve
 from contention.data import (
     CLASS_NAMES,
     NUM_CLASSES,
-    apply_norm,
+    Dataset,
     generate,
     manifest_path,
+    norm_in_place,
     read_dataset,
+    split,
     write_dataset,
 )
 from contention.errors import ConfigError, DataError, NumericError, ShapeError
 from contention.graph import build_graph, graph_stats, pearson_matrix
 from contention.ingest import apply_weak_labels, ingest_csv
 from contention.linalg import softmax
-from contention.pipeline import prepare, run_prepared
+from contention.pipeline import prepare_gathered, run_prepared
 from contention.rng import RngStream
 from contention.sweeps import SWEEPS, write_sweep_csv
 from contention.train import METRIC_FIELDS, EvalMetrics, evaluate, score, write_history_csv
@@ -183,17 +185,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else cfg.train.seed
     train_cfg = replace(cfg.train, seed=seed)
     out_dir = resolve_out_dir(args.out, cfg)
-    data = read_dataset(args.data)
-    prepared = prepare(
-        data, cfg.split_fractions, cfg.corr_threshold, RngStream(seed).substream(1)
-    )
+    prepared = prepare_gathered(*_read_split(args.data, cfg, seed), cfg.corr_threshold)
     result = run_prepared(prepared, cfg.model, train_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = Checkpoint(
         params=result.params,
         graph=prepared.graph,
         norm=prepared.norm,
-        metric_names=data.metric_names,
+        metric_names=prepared.train.metric_names,
         train_seed=seed,
         config_digest=config_digest(cfg),
     )
@@ -212,6 +211,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     _print_metrics("test metrics (held-out split)", result.test_metrics)
     print(f"wrote {ckpt_path} and {history_path}")
     return EXIT_OK
+
+
+def _read_split(path: str, cfg: RunConfig, seed: int) -> list[Dataset]:
+    """The dataset's train, val and test parts, each gathered into a new array.
+
+    This frame is the only holder of the whole set, so it is freed on return,
+    before the parts are normalized and the graph is built.
+    """
+    data = read_dataset(path)
+    return [data.subset(i) for i in split(data.labels, cfg.split_fractions,
+                                          RngStream(seed).substream(1))]
 
 
 def _load_eval_inputs(args: argparse.Namespace):
@@ -236,7 +246,7 @@ def _load_eval_inputs(args: argparse.Namespace):
             "checkpoint was trained on",
             file=sys.stderr,
         )
-    return ckpt, apply_norm(data, ckpt.norm)
+    return ckpt, norm_in_place(data, ckpt.norm)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

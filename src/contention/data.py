@@ -139,6 +139,7 @@ class Dataset:
 
     def subset(self, index: np.ndarray) -> "Dataset":
         """The windows at `index`, in its order, gathered into a new array."""
+        index = np.asarray(index)  # an index array always gathers; a slice would give a view
         return replace(self, values=self.values[index], labels=self.labels[index])
 
     def __iter__(self) -> Iterator[MetricWindow]:
@@ -396,14 +397,21 @@ def fit_norm(data: Dataset) -> NormStats:
 
 
 def apply_norm(data: Dataset | MetricWindow, stats: NormStats) -> Dataset | MetricWindow:
-    """A Dataset or a MetricWindow z-scored with `stats`, in one broadcast."""
+    """A Dataset or a MetricWindow z-scored with `stats` in a new array; `data` is not written."""
+    return norm_in_place(replace(data, values=data.values.copy()), stats)
+
+
+def norm_in_place(data: Dataset | MetricWindow, stats: NormStats) -> Dataset | MetricWindow:
+    """`data` z-scored with `stats` by writing its values, which the caller
+    must have allocated itself: a view, such as a basic slice, would write its parent."""
     if data.metric_count != stats.metric_count:
         raise ShapeError(
             f"data has {data.metric_count} metrics, stats cover {stats.metric_count}"
         )
-    values = data.values - stats.mean
-    values /= stats.std  # in place: one new array, not two
-    return replace(data, values=values)
+    values = data.values
+    values -= stats.mean
+    values /= stats.std
+    return data
 
 
 def stratified_shuffle(labels: np.ndarray, rng: RngStream) -> list[np.ndarray]:
@@ -516,10 +524,12 @@ def _positive_int(manifest: dict, key: str, mpath: Path) -> int:
 def read_dataset(path: str | Path) -> Dataset:
     """The dataset written by write_dataset, checked against its manifest.
 
-    Every malformed file ends in a DataError naming the file. The array is
-    memory-mapped and its dtype and shape checked against the manifest before
-    anything is copied, so a header or manifest claiming more than the file
-    holds allocates nothing. Unlabeled windows get the label UNLABELED.
+    Every malformed file ends in a DataError naming the file. The array's
+    header, dtype and shape are checked against the manifest through a memory
+    map whose pages are never read, so a header or manifest claiming more than
+    the file holds allocates nothing. The values are then read once, in the
+    file's own C or Fortran order, into one new array. Unlabeled windows get
+    the label UNLABELED.
     """
     path = Path(path)
     if not path.exists():
@@ -569,7 +579,11 @@ def read_dataset(path: str | Path) -> Dataset:
             f"{path} holds a {mapped.dtype.str} array of shape {mapped.shape}; "
             f"the manifest needs {VALUES_DTYPE.str} of shape {(n_windows, t_len, d)}"
         )
-    values = np.array(mapped)
+    values = np.empty_like(mapped, subok=False)
+    with path.open("rb") as fh:
+        fh.seek(mapped.offset)
+        if fh.readinto(values.ravel(order="K")) != values.nbytes:  # ravel: a view in memory order
+            raise DataError(f"{path} holds fewer values than its header declares")
     bad = first_nonfinite(values)
     if bad >= 0:
         raise DataError(f"{path}: window {bad} has a non-finite value")

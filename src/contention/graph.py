@@ -65,12 +65,14 @@ def pearson_from_series(series: np.ndarray) -> np.ndarray:
     n, d = x.shape
     means = x.mean(axis=0)
     centered = x - means
-    sq = (centered * centered).sum(axis=0)
+    gram = centered.T @ centered
+    centered *= centered  # squared in place: one (N, D) temporary, not two
+    sq = centered.sum(axis=0)
     sd = np.sqrt(sq / n)
     live = sd > _VAR_FLOOR * np.maximum(1.0, np.abs(means))
     denom = np.sqrt(np.outer(sq, sq))
     with np.errstate(invalid="ignore", divide="ignore"):
-        corr = (centered.T @ centered) / denom
+        corr = gram / denom
     corr[~live, :] = 0.0
     corr[:, ~live] = 0.0
     corr[np.diag_indices(d)] = np.where(live, 1.0, 0.0)

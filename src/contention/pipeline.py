@@ -15,9 +15,9 @@ from contention.data import (
     Dataset,
     NormStats,
     ScenarioConfig,
-    apply_norm,
     fit_norm,
     generate,
+    norm_in_place,
     split,
 )
 from contention.graph import DEFAULT_CORR_THRESHOLD, MetricGraph, build_graph, pearson_matrix
@@ -52,24 +52,29 @@ def prepare_parts(
     parts: tuple[np.ndarray, np.ndarray, np.ndarray],
     corr_threshold: float,
 ) -> PreparedData:
-    """Normalize the train, val and test windows at the given indices of `data`
-    and build the graph from the train part.
+    """Normalize the train, val and test windows at the given index arrays of
+    `data` and build the graph from the train part. `data` is not written.
 
-    Each part is gathered and then normalized, and its raw copy dropped
-    before the next step, so at most one raw part is alive at a time.
+    The three parts are gathered into new arrays and normalized in place, so
+    `data` and one copy of its windows are alive, plus one temporary of the
+    train part's size while the statistics and the graph are computed.
     """
-    train_i, val_i, test_i = parts
-    train_d = data.subset(train_i)
+    return prepare_gathered(*(data.subset(i) for i in parts), corr_threshold)
+
+
+def prepare_gathered(
+    train_d: Dataset, val_d: Dataset, test_d: Dataset, corr_threshold: float
+) -> PreparedData:
+    """Normalize the train, val and test parts in place with statistics of the
+    train part, and build the graph from the normalized train part.
+
+    Each part's values are written, so each must be an array no one else
+    holds, such as the new one Dataset.subset gathers.
+    """
     norm = fit_norm(train_d)
-    train_d = apply_norm(train_d, norm)
+    train_d, val_d, test_d = (norm_in_place(d, norm) for d in (train_d, val_d, test_d))
     graph = build_graph(pearson_matrix(train_d), corr_threshold)
-    return PreparedData(
-        train=train_d,
-        val=apply_norm(data.subset(val_i), norm),
-        test=apply_norm(data.subset(test_i), norm),
-        norm=norm,
-        graph=graph,
-    )
+    return PreparedData(train=train_d, val=val_d, test=test_d, norm=norm, graph=graph)
 
 
 @dataclass

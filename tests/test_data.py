@@ -39,6 +39,7 @@ from contention.data import (
     fit_norm,
     generate,
     manifest_path,
+    norm_in_place,
     read_dataset,
     split,
     write_dataset,
@@ -482,8 +483,11 @@ class TestNormalization:
         data = random_dataset(n, t, d, seed=seed)
         ws = list(data)
         stats = fit_norm(data)
+        before = data.values.tobytes()
         want = np.stack([apply_norm(w, stats).values for w in ws])
         assert apply_norm(data, stats).values.tobytes() == want.tobytes()
+        assert data.values.tobytes() == before  # apply_norm writes neither a window nor a set
+        assert norm_in_place(data.subset(np.arange(n)), stats).values.tobytes() == want.tobytes()
         # fit_norm over the reshaped stack equals the old fit over concatenated windows
         rows = np.concatenate([w.values for w in ws], axis=0)
         assert stats.mean.tobytes() == rows.mean(axis=0).tobytes()
@@ -713,6 +717,33 @@ class TestDatasetFiles:
         assert stacked.dtype.str == "<f8" and stacked.flags.c_contiguous
         assert stacked.reshape(2, -1).tolist() == [[1.0, 2.0, 3.0, 0.1], [5.0, 6.0, 7.0, 8.0]]
         assert json.loads(manifest_path(path).read_text())["labels"] == [4, None]
+
+    def test_read_keeps_the_values_of_a_fortran_order_file(self, tmp_path):
+        data = random_dataset(3, 5, 4, seed=6)
+        c_path, f_path = tmp_path / "c.npy", tmp_path / "f.npy"
+        write_dataset(c_path, data)
+        write_dataset(f_path, data)
+        with f_path.open("wb") as fh:
+            np.save(fh, np.asfortranarray(data.values))
+        assert np.lib.format.open_memmap(f_path, mode="r").flags.f_contiguous
+        back_c, back_f = read_dataset(c_path), read_dataset(f_path)
+        assert back_c.values.tobytes() == data.values.tobytes()
+        assert back_f.values.tobytes() == back_c.values.tobytes()
+
+    def test_read_of_a_file_cut_after_its_header_check_is_a_data_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "ds.npy"
+        write_dataset(path, random_dataset(2, 8, 3, seed=0))
+        open_memmap = np.lib.format.open_memmap
+
+        def then_cut(*args, **kwargs):
+            mapped = open_memmap(*args, **kwargs)
+            with path.open("r+b") as fh:
+                fh.truncate(path.stat().st_size - 8)
+            return mapped
+
+        monkeypatch.setattr(np.lib.format, "open_memmap", then_cut)
+        with pytest.raises(DataError, match=r"ds\.npy holds fewer values than its header declares"):
+            read_dataset(path)
 
     def test_write_keeps_the_name_it_is_given(self, tmp_path):
         path = tmp_path / "windows.bin"

@@ -48,6 +48,24 @@ def brute_pearson(x):
     return np.clip(out, -1.0, 1.0)
 
 
+def two_temporary_pearson(x):
+    """pearson_from_series as written with two (N, D) temporaries, centered
+    and its square: the reference for the bits of the one-temporary form."""
+    n, d = x.shape
+    means = x.mean(axis=0)
+    centered = x - means
+    sq = (centered * centered).sum(axis=0)
+    sd = np.sqrt(sq / n)
+    live = sd > 1e-12 * np.maximum(1.0, np.abs(means))
+    denom = np.sqrt(np.outer(sq, sq))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = (centered.T @ centered) / denom
+    corr[~live, :] = 0.0
+    corr[:, ~live] = 0.0
+    corr[np.diag_indices(d)] = np.where(live, 1.0, 0.0)
+    return np.clip(corr, -1.0, 1.0)
+
+
 def brute_normalize(adj):
     d = adj.shape[0]
     deg = [1.0 + sum(adj[i, j] for j in range(d)) for i in range(d)]
@@ -109,6 +127,19 @@ class TestPearson:
         assert np.all(c >= -1.0) and np.all(c <= 1.0)
         # random normal draws essentially never produce a constant column
         assert np.all(np.diag(c) == 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 8), st.data())
+    def test_equals_the_two_temporary_formula_bit_for_bit(self, n, d, data):
+        """A last-bit change in a correlation can flip an edge at the threshold."""
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = gen.normal(size=(n, d)) * 10.0 ** gen.uniform(-3, 3, size=d)
+        x += data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1e6, 1e6]) | st.floats(-1e6, 1e6),
+                                min_size=d, max_size=d))
+        for j in data.draw(st.lists(st.integers(0, d - 1), max_size=d, unique=True)):
+            x[:, j] = data.draw(st.sampled_from([0.0, -0.0, 3.5, -1e6]))  # constant columns
+        x[gen.random(size=x.shape) < 0.1] = data.draw(st.sampled_from([0.0, -0.0]))
+        assert pearson_from_series(x).tobytes() == two_temporary_pearson(x).tobytes()
 
     def test_dim_property(self):
         c = pearson_from_series(np.random.default_rng(0).normal(size=(10, 5)))

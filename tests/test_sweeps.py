@@ -100,6 +100,22 @@ class TestPrepare:
         assert np.array_equal(prepared.norm.std, raw_norm.std)
         assert np.array_equal(prepared.val.values, apply_norm(data.subset(parts[1]), raw_norm).values)
 
+    def test_prepare_writes_no_caller_values(self):
+        """The sweeps prepare one dataset for every seed and arm. Its parts are
+        normalized in place, bit for bit as apply_norm normalizes a copy."""
+        data = _generated(62, RngStream(4, (60,)))
+        before = data.values.tobytes()
+        parts = (np.arange(22, 62), np.arange(10), np.arange(10, 22))
+        prepared = prepare_parts(data, parts, corr_threshold=0.3)
+        prepare(data, (0.6, 0.2, 0.2), 0.3, RngStream(1, (60,)))
+        assert data.values.tobytes() == before
+        for part, index in zip((prepared.train, prepared.val, prepared.test), parts):
+            want = apply_norm(data.subset(index), prepared.norm).values
+            assert part.values.tobytes() == want.tobytes()
+        with pytest.raises(IndexError):  # a slice part would be a view of `data`
+            prepare_parts(data, (slice(22, 62), slice(0, 10), slice(10, 22)), 0.3)
+        assert data.values.tobytes() == before
+
     def test_split_sizes_follow_fractions(self):
         data = _generated(100, RngStream(7, (60,)))
         prepared = prepare(data, DEFAULT_SPLIT, 0.3, RngStream(8, (60,)))
