@@ -25,7 +25,7 @@ from contention.data import (
 )
 from contention.graph import MetricGraph, build_graph, identity_graph, pearson_matrix
 from contention.model import ModelConfig, ModelParams, forward, init_params, predict
-from contention.pipeline import PreparedData, RunResult, prepare, run_synthetic
+from contention.pipeline import PreparedData, RunResult, prepare, run_prepared, split_parts
 from contention.rng import RngStream
 from contention.train import EvalMetrics, TrainConfig, evaluate
 
@@ -60,8 +60,9 @@ __all__ = [
     "predict",
     "prepare",
     "read_dataset",
-    "run_synthetic",
+    "run_prepared",
     "save_checkpoint",
     "split",
+    "split_parts",
     "write_dataset",
 ]

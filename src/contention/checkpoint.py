@@ -93,6 +93,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(f"checkpoint file not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, no read permission
+        raise DataError(f"checkpoint {path} cannot be read: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long
         raise SchemaError(f"checkpoint {path} is not valid UTF-8 JSON: {exc}") from exc
     try:

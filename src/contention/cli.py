@@ -25,19 +25,17 @@ from contention.config import RunConfig, config_digest, load_run_config, resolve
 from contention.data import (
     CLASS_NAMES,
     NUM_CLASSES,
-    Dataset,
     generate,
     manifest_path,
     norm_in_place,
     read_dataset,
-    split,
     write_dataset,
 )
 from contention.errors import ConfigError, DataError, NumericError, ShapeError
 from contention.graph import build_graph, graph_stats, pearson_matrix
 from contention.ingest import apply_weak_labels, ingest_csv
 from contention.linalg import softmax
-from contention.pipeline import prepare_gathered, run_prepared
+from contention.pipeline import prepare, run_prepared, split_parts
 from contention.rng import RngStream
 from contention.sweeps import SWEEPS, write_sweep_csv
 from contention.train import METRIC_FIELDS, EvalMetrics, evaluate, score, write_history_csv
@@ -185,7 +183,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else cfg.train.seed
     train_cfg = replace(cfg.train, seed=seed)
     out_dir = resolve_out_dir(args.out, cfg)
-    prepared = prepare_gathered(*_read_split(args.data, cfg, seed), cfg.corr_threshold)
+    # the whole set is only split_parts' argument, so it is freed before prepare runs
+    prepared = prepare(*split_parts(read_dataset(args.data), cfg.split_fractions,
+                                    RngStream(seed).substream(1)), cfg.corr_threshold)
     result = run_prepared(prepared, cfg.model, train_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = Checkpoint(
@@ -211,17 +211,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     _print_metrics("test metrics (held-out split)", result.test_metrics)
     print(f"wrote {ckpt_path} and {history_path}")
     return EXIT_OK
-
-
-def _read_split(path: str, cfg: RunConfig, seed: int) -> list[Dataset]:
-    """The dataset's train, val and test parts, each gathered into a new array.
-
-    This frame is the only holder of the whole set, so it is freed on return,
-    before the parts are normalized and the graph is built.
-    """
-    data = read_dataset(path)
-    return [data.subset(i) for i in split(data.labels, cfg.split_fractions,
-                                          RngStream(seed).substream(1))]
 
 
 def _load_eval_inputs(args: argparse.Namespace):
@@ -250,13 +239,13 @@ def _load_eval_inputs(args: argparse.Namespace):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    out_dir = resolve_out_dir(args.out)
     ckpt, data = _load_eval_inputs(args)
     metrics = evaluate(ckpt.params, ckpt.graph, data)
     _print_metrics(f"evaluation over {len(data)} windows", metrics)
     _print_per_class(metrics)
     _print_confusion(metrics.confusion)
-    if args.out:
-        out_dir = Path(args.out)
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         with (out_dir / "metrics.csv").open("w", newline="") as fh:
             fh.write(",".join(METRIC_FIELDS) + "\n")
@@ -276,8 +265,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    out_dir = resolve_out_dir(args.out)
     ckpt, data = _load_eval_inputs(args)
-    out_dir = Path(args.out) if args.out else None
     pred = score(ckpt.params, ckpt.graph, data)
     header = (
         ["window_id"]

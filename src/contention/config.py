@@ -146,6 +146,8 @@ def load_run_config(path: str | Path | None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, no read permission
+        raise ConfigError(f"config {path} cannot be read: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long
         raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -160,11 +162,14 @@ def config_digest(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def resolve_out_dir(cli_value: str | None, cfg: RunConfig) -> Path:
-    """--out beats the environment override, which beats the config file."""
-    if cli_value:
-        return Path(cli_value)
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path(cfg.out_dir)
+def resolve_out_dir(cli_value: str | None, cfg: RunConfig | None = None) -> Path | None:
+    """--out beats the environment override, which beats the config file; with
+    no config (eval, predict) only --out names one, and None writes no file.
+    An existing path that is not a directory is refused before any work starts."""
+    if cfg is None and not cli_value:
+        return None
+    path = Path(cli_value or os.environ.get(OUT_DIR_ENV) or cfg.out_dir)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"output directory {path}: {existing} exists and is not a directory")
+    return path

@@ -177,7 +177,11 @@ def ingest_csv(
     machine_of = array("q")
     code: dict[str, int] = {}
     rows_read = unparseable = 0
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    try:
+        fh = path.open(newline="", encoding="utf-8-sig")
+    except OSError as exc:  # a directory, no read permission
+        raise DataError(f"trace {path} cannot be read: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             index = {name: i for i, name in enumerate(next(reader, []))}

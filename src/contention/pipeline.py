@@ -1,15 +1,15 @@
 """End-to-end glue: a dataset in, trained model and test metrics out.
 
-Keeps the leakage rules in one place: normalization statistics and the
-metric graph both come from the training split only, and the validation and
-test splits are transformed with those frozen artifacts.
+One path, for `contention train` and every sweep cell: split_parts, then
+prepare, then run_prepared. It keeps the leakage rules in one place:
+normalization statistics and the metric graph both come from the training
+split only, and the validation and test splits are transformed with those
+frozen artifacts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from contention.data import (
     Dataset,
@@ -20,7 +20,7 @@ from contention.data import (
     norm_in_place,
     split,
 )
-from contention.graph import DEFAULT_CORR_THRESHOLD, MetricGraph, build_graph, pearson_matrix
+from contention.graph import MetricGraph, build_graph, pearson_matrix
 from contention.model import ModelConfig, ModelParams
 from contention.rng import RngStream
 from contention.train import EvalMetrics, TrainConfig, TrainHistory, evaluate, train
@@ -37,40 +37,18 @@ class PreparedData:
     graph: MetricGraph
 
 
-def prepare(
-    data: Dataset,
-    fractions: tuple[float, float, float],
-    corr_threshold: float,
-    split_rng: RngStream,
-) -> PreparedData:
-    """Split, normalize, and build the metric graph from the train split."""
-    return prepare_parts(data, split(data.labels, fractions, split_rng), corr_threshold)
+def split_parts(data: Dataset, fractions: tuple[float, float, float],
+                split_rng: RngStream) -> tuple[Dataset, Dataset, Dataset]:
+    """The train, val and test parts of a stratified split, each gathered into a
+    new array; `data` is not written. A `data` no caller keeps is freed on return."""
+    return tuple(data.subset(i) for i in split(data.labels, fractions, split_rng))
 
 
-def prepare_parts(
-    data: Dataset,
-    parts: tuple[np.ndarray, np.ndarray, np.ndarray],
-    corr_threshold: float,
-) -> PreparedData:
-    """Normalize the train, val and test windows at the given index arrays of
-    `data` and build the graph from the train part. `data` is not written.
-
-    The three parts are gathered into new arrays and normalized in place, so
-    `data` and one copy of its windows are alive, plus one temporary of the
-    train part's size while the statistics and the graph are computed.
-    """
-    return prepare_gathered(*(data.subset(i) for i in parts), corr_threshold)
-
-
-def prepare_gathered(
-    train_d: Dataset, val_d: Dataset, test_d: Dataset, corr_threshold: float
-) -> PreparedData:
-    """Normalize the train, val and test parts in place with statistics of the
-    train part, and build the graph from the normalized train part.
-
-    Each part's values are written, so each must be an array no one else
-    holds, such as the new one Dataset.subset gathers.
-    """
+def prepare(train_d: Dataset, val_d: Dataset, test_d: Dataset,
+            corr_threshold: float) -> PreparedData:
+    """Normalize the parts with the train part's statistics and build the graph
+    from the normalized train part. Writes its parts, in place: pass arrays no
+    one else holds, such as split_parts returns."""
     norm = fit_norm(train_d)
     train_d, val_d, test_d = (norm_in_place(d, norm) for d in (train_d, val_d, test_d))
     graph = build_graph(pearson_matrix(train_d), corr_threshold)
@@ -88,34 +66,19 @@ class RunResult:
 
 def prepare_synthetic(scenario: ScenarioConfig, n_windows: int, data_seed: int,
                       fractions: tuple[float, float, float], corr_threshold: float) -> PreparedData:
-    """Generate and prepare one synthetic dataset; data_seed drives generation
-    and splitting through separate substreams."""
+    """Generate and prepare one synthetic dataset, as `contention gen` then
+    `contention train` do at seed data_seed: substream 0 drives generation
+    and substream 1 the split."""
     rng = RngStream(data_seed)
-    data = generate(scenario, n_windows, rng.substream(0))
-    return prepare(data, fractions, corr_threshold, rng.substream(1))
-
-
-def run_synthetic(
-    scenario: ScenarioConfig,
-    n_windows: int,
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    data_seed: int,
-    fractions: tuple[float, float, float] = DEFAULT_SPLIT,
-    corr_threshold: float = DEFAULT_CORR_THRESHOLD,
-) -> RunResult:
-    """Generate, prepare, train, and score one synthetic experiment.
-
-    train_cfg.seed drives initialization and batch order independently of
-    data_seed, so data and optimization randomness can be varied apart.
-    """
-    prepared = prepare_synthetic(scenario, n_windows, data_seed, fractions, corr_threshold)
-    return run_prepared(prepared, model_cfg, train_cfg)
+    return prepare(*split_parts(generate(scenario, n_windows, rng.substream(0)), fractions,
+                                rng.substream(1)), corr_threshold)
 
 
 def run_prepared(
     prepared: PreparedData, model_cfg: ModelConfig, train_cfg: TrainConfig
 ) -> RunResult:
+    """Train, keep the best epoch on val and score test; train_cfg.seed drives
+    initialization and batch order, apart from the data seed."""
     params, history = train(prepared.train, prepared.val, prepared.graph, train_cfg, model_cfg)
     return RunResult(
         params=params,

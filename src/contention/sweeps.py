@@ -73,7 +73,7 @@ def _grid(kind: str, setting_name: str, settings: Sequence, seeds: Sequence[int]
 
 
 def _prepare_seeds(cfg: RunConfig, seeds: Sequence[int]) -> dict[int, PreparedData]:
-    """Each seed's synthetic data at cfg, prepared as run_synthetic prepares it."""
+    """Each seed's synthetic data at cfg, prepared as gen then train at that seed prepare it."""
     return {seed: prepare_synthetic(cfg.scenario, cfg.n_windows, seed, cfg.split_fractions,
                                     cfg.corr_threshold) for seed in seeds}
 

@@ -18,7 +18,7 @@ from conftest import finite_diff_check, random_dataset, random_graph
 from contention.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from contention.cli import main as cli_main
 from contention.config import RunConfig
-from contention.data import NUM_CLASSES, Dataset, ScenarioConfig, baseline_accuracy, generate
+from contention.data import NUM_CLASSES, ScenarioConfig, baseline_accuracy, generate
 from contention.graph import build_graph, normalize_adjacency, pearson_matrix
 from contention.ingest import IngestConfig, TraceSchema, ingest_csv
 from contention.linalg import softmax
@@ -30,7 +30,7 @@ from contention.model import (
     forward,
     init_params,
 )
-from contention.pipeline import prepare_parts, run_prepared, run_synthetic
+from contention.pipeline import DEFAULT_SPLIT, prepare, prepare_synthetic, run_prepared
 from contention.rng import RngStream
 from contention.sweeps import sweep_ablation, sweep_batch, sweep_datasize, sweep_dim
 from contention.train import TrainConfig, confusion_matrix, metrics_from_confusion
@@ -130,7 +130,8 @@ def test_criterion_03_task_weight_invariants():
     train_cfg = TrainConfig(
         batch_size=32, max_epochs=50, patience=50, learning_rate=0.01, seed=0
     )
-    result = run_synthetic(TINY_SCENARIO, 240, TINY_MODEL, train_cfg, data_seed=3)
+    prepared = prepare_synthetic(TINY_SCENARIO, 240, 3, DEFAULT_SPLIT, corr_threshold=0.3)
+    result = run_prepared(prepared, TINY_MODEL, train_cfg)
     records = result.history.records
     ran_full = len(records) == 50
     cold_start = all(
@@ -175,14 +176,8 @@ def test_criterion_04_synthetic_recovery():
         generate(scenario, n, rng.substream(k)) for k, n in enumerate((2000, 500, 500))
     )
 
-    gate = baseline_accuracy(test_d, scenario)
-    parts = (np.arange(2000), np.arange(2000, 2500), np.arange(2500, 3000))
-    whole = Dataset(
-        np.concatenate([train_d.values, val_d.values, test_d.values]),
-        np.concatenate([train_d.labels, val_d.labels, test_d.labels]),
-        scenario.metric_names(),
-    )
-    prepared = prepare_parts(whole, parts, corr_threshold=0.3)
+    gate = baseline_accuracy(test_d, scenario)  # before prepare normalizes test_d in place
+    prepared = prepare(train_d, val_d, test_d, corr_threshold=0.3)
     result = run_prepared(prepared, ModelConfig(), TrainConfig())
     m = result.test_metrics
     elapsed = time.perf_counter() - start
@@ -364,12 +359,10 @@ def test_criterion_08_determinism(tmp_path):
         histories.append((out / "history.csv").read_bytes())
     history_identical = histories[0] == histories[1]
 
-    result = run_synthetic(
-        TINY_SCENARIO,
-        120,
+    result = run_prepared(
+        prepare_synthetic(TINY_SCENARIO, 120, 5, DEFAULT_SPLIT, corr_threshold=0.3),
         TINY_MODEL,
         TrainConfig(batch_size=16, max_epochs=2, seed=0),
-        data_seed=5,
     )
     ckpt_path = tmp_path / "roundtrip.json"
     save_checkpoint(

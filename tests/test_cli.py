@@ -41,7 +41,7 @@ from contention.data import (
 )
 from contention.errors import ConfigError, DataError, NumericError, ShapeError
 from contention.linalg import softmax
-from contention.pipeline import prepare
+from contention.pipeline import prepare, prepare_synthetic, run_prepared, split_parts
 from contention.rng import RngStream
 from contention.train import METRIC_FIELDS, evaluate, score
 
@@ -533,14 +533,44 @@ def test_train_prints_the_held_out_test_metrics(workspace, tmp_path, capsys):
     assert test_at == val_at + 1 + len(METRIC_FIELDS)
     # the test split of seed 0, scored by the checkpoint train wrote
     cfg = load_run_config(workspace["cfg"])
-    prepared = prepare(read_dataset(workspace["data"]), cfg.split_fractions,
-                       cfg.corr_threshold, RngStream(0).substream(1))
+    prepared = prepare(*split_parts(read_dataset(workspace["data"]), cfg.split_fractions,
+                                    RngStream(0).substream(1)), cfg.corr_threshold)
     ckpt = load_checkpoint(tmp_path / "o" / "checkpoint.json")
     metrics = evaluate(ckpt.params, ckpt.graph, prepared.test)
     width = max(len(m) for m in METRIC_FIELDS)
     assert lines[test_at + 1 : test_at + 1 + len(METRIC_FIELDS)] == [
         f"  {m:<{width}}  {getattr(metrics, m):.4f}" for m in METRIC_FIELDS
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_train_prepares_and_trains_as_a_sweep_cell(tmp_path, seed):
+    """`gen --seed s` then `train --seed s` give, bit for bit, the norm, graph
+    and parameters of run_prepared on prepare_synthetic at seed s, the path
+    every sweep cell takes."""
+    # the largest train-split |corr| reads 0.198 at seed 0 and 0.268 at seed 3
+    cfg_path = write_config(tmp_path / "config.json", corr_threshold=0.15)
+    cfg = load_run_config(cfg_path)
+    data = tmp_path / "data"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(data),
+                 "--seed", str(seed)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg_path), "--data", str(data / "dataset.npy"),
+                 "--out", str(tmp_path / "run"), "--seed", str(seed)]) == EXIT_OK
+    ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.json")
+    want = run_prepared(
+        prepare_synthetic(cfg.scenario, cfg.n_windows, seed, cfg.split_fractions,
+                          cfg.corr_threshold),
+        cfg.model, replace(cfg.train, seed=seed))
+    assert want.prepared.graph.adjacency.any()  # so the graph pins something
+    for got, expected in [
+        (ckpt.norm.mean, want.prepared.norm.mean),
+        (ckpt.norm.std, want.prepared.norm.std),
+        (ckpt.graph.adjacency, want.prepared.graph.adjacency),
+        (ckpt.graph.normalized, want.prepared.graph.normalized),
+        (ckpt.params.flat, want.params.flat),
+    ]:
+        assert got.tobytes() == expected.tobytes()
+    assert ckpt.graph.threshold == want.prepared.graph.threshold
 
 
 def _traced_peak(argv: list[str]) -> int:
@@ -916,6 +946,71 @@ def test_non_utf8_checkpoint_is_a_data_error(workspace, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(path), "--data", str(workspace["data"])])
     assert rc == EXIT_DATA
     assert "not valid UTF-8 JSON" in capsys.readouterr().err
+
+
+def _valid_flags(command: str, workspace, tmp_path: Path) -> dict[str, str]:
+    """Flags under which `command` would run and write to tmp_path / "out"."""
+    cfg, data, out = str(workspace["cfg"]), str(workspace["data"]), str(tmp_path / "out")
+    return {
+        "gen": {"--config": cfg, "--n": "8", "--out": out},
+        "ingest": {"--config": str(ingest_config(tmp_path / "ingest.json")),
+                   "--trace": str(_write_trace(tmp_path / "trace.csv", cpu=0.95)), "--out": out},
+        "graph": {"--config": cfg, "--data": data},
+        "train": {"--config": cfg, "--data": data, "--out": out},
+        "eval": {"--checkpoint": str(workspace["ckpt"]), "--data": data, "--out": out},
+        "predict": {"--checkpoint": str(workspace["ckpt"]), "--data": data, "--out": out},
+        "sweep": {"--config": cfg, "--kind": "batch", "--seeds": "0", "--out": out},
+    }[command]
+
+
+@pytest.mark.parametrize("command, flag, code, what", [
+    ("gen", "--config", EXIT_CONFIG, "config"),
+    ("ingest", "--config", EXIT_CONFIG, "config"),
+    ("graph", "--config", EXIT_CONFIG, "config"),
+    ("train", "--config", EXIT_CONFIG, "config"),
+    ("sweep", "--config", EXIT_CONFIG, "config"),
+    ("eval", "--checkpoint", EXIT_DATA, "checkpoint"),
+    ("predict", "--checkpoint", EXIT_DATA, "checkpoint"),
+    ("ingest", "--trace", EXIT_DATA, "trace"),
+])
+def test_input_path_that_is_a_directory_is_a_documented_error(workspace, tmp_path, capsys,
+                                                               command, flag, code, what):
+    flags = _valid_flags(command, workspace, tmp_path)
+    flags[flag] = str(tmp_path)
+    rc = main([command] + [arg for pair in flags.items() for arg in pair])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} {tmp_path} cannot be read: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "ingest", "train", "eval", "predict", "sweep"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+def test_out_path_that_is_a_file_exits_before_any_work(workspace, tmp_path, capsys,
+                                                       monkeypatch, command, below):
+    flags = _valid_flags(command, workspace, tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    flags["--out"] = str(taken / "sub" if below else taken)
+    for stage in ("generate", "ingest_csv", "read_dataset", "load_checkpoint"):
+        monkeypatch.setattr(cli, stage, lambda *a: pytest.fail("work started"))
+    monkeypatch.setitem(cli.SWEEPS, "batch", lambda *a, **k: pytest.fail("work started"))
+    rc = main([command] + [arg for pair in flags.items() for arg in pair])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: output directory {flags['--out']}: {taken} exists and is not a directory\n")
+    assert taken.read_text() == "kept\n"
+
+
+def test_out_dir_from_the_environment_that_is_a_file_is_a_config_error(tmp_path, capsys,
+                                                                       monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setenv(OUT_DIR_ENV, str(taken))
+    rc = main(["gen", "--config", str(write_config(tmp_path / "cfg.json")), "--n", "4"])
+    assert rc == EXIT_CONFIG
+    assert "is not a directory" in capsys.readouterr().err
 
 
 def test_config_int_is_accepted_where_a_float_is_expected(tmp_path):

@@ -12,7 +12,7 @@ from contention.cli import main as cli_main
 from contention.config import run_config_from_dict
 from contention.data import generate, write_dataset
 from contention.errors import ConfigError
-from contention.pipeline import run_synthetic
+from contention.pipeline import prepare_synthetic, run_prepared
 from contention.rng import RngStream
 from contention.sweeps import sweep_datasize
 
@@ -152,9 +152,10 @@ SMALL_RUN = {
 }
 
 
-def _run_synthetic(tmp_path):
+def _synthetic_run(tmp_path):
     cfg = run_config_from_dict(SMALL_RUN)
-    run_synthetic(cfg.scenario, cfg.n_windows, cfg.model, cfg.train, data_seed=cfg.train.seed)
+    run_prepared(prepare_synthetic(cfg.scenario, cfg.n_windows, cfg.train.seed,
+                                   cfg.split_fractions, cfg.corr_threshold), cfg.model, cfg.train)
 
 
 def _cli_train(tmp_path):
@@ -168,7 +169,7 @@ def _datasize_cell(tmp_path):
     sweep_datasize(run_config_from_dict(SMALL_RUN), fractions=(0.5,), seeds=(5,))
 
 
-@pytest.mark.parametrize("run", [_run_synthetic, _cli_train, _datasize_cell])
+@pytest.mark.parametrize("run", [_synthetic_run, _cli_train, _datasize_cell])
 def test_no_stream_is_drawn_twice_in_one_run(run, tmp_path, monkeypatch):
     """Data generation, the split, the subsample, initialization and every
     epoch's batch order each draw from a stream of their own."""

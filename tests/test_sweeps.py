@@ -20,9 +20,9 @@ from contention.model import ModelConfig
 from contention.pipeline import (
     DEFAULT_SPLIT,
     prepare,
-    prepare_parts,
+    prepare_synthetic,
     run_prepared,
-    run_synthetic,
+    split_parts,
 )
 from contention.rng import RngStream
 from contention.sweeps import (
@@ -72,7 +72,7 @@ ABLATION_CFG = replace(TINY_CFG, train=replace(TINY_TRAIN, max_epochs=4, learnin
 class TestPrepare:
     def test_norm_comes_from_train_split_only(self):
         data = _generated(90, RngStream(0, (60,)))
-        prepared = prepare(data, (0.6, 0.2, 0.2), 0.3, RngStream(1, (60,)))
+        prepared = prepare(*split_parts(data, (0.6, 0.2, 0.2), RngStream(1, (60,))), 0.3)
         stacked = prepared.train.values.reshape(-1, 4)
         assert np.max(np.abs(stacked.mean(axis=0))) <= 1e-10
         assert np.max(np.abs(stacked.std(axis=0) - 1.0)) <= 1e-10
@@ -83,15 +83,15 @@ class TestPrepare:
 
     def test_graph_built_from_normalized_train(self):
         data = _generated(90, RngStream(2, (60,)))
-        prepared = prepare(data, (0.6, 0.2, 0.2), 0.3, RngStream(3, (60,)))
+        prepared = prepare(*split_parts(data, (0.6, 0.2, 0.2), RngStream(3, (60,))), 0.3)
         want = build_graph(pearson_matrix(prepared.train), 0.3)
         assert np.array_equal(prepared.graph.adjacency, want.adjacency)
         assert prepared.graph.threshold == 0.3
 
-    def test_prepare_parts_respects_given_split(self):
+    def test_prepare_respects_given_parts(self):
         data = _generated(62, RngStream(4, (60,)))
         parts = (np.arange(22, 62), np.arange(10), np.arange(10, 22))
-        prepared = prepare_parts(data, parts, corr_threshold=0.3)
+        prepared = prepare(*(data.subset(i) for i in parts), corr_threshold=0.3)
         assert len(prepared.train) == 40
         assert len(prepared.val) == 10
         assert len(prepared.test) == 12
@@ -101,31 +101,33 @@ class TestPrepare:
         assert np.array_equal(prepared.val.values, apply_norm(data.subset(parts[1]), raw_norm).values)
 
     def test_prepare_writes_no_caller_values(self):
-        """The sweeps prepare one dataset for every seed and arm. Its parts are
-        normalized in place, bit for bit as apply_norm normalizes a copy."""
+        """prepare writes only the parts split_parts gathers, never the set they
+        came from, and normalizes them in place bit for bit as apply_norm
+        normalizes a copy."""
         data = _generated(62, RngStream(4, (60,)))
         before = data.values.tobytes()
         parts = (np.arange(22, 62), np.arange(10), np.arange(10, 22))
-        prepared = prepare_parts(data, parts, corr_threshold=0.3)
-        prepare(data, (0.6, 0.2, 0.2), 0.3, RngStream(1, (60,)))
+        prepared = prepare(*(data.subset(i) for i in parts), corr_threshold=0.3)
+        prepare(*split_parts(data, (0.6, 0.2, 0.2), RngStream(1, (60,))), 0.3)
         assert data.values.tobytes() == before
         for part, index in zip((prepared.train, prepared.val, prepared.test), parts):
             want = apply_norm(data.subset(index), prepared.norm).values
             assert part.values.tobytes() == want.tobytes()
         with pytest.raises(IndexError):  # a slice part would be a view of `data`
-            prepare_parts(data, (slice(22, 62), slice(0, 10), slice(10, 22)), 0.3)
+            data.subset(slice(22, 62))
         assert data.values.tobytes() == before
 
     def test_split_sizes_follow_fractions(self):
         data = _generated(100, RngStream(7, (60,)))
-        prepared = prepare(data, DEFAULT_SPLIT, 0.3, RngStream(8, (60,)))
+        prepared = prepare(*split_parts(data, DEFAULT_SPLIT, RngStream(8, (60,))), 0.3)
         assert len(prepared.train) + len(prepared.val) + len(prepared.test) == 100
         assert abs(len(prepared.train) - 70) <= 3
 
 
 def _tiny_run(data_seed):
-    return run_synthetic(TINY_SCENARIO, 100, TINY_MODEL, TINY_TRAIN, data_seed=data_seed,
-                         corr_threshold=TINY_CFG.corr_threshold)
+    prepared = prepare_synthetic(TINY_SCENARIO, 100, data_seed, DEFAULT_SPLIT,
+                                 TINY_CFG.corr_threshold)
+    return run_prepared(prepared, TINY_MODEL, TINY_TRAIN)
 
 
 class TestRunSynthetic:
@@ -208,13 +210,11 @@ class TestSweeps:
         self._check_table(table, "datasize", "train_fraction", (0.5, 1.0), (0, 1))
         full_row = table.rows[1]
         for i, seed in enumerate((0, 1)):
-            unswept = run_synthetic(
-                TINY_CFG.scenario,
-                TINY_CFG.n_windows,
+            unswept = run_prepared(
+                prepare_synthetic(TINY_CFG.scenario, TINY_CFG.n_windows, seed,
+                                  TINY_CFG.split_fractions, TINY_CFG.corr_threshold),
                 TINY_CFG.model,
                 replace(TINY_CFG.train, seed=seed),
-                data_seed=seed,
-                corr_threshold=TINY_CFG.corr_threshold,
             )
             assert full_row.per_seed[i].accuracy == unswept.test_metrics.accuracy
             assert full_row.per_seed[i].macro_f1 == unswept.test_metrics.macro_f1
@@ -238,8 +238,8 @@ class TestSweeps:
         for i, seed in enumerate((0, 1)):
             rng = RngStream(seed)
             data = generate(TINY_SCENARIO, ABLATION_CFG.n_windows, rng.substream(0))
-            prepared = prepare(data, ABLATION_CFG.split_fractions, ABLATION_CFG.corr_threshold,
-                               rng.substream(1))
+            prepared = prepare(*split_parts(data, ABLATION_CFG.split_fractions, rng.substream(1)),
+                               ABLATION_CFG.corr_threshold)
             assert graph_stats(prepared.graph).edges > 0  # so the identity graph changes the run
             train_cfg = replace(ABLATION_CFG.train, seed=seed)
             runs = {
