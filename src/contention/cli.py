@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, checkpoint=False, config=True):
+    def common(p, data=False, checkpoint=False, config=True, out=True):
         if config:
             p.add_argument("--config", default=None, help="JSON run config path")
         if data:
@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="dataset .npy path, with its .manifest.json beside it")
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="checkpoint JSON path")
-        p.add_argument("--out", default=None, help="output directory")
+        if out:
+            p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("gen", help="generate a labeled synthetic dataset")
     common(p)
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("graph", help="build and describe the metric graph")
-    common(p, data=True)
+    common(p, data=True, out=False)  # it only prints
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("train", help="train a model on a labeled dataset")

@@ -418,6 +418,14 @@ def test_graph_prints_structure_summary(workspace, capsys):
     assert "degree histogram" in captured
 
 
+def test_graph_has_no_out_option(workspace, tmp_path):
+    """graph only prints, so --out is a usage error rather than a path it ignores."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["graph", "--data", str(workspace["data"]), "--out", str(tmp_path / "out")])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_graph_missing_dataset_is_a_data_error(tmp_path, capsys):
     rc = main(["graph", "--data", str(tmp_path / "nope.npy")])
     assert rc == EXIT_DATA
@@ -1040,8 +1048,9 @@ def test_bad_split_fractions_exit_before_writing(workspace, tmp_path, capsys, co
     """gen and graph never split, yet they validate the whole config as train does."""
     path = write_config(tmp_path / "cfg.json", split_fractions=fractions)
     out = tmp_path / "data"
-    inputs = ["--n", "8"] if command == "gen" else ["--data", str(workspace["data"])]
-    rc = main([command, "--config", str(path), "--out", str(out)] + inputs)
+    inputs = (["--n", "8", "--out", str(out)] if command == "gen"
+              else ["--data", str(workspace["data"])])
+    rc = main([command, "--config", str(path)] + inputs)
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()

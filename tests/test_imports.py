@@ -10,10 +10,15 @@ src/, as a name or as an attribute.
 Every field of the run config's dataclasses must be read as an attribute
 somewhere in src/ outside its class's own `__post_init__`, so a setting
 whose last reader is deleted does not linger as a key that does nothing.
+Likewise every option of every CLI subcommand must be read as `args.<dest>`
+by the command's function or by a function it passes `args` to.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from contention import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_CLASSES = ("ScenarioConfig", "ModelConfig", "TrainConfig", "IngestConfig", "RunConfig")
@@ -166,3 +171,53 @@ def test_scan_finds_an_unread_config_field(tmp_path):
 def test_every_config_field_is_read():
     files = sorted((ROOT / "src").rglob("*.py"))
     assert unread_config_fields(files, CONFIG_CLASSES) == []
+
+
+def unread_options(parser: argparse.ArgumentParser, tree: ast.Module) -> list[str]:
+    """`command --option` for every option of every subcommand that the function
+    in its `func` default never reads as `args.<dest>`, itself or through a
+    function defined in `tree` that it passes `args` to."""
+    reads, passes = {}, {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            nodes = list(ast.walk(fn))
+            reads[fn.name] = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                              and isinstance(n.value, ast.Name) and n.value.id == "args"}
+            passes[fn.name] = {n.func.id for n in nodes if isinstance(n, ast.Call)
+                               and isinstance(n.func, ast.Name)
+                               and any(isinstance(a, ast.Name) and a.id == "args" for a in n.args)}
+
+    def read_by(name, seen):
+        seen.add(name)
+        got = set(reads.get(name, ()))
+        for callee in passes.get(name, set()) - seen:
+            got |= read_by(callee, seen)
+        return got
+
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = []
+    for command, sub in commands.choices.items():
+        got = read_by(sub.get_default("func").__name__, set())
+        found += [f"{command} {a.option_strings[0]}" for a in sub._actions
+                  if a.option_strings and not isinstance(a, argparse._HelpAction)
+                  and a.dest not in got]
+    return found
+
+
+def test_scan_finds_an_unread_option():
+    def cmd(args):
+        pass
+
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers().add_parser("run")
+    for option in ("--direct", "--helped", "--unread"):
+        sub.add_argument(option)
+    sub.set_defaults(func=cmd)
+    tree = ast.parse("def helper(args):\n    return args.helped\n"
+                     "def cmd(args):\n    return helper(args), args.direct\n")
+    assert unread_options(parser, tree) == ["run --unread"]
+
+
+def test_every_cli_option_is_read():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    assert unread_options(cli.build_parser(), tree) == []

@@ -2,8 +2,9 @@
 
 Every expected window value in the hand-built tests was computed by hand
 from the bucket means, so a change to the resampling or fill rules breaks
-these on purpose. The property test compares the columnar ingest with a
-row-by-row reference implementation kept in this file.
+these on purpose. The property test and the cell table compare the columnar
+ingest, whichever of its two readers parses a row, with a row-by-row
+reference implementation kept in this file.
 """
 
 import csv
@@ -282,6 +283,20 @@ class TestIngestCsv:
         assert list(result.sources) == [f"m1@{base}"]
         assert np.array_equal(result.windows.values[0][:, 0], [0.0, 1.0, 2.0, 3.0])
 
+    def test_oversized_field_is_reported_before_a_later_undecodable_line(self, tmp_path):
+        """Both fall in one block of lines; the csv loop meets the field first."""
+        path = tmp_path / "trace.csv"
+        # 15 kB of padding: the file object decodes the bad byte only after csv read the field
+        pad = b"m1,60,0.5,0.5," + b"0" * 5000
+        path.write_bytes(b"\n".join([b"machine,ts,cpu_util,mem_util", b"m1,0,0.5,0.5",
+                                      b"m1,0,0.5," + b"9" * 200_000, pad, pad, pad,
+                                      b"m1,120,0.5,\xff"]) + b"\n")
+        with pytest.raises(DataError) as got:
+            ingest_csv(path, SCHEMA, IngestConfig(window_len=4))
+        limit = csv.field_size_limit()
+        assert str(got.value) == (
+            f"trace {path}: unreadable CSV: field larger than field limit ({limit})")
+
     def test_machine_with_only_skipped_rows_is_not_counted(self, tmp_path):
         rows = [("m1", 60 * k, 1.0, 1.0) for k in range(4)] + [("m2", 0, "nan", 1.0)]
         path = _write_trace(tmp_path, rows)
@@ -521,13 +536,22 @@ def _reference_weak_labels(windows, groups):
 
 
 _BASES = (0, 1_700_000_000, 10**20, -(10**20))
-_MACHINES = ("a", "b", "c,d", 'q"x', "")
+_MACHINES = ("a", "b", "c,d", 'q"x', "l\nf", "")  # a quoted "l\nf" spans two lines
+_PLAIN_MACHINES = ("a", "b", "c d", "")  # csv.writer quotes none of them
 _BAD_CELLS = ("", "x", "nan", "-inf", "inf", "1e999", "1.5", " 7")
 
 
 @st.composite
 def _traces(draw):
-    """A shuffled, gappy trace: (header, rows with [] for a blank line, schema, config)."""
+    """A shuffled, gappy trace: (header, rows with [] for a blank line, schema, config,
+    line terminator).
+
+    Most traces hold no quote, so numpy may read their blocks; in the others
+    csv.writer quotes the extra cell, and the csv loop reads every row.
+    """
+    plain = draw(st.sampled_from([True, True, False]))
+    # in some traces spoilt rows are rare, so that blocks without one are common
+    rare = draw(st.booleans())
     d = draw(st.integers(1, 4))
     groups = draw(st.lists(st.sampled_from(GROUP_NAMES), min_size=d, max_size=d))
     metrics = [f"v{j}" for j in range(d)]
@@ -548,18 +572,20 @@ def _traces(draw):
     # 0.1, 0.2 and 0.3 sum to different doubles in different orders
     values = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1.0, 0.9, 7.25]) | st.floats(-1e6, 1e6)
     lines = []
-    for machine in draw(st.lists(st.sampled_from(_MACHINES), min_size=1, max_size=3, unique=True)):
+    machines = st.sampled_from(_PLAIN_MACHINES if plain else _MACHINES)
+    for machine in draw(st.lists(machines, min_size=1, max_size=3, unique=True)):
         ts = base + draw(st.integers(-50, 50))
         # equal stamps, steps inside a bucket, short and long gaps
         steps = st.sampled_from([0, 0, 1, step // 2, step, step, 2 * step, 6 * step, 10**6])
-        for _ in range(draw(st.integers(1, 25))):
+        for _ in range(draw(st.integers(1, 40))):
             ts += draw(steps)
-            cells = {"machine": machine, "ts": str(ts), "extra": "e,1"}
+            cells = {"machine": machine, "ts": str(ts), "extra": "e1" if plain else "e,1"}
             cells.update({m: repr(draw(values)) for m in metrics})
-            if draw(st.integers(0, 9)) == 0:
+            if draw(st.sampled_from([False] * (99 if rare else 9) + [True])):
                 cells[draw(st.sampled_from(["ts", *metrics]))] = draw(st.sampled_from(_BAD_CELLS))
             row = [cells.get(name, "junk") for name in header]
-            cut = draw(st.sampled_from([None] * 8 + [0, 1, 2, len(row) - 1, len(row) + 2]))
+            cut = draw(st.sampled_from([None] * (120 if rare else 8)
+                                       + [0, 1, 2, len(row) - 1, len(row) + 2]))
             if cut is not None:
                 row = row[:cut] if cut <= len(row) else row + ["more"] * (cut - len(row))
             lines.append(row)
@@ -567,18 +593,53 @@ def _traces(draw):
     blanks = draw(st.lists(st.integers(0, len(lines)), max_size=3))
     for at in sorted(blanks, reverse=True):
         lines.insert(at, [])
-    return header, lines, schema, cfg
+    # "\r" alone ends a record for csv, so the csv loop reads from the first one on
+    newline = draw(st.sampled_from(["\r\n", "\n", "\r\n", "\n", "\r"]))
+    return header, lines, schema, cfg, newline
 
 
-def _write_rows(path, header, lines):
+def _write_rows(path, header, lines, newline):
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator=newline)
         writer.writerow(header)
         for row in lines:
             if row:
                 writer.writerow(row)
             else:
-                fh.write("\r\n")
+                fh.write(newline)
+
+
+def _ingest_both(path, schema, cfg):
+    """(ingest_csv's result, the reference's windows) after checking that the two
+    agree bit for bit, counts included; None when both raised the same DataError."""
+    try:
+        want, machines, counts = _reference_ingest(path, schema, cfg)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            ingest_csv(path, schema, cfg)
+        assert str(got.value) == str(exc)
+        return None
+    result = ingest_csv(path, schema, cfg)
+    assert result.machines == machines
+    assert result.rows_read == counts["read"]
+    assert result.rows_unparseable == counts["unparseable"]
+    assert result.rows_nonfinite == counts["nonfinite"]
+    assert result.rows_no_machine == counts["no_machine"]
+    assert result.skipped_rows == sum(counts.values()) - counts["read"]
+    assert list(result.sources) == [w.source for w in want]
+    for got, ref in zip(result.windows.values, want, strict=True):
+        assert got.tobytes() == ref.values.tobytes()
+        assert result.windows.metric_names == ref.metric_names
+    assert np.all(result.windows.labels == UNLABELED)
+    return result, want
+
+
+# Cells that int() or float() may read differently from numpy's parsers.
+_TIMESTAMP_CELLS = ("1_0", "\uff15", "007", "+5", " 5 ", "1.0", "1e3", "9223372036854775808")
+_METRIC_CELLS = ("1_0.5", "\uff15", "\x1c5", "\t5", "-0", "nan", "-inf", "1e999", "4.9e-324",
+                 "0x1p3", "")
+# the cells numpy reads; any other sends its block of lines to the csv loop
+_NUMPY_CELLS = {"007", "+5", " 5 ", "-0", "nan", "-inf", "1e999", "4.9e-324"}
 
 
 class TestColumnarMatchesReference:
@@ -586,28 +647,13 @@ class TestColumnarMatchesReference:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(trace=_traces())
     def test_windows_counts_and_labels_equal(self, tmp_path, trace):
-        header, lines, schema, cfg = trace
+        header, lines, schema, cfg, newline = trace
         path = tmp_path / "trace.csv"
-        _write_rows(path, header, lines)
-        try:
-            want, machines, counts = _reference_ingest(path, schema, cfg)
-        except DataError as exc:
-            with pytest.raises(DataError) as got:
-                ingest_csv(path, schema, cfg)
-            assert str(got.value) == str(exc)
+        _write_rows(path, header, lines, newline)
+        both = _ingest_both(path, schema, cfg)
+        if both is None:
             return
-        result = ingest_csv(path, schema, cfg)
-        assert result.machines == machines
-        assert result.rows_read == counts["read"]
-        assert result.rows_unparseable == counts["unparseable"]
-        assert result.rows_nonfinite == counts["nonfinite"]
-        assert result.rows_no_machine == counts["no_machine"]
-        assert result.skipped_rows == sum(counts.values()) - counts["read"]
-        assert list(result.sources) == [w.source for w in want]
-        for got, ref in zip(result.windows.values, want, strict=True):
-            assert got.tobytes() == ref.values.tobytes()
-            assert result.windows.metric_names == ref.metric_names
-        assert np.all(result.windows.labels == UNLABELED)
+        result, want = both
         groups = schema.group_map()
         labels = _reference_weak_labels(want, groups)
         if all(label is None for label in labels):
@@ -617,6 +663,29 @@ class TestColumnarMatchesReference:
         kept = [w.values for w, label in zip(want, labels) if label is not None]
         assert labeled.values.tobytes() == np.stack(kept).tobytes()
         assert dropped == labels.count(None)
+
+    @pytest.mark.parametrize("column, cell", [("ts", cell) for cell in _TIMESTAMP_CELLS]
+                             + [("cpu_util", cell) for cell in _METRIC_CELLS])
+    def test_cell_reads_as_in_the_reference(self, tmp_path, monkeypatch, column, cell):
+        """One cell in row 20 of a plain 40-row trace; numpy gets the lines in blocks of 16."""
+        rows = [{"machine": f"m{i % 2}", "ts": str(60 * i), "cpu_util": repr(i / 7),
+                 "mem_util": "0.5"} for i in range(40)]
+        rows[20][column] = cell
+        path = tmp_path / "trace.csv"
+        path.write_text("machine,ts,cpu_util,mem_util\n"
+                        + "".join(",".join(row.values()) + "\n" for row in rows), encoding="utf-8")
+        numpy_rows = []
+        loadtxt = np.loadtxt
+
+        def counting(*args, **kwargs):
+            out = loadtxt(*args, **kwargs)
+            numpy_rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        assert _ingest_both(path, SCHEMA, IngestConfig(window_len=4)) is not None
+        # the csv loop reads the block of lines 17-32 when numpy refuses the cell
+        assert sum(numpy_rows) == (40 if cell in _NUMPY_CELLS else 24)
 
     @settings(max_examples=60, deadline=None)
     @given(
