@@ -1,11 +1,11 @@
 """Checkpoint serialization: everything needed to reproduce predictions.
 
-A checkpoint is one JSON file holding the model config, every weight array,
-the metric graph (binary adjacency plus build threshold; the normalized
-operator is recomputed on load), the normalization statistics, the training
-dataset's metric names, and provenance (training seed, config digest). It
-holds no class names: the heads score the fixed classes `data.CLASS_NAMES`
-in order.
+A checkpoint is one JSON file holding the model config, the window length T
+the weights were trained for, every weight array, the metric graph (binary
+adjacency plus build threshold; the normalized operator is recomputed on
+load), the normalization statistics, the training dataset's metric names,
+and provenance (training seed, config digest). It holds no class names: the
+heads score the fixed classes `data.CLASS_NAMES` in order.
 
 Floats are stored as decimal strings with 17 significant digits, which
 round-trips IEEE doubles exactly: loading and saving again produces a
@@ -21,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from contention.config import _strict_kwargs
-from contention.data import NormStats
+from contention.data import NormStats, json_int
 from contention.errors import ConfigError, ContentionError, DataError, SchemaError, ShapeError
 from contention.graph import MetricGraph, normalize_adjacency
 from contention.model import ModelConfig, ModelParams
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 
 def _encode_floats(arr: np.ndarray):
@@ -47,15 +47,17 @@ def _decode_floats(payload, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
-def _names(value, what: str) -> tuple[str, ...]:
+def _names(value, dim: int) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
-        raise SchemaError(f"checkpoint {what} must be a list of strings, got {value!r}")
+        raise SchemaError(f"checkpoint metric names must be a list of strings, got {value!r}")
+    if len(value) not in (0, dim):
+        raise SchemaError(f"checkpoint holds {len(value)} metric names for {dim} metrics")
     return tuple(value)
 
 
 @dataclass
 class Checkpoint:
-    params: ModelParams  # params.cfg is the model config
+    params: ModelParams  # params.cfg is the model config, params.window_len T
     graph: MetricGraph
     norm: NormStats
     metric_names: tuple[str, ...] = ()  # from the training dataset, for mismatch warnings
@@ -67,6 +69,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model": asdict(ckpt.params.cfg),
+        "window_len": ckpt.params.window_len,
         "params": {
             name: _encode_floats(getattr(ckpt.params, name))
             for name in ModelParams._ORDER
@@ -109,29 +112,31 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def _from_payload(payload: dict, path: Path) -> Checkpoint:
-    for key in ("format_version", "model", "params", "graph", "normalization", "metric_names",
-                "train_seed", "config_digest"):
+    for key in ("format_version", "model", "window_len", "params", "graph", "normalization",
+                "metric_names", "train_seed", "config_digest"):
         if key not in payload:
             raise SchemaError(f"checkpoint {path} is missing key '{key}'")
-    if payload["format_version"] != CHECKPOINT_FORMAT_VERSION:
-        raise SchemaError(
-            f"checkpoint format version {payload['format_version']} unsupported "
-            f"(expected {CHECKPOINT_FORMAT_VERSION})"
-        )
+        if key == "format_version" and payload[key] != CHECKPOINT_FORMAT_VERSION:
+            raise SchemaError(  # checked first: an older checkpoint lacks newer keys
+                f"checkpoint format version {payload[key]} unsupported "
+                f"(expected {CHECKPOINT_FORMAT_VERSION})"
+            )
+    malformed = f"checkpoint {path} has a missing or malformed field:"
+    t = json_int(payload["window_len"], f"{malformed} 'window_len'")
     try:
         cfg = ModelConfig(**_strict_kwargs("model", payload["model"], ModelConfig))
+        shapes = ModelParams.shapes(cfg, t)  # the parameter bound, before any block is read
     except ConfigError as exc:
         raise SchemaError(f"bad model config in checkpoint: {exc}") from exc
-    shapes = ModelParams.shapes(cfg)
     blocks = []
     for name in ModelParams._ORDER:
         if name not in payload["params"]:
             raise SchemaError(f"checkpoint is missing parameter block '{name}'")
         blocks.append(_decode_floats(payload["params"][name], shapes[name], f"parameter {name}"))
-    params = ModelParams(cfg, np.concatenate([b.ravel() for b in blocks]))
+    params = ModelParams(cfg, t, np.concatenate([b.ravel() for b in blocks]))
 
     g = payload["graph"]
-    dim = int(g["dim"])
+    dim = json_int(g["dim"], f"{malformed} 'graph.dim'")
     adjacency = np.array(g["adjacency"], dtype=np.float64)
     if adjacency.shape != (dim, dim):
         raise ShapeError(f"adjacency has shape {adjacency.shape}, expected {(dim, dim)}")
@@ -153,11 +158,13 @@ def _from_payload(payload: dict, path: Path) -> Checkpoint:
     if np.any(norm.std < NormStats.STD_FLOOR):  # fit_norm never writes one below the floor
         low = float(norm.std.min())
         raise DataError(f"checkpoint normalization std {low!r} is below {NormStats.STD_FLOOR}")
+    if type(digest := payload["config_digest"]) is not str:
+        raise SchemaError(f"{malformed} 'config_digest' must be a string, got {digest!r}")
     return Checkpoint(
         params=params,
         graph=graph,
         norm=norm,
-        metric_names=_names(payload["metric_names"], "metric names"),
-        train_seed=int(payload["train_seed"]),
-        config_digest=str(payload["config_digest"]),
+        metric_names=_names(payload["metric_names"], dim),
+        train_seed=json_int(payload["train_seed"], f"{malformed} 'train_seed'", least=0),
+        config_digest=digest,
     )

@@ -217,18 +217,13 @@ def _load_eval_inputs(args: argparse.Namespace):
     """Shared eval/predict plumbing: checkpoint plus the normalized dataset."""
     ckpt = load_checkpoint(args.checkpoint)
     data = read_dataset(args.data)
-    t = data.window_len
-    if t != ckpt.params.cfg.window_len:
-        raise ShapeError(
-            f"dataset windows have {t} timesteps, checkpoint expects "
-            f"{ckpt.params.cfg.window_len}"
-        )
-    d = data.metric_count
-    if d != ckpt.graph.dim:
-        # normalization and graph come from the training split only, never from scored data
-        raise ShapeError(
-            f"dataset windows have {d} metrics, checkpoint graph covers {ckpt.graph.dim}"
-        )
+    if data.window_len != ckpt.params.window_len:
+        raise ShapeError(f"dataset windows have {data.window_len} timesteps, "
+                         f"checkpoint expects {ckpt.params.window_len}")
+    # normalization and graph come from the training split only, never from scored data
+    if data.metric_count != ckpt.graph.dim:
+        raise ShapeError(f"dataset windows have {data.metric_count} metrics, "
+                         f"checkpoint graph covers {ckpt.graph.dim}")
     if ckpt.metric_names and ckpt.metric_names != data.metric_names:
         print(
             "warning: dataset metric names differ from the ones the "

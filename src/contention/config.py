@@ -52,11 +52,6 @@ class RunConfig:
             raise ConfigError(f"n_windows must be >= 1, got {self.n_windows}")
         check_split_fractions(self.split_fractions)
         object.__setattr__(self, "split_fractions", tuple(self.split_fractions))
-        if self.model.window_len != self.scenario.window_len:
-            raise ConfigError(
-                f"model.window_len {self.model.window_len} != "
-                f"scenario.window_len {self.scenario.window_len}"
-            )
 
 
 def _admits(hint, value) -> bool:

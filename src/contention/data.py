@@ -514,10 +514,11 @@ def write_dataset(path: str | Path, data: Dataset) -> None:
     manifest_path(path).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _positive_int(manifest: dict, key: str, mpath: Path) -> int:
-    value = manifest[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise SchemaError(f"manifest {mpath}: '{key}' must be a positive integer, got {value!r}")
+def json_int(value, what: str, least: int = 1) -> int:
+    """value if it is a JSON integer, not a bool, >= least (0 or 1); else a SchemaError."""
+    if type(value) is not int or value < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise SchemaError(f"{what} must be a {kind} integer, got {value!r}")
     return value
 
 
@@ -551,7 +552,8 @@ def read_dataset(path: str | Path) -> Dataset:
         if key not in manifest:
             raise SchemaError(f"manifest {mpath} is missing key '{key}'")
     n_windows, t_len, d = (
-        _positive_int(manifest, key, mpath) for key in ("n_windows", "window_len", "metric_count")
+        json_int(manifest[key], f"manifest {mpath}: '{key}'")
+        for key in ("n_windows", "window_len", "metric_count")
     )
     names, source, labels = manifest["metric_names"], manifest["source"], manifest["labels"]
     if not isinstance(names, list) or len(names) != d or not all(isinstance(n, str) for n in names):

@@ -4,9 +4,9 @@ Pipeline per window: a shared two-layer temporal encoder maps each metric's
 T-step series to a node embedding, two rounds of normalized-adjacency
 propagation mix embeddings along the metric graph, a mean readout pools the
 nodes, and K fully parameter-disjoint heads emit one logit per contention
-class. K is the fixed class count `data.NUM_CLASSES`, not a setting. The
-encoder and propagation weights are shaped only by T and the layer widths,
-never by D, so one parameter set serves any metric count.
+class. None of K, T and D is a setting: K is `data.NUM_CLASSES`, and the
+training data gives D to the graph and T to the weights. The weights are
+shaped only by T and the layer widths, never by D, so they serve any D.
 
 Every stage takes one (T, D) window or an (N, T, D) stack of windows through
 the same code; `forward` chains the stages and `backward` returns the
@@ -41,7 +41,8 @@ MAX_PARAMETERS = 1_000_000
 
 @dataclass(frozen=True)
 class ModelConfig:
-    window_len: int = 32  # T, timesteps per window
+    """Layer widths. T, like D, is no setting: `train` takes it from the data."""
+
     encoder_hidden: int = 64
     embed_width: int = 32  # node embedding width out of the encoder
     propagation_width: int = 32
@@ -51,16 +52,11 @@ class ModelConfig:
         for f in fields(self):
             if getattr(self, f.name) < 1:
                 raise ConfigError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
-        count = ModelParams.parameter_count(self)
-        if count > MAX_PARAMETERS:
-            raise ConfigError(
-                f"model has {count} parameters, more than the limit of {MAX_PARAMETERS}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
-    """All trainable weights: one flat float64 buffer and a named view per block.
+    """All trainable weights at T = window_len: one flat float64 buffer, a view per block.
 
     The blocks (see `shapes`) are views into `flat`, in `_ORDER`: writing
     into a block writes the buffer, and an update of `flat` in place moves
@@ -72,6 +68,7 @@ class ModelParams:
     """
 
     cfg: ModelConfig
+    window_len: int
     flat: np.ndarray
 
     _ORDER = (
@@ -82,45 +79,47 @@ class ModelParams:
 
     def __post_init__(self):
         flat = np.ascontiguousarray(self.flat, dtype=np.float64)
-        blocks = self.block_slices(self.cfg)
+        blocks = self.block_slices(self.cfg, self.window_len)
         total = blocks[-1][1].stop
         if flat.shape != (total,):
             raise ShapeError(
                 f"expected a flat vector of {total} parameters, got shape {flat.shape}"
             )
         object.__setattr__(self, "flat", flat)
-        shapes = self.shapes(self.cfg)
+        shapes = self.shapes(self.cfg, self.window_len)
         for name, sl in blocks:
             object.__setattr__(self, name, flat[sl].reshape(shapes[name]))
 
     @staticmethod
-    def shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-        t, k = cfg.window_len, NUM_CLASSES
+    def shapes(cfg: ModelConfig, t: int) -> dict[str, tuple[int, ...]]:
+        """Block shapes for T = t; a ConfigError when they exceed MAX_PARAMETERS."""
         dh, de, dp, dd = cfg.encoder_hidden, cfg.embed_width, cfg.propagation_width, cfg.head_hidden
-        return {
+        shapes = {
             "enc_w1": (t, dh), "enc_b1": (dh,),  # W1.T, so xt @ enc_w1 needs no copy
             "enc_w2": (de, dh), "enc_b2": (de,),
             "prop_w1": (de, dp), "prop_b1": (dp,),
             "prop_w2": (dp, dp), "prop_b2": (dp,),
-            "head_w": (k, dd, dp), "head_b": (k, dd),
-            "head_u": (k, dd), "head_c": (k,),
+            "head_w": (NUM_CLASSES, dd, dp), "head_b": (NUM_CLASSES, dd),
+            "head_u": (NUM_CLASSES, dd), "head_c": (NUM_CLASSES,),
         }
+        count = sum(map(math.prod, shapes.values()))
+        if count > MAX_PARAMETERS:
+            raise ConfigError(
+                f"model has {count} parameters, more than the limit of {MAX_PARAMETERS}"
+            )
+        return shapes
 
     @classmethod
-    def parameter_count(cls, cfg: ModelConfig) -> int:
-        return sum(math.prod(shape) for shape in cls.shapes(cfg).values())
-
-    @classmethod
-    def zeros(cls, cfg: ModelConfig) -> "ModelParams":
-        return cls(cfg, np.zeros(cls.parameter_count(cfg)))
+    def zeros(cls, cfg: ModelConfig, t: int) -> "ModelParams":
+        return cls(cfg, t, np.zeros(cls.block_slices(cfg, t)[-1][1].stop))
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.cfg, self.flat.copy())
+        return ModelParams(self.cfg, self.window_len, self.flat.copy())
 
     @classmethod
-    def block_slices(cls, cfg: ModelConfig) -> list[tuple[str, slice]]:
+    def block_slices(cls, cfg: ModelConfig, t: int) -> list[tuple[str, slice]]:
         """Named slices of the flat vector layout, for diagnostics."""
-        shapes = cls.shapes(cfg)
+        shapes = cls.shapes(cfg, t)
         out, offset = [], 0
         for name in cls._ORDER:
             size = int(np.prod(shapes[name]))
@@ -129,10 +128,10 @@ class ModelParams:
         return out
 
 
-def init_params(cfg: ModelConfig, rng: RngStream) -> ModelParams:
-    """Glorot-uniform weights, zero biases. Deterministic given the stream."""
-    p = ModelParams.zeros(cfg)
-    p.enc_w1[...] = glorot_init(cfg.encoder_hidden, cfg.window_len, rng.substream(0)).T
+def init_params(cfg: ModelConfig, t: int, rng: RngStream) -> ModelParams:
+    """Glorot-uniform weights for T = t, zero biases. Deterministic given the stream."""
+    p = ModelParams.zeros(cfg, t)
+    p.enc_w1[...] = glorot_init(cfg.encoder_hidden, t, rng.substream(0)).T
     p.enc_w2[...] = glorot_init(cfg.embed_width, cfg.encoder_hidden, rng.substream(1))
     p.prop_w1[...] = glorot_init(cfg.embed_width, cfg.propagation_width, rng.substream(2))
     p.prop_w2[...] = glorot_init(cfg.propagation_width, cfg.propagation_width, rng.substream(3))
@@ -182,9 +181,9 @@ def encode(x: np.ndarray, params: ModelParams, saved: dict | None = None) -> np.
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3):
         raise ShapeError(f"expected a (T, D) window or an (N, T, D) stack, got shape {x.shape}")
-    t_expected = params.cfg.window_len
-    if x.shape[-2] != t_expected:
-        raise ShapeError(f"window has {x.shape[-2]} timesteps, encoder expects {t_expected}")
+    t = params.window_len
+    if x.shape[-2] != t:
+        raise ShapeError(f"window has {x.shape[-2]} timesteps, encoder expects {t}")
     xt = np.ascontiguousarray(x.swapaxes(-1, -2))
     z1 = xt @ params.enc_w1
     z1 += params.enc_b1
@@ -293,8 +292,9 @@ def backward(cache: ForwardCache, dloss_dz: np.ndarray, grads: ModelParams) -> M
     per-class tasks decoupled during training.
     """
     params = cache.params
-    if grads.cfg != params.cfg:
-        raise ShapeError(f"gradient buffer is for {grads.cfg}, parameters for {params.cfg}")
+    if (grads.cfg, grads.window_len) != (params.cfg, params.window_len):
+        raise ShapeError(f"gradient buffer is for T={grads.window_len}, {grads.cfg}; "
+                         f"parameters for T={params.window_len}, {params.cfg}")
     dz = np.asarray(dloss_dz, dtype=np.float64)
     if dz.shape != cache.head_tanh.shape[:-1]:
         raise ShapeError(

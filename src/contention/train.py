@@ -262,9 +262,9 @@ def train(
             f"graph covers {graph.dim} metrics, windows carry {train_data.metric_count}"
         )
     rng = RngStream(cfg.seed, (3,))  # training's own prefix in rng.py's stream map
-    params = init_params(model_cfg, rng.substream(0))
-    blocks = ModelParams.block_slices(model_cfg)
-    grads = ModelParams.zeros(model_cfg)  # every batch's backward overwrites it
+    params = init_params(model_cfg, train_data.window_len, rng.substream(0))  # T from the data
+    blocks = ModelParams.block_slices(model_cfg, params.window_len)
+    grads = ModelParams.zeros(model_cfg, params.window_len)  # every batch's backward overwrites it
     adam = AdamState.zeros(params.flat.size)
     weights = np.ones(NUM_CLASSES)  # rebound each epoch, never written in place
     previous = None  # the last epoch's mean task losses

@@ -11,11 +11,13 @@ from contention.model import ModelConfig
 from contention.rng import RngStream
 
 
+TINY_T = 8  # window length the tiny_model_cfg tests run at
+
+
 @pytest.fixture
 def tiny_model_cfg():
     """Small widths keep gradient checks and training loops fast."""
     return ModelConfig(
-        window_len=8,
         encoder_hidden=6,
         embed_width=5,
         propagation_width=5,

@@ -43,7 +43,6 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 
 TINY_MODEL = ModelConfig(
-    window_len=8,
     encoder_hidden=8,
     embed_width=6,
     propagation_width=6,
@@ -62,26 +61,25 @@ TINY_SCENARIO = ScenarioConfig(
 def test_criterion_01_multitask_gradient_check():
     start = time.perf_counter()
     model_cfg = ModelConfig(
-        window_len=8,
         encoder_hidden=6,
         embed_width=5,
         propagation_width=5,
         head_hidden=4,
     )
     graph = random_graph(4, seed=0)
-    params = init_params(model_cfg, RngStream(0))
+    params = init_params(model_cfg, 8, RngStream(0))
     gen = RngStream(0, (5,)).generator()
     xs = np.stack([gen.normal(size=(8, 4)) for _ in range(6)])
     labels = np.array([0, 1, 2, 3, 4, 2])
     weights = np.array([1.25, 0.8, 0.95, 1.1, 0.9])
 
     def loss_fn(theta: np.ndarray) -> float:
-        logits = forward(xs, graph, ModelParams(model_cfg, theta))[0].logits
+        logits = forward(xs, graph, ModelParams(model_cfg, 8, theta))[0].logits
         return float(np.dot(weights, task_losses(logits, labels)[0]))
 
     pred, cache = forward(xs, graph, params)
     dz = task_losses(pred.logits, labels)[1] * weights
-    grad = backward(cache, dz, ModelParams.zeros(model_cfg))
+    grad = backward(cache, dz, ModelParams.zeros(model_cfg, 8))
 
     err = finite_diff_check(loss_fn, params.flat, grad.flat, h=1e-5)
     elapsed = time.perf_counter() - start
@@ -326,7 +324,6 @@ def test_criterion_08_determinism(tmp_path):
             "leak_lag": 2,
         },
         "model": {
-            "window_len": 8,
             "encoder_hidden": 8,
             "embed_width": 6,
             "propagation_width": 6,

@@ -35,11 +35,8 @@ from conftest import random_graph
 
 
 def _checkpoint(seed=0, dim=4):
-    cfg = ModelConfig(
-        window_len=8, encoder_hidden=6,
-        embed_width=5, propagation_width=5, head_hidden=4,
-    )
-    params = init_params(cfg, RngStream(seed))
+    cfg = ModelConfig(encoder_hidden=6, embed_width=5, propagation_width=5, head_hidden=4)
+    params = init_params(cfg, 8, RngStream(seed))
     # nudge weights off the clean init so we serialize post-training values
     params.enc_w1[...] += 1e-13 * RngStream(seed, (70,)).generator().normal(
         size=params.enc_w1.shape
@@ -64,6 +61,7 @@ class TestRoundTrip:
         save_checkpoint(ckpt, path)
         back = load_checkpoint(path)
         assert back.params.cfg == ckpt.params.cfg
+        assert back.params.window_len == ckpt.params.window_len == 8
         assert np.array_equal(back.params.flat, ckpt.params.flat)
         assert np.array_equal(back.graph.adjacency, ckpt.graph.adjacency)
         assert back.graph.threshold == ckpt.graph.threshold
@@ -106,7 +104,8 @@ class TestRoundTrip:
         assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION
         assert isinstance(payload["params"]["enc_w1"][0][0], str)
         assert payload["graph"]["adjacency"][0][0] in (0, 1)
-        assert payload["model"]["window_len"] == 8
+        assert payload["window_len"] == 8
+        assert "window_len" not in payload["model"]
 
 
 class TestLoadValidation:
@@ -136,14 +135,20 @@ class TestLoadValidation:
         with pytest.raises(SchemaError, match="normalization"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 99])
     def test_version_mismatch(self, tmp_path, version):
-        """Version 1 stored enc_w1 transposed, and version 2 a class count and
-        class names; their checkpoints must be retrained."""
+        """Version 1 stored enc_w1 transposed, version 2 a class count and class
+        names, and version 3 the window length in the model section; their
+        checkpoints must be retrained. The version is read before any other key."""
         path = self._saved(tmp_path)
-        self._rewrite(path, lambda p: p.update(format_version=version))
+
+        def older(p):
+            p["format_version"] = version
+            del p["window_len"]  # which no version before 4 wrote
+
+        self._rewrite(path, older)
         # a SchemaError is a DataError, which the CLI maps to exit 3
-        message = rf"format version {version} unsupported \(expected 3\)"
+        message = rf"format version {version} unsupported \(expected 4\)"
         with pytest.raises(SchemaError, match=message):
             load_checkpoint(path)
 
@@ -157,6 +162,11 @@ class TestLoadValidation:
         path = self._saved(tmp_path)
         self._rewrite(path, lambda p: p["params"].update(enc_b1=["1", "2"]))
         with pytest.raises(ShapeError, match="enc_b1"):
+            load_checkpoint(path)
+        # a window length the weights were not trained for
+        path = self._saved(tmp_path)
+        self._rewrite(path, lambda p: p.update(window_len=16))
+        with pytest.raises(ShapeError, match=r"enc_w1 has shape \(8, 6\), expected \(16, 6\)"):
             load_checkpoint(path)
 
     def test_nonfinite_param(self, tmp_path):
@@ -225,8 +235,8 @@ class TestLoadValidation:
     def test_model_field_of_wrong_type(self, tmp_path):
         """true is not an int, though Python would take it as 1."""
         path = self._saved(tmp_path)
-        self._rewrite(path, lambda p: p["model"].update(window_len=True))
-        with pytest.raises(SchemaError, match="model.window_len"):
+        self._rewrite(path, lambda p: p["model"].update(encoder_hidden=True))
+        with pytest.raises(SchemaError, match="model.encoder_hidden"):
             load_checkpoint(path)
 
     def test_model_over_the_parameter_bound(self, tmp_path):
@@ -236,10 +246,12 @@ class TestLoadValidation:
             load_checkpoint(path)
 
     def test_unknown_model_field(self, tmp_path):
-        path = self._saved(tmp_path)
-        self._rewrite(path, lambda p: p["model"].update(depth=3))
-        with pytest.raises(SchemaError, match="model config"):
-            load_checkpoint(path)
+        """T is a top-level key; the model section holds only the layer widths."""
+        for field in ("depth", "window_len"):
+            path = self._saved(tmp_path)
+            self._rewrite(path, lambda p: p["model"].update({field: 3}))
+            with pytest.raises(SchemaError, match=f"unknown config key 'model.{field}'"):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -285,7 +297,7 @@ class TestRunConfig:
         cfg = run_config_from_dict(
             {
                 "scenario": {"metric_count": 8, "window_len": 16},
-                "model": {"window_len": 16, "encoder_hidden": 32},
+                "model": {"encoder_hidden": 32},
                 "train": {"batch_size": 32, "max_epochs": 5},
                 "corr_threshold": 0.5,
                 "n_windows": 100,
@@ -293,6 +305,7 @@ class TestRunConfig:
             }
         )
         assert cfg.scenario.metric_count == 8
+        assert cfg.scenario.window_len == 16
         assert cfg.model.encoder_hidden == 32
         assert cfg.train.batch_size == 32
         assert cfg.corr_threshold == 0.5
@@ -309,9 +322,13 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match=f"unknown config key 'train.{key}'"):
                 run_config_from_dict({"train": {key: value}})
 
-    def test_window_len_consistency_enforced(self):
-        with pytest.raises(ConfigError, match="window_len"):
-            run_config_from_dict({"model": {"window_len": 16}})
+    def test_model_window_len_is_an_unknown_key(self):
+        """The weights take T from the training data; gen's and ingest's window
+        lengths are independent settings that need not agree."""
+        with pytest.raises(ConfigError, match="unknown config key 'model.window_len'"):
+            run_config_from_dict({"model": {"window_len": 32}})
+        cfg = run_config_from_dict({"scenario": {"window_len": 32}, "ingest": {"window_len": 16}})
+        assert (cfg.scenario.window_len, cfg.ingest.window_len) == (32, 16)
 
     def test_schema_section(self):
         cfg = run_config_from_dict(

@@ -30,7 +30,7 @@ from contention.cli import (
     git_blob_sha1,
     main,
 )
-from contention.config import OUT_DIR_ENV, config_digest, load_run_config
+from contention.config import OUT_DIR_ENV, config_digest, load_run_config, run_config_from_dict
 from contention.data import (
     CLASS_NAMES,
     UNLABELED,
@@ -62,7 +62,6 @@ def write_config(path: Path, **overrides) -> Path:
             "leak_lag": 2,
         },
         "model": {
-            "window_len": 8,
             "encoder_hidden": 8,
             "embed_width": 6,
             "propagation_width": 6,
@@ -361,7 +360,7 @@ def test_ingest_max_fill_beyond_its_bound_is_a_config_error(tmp_path, capsys):
 def test_model_over_the_parameter_bound_exits_before_allocating(workspace, tmp_path, capsys):
     """7.28 TiB of weights: the config path exits 2, the checkpoint path 3."""
     huge = {"encoder_hidden": 1_000_000, "embed_width": 1_000_000}
-    cfg = write_config(tmp_path / "cfg.json", model={"window_len": 8, **huge})
+    cfg = write_config(tmp_path / "cfg.json", model=huge)
     ckpt = tmp_path / "checkpoint.json"
     payload = json.loads(workspace["ckpt"].read_text())
     payload["model"].update(huge)
@@ -606,8 +605,7 @@ def test_train_eval_and_predict_memory_is_bounded_by_dataset_copies(tmp_path):
     cfg = write_config(
         tmp_path / "config.json",
         scenario={"metric_count": d, "window_len": t, "separation": 3.0, "noise_std": 0.1},
-        model={"window_len": t, "encoder_hidden": 8, "embed_width": 6,
-               "propagation_width": 6, "head_hidden": 4},
+        model={"encoder_hidden": 8, "embed_width": 6, "propagation_width": 6, "head_hidden": 4},
         train={"batch_size": 16, "max_epochs": 1, "learning_rate": 0.01, "seed": 0},
     )
     rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "data"),
@@ -686,8 +684,6 @@ def test_eval_rejects_wrong_window_length(workspace, tmp_path, capsys):
         tmp_path / "cfg.json",
         scenario={"metric_count": 4, "window_len": 12, "separation": 3.0,
                   "noise_std": 0.1, "leak_lag": 2},
-        model={"window_len": 12, "encoder_hidden": 8,
-               "embed_width": 6, "propagation_width": 6, "head_hidden": 4},
     )
     out = tmp_path / "long"
     assert main(["gen", "--config", str(cfg), "--out", str(out),
@@ -696,6 +692,44 @@ def test_eval_rejects_wrong_window_length(workspace, tmp_path, capsys):
                "--data", str(out / "dataset.npy")])
     assert rc == EXIT_DATA
     assert "timesteps" in capsys.readouterr().err
+
+
+def test_train_takes_the_window_length_of_an_ingested_trace(tmp_path, capsys):
+    """A config that differs from the defaults only in ingest.window_len trains,
+    evaluates and predicts on its 16-step windows: the weights take T from the
+    data, and the 32 of the scenario and model defaults does not get in the way."""
+    lines = ["machine,ts,cpu_util,mem_util"]
+    for i in range(30 * 16):  # 30 windows of 16 one-minute buckets: CPU, MEM, HYBRID in turn
+        hot = ((0.95, 0.3), (0.4, 0.97), (0.95, 0.97))[i // 16 % 3]
+        jitter = 0.01 * ((7 * i) % 5)
+        lines.append(f"m1,{i * 60},{hot[0] - jitter},{hot[1] - jitter}")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": {"machine_column": "machine", "timestamp_column": "ts",
+                   "metric_columns": {"cpu_util": "cpu", "mem_util": "mem"}},
+        "ingest": {"window_len": 16},
+    }))
+    data, run = tmp_path / "data" / "dataset.npy", tmp_path / "run"
+    assert main(["ingest", "--config", str(cfg), "--trace", str(trace),
+                 "--out", str(data.parent)]) == EXIT_OK
+    assert read_dataset(data).values.shape == (30, 16, 2)
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run)]) == EXIT_OK
+    ckpt = run / "checkpoint.json"
+    assert json.loads(ckpt.read_text())["window_len"] == 16
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == EXIT_OK
+    assert main(["predict", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "pred")]) == EXIT_OK
+    assert main(["gen", "--config", str(cfg), "--n", "10",
+                 "--out", str(tmp_path / "synthetic")]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(ckpt),
+               "--data", str(tmp_path / "synthetic" / "dataset.npy")])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: dataset windows have 32 timesteps, checkpoint expects 16\n"
+    )
 
 
 def test_eval_and_predict_reject_different_metric_count(workspace, tmp_path, capsys):
@@ -921,7 +955,7 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     [
         ({"train": {"batch_size": "64"}}, "train.batch_size"),
         ({"train": {"max_epochs": True}}, "train.max_epochs"),
-        ({"model": {"window_len": 32.0}}, "model.window_len"),
+        ({"model": {"encoder_hidden": 32.0}}, "model.encoder_hidden"),
         ({"scenario": {"noise_std": "0.2"}}, "scenario.noise_std"),
         ({"ingest": {"stride": "8"}}, "ingest.stride"),
         ({"n_windows": [10]}, "n_windows"),
@@ -938,6 +972,15 @@ def test_config_value_of_wrong_type_is_a_config_error(tmp_path, capsys, config, 
     rc = main(["gen", "--config", str(path), "--out", str(tmp_path / "o"), "--n", "1"])
     assert rc == EXIT_CONFIG
     assert f"config key '{key}' must be" in capsys.readouterr().err
+
+
+def test_readme_run_config_example_parses():
+    """Every key the README's run-config example documents is one the parser takes."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Run config\n", 1)[1].split("\n### ", 1)[0]
+    example = section.split("```json\n", 1)[1].split("\n```", 1)[0]
+    cfg = run_config_from_dict(json.loads(example))
+    assert cfg.schema is not None and cfg.ingest.window_len == cfg.scenario.window_len == 32
 
 
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
@@ -1060,7 +1103,7 @@ def test_bad_split_fractions_exit_before_writing(workspace, tmp_path, capsys, co
 def test_num_classes_other_than_five_exits_before_writing(workspace, tmp_path, capsys,
                                                           num_classes):
     """The class count is fixed, so the model section has no num_classes key."""
-    path = write_config(tmp_path / "cfg.json", model={"window_len": 8, "num_classes": num_classes})
+    path = write_config(tmp_path / "cfg.json", model={"num_classes": num_classes})
     out = tmp_path / "run"
     rc = main(["train", "--config", str(path), "--data", str(workspace["data"]),
                "--out", str(out)])

@@ -34,8 +34,7 @@ N, T, D = 30, 8, 4
 CONFIG = {
     "scenario": {"metric_count": D, "window_len": T, "separation": 3.0, "noise_std": 0.1,
                  "leak_lag": 2},
-    "model": {"window_len": T, "encoder_hidden": 4, "embed_width": 3,
-              "propagation_width": 3, "head_hidden": 3},
+    "model": {"encoder_hidden": 4, "embed_width": 3, "propagation_width": 3, "head_hidden": 3},
     "train": {"batch_size": 16, "max_epochs": 1, "seed": 0},
 }
 

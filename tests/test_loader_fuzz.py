@@ -32,8 +32,7 @@ N, T, D = 30, 8, 4
 CONFIG = {
     "scenario": {"metric_count": D, "window_len": T, "separation": 3.0, "noise_std": 0.1,
                  "leak_lag": 2},
-    "model": {"window_len": T, "encoder_hidden": 4, "embed_width": 3,
-              "propagation_width": 3, "head_hidden": 3},
+    "model": {"encoder_hidden": 4, "embed_width": 3, "propagation_width": 3, "head_hidden": 3},
     "train": {"batch_size": 16, "max_epochs": 1, "learning_rate": 0.01, "seed": 0},
     "corr_threshold": 0.3,
     "split_fractions": [0.7, 0.15, 0.15],
@@ -159,14 +158,28 @@ def test_overwritten_checkpoint_bytes(original, tmp_path_factory, capsys, data):
     [
         (("metric_names",), [1, 2, 3, 4], "metric names must be a list of strings"),
         (("graph", "threshold"), 10**400, "OverflowError"),
-        (("graph", "dim"), float("inf"), "OverflowError"),
-        (("train_seed",), float("inf"), "OverflowError"),
+        (("graph", "dim"), float("inf"), "'graph.dim' must be a positive integer, got inf"),
+        (("train_seed",), float("inf"), "'train_seed' must be a non-negative integer, got inf"),
         (("train_seed",), MISSING, "missing key 'train_seed'"),
         (("normalization", "mean", 0), 10**400, "OverflowError"),
         (("params", "enc_w1", 0, 0), 10**400, "OverflowError"),
+        # integers and names are read as JSON gives them, never coerced
+        (("graph", "dim"), str(D), "'graph.dim' must be a positive integer, got '4'"),
+        (("graph", "dim"), D + 0.7, "'graph.dim' must be a positive integer, got 4.7"),
+        (("train_seed",), True, "'train_seed' must be a non-negative integer, got True"),
+        (("train_seed",), -1, "'train_seed' must be a non-negative integer, got -1"),
+        (("config_digest",), 5, "'config_digest' must be a string, got 5"),
+        (("metric_names",), ["m0"], "checkpoint holds 1 metric names for 4 metrics"),
+        (("window_len",), str(T), "'window_len' must be a positive integer, got '8'"),
+        (("window_len",), True, "'window_len' must be a positive integer, got True"),
+        (("window_len",), 0, "'window_len' must be a positive integer, got 0"),
+        (("window_len",), MISSING, "missing key 'window_len'"),
     ],
     ids=["int-metric-names", "huge-threshold", "infinite-dim",
-         "infinite-seed", "missing-seed", "huge-mean", "huge-weight"],
+         "infinite-seed", "missing-seed", "huge-mean", "huge-weight",
+         "string-dim", "fractional-dim", "bool-seed", "negative-seed", "int-digest",
+         "one-metric-name", "string-window-len", "bool-window-len", "zero-window-len",
+         "missing-window-len"],
 )
 def test_checkpoint_values_the_loader_rejects(original, tmp_path_factory, capsys, path, value,
                                               message):

@@ -142,8 +142,7 @@ class TestUpdateWeights:
     def test_cold_start_stays_all_ones(self):
         """Training weighs every task 1 until two epochs have completed."""
         data = generate(ScenarioConfig(metric_count=4, window_len=8), 20, RngStream(0, (32,)))
-        model = ModelConfig(window_len=8, encoder_hidden=4, embed_width=3,
-                            propagation_width=3, head_hidden=2)
+        model = ModelConfig(encoder_hidden=4, embed_width=3, propagation_width=3, head_hidden=2)
         cfg = TrainConfig(batch_size=8, max_epochs=2, seed=0)
         _, history = train(data, data, identity_graph(4), cfg, model)
         assert [r.epoch for r in history.records] == [0, 1]

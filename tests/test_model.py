@@ -34,7 +34,7 @@ from contention.model import (
 )
 from contention.rng import RngStream
 
-from conftest import finite_diff_check, random_dataset, random_graph
+from conftest import TINY_T, finite_diff_check, random_dataset, random_graph
 
 
 def _window(t, d, seed):
@@ -43,35 +43,42 @@ def _window(t, d, seed):
 
 class TestConfigAndParams:
     def test_defaults(self):
+        """Four layer widths; T is no setting but the weights' own, taken from the data."""
         cfg = ModelConfig()
-        assert cfg.window_len == 32
-        assert ModelParams.shapes(cfg)["head_c"] == (NUM_CLASSES,)
+        assert [f.name for f in fields(cfg)] == [
+            "encoder_hidden", "embed_width", "propagation_width", "head_hidden"
+        ]
+        shapes = ModelParams.shapes(cfg, 32)
+        assert shapes["enc_w1"] == (32, 64)
+        assert shapes["head_c"] == (NUM_CLASSES,)
 
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ConfigError, match="head_hidden"):
             ModelConfig(head_hidden=0)
-        with pytest.raises(ConfigError, match="window_len"):
-            ModelConfig(window_len=-3)
 
     def test_parameter_count_is_bounded_before_allocation(self):
-        """Widths asking for ~10**12 parameters (7.28 TiB) fail on the count alone."""
+        """Widths or a window length asking for ~10**12 parameters (7.28 TiB)
+        fail on the count alone, whichever of them is large."""
+        huge = ModelConfig(encoder_hidden=1_000_000, embed_width=1_000_000)  # widths alone pass
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigError, match=f"limit of {MAX_PARAMETERS}"):
-                ModelConfig(encoder_hidden=1_000_000, embed_width=1_000_000)
+            for cfg, t in ((huge, 32), (ModelConfig(), 10**10)):
+                with pytest.raises(ConfigError, match=f"limit of {MAX_PARAMETERS}"):
+                    init_params(cfg, t, RngStream(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        default = ModelConfig()
-        assert ModelParams.parameter_count(default) == ModelParams.zeros(default).flat.size
+        shapes = ModelParams.shapes(ModelConfig(), 32)
+        count = sum(int(np.prod(shape)) for shape in shapes.values())
+        assert ModelParams.zeros(ModelConfig(), 32).flat.size == count
 
     def test_shapes_have_no_metric_dimension(self, tiny_model_cfg):
         """Weight shapes depend on T and widths only, never on D."""
-        shapes = ModelParams.shapes(tiny_model_cfg)
+        shapes = ModelParams.shapes(tiny_model_cfg, TINY_T)
         dims = {n for shape in shapes.values() for n in shape}
         assert dims == {
-            tiny_model_cfg.window_len,
+            TINY_T,
             NUM_CLASSES,
             tiny_model_cfg.encoder_hidden,
             tiny_model_cfg.embed_width,
@@ -81,8 +88,8 @@ class TestConfigAndParams:
 
     def test_vector_round_trip(self, tiny_model_cfg):
         """Params built on a flat vector share its memory: no copy either way."""
-        p = init_params(tiny_model_cfg, RngStream(0))
-        q = ModelParams(tiny_model_cfg, p.flat)
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(0))
+        q = ModelParams(tiny_model_cfg, TINY_T, p.flat)
         assert q.flat is p.flat
         for name in ModelParams._ORDER:
             assert np.shares_memory(getattr(q, name), p.flat)
@@ -92,30 +99,30 @@ class TestConfigAndParams:
 
     def test_from_vector_wrong_length(self, tiny_model_cfg):
         with pytest.raises(ShapeError, match="flat vector"):
-            ModelParams(tiny_model_cfg, np.zeros(7))
+            ModelParams(tiny_model_cfg, TINY_T, np.zeros(7))
 
     def test_blocks_cannot_be_rebound(self, tiny_model_cfg):
         """Rebinding a block would detach it from the flat buffer."""
-        p = init_params(tiny_model_cfg, RngStream(0))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(0))
         with pytest.raises(AttributeError):
             p.prop_w2 = np.zeros_like(p.prop_w2)
 
     def test_block_slices_partition_the_vector(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(1))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(1))
         vec = p.flat
-        slices = ModelParams.block_slices(tiny_model_cfg)
+        slices = ModelParams.block_slices(tiny_model_cfg, TINY_T)
         assert slices[0][1].start == 0
         assert slices[-1][1].stop == vec.size
         for (_, a), (_, b) in zip(slices, slices[1:]):
             assert a.stop == b.start
-        shapes = ModelParams.shapes(tiny_model_cfg)
+        shapes = ModelParams.shapes(tiny_model_cfg, TINY_T)
         for name, s in slices:
             assert np.array_equal(
                 vec[s].reshape(shapes[name]), getattr(p, name)
             )
 
     def test_copy_is_deep(self, tiny_model_cfg):
-        a = init_params(tiny_model_cfg, RngStream(4))
+        a = init_params(tiny_model_cfg, TINY_T, RngStream(4))
         b = a.copy()
         b.enc_w1[0, 0] += 1.0
         assert a.enc_w1[0, 0] != b.enc_w1[0, 0]
@@ -123,22 +130,22 @@ class TestConfigAndParams:
 
 class TestInit:
     def test_deterministic(self, tiny_model_cfg):
-        a = init_params(tiny_model_cfg, RngStream(7))
-        b = init_params(tiny_model_cfg, RngStream(7))
+        a = init_params(tiny_model_cfg, TINY_T, RngStream(7))
+        b = init_params(tiny_model_cfg, TINY_T, RngStream(7))
         assert np.array_equal(a.flat, b.flat)
 
     def test_seed_changes_weights(self, tiny_model_cfg):
-        a = init_params(tiny_model_cfg, RngStream(7))
-        b = init_params(tiny_model_cfg, RngStream(8))
+        a = init_params(tiny_model_cfg, TINY_T, RngStream(7))
+        b = init_params(tiny_model_cfg, TINY_T, RngStream(8))
         assert not np.array_equal(a.flat, b.flat)
 
     def test_biases_zero_weights_bounded(self, tiny_model_cfg):
         cfg = tiny_model_cfg
-        p = init_params(cfg, RngStream(9))
+        p = init_params(cfg, TINY_T, RngStream(9))
         for name in ("enc_b1", "enc_b2", "prop_b1", "prop_b2", "head_b", "head_c"):
             assert np.all(getattr(p, name) == 0.0)
         bounds = {
-            "enc_w1": (cfg.encoder_hidden, cfg.window_len),
+            "enc_w1": (cfg.encoder_hidden, TINY_T),
             "enc_w2": (cfg.embed_width, cfg.encoder_hidden),
             "prop_w1": (cfg.embed_width, cfg.propagation_width),
             "prop_w2": (cfg.propagation_width, cfg.propagation_width),
@@ -152,7 +159,7 @@ class TestInit:
             assert np.any(w != 0.0)
 
     def test_heads_initialized_independently(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(10))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(10))
         for i in range(NUM_CLASSES):
             for j in range(i + 1, NUM_CLASSES):
                 assert not np.array_equal(p.head_w[i], p.head_w[j])
@@ -161,14 +168,14 @@ class TestInit:
 
 class TestEncode:
     def test_shape_and_stage(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(0))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(0))
         x = _window(8, 4, 1)
         assert encode(x, p).shape == (4, tiny_model_cfg.embed_width)
         assert encode(np.stack([x, x, x]), p).shape == (3, 4, tiny_model_cfg.embed_width)
 
     def test_columns_encoded_independently(self, tiny_model_cfg):
         """Shared encoder: batch output equals one-column-at-a-time output."""
-        p = init_params(tiny_model_cfg, RngStream(1))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(1))
         x = _window(8, 5, 2)
         h = encode(x, p)
         for j in range(5):
@@ -176,7 +183,7 @@ class TestEncode:
             assert np.max(np.abs(single[0] - h[j])) <= 1e-15
 
     def test_metric_permutation_equivariance(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(2))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(2))
         x = _window(8, 6, 3)
         perm = np.array([3, 0, 5, 1, 4, 2])
         a = encode(x, p)[perm]
@@ -184,12 +191,12 @@ class TestEncode:
         assert np.array_equal(a, b)
 
     def test_wrong_window_len(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(3))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(3))
         with pytest.raises(ShapeError, match="timesteps"):
             encode(_window(9, 4, 4), p)
 
     def test_rejects_1d(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(3))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(3))
         with pytest.raises(ShapeError):
             encode(np.zeros(8), p)
         with pytest.raises(ShapeError):
@@ -198,20 +205,20 @@ class TestEncode:
 
 class TestPropagate:
     def test_stage_and_shape(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(0))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(0))
         g = random_graph(4, seed=0)
         ht = propagate(g, encode(_window(8, 4, 1), p), p)
         assert ht.shape == (4, tiny_model_cfg.propagation_width)
 
     def test_dim_mismatch(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(0))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(0))
         h = encode(_window(8, 4, 1), p)
         with pytest.raises(ShapeError, match="vertices"):
             propagate(random_graph(5, seed=0), h, p)
 
     def test_identity_graph_keeps_nodes_independent(self, tiny_model_cfg):
         """With no edges each node's output depends only on its own series."""
-        p = init_params(tiny_model_cfg, RngStream(4))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(4))
         x = _window(8, 4, 5)
         y = x.copy()
         y[:, 2] += 10.0
@@ -224,7 +231,7 @@ class TestPropagate:
 
     def test_edges_mix_information(self, tiny_model_cfg):
         """With an edge 0-2 a perturbation of metric 2 reaches node 0."""
-        p = init_params(tiny_model_cfg, RngStream(4))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(4))
         adj = np.zeros((4, 4))
         adj[0, 2] = adj[2, 0] = 1.0
         g = MetricGraph(adjacency=adj, normalized=normalize_adjacency(adj), threshold=0.5)
@@ -241,14 +248,14 @@ class TestPropagate:
 
 class TestHeadsAndPredict:
     def test_logit_count(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(0))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(0))
         g = random_graph(4, seed=1)
         z = heads(propagate(g, encode(_window(8, 4, 2), p), p), p)
         assert z.shape == (NUM_CLASSES,)
 
     def test_heads_are_parameter_disjoint(self, tiny_model_cfg):
         """Perturbing head j's weights must not move any other logit."""
-        p = init_params(tiny_model_cfg, RngStream(1))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(1))
         g = random_graph(4, seed=2)
         ht = propagate(g, encode(_window(8, 4, 3), p), p)
         before = heads(ht, p)
@@ -263,7 +270,7 @@ class TestHeadsAndPredict:
 
     def test_readout_is_node_mean(self, tiny_model_cfg):
         """Duplicating every node leaves the logits unchanged."""
-        p = init_params(tiny_model_cfg, RngStream(2))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(2))
         vals = RngStream(3, (21,)).generator().normal(
             size=(4, tiny_model_cfg.propagation_width)
         )
@@ -283,7 +290,7 @@ class TestHeadsAndPredict:
 
 class TestForward:
     def test_composition(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(5))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(5))
         g = random_graph(4, seed=3)
         x = _window(8, 4, 6)
         pred, cache = forward(x, g, p)
@@ -296,14 +303,14 @@ class TestForward:
 
     def test_metric_count_agnostic(self, tiny_model_cfg):
         """One parameter set serves windows of any D without reshaping."""
-        p = init_params(tiny_model_cfg, RngStream(6))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(6))
         for d in (1, 3, 4, 9):
             pred, _ = forward(_window(8, d, d), identity_graph(d), p)
             assert pred.logits.shape == (NUM_CLASSES,)
 
     def test_permutation_invariance(self, tiny_model_cfg):
         """Relabeling metrics (and the graph with them) keeps logits fixed."""
-        p = init_params(tiny_model_cfg, RngStream(7))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(7))
         g = random_graph(6, seed=4, threshold=0.2)
         x = _window(8, 6, 8)
         perm = np.array([4, 2, 0, 5, 3, 1])
@@ -316,16 +323,16 @@ class TestForward:
         assert np.max(np.abs(a.logits - b.logits)) <= 1e-12
 
     def test_graph_window_mismatch(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(8))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(8))
         with pytest.raises(ShapeError, match="metrics"):
             forward(_window(8, 4, 9), identity_graph(5), p)
 
 
 class TestBackward:
     def _setup(self, cfg, d=4, seed=0):
-        p = init_params(cfg, RngStream(seed))
+        p = init_params(cfg, TINY_T, RngStream(seed))
         g = random_graph(d, seed=seed, threshold=0.25)
-        x = _window(cfg.window_len, d, seed + 50)
+        x = _window(TINY_T, d, seed + 50)
         return p, g, x
 
     def test_matches_finite_differences(self, tiny_model_cfg):
@@ -334,10 +341,10 @@ class TestBackward:
         dz = RngStream(1, (22,)).generator().normal(size=NUM_CLASSES)
 
         _, cache = forward(x, g, p)
-        analytic = backward(cache, dz, ModelParams.zeros(p.cfg)).flat
+        analytic = backward(cache, dz, ModelParams.zeros(p.cfg, p.window_len)).flat
 
         def objective(vec):
-            q = ModelParams(cfg, vec)
+            q = ModelParams(cfg, TINY_T, vec)
             pred, _ = forward(x, g, q)
             return float(dz @ pred.logits)
 
@@ -346,15 +353,15 @@ class TestBackward:
 
     def test_finite_differences_identity_graph(self, tiny_model_cfg):
         cfg = tiny_model_cfg
-        p = init_params(cfg, RngStream(3))
+        p = init_params(cfg, TINY_T, RngStream(3))
         g = identity_graph(4)
-        x = _window(cfg.window_len, 4, 60)
+        x = _window(TINY_T, 4, 60)
         dz = np.array([1.0, -2.0, 0.5, 0.75, -1.5])
         _, cache = forward(x, g, p)
-        analytic = backward(cache, dz, ModelParams.zeros(p.cfg)).flat
+        analytic = backward(cache, dz, ModelParams.zeros(p.cfg, p.window_len)).flat
 
         def objective(vec):
-            pred, _ = forward(x, g, ModelParams(cfg, vec))
+            pred, _ = forward(x, g, ModelParams(cfg, TINY_T, vec))
             return float(dz @ pred.logits)
 
         assert finite_diff_check(objective, p.flat, analytic) <= 1e-4
@@ -363,7 +370,7 @@ class TestBackward:
         p, g, x = self._setup(tiny_model_cfg, seed=1)
         _, cache = forward(x, g, p)
         dz = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-        grads = backward(cache, dz, ModelParams.zeros(p.cfg))
+        grads = backward(cache, dz, ModelParams.zeros(p.cfg, p.window_len))
         for k in (0, 2, 3, 4):
             assert np.all(grads.head_w[k] == 0.0)
             assert np.all(grads.head_b[k] == 0.0)
@@ -377,23 +384,23 @@ class TestBackward:
         gen = RngStream(4, (23,)).generator()
         dz1 = gen.normal(size=NUM_CLASSES)
         dz2 = gen.normal(size=NUM_CLASSES)
-        ga = backward(cache, dz1, ModelParams.zeros(p.cfg)).flat
-        gb = backward(cache, dz2, ModelParams.zeros(p.cfg)).flat
-        gsum = backward(cache, dz1 + dz2, ModelParams.zeros(p.cfg)).flat
+        ga = backward(cache, dz1, ModelParams.zeros(p.cfg, p.window_len)).flat
+        gb = backward(cache, dz2, ModelParams.zeros(p.cfg, p.window_len)).flat
+        gsum = backward(cache, dz1 + dz2, ModelParams.zeros(p.cfg, p.window_len)).flat
         assert np.max(np.abs(gsum - (ga + gb))) <= 1e-12
-        gscaled = backward(cache, 3.0 * dz1, ModelParams.zeros(p.cfg)).flat
+        gscaled = backward(cache, 3.0 * dz1, ModelParams.zeros(p.cfg, p.window_len)).flat
         assert np.max(np.abs(gscaled - 3.0 * ga)) <= 1e-12
 
     def test_reused_dirty_buffer_equals_fresh_buffer(self, tiny_model_cfg):
         """backward overwrites every block, so a reused buffer holds no stale value."""
-        p = init_params(tiny_model_cfg, RngStream(7))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(7))
         g = random_graph(4, seed=7, threshold=0.25)
         gen = RngStream(7, (28,)).generator()
-        xs = gen.normal(size=(5, tiny_model_cfg.window_len, 4))
+        xs = gen.normal(size=(5, TINY_T, 4))
         dz = gen.normal(size=(5, NUM_CLASSES))
         _, cache = forward(xs, g, p)
-        fresh = backward(cache, dz, ModelParams.zeros(p.cfg)).flat
-        buf = ModelParams(p.cfg, np.full(p.flat.size, np.nan))
+        fresh = backward(cache, dz, ModelParams.zeros(p.cfg, p.window_len)).flat
+        buf = ModelParams(p.cfg, p.window_len, np.full(p.flat.size, np.nan))
         _, other = forward(xs[:2] + 1.0, g, p)
         backward(other, dz[:2] * 3.0, buf)
         buf.flat[::3] = np.nan
@@ -403,39 +410,39 @@ class TestBackward:
     def test_rejects_gradient_buffer_of_another_config(self, tiny_model_cfg):
         p, g, x = self._setup(tiny_model_cfg, seed=6)
         _, cache = forward(x, g, p)
-        other = ModelConfig(window_len=8, encoder_hidden=6,
-                            embed_width=5, propagation_width=5, head_hidden=3)
-        with pytest.raises(ShapeError, match="gradient buffer"):
-            backward(cache, np.ones(NUM_CLASSES), ModelParams.zeros(other))
+        other = ModelConfig(encoder_hidden=6, embed_width=5, propagation_width=5, head_hidden=3)
+        for buf in (ModelParams.zeros(other, TINY_T), ModelParams.zeros(p.cfg, TINY_T + 1)):
+            with pytest.raises(ShapeError, match="gradient buffer"):
+                backward(cache, np.ones(NUM_CLASSES), buf)
 
     def test_rejects_wrong_dz_shape(self, tiny_model_cfg):
         p, g, x = self._setup(tiny_model_cfg, seed=6)
         _, cache = forward(x, g, p)
         with pytest.raises(ShapeError, match="logits' shape"):
-            backward(cache, np.ones(NUM_CLASSES + 1), ModelParams.zeros(p.cfg))
+            backward(cache, np.ones(NUM_CLASSES + 1), ModelParams.zeros(p.cfg, p.window_len))
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))
     def test_gradient_check_random_configs(self, seed):
         """Finite differences across random tiny shapes, not just the fixture."""
         gen = RngStream(seed, (24,)).generator()
+        t = int(gen.integers(2, 7))
         cfg = ModelConfig(
-            window_len=int(gen.integers(2, 7)),
             encoder_hidden=int(gen.integers(2, 5)),
             embed_width=int(gen.integers(2, 5)),
             propagation_width=int(gen.integers(2, 5)),
             head_hidden=int(gen.integers(2, 4)),
         )
         d = int(gen.integers(1, 5))
-        p = init_params(cfg, RngStream(seed, (25,)))
+        p = init_params(cfg, t, RngStream(seed, (25,)))
         g = random_graph(d, seed=seed, threshold=0.3)
-        x = gen.normal(size=(cfg.window_len, d))
+        x = gen.normal(size=(t, d))
         dz = gen.normal(size=NUM_CLASSES)
         _, cache = forward(x, g, p)
-        analytic = backward(cache, dz, ModelParams.zeros(p.cfg)).flat
+        analytic = backward(cache, dz, ModelParams.zeros(p.cfg, p.window_len)).flat
 
         def objective(vec):
-            pred, _ = forward(x, g, ModelParams(cfg, vec))
+            pred, _ = forward(x, g, ModelParams(cfg, t, vec))
             return float(dz @ pred.logits)
 
         assert finite_diff_check(objective, p.flat, analytic) <= 1e-4
@@ -448,7 +455,7 @@ class TestInPlaceKernels:
     """The activations and derivatives are built in place; nothing shared is written."""
 
     def _setup(self, cfg, shape):
-        p = init_params(cfg, RngStream(12))
+        p = init_params(cfg, TINY_T, RngStream(12))
         g = random_graph(shape[-1], seed=12, threshold=0.25)
         gen = RngStream(12, (28,)).generator()
         x = gen.normal(size=shape)
@@ -481,8 +488,8 @@ class TestInPlaceKernels:
         arrays = {f.name: getattr(cache, f.name) for f in fields(ForwardCache)
                   if isinstance(getattr(cache, f.name), np.ndarray)}
         before = {name: a.copy() for name, a in arrays.items()}
-        first = backward(cache, dz, ModelParams.zeros(p.cfg)).flat
-        second = backward(cache, dz, ModelParams.zeros(p.cfg)).flat
+        first = backward(cache, dz, ModelParams.zeros(p.cfg, p.window_len)).flat
+        second = backward(cache, dz, ModelParams.zeros(p.cfg, p.window_len)).flat
         assert np.array_equal(first, second)
         assert set(arrays) == {"x", "xt", "z1", "h", "ah", "h1", "ah1", "ht", "r", "head_tanh"}
         for name, a in arrays.items():
@@ -495,14 +502,13 @@ class TestBatched:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(1, 9), st.integers(1, 6), st.integers(0, 10_000))
     def test_stack_forward_matches_each_window(self, n, d, seed):
-        cfg = ModelConfig(window_len=8, encoder_hidden=6,
-                          embed_width=5, propagation_width=4, head_hidden=3)
-        p = init_params(cfg, RngStream(seed))
+        cfg = ModelConfig(encoder_hidden=6, embed_width=5, propagation_width=4, head_hidden=3)
+        p = init_params(cfg, 8, RngStream(seed))
         g = random_graph(d, seed=seed, threshold=0.3)
-        xs = RngStream(seed, (26,)).generator().normal(size=(n, cfg.window_len, d))
+        xs = RngStream(seed, (26,)).generator().normal(size=(n, p.window_len, d))
         pred, cache = forward(xs, g, p)
         assert pred.logits.shape == (n, NUM_CLASSES)
-        assert cache.x.shape == (n, cfg.window_len, d)
+        assert cache.x.shape == (n, p.window_len, d)
         for i in range(n):
             one, _ = forward(xs[i], g, p)
             assert np.max(np.abs(pred.logits[i] - one.logits)) <= 1e-12
@@ -510,32 +516,31 @@ class TestBatched:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(1, 9), st.integers(1, 6), st.integers(0, 10_000))
     def test_stack_backward_is_sum_of_window_gradients(self, n, d, seed):
-        cfg = ModelConfig(window_len=8, encoder_hidden=6,
-                          embed_width=5, propagation_width=4, head_hidden=3)
-        p = init_params(cfg, RngStream(seed))
+        cfg = ModelConfig(encoder_hidden=6, embed_width=5, propagation_width=4, head_hidden=3)
+        p = init_params(cfg, 8, RngStream(seed))
         g = random_graph(d, seed=seed, threshold=0.3)
         gen = RngStream(seed, (27,)).generator()
-        xs = gen.normal(size=(n, cfg.window_len, d))
+        xs = gen.normal(size=(n, p.window_len, d))
         dz = gen.normal(size=(n, NUM_CLASSES))
         _, cache = forward(xs, g, p)
-        stacked = backward(cache, dz, ModelParams.zeros(p.cfg)).flat
+        stacked = backward(cache, dz, ModelParams.zeros(p.cfg, p.window_len)).flat
         summed = np.zeros_like(stacked)
         for i in range(n):
             _, one = forward(xs[i], g, p)
-            summed += backward(one, dz[i], ModelParams.zeros(p.cfg)).flat
+            summed += backward(one, dz[i], ModelParams.zeros(p.cfg, p.window_len)).flat
         assert np.max(np.abs(stacked - summed)) <= 1e-12
 
     def test_stack_backward_rejects_window_shaped_dz(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, RngStream(0))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(0))
         g = random_graph(4, seed=0)
         _, cache = forward(np.stack([_window(8, 4, 1), _window(8, 4, 2)]), g, p)
         with pytest.raises(ShapeError, match="logits' shape"):
-            backward(cache, np.ones(NUM_CLASSES), ModelParams.zeros(p.cfg))
+            backward(cache, np.ones(NUM_CLASSES), ModelParams.zeros(p.cfg, p.window_len))
 
     def test_chunked_scoring_does_not_depend_on_n(self, tiny_model_cfg, monkeypatch):
         """Scores of a window are the same whatever else is scored with it."""
         monkeypatch.setattr(train_module, "SCORE_CHUNK", 4)
-        p = init_params(tiny_model_cfg, RngStream(11))
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(11))
         g = random_graph(4, seed=5)
         data = random_dataset(11, 8, 4, seed=3)
         full = train_module.score(p, g, data)

@@ -145,8 +145,7 @@ def test_block_generators_of_zero_blocks():
 SMALL_RUN = {
     "scenario": {"metric_count": 4, "window_len": 8, "separation": 3.0, "noise_std": 0.1,
                  "leak_lag": 2},
-    "model": {"window_len": 8, "encoder_hidden": 4, "embed_width": 3,
-              "propagation_width": 3, "head_hidden": 2},
+    "model": {"encoder_hidden": 4, "embed_width": 3, "propagation_width": 3, "head_hidden": 2},
     "train": {"batch_size": 16, "max_epochs": 3, "patience": 3, "seed": 5},
     "n_windows": 60,
 }

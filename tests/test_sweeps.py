@@ -46,10 +46,7 @@ from conftest import random_dataset
 TINY_SCENARIO = ScenarioConfig(
     metric_count=4, window_len=8, separation=3.0, noise_std=0.1, leak_lag=2
 )
-TINY_MODEL = ModelConfig(
-    window_len=8, encoder_hidden=8,
-    embed_width=6, propagation_width=6, head_hidden=4,
-)
+TINY_MODEL = ModelConfig(encoder_hidden=8, embed_width=6, propagation_width=6, head_hidden=4)
 TINY_TRAIN = TrainConfig(batch_size=16, max_epochs=2, patience=5, seed=0)
 def _generated(n, rng):
     return generate(TINY_SCENARIO, n, rng)

@@ -107,12 +107,9 @@ class TestAdam:
             adam_step(np.zeros(3), grad, AdamState.zeros(3), TrainConfig())
 
     def test_nonfinite_gradient_names_block(self):
-        cfg = ModelConfig(
-            window_len=8, encoder_hidden=4,
-            embed_width=3, propagation_width=3, head_hidden=2,
-        )
-        params = init_params(cfg, RngStream(0))
-        blocks = ModelParams.block_slices(cfg)
+        cfg = ModelConfig(encoder_hidden=4, embed_width=3, propagation_width=3, head_hidden=2)
+        params = init_params(cfg, 8, RngStream(0))
+        blocks = ModelParams.block_slices(cfg, 8)
         grad = np.zeros(params.flat.size)
         sl = dict(blocks)["prop_w1"]
         grad[sl.start] = np.inf
@@ -289,16 +286,13 @@ def _toy_problem(n=60, seed=0):
     return train_w, val_w, graph
 
 
-TINY_TRAIN_MODEL = ModelConfig(
-    window_len=8, encoder_hidden=8,
-    embed_width=6, propagation_width=6, head_hidden=4,
-)
+TINY_TRAIN_MODEL = ModelConfig(encoder_hidden=8, embed_width=6, propagation_width=6, head_hidden=4)
 
 
 class TestEvaluate:
     def test_agrees_with_manual_loop(self):
         train_w, val_w, graph = _toy_problem(30, seed=2)
-        params = init_params(TINY_TRAIN_MODEL, RngStream(1))
+        params = init_params(TINY_TRAIN_MODEL, 8, RngStream(1))
         m = evaluate(params, graph, val_w)
         preds = [forward(x, graph, params)[0].label for x in val_w.values]
         want = metrics_from_confusion(confusion_matrix(val_w.labels, preds, 5))
@@ -309,13 +303,13 @@ class TestEvaluate:
         train_w, _, graph = _toy_problem(20, seed=3)
         labels = train_w.labels.copy()
         labels[3] = UNLABELED
-        params = init_params(TINY_TRAIN_MODEL, RngStream(1))
+        params = init_params(TINY_TRAIN_MODEL, 8, RngStream(1))
         with pytest.raises(DataError, match="evaluation window 3 has no label"):
             evaluate(params, graph, replace(train_w, labels=labels))
 
     def test_empty_rejected(self):
         train_w, _, graph = _toy_problem(20, seed=3)
-        params = init_params(TINY_TRAIN_MODEL, RngStream(1))
+        params = init_params(TINY_TRAIN_MODEL, 8, RngStream(1))
         with pytest.raises(DataError, match="empty"):
             evaluate(params, graph, train_w.subset(np.arange(0)))
 
@@ -331,7 +325,7 @@ class TestScore:
         """Slices of the dataset's array give the bits of chunks stacked window by
         window, also for a chunk that starts mid-array and for a partial last one."""
         data = generate(ScenarioConfig(), 3 * SCORE_CHUNK + 17, RngStream(0, (51,)))
-        params = init_params(ModelConfig(), RngStream(2))
+        params = init_params(ModelConfig(), 32, RngStream(2))
         graph = build_graph(pearson_matrix(data), threshold=0.3)
         got = score(params, graph, data).logits
         assert got.tobytes() == _reference_score(params, graph, list(data.values)).tobytes()
