@@ -23,7 +23,7 @@ import numpy as np
 from contention.config import _strict_kwargs
 from contention.data import NormStats, json_int
 from contention.errors import ConfigError, ContentionError, DataError, SchemaError, ShapeError
-from contention.graph import MetricGraph, normalize_adjacency
+from contention.graph import MetricGraph
 from contention.model import ModelConfig, ModelParams
 
 CHECKPOINT_FORMAT_VERSION = 4
@@ -116,7 +116,8 @@ def _from_payload(payload: dict, path: Path) -> Checkpoint:
                 "metric_names", "train_seed", "config_digest"):
         if key not in payload:
             raise SchemaError(f"checkpoint {path} is missing key '{key}'")
-        if key == "format_version" and payload[key] != CHECKPOINT_FORMAT_VERSION:
+        if key == "format_version" and (type(payload[key]) is not int  # 4.0 is refused
+                                        or payload[key] != CHECKPOINT_FORMAT_VERSION):
             raise SchemaError(  # checked first: an older checkpoint lacks newer keys
                 f"checkpoint format version {payload[key]} unsupported "
                 f"(expected {CHECKPOINT_FORMAT_VERSION})"
@@ -147,9 +148,7 @@ def _from_payload(payload: dict, path: Path) -> Checkpoint:
     threshold = float(g["threshold"])
     if not 0.0 <= threshold <= 1.0:
         raise DataError(f"checkpoint graph threshold must lie in [0, 1], got {threshold}")
-    graph = MetricGraph(
-        adjacency=adjacency, normalized=normalize_adjacency(adjacency), threshold=threshold
-    )
+    graph = MetricGraph(adjacency=adjacency, threshold=threshold)
 
     norm = NormStats(
         mean=_decode_floats(payload["normalization"]["mean"], (dim,), "normalization mean"),

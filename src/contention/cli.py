@@ -34,7 +34,7 @@ from contention.data import (
 from contention.errors import ConfigError, DataError, NumericError, ShapeError
 from contention.graph import build_graph, graph_stats, pearson_matrix
 from contention.ingest import apply_weak_labels, ingest_csv
-from contention.linalg import softmax
+from contention.model import softmax
 from contention.pipeline import prepare, run_prepared, split_parts
 from contention.rng import RngStream
 from contention.sweeps import SWEEPS, write_sweep_csv

@@ -23,11 +23,10 @@ generator returns its buffer as one, and so does the trace loader. Iterating
 a Dataset yields one MetricWindow view per window, for code that reads
 single windows.
 
-Also here: a hand-written threshold baseline used to certify that generated
-scenarios are learnable at all, z-score normalization fitted on the training
-split, stratified splitting into index arrays, and the dataset files: one
-(N, T, D) float64 .npy array of window values beside a JSON manifest that
-holds the sizes, metric names and one label per window.
+Also here: z-score normalization fitted on the training split, stratified
+splitting into index arrays, and the dataset files: one (N, T, D) float64
+.npy array of window values beside a JSON manifest that holds the sizes,
+metric names and one label per window.
 """
 
 from __future__ import annotations
@@ -317,61 +316,6 @@ def generate(cfg: ScenarioConfig, n: int, rng: RngStream) -> Dataset:
     return Dataset(x, labels, cfg.metric_names(), f"synthetic:{rng.seed}")
 
 
-def _group_series(window: MetricWindow, cols: tuple[int, ...]) -> np.ndarray:
-    return window.values[:, list(cols)].mean(axis=1)
-
-
-def baseline_predict(window: MetricWindow, cfg: ScenarioConfig) -> int:
-    """Hand-written threshold classifier over group statistics.
-
-    Exists to certify scenario learnability independently of the trained
-    model. Uses the group-mean level for the plateau and ramp signatures, a
-    spike count above the disk group's median for the spike train, and the
-    mid-window variance of the net group mean for the zero-mean sinusoid
-    (its time average vanishes, so a plain level test cannot see it).
-    """
-    scale = max(cfg.separation, 1e-12)
-    group_map = cfg.group_map
-    series = {name: _group_series(window, group_map[name]) for name in GROUP_NAMES}
-    cpu_level = float(series["cpu"].mean())
-    mem_level = float(series["mem"].mean())
-    disk = series["disk"]
-    disk_excess = disk - float(np.median(disk))
-    spike_count = int((disk_excess > 0.9 * scale).sum())
-    quarter = window.window_len // 4
-    mid = series["net"][quarter : 3 * quarter]
-    net_power = float(((mid - mid.mean()) ** 2).mean())
-
-    hot_cpu = cpu_level > 0.43 * scale
-    hot_mem = mem_level > 0.25 * scale
-    hot_disk = spike_count >= 2
-    hot_net = net_power > scale * scale / 6.0
-    if hot_cpu and hot_disk:
-        return int(ContentionClass.HYBRID)
-    if hot_cpu:
-        return int(ContentionClass.CPU)
-    if hot_disk:
-        return int(ContentionClass.IO)
-    if hot_mem:
-        return int(ContentionClass.MEM)
-    if hot_net:
-        return int(ContentionClass.NET)
-    ratios = {
-        ContentionClass.CPU: cpu_level / (0.43 * scale),
-        ContentionClass.IO: float(disk_excess.max()) / (0.9 * scale),
-        ContentionClass.MEM: mem_level / (0.25 * scale),
-        ContentionClass.NET: net_power / (scale * scale / 6.0),
-    }
-    return int(max(ratios, key=lambda c: ratios[c]))
-
-
-def baseline_accuracy(data: Dataset, cfg: ScenarioConfig) -> float:
-    if not len(data):
-        raise DataError("cannot score an empty dataset")
-    hits = sum(1 for w in data if w.label is not None and baseline_predict(w, cfg) == w.label)
-    return hits / len(data)
-
-
 @dataclass(frozen=True)
 class NormStats:
     """Per-metric z-score statistics fitted on the training split only."""
@@ -543,7 +487,7 @@ def read_dataset(path: str | Path) -> Dataset:
     except (ValueError, OSError, RecursionError) as exc:
         raise SchemaError(f"manifest {mpath} is not valid JSON: {exc}") from exc
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
-    if version != DATASET_FORMAT_VERSION:
+    if type(version) is not int or version != DATASET_FORMAT_VERSION:  # 3.0 and true refused
         raise SchemaError(
             f"manifest {mpath} has format_version {version!r}, not {DATASET_FORMAT_VERSION}; "
             "regenerate the dataset with `contention gen` or `contention ingest`"

@@ -4,12 +4,13 @@ The D monitored metrics are the vertices. Edges come from thresholding the
 absolute Pearson correlation between metric series over the training split,
 standing in for competition/dependency links between resources. The
 propagation operator is the usual symmetric normalization of the adjacency
-with implicit self-loops, so isolated metrics still see themselves.
+with implicit self-loops (Kipf & Welling 2017), so isolated metrics still
+see themselves; a MetricGraph derives it from its own adjacency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,11 +24,14 @@ _VAR_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class MetricGraph:
-    """Thresholded metric graph plus its normalized propagation operator."""
+    """Thresholded metric graph plus its propagation operator, derived once and stored."""
 
     adjacency: np.ndarray  # D x D binary, symmetric, zero diagonal
-    normalized: np.ndarray  # (A + I) scaled by inverse sqrt degrees
+    normalized: np.ndarray = field(init=False)  # (A + I) scaled by inverse sqrt degrees
     threshold: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "normalized", normalize_adjacency(self.adjacency))
 
     @property
     def dim(self) -> int:
@@ -98,11 +102,7 @@ def build_graph(corr: np.ndarray, threshold: float = DEFAULT_CORR_THRESHOLD) -> 
         raise ConfigError(f"correlation threshold must lie in [0, 1], got {threshold}")
     adjacency = (np.abs(corr) >= threshold).astype(np.float64)
     np.fill_diagonal(adjacency, 0.0)
-    return MetricGraph(
-        adjacency=adjacency,
-        normalized=normalize_adjacency(adjacency),
-        threshold=float(threshold),
-    )
+    return MetricGraph(adjacency=adjacency, threshold=float(threshold))
 
 
 def identity_graph(dim: int) -> MetricGraph:
@@ -113,8 +113,7 @@ def identity_graph(dim: int) -> MetricGraph:
     """
     if dim < 1:
         raise ShapeError(f"graph needs at least one vertex, got {dim}")
-    adjacency = np.zeros((dim, dim))
-    return MetricGraph(adjacency=adjacency, normalized=np.eye(dim), threshold=1.0)
+    return MetricGraph(adjacency=np.zeros((dim, dim)), threshold=1.0)
 
 
 def graph_stats(g: MetricGraph) -> GraphStats:

@@ -2,12 +2,13 @@
 
 Each contention class k is a one-vs-rest binary task: its logit is pushed
 toward +inf on windows of class k and -inf elsewhere, under a numerically
-stable binary cross-entropy on logits. Task weights follow Dynamic Weight
-Average (Liu, Johns & Davison 2019), a function of the last two epochs'
-mean task losses: tasks whose loss fell slowly (ratio near or above 1) get
-upweighted relative to tasks that are already improving fast. Weights are
-K * softmax(ratio / temperature), so they always sum to K and equal-ratio
-tasks land exactly at 1.
+stable binary cross-entropy on logits, max(z, 0) - z * target + log1p(e):
+one e = exp(-|z|) gives it and its gradient. Task weights follow Dynamic
+Weight Average (Liu, Johns & Davison 2019), a function of the last two
+epochs' mean task losses: tasks whose loss fell slowly (ratio near or above
+1) get upweighted relative to tasks that are already improving fast.
+Weights are K * softmax(ratio / temperature), so they always sum to K and
+equal-ratio tasks land exactly at 1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from contention.errors import DataError, ShapeError
-from contention.linalg import bce_from_logit, sigmoid
 
 RATIO_FLOOR = 1e-8
 
@@ -44,7 +44,10 @@ def task_losses(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
             f"label {int(y[bad[0]])} at sample {int(bad[0])} is outside [0, {k - 1}]"
         )
     onehot = (y.astype(np.int64)[:, None] == np.arange(k)[None, :]).astype(np.float64)
-    return bce_from_logit(z, onehot).mean(axis=0), (sigmoid(z) - onehot) / z.shape[0]
+    e = np.exp(-np.abs(z))
+    loss = np.maximum(z, 0.0) - z * onehot + np.log1p(e)
+    grad = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) - onehot
+    return loss.mean(axis=0), grad / z.shape[0]
 
 
 def update_weights(previous: np.ndarray, latest: np.ndarray, temperature: float) -> np.ndarray:

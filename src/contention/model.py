@@ -13,6 +13,8 @@ the same code; `forward` chains the stages and `backward` returns the
 gradient summed over the stack. All gradients are exact reverse-mode
 derivatives, checked against central differences in the test suite. tanh
 keeps every layer smooth so those checks are well-defined everywhere.
+`init_params` draws Glorot-uniform weights; `softmax` gives the confidence
+scores that the `predict` command writes beside the labels.
 
 Each activation and each tanh derivative is computed in place in a fresh
 array, with the same operations in the same order as the textbook
@@ -30,7 +32,6 @@ import numpy as np
 from contention.data import NUM_CLASSES
 from contention.errors import ConfigError, ShapeError
 from contention.graph import MetricGraph
-from contention.linalg import glorot_init
 from contention.rng import RngStream
 
 
@@ -126,6 +127,18 @@ class ModelParams:
             out.append((name, slice(offset, offset + size)))
             offset += size
         return out
+
+
+def glorot_init(rows: int, cols: int, rng: RngStream) -> np.ndarray:
+    """Uniform(-a, a) weight block with a = sqrt(6 / (rows + cols)).
+
+    Draws from the start of the given stream: pass a distinct substream per
+    tensor or successive calls will repeat the same values.
+    """
+    if rows < 1 or cols < 1:
+        raise ShapeError(f"weight block needs positive dims, got {rows}x{cols}")
+    a = math.sqrt(6.0 / (rows + cols))
+    return rng.generator().uniform(-a, a, size=(rows, cols))
 
 
 def init_params(cfg: ModelConfig, t: int, rng: RngStream) -> ModelParams:
@@ -250,6 +263,20 @@ def predict(logits: np.ndarray) -> Prediction:
     z = np.asarray(logits, dtype=np.float64)
     label = z.argmax(axis=-1)
     return Prediction(logits=z, label=int(label) if z.ndim == 1 else label)
+
+
+def softmax(z) -> np.ndarray:
+    """Normalized confidence scores for a logit vector, or for each row of a stack.
+
+    Uses max-subtraction so arbitrarily large logits cannot overflow. Each
+    result sums to 1 within 1e-12 and is invariant to adding a constant to
+    every logit.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim not in (1, 2) or z.shape[-1] == 0:
+        raise ShapeError(f"softmax expects nonempty logit vectors, got shape {z.shape}")
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def forward(

@@ -4,8 +4,8 @@ from collections.abc import Callable
 import numpy as np
 import pytest
 
-from contention.data import UNLABELED, Dataset
-from contention.errors import NumericError, ShapeError
+from contention.data import GROUP_NAMES, UNLABELED, ContentionClass, Dataset, ScenarioConfig
+from contention.errors import DataError, NumericError, ShapeError
 from contention.graph import build_graph
 from contention.model import ModelConfig
 from contention.rng import RngStream
@@ -82,3 +82,61 @@ def finite_diff_check(
         denom = max(1e-8, abs(grad[i]) + abs(numeric))
         worst = max(worst, abs(grad[i] - numeric) / denom)
     return worst
+
+
+def _group_series(values: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
+    return values[:, list(cols)].mean(axis=1)
+
+
+def baseline_predict(values: np.ndarray, cfg: ScenarioConfig) -> int:
+    """Hand-written threshold classifier over the group statistics of one (T, D) window.
+
+    Exists to certify scenario learnability independently of the trained
+    model. Uses the group-mean level for the plateau and ramp signatures, a
+    spike count above the disk group's median for the spike train, and the
+    mid-window variance of the net group mean for the zero-mean sinusoid
+    (its time average vanishes, so a plain level test cannot see it).
+    """
+    scale = max(cfg.separation, 1e-12)
+    group_map = cfg.group_map
+    series = {name: _group_series(values, group_map[name]) for name in GROUP_NAMES}
+    cpu_level = float(series["cpu"].mean())
+    mem_level = float(series["mem"].mean())
+    disk = series["disk"]
+    disk_excess = disk - float(np.median(disk))
+    spike_count = int((disk_excess > 0.9 * scale).sum())
+    quarter = values.shape[0] // 4
+    mid = series["net"][quarter : 3 * quarter]
+    net_power = float(((mid - mid.mean()) ** 2).mean())
+
+    hot_cpu = cpu_level > 0.43 * scale
+    hot_mem = mem_level > 0.25 * scale
+    hot_disk = spike_count >= 2
+    hot_net = net_power > scale * scale / 6.0
+    if hot_cpu and hot_disk:
+        return int(ContentionClass.HYBRID)
+    if hot_cpu:
+        return int(ContentionClass.CPU)
+    if hot_disk:
+        return int(ContentionClass.IO)
+    if hot_mem:
+        return int(ContentionClass.MEM)
+    if hot_net:
+        return int(ContentionClass.NET)
+    ratios = {
+        ContentionClass.CPU: cpu_level / (0.43 * scale),
+        ContentionClass.IO: float(disk_excess.max()) / (0.9 * scale),
+        ContentionClass.MEM: mem_level / (0.25 * scale),
+        ContentionClass.NET: net_power / (scale * scale / 6.0),
+    }
+    return int(max(ratios, key=lambda c: ratios[c]))
+
+
+def baseline_accuracy(data: Dataset, cfg: ScenarioConfig) -> float:
+    """Share of a dataset's windows whose label `baseline_predict` gets right;
+    unlabeled windows count as misses."""
+    if not len(data):
+        raise DataError("cannot score an empty dataset")
+    hits = sum(1 for values, label in zip(data.values, data.labels)
+               if label != UNLABELED and baseline_predict(values, cfg) == label)
+    return hits / len(data)

@@ -14,14 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import finite_diff_check, random_dataset, random_graph
+from conftest import baseline_accuracy, finite_diff_check, random_dataset, random_graph
 from contention.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from contention.cli import main as cli_main
 from contention.config import RunConfig
-from contention.data import NUM_CLASSES, ScenarioConfig, baseline_accuracy, generate
+from contention.data import NUM_CLASSES, ScenarioConfig, generate
 from contention.graph import build_graph, normalize_adjacency, pearson_matrix
 from contention.ingest import IngestConfig, TraceSchema, ingest_csv
-from contention.linalg import softmax
 from contention.losses import task_losses, update_weights
 from contention.model import (
     ModelConfig,
@@ -29,6 +28,7 @@ from contention.model import (
     backward,
     forward,
     init_params,
+    softmax,
 )
 from contention.pipeline import DEFAULT_SPLIT, prepare, prepare_synthetic, run_prepared
 from contention.rng import RngStream

@@ -135,11 +135,12 @@ class TestLoadValidation:
         with pytest.raises(SchemaError, match="normalization"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 99, 4.0])
     def test_version_mismatch(self, tmp_path, version):
         """Version 1 stored enc_w1 transposed, version 2 a class count and class
         names, and version 3 the window length in the model section; their
-        checkpoints must be retrained. The version is read before any other key."""
+        checkpoints must be retrained. The version is read before any other key,
+        and it is an integer: 4.0 is refused too."""
         path = self._saved(tmp_path)
 
         def older(p):

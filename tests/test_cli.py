@@ -40,7 +40,7 @@ from contention.data import (
     write_dataset,
 )
 from contention.errors import ConfigError, DataError, NumericError, ShapeError
-from contention.linalg import softmax
+from contention.model import softmax
 from contention.pipeline import prepare, prepare_synthetic, run_prepared, split_parts
 from contention.rng import RngStream
 from contention.train import METRIC_FIELDS, evaluate, score

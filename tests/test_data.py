@@ -32,8 +32,6 @@ from contention.data import (
     ScenarioConfig,
     _apportion,
     apply_norm,
-    baseline_accuracy,
-    baseline_predict,
     class_signals,
     default_groups,
     fit_norm,
@@ -49,7 +47,7 @@ from contention.graph import pearson_from_series
 from contention.rng import RngStream
 from contention.sweeps import subsample_stratified
 
-from conftest import random_dataset, random_windows
+from conftest import baseline_accuracy, baseline_predict, random_dataset, random_windows
 
 
 def _delayed(sig, lag):
@@ -412,14 +410,7 @@ class TestBaseline:
         assert baseline_accuracy(ws, cfg) >= 0.95
 
     def test_returns_valid_label_even_when_nothing_is_hot(self):
-        cfg = ScenarioConfig(separation=1.0)
-        quiet = MetricWindow(
-            values=np.zeros((32, 12)),
-            label=None,
-            source="quiet",
-            metric_names=cfg.metric_names(),
-        )
-        assert 0 <= baseline_predict(quiet, cfg) <= 3
+        assert 0 <= baseline_predict(np.zeros((32, 12)), ScenarioConfig(separation=1.0)) <= 3
 
     def test_empty_rejected(self):
         cfg = ScenarioConfig()
@@ -820,7 +811,7 @@ class TestDatasetFiles:
         with pytest.raises(SchemaError, match="window_len"):
             read_dataset(path)
 
-    @pytest.mark.parametrize("version", [1, 2, "3", None])
+    @pytest.mark.parametrize("version", [1, 2, "3", None, 3.0])
     def test_read_rejects_other_format_version(self, tmp_path, version):
         path = self._written(tmp_path)
         self._set_manifest(path, format_version=version)

@@ -229,6 +229,18 @@ class TestBuildGraph:
         assert set(np.unique(g.adjacency)) <= {0.0, 1.0}
 
 
+class TestMetricGraph:
+    def test_operator_derived_from_adjacency(self):
+        """The stored operator is normalize_adjacency's, bit for bit, and the
+        edge-free graph's is exactly the identity at every size."""
+        for d, seed in ((1, 0), (5, 1), (12, 2)):
+            adj = random_graph(d, seed=seed, threshold=0.2).adjacency
+            g = MetricGraph(adjacency=adj, threshold=0.2)
+            assert g.normalized.tobytes() == normalize_adjacency(adj).tobytes()
+        for d in (1, 4, 12, 1024):
+            assert identity_graph(d).normalized.tobytes() == np.eye(d).tobytes()
+
+
 class TestIdentityGraph:
     def test_operator_is_identity(self):
         g = identity_graph(6)
@@ -246,10 +258,7 @@ class TestGraphStats:
         adj = np.zeros((4, 4))
         for a, b in ((0, 1), (1, 2), (0, 2)):
             adj[a, b] = adj[b, a] = 1.0
-        g = MetricGraph(
-            adjacency=adj, normalized=normalize_adjacency(adj), threshold=0.5
-        )
-        stats = graph_stats(g)
+        stats = graph_stats(MetricGraph(adjacency=adj, threshold=0.5))
         assert stats.edges == 3
         assert stats.density == pytest.approx(0.5)
         assert stats.isolated == 1

@@ -6,7 +6,9 @@ somewhere in its module, or be listed in the module's `__all__`. A
 module-level `_`-prefixed function, class or constant in src/ must be read
 somewhere in its own module, so deletions leave no private helper behind.
 A module-level UPPER_CASE constant in src/ must be read by some module in
-src/, as a name or as an attribute.
+src/, as a name or as an attribute. A top-level function or class in src/
+must be named somewhere in src/ outside its own definition, so code that
+only the tests call does not live on in the package.
 Every field of the run config's dataclasses must be read as an attribute
 somewhere in src/ outside its class's own `__post_init__`, so a setting
 whose last reader is deleted does not linger as a key that does nothing.
@@ -136,6 +138,54 @@ def test_no_unread_constants():
     files = sorted((ROOT / "src").rglob("*.py"))
     assert files
     assert unread_constants(files) == []
+
+
+def _named(node: ast.AST) -> set[str]:
+    """Every name `node` holds as a Name, an Attribute or an import alias."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names |= {n.name, n.asname} - {None}
+    return names
+
+
+def unnamed_definitions(paths: list[Path]) -> list[tuple[str, int, str]]:
+    """(file name, line, name) of every top-level function or class that no module
+    in `paths` names outside that definition itself."""
+    defined, namers = [], {}  # namers: name -> the (file, definition) or (file, None) naming it
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                defined.append((path.name, node.lineno, own))
+            for name in _named(node):
+                namers.setdefault(name, set()).add((path.name, own))
+    return [(file, line, name) for file, line, name in defined
+            if not namers.get(name, set()) - {(file, name)}]
+
+
+def test_scan_finds_an_unnamed_definition(tmp_path):
+    first, second = tmp_path / "a.py", tmp_path / "b.py"
+    first.write_text("def used():\n    pass\n"
+                     "def recursive(n):\n    return recursive(n - 1)\n"
+                     "class Spare:\n    pass\n"
+                     "def by_attribute():\n    pass\n"
+                     "def imported():\n    pass\n")
+    second.write_text("import a\nfrom a import imported as renamed\n"
+                      "used()\na.by_attribute()\n")
+    assert unnamed_definitions([first, second]) == [("a.py", 3, "recursive"), ("a.py", 5, "Spare")]
+
+
+def test_every_top_level_definition_is_named_in_src():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    assert unnamed_definitions(files) == []
 
 
 def unread_config_fields(paths: list[Path], classes: tuple[str, ...]) -> list[str]:

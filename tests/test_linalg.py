@@ -1,5 +1,12 @@
-"""Numeric kernel tests: oracles are independent scalar loops and
-extended-precision constants frozen from a 50-digit computation."""
+"""Numeric kernel tests: softmax and the Glorot init from `model`, the stable
+binary cross-entropy and sigmoid inside `losses.task_losses`, and the
+finite-difference helper. Oracles are independent scalar formulas and
+extended-precision constants frozen from a 50-digit computation.
+
+task_losses computes the sigmoid only as part of its gradient,
+(sigmoid(z) - target) / N: on one window whose column has target 0 that
+gradient is the sigmoid itself, exactly.
+"""
 
 import math
 
@@ -10,7 +17,8 @@ from hypothesis import strategies as st
 
 from conftest import finite_diff_check
 from contention.errors import NumericError, ShapeError
-from contention.linalg import bce_from_logit, glorot_init, sigmoid, softmax
+from contention.losses import task_losses
+from contention.model import glorot_init, softmax
 from contention.rng import RngStream
 
 LN2 = 0.6931471805599453
@@ -24,6 +32,17 @@ SOFTMAX_123 = (
 
 def _rng(seed):
     return RngStream(seed, (1,)).generator()
+
+
+def loss_of_logit(x, t):
+    """task_losses' loss for one logit x with binary target t, as a float."""
+    label = 0 if t == 1.0 else 1  # column 0's target is 1 exactly when the label is 0
+    return float(task_losses(np.array([[x, 0.0]]), np.array([label]))[0][0])
+
+
+def sigmoid_of_logit(x):
+    """task_losses' sigmoid of one logit x: the gradient of a target-0 column of one window."""
+    return float(task_losses(np.array([[x, 0.0]]), np.array([1]))[1][0, 0])
 
 
 class TestSoftmax:
@@ -70,15 +89,15 @@ class TestSoftmax:
 
 class TestBce:
     def test_symmetry_point(self):
-        assert abs(bce_from_logit(0.0, 1.0) - LN2) <= 1e-15
-        assert abs(bce_from_logit(0.0, 0.0) - LN2) <= 1e-15
+        assert abs(loss_of_logit(0.0, 1.0) - LN2) <= 1e-15
+        assert abs(loss_of_logit(0.0, 0.0) - LN2) <= 1e-15
 
     def test_saturated_positive(self):
-        loss = bce_from_logit(500.0, 1.0)
+        loss = loss_of_logit(500.0, 1.0)
         assert math.isfinite(loss) and 0.0 <= loss <= 1e-12
 
     def test_saturated_negative(self):
-        loss = bce_from_logit(-500.0, 0.0)
+        loss = loss_of_logit(-500.0, 0.0)
         assert math.isfinite(loss) and 0.0 <= loss <= 1e-12
 
     @settings(max_examples=50, deadline=None)
@@ -92,27 +111,33 @@ class TestBce:
         log_s = -math.log1p(math.exp(-x)) if x > -700 else x
         log_sm = -math.log1p(math.exp(x)) if x < 700 else -x
         want = -(t * log_s + (1.0 - t) * log_sm)
-        assert abs(bce_from_logit(x, t) - want) <= 1e-10
+        assert abs(loss_of_logit(x, t) - want) <= 1e-10
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-700, 700, allow_nan=False), st.sampled_from([0.0, 1.0]))
     def test_nonnegative_and_finite(self, x, t):
-        loss = bce_from_logit(x, t)
+        loss = loss_of_logit(x, t)
         assert math.isfinite(loss) and loss >= 0.0
 
 
 class TestSigmoid:
     def test_midpoint(self):
-        assert sigmoid(0.0) == 0.5
+        assert sigmoid_of_logit(0.0) == 0.5
 
     def test_extremes_stay_finite(self):
-        assert sigmoid(800.0) == 1.0
-        assert sigmoid(-800.0) == pytest.approx(0.0, abs=1e-300)
+        assert sigmoid_of_logit(800.0) == 1.0
+        assert sigmoid_of_logit(-800.0) == pytest.approx(0.0, abs=1e-300)
+        for x in (800.0, -800.0):
+            loss, grad = task_losses(np.array([[x, -x]]), np.array([0]))
+            assert np.all(np.isfinite(loss)) and np.all(np.isfinite(grad))
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-40, 40))
     def test_complement(self, x):
-        assert abs(sigmoid(x) + sigmoid(-x) - 1.0) <= 1e-12
+        """Both columns of one window have target 0, so the gradient row is
+        (sigmoid(x), sigmoid(-x))."""
+        grad = task_losses(np.array([[x, -x, 0.0]]), np.array([2]))[1]
+        assert abs(grad[0, 0] + grad[0, 1] - 1.0) <= 1e-12
 
 
 class TestFiniteDiffCheck:

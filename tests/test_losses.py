@@ -94,8 +94,33 @@ class TestTaskLosses:
         assert np.all(losses >= 0.0) and np.all(np.isfinite(losses))
 
 
+def two_exp_task_losses(z, y):
+    """The loss and gradient as two separate kernels compute them, each with its
+    own exp(-|z|): the oracle for task_losses sharing one."""
+    onehot = (y[:, None] == np.arange(z.shape[1])[None, :]).astype(np.float64)
+    loss = np.maximum(z, 0.0) - z * onehot + np.log1p(np.exp(-np.abs(z)))
+    t = np.exp(-np.abs(z))
+    sig = np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    return loss.mean(axis=0), (sig - onehot) / z.shape[0]
+
+
+_LOGITS = st.one_of(
+    st.sampled_from([0.0, -0.0, 800.0, -800.0, 1e300, -1e300]),
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.floats(-50.0, 50.0),
+)
+
+
 class TestTaskLogitGrads:
     """The gradient that task_losses returns beside the losses."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 5), st.data())
+    def test_bitwise_equal_to_two_exp_oracle(self, n, k, data):
+        z = np.array(data.draw(st.lists(_LOGITS, min_size=n * k, max_size=n * k))).reshape(n, k)
+        y = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        for got, want in zip(task_losses(z, y), two_exp_task_losses(z, y)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_zero_logits_closed_form(self):
         got = task_losses(np.zeros((2, 2)), np.array([0, 1]))[1]

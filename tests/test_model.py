@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import contention.train as train_module
 from contention.data import NUM_CLASSES
 from contention.errors import ConfigError, ShapeError
-from contention.graph import MetricGraph, identity_graph, normalize_adjacency
+from contention.graph import MetricGraph, identity_graph
 from contention.model import (
     MAX_PARAMETERS,
     ModelConfig,
@@ -234,7 +234,7 @@ class TestPropagate:
         p = init_params(tiny_model_cfg, TINY_T, RngStream(4))
         adj = np.zeros((4, 4))
         adj[0, 2] = adj[2, 0] = 1.0
-        g = MetricGraph(adjacency=adj, normalized=normalize_adjacency(adj), threshold=0.5)
+        g = MetricGraph(adjacency=adj, threshold=0.5)
         x = _window(8, 4, 5)
         y = x.copy()
         y[:, 2] += 10.0
@@ -315,9 +315,7 @@ class TestForward:
         x = _window(8, 6, 8)
         perm = np.array([4, 2, 0, 5, 3, 1])
         adj_p = g.adjacency[np.ix_(perm, perm)]
-        g_p = MetricGraph(
-            adjacency=adj_p, normalized=normalize_adjacency(adj_p), threshold=g.threshold
-        )
+        g_p = MetricGraph(adjacency=adj_p, threshold=g.threshold)
         a, _ = forward(x, g, p)
         b, _ = forward(x[:, perm], g_p, p)
         assert np.max(np.abs(a.logits - b.logits)) <= 1e-12
