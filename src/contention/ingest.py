@@ -6,14 +6,15 @@ Columns are found by header name; when a name repeats, its last column is
 read; a leading byte-order mark is dropped. The file is parsed in one pass
 into flat buffers: timestamps as Python ints (of any size), metric values as
 float64 and machine ids as small integer codes. The data lines are taken in
-blocks of BLOCK_LINES. numpy's C text reader parses a block when it is plain:
-printable ASCII, no quote, no carriage return other than in CRLF, and no
-longer than csv's field size limit. A csv loop, which parses each cell with
-int() or float(), reads every block that is not plain or that numpy refuses
-(one bad row is enough), and from the first quote or lone CR on it reads the
-rest of the file. On plain text numpy accepts only cells that int() and
-float() accept, with the same values, so both readers give the same rows,
-counts and errors in file order. Blank lines are ignored. A row is skipped
+blocks of BLOCK_LINES. numpy's C text reader parses every plain line, one
+that is printable ASCII and no longer than csv's field size limit, and
+returns its machine id cell as text beside the numbers. A csv loop, which
+parses each cell with int() or float(), reads each line that is not plain
+and each line numpy refuses, alone, and from the first block holding a quote
+or a carriage return other than in CRLF it reads the rest of the file. On
+plain text numpy accepts only cells that int() and float() accept, with the
+same values, so both readers give the same rows, counts and errors in file
+order. Blank lines are ignored. A row is skipped
 and counted under the first of these reasons that applies:
 
 1. unparseable: it is too short to hold the timestamp or a metric cell, the
@@ -38,6 +39,7 @@ labeled subset it returns.
 from __future__ import annotations
 
 import csv
+import operator
 import warnings
 from array import array
 from dataclasses import dataclass, replace
@@ -99,13 +101,14 @@ class TraceSchema:
 # kept row, so this bounds what resampling allocates per row of the trace.
 MAX_FILL_LIMIT = 64
 
-# Data lines per np.loadtxt call. One row numpy refuses sends its whole block
-# to the csv loop, so larger blocks pay less call overhead on clean traces and
-# lose more on dirty ones. ingest_csv time against the csv loop alone, on the
-# benchmark's ingest trace (0.5% malformed rows) and on one with 5%: 8 lines
-# -19% and -5%, 16 lines -26% and -11%, 32 lines -27% and -6% (medians of 12
-# in-process runs, 2-core VM, Python 3.11, numpy 2.4).
-BLOCK_LINES = 16
+# Data lines per block. Each line numpy refuses costs a failed np.loadtxt call
+# and a second reading of the lines before it, so larger blocks pay less call
+# overhead and more re-reading. ingest_csv time against 16-line blocks sent
+# whole to the csv loop on one refused row, on a clean trace, the benchmark's
+# ingest trace (0.5% malformed rows) and one with 5%: 64 lines 0.80, 0.84,
+# 0.86; 128 lines 0.80, 0.81, 0.88; 256 lines 0.75, 0.85, 0.88 (paired medians
+# of 21 in-process rounds, 2-core VM, Python 3.11, numpy 2.4).
+BLOCK_LINES = 128
 # Characters of a block numpy may parse: printable ASCII and the line feed.
 PLAIN = bytes(range(ord(" "), ord("~") + 1)) + b"\n"
 
@@ -231,7 +234,39 @@ def ingest_csv(
                     machine = row[mi] if mi < len(row) else ""
                     machine_of.append(code.setdefault(machine, len(code)))
 
-            usecols, dtype = (ti, *cols), [("ts", "<i8"), ("v", "<f8", (len(cols),))]
+            def read_numpy(lines):
+                """numpy's C reader: True when it read every line, False when it read none."""
+                nonlocal rows_read
+                try:
+                    parsed = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                                        usecols=usecols, dtype=dtype, ndmin=1)
+                except (ValueError, DeprecationWarning):
+                    return False
+                rows_read += len(parsed)
+                stamps.extend(parsed["ts"].tolist())
+                values.frombytes(parsed["v"].tobytes())
+                ids = parsed["m"].tolist()
+                for machine in dict.fromkeys(ids):
+                    code.setdefault(machine, len(code))
+                machine_of.extend(map(code.__getitem__, ids))
+                return True
+
+            def read_plain(lines):
+                """numpy reads the lines up to each one it refuses, the csv loop that one."""
+                while lines:
+                    it = iter(lines)
+                    if read_numpy(it):
+                        return
+                    # numpy pulls one line at a time, so it stopped just after the refused
+                    # one; a numpy that reads ahead only costs a failed call on the prefix
+                    k = max(len(lines) - operator.length_hint(it), 1)
+                    if k > 1 and not read_numpy(lines[: k - 1]):
+                        read_rows(lines[: k - 1])
+                    read_rows([lines[k - 1]])
+                    lines = lines[k:]
+
+            usecols = (mi, ti, *cols)
+            dtype = [("m", object), ("ts", "<i8"), ("v", "<f8", (len(cols),))]
             limit = csv.field_size_limit()
             while True:
                 block = []
@@ -250,24 +285,18 @@ def ingest_csv(
                     read_rows(chain(block, fh))
                     break
                 lines = [line for line in text.split("\n") if line]  # csv skips blank lines
-                parsed = None
-                # numpy reads some non-printable cells that float() refuses, such as "\x1c5"
-                if lines and len(text) <= limit and not text.encode().translate(None, PLAIN):
-                    try:
-                        parsed = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
-                                            usecols=usecols, dtype=dtype, ndmin=1)
-                    except (ValueError, DeprecationWarning):
-                        pass
-                if parsed is None:
-                    read_rows(block)
+                if len(text) <= limit and not text.encode().translate(None, PLAIN):
+                    read_plain(lines)
                     continue
-                rows_read += len(lines)
-                stamps.extend(parsed["ts"].tolist())
-                values.frombytes(parsed["v"].tobytes())
-                for line in lines:
-                    parts = line.split(",", mi + 1)
-                    machine = parts[mi] if mi < len(parts) else ""
-                    machine_of.append(code.setdefault(machine, len(code)))
+                # numpy reads some non-printable cells that float() refuses, such as "\x1c5",
+                # and has no field size limit: the csv loop reads such lines one by one
+                start = 0
+                for i, line in enumerate(lines):
+                    if not (line.isascii() and line.isprintable() and len(line) <= limit):
+                        read_plain(lines[start:i])
+                        read_rows([line])
+                        start = i + 1
+                read_plain(lines[start:])
         except (csv.Error, UnicodeDecodeError) as exc:
             raise DataError(f"trace {path}: unreadable CSV: {exc}") from exc
 

@@ -8,6 +8,7 @@ reference implementation kept in this file.
 """
 
 import csv
+import operator
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from contention import ingest
 from contention.data import GROUP_NAMES, UNLABELED, ContentionClass, Dataset, MetricWindow
 from contention.errors import ConfigError, DataError, SchemaError
 from contention.ingest import (
@@ -638,15 +640,46 @@ def _ingest_both(path, schema, cfg):
 _TIMESTAMP_CELLS = ("1_0", "\uff15", "007", "+5", " 5 ", "1.0", "1e3", "9223372036854775808")
 _METRIC_CELLS = ("1_0.5", "\uff15", "\x1c5", "\t5", "-0", "nan", "-inf", "1e999", "4.9e-324",
                  "0x1p3", "")
-# the cells numpy reads; any other sends its block of lines to the csv loop
+# the cells numpy reads; the csv loop reads the line of any other cell, and only that line
 _NUMPY_CELLS = {"007", "+5", " 5 ", "-0", "nan", "-inf", "1e999", "4.9e-324"}
+
+# Lines numpy refuses: a bad int, a bad float, a short row and an int64 overflow.
+_REFUSED_LINES = {"bad int": "m0,x,0.5,0.5", "bad float": "m1,60,0.5,1e", "short row": "m0,60",
+                  "int64 overflow": "m1,9223372036854775808,0.5,0.5"}
+_NON_PLAIN_LINE = "m0,60,\uff15,0.5"
+
+
+def _plain_lines(n=40):
+    """n rows of two machines, a minute apart, that numpy reads."""
+    return [f"m{i % 2},{60 * i},{i / 7!r},0.5" for i in range(n)]
+
+
+def _write_lines(path, lines, header="machine,ts,cpu_util,mem_util"):
+    path.write_text("".join(line + "\n" for line in [header, *lines]), encoding="utf-8")
+    return path
+
+
+def _count_numpy_rows(monkeypatch):
+    """A list that gets the row count of each np.loadtxt call that returns."""
+    numpy_rows = []
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        out = loadtxt(*args, **kwargs)
+        numpy_rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    return numpy_rows
 
 
 class TestColumnarMatchesReference:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(trace=_traces())
-    def test_windows_counts_and_labels_equal(self, tmp_path, trace):
+    @given(trace=_traces(), block=st.sampled_from([1, 2, 3, 7, 128]))
+    def test_windows_counts_and_labels_equal(self, tmp_path, monkeypatch, trace, block):
+        """Blocks of 1 to 7 lines put block boundaries inside a trace of up to 120 lines."""
+        monkeypatch.setattr(ingest, "BLOCK_LINES", block)
         header, lines, schema, cfg, newline = trace
         path = tmp_path / "trace.csv"
         _write_rows(path, header, lines, newline)
@@ -667,25 +700,86 @@ class TestColumnarMatchesReference:
     @pytest.mark.parametrize("column, cell", [("ts", cell) for cell in _TIMESTAMP_CELLS]
                              + [("cpu_util", cell) for cell in _METRIC_CELLS])
     def test_cell_reads_as_in_the_reference(self, tmp_path, monkeypatch, column, cell):
-        """One cell in row 20 of a plain 40-row trace; numpy gets the lines in blocks of 16."""
+        """One cell in row 20 of a plain 40-row trace, which numpy gets as one block."""
         rows = [{"machine": f"m{i % 2}", "ts": str(60 * i), "cpu_util": repr(i / 7),
                  "mem_util": "0.5"} for i in range(40)]
         rows[20][column] = cell
-        path = tmp_path / "trace.csv"
-        path.write_text("machine,ts,cpu_util,mem_util\n"
-                        + "".join(",".join(row.values()) + "\n" for row in rows), encoding="utf-8")
-        numpy_rows = []
+        path = _write_lines(tmp_path / "trace.csv", [",".join(row.values()) for row in rows])
+        numpy_rows = _count_numpy_rows(monkeypatch)
+        assert _ingest_both(path, SCHEMA, IngestConfig(window_len=4)) is not None
+        # numpy reads the 20 rows before a cell it refuses and the 19 after it
+        assert sum(numpy_rows) == (40 if cell in _NUMPY_CELLS else 39)
+
+    @pytest.mark.parametrize("spoilt", [
+        {16: _REFUSED_LINES["bad int"]},
+        {23: _REFUSED_LINES["short row"]},
+        {16: _REFUSED_LINES["bad float"], 23: _REFUSED_LINES["int64 overflow"]},
+        {18: _REFUSED_LINES["bad int"], 19: _REFUSED_LINES["short row"],
+         20: _REFUSED_LINES["bad float"]},
+        {18: _REFUSED_LINES["int64 overflow"], 19: _NON_PLAIN_LINE, 20: _REFUSED_LINES["bad int"]},
+    ], ids=["first-of-block", "last-of-block", "first-and-last", "run-of-three",
+            "non-plain-between-refused"])
+    def test_csv_loop_reads_only_the_refused_lines(self, tmp_path, monkeypatch, spoilt):
+        """Blocks of 8 lines: lines 16 and 23 are the first and last of the third block."""
+        monkeypatch.setattr(ingest, "BLOCK_LINES", 8)
+        lines = _plain_lines()
+        for i, line in spoilt.items():
+            lines[i] = line
+        path = _write_lines(tmp_path / "trace.csv", lines)
+        numpy_rows = _count_numpy_rows(monkeypatch)
+        assert _ingest_both(path, SCHEMA, IngestConfig(window_len=4)) is not None
+        assert sum(numpy_rows) == 40 - len(spoilt)
+
+    def test_a_numpy_that_reads_ahead_costs_calls_not_results(self, tmp_path, monkeypatch):
+        """The refused line is found from how far numpy pulled the lines; wrong, it only costs.
+
+        This numpy pulls every line of a block before it parses any, so each refusal
+        points at the block's last line: numpy then fails once more on the lines before
+        it and the csv loop reads them. That is at most two calls per block, with no
+        search for the refused line.
+        """
+        lines = _plain_lines(1000)
+        kinds = list(_REFUSED_LINES.values())
+        for i in range(3, 1000, 37):
+            lines[i] = kinds[i % len(kinds)]
+        path = _write_lines(tmp_path / "trace.csv", lines)
+        calls = []
         loadtxt = np.loadtxt
 
-        def counting(*args, **kwargs):
-            out = loadtxt(*args, **kwargs)
-            numpy_rows.append(len(out))
-            return out
+        def draining(lines, *args, **kwargs):
+            lines = list(lines)
+            calls.append(len(lines))
+            return loadtxt(lines, *args, **kwargs)
 
-        monkeypatch.setattr(np, "loadtxt", counting)
+        monkeypatch.setattr(np, "loadtxt", draining)
         assert _ingest_both(path, SCHEMA, IngestConfig(window_len=4)) is not None
-        # the csv loop reads the block of lines 17-32 when numpy refuses the cell
-        assert sum(numpy_rows) == (40 if cell in _NUMPY_CELLS else 24)
+        assert len(calls) <= 2 * -(-1000 // ingest.BLOCK_LINES)
+
+    def test_wide_lines_are_read_by_numpy(self, tmp_path, monkeypatch):
+        """About 9 kB per line, 1000 unread columns: a block of them passes csv's field
+        size limit, but each line, and so each of its fields, keeps within it."""
+        pad = ",".join(["0.123456"] * 1000)
+        header = "machine,ts,cpu_util,mem_util," + ",".join(f"x{j}" for j in range(1000))
+        path = _write_lines(tmp_path / "trace.csv",
+                            [f"{line},{pad}" for line in _plain_lines()], header)
+        assert len(path.read_text()) > csv.field_size_limit()  # one block, over the limit
+        numpy_rows = _count_numpy_rows(monkeypatch)
+        assert _ingest_both(path, SCHEMA, IngestConfig(window_len=4)) is not None
+        assert sum(numpy_rows) == 40
+
+    def test_over_limit_field_among_wide_lines_is_reported_first(self, tmp_path):
+        """The csv loop reads the over-limit line after numpy read the wide lines before
+        it; an undecodable line in a later block comes after it in the file."""
+        pad = ",".join(["0.123456"] * 1000)
+        lines = [f"{line},{pad}" for line in _plain_lines(300)]
+        lines[20] = "m0,1200,0.5," + "9" * (csv.field_size_limit() + 1)
+        header = "machine,ts,cpu_util,mem_util," + ",".join(f"x{j}" for j in range(1000))
+        path = _write_lines(tmp_path / "trace.csv", lines, header)
+        path.write_bytes(path.read_bytes() + b"m1,99999,0.5,\xff\n")
+        with pytest.raises(DataError) as got:
+            ingest_csv(path, SCHEMA, IngestConfig(window_len=4))
+        assert str(got.value) == (f"trace {path}: unreadable CSV: field larger than field limit "
+                                  f"({csv.field_size_limit()})")
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -738,3 +832,20 @@ def test_ingest_memory_is_bounded_by_flat_buffers(tmp_path):
         tracemalloc.stop()
     assert len(result.windows) == 2 * (rows // 2 // 32)
     assert peak < 6 * rows * d * 8
+
+
+@pytest.mark.parametrize("kind", sorted(_REFUSED_LINES))
+@pytest.mark.parametrize("j", [0, 1, 63, 127])
+def test_numpy_pulls_no_line_past_the_one_it_refuses(kind, j):
+    """ingest_csv takes the refused line's position from the iterator numpy read.
+
+    A numpy that reads ahead of the line it parses fails this; ingest then stays
+    correct but its csv loop reads whole blocks.
+    """
+    lines = _plain_lines(128)
+    lines[j] = _REFUSED_LINES[kind]
+    it = iter(lines)
+    with pytest.raises(ValueError):
+        np.loadtxt(it, delimiter=",", comments=None, quotechar=None, usecols=(0, 1, 2, 3),
+                   dtype=[("m", object), ("ts", "<i8"), ("v", "<f8", (2,))], ndmin=1)
+    assert operator.length_hint(it) == len(lines) - j - 1
