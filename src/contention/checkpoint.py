@@ -10,6 +10,9 @@ heads score the fixed classes `data.CLASS_NAMES` in order.
 Floats are stored as decimal strings with 17 significant digits, which
 round-trips IEEE doubles exactly: loading and saving again produces a
 byte-identical file, and reloaded parameters yield bitwise-equal logits.
+The loader takes each cell only as the JSON type save_checkpoint writes: a
+string for a weight, normalization statistic or the graph threshold, the
+integer 0 or 1 for an adjacency entry.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from contention.config import _strict_kwargs
-from contention.data import NormStats, json_int
+from contention.data import NormStats, json_int, json_names, read_json_object
 from contention.errors import ConfigError, ContentionError, DataError, SchemaError, ShapeError
 from contention.graph import MetricGraph
 from contention.model import ModelConfig, ModelParams
@@ -35,24 +38,18 @@ def _encode_floats(arr: np.ndarray):
     return [_encode_floats(row) for row in arr]
 
 
-def _decode_floats(payload, shape: tuple[int, ...], what: str) -> np.ndarray:
-    try:
-        arr = np.array(payload, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what} is not a numeric array: {exc}") from exc
-    if arr.shape != shape:
-        raise ShapeError(f"{what} has shape {arr.shape}, expected {shape}")
+def _decode(payload, shape: tuple[int, ...], what: str, cell: type = str,
+            kind: str = "decimal strings") -> np.ndarray:
+    """payload, nested JSON lists of `shape` whose every cell is a `cell`, as finite float64."""
+    cells = np.array(payload, dtype=object)
+    if cells.shape != shape:
+        raise ShapeError(f"{what} has shape {cells.shape}, expected {shape}")
+    if bad := [c for c in cells.flat if type(c) is not cell]:
+        raise SchemaError(f"{what} must hold {kind}, got {bad[0]!r}")
+    arr = cells.astype(np.float64)
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{what} contains non-finite values")
     return arr
-
-
-def _names(value, dim: int) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
-        raise SchemaError(f"checkpoint metric names must be a list of strings, got {value!r}")
-    if len(value) not in (0, dim):
-        raise SchemaError(f"checkpoint holds {len(value)} metric names for {dim} metrics")
-    return tuple(value)
 
 
 @dataclass
@@ -92,36 +89,19 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:  # a directory, no read permission
-        raise DataError(f"checkpoint {path} cannot be read: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long
-        raise SchemaError(f"checkpoint {path} is not valid UTF-8 JSON: {exc}") from exc
+    payload = read_json_object(path, "checkpoint", SchemaError, CHECKPOINT_FORMAT_VERSION,
+                               ("model", "window_len", "params", "graph", "normalization",
+                                "metric_names", "train_seed", "config_digest"))
     try:
         return _from_payload(payload, path)
     except ContentionError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(
-            f"checkpoint {path} has a missing or malformed field "
-            f"({type(exc).__name__}: {exc})"
-        ) from exc
+        raise SchemaError(f"checkpoint {path} has a missing or malformed field "
+                          f"({type(exc).__name__}: {exc})") from exc
 
 
 def _from_payload(payload: dict, path: Path) -> Checkpoint:
-    for key in ("format_version", "model", "window_len", "params", "graph", "normalization",
-                "metric_names", "train_seed", "config_digest"):
-        if key not in payload:
-            raise SchemaError(f"checkpoint {path} is missing key '{key}'")
-        if key == "format_version" and (type(payload[key]) is not int  # 4.0 is refused
-                                        or payload[key] != CHECKPOINT_FORMAT_VERSION):
-            raise SchemaError(  # checked first: an older checkpoint lacks newer keys
-                f"checkpoint format version {payload[key]} unsupported "
-                f"(expected {CHECKPOINT_FORMAT_VERSION})"
-            )
     malformed = f"checkpoint {path} has a missing or malformed field:"
     t = json_int(payload["window_len"], f"{malformed} 'window_len'")
     try:
@@ -129,41 +109,38 @@ def _from_payload(payload: dict, path: Path) -> Checkpoint:
         shapes = ModelParams.shapes(cfg, t)  # the parameter bound, before any block is read
     except ConfigError as exc:
         raise SchemaError(f"bad model config in checkpoint: {exc}") from exc
-    blocks = []
-    for name in ModelParams._ORDER:
-        if name not in payload["params"]:
-            raise SchemaError(f"checkpoint is missing parameter block '{name}'")
-        blocks.append(_decode_floats(payload["params"][name], shapes[name], f"parameter {name}"))
+    blocks = [_decode(payload["params"][name], shapes[name], f"parameter {name}")
+              for name in ModelParams._ORDER]  # a missing block is a KeyError
     params = ModelParams(cfg, t, np.concatenate([b.ravel() for b in blocks]))
 
     g = payload["graph"]
     dim = json_int(g["dim"], f"{malformed} 'graph.dim'")
-    adjacency = np.array(g["adjacency"], dtype=np.float64)
-    if adjacency.shape != (dim, dim):
-        raise ShapeError(f"adjacency has shape {adjacency.shape}, expected {(dim, dim)}")
+    adjacency = _decode(g["adjacency"], (dim, dim), "checkpoint adjacency", int, "JSON integers")
     if not np.array_equal(adjacency, adjacency.T) or np.any(np.diag(adjacency) != 0):
         raise DataError("checkpoint adjacency must be symmetric with a zero diagonal")
     if not np.all((adjacency == 0) | (adjacency == 1)):
         raise DataError("checkpoint adjacency entries must be 0 or 1")
-    threshold = float(g["threshold"])
+    if type(threshold := g["threshold"]) is not str:
+        raise SchemaError(f"{malformed} 'graph.threshold' must be a decimal string, "
+                          f"got {threshold!r}")
+    threshold = float(threshold)
     if not 0.0 <= threshold <= 1.0:
         raise DataError(f"checkpoint graph threshold must lie in [0, 1], got {threshold}")
     graph = MetricGraph(adjacency=adjacency, threshold=threshold)
 
-    norm = NormStats(
-        mean=_decode_floats(payload["normalization"]["mean"], (dim,), "normalization mean"),
-        std=_decode_floats(payload["normalization"]["std"], (dim,), "normalization std"),
-    )
+    norm = NormStats(**{key: _decode(payload["normalization"][key], (dim,), f"normalization {key}")
+                        for key in ("mean", "std")})
     if np.any(norm.std < NormStats.STD_FLOOR):  # fit_norm never writes one below the floor
         low = float(norm.std.min())
         raise DataError(f"checkpoint normalization std {low!r} is below {NormStats.STD_FLOOR}")
     if type(digest := payload["config_digest"]) is not str:
         raise SchemaError(f"{malformed} 'config_digest' must be a string, got {digest!r}")
+    names = payload["metric_names"]  # empty in a checkpoint trained without names
     return Checkpoint(
         params=params,
         graph=graph,
         norm=norm,
-        metric_names=_names(payload["metric_names"], dim),
+        metric_names=json_names(names, dim if names else 0, f"{malformed} 'metric_names'"),
         train_seed=json_int(payload["train_seed"], f"{malformed} 'train_seed'", least=0),
         config_digest=digest,
     )

@@ -38,7 +38,14 @@ from contention.model import softmax
 from contention.pipeline import prepare, run_prepared, split_parts
 from contention.rng import RngStream
 from contention.sweeps import SWEEPS, write_sweep_csv
-from contention.train import METRIC_FIELDS, EvalMetrics, evaluate, score, write_history_csv
+from contention.train import (
+    METRIC_FIELDS,
+    EvalMetrics,
+    csv_text,
+    evaluate,
+    score,
+    write_history_csv,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -242,18 +249,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _print_confusion(metrics.confusion)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with (out_dir / "metrics.csv").open("w", newline="") as fh:
-            fh.write(",".join(METRIC_FIELDS) + "\n")
-            fh.write(",".join(repr(getattr(metrics, m)) for m in METRIC_FIELDS) + "\n")
-        with (out_dir / "confusion.csv").open("w", newline="") as fh:
-            fh.write("true_class," + ",".join(CLASS_NAMES) + "\n")
-            for i, name in enumerate(CLASS_NAMES):
-                fh.write(name + "," + ",".join(str(int(v)) for v in metrics.confusion[i]) + "\n")
-        with (out_dir / "per_class.csv").open("w", newline="") as fh:
-            fh.write("class,precision,recall,f1,support\n")
-            for name, p, r, f, n in zip(CLASS_NAMES, metrics.precision, metrics.recall,
-                                        metrics.f1, metrics.support):
-                fh.write(f"{name},{float(p)!r},{float(r)!r},{float(f)!r},{int(n)}\n")
+        scores = zip(metrics.precision.tolist(), metrics.recall.tolist(), metrics.f1.tolist())
+        files = {
+            "metrics.csv": [METRIC_FIELDS, [repr(getattr(metrics, m)) for m in METRIC_FIELDS]],
+            "confusion.csv": [("true_class", *CLASS_NAMES)] + [
+                [name, *map(str, row)]
+                for name, row in zip(CLASS_NAMES, metrics.confusion.tolist())],
+            "per_class.csv": [("class", "precision", "recall", "f1", "support")] + [
+                [name, *map(repr, prf), str(n)]
+                for name, prf, n in zip(CLASS_NAMES, scores, metrics.support.tolist())],
+        }
+        for name, rows in files.items():
+            (out_dir / name).write_text(csv_text(rows))
         print(f"wrote {out_dir / 'metrics.csv'}, {out_dir / 'confusion.csv'} and "
               f"{out_dir / 'per_class.csv'}")
     return EXIT_OK
@@ -263,18 +270,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
     out_dir = resolve_out_dir(args.out)
     ckpt, data = _load_eval_inputs(args)
     pred = score(ckpt.params, ckpt.graph, data)
-    header = (
-        ["window_id"]
-        + [f"logit_{c}" for c in CLASS_NAMES]
-        + [f"p_{c}" for c in CLASS_NAMES]
-        + ["predicted_class"]
-    )
-    rows = np.concatenate([pred.logits, softmax(pred.logits)], axis=1).tolist()
-    # repr of a Python float is its shortest round-trip string
-    text = ",".join(header) + "\n" + "".join(
-        f"{wid},{','.join(map(repr, row))},{CLASS_NAMES[label]}\n"
-        for wid, (row, label) in enumerate(zip(rows, pred.label.tolist()))
-    )
+    header = ["window_id", *(f"logit_{c}" for c in CLASS_NAMES), *(f"p_{c}" for c in CLASS_NAMES),
+              "predicted_class"]
+    cells = np.concatenate([pred.logits, softmax(pred.logits)], axis=1).tolist()
+    text = csv_text([header] + [
+        [str(wid), *map(repr, row), CLASS_NAMES[label]]
+        for wid, (row, label) in enumerate(zip(cells, pred.label.tolist()))
+    ])
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "predictions.csv").write_text(text)

@@ -1,11 +1,12 @@
 """Run configuration: one JSON file describing an entire experiment.
 
-Parsing is strict: any key the schema does not know is rejected with its
-full dotted path, so a typo like "learning_rte" fails loudly before any
-work starts instead of silently training with defaults. A scalar field must
-hold a JSON value of its annotated type ("64" is not an int, true is not an
-int, 1 is a float), and a float field a finite one (not NaN, Infinity or an
-integer beyond the double range).
+The file is read by `data.read_json_object`, as dataset manifests and
+checkpoints are. Parsing is strict: any key the schema does not know is
+rejected with its full dotted path, so a typo like "learning_rte" fails
+loudly before any work starts instead of silently training with defaults.
+A scalar field must hold a JSON value of its annotated type ("64" is not an
+int, true is not an int, 1 is a float), and a float field a finite one (not
+NaN, Infinity or an integer beyond the double range).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from contention.data import ScenarioConfig, check_split_fractions
+from contention.data import ScenarioConfig, check_split_fractions, read_json_object
 from contention.errors import ConfigError
 from contention.graph import DEFAULT_CORR_THRESHOLD
 from contention.ingest import IngestConfig, TraceSchema
@@ -104,24 +105,14 @@ def _build_schema(data: dict) -> TraceSchema:
 
 def run_config_from_dict(data: dict) -> RunConfig:
     _strict_kwargs("", data, RunConfig)
-    kwargs = {}
-    if "scenario" in data:
-        kwargs["scenario"] = ScenarioConfig(
-            **_strict_kwargs("scenario", data["scenario"], ScenarioConfig)
-        )
-    if "model" in data:
-        kwargs["model"] = ModelConfig(**_strict_kwargs("model", data["model"], ModelConfig))
-    if "train" in data:
-        kwargs["train"] = TrainConfig(**_strict_kwargs("train", data["train"], TrainConfig))
+    sections = (("scenario", ScenarioConfig), ("model", ModelConfig), ("train", TrainConfig),
+                ("ingest", IngestConfig))  # each built as one dataclass
+    kwargs = {key: cls(**_strict_kwargs(key, data[key], cls))
+              for key, cls in sections if key in data}
+    kwargs.update((key, data[key]) for key in ("corr_threshold", "n_windows", "out_dir")
+                  if key in data)
     if "schema" in data and data["schema"] is not None:
         kwargs["schema"] = _build_schema(data["schema"])
-    if "ingest" in data:
-        kwargs["ingest"] = IngestConfig(
-            **_strict_kwargs("ingest", data["ingest"], IngestConfig)
-        )
-    for key in ("corr_threshold", "n_windows", "out_dir"):
-        if key in data:
-            kwargs[key] = data[key]
     if "split_fractions" in data:
         fractions = data["split_fractions"]
         if not isinstance(fractions, list) or not all(_admits(float, f) for f in fractions):
@@ -136,18 +127,7 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     """Parse a config file; a missing path means all defaults."""
     if path is None:
         return RunConfig()
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:  # a directory, no read permission
-        raise ConfigError(f"config {path} cannot be read: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long
-        raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return run_config_from_dict(data)
+    return run_config_from_dict(read_json_object(Path(path), "config", ConfigError))
 
 
 def config_digest(cfg: RunConfig) -> str:

@@ -26,7 +26,8 @@ single windows.
 Also here: z-score normalization fitted on the training split, stratified
 splitting into index arrays, and the dataset files: one (N, T, D) float64
 .npy array of window values beside a JSON manifest that holds the sizes,
-metric names and one label per window.
+metric names and one label per window. `read_json_object` reads it, as it
+reads every JSON file of the program.
 """
 
 from __future__ import annotations
@@ -466,6 +467,38 @@ def json_int(value, what: str, least: int = 1) -> int:
     return value
 
 
+def json_names(value, count: int, what: str) -> tuple[str, ...]:
+    """value as a tuple if it is a JSON list of `count` strings; else a SchemaError."""
+    if not isinstance(value, list) or len(value) != count or set(map(type, value)) - {str}:
+        raise SchemaError(f"{what} must be a list of {count} strings, got {value!r}")
+    return tuple(value)
+
+
+def read_json_object(path: Path, what: str, error: type[Exception], version: int | None = None,
+                     keys: tuple[str, ...] = ()) -> dict:
+    """The top-level object of the JSON file at path, checked to be readable UTF-8 JSON,
+    an object, of format_version `version` if one is given, and then (an older format
+    lacks newer keys) to hold `keys`; else `error`, naming `what` and the path."""
+    if not path.exists():
+        raise error(f"{what} file not found: {path}")
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, no read permission
+        raise error(f"{what} {path} cannot be read: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long
+        raise error(f"{what} {path} is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{what} {path} must hold a JSON object, got a {type(data).__name__}")
+    found = data.get("format_version")
+    if version is not None and (type(found) is not int or found != version):  # 4.0, true refused
+        raise error(f"{what} {path} has format_version {found!r}, not {version}; "
+                    "regenerate it with this version's `contention gen`, `ingest` or `train`")
+    for key in keys:
+        if key not in data:
+            raise error(f"{what} {path} is missing key '{key}'")
+    return data
+
+
 def read_dataset(path: str | Path) -> Dataset:
     """The dataset written by write_dataset, checked against its manifest.
 
@@ -480,28 +513,15 @@ def read_dataset(path: str | Path) -> Dataset:
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     mpath = manifest_path(path)
-    if not mpath.exists():
-        raise DataError(f"dataset manifest not found: {mpath}")
-    try:
-        manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    except (ValueError, OSError, RecursionError) as exc:
-        raise SchemaError(f"manifest {mpath} is not valid JSON: {exc}") from exc
-    version = manifest.get("format_version") if isinstance(manifest, dict) else None
-    if type(version) is not int or version != DATASET_FORMAT_VERSION:  # 3.0 and true refused
-        raise SchemaError(
-            f"manifest {mpath} has format_version {version!r}, not {DATASET_FORMAT_VERSION}; "
-            "regenerate the dataset with `contention gen` or `contention ingest`"
-        )
-    for key in ("n_windows", "window_len", "metric_count", "metric_names", "source", "labels"):
-        if key not in manifest:
-            raise SchemaError(f"manifest {mpath} is missing key '{key}'")
+    manifest = read_json_object(mpath, "manifest", SchemaError, DATASET_FORMAT_VERSION,
+                                ("n_windows", "window_len", "metric_count", "metric_names",
+                                 "source", "labels"))
     n_windows, t_len, d = (
         json_int(manifest[key], f"manifest {mpath}: '{key}'")
         for key in ("n_windows", "window_len", "metric_count")
     )
-    names, source, labels = manifest["metric_names"], manifest["source"], manifest["labels"]
-    if not isinstance(names, list) or len(names) != d or not all(isinstance(n, str) for n in names):
-        raise SchemaError(f"manifest {mpath}: 'metric_names' must be metric_count {d} strings")
+    names = json_names(manifest["metric_names"], d, f"manifest {mpath}: 'metric_names'")
+    source, labels = manifest["source"], manifest["labels"]
     if not isinstance(source, str):
         raise SchemaError(f"manifest {mpath}: 'source' must be a string, got {source!r}")
     if not isinstance(labels, list) or len(labels) != n_windows:
@@ -534,4 +554,4 @@ def read_dataset(path: str | Path) -> Dataset:
     if bad >= 0:
         raise DataError(f"{path}: window {bad} has a non-finite value")
     labels = np.array([UNLABELED if label is None else label for label in labels], dtype=np.int64)
-    return Dataset(values, labels, tuple(names), source)
+    return Dataset(values, labels, names, source)

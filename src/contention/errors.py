@@ -22,7 +22,7 @@ class DataError(ContentionError, ValueError):
 
 
 class SchemaError(DataError):
-    """Trace file does not match the declared column schema."""
+    """A file does not match its declared or documented format."""
 
 
 class NumericError(ContentionError, RuntimeError):

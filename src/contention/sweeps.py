@@ -15,7 +15,6 @@ weighting off. The dim sweep prepares new data for each (dim, seed) cell.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,7 +27,7 @@ from contention.errors import ConfigError
 from contention.graph import identity_graph
 from contention.pipeline import PreparedData, RunResult, prepare_synthetic, run_prepared
 from contention.rng import RngStream
-from contention.train import METRIC_FIELDS, EvalMetrics
+from contention.train import METRIC_FIELDS, EvalMetrics, csv_text
 
 BATCH_SIZES = (16, 32, 64, 128)
 DATA_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
@@ -148,14 +147,9 @@ SWEEPS = {"batch": sweep_batch, "datasize": sweep_datasize, "dim": sweep_dim,
 
 
 def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
-    header = [table.setting_name, "n_seeds"]
-    for metric in METRIC_FIELDS:
-        header += [f"mean_{metric}", f"std_{metric}"]
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in table.rows:
-            out = [str(row.setting), len(row.per_seed)]  # str of a float is its repr
-            for metric in METRIC_FIELDS:
-                out += [repr(row.mean(metric)), repr(row.std(metric))]
-            writer.writerow(out)
+    header = [table.setting_name, "n_seeds",
+              *(f"{stat}_{m}" for m in METRIC_FIELDS for stat in ("mean", "std"))]
+    rows = [[str(row.setting), str(len(row.per_seed))]  # str of a float is its repr
+            + [repr(stat(m)) for m in METRIC_FIELDS for stat in (row.mean, row.std)]
+            for row in table.rows]
+    Path(path).write_text(csv_text([header, *rows]))

@@ -20,7 +20,6 @@ epoch is `patience` epochs behind.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -311,23 +310,20 @@ def train(
     return best_params, history
 
 
+def csv_text(rows) -> str:
+    """Rows of string cells as CSV text, each line ended by LF. Callers pass repr of a Python
+    float, its shortest round-trip string, and str of an int."""
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
 def write_history_csv(history: TrainHistory, path: str | Path) -> None:
-    """One row per epoch; floats via repr so identical runs write identical bytes."""
-    path = Path(path)
-    header = (
-        ["epoch"]
-        + [f"loss_{c}" for c in CLASS_NAMES]
-        + [f"weight_{c}" for c in CLASS_NAMES]
-        + ["combined_loss"]
-        + [f"val_{m}" for m in METRIC_FIELDS]
-    )
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in history.records:
-            row = [rec.epoch]
-            row += [repr(float(x)) for x in rec.task_losses]
-            row += [repr(float(x)) for x in rec.weights]
-            row.append(repr(float(rec.combined_loss)))
-            row += [repr(float(getattr(rec.val, m))) for m in METRIC_FIELDS]
-            writer.writerow(row)
+    """One row per epoch."""
+    header = ["epoch", *(f"loss_{c}" for c in CLASS_NAMES), *(f"weight_{c}" for c in CLASS_NAMES),
+              "combined_loss", *(f"val_{m}" for m in METRIC_FIELDS)]
+    rows = [
+        [str(rec.epoch)]
+        + [repr(float(x)) for x in (*rec.task_losses, *rec.weights, rec.combined_loss)]
+        + [repr(float(getattr(rec.val, m))) for m in METRIC_FIELDS]
+        for rec in history.records
+    ]
+    Path(path).write_text(csv_text([header, *rows]))

@@ -149,7 +149,7 @@ class TestLoadValidation:
 
         self._rewrite(path, older)
         # a SchemaError is a DataError, which the CLI maps to exit 3
-        message = rf"format version {version} unsupported \(expected 4\)"
+        message = rf"ckpt\.json has format_version {version}, not 4; regenerate it"
         with pytest.raises(SchemaError, match=message):
             load_checkpoint(path)
 

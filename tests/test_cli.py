@@ -867,6 +867,29 @@ def test_sweep_batch_writes_table_and_manifest(tmp_path, capsys):
     assert f"wrote {table_path}" in captured
 
 
+def test_every_csv_output_ends_its_lines_with_lf_and_keeps_its_width(workspace, tmp_path):
+    """history, eval's three files, predictions and a sweep table: no CR, each line
+    as many cells as the header, each float cell Python's repr of that float."""
+    ckpt, data = str(workspace["ckpt"]), str(workspace["data"])
+    for argv in (["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path)],
+                 ["predict", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path)],
+                 ["sweep", "--config", str(workspace["cfg"]), "--kind", "batch", "--seeds", "0",
+                  "--out", str(tmp_path)]):
+        assert main(argv) == EXIT_OK
+    names = ("metrics.csv", "confusion.csv", "per_class.csv", "predictions.csv", "sweep_batch.csv")
+    for path in [workspace["run"] / "history.csv"] + [tmp_path / name for name in names]:
+        content = path.read_bytes()
+        assert b"\r" not in content, path.name
+        header, *rows = [line.split(",") for line in content.decode().splitlines()]
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+        for cell in (cell for row in rows for cell in row):
+            try:
+                value = float(cell)
+            except ValueError:  # a class name
+                continue
+            assert cell == (str(int(cell)) if cell.isdigit() else repr(value)), path.name
+
+
 def test_sweep_ablation_writes_one_row_per_arm(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", n_windows=48)
     out = tmp_path / "ablation"

@@ -14,6 +14,9 @@ somewhere in src/ outside its class's own `__post_init__`, so a setting
 whose last reader is deleted does not linger as a key that does nothing.
 Likewise every option of every CLI subcommand must be read as `args.<dest>`
 by the command's function or by a function it passes `args` to.
+The program keeps one JSON reader and one CSV writer: `json.load` or
+`json.loads` is called in one function of src/contention/ only, and
+`csv.writer` and `csv.DictWriter` appear nowhere in it.
 """
 
 import argparse
@@ -271,3 +274,51 @@ def test_scan_finds_an_unread_option():
 def test_every_cli_option_is_read():
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     assert unread_options(cli.build_parser(), tree) == []
+
+
+def json_and_csv_io(paths: list[Path]) -> tuple[list[str], list[str]]:
+    """The functions (`file:name`) that call `json.load` or `json.loads`, and the
+    places (`file:line`) that name `csv.writer` or `csv.DictWriter`."""
+    readers, writers = set(), []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+                owner = f"{path.name}:{getattr(node, 'name', '<module>')}"
+                readers |= {owner for n in _own_nodes(node) if _is_attr(n, "json", "load", "loads")}
+            if _is_attr(node, "csv", "writer", "DictWriter"):
+                writers.append(f"{path.name}:{node.lineno}")
+    return sorted(readers), writers
+
+
+def _is_attr(node: ast.AST, module: str, *names: str) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == module)
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of scope's body, not descending into nested function definitions."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_scan_finds_json_readers_and_csv_writers(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import csv, json\n"
+                      "def first(p):\n    return json.loads(p)\n"
+                      "def second(fh):\n    def inner():\n        return json.load(fh)\n"
+                      "    return inner\n"
+                      "def writes(fh):\n    return csv.writer(fh), csv.DictWriter\n"
+                      "def fine():\n    return json.dumps(1), csv.reader([])\n")
+    assert json_and_csv_io([module]) == (["m.py:first", "m.py:inner"], ["m.py:9", "m.py:9"])
+
+
+def test_one_json_reader_and_no_csv_writer():
+    files = sorted((ROOT / "src" / "contention").glob("*.py"))
+    readers, writers = json_and_csv_io(files)
+    assert len(readers) == 1, readers
+    assert writers == []

@@ -9,6 +9,8 @@ load_run_config only a ConfigError, exit code 2; `contention eval` and
 `contention ingest` gets the same treatment for its trace and for the
 `schema` and `ingest` sections of its config, and no such run may allocate
 more than INGEST_PEAK_BYTES, whatever sizes the trace or config claim.
+One table breaks each of the three JSON files the program reads (the
+config, a dataset manifest, a checkpoint) in each of the same ways.
 """
 
 import json
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 from contention.checkpoint import load_checkpoint
 from contention.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from contention.config import load_run_config
-from contention.data import ScenarioConfig, generate, write_dataset
+from contention.data import ScenarioConfig, generate, manifest_path, write_dataset
 from contention.errors import ConfigError, DataError, ShapeError
 from contention.rng import RngStream
 
@@ -156,30 +158,40 @@ def test_overwritten_checkpoint_bytes(original, tmp_path_factory, capsys, data):
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("metric_names",), [1, 2, 3, 4], "metric names must be a list of strings"),
-        (("graph", "threshold"), 10**400, "OverflowError"),
+        (("metric_names",), [1, 2, 3, 4], "'metric_names' must be a list of 4 strings, got \\[1,"),
+        (("graph", "threshold"), 10**400, "'graph.threshold' must be a decimal string, got 1000"),
         (("graph", "dim"), float("inf"), "'graph.dim' must be a positive integer, got inf"),
         (("train_seed",), float("inf"), "'train_seed' must be a non-negative integer, got inf"),
         (("train_seed",), MISSING, "missing key 'train_seed'"),
-        (("normalization", "mean", 0), 10**400, "OverflowError"),
-        (("params", "enc_w1", 0, 0), 10**400, "OverflowError"),
+        (("normalization", "mean", 0), 10**400, "normalization mean must hold decimal strings"),
+        (("params", "enc_w1", 0, 0), 10**400, "parameter enc_w1 must hold decimal strings"),
         # integers and names are read as JSON gives them, never coerced
         (("graph", "dim"), str(D), "'graph.dim' must be a positive integer, got '4'"),
         (("graph", "dim"), D + 0.7, "'graph.dim' must be a positive integer, got 4.7"),
         (("train_seed",), True, "'train_seed' must be a non-negative integer, got True"),
         (("train_seed",), -1, "'train_seed' must be a non-negative integer, got -1"),
         (("config_digest",), 5, "'config_digest' must be a string, got 5"),
-        (("metric_names",), ["m0"], "checkpoint holds 1 metric names for 4 metrics"),
+        (("metric_names",), ["m0"], r"'metric_names' must be a list of 4 strings, got \['m0'\]"),
         (("window_len",), str(T), "'window_len' must be a positive integer, got '8'"),
         (("window_len",), True, "'window_len' must be a positive integer, got True"),
         (("window_len",), 0, "'window_len' must be a positive integer, got 0"),
         (("window_len",), MISSING, "missing key 'window_len'"),
+        # each cell holds the JSON type save_checkpoint writes, and no other
+        (("params", "head_c", 0), True, "parameter head_c must hold decimal strings, got True"),
+        (("params", "enc_b1", 0), 0.5, "parameter enc_b1 must hold decimal strings, got 0.5"),
+        (("normalization", "std", 1), 1, "normalization std must hold decimal strings, got 1"),
+        (("graph", "adjacency", 0, 1), True, "adjacency must hold JSON integers, got True"),
+        (("graph", "adjacency", 0, 1), 1.0, "adjacency must hold JSON integers, got 1.0"),
+        (("graph", "adjacency", 0, 1), "1", "adjacency must hold JSON integers, got '1'"),
+        (("graph", "threshold"), True, "'graph.threshold' must be a decimal string, got True"),
+        (("graph", "threshold"), 0.3, "'graph.threshold' must be a decimal string, got 0.3"),
     ],
     ids=["int-metric-names", "huge-threshold", "infinite-dim",
          "infinite-seed", "missing-seed", "huge-mean", "huge-weight",
          "string-dim", "fractional-dim", "bool-seed", "negative-seed", "int-digest",
          "one-metric-name", "string-window-len", "bool-window-len", "zero-window-len",
-         "missing-window-len"],
+         "missing-window-len", "bool-weight", "number-weight", "number-std", "bool-adjacency",
+         "float-adjacency", "string-adjacency", "bool-threshold", "number-threshold"],
 )
 def test_checkpoint_values_the_loader_rejects(original, tmp_path_factory, capsys, path, value,
                                               message):
@@ -197,20 +209,61 @@ def test_checkpoint_values_the_loader_rejects(original, tmp_path_factory, capsys
     assert _eval_exit(ckpt, original, capsys) == EXIT_DATA
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["[" * 100_000 + "]" * 100_000, '{"graph": ' * 50_000, '{"train_seed": ' + "9" * 5000 + "}"],
-    ids=["nested-arrays", "nested-objects", "5000-digit-integer"],
-)
-def test_json_the_parser_refuses_is_rejected(original, tmp_path_factory, capsys, text):
-    path = _checkpoint_case(tmp_path_factory, text.encode())
-    with pytest.raises(DataError, match="not valid UTF-8 JSON"):
-        load_checkpoint(path)
-    assert _eval_exit(path, original, capsys) == EXIT_DATA
-    config = tmp_path_factory.mktemp("cfg") / "config.json"
-    config.write_text(text)
-    with pytest.raises(ConfigError, match="not valid UTF-8 JSON"):
-        load_run_config(config)
+# ------------------------------------------------- malformed files, one table
+
+# every JSON file the program reads, with the exit code its errors map to
+READERS = {"config": EXIT_CONFIG, "manifest": EXIT_DATA, "checkpoint": EXIT_DATA}
+# case: (what is written, or a change to the valid file; what the error line says)
+MALFORMED = {
+    "missing": (None, "file not found"),
+    "directory": ("directory", "cannot be read"),
+    "bad-utf8": (b"\xff\xfe{}", "is not valid UTF-8 JSON"),
+    "bad-json": (b"{nope", "is not valid UTF-8 JSON"),
+    "unclosed-arrays": (b"[" * 100_000, "is not valid UTF-8 JSON"),
+    "nested-arrays": (b"[" * 100_000 + b"]" * 100_000, "is not valid UTF-8 JSON"),
+    "nested-objects": (b'{"graph": ' * 50_000, "is not valid UTF-8 JSON"),
+    "5000-digit-integer": (b'{"train_seed": ' + b"9" * 5000 + b"}", "is not valid UTF-8 JSON"),
+    "top-level-array": (b"[]", "must hold a JSON object, got a list"),
+    "float-version": (lambda doc: doc.update(format_version=float(doc["format_version"])),
+                      "has format_version"),
+    "bool-version": (lambda doc: doc.update(format_version=True), "has format_version True"),
+    "missing-key": (lambda doc: doc.pop("window_len"), "is missing key 'window_len'"),
+}
+# the config has no format_version and no required key
+NOT_FOR_CONFIG = ("float-version", "bool-version", "missing-key")
+
+
+@pytest.mark.parametrize("reader, case", [
+    (reader, case) for reader in READERS for case in MALFORMED
+    if reader != "config" or case not in NOT_FOR_CONFIG
+])
+def test_malformed_json_file(original, tmp_path, capsys, reader, case):
+    """The config, a dataset manifest or a checkpoint, broken one way: through the CLI, one
+    error line that names the file and its fault, and the reader's exit code."""
+    data, config, ckpt = original
+    content, message = MALFORMED[case]
+    if reader == "config":
+        path, valid = tmp_path / "config.json", config
+        argv = ["train", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "o")]
+    elif reader == "manifest":
+        shutil.copy(data, tmp_path / "dataset.npy")
+        path, valid = manifest_path(tmp_path / "dataset.npy"), manifest_path(data)
+        argv = ["graph", "--data", str(tmp_path / "dataset.npy")]
+    else:
+        path, valid = tmp_path / "checkpoint.json", ckpt
+        argv = ["eval", "--checkpoint", str(path), "--data", str(data)]
+    if content == "directory":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        document = json.loads(valid.read_text())
+        content(document)
+        path.write_text(json.dumps(document))
+    assert main(argv) == READERS[reader]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and message in err
 
 
 # ---------------------------------------------------------------------- config
