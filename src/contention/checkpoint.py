@@ -12,7 +12,8 @@ round-trips IEEE doubles exactly: loading and saving again produces a
 byte-identical file, and reloaded parameters yield bitwise-equal logits.
 The loader takes each cell only as the JSON type save_checkpoint writes: a
 string for a weight, normalization statistic or the graph threshold, the
-integer 0 or 1 for an adjacency entry.
+integer 0 or 1 for an adjacency entry. Through `data.read_json_object`, every
+fault, a missing or mistyped field too, is one SchemaError naming the file.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from contention.config import _strict_kwargs
 from contention.data import NormStats, json_int, json_names, read_json_object
-from contention.errors import ConfigError, ContentionError, DataError, SchemaError, ShapeError
+from contention.errors import DataError, SchemaError, ShapeError
 from contention.graph import MetricGraph
 from contention.model import ModelConfig, ModelParams
 
@@ -88,59 +89,46 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    path = Path(path)
-    payload = read_json_object(path, "checkpoint", SchemaError, CHECKPOINT_FORMAT_VERSION,
-                               ("model", "window_len", "params", "graph", "normalization",
-                                "metric_names", "train_seed", "config_digest"))
-    try:
-        return _from_payload(payload, path)
-    except ContentionError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"checkpoint {path} has a missing or malformed field "
-                          f"({type(exc).__name__}: {exc})") from exc
+    return read_json_object(Path(path), "checkpoint", SchemaError, _from_payload,
+                            CHECKPOINT_FORMAT_VERSION,
+                            ("model", "window_len", "params", "graph", "normalization",
+                             "metric_names", "train_seed", "config_digest"))
 
 
-def _from_payload(payload: dict, path: Path) -> Checkpoint:
-    malformed = f"checkpoint {path} has a missing or malformed field:"
-    t = json_int(payload["window_len"], f"{malformed} 'window_len'")
-    try:
-        cfg = ModelConfig(**_strict_kwargs("model", payload["model"], ModelConfig))
-        shapes = ModelParams.shapes(cfg, t)  # the parameter bound, before any block is read
-    except ConfigError as exc:
-        raise SchemaError(f"bad model config in checkpoint: {exc}") from exc
+def _from_payload(payload: dict) -> Checkpoint:
+    t = json_int(payload["window_len"], "'window_len'")
+    cfg = ModelConfig(**_strict_kwargs("model", payload["model"], ModelConfig))
+    shapes = ModelParams.shapes(cfg, t)  # the parameter bound, before any block is read
     blocks = [_decode(payload["params"][name], shapes[name], f"parameter {name}")
               for name in ModelParams._ORDER]  # a missing block is a KeyError
     params = ModelParams(cfg, t, np.concatenate([b.ravel() for b in blocks]))
 
     g = payload["graph"]
-    dim = json_int(g["dim"], f"{malformed} 'graph.dim'")
-    adjacency = _decode(g["adjacency"], (dim, dim), "checkpoint adjacency", int, "JSON integers")
+    dim = json_int(g["dim"], "'graph.dim'")
+    adjacency = _decode(g["adjacency"], (dim, dim), "adjacency", int, "JSON integers")
     if not np.array_equal(adjacency, adjacency.T) or np.any(np.diag(adjacency) != 0):
-        raise DataError("checkpoint adjacency must be symmetric with a zero diagonal")
+        raise DataError("adjacency must be symmetric with a zero diagonal")
     if not np.all((adjacency == 0) | (adjacency == 1)):
-        raise DataError("checkpoint adjacency entries must be 0 or 1")
+        raise DataError("adjacency entries must be 0 or 1")
     if type(threshold := g["threshold"]) is not str:
-        raise SchemaError(f"{malformed} 'graph.threshold' must be a decimal string, "
-                          f"got {threshold!r}")
+        raise SchemaError(f"'graph.threshold' must be a decimal string, got {threshold!r}")
     threshold = float(threshold)
     if not 0.0 <= threshold <= 1.0:
-        raise DataError(f"checkpoint graph threshold must lie in [0, 1], got {threshold}")
+        raise DataError(f"graph threshold must lie in [0, 1], got {threshold}")
     graph = MetricGraph(adjacency=adjacency, threshold=threshold)
 
     norm = NormStats(**{key: _decode(payload["normalization"][key], (dim,), f"normalization {key}")
                         for key in ("mean", "std")})
     if np.any(norm.std < NormStats.STD_FLOOR):  # fit_norm never writes one below the floor
         low = float(norm.std.min())
-        raise DataError(f"checkpoint normalization std {low!r} is below {NormStats.STD_FLOOR}")
+        raise DataError(f"normalization std {low!r} is below {NormStats.STD_FLOOR}")
     if type(digest := payload["config_digest"]) is not str:
-        raise SchemaError(f"{malformed} 'config_digest' must be a string, got {digest!r}")
-    names = payload["metric_names"]  # empty in a checkpoint trained without names
+        raise SchemaError(f"'config_digest' must be a string, got {digest!r}")
     return Checkpoint(
         params=params,
         graph=graph,
         norm=norm,
-        metric_names=json_names(names, dim if names else 0, f"{malformed} 'metric_names'"),
-        train_seed=json_int(payload["train_seed"], f"{malformed} 'train_seed'", least=0),
+        metric_names=json_names(payload["metric_names"], dim, "'metric_names'", empty_ok=True),
+        train_seed=json_int(payload["train_seed"], "'train_seed'", least=0),
         config_digest=digest,
     )

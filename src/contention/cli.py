@@ -31,7 +31,7 @@ from contention.data import (
     read_dataset,
     write_dataset,
 )
-from contention.errors import ConfigError, DataError, NumericError, ShapeError
+from contention.errors import ConfigError, ContentionError, DataError, NumericError, ShapeError
 from contention.graph import build_graph, graph_stats, pearson_matrix
 from contention.ingest import apply_weak_labels, ingest_csv
 from contention.model import softmax
@@ -375,15 +375,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ContentionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        if isinstance(exc, ConfigError):
+            return EXIT_CONFIG
+        return EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Run configuration: one JSON file describing an entire experiment.
 
 The file is read by `data.read_json_object`, as dataset manifests and
-checkpoints are. Parsing is strict: any key the schema does not know is
+checkpoints are: every fault of the file or its content is one ConfigError
+naming the file. Parsing is strict: any key the schema does not know is
 rejected with its full dotted path, so a typo like "learning_rte" fails
 loudly before any work starts instead of silently training with defaults.
 A scalar field must hold a JSON value of its annotated type ("64" is not an
@@ -127,7 +128,7 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     """Parse a config file; a missing path means all defaults."""
     if path is None:
         return RunConfig()
-    return run_config_from_dict(read_json_object(Path(path), "config", ConfigError))
+    return read_json_object(Path(path), "config", ConfigError, run_config_from_dict)
 
 
 def config_digest(cfg: RunConfig) -> str:

@@ -36,12 +36,14 @@ import json
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from contention.errors import ConfigError, DataError, SchemaError, ShapeError
+from contention.errors import ConfigError, ContentionError, DataError, SchemaError, ShapeError
 from contention.rng import RngStream
+
+Built = TypeVar("Built")  # what read_json_object's `build` makes of a file's object
 
 
 class ContentionClass(IntEnum):
@@ -467,18 +469,23 @@ def json_int(value, what: str, least: int = 1) -> int:
     return value
 
 
-def json_names(value, count: int, what: str) -> tuple[str, ...]:
-    """value as a tuple if it is a JSON list of `count` strings; else a SchemaError."""
+def json_names(value, count: int, what: str, empty_ok: bool = False) -> tuple[str, ...]:
+    """value as a tuple if a JSON list of `count` strings, or [] if empty_ok; else a SchemaError."""
+    if empty_ok and value == []:
+        return ()
     if not isinstance(value, list) or len(value) != count or set(map(type, value)) - {str}:
-        raise SchemaError(f"{what} must be a list of {count} strings, got {value!r}")
+        either = "an empty list or " if empty_ok else ""
+        raise SchemaError(f"{what} must be {either}a list of {count} strings, got {value!r}")
     return tuple(value)
 
 
-def read_json_object(path: Path, what: str, error: type[Exception], version: int | None = None,
-                     keys: tuple[str, ...] = ()) -> dict:
-    """The top-level object of the JSON file at path, checked to be readable UTF-8 JSON,
-    an object, of format_version `version` if one is given, and then (an older format
-    lacks newer keys) to hold `keys`; else `error`, naming `what` and the path."""
+def read_json_object(path: Path, what: str, error: type[ContentionError],
+                     build: Callable[[dict], Built], version: int | None = None,
+                     keys: tuple[str, ...] = ()) -> Built:
+    """`build` of the top-level object of the JSON file at path, which is first checked to be
+    readable UTF-8 JSON, an object, of format_version `version` if one is given, and then (an
+    older format lacks newer keys) to hold `keys`. Every fault, a ContentionError or KeyError,
+    TypeError, ValueError or OverflowError of `build` too, is an `error` naming `what` and path."""
     if not path.exists():
         raise error(f"{what} file not found: {path}")
     try:
@@ -496,7 +503,31 @@ def read_json_object(path: Path, what: str, error: type[Exception], version: int
     for key in keys:
         if key not in data:
             raise error(f"{what} {path} is missing key '{key}'")
-    return data
+    try:
+        return build(data)
+    except ContentionError as exc:  # first: every ContentionError but NumericError is a ValueError
+        raise error(f"{what} {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} {path} has a missing or malformed field "
+                    f"({type(exc).__name__}: {exc})") from exc
+
+
+def _manifest_fields(manifest: dict) -> tuple[tuple[int, ...], tuple[str, ...], str, np.ndarray]:
+    """The (N, T, D) shape, metric names, source and labels of a dataset manifest."""
+    shape = tuple(json_int(manifest[key], f"'{key}'")
+                  for key in ("n_windows", "window_len", "metric_count"))
+    names = json_names(manifest["metric_names"], shape[2], "'metric_names'")
+    source, labels = manifest["source"], manifest["labels"]
+    if not isinstance(source, str):
+        raise SchemaError(f"'source' must be a string, got {source!r}")
+    if not isinstance(labels, list) or len(labels) != shape[0]:
+        raise SchemaError(f"'labels' must be a list of {shape[0]} entries")
+    for i, label in enumerate(labels):
+        if label is not None and (type(label) is not int or not 0 <= label < NUM_CLASSES):
+            raise SchemaError(f"label {label!r} of window {i} is neither null "
+                              f"nor an integer in [0, {NUM_CLASSES})")
+    labels = np.array([UNLABELED if label is None else label for label in labels], dtype=np.int64)
+    return shape, names, source, labels
 
 
 def read_dataset(path: str | Path) -> Dataset:
@@ -512,26 +543,9 @@ def read_dataset(path: str | Path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    mpath = manifest_path(path)
-    manifest = read_json_object(mpath, "manifest", SchemaError, DATASET_FORMAT_VERSION,
-                                ("n_windows", "window_len", "metric_count", "metric_names",
-                                 "source", "labels"))
-    n_windows, t_len, d = (
-        json_int(manifest[key], f"manifest {mpath}: '{key}'")
-        for key in ("n_windows", "window_len", "metric_count")
-    )
-    names = json_names(manifest["metric_names"], d, f"manifest {mpath}: 'metric_names'")
-    source, labels = manifest["source"], manifest["labels"]
-    if not isinstance(source, str):
-        raise SchemaError(f"manifest {mpath}: 'source' must be a string, got {source!r}")
-    if not isinstance(labels, list) or len(labels) != n_windows:
-        raise SchemaError(f"manifest {mpath}: 'labels' must be a list of {n_windows} entries")
-    for i, label in enumerate(labels):
-        if label is not None and (type(label) is not int or not 0 <= label < NUM_CLASSES):
-            raise SchemaError(
-                f"manifest {mpath}: label {label!r} of window {i} is neither null "
-                f"nor an integer in [0, {NUM_CLASSES})"
-            )
+    shape, names, source, labels = read_json_object(
+        manifest_path(path), "manifest", SchemaError, _manifest_fields, DATASET_FORMAT_VERSION,
+        ("n_windows", "window_len", "metric_count", "metric_names", "source", "labels"))
     # numpy's header parser answers hostile bytes with ValueError, OSError,
     # SyntaxError, IndexError, OverflowError or tokenize.TokenError, and warns
     # before it rejects a shape whose size overflows
@@ -540,10 +554,10 @@ def read_dataset(path: str | Path) -> Dataset:
             mapped = np.lib.format.open_memmap(path, mode="r")
     except Exception as exc:
         raise DataError(f"{path} is not a readable .npy array: {exc}") from exc
-    if mapped.dtype != VALUES_DTYPE or mapped.shape != (n_windows, t_len, d):
+    if mapped.dtype != VALUES_DTYPE or mapped.shape != shape:
         raise SchemaError(
             f"{path} holds a {mapped.dtype.str} array of shape {mapped.shape}; "
-            f"the manifest needs {VALUES_DTYPE.str} of shape {(n_windows, t_len, d)}"
+            f"the manifest needs {VALUES_DTYPE.str} of shape {shape}"
         )
     values = np.empty_like(mapped, subok=False)
     with path.open("rb") as fh:
@@ -553,5 +567,4 @@ def read_dataset(path: str | Path) -> Dataset:
     bad = first_nonfinite(values)
     if bad >= 0:
         raise DataError(f"{path}: window {bad} has a non-finite value")
-    labels = np.array([UNLABELED if label is None else label for label in labels], dtype=np.int64)
     return Dataset(values, labels, names, source)

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes: config errors exit 2, data and
-shape errors exit 3, numeric failures exit 4.
+The CLI maps these onto distinct exit codes: config errors exit 2, numeric
+failures exit 4, and every other error (data, schema, shape) exits 3.
 """
 
 

@@ -7,6 +7,7 @@ produce bitwise-identical logits.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from contention.config import (
     run_config_from_dict,
 )
 from contention.data import NormStats
-from contention.errors import ConfigError, DataError, SchemaError, ShapeError
+from contention.errors import ConfigError, DataError, SchemaError
 from contention.graph import normalize_adjacency
 from contention.model import ModelConfig, forward, init_params
 from contention.rng import RngStream
@@ -162,12 +163,12 @@ class TestLoadValidation:
     def test_wrong_param_shape(self, tmp_path):
         path = self._saved(tmp_path)
         self._rewrite(path, lambda p: p["params"].update(enc_b1=["1", "2"]))
-        with pytest.raises(ShapeError, match="enc_b1"):
+        with pytest.raises(SchemaError, match=r"ckpt\.json: parameter enc_b1 has shape \(2,\)"):
             load_checkpoint(path)
         # a window length the weights were not trained for
         path = self._saved(tmp_path)
         self._rewrite(path, lambda p: p.update(window_len=16))
-        with pytest.raises(ShapeError, match=r"enc_w1 has shape \(8, 6\), expected \(16, 6\)"):
+        with pytest.raises(SchemaError, match=r"enc_w1 has shape \(8, 6\), expected \(16, 6\)"):
             load_checkpoint(path)
 
     def test_nonfinite_param(self, tmp_path):
@@ -269,7 +270,8 @@ class TestLoadValidation:
         ],
     )
     def test_missing_or_mistyped_field(self, tmp_path, section, key, value):
-        """A missing key (value None) or a value of the wrong type is a SchemaError."""
+        """A missing key (value None) or a value of the wrong type is a SchemaError that
+        names the file; a mistyped field it reads by name is named too."""
         path = self._saved(tmp_path)
 
         def poison(p):
@@ -281,7 +283,8 @@ class TestLoadValidation:
                 p[section][key] = value
 
         self._rewrite(path, poison)
-        with pytest.raises(SchemaError, match="missing or malformed"):
+        fault = "missing or malformed" if key is None or value is None else f"'{section}.{key}'"
+        with pytest.raises(SchemaError, match=rf"^checkpoint {re.escape(str(path))}.*{fault}"):
             load_checkpoint(path)
 
 

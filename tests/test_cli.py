@@ -1118,7 +1118,7 @@ def test_bad_split_fractions_exit_before_writing(workspace, tmp_path, capsys, co
               else ["--data", str(workspace["data"])])
     rc = main([command, "--config", str(path)] + inputs)
     assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: config {path}: {message}\n"
     assert not out.exists()
 
 
@@ -1131,7 +1131,8 @@ def test_num_classes_other_than_five_exits_before_writing(workspace, tmp_path, c
     rc = main(["train", "--config", str(path), "--data", str(workspace["data"]),
                "--out", str(out)])
     assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err == "error: unknown config key 'model.num_classes'\n"
+    err = capsys.readouterr().err
+    assert err == f"error: config {path}: unknown config key 'model.num_classes'\n"
     assert not out.exists()
 
 

@@ -16,7 +16,10 @@ Likewise every option of every CLI subcommand must be read as `args.<dest>`
 by the command's function or by a function it passes `args` to.
 The program keeps one JSON reader and one CSV writer: `json.load` or
 `json.loads` is called in one function of src/contention/ only, and
-`csv.writer` and `csv.DictWriter` appear nowhere in it.
+`csv.writer` and `csv.DictWriter` appear nowhere in it. One function there,
+`data.read_json_object`, holds an `except` clause that names KeyError,
+LookupError or TypeError: the net that turns a missing or malformed field of
+any JSON file into one error naming the file.
 """
 
 import argparse
@@ -322,3 +325,37 @@ def test_one_json_reader_and_no_csv_writer():
     readers, writers = json_and_csv_io(files)
     assert len(readers) == 1, readers
     assert writers == []
+
+
+def error_nets(paths: list[Path]) -> list[str]:
+    """The functions (`file:name`) holding an `except` clause that names KeyError,
+    LookupError or TypeError, a net for a missing or malformed field."""
+    nets = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+                owner = f"{path.name}:{getattr(node, 'name', '<module>')}"
+                nets |= {owner for n in _own_nodes(node) if isinstance(n, ast.ExceptHandler)
+                         and n.type is not None
+                         and _named(n.type) & {"KeyError", "LookupError", "TypeError"}}
+    return sorted(nets)
+
+
+def test_scan_finds_error_nets(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import builtins\n"
+                      "def rows(x):\n    try:\n        return int(x[0])\n"
+                      "    except (IndexError, ValueError):\n        return 0\n"
+                      "def net(x):\n    try:\n        return x['a']\n"
+                      "    except (KeyError, OverflowError):\n        return 0\n"
+                      "def outer(x):\n    def inner():\n        try:\n            return x()\n"
+                      "        except LookupError as exc:\n            raise ValueError from exc\n"
+                      "    return inner\n"
+                      "try:\n    rows(1)\nexcept builtins.TypeError:\n    pass\n")
+    assert error_nets([module]) == ["m.py:<module>", "m.py:inner", "m.py:net"]
+
+
+def test_one_error_net_for_malformed_fields():
+    files = sorted((ROOT / "src" / "contention").glob("*.py"))
+    assert error_nets(files) == ["data.py:read_json_object"]

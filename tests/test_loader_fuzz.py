@@ -3,14 +3,15 @@
 Every input here is random bytes, random JSON, or a valid file with one part
 broken: bytes overwritten, one field deleted, or one field (or one element
 of an array) replaced by random JSON. load_checkpoint may only raise a
-DataError or ShapeError, which the CLI turns into exit code 3, and
-load_run_config only a ConfigError, exit code 2; `contention eval` and
+SchemaError, which the CLI turns into exit code 3, and load_run_config only
+a ConfigError, exit code 2; `contention eval` and
 `contention train` on these files exit 0, 2 or 3, never with a traceback.
 `contention ingest` gets the same treatment for its trace and for the
 `schema` and `ingest` sections of its config, and no such run may allocate
 more than INGEST_PEAK_BYTES, whatever sizes the trace or config claim.
 One table breaks each of the three JSON files the program reads (the
-config, a dataset manifest, a checkpoint) in each of the same ways.
+config, a dataset manifest, a checkpoint) in each of the same ways, and a
+second breaks each file's content; every error line names the file.
 """
 
 import json
@@ -26,7 +27,7 @@ from contention.checkpoint import load_checkpoint
 from contention.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from contention.config import load_run_config
 from contention.data import ScenarioConfig, generate, manifest_path, write_dataset
-from contention.errors import ConfigError, DataError, ShapeError
+from contention.errors import ConfigError, SchemaError
 from contention.rng import RngStream
 
 N, T, D = 30, 8, 4
@@ -95,6 +96,20 @@ def _mutated(document, data):
     return document
 
 
+def _set(*path_and_value):
+    """A change to a JSON document that sets the value at the path, or deletes it (MISSING)."""
+    *path, value = path_and_value
+
+    def change(document):
+        for key in path[:-1]:
+            document = document[key]
+        if value is MISSING:
+            del document[path[-1]]
+        else:
+            document[path[-1]] = value
+    return change
+
+
 def _overwritten(content: bytes, data) -> bytes:
     content = bytearray(content)
     for _ in range(data.draw(st.integers(1, 4))):
@@ -109,7 +124,7 @@ def _load_checkpoint_fails(path) -> bool:
     """True when load_checkpoint raises an error that exits 3; anything else propagates."""
     try:
         load_checkpoint(path)
-    except (DataError, ShapeError):
+    except SchemaError:
         return True
     return False
 
@@ -155,10 +170,13 @@ def test_overwritten_checkpoint_bytes(original, tmp_path_factory, capsys, data):
     assert rc == EXIT_DATA if failed else rc in (EXIT_OK, EXIT_DATA)
 
 
+NAMES = f"'metric_names' must be an empty list or a list of {D} strings, "
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("metric_names",), [1, 2, 3, 4], "'metric_names' must be a list of 4 strings, got \\[1,"),
+        (("metric_names",), [1, 2, 3, 4], NAMES + "got \\[1,"),
         (("graph", "threshold"), 10**400, "'graph.threshold' must be a decimal string, got 1000"),
         (("graph", "dim"), float("inf"), "'graph.dim' must be a positive integer, got inf"),
         (("train_seed",), float("inf"), "'train_seed' must be a non-negative integer, got inf"),
@@ -171,7 +189,7 @@ def test_overwritten_checkpoint_bytes(original, tmp_path_factory, capsys, data):
         (("train_seed",), True, "'train_seed' must be a non-negative integer, got True"),
         (("train_seed",), -1, "'train_seed' must be a non-negative integer, got -1"),
         (("config_digest",), 5, "'config_digest' must be a string, got 5"),
-        (("metric_names",), ["m0"], r"'metric_names' must be a list of 4 strings, got \['m0'\]"),
+        (("metric_names",), ["m0"], NAMES + r"got \['m0'\]"),
         (("window_len",), str(T), "'window_len' must be a positive integer, got '8'"),
         (("window_len",), True, "'window_len' must be a positive integer, got True"),
         (("window_len",), 0, "'window_len' must be a positive integer, got 0"),
@@ -185,26 +203,23 @@ def test_overwritten_checkpoint_bytes(original, tmp_path_factory, capsys, data):
         (("graph", "adjacency", 0, 1), "1", "adjacency must hold JSON integers, got '1'"),
         (("graph", "threshold"), True, "'graph.threshold' must be a decimal string, got True"),
         (("graph", "threshold"), 0.3, "'graph.threshold' must be a decimal string, got 0.3"),
+        # a checkpoint trained without names holds an empty list, never null
+        (("metric_names",), None, NAMES + "got None"),
     ],
     ids=["int-metric-names", "huge-threshold", "infinite-dim",
          "infinite-seed", "missing-seed", "huge-mean", "huge-weight",
          "string-dim", "fractional-dim", "bool-seed", "negative-seed", "int-digest",
          "one-metric-name", "string-window-len", "bool-window-len", "zero-window-len",
          "missing-window-len", "bool-weight", "number-weight", "number-std", "bool-adjacency",
-         "float-adjacency", "string-adjacency", "bool-threshold", "number-threshold"],
+         "float-adjacency", "string-adjacency", "bool-threshold", "number-threshold",
+         "null-metric-names"],
 )
 def test_checkpoint_values_the_loader_rejects(original, tmp_path_factory, capsys, path, value,
                                               message):
     payload = json.loads(original[2].read_text())
-    parent = payload
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is MISSING:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
+    _set(*path, value)(payload)
     ckpt = _checkpoint_case(tmp_path_factory, json.dumps(payload).encode())
-    with pytest.raises(DataError, match=message):
+    with pytest.raises(SchemaError, match=message):
         load_checkpoint(ckpt)
     assert _eval_exit(ckpt, original, capsys) == EXIT_DATA
 
@@ -231,17 +246,46 @@ MALFORMED = {
 }
 # the config has no format_version and no required key
 NOT_FOR_CONFIG = ("float-version", "bool-version", "missing-key")
+# reader: {case: (a change to the valid file, what the error line says)}, faults in the
+# content, which each reader reports after the same "<reader> <path>" as the ones above
+CONTENT = {
+    "config": {
+        "unknown-key": (_set("format_version", 3.0), "unknown config key 'format_version'"),
+        "schema-without-machine-column": (
+            _set("schema", {"timestamp_column": "ts", "metric_columns": {"cpu": "cpu"}}),
+            "config section 'schema' is missing 'machine_column'"),
+        "zero-batch-size": (_set("train", "batch_size", 0), "batch_size must be >= 1, got 0"),
+    },
+    "manifest": {
+        "string-n-windows": (_set("n_windows", str(N)),
+                             f"'n_windows' must be a positive integer, got '{N}'"),
+        "label-7": (_set("labels", 0, 7), "label 7 of window 0 is neither null nor an integer"),
+    },
+    "checkpoint": {
+        "zero-encoder-hidden": (_set("model", "encoder_hidden", 0),
+                                "encoder_hidden must be >= 1, got 0"),
+        "bool-weight": (_set("params", "enc_w1", 0, 0, True),
+                        "parameter enc_w1 must hold decimal strings, got True"),
+        "asymmetric-adjacency": (_set("graph", "adjacency", [[0, 1] + [0] * (D - 2)]
+                                      + [[0] * D] * (D - 1)),
+                                 "adjacency must be symmetric with a zero diagonal"),
+        "missing-graph-dim": (_set("graph", "dim", MISSING),
+                              "has a missing or malformed field (KeyError: 'dim')"),
+        "small-std": (_set("normalization", "std", 0, "1e-9"),
+                      "normalization std 1e-09 is below 1e-08"),
+    },
+}
 
 
 @pytest.mark.parametrize("reader, case", [
     (reader, case) for reader in READERS for case in MALFORMED
     if reader != "config" or case not in NOT_FOR_CONFIG
-])
+] + [(reader, case) for reader, cases in CONTENT.items() for case in cases])
 def test_malformed_json_file(original, tmp_path, capsys, reader, case):
     """The config, a dataset manifest or a checkpoint, broken one way: through the CLI, one
     error line that names the file and its fault, and the reader's exit code."""
     data, config, ckpt = original
-    content, message = MALFORMED[case]
+    content, message = {**MALFORMED, **CONTENT[reader]}[case]
     if reader == "config":
         path, valid = tmp_path / "config.json", config
         argv = ["train", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "o")]
@@ -262,8 +306,9 @@ def test_malformed_json_file(original, tmp_path, capsys, reader, case):
         path.write_text(json.dumps(document))
     assert main(argv) == READERS[reader]
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(path) in err and message in err
+    named = f"{reader} file not found: {path}" if content is None else f"{reader} {path}"
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+    assert message in err
 
 
 # ---------------------------------------------------------------------- config
