@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from contention.config import _strict_kwargs
+from contention.config import strict_kwargs
 from contention.data import NormStats, json_int, json_names, read_json_object
 from contention.errors import DataError, SchemaError, ShapeError
 from contention.graph import MetricGraph
@@ -70,7 +70,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "window_len": ckpt.params.window_len,
         "params": {
             name: _encode_floats(getattr(ckpt.params, name))
-            for name in ModelParams._ORDER
+            for name, _, _ in ModelParams.layout(ckpt.params.cfg, ckpt.params.window_len)
         },
         "graph": {
             "dim": ckpt.graph.dim,
@@ -97,10 +97,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 def _from_payload(payload: dict) -> Checkpoint:
     t = json_int(payload["window_len"], "'window_len'")
-    cfg = ModelConfig(**_strict_kwargs("model", payload["model"], ModelConfig))
-    shapes = ModelParams.shapes(cfg, t)  # the parameter bound, before any block is read
-    blocks = [_decode(payload["params"][name], shapes[name], f"parameter {name}")
-              for name in ModelParams._ORDER]  # a missing block is a KeyError
+    cfg = ModelConfig(**strict_kwargs("model", payload["model"], ModelConfig))
+    layout = ModelParams.layout(cfg, t)  # the parameter bound, before any block is read
+    blocks = [_decode(payload["params"][name], shape, f"parameter {name}")
+              for name, shape, _ in layout]  # a missing block is a KeyError
     params = ModelParams(cfg, t, np.concatenate([b.ravel() for b in blocks]))
 
     g = payload["graph"]

@@ -74,8 +74,9 @@ def _admits(hint, value) -> bool:
     return type(value) in kinds
 
 
-def _strict_kwargs(section: str, data: dict, cls) -> dict:
-    """data, checked to name only fields of cls and to give scalars their annotated type."""
+def strict_kwargs(section: str, data: dict, cls) -> dict:
+    """data, checked to name only fields of cls and to give scalars their annotated type:
+    a section of the run config, or the checkpoint's `model` section."""
     if not isinstance(data, dict):
         raise ConfigError(f"config section '{section}' must be an object")
     hints = typing.get_type_hints(cls)
@@ -90,7 +91,7 @@ def _strict_kwargs(section: str, data: dict, cls) -> dict:
 
 
 def _build_schema(data: dict) -> TraceSchema:
-    _strict_kwargs("schema", data, TraceSchema)
+    strict_kwargs("schema", data, TraceSchema)
     for key in ("machine_column", "timestamp_column", "metric_columns"):
         if key not in data:
             raise ConfigError(f"config section 'schema' is missing '{key}'")
@@ -105,10 +106,10 @@ def _build_schema(data: dict) -> TraceSchema:
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    _strict_kwargs("", data, RunConfig)
+    strict_kwargs("", data, RunConfig)
     sections = (("scenario", ScenarioConfig), ("model", ModelConfig), ("train", TrainConfig),
                 ("ingest", IngestConfig))  # each built as one dataclass
-    kwargs = {key: cls(**_strict_kwargs(key, data[key], cls))
+    kwargs = {key: cls(**strict_kwargs(key, data[key], cls))
               for key, cls in sections if key in data}
     kwargs.update((key, data[key]) for key in ("corr_threshold", "n_windows", "out_dir")
                   if key in data)

@@ -487,7 +487,7 @@ def read_json_object(path: Path, what: str, error: type[ContentionError],
     older format lacks newer keys) to hold `keys`. Every fault, a ContentionError or KeyError,
     TypeError, ValueError or OverflowError of `build` too, is an `error` naming `what` and path."""
     if not path.exists():
-        raise error(f"{what} file not found: {path}")
+        raise error(f"{what} {path} is not found")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:  # a directory, no read permission
@@ -542,29 +542,33 @@ def read_dataset(path: str | Path) -> Dataset:
     """
     path = Path(path)
     if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    shape, names, source, labels = read_json_object(
-        manifest_path(path), "manifest", SchemaError, _manifest_fields, DATASET_FORMAT_VERSION,
-        ("n_windows", "window_len", "metric_count", "metric_names", "source", "labels"))
-    # numpy's header parser answers hostile bytes with ValueError, OSError,
-    # SyntaxError, IndexError, OverflowError or tokenize.TokenError, and warns
-    # before it rejects a shape whose size overflows
+        raise DataError(f"dataset {path} is not found")
     try:
-        with np.errstate(over="ignore"):
-            mapped = np.lib.format.open_memmap(path, mode="r")
-    except Exception as exc:
-        raise DataError(f"{path} is not a readable .npy array: {exc}") from exc
-    if mapped.dtype != VALUES_DTYPE or mapped.shape != shape:
-        raise SchemaError(
-            f"{path} holds a {mapped.dtype.str} array of shape {mapped.shape}; "
-            f"the manifest needs {VALUES_DTYPE.str} of shape {shape}"
-        )
-    values = np.empty_like(mapped, subok=False)
-    with path.open("rb") as fh:
+        fh = path.open("rb")
+    except OSError as exc:  # a directory, no read permission
+        raise DataError(f"dataset {path} cannot be read: {exc}") from exc
+    with fh:
+        shape, names, source, labels = read_json_object(
+            manifest_path(path), "manifest", SchemaError, _manifest_fields, DATASET_FORMAT_VERSION,
+            ("n_windows", "window_len", "metric_count", "metric_names", "source", "labels"))
+        # numpy's header parser answers hostile bytes with ValueError, OSError,
+        # SyntaxError, IndexError, OverflowError or tokenize.TokenError, and warns
+        # before it rejects a shape whose size overflows
+        try:
+            with np.errstate(over="ignore"):
+                mapped = np.lib.format.open_memmap(path, mode="r")
+        except Exception as exc:
+            raise DataError(f"dataset {path} is not a readable .npy array: {exc}") from exc
+        if mapped.dtype != VALUES_DTYPE or mapped.shape != shape:
+            raise SchemaError(
+                f"dataset {path} holds a {mapped.dtype.str} array of shape {mapped.shape}; "
+                f"the manifest needs {VALUES_DTYPE.str} of shape {shape}"
+            )
+        values = np.empty_like(mapped, subok=False)
         fh.seek(mapped.offset)
         if fh.readinto(values.ravel(order="K")) != values.nbytes:  # ravel: a view in memory order
-            raise DataError(f"{path} holds fewer values than its header declares")
+            raise DataError(f"dataset {path} holds fewer values than its header declares")
     bad = first_nonfinite(values)
     if bad >= 0:
-        raise DataError(f"{path}: window {bad} has a non-finite value")
+        raise DataError(f"dataset {path}: window {bad} has a non-finite value")
     return Dataset(values, labels, names, source)

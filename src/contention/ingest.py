@@ -193,7 +193,7 @@ def ingest_csv(
     """
     path = Path(path)
     if not path.exists():
-        raise DataError(f"trace file not found: {path}")
+        raise DataError(f"trace {path} is not found")
     names = schema.metric_names
     stamps: list[int] = []
     values = array("d")

@@ -6,15 +6,16 @@ propagation mix embeddings along the metric graph, a mean readout pools the
 nodes, and K fully parameter-disjoint heads emit one logit per contention
 class. None of K, T and D is a setting: K is `data.NUM_CLASSES`, and the
 training data gives D to the graph and T to the weights. The weights are
-shaped only by T and the layer widths, never by D, so they serve any D.
+shaped only by T and the layer widths, never by D, so they serve any D;
+`ModelParams.layout` is the one table of their blocks.
 
 Every stage takes one (T, D) window or an (N, T, D) stack of windows through
-the same code; `forward` chains the stages and `backward` returns the
-gradient summed over the stack. All gradients are exact reverse-mode
-derivatives, checked against central differences in the test suite. tanh
-keeps every layer smooth so those checks are well-defined everywhere.
-`init_params` draws Glorot-uniform weights; `softmax` gives the confidence
-scores that the `predict` command writes beside the labels.
+the same code; `forward` chains the stages, which fill one `ForwardCache`,
+and `backward` returns the gradient summed over the stack. All gradients
+are exact reverse-mode derivatives, checked against central differences in
+the test suite. tanh keeps every layer smooth so those checks are
+well-defined everywhere. `init_params` draws Glorot-uniform weights;
+`softmax` gives the confidence scores that `predict` writes beside the labels.
 
 Each activation and each tanh derivative is computed in place in a fresh
 array, with the same operations in the same order as the textbook
@@ -59,9 +60,9 @@ class ModelConfig:
 class ModelParams:
     """All trainable weights at T = window_len: one flat float64 buffer, a view per block.
 
-    The blocks (see `shapes`) are views into `flat`, in `_ORDER`: writing
-    into a block writes the buffer, and an update of `flat` in place moves
-    every block. Building from a flat vector does not copy it.
+    The blocks are views into `flat`, as `layout` places them: writing into
+    a block writes the buffer, and an update of `flat` in place moves every
+    block. Building from a flat vector does not copy it.
 
     Encoder and propagation blocks are shared across every metric and every
     class; each head k owns its block exclusively, so per-class gradients
@@ -72,61 +73,47 @@ class ModelParams:
     window_len: int
     flat: np.ndarray
 
-    _ORDER = (
-        "enc_w1", "enc_b1", "enc_w2", "enc_b2",
-        "prop_w1", "prop_b1", "prop_w2", "prop_b2",
-        "head_w", "head_b", "head_u", "head_c",
-    )
-
     def __post_init__(self):
         flat = np.ascontiguousarray(self.flat, dtype=np.float64)
-        blocks = self.block_slices(self.cfg, self.window_len)
-        total = blocks[-1][1].stop
+        layout = self.layout(self.cfg, self.window_len)
+        total = layout[-1][2].stop
         if flat.shape != (total,):
             raise ShapeError(
-                f"expected a flat vector of {total} parameters, got shape {flat.shape}"
-            )
+                f"expected a flat vector of {total} parameters, got shape {flat.shape}")
         object.__setattr__(self, "flat", flat)
-        shapes = self.shapes(self.cfg, self.window_len)
-        for name, sl in blocks:
-            object.__setattr__(self, name, flat[sl].reshape(shapes[name]))
+        for name, shape, sl in layout:
+            object.__setattr__(self, name, flat[sl].reshape(shape))
 
     @staticmethod
-    def shapes(cfg: ModelConfig, t: int) -> dict[str, tuple[int, ...]]:
-        """Block shapes for T = t; a ConfigError when they exceed MAX_PARAMETERS."""
+    def layout(cfg: ModelConfig, t: int) -> list[tuple[str, tuple[int, ...], slice]]:
+        """(name, shape, slice of `flat`) per block at T = t, in buffer order.
+
+        Over MAX_PARAMETERS, a ConfigError before anything is allocated."""
         dh, de, dp, dd = cfg.encoder_hidden, cfg.embed_width, cfg.propagation_width, cfg.head_hidden
-        shapes = {
-            "enc_w1": (t, dh), "enc_b1": (dh,),  # W1.T, so xt @ enc_w1 needs no copy
-            "enc_w2": (de, dh), "enc_b2": (de,),
-            "prop_w1": (de, dp), "prop_b1": (dp,),
-            "prop_w2": (dp, dp), "prop_b2": (dp,),
-            "head_w": (NUM_CLASSES, dd, dp), "head_b": (NUM_CLASSES, dd),
-            "head_u": (NUM_CLASSES, dd), "head_c": (NUM_CLASSES,),
-        }
-        count = sum(map(math.prod, shapes.values()))
-        if count > MAX_PARAMETERS:
+        blocks, offset = [], 0
+        for name, shape in (
+            ("enc_w1", (t, dh)), ("enc_b1", (dh,)),  # W1.T, so xt @ enc_w1 needs no copy
+            ("enc_w2", (de, dh)), ("enc_b2", (de,)),
+            ("prop_w1", (de, dp)), ("prop_b1", (dp,)),
+            ("prop_w2", (dp, dp)), ("prop_b2", (dp,)),
+            ("head_w", (NUM_CLASSES, dd, dp)), ("head_b", (NUM_CLASSES, dd)),
+            ("head_u", (NUM_CLASSES, dd)), ("head_c", (NUM_CLASSES,)),
+        ):
+            end = offset + math.prod(shape)
+            blocks.append((name, shape, slice(offset, end)))
+            offset = end
+        if offset > MAX_PARAMETERS:
             raise ConfigError(
-                f"model has {count} parameters, more than the limit of {MAX_PARAMETERS}"
+                f"model has {offset} parameters, more than the limit of {MAX_PARAMETERS}"
             )
-        return shapes
+        return blocks
 
     @classmethod
     def zeros(cls, cfg: ModelConfig, t: int) -> "ModelParams":
-        return cls(cfg, t, np.zeros(cls.block_slices(cfg, t)[-1][1].stop))
+        return cls(cfg, t, np.zeros(cls.layout(cfg, t)[-1][2].stop))
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.cfg, self.window_len, self.flat.copy())
-
-    @classmethod
-    def block_slices(cls, cfg: ModelConfig, t: int) -> list[tuple[str, slice]]:
-        """Named slices of the flat vector layout, for diagnostics."""
-        shapes = cls.shapes(cfg, t)
-        out, offset = [], 0
-        for name in cls._ORDER:
-            size = int(np.prod(shapes[name]))
-            out.append((name, slice(offset, offset + size)))
-            offset += size
-        return out
 
 
 def glorot_init(rows: int, cols: int, rng: RngStream) -> np.ndarray:
@@ -162,26 +149,28 @@ class Prediction:
 
 @dataclass(slots=True)
 class ForwardCache:
-    """Intermediates retained for the backward pass.
+    """The forward pass's inputs and the intermediates the backward pass reads.
 
-    Shapes are those of a stack; the arrays of one window lack the leading N.
+    `forward` builds it from its inputs. Given it as `saved`, `encode` sets
+    xt, z1 and h, `propagate` ah to ht, and `heads` r and head_tanh. Shapes
+    are those of a stack; the arrays of one window lack the leading N.
     """
 
     x: np.ndarray  # (N, T, D) normalized input
-    xt: np.ndarray  # (N, D, T) C-contiguous transpose of x, the encoder's input rows
     graph: MetricGraph
     params: ModelParams
-    z1: np.ndarray  # (N, D, encoder_hidden) first encoder activation
-    h: np.ndarray  # (N, D, embed_width) encoded nodes
-    ah: np.ndarray  # (N, D, embed_width) operator applied to h
-    h1: np.ndarray  # (N, D, propagation_width) first propagation activation
-    ah1: np.ndarray  # (N, D, propagation_width) operator applied to h1
-    ht: np.ndarray  # (N, D, propagation_width) propagated nodes
-    r: np.ndarray  # (N, propagation_width) mean readout
-    head_tanh: np.ndarray  # (N, K, head_hidden)
+    xt: np.ndarray | None = None  # (N, D, T) C-contiguous transpose of x, the encoder's input rows
+    z1: np.ndarray | None = None  # (N, D, encoder_hidden) first encoder activation
+    h: np.ndarray | None = None  # (N, D, embed_width) encoded nodes
+    ah: np.ndarray | None = None  # (N, D, embed_width) operator applied to h
+    h1: np.ndarray | None = None  # (N, D, propagation_width) first propagation activation
+    ah1: np.ndarray | None = None  # (N, D, propagation_width) operator applied to h1
+    ht: np.ndarray | None = None  # (N, D, propagation_width) propagated nodes
+    r: np.ndarray | None = None  # (N, propagation_width) mean readout
+    head_tanh: np.ndarray | None = None  # (N, K, head_hidden)
 
 
-def encode(x: np.ndarray, params: ModelParams, saved: dict | None = None) -> np.ndarray:
+def encode(x: np.ndarray, params: ModelParams, saved: ForwardCache | None = None) -> np.ndarray:
     """Shared two-layer temporal encoder applied to every metric column.
 
     Maps a (T, D) window to (D, embed_width) node rows, or an (N, T, D)
@@ -205,12 +194,12 @@ def encode(x: np.ndarray, params: ModelParams, saved: dict | None = None) -> np.
     h += params.enc_b2
     np.tanh(h, out=h)
     if saved is not None:
-        saved.update(xt=xt, z1=z1, h=h)
+        saved.xt, saved.z1, saved.h = xt, z1, h
     return h
 
 
 def propagate(
-    g: MetricGraph, h: np.ndarray, params: ModelParams, saved: dict | None = None
+    g: MetricGraph, h: np.ndarray, params: ModelParams, saved: ForwardCache | None = None
 ) -> np.ndarray:
     """Two rounds of normalized-adjacency mixing with dense layer weights.
 
@@ -230,11 +219,11 @@ def propagate(
     ht += params.prop_b2
     np.tanh(ht, out=ht)
     if saved is not None:
-        saved.update(ah=ah, h1=h1, ah1=ah1, ht=ht)
+        saved.ah, saved.h1, saved.ah1, saved.ht = ah, h1, ah1, ht
     return ht
 
 
-def heads(ht: np.ndarray, params: ModelParams, saved: dict | None = None) -> np.ndarray:
+def heads(ht: np.ndarray, params: ModelParams, saved: ForwardCache | None = None) -> np.ndarray:
     """Mean readout followed by K parameter-disjoint scoring heads.
 
     r = mean over node rows; z_k = u_k . tanh(Wh_k r + bh_k) + c_k. Head k's
@@ -247,7 +236,7 @@ def heads(ht: np.ndarray, params: ModelParams, saved: dict | None = None) -> np.
     t += params.head_b
     np.tanh(t, out=t)
     if saved is not None:
-        saved.update(r=r, head_tanh=t)
+        saved.r, saved.head_tanh = r, t
     z = np.add.reduce(params.head_u * t, axis=-1)
     z += params.head_c
     return z
@@ -288,10 +277,8 @@ def forward(
     (N,) labels.
     """
     x = np.asarray(values, dtype=np.float64)
-    s: dict[str, np.ndarray] = {}
-    z = heads(propagate(g, encode(x, params, s), params, s), params, s)
-    cache = ForwardCache(x, s["xt"], g, params, s["z1"], s["h"], s["ah"], s["h1"], s["ah1"],
-                         s["ht"], s["r"], s["head_tanh"])  # positional: half the keyword cost
+    cache = ForwardCache(x, g, params)
+    z = heads(propagate(g, encode(x, params, cache), params, cache), params, cache)
     return predict(z), cache
 
 

@@ -91,27 +91,24 @@ def adam_step(
     grad: np.ndarray,
     state: AdamState,
     cfg: TrainConfig,
-    blocks: list[tuple[str, slice]] | None = None,
+    layout: list[tuple[str, tuple[int, ...], slice]] | None = None,
 ) -> AdamState:
     """One bias-corrected Adam update, applied in place to the flat parameter vector.
 
     The new moments and the step are built in fresh arrays with in-place
     operations, in the order of the textbook expressions, so the bits match
     them; `state` is never written. A non-finite gradient aborts training;
-    when block slices are supplied the error names the parameter block that
-    went bad instead of a bare index.
+    given the `ModelParams.layout` of theta, the error names the parameter
+    block that went bad instead of a bare index.
     """
     if theta.shape != grad.shape:
         raise ConfigError(f"theta shape {theta.shape} != grad shape {grad.shape}")
     finite = np.isfinite(grad)
     if not finite.all():
         bad = int(np.nonzero(~finite)[0][0])
-        where = f"parameter index {bad}"
-        if blocks:
-            for name, sl in blocks:
-                if sl.start <= bad < sl.stop:
-                    where = f"parameter block '{name}' (flat index {bad})"
-                    break
+        block = [name for name, _, sl in layout or () if sl.start <= bad < sl.stop]
+        where = (f"parameter block '{block[0]}' (flat index {bad})" if block
+                 else f"parameter index {bad}")
         raise NumericError(f"non-finite gradient in {where}")
     t = state.step + 1
     scratch = np.multiply(grad, 1.0 - BETA1)
@@ -262,7 +259,7 @@ def train(
         )
     rng = RngStream(cfg.seed, (3,))  # training's own prefix in rng.py's stream map
     params = init_params(model_cfg, train_data.window_len, rng.substream(0))  # T from the data
-    blocks = ModelParams.block_slices(model_cfg, params.window_len)
+    layout = ModelParams.layout(model_cfg, params.window_len)
     grads = ModelParams.zeros(model_cfg, params.window_len)  # every batch's backward overwrites it
     adam = AdamState.zeros(params.flat.size)
     weights = np.ones(NUM_CLASSES)  # rebound each epoch, never written in place
@@ -285,7 +282,7 @@ def train(
                     f"non-finite training loss at epoch {epoch}, batch {batch_index}"
                 )
             backward(cache, dlogits * weights, grads)
-            adam = adam_step(params.flat, grads.flat, adam, cfg, blocks)
+            adam = adam_step(params.flat, grads.flat, adam, cfg, layout)
             loss_sum += batch_losses * batch.size
         epoch_losses = loss_sum / n
         val_metrics = evaluate(params, graph, val_data)

@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+import contention.checkpoint as checkpoint_module
 from contention.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     Checkpoint,
@@ -29,7 +30,7 @@ from contention.config import (
 from contention.data import NormStats
 from contention.errors import ConfigError, DataError, SchemaError
 from contention.graph import normalize_adjacency
-from contention.model import ModelConfig, forward, init_params
+from contention.model import ModelConfig, ModelParams, forward, init_params
 from contention.rng import RngStream
 
 from conftest import random_graph
@@ -71,6 +72,26 @@ class TestRoundTrip:
         assert back.metric_names == ckpt.metric_names
         assert back.train_seed == ckpt.train_seed
         assert back.config_digest == ckpt.config_digest
+
+    def test_params_are_the_layout_blocks_in_order(self, tmp_path, monkeypatch):
+        """The file holds one `params` key per layout block, and the loader decodes
+        them in the layout's order, each in its layout shape."""
+        ckpt = _checkpoint()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        decoded = []
+
+        def recording(payload, shape, what, *rest):
+            if what.startswith("parameter "):
+                decoded.append((what.removeprefix("parameter "), shape))
+            return decode(payload, shape, what, *rest)
+
+        decode = checkpoint_module._decode
+        monkeypatch.setattr(checkpoint_module, "_decode", recording)
+        load_checkpoint(path)
+        layout = ModelParams.layout(ckpt.params.cfg, ckpt.params.window_len)
+        assert decoded == [(name, shape) for name, shape, _ in layout]
+        assert sorted(json.loads(path.read_text())["params"]) == sorted(n for n, _ in decoded)
 
     def test_resave_is_byte_identical(self, tmp_path):
         ckpt = _checkpoint(seed=1)

@@ -316,11 +316,11 @@ def test_ingest_requires_a_schema_section(tmp_path, capsys):
 
 def test_ingest_missing_trace_is_a_data_error(tmp_path, capsys):
     cfg = ingest_config(tmp_path / "cfg.json")
-    rc = main(["ingest", "--config", str(cfg),
-               "--trace", str(tmp_path / "nope.npy"),
+    trace = tmp_path / "nope.npy"
+    rc = main(["ingest", "--config", str(cfg), "--trace", str(trace),
                "--out", str(tmp_path / "out")])
     assert rc == EXIT_DATA
-    assert "not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: trace {trace} is not found\n"
 
 
 def test_ingest_non_utf8_trace_is_a_data_error(tmp_path, capsys):
@@ -428,7 +428,7 @@ def test_graph_has_no_out_option(workspace, tmp_path):
 def test_graph_missing_dataset_is_a_data_error(tmp_path, capsys):
     rc = main(["graph", "--data", str(tmp_path / "nope.npy")])
     assert rc == EXIT_DATA
-    assert "not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: dataset {tmp_path / 'nope.npy'} is not found\n"
 
 
 # ---------------------------------------------------------------- train
@@ -958,10 +958,10 @@ def test_error_classes_map_to_documented_exit_codes(monkeypatch, capsys, exc, co
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
-    rc = main(["gen", "--config", str(tmp_path / "nope.json"),
-               "--out", str(tmp_path / "o"), "--n", "1"])
+    path = tmp_path / "nope.json"
+    rc = main(["gen", "--config", str(path), "--out", str(tmp_path / "o"), "--n", "1"])
     assert rc == EXIT_CONFIG
-    assert "config file not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: config {path} is not found\n"
 
 
 def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
@@ -1046,6 +1046,10 @@ def _valid_flags(command: str, workspace, tmp_path: Path) -> dict[str, str]:
     ("eval", "--checkpoint", EXIT_DATA, "checkpoint"),
     ("predict", "--checkpoint", EXIT_DATA, "checkpoint"),
     ("ingest", "--trace", EXIT_DATA, "trace"),
+    ("graph", "--data", EXIT_DATA, "dataset"),
+    ("train", "--data", EXIT_DATA, "dataset"),
+    ("eval", "--data", EXIT_DATA, "dataset"),
+    ("predict", "--data", EXIT_DATA, "dataset"),
 ])
 def test_input_path_that_is_a_directory_is_a_documented_error(workspace, tmp_path, capsys,
                                                                command, flag, code, what):

@@ -9,6 +9,7 @@ the observed statistic is under 1.
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -733,7 +734,8 @@ class TestDatasetFiles:
             return mapped
 
         monkeypatch.setattr(np.lib.format, "open_memmap", then_cut)
-        with pytest.raises(DataError, match=r"ds\.npy holds fewer values than its header declares"):
+        message = rf"^dataset {re.escape(str(path))} holds fewer values than its header declares"
+        with pytest.raises(DataError, match=message):
             read_dataset(path)
 
     def test_write_keeps_the_name_it_is_given(self, tmp_path):
@@ -775,7 +777,7 @@ class TestDatasetFiles:
             Dataset(np.zeros((2, 8, 5)), np.zeros(2), "abcd")
 
     def test_read_missing_files(self, tmp_path):
-        with pytest.raises(DataError, match="not found"):
+        with pytest.raises(DataError, match=r"^dataset .*absent\.npy is not found$"):
             read_dataset(tmp_path / "absent.npy")
         orphan = tmp_path / "orphan.npy"
         np.save(orphan, np.zeros((1, 8, 3)))
@@ -838,8 +840,8 @@ class TestDatasetFiles:
         values = np.load(path)
         for dtype in ("<f4", ">f8", "<i8", "<c16"):
             self._replace_array(path, values.astype(dtype))
-            with pytest.raises(SchemaError, match=rf"ds\.npy holds a \{dtype} array of shape"
-                                                  r" \(2, 8, 3\); the manifest needs <f8"):
+            with pytest.raises(SchemaError, match=rf"^dataset .*ds\.npy holds a \{dtype} array"
+                                                  r" of shape \(2, 8, 3\); the manifest needs <f8"):
                 read_dataset(path)
 
     def test_read_rejects_unknown_metric(self, tmp_path):
@@ -883,7 +885,8 @@ class TestDatasetFiles:
         values = np.load(path)
         values[1, 7, 2] = value
         self._replace_array(path, values)
-        with pytest.raises(DataError, match=r"ds\.npy: window 1 has a non-finite value"):
+        message = rf"^dataset {re.escape(str(path))}: window 1 has a non-finite value"
+        with pytest.raises(DataError, match=message):
             read_dataset(path)
 
     @pytest.mark.parametrize("label", ["x", 1.0, True, [1]])
@@ -903,7 +906,7 @@ class TestDatasetFiles:
     def test_read_rejects_incomplete_window(self, tmp_path):
         path = self._written(tmp_path)
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(DataError, match=r"ds\.npy is not a readable \.npy array"):
+        with pytest.raises(DataError, match=r"^dataset .*ds\.npy is not a readable \.npy array"):
             read_dataset(path)
 
     def test_read_rejects_count_mismatch(self, tmp_path):
@@ -935,7 +938,7 @@ class TestDatasetFiles:
             path.write_bytes(content)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                with pytest.raises(DataError, match=r"ds\.npy is not a readable \.npy array"):
+                with pytest.raises(DataError, match=r"^dataset .*ds\.npy is not a readable \.npy"):
                     read_dataset(path)
             assert not caught
 

@@ -20,6 +20,9 @@ The program keeps one JSON reader and one CSV writer: `json.load` or
 `data.read_json_object`, holds an `except` clause that names KeyError,
 LookupError or TypeError: the net that turns a missing or malformed field of
 any JSON file into one error naming the file.
+No module of src/contention/ imports another module's `_`-prefixed name or
+reads a `_`-prefixed attribute of a class defined in another module: what
+one module keeps private, no other depends on.
 """
 
 import argparse
@@ -359,3 +362,44 @@ def test_scan_finds_error_nets(tmp_path):
 def test_one_error_net_for_malformed_fields():
     files = sorted((ROOT / "src" / "contention").glob("*.py"))
     assert error_nets(files) == ["data.py:read_json_object"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_names_used_across_modules(paths: list[Path]) -> list[str]:
+    """`file:line: name` for every import of a `_`-prefixed name, and every read of
+    `Class._attr` where Class is defined in another module of `paths`."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    home = {node.name: file for file, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.ClassDef)}
+    found = []
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{file}:{node.lineno}: {node.module}.{a.name}"
+                          for a in node.names if _private(a.name)]
+            elif (isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, ast.Name) and home.get(node.value.id, file) != file):
+                found.append(f"{file}:{node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_scan_finds_private_names_used_across_modules(tmp_path):
+    first, second = tmp_path / "a.py", tmp_path / "b.py"
+    first.write_text("class Params:\n    _ORDER = ()\n    def size(self):\n"
+                     "        return len(Params._ORDER) + len(self._ORDER)\n"
+                     "def _helper():\n    pass\n__all__ = ['Params']\n")
+    second.write_text("from a import Params, _helper, __all__\n"
+                      "class Local:\n    _KEY = 1\n"
+                      "def f(other):\n"
+                      "    return Params._ORDER, Local._KEY, other._cache, _helper\n")
+    assert private_names_used_across_modules([first, second]) == [
+        "b.py:1: a._helper", "b.py:5: Params._ORDER"]
+
+
+def test_no_private_name_is_used_across_modules():
+    files = sorted((ROOT / "src" / "contention").glob("*.py"))
+    assert private_names_used_across_modules(files) == []

@@ -230,7 +230,7 @@ def test_checkpoint_values_the_loader_rejects(original, tmp_path_factory, capsys
 READERS = {"config": EXIT_CONFIG, "manifest": EXIT_DATA, "checkpoint": EXIT_DATA}
 # case: (what is written, or a change to the valid file; what the error line says)
 MALFORMED = {
-    "missing": (None, "file not found"),
+    "missing": (None, "is not found"),
     "directory": ("directory", "cannot be read"),
     "bad-utf8": (b"\xff\xfe{}", "is not valid UTF-8 JSON"),
     "bad-json": (b"{nope", "is not valid UTF-8 JSON"),
@@ -306,8 +306,7 @@ def test_malformed_json_file(original, tmp_path, capsys, reader, case):
         path.write_text(json.dumps(document))
     assert main(argv) == READERS[reader]
     err = capsys.readouterr().err
-    named = f"{reader} file not found: {path}" if content is None else f"{reader} {path}"
-    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+    assert err.startswith(f"error: {reader} {path}") and err.count("\n") == 1
     assert message in err
 
 

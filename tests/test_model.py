@@ -48,7 +48,7 @@ class TestConfigAndParams:
         assert [f.name for f in fields(cfg)] == [
             "encoder_hidden", "embed_width", "propagation_width", "head_hidden"
         ]
-        shapes = ModelParams.shapes(cfg, 32)
+        shapes = {name: shape for name, shape, _ in ModelParams.layout(cfg, 32)}
         assert shapes["enc_w1"] == (32, 64)
         assert shapes["head_c"] == (NUM_CLASSES,)
 
@@ -58,25 +58,27 @@ class TestConfigAndParams:
 
     def test_parameter_count_is_bounded_before_allocation(self):
         """Widths or a window length asking for ~10**12 parameters (7.28 TiB)
-        fail on the count alone, whichever of them is large."""
+        fail on the count alone, whichever of them is large, in the layout as
+        in init_params."""
         huge = ModelConfig(encoder_hidden=1_000_000, embed_width=1_000_000)  # widths alone pass
         tracemalloc.start()
         try:
             for cfg, t in ((huge, 32), (ModelConfig(), 10**10)):
-                with pytest.raises(ConfigError, match=f"limit of {MAX_PARAMETERS}"):
-                    init_params(cfg, t, RngStream(0))
+                for build in (ModelParams.layout, lambda c, t: init_params(c, t, RngStream(0))):
+                    with pytest.raises(ConfigError, match=f"limit of {MAX_PARAMETERS}"):
+                        build(cfg, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        shapes = ModelParams.shapes(ModelConfig(), 32)
-        count = sum(int(np.prod(shape)) for shape in shapes.values())
+        layout = ModelParams.layout(ModelConfig(), 32)
+        count = sum(int(np.prod(shape)) for _, shape, _ in layout)
         assert ModelParams.zeros(ModelConfig(), 32).flat.size == count
 
     def test_shapes_have_no_metric_dimension(self, tiny_model_cfg):
         """Weight shapes depend on T and widths only, never on D."""
-        shapes = ModelParams.shapes(tiny_model_cfg, TINY_T)
-        dims = {n for shape in shapes.values() for n in shape}
+        layout = ModelParams.layout(tiny_model_cfg, TINY_T)
+        dims = {n for _, shape, _ in layout for n in shape}
         assert dims == {
             TINY_T,
             NUM_CLASSES,
@@ -91,7 +93,7 @@ class TestConfigAndParams:
         p = init_params(tiny_model_cfg, TINY_T, RngStream(0))
         q = ModelParams(tiny_model_cfg, TINY_T, p.flat)
         assert q.flat is p.flat
-        for name in ModelParams._ORDER:
+        for name, _, _ in ModelParams.layout(tiny_model_cfg, TINY_T):
             assert np.shares_memory(getattr(q, name), p.flat)
             assert np.array_equal(getattr(p, name), getattr(q, name))
         p.flat[0] += 1.0
@@ -108,18 +110,17 @@ class TestConfigAndParams:
             p.prop_w2 = np.zeros_like(p.prop_w2)
 
     def test_block_slices_partition_the_vector(self, tiny_model_cfg):
+        """The layout's slices tile the buffer in order, each as long as its shape."""
         p = init_params(tiny_model_cfg, TINY_T, RngStream(1))
         vec = p.flat
-        slices = ModelParams.block_slices(tiny_model_cfg, TINY_T)
-        assert slices[0][1].start == 0
-        assert slices[-1][1].stop == vec.size
-        for (_, a), (_, b) in zip(slices, slices[1:]):
+        layout = ModelParams.layout(tiny_model_cfg, TINY_T)
+        assert layout[0][2].start == 0
+        assert layout[-1][2].stop == vec.size
+        for (_, _, a), (_, _, b) in zip(layout, layout[1:]):
             assert a.stop == b.start
-        shapes = ModelParams.shapes(tiny_model_cfg, TINY_T)
-        for name, s in slices:
-            assert np.array_equal(
-                vec[s].reshape(shapes[name]), getattr(p, name)
-            )
+        for name, shape, s in layout:
+            assert s.stop - s.start == int(np.prod(shape))
+            assert np.array_equal(vec[s].reshape(shape), getattr(p, name))
 
     def test_copy_is_deep(self, tiny_model_cfg):
         a = init_params(tiny_model_cfg, TINY_T, RngStream(4))
@@ -449,20 +450,22 @@ class TestBackward:
 STACK_OR_WINDOW = pytest.mark.parametrize("shape", [(3, 8, 4), (8, 4)], ids=["stack", "window"])
 
 
+def _inputs(cfg, shape):
+    """Parameters, a graph, a window or stack of the given shape, and a dz for it."""
+    p = init_params(cfg, TINY_T, RngStream(12))
+    g = random_graph(shape[-1], seed=12, threshold=0.25)
+    gen = RngStream(12, (28,)).generator()
+    x = gen.normal(size=shape)
+    dz = gen.normal(size=shape[:-2] + (NUM_CLASSES,))
+    return p, g, x, dz
+
+
 class TestInPlaceKernels:
     """The activations and derivatives are built in place; nothing shared is written."""
 
-    def _setup(self, cfg, shape):
-        p = init_params(cfg, TINY_T, RngStream(12))
-        g = random_graph(shape[-1], seed=12, threshold=0.25)
-        gen = RngStream(12, (28,)).generator()
-        x = gen.normal(size=shape)
-        dz = gen.normal(size=shape[:-2] + (NUM_CLASSES,))
-        return p, g, x, dz
-
     @STACK_OR_WINDOW
     def test_forward_leaves_input_and_params_unchanged(self, tiny_model_cfg, shape):
-        p, g, x, _ = self._setup(tiny_model_cfg, shape)
+        p, g, x, _ = _inputs(tiny_model_cfg, shape)
         x0, flat0 = x.copy(), p.flat.copy()
         forward(x, g, p)
         assert np.array_equal(x, x0)
@@ -471,7 +474,7 @@ class TestInPlaceKernels:
     @STACK_OR_WINDOW
     def test_activations_equal_the_out_of_place_expressions(self, tiny_model_cfg, shape):
         """Each activation has the bits of tanh(a @ W + b)."""
-        p, g, x, _ = self._setup(tiny_model_cfg, shape)
+        p, g, x, _ = _inputs(tiny_model_cfg, shape)
         _, c = forward(x, g, p)
         assert np.array_equal(c.xt, x.swapaxes(-1, -2))
         assert np.array_equal(c.z1, np.tanh(c.xt @ p.enc_w1 + p.enc_b1))
@@ -481,7 +484,7 @@ class TestInPlaceKernels:
 
     @STACK_OR_WINDOW
     def test_backward_reads_the_cache_without_writing_it(self, tiny_model_cfg, shape):
-        p, g, x, dz = self._setup(tiny_model_cfg, shape)
+        p, g, x, dz = _inputs(tiny_model_cfg, shape)
         _, cache = forward(x, g, p)
         arrays = {f.name: getattr(cache, f.name) for f in fields(ForwardCache)
                   if isinstance(getattr(cache, f.name), np.ndarray)}
@@ -492,6 +495,39 @@ class TestInPlaceKernels:
         assert set(arrays) == {"x", "xt", "z1", "h", "ah", "h1", "ah1", "ht", "r", "head_tanh"}
         for name, a in arrays.items():
             assert np.array_equal(a, before[name]), name
+
+
+class TestForwardCache:
+    """forward fills every field of the record; each stage fills its own and no other."""
+
+    STAGE_FIELDS = {
+        "encode": {"xt", "z1", "h"},
+        "propagate": {"ah", "h1", "ah1", "ht"},
+        "heads": {"r", "head_tanh"},
+    }
+
+    @STACK_OR_WINDOW
+    def test_forward_leaves_no_field_empty(self, tiny_model_cfg, shape):
+        p, g, x, _ = _inputs(tiny_model_cfg, shape)
+        _, cache = forward(x, g, p)
+        assert [f.name for f in fields(ForwardCache) if getattr(cache, f.name) is None] == []
+
+    @STACK_OR_WINDOW
+    def test_each_stage_sets_exactly_its_own_fields(self, tiny_model_cfg, shape):
+        p, g, x, _ = _inputs(tiny_model_cfg, shape)
+        _, full = forward(x, g, p)
+        inputs = {"encode": lambda c: encode(x, p, c),
+                  "propagate": lambda c: propagate(g, full.h, p, c),
+                  "heads": lambda c: heads(full.ht, p, c)}
+        for stage, run in inputs.items():
+            record = ForwardCache(full.x, g, p)
+            run(record)
+            filled = {f.name for f in fields(ForwardCache) if getattr(record, f.name) is not None}
+            assert filled - {"x", "graph", "params"} == self.STAGE_FIELDS[stage], stage
+            for name in self.STAGE_FIELDS[stage]:
+                assert np.array_equal(getattr(record, name), getattr(full, name)), name
+        assert set().union(*self.STAGE_FIELDS.values()) | {"x", "graph", "params"} == {
+            f.name for f in fields(ForwardCache)}
 
 
 class TestBatched:

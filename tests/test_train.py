@@ -109,12 +109,13 @@ class TestAdam:
     def test_nonfinite_gradient_names_block(self):
         cfg = ModelConfig(encoder_hidden=4, embed_width=3, propagation_width=3, head_hidden=2)
         params = init_params(cfg, 8, RngStream(0))
-        blocks = ModelParams.block_slices(cfg, 8)
+        layout = ModelParams.layout(cfg, 8)
         grad = np.zeros(params.flat.size)
-        sl = dict(blocks)["prop_w1"]
+        sl = {name: sl for name, _, sl in layout}["prop_w1"]
         grad[sl.start] = np.inf
-        with pytest.raises(NumericError, match="prop_w1"):
-            adam_step(params.flat, grad, AdamState.zeros(grad.size), TrainConfig(), blocks)
+        message = rf"parameter block 'prop_w1' \(flat index {sl.start}\)"
+        with pytest.raises(NumericError, match=message):
+            adam_step(params.flat, grad, AdamState.zeros(grad.size), TrainConfig(), layout)
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
