@@ -4,11 +4,11 @@ Input is a headered UTF-8 CSV with one sample per row: a machine id column,
 an integer-seconds timestamp column, and one column per monitored metric.
 Columns are found by header name; when a name repeats, its last column is
 read; a leading byte-order mark is dropped. The file is parsed in one pass
-into flat buffers: timestamps as Python ints (of any size), metric values as
-float64 and machine ids as small integer codes. The data lines are taken in
-blocks of BLOCK_LINES. numpy's C text reader parses every plain line, one
-that is printable ASCII and no longer than csv's field size limit, and
-returns its machine id cell as text beside the numbers. A csv loop, which
+into flat buffers: timestamps as int64, metric values as float64 and machine
+ids as small integer codes. The data lines are taken in blocks of
+BLOCK_LINES. numpy's C text reader parses every plain line, one that is
+printable ASCII and no longer than csv's field size limit, and returns its
+machine id cell as text beside the numbers. A csv loop, which
 parses each cell with int() or float(), reads each line that is not plain
 and each line numpy refuses, alone, and from the first block holding a quote
 or a carriage return other than in CRLF it reads the rest of the file. On
@@ -18,7 +18,8 @@ order. Blank lines are ignored. A row is skipped
 and counted under the first of these reasons that applies:
 
 1. unparseable: it is too short to hold the timestamp or a metric cell, the
-   timestamp is not an integer, or a metric cell is not a number;
+   timestamp is not an integer in the signed 64-bit range, or a metric cell
+   is not a number;
 2. non-finite: a metric value is nan or infinite;
 3. no machine id: its machine cell is empty or missing.
 
@@ -74,6 +75,9 @@ class TraceSchema:
     def __post_init__(self):
         if not self.metric_columns:
             raise ConfigError("schema must map at least one metric column")
+        if self.machine_column == self.timestamp_column:
+            raise ConfigError(
+                f"column '{self.machine_column}' appears more than once in the schema")
         seen = set()
         for column, group in self.metric_columns:
             if group not in GROUP_NAMES:
@@ -117,7 +121,7 @@ PLAIN = bytes(range(ord(" "), ord("~") + 1)) + b"\n"
 class IngestConfig:
     window_len: int = 32
     stride: int | None = None  # defaults to window_len: non-overlapping windows
-    resample_step: int = 60  # seconds per bucket
+    resample_step: int = 60  # seconds per bucket, < 2**63 so buckets stay 64-bit
     max_fill: int = 3  # longest run of missing buckets forward fill may bridge, <= MAX_FILL_LIMIT
 
     def __post_init__(self):
@@ -125,8 +129,9 @@ class IngestConfig:
             raise ConfigError(f"window_len must be >= 1, got {self.window_len}")
         if self.stride is not None and self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        if self.resample_step < 1:
-            raise ConfigError(f"resample_step must be >= 1, got {self.resample_step}")
+        if not 1 <= self.resample_step < 2**63:
+            raise ConfigError(
+                f"resample_step must lie in [1, 2**63), got {self.resample_step}")
         if not 0 <= self.max_fill <= MAX_FILL_LIMIT:
             raise ConfigError(
                 f"max_fill must lie in [0, {MAX_FILL_LIMIT}], got {self.max_fill}"
@@ -155,19 +160,19 @@ class IngestResult:
 def _segments(stamps: np.ndarray, values: np.ndarray, step: int, max_fill: int):
     """Bucket-mean resample one machine's time-sorted samples, split at long gaps.
 
-    stamps is an object array of the samples' timestamps (Python ints, so a
-    stamp beyond int64 stays exact) and values their (n, D) rows. Buckets
-    count steps from the machine's first timestamp. A run of more than
-    max_fill empty buckets ends a segment and is never allocated: forward
-    fill may not bridge it, so no window may touch it. Yields each segment's
-    first bucket and its series, shorter runs filled with the last observed
-    value.
+    stamps holds the samples' int64 timestamps and values their (n, D) rows.
+    Buckets count steps from the machine's first timestamp; sorted stamps lie
+    less than 2**64 past it, so their offsets from it are exact as uint64. A
+    run of more than max_fill empty buckets ends a segment and is never
+    allocated: forward fill may not bridge it, so no window may touch it.
+    Yields each segment's first bucket and its series, shorter runs filled
+    with the last observed value.
     """
-    buckets = (stamps - stamps[0]) // step
+    buckets = (stamps - stamps[0]).view(np.uint64) // step
     cuts = (np.flatnonzero(np.diff(buckets) > max_fill + 1) + 1).tolist()
     for lo, hi in zip([0, *cuts], [*cuts, len(buckets)]):
-        first = buckets[lo]
-        offsets = (buckets[lo:hi] - first).astype(np.int64)
+        first = int(buckets[lo])
+        offsets = (buckets[lo:hi] - buckets[lo]).view(np.int64)
         n = int(offsets[-1]) + 1
         sums = np.zeros((n, values.shape[1]))
         # a bucket that sums past the double range turns inf or nan here, and
@@ -195,7 +200,7 @@ def ingest_csv(
     if not path.exists():
         raise DataError(f"trace {path} is not found")
     names = schema.metric_names
-    stamps: list[int] = []
+    stamps = array("q")
     values = array("d")
     machine_of = array("q")
     code: dict[str, int] = {}
@@ -226,10 +231,10 @@ def ingest_csv(
                     try:
                         ts = int(row[ti])
                         cells = [float(row[c]) for c in cols]
-                    except (IndexError, ValueError):
+                        stamps.append(ts)  # OverflowError: a stamp past int64
+                    except (IndexError, ValueError, OverflowError):
                         unparseable += 1
                         continue
-                    stamps.append(ts)
                     values.fromlist(cells)
                     machine = row[mi] if mi < len(row) else ""
                     machine_of.append(code.setdefault(machine, len(code)))
@@ -243,7 +248,7 @@ def ingest_csv(
                 except (ValueError, DeprecationWarning):
                     return False
                 rows_read += len(parsed)
-                stamps.extend(parsed["ts"].tolist())
+                stamps.frombytes(parsed["ts"].tobytes())
                 values.frombytes(parsed["v"].tobytes())
                 ids = parsed["m"].tolist()
                 for machine in dict.fromkeys(ids):
@@ -310,10 +315,9 @@ def ingest_csv(
     rank = np.zeros(len(code), dtype=np.int64)
     rank[[code[m] for m in machines]] = np.arange(len(machines))
     # rows grouped by machine in name order, each machine's stable-sorted by time
-    stamps = np.array(stamps, dtype=object)
+    stamps = np.frombuffer(stamps, dtype=np.int64)
     rows = np.flatnonzero(keep)
-    rows = rows[np.argsort(stamps[rows], kind="stable")]
-    rows = rows[np.argsort(rank[machine_of[rows]], kind="stable")]
+    rows = rows[np.lexsort((stamps[rows], rank[machine_of[rows]]))]
     bounds = np.cumsum([0, *rows_per_code[[code[m] for m in machines]]]).tolist()
 
     t, stride, step = cfg.window_len, cfg.effective_stride, cfg.resample_step
@@ -321,7 +325,7 @@ def ingest_csv(
     sources: list[str] = []
     for machine, lo, hi in zip(machines, bounds, bounds[1:]):
         mine = rows[lo:hi]
-        t0 = stamps[mine[0]]
+        t0 = int(stamps[mine[0]])
         for first, filled in _segments(stamps[mine], values[mine], step, cfg.max_fill):
             # windows start on the machine's grid, every stride buckets from its first
             for start in range(-first % stride, len(filled) - t + 1, stride):

@@ -357,6 +357,23 @@ def test_ingest_max_fill_beyond_its_bound_is_a_config_error(tmp_path, capsys):
     assert "max_fill must lie in [0, 64]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"ingest": {"window_len": 4, "resample_step": 2**63}},
+     "resample_step must lie in [1, 2**63), got 9223372036854775808"),
+    ({"schema": {"machine_column": "ts", "timestamp_column": "ts",
+                 "metric_columns": {"cpu_util": "cpu", "mem_util": "mem"}}},
+     "column 'ts' appears more than once in the schema"),
+], ids=["step-past-int64", "machine-is-timestamp"])
+def test_ingest_config_fault_exits_before_reading_the_trace(tmp_path, capsys, extra, message):
+    cfg = ingest_config(tmp_path / "cfg.json", **extra)
+    trace = _write_trace(tmp_path / "trace.csv", cpu=0.95)
+    rc = main(["ingest", "--config", str(cfg), "--trace", str(trace),
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: config {cfg}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_model_over_the_parameter_bound_exits_before_allocating(workspace, tmp_path, capsys):
     """7.28 TiB of weights: the config path exits 2, the checkpoint path 3."""
     huge = {"encoder_hidden": 1_000_000, "embed_width": 1_000_000}

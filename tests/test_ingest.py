@@ -82,6 +82,14 @@ class TestTraceSchema:
                 metric_columns=(("t", "cpu"),),
             )
 
+    def test_rejects_one_column_as_machine_and_timestamp(self):
+        with pytest.raises(ConfigError, match="^column 'ts' appears more than once in the schema$"):
+            TraceSchema(
+                machine_column="ts",
+                timestamp_column="ts",
+                metric_columns=(("x", "cpu"),),
+            )
+
 
 class TestIngestConfig:
     def test_defaults(self):
@@ -100,6 +108,7 @@ class TestIngestConfig:
             {"window_len": 0},
             {"stride": 0},
             {"resample_step": 0},
+            {"resample_step": 2**63},
             {"max_fill": -1},
         ],
     )
@@ -277,13 +286,26 @@ class TestIngestCsv:
         assert result.skipped_rows == 0
         assert np.array_equal(result.windows.values[0][:, 0], [0.5, 1.5, 2.5, 3.5])
 
-    def test_timestamps_beyond_int64_stay_exact(self, tmp_path):
-        base = 10**20 + 7
-        rows = [("m1", base + 60 * k, float(k), 0.0) for k in range(4)]
+    @pytest.mark.parametrize("machine", ["m1", '"m1"'], ids=["plain", "quoted"])
+    def test_timestamps_beyond_int64_are_unparseable(self, tmp_path, machine):
+        """In a plain block numpy refuses such a stamp and the csv loop reads its line; a
+        quoted block goes to the csv loop whole. Either way the row is unparseable."""
+        rows = [(machine, 60 * k, float(k), 0.0) for k in range(4)]
+        rows[1:1] = [(machine, 2**63, 9.0, 9.0), (machine, -(2**63) - 1, 9.0, 9.0)]
         path = _write_trace(tmp_path, rows)
         result = ingest_csv(path, SCHEMA, IngestConfig(window_len=4))
-        assert list(result.sources) == [f"m1@{base}"]
+        assert (result.rows_read, result.rows_unparseable, result.skipped_rows) == (6, 2, 2)
+        assert list(result.sources) == ["m1@0"]
         assert np.array_equal(result.windows.values[0][:, 0], [0.0, 1.0, 2.0, 3.0])
+
+    def test_one_machine_spans_the_int64_range_exactly(self, tmp_path):
+        """At step 1 its last stamp lies 2**64 - 1 buckets past its first."""
+        stamps = [-(2**63), -(2**63) + 1, 2**63 - 2, 2**63 - 1]
+        path = _write_trace(tmp_path, [("m1", ts, float(k), 0.0) for k, ts in enumerate(stamps)])
+        result = _ingest_both(path, SCHEMA, IngestConfig(window_len=2, resample_step=1,
+                                                          max_fill=0))[0]
+        assert list(result.sources) == ["m1@-9223372036854775808", "m1@9223372036854775806"]
+        assert result.windows.values[:, :, 0].tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
     def test_oversized_field_is_reported_before_a_later_undecodable_line(self, tmp_path):
         """Both fall in one block of lines; the csv loop meets the field first."""
@@ -444,7 +466,8 @@ class TestWeakLabels:
 
 # ---------------------------------------------------------------------------
 # Row-by-row reference: the ingest and weak labeling that the columnar path
-# replaced, kept verbatim apart from counting skipped rows by reason.
+# replaced, kept verbatim apart from counting skipped rows by reason and
+# counting a timestamp outside int64 as unparseable.
 
 
 def _reference_ingest(path, schema, cfg):
@@ -458,6 +481,8 @@ def _reference_ingest(path, schema, cfg):
             try:
                 ts = int(row[schema.timestamp_column])
                 vals = np.array([float(row[c]) for c in names])
+                if not -(2**63) <= ts < 2**63:
+                    raise ValueError(f"timestamp {ts} lies outside int64")
             except (TypeError, ValueError):
                 counts["unparseable"] += 1
                 continue
@@ -537,7 +562,8 @@ def _reference_weak_labels(windows, groups):
     return [weak_label(w) for w in windows]
 
 
-_BASES = (0, 1_700_000_000, 10**20, -(10**20))
+# stamps start near both ends of int64, so that rows of one machine cross the edge
+_BASES = (0, 1_700_000_000, 2**63 - 4 * 10**6, -(2**63))
 _MACHINES = ("a", "b", "c,d", 'q"x', "l\nf", "")  # a quoted "l\nf" spans two lines
 _PLAIN_MACHINES = ("a", "b", "c d", "")  # csv.writer quotes none of them
 _BAD_CELLS = ("", "x", "nan", "-inf", "inf", "1e999", "1.5", " 7")
@@ -637,7 +663,8 @@ def _ingest_both(path, schema, cfg):
 
 
 # Cells that int() or float() may read differently from numpy's parsers.
-_TIMESTAMP_CELLS = ("1_0", "\uff15", "007", "+5", " 5 ", "1.0", "1e3", "9223372036854775808")
+_TIMESTAMP_CELLS = ("1_0", "\uff15", "007", "+5", " 5 ", "1.0", "1e3", "9223372036854775808",
+                    "-9223372036854775809")
 _METRIC_CELLS = ("1_0.5", "\uff15", "\x1c5", "\t5", "-0", "nan", "-inf", "1e999", "4.9e-324",
                  "0x1p3", "")
 # the cells numpy reads; the csv loop reads the line of any other cell, and only that line

@@ -499,20 +499,20 @@ def test_overwritten_ingest_config_bytes(tmp_path_factory, capsys, data):
 
 
 @pytest.mark.parametrize(
-    "ingest, stamps",
+    "ingest, stamps, exits",
     [
-        ({"window_len": 10**12}, None),
-        ({"window_len": 2, "stride": 10**12}, None),
-        ({"resample_step": 1, "max_fill": 64}, [0, 10**11, 2 * 10**11]),
-        ({"resample_step": 10**30}, None),
-        ({}, [0, 60, 10**30, 10**30 + 60, -(10**40)]),
-        ({"window_len": 2, "resample_step": 1}, [0, 1, 2**63, 2**63 + 1]),
+        ({"window_len": 10**12}, None, (EXIT_OK, EXIT_DATA)),
+        ({"window_len": 2, "stride": 10**12}, None, (EXIT_OK, EXIT_DATA)),
+        ({"resample_step": 1, "max_fill": 64}, [0, 10**11, 2 * 10**11], (EXIT_OK, EXIT_DATA)),
+        ({"resample_step": 10**30}, None, (EXIT_CONFIG,)),  # past the 2**63 bound
+        ({}, [0, 60, 10**30, 10**30 + 60, -(10**40)], (EXIT_OK, EXIT_DATA)),
+        ({"window_len": 2, "resample_step": 1}, [0, 1, 2**63, 2**63 + 1], (EXIT_OK, EXIT_DATA)),
     ],
     ids=["huge-window", "huge-stride", "fill-to-the-bound", "huge-step", "stamps-past-int64",
          "stamps-across-int64"],
 )
 def test_sizes_a_config_or_trace_claims_allocate_nothing(tmp_path_factory, capsys, ingest,
-                                                          stamps):
+                                                          stamps, exits):
     lines = _valid_trace().splitlines()
     if stamps is not None:
         lines = lines[:1] + [f"a,{t},0.95,0.3,0.1,0.1" for t in stamps]
@@ -520,4 +520,4 @@ def test_sizes_a_config_or_trace_claims_allocate_nothing(tmp_path_factory, capsy
     config["ingest"].update(ingest)
     rc = _ingest_exit(("\n".join(lines) + "\n").encode(), json.dumps(config).encode(),
                       tmp_path_factory, capsys)
-    assert rc in (EXIT_OK, EXIT_DATA)
+    assert rc in exits
