@@ -446,7 +446,7 @@ def write_dataset(path: str | Path, data: Dataset) -> None:
     path = Path(path)
     # through a handle: np.save given a path appends ".npy" to a name that lacks it
     with path.open("wb") as fh:
-        np.save(fh, data.values.astype(VALUES_DTYPE, copy=False), allow_pickle=False)
+        np.save(fh, np.ascontiguousarray(data.values, dtype=VALUES_DTYPE), allow_pickle=False)
     manifest = {
         "format_version": DATASET_FORMAT_VERSION,
         "n_windows": len(data),

@@ -27,9 +27,10 @@ The kept rows are grouped by machine and stable-sorted by timestamp. Each
 machine's samples are bucket-mean resampled onto a fixed step counted from
 its first timestamp, and the series is split at every run of empty buckets
 longer than forward fill may bridge; shorter runs are filled with the last
-observed value. Windows are cut from each segment, starting every stride
-buckets from the machine's first bucket, and stacked once into an unlabeled
-Dataset; a parallel tuple names each window's machine and start time.
+observed value. Windows are cut back to back from each segment, on the
+machine's grid of window_len buckets from its first bucket, and stacked once
+into an unlabeled Dataset; a parallel tuple names each window's machine and
+start time.
 
 Real traces carry no contention labels, so weak labeling assigns classes by
 per-group utilization thresholds, computed over the dataset's windows.
@@ -120,15 +121,12 @@ PLAIN = bytes(range(ord(" "), ord("~") + 1)) + b"\n"
 @dataclass(frozen=True)
 class IngestConfig:
     window_len: int = 32
-    stride: int | None = None  # defaults to window_len: non-overlapping windows
     resample_step: int = 60  # seconds per bucket, < 2**63 so buckets stay 64-bit
     max_fill: int = 3  # longest run of missing buckets forward fill may bridge, <= MAX_FILL_LIMIT
 
     def __post_init__(self):
         if self.window_len < 1:
             raise ConfigError(f"window_len must be >= 1, got {self.window_len}")
-        if self.stride is not None and self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
         if not 1 <= self.resample_step < 2**63:
             raise ConfigError(
                 f"resample_step must lie in [1, 2**63), got {self.resample_step}")
@@ -136,10 +134,6 @@ class IngestConfig:
             raise ConfigError(
                 f"max_fill must lie in [0, {MAX_FILL_LIMIT}], got {self.max_fill}"
             )
-
-    @property
-    def effective_stride(self) -> int:
-        return self.window_len if self.stride is None else self.stride
 
 
 @dataclass(frozen=True)
@@ -320,33 +314,34 @@ def ingest_csv(
     rows = rows[np.lexsort((stamps[rows], rank[machine_of[rows]]))]
     bounds = np.cumsum([0, *rows_per_code[[code[m] for m in machines]]]).tolist()
 
-    t, stride, step = cfg.window_len, cfg.effective_stride, cfg.resample_step
-    slices: list[np.ndarray] = []
+    t, step = cfg.window_len, cfg.resample_step
+    blocks: list[np.ndarray] = []
     sources: list[str] = []
     for machine, lo, hi in zip(machines, bounds, bounds[1:]):
         mine = rows[lo:hi]
         t0 = int(stamps[mine[0]])
         for first, filled in _segments(stamps[mine], values[mine], step, cfg.max_fill):
-            # windows start on the machine's grid, every stride buckets from its first
-            for start in range(-first % stride, len(filled) - t + 1, stride):
-                slices.append(filled[start : start + t])
-                sources.append(f"{machine}@{t0 + (first + start) * step}")
+            # k windows back to back, on the machine's grid of t buckets from its first
+            start = -first % t
+            k = max(len(filled) - start, 0) // t
+            blocks.append(filled[start : start + k * t].reshape(k, t, len(names)))
+            sources += (f"{machine}@{t0 + (first + start + i * t) * step}" for i in range(k))
     nonfinite = int(np.count_nonzero(~finite))
     no_machine = int(np.count_nonzero(finite & ~named))
-    if not slices:
+    if not sources:
         raise DataError(
             f"trace {path} produced no complete windows (T={t}, step={cfg.resample_step}s, "
             f"{unparseable + nonfinite + no_machine} rows skipped)"
         )
-    # the window slices are views of the resampled segments: drop the parsed rows
+    # the window blocks are views of the resampled segments: drop the parsed rows
     # first, so the stack never sits beside both
     del values, stamps
-    stacked = np.stack(slices)
+    stacked = np.concatenate(blocks)
     bad = first_nonfinite(stacked)  # a bucket's sum can overflow
     if bad >= 0:
         raise DataError(f"window '{sources[bad]}' contains non-finite values")
     return IngestResult(
-        windows=Dataset(stacked, np.full(len(slices), UNLABELED), names, f"trace:{path.name}"),
+        windows=Dataset(stacked, np.full(len(sources), UNLABELED), names, f"trace:{path.name}"),
         sources=tuple(sources),
         machines=len(machines),
         rows_read=rows_read,

@@ -5,11 +5,11 @@ membership, each batch runs as one stacked forward/backward pass whose
 gradient is summed over its windows, and one Adam step applies per batch.
 The objective is `weights @ task_losses`, all ones until two epochs have
 completed and then, with adaptive weighting on, `update_weights` of the last
-two epochs' mean task losses. Of Adam's constants only the learning rate
-is a setting. The run propagates over the graph it is given (the
-no-propagation ablation gives it the identity graph). Initialization and
-shuffles draw from the seed's training streams (see the stream map in rng.py).
-Evaluation scores windows in stacks of SCORE_CHUNK.
+two epochs' mean task losses. The learning rate is a setting; Adam's other
+constants and the DWA temperature are fixed. The run propagates over the
+graph it is given (the no-propagation ablation gives it the identity graph).
+Initialization and shuffles draw from the seed's training streams (see the
+stream map in rng.py). Evaluation scores windows in stacks of SCORE_CHUNK.
 Given the same config and seed the whole trajectory is bit-reproducible,
 which the acceptance suite checks at the file level.
 
@@ -46,6 +46,8 @@ from contention.rng import RngStream
 MAX_LEARNING_RATE = 1.0
 # Kingma & Ba's defaults for the moment decays and the denominator's epsilon
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Liu, Johns & Davison's (2019) softmax temperature for Dynamic Weight Average
+DWA_TEMPERATURE = 2.0
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,6 @@ class TrainConfig:
     patience: int = 10  # epochs since the best validation macro-F1
     seed: int = 0
     adaptive_weights: bool = True  # off = static all-ones task weights
-    dwa_temperature: float = 2.0
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -68,10 +69,6 @@ class TrainConfig:
         if not 0.0 < self.learning_rate <= MAX_LEARNING_RATE:
             raise ConfigError(
                 f"learning_rate must lie in (0, {MAX_LEARNING_RATE}], got {self.learning_rate}"
-            )
-        if not self.dwa_temperature > 0:
-            raise ConfigError(
-                f"dwa_temperature must be positive, got {self.dwa_temperature}"
             )
 
 
@@ -296,7 +293,7 @@ def train(
             )
         )
         if cfg.adaptive_weights and previous is not None:
-            weights = update_weights(previous, epoch_losses, cfg.dwa_temperature)
+            weights = update_weights(previous, epoch_losses, DWA_TEMPERATURE)
         previous = epoch_losses
         if val_metrics.macro_f1 > best_f1:
             best_f1 = val_metrics.macro_f1

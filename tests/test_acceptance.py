@@ -33,7 +33,7 @@ from contention.model import (
 from contention.pipeline import DEFAULT_SPLIT, prepare, prepare_synthetic, run_prepared
 from contention.rng import RngStream
 from contention.sweeps import sweep_ablation, sweep_batch, sweep_datasize, sweep_dim
-from contention.train import TrainConfig, confusion_matrix, metrics_from_confusion
+from contention.train import DWA_TEMPERATURE, TrainConfig, confusion_matrix, metrics_from_confusion
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -137,7 +137,7 @@ def test_criterion_03_task_weight_invariants():
     )
 
     k = NUM_CLASSES
-    t = train_cfg.dwa_temperature
+    t = DWA_TEMPERATURE
     sums_ok = True
     positive_ok = True
     aligned_ok = True

@@ -341,11 +341,15 @@ class TestRunConfig:
             run_config_from_dict({"train": {"learning_rte": 0.1}})
         with pytest.raises(ConfigError, match="unknown config key 'frobnicate'"):
             run_config_from_dict({"frobnicate": 1})
-        # the ablation switch and Adam's constants are no longer settings
-        removed = {"graph_propagation": False, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8}
+        # the ablation switch, Adam's constants and the DWA temperature are no
+        # longer settings, and ingested windows never overlap
+        removed = {"graph_propagation": False, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8,
+                   "dwa_temperature": 2.0}
         for key, value in removed.items():
             with pytest.raises(ConfigError, match=f"unknown config key 'train.{key}'"):
                 run_config_from_dict({"train": {key: value}})
+        with pytest.raises(ConfigError, match="unknown config key 'ingest.stride'"):
+            run_config_from_dict({"ingest": {"stride": 32}})
 
     def test_model_window_len_is_an_unknown_key(self):
         """The weights take T from the training data; gen's and ingest's window

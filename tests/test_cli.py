@@ -14,7 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,20 +30,28 @@ from contention.cli import (
     git_blob_sha1,
     main,
 )
-from contention.config import OUT_DIR_ENV, config_digest, load_run_config, run_config_from_dict
+from contention.config import (
+    OUT_DIR_ENV,
+    RunConfig,
+    config_digest,
+    load_run_config,
+    run_config_from_dict,
+)
 from contention.data import (
     CLASS_NAMES,
     UNLABELED,
+    ScenarioConfig,
     apply_norm,
     read_dataset,
     split,
     write_dataset,
 )
 from contention.errors import ConfigError, DataError, NumericError, ShapeError
-from contention.model import softmax
+from contention.ingest import IngestConfig, TraceSchema
+from contention.model import ModelConfig, softmax
 from contention.pipeline import prepare, prepare_synthetic, run_prepared, split_parts
 from contention.rng import RngStream
-from contention.train import METRIC_FIELDS, evaluate, score
+from contention.train import METRIC_FIELDS, TrainConfig, evaluate, score
 
 # sha1("blob 6\0hello\n"), the id git itself assigns to that blob
 GIT_HELLO_SHA = "ce013625030ba8dba906f756967f9e9ca394464a"
@@ -363,7 +371,9 @@ def test_ingest_max_fill_beyond_its_bound_is_a_config_error(tmp_path, capsys):
     ({"schema": {"machine_column": "ts", "timestamp_column": "ts",
                  "metric_columns": {"cpu_util": "cpu", "mem_util": "mem"}}},
      "column 'ts' appears more than once in the schema"),
-], ids=["step-past-int64", "machine-is-timestamp"])
+    ({"ingest": {"window_len": 4, "stride": 32}}, "unknown config key 'ingest.stride'"),
+    ({"train": {"dwa_temperature": 2.0}}, "unknown config key 'train.dwa_temperature'"),
+], ids=["step-past-int64", "machine-is-timestamp", "retired-stride", "retired-temperature"])
 def test_ingest_config_fault_exits_before_reading_the_trace(tmp_path, capsys, extra, message):
     cfg = ingest_config(tmp_path / "cfg.json", **extra)
     trace = _write_trace(tmp_path / "trace.csv", cpu=0.95)
@@ -997,7 +1007,7 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
         ({"train": {"max_epochs": True}}, "train.max_epochs"),
         ({"model": {"encoder_hidden": 32.0}}, "model.encoder_hidden"),
         ({"scenario": {"noise_std": "0.2"}}, "scenario.noise_std"),
-        ({"ingest": {"stride": "8"}}, "ingest.stride"),
+        ({"ingest": {"max_fill": "3"}}, "ingest.max_fill"),
         ({"n_windows": [10]}, "n_windows"),
         ({"schema": {"machine_column": 5, "timestamp_column": "ts",
                      "metric_columns": {"cpu_util": "cpu"}}}, "schema.machine_column"),
@@ -1014,13 +1024,28 @@ def test_config_value_of_wrong_type_is_a_config_error(tmp_path, capsys, config, 
     assert f"config key '{key}' must be" in capsys.readouterr().err
 
 
-def test_readme_run_config_example_parses():
-    """Every key the README's run-config example documents is one the parser takes."""
+def _readme_run_config_example() -> dict:
+    """The JSON example of the README's "Run config" section."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n### Run config\n", 1)[1].split("\n### ", 1)[0]
-    example = section.split("```json\n", 1)[1].split("\n```", 1)[0]
-    cfg = run_config_from_dict(json.loads(example))
+    return json.loads(section.split("```json\n", 1)[1].split("\n```", 1)[0])
+
+
+def test_readme_run_config_example_parses():
+    """Every key the README's run-config example documents is one the parser takes."""
+    cfg = run_config_from_dict(_readme_run_config_example())
     assert cfg.schema is not None and cfg.ingest.window_len == cfg.scenario.window_len == 32
+
+
+def test_readme_run_config_example_names_every_key_at_its_default():
+    """Each field of the run config and its sections, at its default (schema has none)."""
+    example = _readme_run_config_example()
+    sections = {"scenario": ScenarioConfig, "model": ModelConfig, "train": TrainConfig,
+                "schema": TraceSchema, "ingest": IngestConfig}
+    assert set(example) == {f.name for f in fields(RunConfig)}
+    for name, cls in sections.items():
+        assert set(example[name]) == {f.name for f in fields(cls)}, name
+    assert replace(run_config_from_dict(example), schema=None) == RunConfig()
 
 
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):

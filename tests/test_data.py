@@ -754,6 +754,17 @@ class TestDatasetFiles:
         assert p1.read_bytes() == p2.read_bytes()
         assert manifest_path(p1).read_text() == manifest_path(p2).read_text()
 
+    def test_write_of_either_memory_order_is_one_c_order_file(self, tmp_path):
+        data = random_dataset(3, 5, 4, seed=6)
+        values = np.asfortranarray(data.values)
+        fortran = Dataset(values, data.labels, data.metric_names, data.source)
+        assert fortran.values.flags.f_contiguous
+        c_path, f_path = tmp_path / "c.npy", tmp_path / "f.npy"
+        write_dataset(c_path, data)
+        write_dataset(f_path, fortran)
+        assert f_path.read_bytes() == c_path.read_bytes()
+        assert np.lib.format.open_memmap(f_path, mode="r").flags.c_contiguous
+
     def test_manifest_contents(self, tmp_path):
         data = generate(ScenarioConfig(metric_count=4, window_len=8), 2, RngStream(4, (0,)))
         path = tmp_path / "m.npy"

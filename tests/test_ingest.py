@@ -97,19 +97,15 @@ class TestIngestConfig:
         assert cfg.window_len == 32
         assert cfg.resample_step == 60
         assert cfg.max_fill == 3
-        assert cfg.effective_stride == 32
-
-    def test_stride_override(self):
-        assert IngestConfig(window_len=8, stride=2).effective_stride == 2
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"window_len": 0},
-            {"stride": 0},
             {"resample_step": 0},
             {"resample_step": 2**63},
             {"max_fill": -1},
+            {"max_fill": ingest.MAX_FILL_LIMIT + 1},
         ],
     )
     def test_validation(self, kwargs):
@@ -200,6 +196,18 @@ class TestIngestCsv:
         assert np.array_equal(result.windows.values[0][:, 0], [0.0, 1.0, 2.0, 3.0])
         assert np.array_equal(result.windows.values[1][:, 0], [2.0, 3.0, 4.0, 5.0])
 
+    def test_segment_too_short_for_a_window_on_the_grid_adds_none(self, tmp_path):
+        rows = [("m0", 60 * k, 9.0, 9.0) for k in range(3)]  # 3 buckets for windows of 4
+        rows += [("m1", 60 * k, float(k), 0.0) for k in range(4)]
+        # buckets 1666666-1666668: the grid's next window would start at 1666668
+        rows += [("m1", 10**8 + 60 * k, 9.0, 9.0) for k in range(3)]
+        rows += [("m1", 3 * 10**8 + 60 * k, float(k), 1.0) for k in range(5)]  # from 5000000
+        result = ingest_csv(_write_trace(tmp_path, rows), SCHEMA, IngestConfig(window_len=4))
+        assert list(result.sources) == ["m1@0", f"m1@{3 * 10**8}"]
+        assert result.windows.values.shape == (2, 4, 2)
+        assert result.windows.values[:, :, 0].tolist() == [[0.0, 1.0, 2.0, 3.0]] * 2
+        assert result.windows.values[:, :, 1].tolist() == [[0.0] * 4, [1.0] * 4]
+
     def test_default_stride_non_overlapping(self, tmp_path):
         rows = [("m1", 60 * t, float(t), 0.0) for t in range(8)]
         path = _write_trace(tmp_path, rows)
@@ -207,14 +215,6 @@ class TestIngestCsv:
         assert len(result.windows) == 2
         assert result.sources[0] == "m1@0"
         assert result.sources[1] == "m1@240"
-
-    def test_stride_one_overlapping(self, tmp_path):
-        rows = [("m1", 60 * t, float(t), 0.0) for t in range(6)]
-        path = _write_trace(tmp_path, rows)
-        result = ingest_csv(path, SCHEMA, IngestConfig(window_len=4, stride=1))
-        assert len(result.windows) == 3
-        starts = result.windows.values[:, 0, 0].tolist()
-        assert starts == [0.0, 1.0, 2.0]
 
     def test_machines_split_and_sorted(self, tmp_path):
         rows = [("zeta", 60 * t, 1.0, 1.0) for t in range(4)]
@@ -466,8 +466,9 @@ class TestWeakLabels:
 
 # ---------------------------------------------------------------------------
 # Row-by-row reference: the ingest and weak labeling that the columnar path
-# replaced, kept verbatim apart from counting skipped rows by reason and
-# counting a timestamp outside int64 as unparseable.
+# replaced, kept verbatim apart from counting skipped rows by reason,
+# counting a timestamp outside int64 as unparseable and cutting windows back
+# to back.
 
 
 def _reference_ingest(path, schema, cfg):
@@ -511,12 +512,12 @@ def _reference_ingest(path, schema, cfg):
             last = np.maximum.accumulate(np.where(observed, np.arange(len(sums)), 0))
             yield first, sums[last]
 
-    t, stride, step = cfg.window_len, cfg.effective_stride, cfg.resample_step
+    t, step = cfg.window_len, cfg.resample_step
     windows = []
     for machine in sorted(per_machine):
         samples = sorted(per_machine[machine], key=lambda pair: pair[0])
         for first, filled in segments(samples, step, cfg.max_fill):
-            for start in range(-first % stride, len(filled) - t + 1, stride):
+            for start in range(-first % t, len(filled) - t + 1, t):
                 windows.append(
                     MetricWindow(
                         values=filled[start : start + t].copy(),
@@ -564,6 +565,8 @@ def _reference_weak_labels(windows, groups):
 
 # stamps start near both ends of int64, so that rows of one machine cross the edge
 _BASES = (0, 1_700_000_000, 2**63 - 4 * 10**6, -(2**63))
+# moves a stamp drawn from the -(2**63) base to just below 2**63
+_LEAP = 2**64 - 10**8
 _MACHINES = ("a", "b", "c,d", 'q"x', "l\nf", "")  # a quoted "l\nf" spans two lines
 _PLAIN_MACHINES = ("a", "b", "c d", "")  # csv.writer quotes none of them
 _BAD_CELLS = ("", "x", "nan", "-inf", "inf", "1e999", "1.5", " 7")
@@ -592,11 +595,13 @@ def _traces(draw):
     step = draw(st.integers(1, 100))
     cfg = IngestConfig(
         window_len=draw(st.integers(1, 6)),
-        stride=draw(st.none() | st.integers(1, 6)),
         resample_step=step,
         max_fill=draw(st.integers(0, 4)),
     )
     base = draw(st.sampled_from(_BASES))
+    # from the lowest base some rows leap to the top of int64, so that one machine's
+    # stamps span more than 2**63 and only an unsigned offset from its first stays exact
+    leap = _LEAP if base == -(2**63) else 0
     # 0.1, 0.2 and 0.3 sum to different doubles in different orders
     values = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1.0, 0.9, 7.25]) | st.floats(-1e6, 1e6)
     lines = []
@@ -607,7 +612,8 @@ def _traces(draw):
         steps = st.sampled_from([0, 0, 1, step // 2, step, step, 2 * step, 6 * step, 10**6])
         for _ in range(draw(st.integers(1, 40))):
             ts += draw(steps)
-            cells = {"machine": machine, "ts": str(ts), "extra": "e1" if plain else "e,1"}
+            stamp = ts + leap if leap and draw(st.booleans()) else ts
+            cells = {"machine": machine, "ts": str(stamp), "extra": "e1" if plain else "e,1"}
             cells.update({m: repr(draw(values)) for m in metrics})
             if draw(st.sampled_from([False] * (99 if rare else 9) + [True])):
                 cells[draw(st.sampled_from(["ts", *metrics]))] = draw(st.sampled_from(_BAD_CELLS))

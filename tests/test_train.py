@@ -51,7 +51,6 @@ class TestTrainConfig:
         assert cfg.learning_rate == 1e-3
         assert cfg.patience == 10
         assert cfg.adaptive_weights
-        assert cfg.dwa_temperature == 2.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -62,11 +61,11 @@ class TestTrainConfig:
             {"learning_rate": 0.0},
             {"learning_rate": -1e-3},
             {"learning_rate": float("nan")},
-            {"dwa_temperature": -1.0},
-            {"dwa_temperature": 0.0},
             {"learning_rate": 1.5},
             {"learning_rate": 1e300},
-            {"dwa_temperature": float("nan")},
+            {"learning_rate": float("inf")},
+            {"max_epochs": -1},
+            {"patience": -1},
         ],
     )
     def test_validation(self, kwargs):
