@@ -7,18 +7,23 @@ load), the normalization statistics, the training dataset's metric names,
 and provenance (training seed, config digest). It holds no class names: the
 heads score the fixed classes `data.CLASS_NAMES` in order.
 
-Floats are stored as decimal strings with 17 significant digits, which
-round-trips IEEE doubles exactly: loading and saving again produces a
-byte-identical file, and reloaded parameters yield bitwise-equal logits.
-The loader takes each cell only as the JSON type save_checkpoint writes: a
-string for a weight, normalization statistic or the graph threshold, the
-integer 0 or 1 for an adjacency entry. Through `data.read_json_object`, every
-fault, a missing or mistyped field too, is one SchemaError naming the file.
+The weights (`ModelParams.flat`, in `ModelParams.layout` order) and the
+normalization mean and std are each one string: the base64 (RFC 4648) of
+their little-endian float64 bytes. The graph stays readable: adjacency
+entries are the JSON integers 0 and 1 and the threshold is a decimal string
+with 17 significant digits. Both forms round-trip IEEE doubles exactly:
+loading and saving again produces a byte-identical file, and reloaded
+parameters yield bitwise-equal logits. The loader takes each field only as
+the JSON type save_checkpoint writes, checks a base64 field's length before
+it decodes it, and through `data.read_json_object` turns every fault, a
+missing or mistyped field too, into one SchemaError naming the file.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import reprlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -30,24 +35,27 @@ from contention.errors import DataError, SchemaError, ShapeError
 from contention.graph import MetricGraph
 from contention.model import ModelConfig, ModelParams
 
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 
 
-def _encode_floats(arr: np.ndarray):
-    if arr.ndim == 1:
-        return [f"{float(x):.17g}" for x in arr]
-    return [_encode_floats(row) for row in arr]
+def _encode_floats(arr: np.ndarray) -> str:
+    return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
 
 
-def _decode(payload, shape: tuple[int, ...], what: str, cell: type = str,
-            kind: str = "decimal strings") -> np.ndarray:
-    """payload, nested JSON lists of `shape` whose every cell is a `cell`, as finite float64."""
-    cells = np.array(payload, dtype=object)
-    if cells.shape != shape:
-        raise ShapeError(f"{what} has shape {cells.shape}, expected {shape}")
-    if bad := [c for c in cells.flat if type(c) is not cell]:
-        raise SchemaError(f"{what} must hold {kind}, got {bad[0]!r}")
-    arr = cells.astype(np.float64)
+def _decode_floats(text, n: int, what: str) -> np.ndarray:
+    """text, the base64 of n little-endian float64 values, as a new writable finite array."""
+    if type(text) is not str:
+        raise SchemaError(f"{what} must be a base64 string, got {reprlib.repr(text)}")
+    if len(text) != (chars := 4 * -(-8 * n // 3)):  # checked before anything is decoded
+        raise SchemaError(f"{what} has {len(text)} characters, not the {chars} "
+                          f"that encode {n} float64 values")
+    try:  # binascii.Error, or a str that is not ASCII, is a ValueError
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise SchemaError(f"{what} is not base64: {exc}") from exc
+    if len(raw) != 8 * n:  # the right length with the wrong padding
+        raise SchemaError(f"{what} is not base64 of {n} float64 values: bad padding")
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)  # frombuffer is read-only
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{what} contains non-finite values")
     return arr
@@ -68,10 +76,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model": asdict(ckpt.params.cfg),
         "window_len": ckpt.params.window_len,
-        "params": {
-            name: _encode_floats(getattr(ckpt.params, name))
-            for name, _, _ in ModelParams.layout(ckpt.params.cfg, ckpt.params.window_len)
-        },
+        "params": _encode_floats(ckpt.params.flat),
         "graph": {
             "dim": ckpt.graph.dim,
             "threshold": f"{float(ckpt.graph.threshold):.17g}",
@@ -98,14 +103,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 def _from_payload(payload: dict) -> Checkpoint:
     t = json_int(payload["window_len"], "'window_len'")
     cfg = ModelConfig(**strict_kwargs("model", payload["model"], ModelConfig))
-    layout = ModelParams.layout(cfg, t)  # the parameter bound, before any block is read
-    blocks = [_decode(payload["params"][name], shape, f"parameter {name}")
-              for name, shape, _ in layout]  # a missing block is a KeyError
-    params = ModelParams(cfg, t, np.concatenate([b.ravel() for b in blocks]))
+    n = ModelParams.layout(cfg, t)[-1][2].stop  # the parameter bound, before anything is read
+    params = ModelParams(cfg, t, _decode_floats(payload["params"], n, "'params'"))
 
     g = payload["graph"]
     dim = json_int(g["dim"], "'graph.dim'")
-    adjacency = _decode(g["adjacency"], (dim, dim), "adjacency", int, "JSON integers")
+    cells = np.array(g["adjacency"], dtype=object)
+    if cells.shape != (dim, dim):
+        raise ShapeError(f"adjacency has shape {cells.shape}, expected {(dim, dim)}")
+    if bad := [c for c in cells.flat if type(c) is not int]:
+        raise SchemaError(f"adjacency must hold JSON integers, got {bad[0]!r}")
+    adjacency = cells.astype(np.float64)  # an int past float64's range is an OverflowError
     if not np.array_equal(adjacency, adjacency.T) or np.any(np.diag(adjacency) != 0):
         raise DataError("adjacency must be symmetric with a zero diagonal")
     if not np.all((adjacency == 0) | (adjacency == 1)):
@@ -117,7 +125,8 @@ def _from_payload(payload: dict) -> Checkpoint:
         raise DataError(f"graph threshold must lie in [0, 1], got {threshold}")
     graph = MetricGraph(adjacency=adjacency, threshold=threshold)
 
-    norm = NormStats(**{key: _decode(payload["normalization"][key], (dim,), f"normalization {key}")
+    norm = NormStats(**{key: _decode_floats(payload["normalization"][key], dim,
+                                            f"'normalization.{key}'")
                         for key in ("mean", "std")})
     if np.any(norm.std < NormStats.STD_FLOOR):  # fit_norm never writes one below the floor
         low = float(norm.std.min())

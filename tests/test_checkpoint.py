@@ -1,18 +1,20 @@
 """Checkpoint and run-config serialization tests.
 
-The load-save-load identity is checked at the byte level: 17-significant-
-digit decimal strings round-trip IEEE doubles exactly, so resaving a loaded
-checkpoint must reproduce the file bit for bit, and reloaded parameters must
-produce bitwise-identical logits.
+The load-save-load identity is checked at the byte level: the base64 of
+the float64 bytes and the 17-significant-digit graph threshold round-trip
+IEEE doubles exactly, so resaving a loaded checkpoint must reproduce the file
+bit for bit, and reloaded parameters must produce bitwise-identical logits.
 """
 
+import base64
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import contention.checkpoint as checkpoint_module
 from contention.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     Checkpoint,
@@ -34,6 +36,14 @@ from contention.model import ModelConfig, ModelParams, forward, init_params
 from contention.rng import RngStream
 
 from conftest import random_graph
+
+
+def _floats(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), dtype="<f8")
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
 
 
 def _checkpoint(seed=0, dim=4):
@@ -73,25 +83,67 @@ class TestRoundTrip:
         assert back.train_seed == ckpt.train_seed
         assert back.config_digest == ckpt.config_digest
 
-    def test_params_are_the_layout_blocks_in_order(self, tmp_path, monkeypatch):
-        """The file holds one `params` key per layout block, and the loader decodes
-        them in the layout's order, each in its layout shape."""
+    def test_params_are_the_layout_blocks_in_order(self, tmp_path):
+        """`params` is one string: the little-endian float64 bytes of every layout block,
+        in the layout's order, each in its layout shape."""
         ckpt = _checkpoint()
         path = tmp_path / "ckpt.json"
         save_checkpoint(ckpt, path)
-        decoded = []
-
-        def recording(payload, shape, what, *rest):
-            if what.startswith("parameter "):
-                decoded.append((what.removeprefix("parameter "), shape))
-            return decode(payload, shape, what, *rest)
-
-        decode = checkpoint_module._decode
-        monkeypatch.setattr(checkpoint_module, "_decode", recording)
-        load_checkpoint(path)
+        flat = _floats(json.loads(path.read_text())["params"])
         layout = ModelParams.layout(ckpt.params.cfg, ckpt.params.window_len)
-        assert decoded == [(name, shape) for name, shape, _ in layout]
-        assert sorted(json.loads(path.read_text())["params"]) == sorted(n for n, _ in decoded)
+        assert flat.size == layout[-1][2].stop
+        for name, shape, sl in layout:
+            assert np.array_equal(flat[sl].reshape(shape), getattr(ckpt.params, name)), name
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                     np.finfo(float).max, -np.finfo(float).max,
+                                     np.finfo(float).tiny, 1.0 / 3.0])
+                    | st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=3, max_size=3))
+    def test_extreme_values_round_trip_bit_for_bit(self, tmp_path_factory, extremes):
+        """-0.0, subnormals and the largest doubles come back with the same bits, in the
+        weights and the normalization mean, and saving them again gives the same bytes."""
+        ckpt = _checkpoint()
+        ckpt.params.flat[:3] = extremes
+        ckpt.params.flat[-3:] = extremes[::-1]
+        ckpt.norm.mean[:3] = extremes
+        path = tmp_path_factory.mktemp("extremes") / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        back = load_checkpoint(path)
+        for got, want in ((back.params.flat, ckpt.params.flat), (back.norm.mean, ckpt.norm.mean),
+                          (back.norm.std, ckpt.norm.std)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        again = path.with_name("again.json")
+        save_checkpoint(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_loaded_arrays_are_writable_native_float64(self, tmp_path):
+        """np.frombuffer over the decoded bytes is read-only; the loader hands out copies
+        that training and normalization may write in place."""
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(_checkpoint(), path)
+        back = load_checkpoint(path)
+        for arr in (back.params.flat, back.norm.mean, back.norm.std):
+            assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.owndata
+            assert arr.dtype == np.float64 and arr.dtype.isnative
+        back.params.enc_w1[0, 0] = 1.5
+        assert back.params.flat[0] == 1.5
+
+    def test_default_model_checkpoint_size(self, tmp_path):
+        """The default model at the default T and D: 9029 weights as base64 take about a
+        third of the 299,006 bytes they took as 17-digit decimal cells."""
+        run = RunConfig()
+        params = init_params(run.model, run.scenario.window_len, RngStream(0))
+        dim = run.scenario.metric_count
+        ckpt = Checkpoint(params=params, graph=random_graph(dim, seed=0, threshold=0.3),
+                          norm=NormStats(mean=np.full(dim, 0.5), std=np.full(dim, 0.25)),
+                          metric_names=tuple(f"m{i}" for i in range(dim)),
+                          config_digest=config_digest(run))
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(ckpt, path)
+        assert params.flat.size == 9029
+        assert path.stat().st_size < 110_000
 
     def test_resave_is_byte_identical(self, tmp_path):
         ckpt = _checkpoint(seed=1)
@@ -124,8 +176,12 @@ class TestRoundTrip:
         save_checkpoint(_checkpoint(), path)
         payload = json.loads(path.read_text())
         assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION
-        assert isinstance(payload["params"]["enc_w1"][0][0], str)
+        assert isinstance(payload["params"], str)
+        assert isinstance(payload["normalization"]["mean"], str)
+        assert isinstance(payload["normalization"]["std"], str)
+        # the graph stays readable: 0/1 integers and a decimal threshold
         assert payload["graph"]["adjacency"][0][0] in (0, 1)
+        assert payload["graph"]["threshold"] == "0.25"
         assert payload["window_len"] == 8
         assert "window_len" not in payload["model"]
 
@@ -157,12 +213,13 @@ class TestLoadValidation:
         with pytest.raises(SchemaError, match="normalization"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 99, 4.0])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 99, 4.0, 5.0])
     def test_version_mismatch(self, tmp_path, version):
         """Version 1 stored enc_w1 transposed, version 2 a class count and class
-        names, and version 3 the window length in the model section; their
-        checkpoints must be retrained. The version is read before any other key,
-        and it is an integer: 4.0 is refused too."""
+        names, version 3 the window length in the model section, and version 4
+        every float as a decimal string in nested lists; their checkpoints must be
+        retrained. The version is read before any other key, and it is an
+        integer: 5.0 is refused too."""
         path = self._saved(tmp_path)
 
         def older(p):
@@ -171,36 +228,53 @@ class TestLoadValidation:
 
         self._rewrite(path, older)
         # a SchemaError is a DataError, which the CLI maps to exit 3
-        message = rf"ckpt\.json has format_version {version}, not 4; regenerate it"
+        message = rf"ckpt\.json has format_version {version}, not 5; regenerate it"
         with pytest.raises(SchemaError, match=message):
             load_checkpoint(path)
 
     def test_missing_param_block(self, tmp_path):
+        """Weights without the last layout block (the five head_c biases) are refused by
+        the length of `params`."""
         path = self._saved(tmp_path)
-        self._rewrite(path, lambda p: p["params"].pop("head_u"))
-        with pytest.raises(SchemaError, match="head_u"):
+        self._rewrite(path, lambda p: p.update(params=_b64(_floats(p["params"])[:-5])))
+        n = _checkpoint().params.flat.size
+        chars = 4 * -(-8 * (n - 5) // 3)
+        with pytest.raises(SchemaError, match=rf"ckpt\.json: 'params' has {chars} characters, "
+                                              rf"not the .* that encode {n} float64 values"):
             load_checkpoint(path)
 
     def test_wrong_param_shape(self, tmp_path):
         path = self._saved(tmp_path)
-        self._rewrite(path, lambda p: p["params"].update(enc_b1=["1", "2"]))
-        with pytest.raises(SchemaError, match=r"ckpt\.json: parameter enc_b1 has shape \(2,\)"):
+        self._rewrite(path, lambda p: p.update(params=_b64([1.0, 2.0])))
+        with pytest.raises(SchemaError, match=r"ckpt\.json: 'params' has 24 characters, not the"):
             load_checkpoint(path)
-        # a window length the weights were not trained for
+        # a window length the weights were not trained for: enc_w1 has 8 more rows of 6
         path = self._saved(tmp_path)
         self._rewrite(path, lambda p: p.update(window_len=16))
-        with pytest.raises(SchemaError, match=r"enc_w1 has shape \(8, 6\), expected \(16, 6\)"):
+        n = _checkpoint().params.flat.size + 8 * 6
+        with pytest.raises(SchemaError, match=f"that encode {n} float64 values"):
+            load_checkpoint(path)
+
+    def test_length_is_checked_before_decoding(self, tmp_path, monkeypatch):
+        """A string of 10^6 characters is refused by its length alone."""
+        path = self._saved(tmp_path)
+        self._rewrite(path, lambda p: p.update(params="A" * 10**6))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decoded a field of the wrong length")
+
+        monkeypatch.setattr(base64, "b64decode", refuse)
+        with pytest.raises(SchemaError, match=r"ckpt\.json: 'params' has 1000000 characters"):
             load_checkpoint(path)
 
     def test_nonfinite_param(self, tmp_path):
-        path = self._saved(tmp_path)
-
-        def poison(p):
-            p["params"]["enc_b1"][0] = "inf"
-
-        self._rewrite(path, poison)
-        with pytest.raises(DataError, match="non-finite"):
-            load_checkpoint(path)
+        for value in (np.inf, -np.inf, np.nan):
+            ckpt = _checkpoint()
+            ckpt.params.enc_b1[0] = value
+            path = tmp_path / "ckpt.json"
+            save_checkpoint(ckpt, path)
+            with pytest.raises(DataError, match="'params' contains non-finite values"):
+                load_checkpoint(path)
 
     def test_asymmetric_adjacency(self, tmp_path):
         path = self._saved(tmp_path)
@@ -246,12 +320,10 @@ class TestLoadValidation:
     def test_std_below_the_fit_floor(self, tmp_path, std):
         """fit_norm floors every std at NormStats.STD_FLOOR; a smaller one would
         turn scored windows into inf or nan logits."""
-        path = self._saved(tmp_path)
-
-        def poison(p):
-            p["normalization"]["std"][1] = std
-
-        self._rewrite(path, poison)
+        ckpt = _checkpoint()
+        ckpt.norm.std[1] = float(std)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
         with pytest.raises(DataError, match="normalization std .* is below 1e-08"):
             load_checkpoint(path)
 

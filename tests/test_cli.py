@@ -48,7 +48,7 @@ from contention.data import (
 )
 from contention.errors import ConfigError, DataError, NumericError, ShapeError
 from contention.ingest import IngestConfig, TraceSchema
-from contention.model import ModelConfig, softmax
+from contention.model import ModelConfig, ModelParams, softmax
 from contention.pipeline import prepare, prepare_synthetic, run_prepared, split_parts
 from contention.rng import RngStream
 from contention.train import METRIC_FIELDS, TrainConfig, evaluate, score
@@ -777,6 +777,31 @@ def test_eval_and_predict_reject_different_metric_count(workspace, tmp_path, cap
         captured = capsys.readouterr()
         assert "dataset windows have 8 metrics, checkpoint graph covers 4" in captured.err
         assert captured.out == ""
+
+
+def test_eval_and_predict_refuse_a_format_4_checkpoint(workspace, tmp_path, capsys):
+    """Format 4 wrote every weight and normalization statistic as a 17-digit decimal string
+    in nested lists, one list per layout block; no reader for it remains."""
+    ckpt = load_checkpoint(workspace["ckpt"])
+    doc = json.loads(workspace["ckpt"].read_text())
+    doc["format_version"] = 4
+    doc["params"] = {name: np.vectorize(lambda x: f"{x:.17g}")(getattr(ckpt.params, name)).tolist()
+                     for name, _, _ in ModelParams.layout(ckpt.params.cfg, ckpt.params.window_len)}
+    doc["normalization"] = {"mean": [f"{x:.17g}" for x in ckpt.norm.mean],
+                            "std": [f"{x:.17g}" for x in ckpt.norm.std]}
+    old = tmp_path / "checkpoint.json"
+    old.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for command in ("eval", "predict"):
+        out = tmp_path / command
+        rc = main([command, "--checkpoint", str(old), "--data", str(workspace["data"]),
+                   "--out", str(out)])
+        assert rc == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: checkpoint {old} has format_version 4, not 5; regenerate ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def test_eval_warns_when_metric_names_differ(workspace, tmp_path, capsys):

@@ -14,11 +14,13 @@ config, a dataset manifest, a checkpoint) in each of the same ways, and a
 second breaks each file's content; every error line names the file.
 """
 
+import base64
 import json
 import shutil
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -97,7 +99,8 @@ def _mutated(document, data):
 
 
 def _set(*path_and_value):
-    """A change to a JSON document that sets the value at the path, or deletes it (MISSING)."""
+    """A change to a JSON document that sets the value at the path, deletes it (MISSING),
+    or replaces it by a callable value of the value there."""
     *path, value = path_and_value
 
     def change(document):
@@ -106,7 +109,15 @@ def _set(*path_and_value):
         if value is MISSING:
             del document[path[-1]]
         else:
-            document[path[-1]] = value
+            document[path[-1]] = value(document[path[-1]]) if callable(value) else value
+    return change
+
+
+def _floats(edit):
+    """For _set: a base64 float64 field of a checkpoint with its floats edited by `edit`."""
+    def change(text):
+        floats = edit(np.frombuffer(base64.b64decode(text), dtype="<f8"))
+        return base64.b64encode(np.asarray(floats, dtype="<f8").tobytes()).decode()
     return change
 
 
@@ -181,8 +192,10 @@ NAMES = f"'metric_names' must be an empty list or a list of {D} strings, "
         (("graph", "dim"), float("inf"), "'graph.dim' must be a positive integer, got inf"),
         (("train_seed",), float("inf"), "'train_seed' must be a non-negative integer, got inf"),
         (("train_seed",), MISSING, "missing key 'train_seed'"),
-        (("normalization", "mean", 0), 10**400, "normalization mean must hold decimal strings"),
-        (("params", "enc_w1", 0, 0), 10**400, "parameter enc_w1 must hold decimal strings"),
+        (("normalization", "mean"), 10**400, "'normalization.mean' must be a base64 string, "
+                                               "got 1000"),
+        (("params",), _floats(lambda f: np.r_[np.inf, f[1:]]),
+         "'params' contains non-finite values"),
         # integers and names are read as JSON gives them, never coerced
         (("graph", "dim"), str(D), "'graph.dim' must be a positive integer, got '4'"),
         (("graph", "dim"), D + 0.7, "'graph.dim' must be a positive integer, got 4.7"),
@@ -194,10 +207,10 @@ NAMES = f"'metric_names' must be an empty list or a list of {D} strings, "
         (("window_len",), True, "'window_len' must be a positive integer, got True"),
         (("window_len",), 0, "'window_len' must be a positive integer, got 0"),
         (("window_len",), MISSING, "missing key 'window_len'"),
-        # each cell holds the JSON type save_checkpoint writes, and no other
-        (("params", "head_c", 0), True, "parameter head_c must hold decimal strings, got True"),
-        (("params", "enc_b1", 0), 0.5, "parameter enc_b1 must hold decimal strings, got 0.5"),
-        (("normalization", "std", 1), 1, "normalization std must hold decimal strings, got 1"),
+        # each field holds the JSON type save_checkpoint writes, and no other
+        (("params",), True, "'params' must be a base64 string, got True"),
+        (("params",), 0.5, "'params' must be a base64 string, got 0.5"),
+        (("normalization", "std"), 1, "'normalization.std' must be a base64 string, got 1"),
         (("graph", "adjacency", 0, 1), True, "adjacency must hold JSON integers, got True"),
         (("graph", "adjacency", 0, 1), 1.0, "adjacency must hold JSON integers, got 1.0"),
         (("graph", "adjacency", 0, 1), "1", "adjacency must hold JSON integers, got '1'"),
@@ -264,15 +277,30 @@ CONTENT = {
     "checkpoint": {
         "zero-encoder-hidden": (_set("model", "encoder_hidden", 0),
                                 "encoder_hidden must be >= 1, got 0"),
-        "bool-weight": (_set("params", "enc_w1", 0, 0, True),
-                        "parameter enc_w1 must hold decimal strings, got True"),
+        "bool-weight": (_set("params", True), "'params' must be a base64 string, got True"),
         "asymmetric-adjacency": (_set("graph", "adjacency", [[0, 1] + [0] * (D - 2)]
                                       + [[0] * D] * (D - 1)),
                                  "adjacency must be symmetric with a zero diagonal"),
         "missing-graph-dim": (_set("graph", "dim", MISSING),
                               "has a missing or malformed field (KeyError: 'dim')"),
-        "small-std": (_set("normalization", "std", 0, "1e-9"),
+        "small-std": (_set("normalization", "std", _floats(lambda f: np.r_[1e-9, f[1:]])),
                       "normalization std 1e-09 is below 1e-08"),
+        # the base64 fields: type, then length, then the decoder's own checks
+        "list-params": (_set("params", [0.5]), "'params' must be a base64 string, got [0.5]"),
+        "number-params": (_set("params", 7), "'params' must be a base64 string, got 7"),
+        "null-params": (_set("params", None), "'params' must be a base64 string, got None"),
+        "non-ascii-params": (_set("params", lambda text: "\u00e9" + text[1:]),
+                             "'params' is not base64: "),
+        "non-base64-params": (_set("params", lambda text: "*" + text[1:]),
+                              "'params' is not base64: "),
+        "bad-padding-params": (_set("params", lambda text: text.replace("=", "A")),
+                               "float64 values: bad padding"),
+        "short-params": (_set("params", _floats(lambda f: f[:-1])), "'params' has "),
+        "long-params": (_set("params", _floats(lambda f: np.r_[f, 0.5])), "'params' has "),
+        "short-mean": (_set("normalization", "mean", _floats(lambda f: f[:-1])),
+                       f"not the {4 * -(-8 * D // 3)} that encode {D} float64 values"),
+        "long-std": (_set("normalization", "std", _floats(lambda f: np.r_[f, 0.5])),
+                     f"'normalization.std' has {4 * -(-8 * (D + 1) // 3)} characters"),
     },
 }
 
