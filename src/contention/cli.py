@@ -3,8 +3,9 @@
 Subcommands mirror the pipeline stages one-to-one: gen, ingest, graph,
 train, eval, predict, sweep. Every command validates its entire config
 before writing anything, prints human-readable tables to stdout, and maps
-failures onto documented exit codes: 2 for config/usage problems, 3 for
-data/shape problems, 4 for numeric failures.
+failures onto documented exit codes: 2 for config/usage problems and
+outputs that cannot be written, 3 for data/shape problems, 4 for numeric
+failures.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     seed = args.seed if args.seed is not None else cfg.train.seed
     n = args.n if args.n is not None else cfg.n_windows
-    out_dir = resolve_out_dir(args.out, cfg)
+    out_dir = resolve_out_dir(args.out)
     data = generate(cfg.scenario, n, RngStream(seed).substream(0))
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.npy"
@@ -148,7 +149,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     if cfg.schema is None:
         raise ConfigError("ingestion requires a 'schema' section in the config")
-    out_dir = resolve_out_dir(args.out, cfg)
+    out_dir = resolve_out_dir(args.out)
     result = ingest_csv(args.trace, cfg.schema, cfg.ingest)
     data, dropped = result.windows, 0
     if args.weak_label:
@@ -189,10 +190,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     seed = args.seed if args.seed is not None else cfg.train.seed
     train_cfg = replace(cfg.train, seed=seed)
-    out_dir = resolve_out_dir(args.out, cfg)
+    out_dir = resolve_out_dir(args.out)
     # the whole set is only split_parts' argument, so it is freed before prepare runs
-    prepared = prepare(*split_parts(read_dataset(args.data), cfg.split_fractions,
-                                    RngStream(seed).substream(1)), cfg.corr_threshold)
+    prepared = prepare(*split_parts(read_dataset(args.data), RngStream(seed).substream(1)),
+                       cfg.corr_threshold)
     result = run_prepared(prepared, cfg.model, train_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = Checkpoint(
@@ -297,7 +298,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
     if repeated:
         raise ConfigError(f"--seeds names seed {repeated[0]} more than once")
-    out_dir = resolve_out_dir(args.out, cfg)
+    out_dir = resolve_out_dir(args.out)
     table = SWEEPS[args.kind](cfg, seeds=seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"sweep_{table.kind}.csv"
@@ -329,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="dataset .npy path, with its .manifest.json beside it")
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="checkpoint JSON path")
-        if out:
-            p.add_argument("--out", default=None, help="output directory")
+        if out:  # eval and predict, which take no config, write files only with --out
+            p.add_argument("--out", default="runs" if config else None, help="output directory")
 
     p = sub.add_parser("gen", help="generate a labeled synthetic dataset")
     common(p)
@@ -380,6 +381,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, ConfigError):
             return EXIT_CONFIG
         return EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_DATA
+    except OSError as exc:  # an output that cannot be written; every reader raises ContentionError
+        print(f"error: output cannot be written: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

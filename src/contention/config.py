@@ -16,21 +16,17 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from contention.data import ScenarioConfig, check_split_fractions, read_json_object
+from contention.data import ScenarioConfig, read_json_object
 from contention.errors import ConfigError
 from contention.graph import DEFAULT_CORR_THRESHOLD
 from contention.ingest import IngestConfig, TraceSchema
 from contention.model import ModelConfig
-from contention.pipeline import DEFAULT_SPLIT
 from contention.train import TrainConfig
-
-OUT_DIR_ENV = "CONTENTION_OUT_DIR"
 
 
 @dataclass(frozen=True)
@@ -41,9 +37,7 @@ class RunConfig:
     schema: TraceSchema | None = None  # required only by ingestion commands
     ingest: IngestConfig = field(default_factory=IngestConfig)
     corr_threshold: float = DEFAULT_CORR_THRESHOLD
-    split_fractions: tuple[float, float, float] = DEFAULT_SPLIT
     n_windows: int = 3000
-    out_dir: str = "runs"
 
     def __post_init__(self):
         if not 0.0 <= self.corr_threshold <= 1.0:
@@ -52,8 +46,6 @@ class RunConfig:
             )
         if self.n_windows < 1:
             raise ConfigError(f"n_windows must be >= 1, got {self.n_windows}")
-        check_split_fractions(self.split_fractions)
-        object.__setattr__(self, "split_fractions", tuple(self.split_fractions))
 
 
 def _admits(hint, value) -> bool:
@@ -111,17 +103,9 @@ def run_config_from_dict(data: dict) -> RunConfig:
                 ("ingest", IngestConfig))  # each built as one dataclass
     kwargs = {key: cls(**strict_kwargs(key, data[key], cls))
               for key, cls in sections if key in data}
-    kwargs.update((key, data[key]) for key in ("corr_threshold", "n_windows", "out_dir")
-                  if key in data)
+    kwargs.update((key, data[key]) for key in ("corr_threshold", "n_windows") if key in data)
     if "schema" in data and data["schema"] is not None:
         kwargs["schema"] = _build_schema(data["schema"])
-    if "split_fractions" in data:
-        fractions = data["split_fractions"]
-        if not isinstance(fractions, list) or not all(_admits(float, f) for f in fractions):
-            raise ConfigError(
-                f"config key 'split_fractions' must be a list of numbers, got {fractions!r}"
-            )
-        kwargs["split_fractions"] = tuple(fractions)
     return RunConfig(**kwargs)
 
 
@@ -139,13 +123,15 @@ def config_digest(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def resolve_out_dir(cli_value: str | None, cfg: RunConfig | None = None) -> Path | None:
-    """--out beats the environment override, which beats the config file; with
-    no config (eval, predict) only --out names one, and None writes no file.
-    An existing path that is not a directory is refused before any work starts."""
-    if cfg is None and not cli_value:
+def resolve_out_dir(cli_value: str | None) -> Path | None:
+    """The directory --out names; None, which writes no file, when eval or predict
+    has no --out. An empty value, or an existing path that is not a directory,
+    is refused before any work starts."""
+    if cli_value is None:
         return None
-    path = Path(cli_value or os.environ.get(OUT_DIR_ENV) or cfg.out_dir)
+    if not cli_value:
+        raise ConfigError("--out must name a directory, not an empty string")
+    path = Path(cli_value)
     existing = next((p for p in (path, *path.parents) if p.exists()), None)
     if existing is not None and not existing.is_dir():
         raise ConfigError(f"output directory {path}: {existing} exists and is not a directory")

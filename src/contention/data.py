@@ -65,12 +65,15 @@ DATASET_FORMAT_VERSION = 3
 VALUES_DTYPE = np.dtype("<f8")
 # Bounds on what one synthetic scenario may ask for, checked before anything
 # is allocated: the metrics of one window, the values of one generated
-# dataset (8 bytes each), and the signal amplitude and noise scale. With
-# |ar_coeff| < 1 and at most MAX_GENERATED_VALUES steps, a bounded scale
-# keeps every generated value far inside the double range.
+# dataset (8 bytes each), and the signal amplitude and noise scale.
 MAX_METRIC_COUNT = 1024
 MAX_GENERATED_VALUES = 10**8
 MAX_SCENARIO_SCALE = 1e6
+# The AR(1) coefficient of the noise floor. Below 1 in magnitude the
+# recursion is stationary: a value's noise part has a standard deviation of
+# at most noise_std / sqrt(1 - 0.8**2) = noise_std / 0.6, so with the bounded
+# scales every generated value stays far inside the double range.
+AR_COEFF = 0.8
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,6 @@ class ScenarioConfig:
     separation: float = 1.0  # s, injected signal amplitude
     leakage: float = 0.3  # cross-group coupling strength
     leak_lag: int = 4  # steps of delay on leaked signal
-    ar_coeff: float = 0.8
     noise_std: float = 0.2
 
     def __post_init__(self):
@@ -203,8 +205,6 @@ class ScenarioConfig:
             raise ConfigError(
                 f"leak_lag must lie in [0, window_len), got {self.leak_lag}"
             )
-        if not abs(self.ar_coeff) < 1.0:
-            raise ConfigError(f"ar_coeff must lie in (-1, 1), got {self.ar_coeff}")
         if not 0 < self.noise_std <= MAX_SCENARIO_SCALE:
             raise ConfigError(
                 f"noise_std must lie in (0, {MAX_SCENARIO_SCALE:g}], got {self.noise_std}"
@@ -304,7 +304,7 @@ def generate(cfg: ScenarioConfig, n: int, rng: RngStream) -> Dataset:
         x[i] = gen.normal(0.0, cfg.noise_std, size=(t_len, d))
     for t in range(1, t_len):
         # eps[t] + a * x[t-1] is bitwise a * x[t-1] + eps[t]: IEEE addition commutes
-        x[:, t] += cfg.ar_coeff * x[:, t - 1]
+        x[:, t] += AR_COEFF * x[:, t - 1]
     group_map = cfg.group_map
     for label in range(NUM_CLASSES):
         rows = np.flatnonzero(labels == label)
@@ -376,50 +376,38 @@ def stratified_shuffle(labels: np.ndarray, rng: RngStream) -> list[np.ndarray]:
     return strata
 
 
-def check_split_fractions(fractions) -> None:
-    """Three positive train/val/test fractions that sum to 1."""
-    if len(fractions) != 3:
-        raise ConfigError(f"split_fractions needs 3 entries, got {len(fractions)}")
-    if not all(f > 0 for f in fractions):  # also rejects nan
-        raise ConfigError(f"split_fractions must be positive, got {tuple(fractions)}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split_fractions must sum to 1, got sum {sum(fractions)}")
+# Each class's windows go to train, val and test in these shares.
+SPLIT_FRACTIONS = (0.7, 0.15, 0.15)
 
 
-def split(
-    labels: np.ndarray,
-    fractions: tuple[float, float, float],
-    rng: RngStream,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def split(labels: np.ndarray, rng: RngStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded stratified train/val/test split of windows by their labels.
 
     Returns each part's window indices. Within each class the windows are
     shuffled and apportioned by largest remainder, so every split's
-    per-class count is within one window of the exact proportional share.
+    per-class count is within one window of its SPLIT_FRACTIONS share.
     Each part lists its strata in label order.
     """
-    check_split_fractions(fractions)
     if not len(labels):
         raise DataError("cannot split an empty dataset")
     parts: tuple[list[np.ndarray], ...] = ([], [], [])
     for idx in stratified_shuffle(labels, rng):
-        bounds = np.cumsum([0] + _apportion(idx.size, fractions))
+        bounds = np.cumsum([0] + _apportion(idx.size))
         for part, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
             part.append(idx[lo:hi])
     out = tuple(np.concatenate(part) for part in parts)
     for name, part in zip(("train", "val", "test"), out):
         if not part.size:
-            raise ConfigError(f"split fractions {fractions} leave the {name} split empty")
+            raise DataError(f"{len(labels)} windows leave the {name} part of the "
+                            "per-class 70/15/15 split empty")
     return out
 
 
-def _apportion(n: int, fractions: tuple[float, float, float]) -> list[int]:
-    """Largest-remainder rounding of n into len(fractions) integer parts."""
-    exact = [f * n for f in fractions]
+def _apportion(n: int) -> list[int]:
+    """Largest-remainder rounding of n into the three SPLIT_FRACTIONS parts."""
+    exact = [f * n for f in SPLIT_FRACTIONS]
     counts = [int(np.floor(e)) for e in exact]
-    remainders = sorted(
-        range(len(fractions)), key=lambda i: (-(exact[i] - counts[i]), i)
-    )
+    remainders = sorted(range(3), key=lambda i: (-(exact[i] - counts[i]), i))
     for i in range(n - sum(counts)):
         counts[remainders[i]] += 1
     return counts

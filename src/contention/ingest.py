@@ -389,11 +389,11 @@ def weak_labels(
     """Label each window of an (N, T, D) stack: one hot group names the class, several mean HYBRID.
 
     A group is hot in a window when the window mean of its metrics exceeds
-    its threshold. A window with no hot group gets -1 (no label); callers
+    its threshold. A window with no hot group gets UNLABELED; callers
     drop such windows from supervised splits rather than inventing a sixth
     class.
     """
-    labels = np.full(len(values), -1)
+    labels = np.full(len(values), UNLABELED)
     hot = np.zeros(len(values), dtype=np.int64)
     for name in GROUP_NAMES:
         cols = groups.get(name, ())

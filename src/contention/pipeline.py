@@ -25,8 +25,6 @@ from contention.model import ModelConfig, ModelParams
 from contention.rng import RngStream
 from contention.train import EvalMetrics, TrainConfig, TrainHistory, evaluate, train
 
-DEFAULT_SPLIT = (0.7, 0.15, 0.15)
-
 
 @dataclass
 class PreparedData:
@@ -37,11 +35,10 @@ class PreparedData:
     graph: MetricGraph
 
 
-def split_parts(data: Dataset, fractions: tuple[float, float, float],
-                split_rng: RngStream) -> tuple[Dataset, Dataset, Dataset]:
+def split_parts(data: Dataset, split_rng: RngStream) -> tuple[Dataset, Dataset, Dataset]:
     """The train, val and test parts of a stratified split, each gathered into a
     new array; `data` is not written. A `data` no caller keeps is freed on return."""
-    return tuple(data.subset(i) for i in split(data.labels, fractions, split_rng))
+    return tuple(data.subset(i) for i in split(data.labels, split_rng))
 
 
 def prepare(train_d: Dataset, val_d: Dataset, test_d: Dataset,
@@ -65,12 +62,12 @@ class RunResult:
 
 
 def prepare_synthetic(scenario: ScenarioConfig, n_windows: int, data_seed: int,
-                      fractions: tuple[float, float, float], corr_threshold: float) -> PreparedData:
+                      corr_threshold: float) -> PreparedData:
     """Generate and prepare one synthetic dataset, as `contention gen` then
     `contention train` do at seed data_seed: substream 0 drives generation
     and substream 1 the split."""
     rng = RngStream(data_seed)
-    return prepare(*split_parts(generate(scenario, n_windows, rng.substream(0)), fractions,
+    return prepare(*split_parts(generate(scenario, n_windows, rng.substream(0)),
                                 rng.substream(1)), corr_threshold)
 
 

@@ -30,7 +30,7 @@ from contention.model import (
     init_params,
     softmax,
 )
-from contention.pipeline import DEFAULT_SPLIT, prepare, prepare_synthetic, run_prepared
+from contention.pipeline import prepare, prepare_synthetic, run_prepared
 from contention.rng import RngStream
 from contention.sweeps import sweep_ablation, sweep_batch, sweep_datasize, sweep_dim
 from contention.train import DWA_TEMPERATURE, TrainConfig, confusion_matrix, metrics_from_confusion
@@ -128,7 +128,7 @@ def test_criterion_03_task_weight_invariants():
     train_cfg = TrainConfig(
         batch_size=32, max_epochs=50, patience=50, learning_rate=0.01, seed=0
     )
-    prepared = prepare_synthetic(TINY_SCENARIO, 240, 3, DEFAULT_SPLIT, corr_threshold=0.3)
+    prepared = prepare_synthetic(TINY_SCENARIO, 240, 3, corr_threshold=0.3)
     result = run_prepared(prepared, TINY_MODEL, train_cfg)
     records = result.history.records
     ran_full = len(records) == 50
@@ -357,7 +357,7 @@ def test_criterion_08_determinism(tmp_path):
     history_identical = histories[0] == histories[1]
 
     result = run_prepared(
-        prepare_synthetic(TINY_SCENARIO, 120, 5, DEFAULT_SPLIT, corr_threshold=0.3),
+        prepare_synthetic(TINY_SCENARIO, 120, 5, corr_threshold=0.3),
         TINY_MODEL,
         TrainConfig(batch_size=16, max_epochs=2, seed=0),
     )

@@ -9,6 +9,7 @@ bit for bit, and reloaded parameters must produce bitwise-identical logits.
 import base64
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from contention.checkpoint import (
     save_checkpoint,
 )
 from contention.config import (
-    OUT_DIR_ENV,
     RunConfig,
     config_digest,
     load_run_config,
@@ -386,8 +386,6 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.n_windows == 3000
         assert cfg.corr_threshold == 0.3
-        assert cfg.split_fractions == (0.7, 0.15, 0.15)
-        assert cfg.out_dir == "runs"
         assert cfg.schema is None
 
     def test_from_dict_nested_sections(self):
@@ -398,7 +396,6 @@ class TestRunConfig:
                 "train": {"batch_size": 32, "max_epochs": 5},
                 "corr_threshold": 0.5,
                 "n_windows": 100,
-                "split_fractions": [0.8, 0.1, 0.1],
             }
         )
         assert cfg.scenario.metric_count == 8
@@ -406,15 +403,16 @@ class TestRunConfig:
         assert cfg.model.encoder_hidden == 32
         assert cfg.train.batch_size == 32
         assert cfg.corr_threshold == 0.5
-        assert cfg.split_fractions == (0.8, 0.1, 0.1)
+        assert cfg.n_windows == 100
 
     def test_unknown_keys_rejected_with_path(self):
         with pytest.raises(ConfigError, match="unknown config key 'train.learning_rte'"):
             run_config_from_dict({"train": {"learning_rte": 0.1}})
         with pytest.raises(ConfigError, match="unknown config key 'frobnicate'"):
             run_config_from_dict({"frobnicate": 1})
-        # the ablation switch, Adam's constants and the DWA temperature are no
-        # longer settings, and ingested windows never overlap
+        # the ablation switch, Adam's constants, the DWA temperature, the AR
+        # coefficient, the split and the output directory are no longer
+        # settings, and ingested windows never overlap
         removed = {"graph_propagation": False, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8,
                    "dwa_temperature": 2.0}
         for key, value in removed.items():
@@ -422,6 +420,11 @@ class TestRunConfig:
                 run_config_from_dict({"train": {key: value}})
         with pytest.raises(ConfigError, match="unknown config key 'ingest.stride'"):
             run_config_from_dict({"ingest": {"stride": 32}})
+        with pytest.raises(ConfigError, match="unknown config key 'scenario.ar_coeff'"):
+            run_config_from_dict({"scenario": {"ar_coeff": 0.8}})
+        for key, value in {"split_fractions": [0.7, 0.15, 0.15], "out_dir": "runs"}.items():
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                run_config_from_dict({key: value})
 
     def test_model_window_len_is_an_unknown_key(self):
         """The weights take T from the training data; gen's and ingest's window
@@ -483,8 +486,6 @@ class TestRunConfig:
             RunConfig(corr_threshold=1.5)
         with pytest.raises(ConfigError, match="n_windows"):
             RunConfig(n_windows=0)
-        with pytest.raises(ConfigError, match="split_fractions"):
-            run_config_from_dict({"split_fractions": [0.5, 0.5]})
 
 
 class TestDigestAndOutDir:
@@ -497,10 +498,9 @@ class TestDigestAndOutDir:
         assert len(a) == 64
         int(a, 16)  # hex
 
-    def test_out_dir_priority(self, monkeypatch):
-        cfg = RunConfig(out_dir="from_config")
-        monkeypatch.delenv(OUT_DIR_ENV, raising=False)
-        assert resolve_out_dir(None, cfg).name == "from_config"
-        monkeypatch.setenv(OUT_DIR_ENV, "from_env")
-        assert resolve_out_dir(None, cfg).name == "from_env"
-        assert resolve_out_dir("from_cli", cfg).name == "from_cli"
+    def test_out_dir_is_the_flag_alone(self, monkeypatch):
+        monkeypatch.setenv("CONTENTION_OUT_DIR", "from_env")
+        assert resolve_out_dir(None) is None
+        assert resolve_out_dir("from_cli") == Path("from_cli")
+        with pytest.raises(ConfigError, match="empty"):
+            resolve_out_dir("")

@@ -10,6 +10,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,7 +32,6 @@ from contention.cli import (
     main,
 )
 from contention.config import (
-    OUT_DIR_ENV,
     RunConfig,
     config_digest,
     load_run_config,
@@ -228,31 +228,13 @@ def test_gen_rejects_nonpositive_count(tmp_path, capsys):
 # ------------------------------------------------------ out dir resolution
 
 
-def test_out_dir_env_var_is_used_when_flag_absent(tmp_path, monkeypatch):
+def test_out_defaults_to_runs_and_no_environment_variable_moves_it(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CONTENTION_OUT_DIR", str(tmp_path / "from_env"))
     cfg = write_config(tmp_path / "cfg.json")
-    env_dir = tmp_path / "from_env"
-    monkeypatch.setenv(OUT_DIR_ENV, str(env_dir))
     assert main(["gen", "--config", str(cfg), "--n", "4", "--seed", "0"]) == EXIT_OK
-    assert (env_dir / "dataset.npy").exists()
-
-
-def test_out_flag_beats_env_var(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path / "cfg.json")
-    env_dir = tmp_path / "from_env"
-    explicit = tmp_path / "explicit"
-    monkeypatch.setenv(OUT_DIR_ENV, str(env_dir))
-    assert main(["gen", "--config", str(cfg), "--out", str(explicit),
-                 "--n", "4", "--seed", "0"]) == EXIT_OK
-    assert (explicit / "dataset.npy").exists()
-    assert not env_dir.exists()
-
-
-def test_config_out_dir_is_the_last_resort(tmp_path, monkeypatch):
-    monkeypatch.delenv(OUT_DIR_ENV, raising=False)
-    target = tmp_path / "from_cfg"
-    cfg = write_config(tmp_path / "cfg.json", out_dir=str(target))
-    assert main(["gen", "--config", str(cfg), "--n", "4", "--seed", "0"]) == EXIT_OK
-    assert (target / "dataset.npy").exists()
+    assert (tmp_path / "runs" / "dataset.npy").exists()
+    assert not (tmp_path / "from_env").exists()
 
 
 # ---------------------------------------------------------------- ingest
@@ -373,7 +355,11 @@ def test_ingest_max_fill_beyond_its_bound_is_a_config_error(tmp_path, capsys):
      "column 'ts' appears more than once in the schema"),
     ({"ingest": {"window_len": 4, "stride": 32}}, "unknown config key 'ingest.stride'"),
     ({"train": {"dwa_temperature": 2.0}}, "unknown config key 'train.dwa_temperature'"),
-], ids=["step-past-int64", "machine-is-timestamp", "retired-stride", "retired-temperature"])
+    ({"scenario": {"ar_coeff": 0.8}}, "unknown config key 'scenario.ar_coeff'"),
+    ({"split_fractions": [0.7, 0.15, 0.15]}, "unknown config key 'split_fractions'"),
+    ({"out_dir": "runs"}, "unknown config key 'out_dir'"),
+], ids=["step-past-int64", "machine-is-timestamp", "retired-stride", "retired-temperature",
+        "retired-ar-coeff", "retired-split-fractions", "retired-out-dir"])
 def test_ingest_config_fault_exits_before_reading_the_trace(tmp_path, capsys, extra, message):
     cfg = ingest_config(tmp_path / "cfg.json", **extra)
     trace = _write_trace(tmp_path / "trace.csv", cpu=0.95)
@@ -508,8 +494,7 @@ def test_train_manifest_records_the_numeric_environment(workspace, tmp_path, mon
 def test_train_manifests_record_each_blas_thread_count(workspace, tmp_path):
     """Two child processes train at 1 and 2 BLAS threads; each manifest records its own."""
     cfg = load_run_config(workspace["cfg"])
-    train_idx, _, _ = split(read_dataset(workspace["data"]).labels, cfg.split_fractions,
-                            RngStream(0).substream(1))
+    train_idx, _, _ = split(read_dataset(workspace["data"]).labels, RngStream(0).substream(1))
     assert len(train_idx) % cfg.train.batch_size, "the last batch must be a partial one"
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -567,8 +552,8 @@ def test_train_prints_the_held_out_test_metrics(workspace, tmp_path, capsys):
     assert test_at == val_at + 1 + len(METRIC_FIELDS)
     # the test split of seed 0, scored by the checkpoint train wrote
     cfg = load_run_config(workspace["cfg"])
-    prepared = prepare(*split_parts(read_dataset(workspace["data"]), cfg.split_fractions,
-                                    RngStream(0).substream(1)), cfg.corr_threshold)
+    prepared = prepare(*split_parts(read_dataset(workspace["data"]), RngStream(0).substream(1)),
+                       cfg.corr_threshold)
     ckpt = load_checkpoint(tmp_path / "o" / "checkpoint.json")
     metrics = evaluate(ckpt.params, ckpt.graph, prepared.test)
     width = max(len(m) for m in METRIC_FIELDS)
@@ -592,8 +577,7 @@ def test_train_prepares_and_trains_as_a_sweep_cell(tmp_path, seed):
                  "--out", str(tmp_path / "run"), "--seed", str(seed)]) == EXIT_OK
     ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.json")
     want = run_prepared(
-        prepare_synthetic(cfg.scenario, cfg.n_windows, seed, cfg.split_fractions,
-                          cfg.corr_threshold),
+        prepare_synthetic(cfg.scenario, cfg.n_windows, seed, cfg.corr_threshold),
         cfg.model, replace(cfg.train, seed=seed))
     assert want.prepared.graph.adjacency.any()  # so the graph pins something
     for got, expected in [
@@ -1042,11 +1026,14 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     ],
 )
 def test_config_value_of_wrong_type_is_a_config_error(tmp_path, capsys, config, key):
+    """A retired key (split_fractions) is refused by name before its value is looked at."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     rc = main(["gen", "--config", str(path), "--out", str(tmp_path / "o"), "--n", "1"])
     assert rc == EXIT_CONFIG
-    assert f"config key '{key}' must be" in capsys.readouterr().err
+    expected = (f"unknown config key '{key}'" if key in _readme_retired_keys()
+                else f"config key '{key}' must be")
+    assert expected in capsys.readouterr().err
 
 
 def _readme_run_config_example() -> dict:
@@ -1075,7 +1062,7 @@ def test_readme_run_config_example_names_every_key_at_its_default():
 
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_bytes(b'{"out_dir": "\xff\xfe"}')
+    path.write_bytes(b'{"n_windows": "\xff\xfe"}')
     rc = main(["gen", "--config", str(path), "--out", str(tmp_path / "o"), "--n", "1"])
     assert rc == EXIT_CONFIG
     assert "not valid UTF-8 JSON" in capsys.readouterr().err
@@ -1148,14 +1135,36 @@ def test_out_path_that_is_a_file_exits_before_any_work(workspace, tmp_path, caps
     assert taken.read_text() == "kept\n"
 
 
-def test_out_dir_from_the_environment_that_is_a_file_is_a_config_error(tmp_path, capsys,
-                                                                       monkeypatch):
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    monkeypatch.setenv(OUT_DIR_ENV, str(taken))
-    rc = main(["gen", "--config", str(write_config(tmp_path / "cfg.json")), "--n", "4"])
+@pytest.mark.parametrize("command", ["gen", "ingest", "train", "eval", "predict", "sweep"])
+def test_empty_out_exits_before_any_work(workspace, tmp_path, capsys, monkeypatch, command):
+    """An empty --out names no directory: it is refused, not taken for runs/ or for no --out."""
+    flags = _valid_flags(command, workspace, tmp_path)
+    flags["--out"] = ""
+    for stage in ("generate", "ingest_csv", "read_dataset", "load_checkpoint"):
+        monkeypatch.setattr(cli, stage, lambda *a: pytest.fail("work started"))
+    monkeypatch.setitem(cli.SWEEPS, "batch", lambda *a, **k: pytest.fail("work started"))
+    monkeypatch.chdir(tmp_path)
+    rc = main([command] + [arg for pair in flags.items() for arg in pair])
     assert rc == EXIT_CONFIG
-    assert "is not a directory" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --out must name a directory, not an empty string\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("gen", "dataset.npy"), ("ingest", "dataset.npy"), ("train", "checkpoint.json"),
+    ("eval", "metrics.csv"), ("predict", "predictions.csv"), ("sweep", "sweep_batch.csv"),
+])
+def test_output_file_that_cannot_be_written_is_a_config_error(workspace, tmp_path, capsys,
+                                                              command, blocked):
+    """A directory where an output file goes: one error line naming the file, no traceback."""
+    flags = _valid_flags(command, workspace, tmp_path)
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    rc = main([command] + [arg for pair in flags.items() for arg in pair])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: output cannot be written: ")
+    assert str(tmp_path / "out" / blocked) in err
+    assert err.count("\n") == 1
 
 
 def test_config_int_is_accepted_where_a_float_is_expected(tmp_path):
@@ -1175,21 +1184,67 @@ def test_learning_rate_above_one_exits_before_writing(workspace, tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("fractions, message", [
+@pytest.mark.parametrize("fractions, old_message", [
     ([0.5, 0.5, 0.5], "split_fractions must sum to 1, got sum 1.5"),
     ([1.0, 0.0, 0.0], "split_fractions must be positive, got (1.0, 0.0, 0.0)"),
 ])
 @pytest.mark.parametrize("command", ["gen", "graph"])
 def test_bad_split_fractions_exit_before_writing(workspace, tmp_path, capsys, command,
-                                                 fractions, message):
-    """gen and graph never split, yet they validate the whole config as train does."""
+                                                 fractions, old_message):
+    """The split is a constant: fractions that were once refused by value are now an
+    unknown key, which gen and graph refuse before writing as train does."""
     path = write_config(tmp_path / "cfg.json", split_fractions=fractions)
     out = tmp_path / "data"
     inputs = (["--n", "8", "--out", str(out)] if command == "gen"
               else ["--data", str(workspace["data"])])
     rc = main([command, "--config", str(path)] + inputs)
     assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: config {path}: {message}\n"
+    err = capsys.readouterr().err
+    assert err == f"error: config {path}: unknown config key 'split_fractions'\n"
+    assert old_message not in err
+    assert not out.exists()
+
+
+def _readme_retired_keys() -> list[str]:
+    """The backticked keys of the README's list of settings that are now unknown keys."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("These keys were settings once and are now unknown keys", 1)[1]
+    bullets = block.split("\n\n", 1)[0].split("\n- ")[1:]
+    return [key for bullet in bullets for key in re.findall(r"`([\w.]+)`", bullet.split(":")[0])]
+
+
+def test_readme_lists_the_retired_keys():
+    assert {"scenario.ar_coeff", "split_fractions", "out_dir", "train.dwa_temperature",
+            "ingest.stride"} <= set(_readme_retired_keys())
+
+
+@pytest.mark.parametrize("key", _readme_retired_keys())
+@pytest.mark.parametrize("command", ["gen", "graph"])
+def test_readme_retired_key_exits_before_writing(workspace, tmp_path, capsys, command, key):
+    """gen and graph never train, yet they refuse each retired key as train does."""
+    section, _, name = key.rpartition(".")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {name: 1}} if section else {name: 1}))
+    out = tmp_path / "data"
+    inputs = (["--n", "8", "--out", str(out)] if command == "gen"
+              else ["--data", str(workspace["data"])])
+    rc = main([command, "--config", str(path)] + inputs)
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: config {path}: unknown config key '{key}'\n"
+    assert not out.exists()
+
+
+def test_dataset_too_small_for_the_split_is_a_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    data = tmp_path / "data"
+    assert main(["gen", "--config", str(cfg), "--out", str(data), "--n", "2"]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--data", str(data / "dataset.npy"),
+               "--out", str(out)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == "error: 2 windows leave the val part of the per-class 70/15/15 split empty\n"
     assert not out.exists()
 
 

@@ -19,12 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contention.data import (
+    AR_COEFF,
     CLASS_NAMES,
     DOWNSTREAM,
     GROUP_NAMES,
     MAX_GENERATED_VALUES,
     MAX_METRIC_COUNT,
     MAX_SCENARIO_SCALE,
+    SPLIT_FRACTIONS,
     UNLABELED,
     ContentionClass,
     Dataset,
@@ -108,7 +110,6 @@ class TestScenarioConfig:
         assert cfg.separation == 1.0
         assert cfg.leakage == 0.3
         assert cfg.leak_lag == 4
-        assert cfg.ar_coeff == 0.8
         assert cfg.noise_std == 0.2
         assert cfg.metric_names()[:4] == ("cpu0", "cpu1", "cpu2", "mem0")
 
@@ -123,7 +124,7 @@ class TestScenarioConfig:
             {"leakage": -0.1},
             {"leak_lag": 32},
             {"leak_lag": -1},
-            {"ar_coeff": 1.0},
+            {"separation": float("nan")},
             {"noise_std": 0.0},
             {"metric_count": MAX_METRIC_COUNT + 4},
             {"separation": 1e308},
@@ -135,9 +136,7 @@ class TestScenarioConfig:
             ScenarioConfig(**kwargs)
 
     def test_largest_scale_generates_finite_values_without_warnings(self):
-        cfg = ScenarioConfig(
-            separation=MAX_SCENARIO_SCALE, noise_std=MAX_SCENARIO_SCALE, ar_coeff=0.999
-        )
+        cfg = ScenarioConfig(separation=MAX_SCENARIO_SCALE, noise_std=MAX_SCENARIO_SCALE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             data = generate(cfg, 20, RngStream(0))
@@ -250,7 +249,7 @@ def _reference_generate(cfg, n, rng):
         x = np.empty_like(eps)
         x[0] = eps[0]
         for t in range(1, cfg.window_len):
-            x[t] = cfg.ar_coeff * x[t - 1] + eps[t]
+            x[t] = AR_COEFF * x[t - 1] + eps[t]
         group_map = cfg.group_map
         for name, sig in class_signals(cfg, label).items():
             x[:, list(group_map[name])] += sig[:, None]
@@ -268,7 +267,6 @@ def _scenarios(draw):
         separation=draw(st.sampled_from([0.0, 0.3, 1.0, 4.0])),
         leakage=draw(st.sampled_from([0.0, 0.3, 1.0])),
         leak_lag=draw(st.integers(0, t_len - 1)),
-        ar_coeff=draw(st.sampled_from([-0.95, -0.5, 0.0, 0.8, 0.99])),
         noise_std=draw(st.sampled_from([1e-3, 0.2, 3.0])),
     )
 
@@ -354,7 +352,7 @@ class TestGenerate:
         assert chi2 < 18.467
 
     def test_autoregressive_structure(self):
-        """With no injected signal the lag-1 autocorrelation tracks ar_coeff."""
+        """With no injected signal the lag-1 autocorrelation tracks AR_COEFF."""
         cfg = ScenarioConfig(separation=0.0)
         ws = generate(cfg, 300, RngStream(5, (0,)))
         num = den = 0.0
@@ -513,7 +511,7 @@ class TestDataset:
         assert sub.metric_names == data.metric_names
 
 
-def _reference_split(windows, fractions, rng):
+def _reference_split(windows, rng):
     """The list-based split this package used before index arrays: the reference."""
     strata = {}
     for i, w in enumerate(windows):
@@ -523,7 +521,7 @@ def _reference_split(windows, fractions, rng):
     for key in sorted(strata):
         idx = np.array(strata[key])
         gen.shuffle(idx)
-        counts = _apportion(len(idx), fractions)
+        counts = _apportion(len(idx))
         offset = 0
         for part, count in zip(parts, counts):
             part.extend(windows[i] for i in idx[offset : offset + count])
@@ -556,12 +554,10 @@ class TestIndexSelectionMatchesReference:
     """split and subsample_stratified pick the windows the list versions picked,
     in the same order, from the same RNG draws."""
 
-    FRACTIONS = (0.6, 0.25, 0.15)
-
     def _check(self, data, seed):
         ws, labels = list(data), data.labels
-        want = _reference_split(ws, self.FRACTIONS, RngStream(seed, (2,)))
-        got = split(labels, self.FRACTIONS, RngStream(seed, (2,)))
+        want = _reference_split(ws, RngStream(seed, (2,)))
+        got = split(labels, RngStream(seed, (2,)))
         for part_w, part_i in zip(want, got, strict=True):
             assert [w.source for w in part_w] == [ws[i].source for i in part_i]
         for fraction in (0.1, 0.5, 1.0):
@@ -574,9 +570,9 @@ class TestIndexSelectionMatchesReference:
                     max_size=80), st.integers(0, 10_000))
     def test_label_mixes_with_unlabeled_windows(self, labels, seed):
         data = _labeled_mix(labels)
-        if not all(_reference_split(list(data), self.FRACTIONS, RngStream(seed, (2,)))):
-            with pytest.raises(ConfigError, match="empty"):  # the index version refuses
-                split(data.labels, self.FRACTIONS, RngStream(seed, (2,)))
+        if not all(_reference_split(list(data), RngStream(seed, (2,)))):
+            with pytest.raises(DataError, match="empty"):  # the index version refuses
+                split(data.labels, RngStream(seed, (2,)))
             return
         self._check(data, seed)
 
@@ -592,66 +588,54 @@ class TestSplit:
         return generate(ScenarioConfig(), n, RngStream(seed, (0,))).labels
 
     def test_partition_is_exact(self):
-        tr, va, te = split(self._labels(120, 0), (0.7, 0.15, 0.15), RngStream(1, (0,)))
+        tr, va, te = split(self._labels(120, 0), RngStream(1, (0,)))
         assert len(tr) + len(va) + len(te) == 120
         assert np.array_equal(np.sort(np.concatenate([tr, va, te])), np.arange(120))
 
     def test_deterministic(self):
         labels = self._labels(60, 2)
-        a = split(labels, (0.6, 0.2, 0.2), RngStream(3, (0,)))
-        b = split(labels, (0.6, 0.2, 0.2), RngStream(3, (0,)))
+        a = split(labels, RngStream(3, (0,)))
+        b = split(labels, RngStream(3, (0,)))
         for pa, pb in zip(a, b):
             assert np.array_equal(pa, pb)
 
     def test_seed_changes_assignment(self):
         labels = self._labels(60, 2)
-        a = split(labels, (0.6, 0.2, 0.2), RngStream(3, (0,)))
-        b = split(labels, (0.6, 0.2, 0.2), RngStream(4, (0,)))
+        a = split(labels, RngStream(3, (0,)))
+        b = split(labels, RngStream(4, (0,)))
         assert any(not np.array_equal(pa, pb) for pa, pb in zip(a, b))
 
     def test_stratification_within_one_window(self):
         labels = self._labels(400, 5)
-        fractions = (0.7, 0.15, 0.15)
-        parts = split(labels, fractions, RngStream(6, (0,)))
+        parts = split(labels, RngStream(6, (0,)))
         totals = self._label_counts(labels)
-        for part, f in zip(parts, fractions):
+        for part, f in zip(parts, SPLIT_FRACTIONS):
             counts = self._label_counts(labels[part])
             for c in range(5):
                 assert abs(counts[c] - f * totals[c]) <= 1.0
 
     def test_unlabeled_windows_form_their_own_stratum(self):
         labels = np.full(30, UNLABELED)
-        tr, va, te = split(labels, (0.5, 0.25, 0.25), RngStream(8, (0,)))
-        assert (len(tr), len(va), len(te)) == (15, 8, 7)
-
-    def test_fraction_validation(self):
-        labels = random_dataset(10, 8, 4, seed=9).labels
-        with pytest.raises(ConfigError):
-            split(labels, (0.5, 0.5), RngStream(0))
-        with pytest.raises(ConfigError):
-            split(labels, (0.8, 0.3, -0.1), RngStream(0))
-        with pytest.raises(ConfigError, match="sum"):
-            split(labels, (0.5, 0.3, 0.1), RngStream(0))
-        with pytest.raises(ConfigError, match="positive"):
-            split(labels, (float("nan"), 0.5, 0.5), RngStream(0))
+        tr, va, te = split(labels, RngStream(8, (0,)))
+        assert (len(tr), len(va), len(te)) == (21, 5, 4)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
-            split(np.empty(0, dtype=np.int64), (0.6, 0.2, 0.2), RngStream(0))
+            split(np.empty(0, dtype=np.int64), RngStream(0))
 
     def test_empty_part_rejected(self):
-        with pytest.raises(ConfigError, match="empty"):
-            split(np.full(2, UNLABELED), (0.9, 0.05, 0.05), RngStream(0))
+        """Two windows of one stratum both go to train, which leaves val empty."""
+        with pytest.raises(DataError, match="^2 windows leave the val part"):
+            split(np.full(2, UNLABELED), RngStream(0))
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(30, 80), st.integers(0, 10_000))
     def test_property_partition_and_stratification(self, n, seed):
         labels = random_dataset(n, 8, 4, seed=seed, num_classes=3).labels
-        fractions = (0.5, 0.25, 0.25)
-        parts = split(labels, fractions, RngStream(seed, (2,)))
+        parts = split(labels, RngStream(seed, (2,)))
         assert sum(len(p) for p in parts) == n
         totals = np.bincount(labels, minlength=3)
-        for part, f in zip(parts, fractions):
+        for part, f in zip(parts, SPLIT_FRACTIONS):
             counts = np.bincount(labels[part], minlength=3)
             for c in range(3):
                 assert abs(counts[c] - f * totals[c]) <= 1.0

@@ -40,7 +40,6 @@ CONFIG = {
     "model": {"encoder_hidden": 4, "embed_width": 3, "propagation_width": 3, "head_hidden": 3},
     "train": {"batch_size": 16, "max_epochs": 1, "learning_rate": 0.01, "seed": 0},
     "corr_threshold": 0.3,
-    "split_fractions": [0.7, 0.15, 0.15],
     "n_windows": N,
 }
 
@@ -371,7 +370,8 @@ def _train_outcome_ok(rc, load_failed) -> bool:
         ("train", "learning_rate", 10**400, "'train.learning_rate' must be float"),
         ("train", "learning_rate", float("inf"), "'train.learning_rate' must be float"),
         ("scenario", "leakage", float("nan"), "'scenario.leakage' must be float"),
-        (None, "split_fractions", [10**400, 0.5, 0.5], "must be a list of numbers"),
+        # split_fractions is no longer a key; it is refused as one
+        (None, "split_fractions", [10**400, 0.5, 0.5], "unknown config key 'split_fractions'"),
     ],
     ids=["negative-seed", "huge-rate", "infinite-rate", "nan-leakage", "huge-fraction"],
 )

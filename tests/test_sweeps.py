@@ -18,7 +18,6 @@ from contention.errors import ConfigError
 from contention.graph import build_graph, graph_stats, identity_graph, pearson_matrix
 from contention.model import ModelConfig
 from contention.pipeline import (
-    DEFAULT_SPLIT,
     prepare,
     prepare_synthetic,
     run_prepared,
@@ -69,7 +68,7 @@ ABLATION_CFG = replace(TINY_CFG, train=replace(TINY_TRAIN, max_epochs=4, learnin
 class TestPrepare:
     def test_norm_comes_from_train_split_only(self):
         data = _generated(90, RngStream(0, (60,)))
-        prepared = prepare(*split_parts(data, (0.6, 0.2, 0.2), RngStream(1, (60,))), 0.3)
+        prepared = prepare(*split_parts(data, RngStream(1, (60,))), 0.3)
         stacked = prepared.train.values.reshape(-1, 4)
         assert np.max(np.abs(stacked.mean(axis=0))) <= 1e-10
         assert np.max(np.abs(stacked.std(axis=0) - 1.0)) <= 1e-10
@@ -80,7 +79,7 @@ class TestPrepare:
 
     def test_graph_built_from_normalized_train(self):
         data = _generated(90, RngStream(2, (60,)))
-        prepared = prepare(*split_parts(data, (0.6, 0.2, 0.2), RngStream(3, (60,))), 0.3)
+        prepared = prepare(*split_parts(data, RngStream(3, (60,))), 0.3)
         want = build_graph(pearson_matrix(prepared.train), 0.3)
         assert np.array_equal(prepared.graph.adjacency, want.adjacency)
         assert prepared.graph.threshold == 0.3
@@ -105,7 +104,7 @@ class TestPrepare:
         before = data.values.tobytes()
         parts = (np.arange(22, 62), np.arange(10), np.arange(10, 22))
         prepared = prepare(*(data.subset(i) for i in parts), corr_threshold=0.3)
-        prepare(*split_parts(data, (0.6, 0.2, 0.2), RngStream(1, (60,))), 0.3)
+        prepare(*split_parts(data, RngStream(1, (60,))), 0.3)
         assert data.values.tobytes() == before
         for part, index in zip((prepared.train, prepared.val, prepared.test), parts):
             want = apply_norm(data.subset(index), prepared.norm).values
@@ -116,14 +115,13 @@ class TestPrepare:
 
     def test_split_sizes_follow_fractions(self):
         data = _generated(100, RngStream(7, (60,)))
-        prepared = prepare(*split_parts(data, DEFAULT_SPLIT, RngStream(8, (60,))), 0.3)
+        prepared = prepare(*split_parts(data, RngStream(8, (60,))), 0.3)
         assert len(prepared.train) + len(prepared.val) + len(prepared.test) == 100
         assert abs(len(prepared.train) - 70) <= 3
 
 
 def _tiny_run(data_seed):
-    prepared = prepare_synthetic(TINY_SCENARIO, 100, data_seed, DEFAULT_SPLIT,
-                                 TINY_CFG.corr_threshold)
+    prepared = prepare_synthetic(TINY_SCENARIO, 100, data_seed, TINY_CFG.corr_threshold)
     return run_prepared(prepared, TINY_MODEL, TINY_TRAIN)
 
 
@@ -209,7 +207,7 @@ class TestSweeps:
         for i, seed in enumerate((0, 1)):
             unswept = run_prepared(
                 prepare_synthetic(TINY_CFG.scenario, TINY_CFG.n_windows, seed,
-                                  TINY_CFG.split_fractions, TINY_CFG.corr_threshold),
+                                  TINY_CFG.corr_threshold),
                 TINY_CFG.model,
                 replace(TINY_CFG.train, seed=seed),
             )
@@ -235,8 +233,7 @@ class TestSweeps:
         for i, seed in enumerate((0, 1)):
             rng = RngStream(seed)
             data = generate(TINY_SCENARIO, ABLATION_CFG.n_windows, rng.substream(0))
-            prepared = prepare(*split_parts(data, ABLATION_CFG.split_fractions, rng.substream(1)),
-                               ABLATION_CFG.corr_threshold)
+            prepared = prepare(*split_parts(data, rng.substream(1)), ABLATION_CFG.corr_threshold)
             assert graph_stats(prepared.graph).edges > 0  # so the identity graph changes the run
             train_cfg = replace(ABLATION_CFG.train, seed=seed)
             runs = {
