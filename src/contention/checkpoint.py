@@ -1,18 +1,17 @@
 """Checkpoint serialization: everything needed to reproduce predictions.
 
 A checkpoint is one JSON file holding the model config, the window length T
-the weights were trained for, every weight array, the metric graph (binary
-adjacency plus build threshold; the normalized operator is recomputed on
-load), the normalization statistics, the training dataset's metric names,
-and provenance (training seed, config digest). It holds no class names: the
+the weights were trained for, every weight array, the metric graph (its
+binary adjacency; the normalized operator is recomputed on load), the
+normalization statistics, the training dataset's metric names, and
+provenance (training seed, config digest). It holds no class names: the
 heads score the fixed classes `data.CLASS_NAMES` in order.
 
 The weights (`ModelParams.flat`, in `ModelParams.layout` order) and the
 normalization mean and std are each one string: the base64 (RFC 4648) of
-their little-endian float64 bytes. The graph stays readable: adjacency
-entries are the JSON integers 0 and 1 and the threshold is a decimal string
-with 17 significant digits. Both forms round-trip IEEE doubles exactly:
-loading and saving again produces a byte-identical file, and reloaded
+their little-endian float64 bytes, which round-trip IEEE doubles exactly;
+the graph stays readable, its adjacency entries the JSON integers 0 and 1.
+Loading and saving again produces a byte-identical file, and reloaded
 parameters yield bitwise-equal logits. The loader takes each field only as
 the JSON type save_checkpoint writes, checks a base64 field's length before
 it decodes it, and through `data.read_json_object` turns every fault, a
@@ -35,7 +34,7 @@ from contention.errors import DataError, SchemaError, ShapeError
 from contention.graph import MetricGraph
 from contention.model import ModelConfig, ModelParams
 
-CHECKPOINT_FORMAT_VERSION = 5
+CHECKPOINT_FORMAT_VERSION = 6
 
 
 def _encode_floats(arr: np.ndarray) -> str:
@@ -79,7 +78,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "params": _encode_floats(ckpt.params.flat),
         "graph": {
             "dim": ckpt.graph.dim,
-            "threshold": f"{float(ckpt.graph.threshold):.17g}",
             "adjacency": [[int(v) for v in row] for row in ckpt.graph.adjacency],
         },
         "normalization": {
@@ -118,12 +116,7 @@ def _from_payload(payload: dict) -> Checkpoint:
         raise DataError("adjacency must be symmetric with a zero diagonal")
     if not np.all((adjacency == 0) | (adjacency == 1)):
         raise DataError("adjacency entries must be 0 or 1")
-    if type(threshold := g["threshold"]) is not str:
-        raise SchemaError(f"'graph.threshold' must be a decimal string, got {threshold!r}")
-    threshold = float(threshold)
-    if not 0.0 <= threshold <= 1.0:
-        raise DataError(f"graph threshold must lie in [0, 1], got {threshold}")
-    graph = MetricGraph(adjacency=adjacency, threshold=threshold)
+    graph = MetricGraph(adjacency)
 
     norm = NormStats(**{key: _decode_floats(payload["normalization"][key], dim,
                                             f"'normalization.{key}'")

@@ -33,7 +33,7 @@ from contention.data import (
     write_dataset,
 )
 from contention.errors import ConfigError, ContentionError, DataError, NumericError, ShapeError
-from contention.graph import build_graph, graph_stats, pearson_matrix
+from contention.graph import CORR_THRESHOLD, build_graph, graph_stats, pearson_matrix
 from contention.ingest import apply_weak_labels, ingest_csv
 from contention.model import softmax
 from contention.pipeline import prepare, run_prepared, split_parts
@@ -54,6 +54,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+DATASET_FILES = ("dataset.npy", "dataset.manifest.json")  # what write_dataset writes
 HASH_BLOCK = 1 << 20  # bytes read at a time by git_blob_sha1
 # BLAS reductions split by thread count, so these set the last bits of a trained model
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -134,10 +135,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     seed = args.seed if args.seed is not None else cfg.train.seed
     n = args.n if args.n is not None else cfg.n_windows
-    out_dir = resolve_out_dir(args.out)
+    out_dir = resolve_out_dir(args.out, DATASET_FILES)
     data = generate(cfg.scenario, n, RngStream(seed).substream(0))
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset_path = out_dir / "dataset.npy"
+    dataset_path = out_dir / DATASET_FILES[0]
     write_dataset(dataset_path, data)
     print(f"wrote {len(data)} windows to {dataset_path}")
     for name, count in _class_histogram(data.labels).items():
@@ -149,7 +150,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     if cfg.schema is None:
         raise ConfigError("ingestion requires a 'schema' section in the config")
-    out_dir = resolve_out_dir(args.out)
+    out_dir = resolve_out_dir(args.out, DATASET_FILES)
     result = ingest_csv(args.trace, cfg.schema, cfg.ingest)
     data, dropped = result.windows, 0
     if args.weak_label:
@@ -157,7 +158,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if not len(data):
             raise DataError("weak labeling left zero labeled windows")
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset_path = out_dir / "dataset.npy"
+    dataset_path = out_dir / DATASET_FILES[0]
     write_dataset(dataset_path, data)
     print(
         f"ingested {result.machines} machines -> {len(data)} windows "
@@ -172,10 +173,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config)
-    graph = build_graph(pearson_matrix(read_dataset(args.data)), cfg.corr_threshold)
+    graph = build_graph(pearson_matrix(read_dataset(args.data)))
     stats = graph_stats(graph)
-    print(f"metric graph over {graph.dim} metrics at |corr| >= {cfg.corr_threshold}")
+    print(f"metric graph over {graph.dim} metrics at |corr| >= {CORR_THRESHOLD}")
     print(f"  edges     {stats.edges}")
     print(f"  density   {stats.density:.4f}")
     print(f"  isolated  {stats.isolated}")
@@ -190,10 +190,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     seed = args.seed if args.seed is not None else cfg.train.seed
     train_cfg = replace(cfg.train, seed=seed)
-    out_dir = resolve_out_dir(args.out)
+    out_dir = resolve_out_dir(args.out, ("checkpoint.json", "history.csv", "run_manifest.json"))
     # the whole set is only split_parts' argument, so it is freed before prepare runs
-    prepared = prepare(*split_parts(read_dataset(args.data), RngStream(seed).substream(1)),
-                       cfg.corr_threshold)
+    prepared = prepare(*split_parts(read_dataset(args.data), RngStream(seed).substream(1)))
     result = run_prepared(prepared, cfg.model, train_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = Checkpoint(
@@ -242,7 +241,7 @@ def _load_eval_inputs(args: argparse.Namespace):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    out_dir = resolve_out_dir(args.out)
+    out_dir = resolve_out_dir(args.out, ("metrics.csv", "confusion.csv", "per_class.csv"))
     ckpt, data = _load_eval_inputs(args)
     metrics = evaluate(ckpt.params, ckpt.graph, data)
     _print_metrics(f"evaluation over {len(data)} windows", metrics)
@@ -268,7 +267,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    out_dir = resolve_out_dir(args.out)
+    out_dir = resolve_out_dir(args.out, ("predictions.csv",))
     ckpt, data = _load_eval_inputs(args)
     pred = score(ckpt.params, ckpt.graph, data)
     header = ["window_id", *(f"logit_{c}" for c in CLASS_NAMES), *(f"p_{c}" for c in CLASS_NAMES),
@@ -298,10 +297,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
     if repeated:
         raise ConfigError(f"--seeds names seed {repeated[0]} more than once")
-    out_dir = resolve_out_dir(args.out)
+    name = f"sweep_{args.kind}.csv"
+    out_dir = resolve_out_dir(args.out, (name, "run_manifest.json"))
     table = SWEEPS[args.kind](cfg, seeds=seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"sweep_{table.kind}.csv"
+    path = out_dir / name
     write_sweep_csv(table, path)
     _write_manifest(out_dir, f"sweep:{args.kind}", cfg, list(seeds), inputs=[],
                     outputs=[path.name])
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("graph", help="build and describe the metric graph")
-    common(p, data=True, out=False)  # it only prints
+    common(p, data=True, config=False, out=False)  # it reads no config and only prints
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("train", help="train a model on a labeled dataset")

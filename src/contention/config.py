@@ -23,7 +23,6 @@ from pathlib import Path
 
 from contention.data import ScenarioConfig, read_json_object
 from contention.errors import ConfigError
-from contention.graph import DEFAULT_CORR_THRESHOLD
 from contention.ingest import IngestConfig, TraceSchema
 from contention.model import ModelConfig
 from contention.train import TrainConfig
@@ -36,14 +35,9 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     schema: TraceSchema | None = None  # required only by ingestion commands
     ingest: IngestConfig = field(default_factory=IngestConfig)
-    corr_threshold: float = DEFAULT_CORR_THRESHOLD
     n_windows: int = 3000
 
     def __post_init__(self):
-        if not 0.0 <= self.corr_threshold <= 1.0:
-            raise ConfigError(
-                f"corr_threshold must lie in [0, 1], got {self.corr_threshold}"
-            )
         if self.n_windows < 1:
             raise ConfigError(f"n_windows must be >= 1, got {self.n_windows}")
 
@@ -103,7 +97,8 @@ def run_config_from_dict(data: dict) -> RunConfig:
                 ("ingest", IngestConfig))  # each built as one dataclass
     kwargs = {key: cls(**strict_kwargs(key, data[key], cls))
               for key, cls in sections if key in data}
-    kwargs.update((key, data[key]) for key in ("corr_threshold", "n_windows") if key in data)
+    if "n_windows" in data:
+        kwargs["n_windows"] = data["n_windows"]
     if "schema" in data and data["schema"] is not None:
         kwargs["schema"] = _build_schema(data["schema"])
     return RunConfig(**kwargs)
@@ -123,10 +118,10 @@ def config_digest(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def resolve_out_dir(cli_value: str | None) -> Path | None:
+def resolve_out_dir(cli_value: str | None, names: tuple[str, ...]) -> Path | None:
     """The directory --out names; None, which writes no file, when eval or predict
-    has no --out. An empty value, or an existing path that is not a directory,
-    is refused before any work starts."""
+    has no --out. An empty value, an existing path that is not a directory, and a
+    directory in the place of a file `names` lists are refused before any work starts."""
     if cli_value is None:
         return None
     if not cli_value:
@@ -135,4 +130,6 @@ def resolve_out_dir(cli_value: str | None) -> Path | None:
     existing = next((p for p in (path, *path.parents) if p.exists()), None)
     if existing is not None and not existing.is_dir():
         raise ConfigError(f"output directory {path}: {existing} exists and is not a directory")
+    if blocked := [path / name for name in names if (path / name).is_dir()]:
+        raise ConfigError(f"output cannot be written: {blocked[0]} is a directory")
     return path

@@ -1,11 +1,11 @@
 """Metric dependency graph: correlation estimation, thresholding, normalization.
 
 The D monitored metrics are the vertices. Edges come from thresholding the
-absolute Pearson correlation between metric series over the training split,
-standing in for competition/dependency links between resources. The
-propagation operator is the usual symmetric normalization of the adjacency
-with implicit self-loops (Kipf & Welling 2017), so isolated metrics still
-see themselves; a MetricGraph derives it from its own adjacency.
+absolute Pearson correlation between metric series over the training split
+at CORR_THRESHOLD, standing in for competition/dependency links between
+resources. The propagation operator is the usual symmetric normalization of
+the adjacency with implicit self-loops (Kipf & Welling 2017), so isolated
+metrics still see themselves; a MetricGraph derives it from its adjacency.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from contention.errors import ConfigError, ShapeError
 
-DEFAULT_CORR_THRESHOLD = 0.3
+CORR_THRESHOLD = 0.3
 
 # Relative floor below which a metric is treated as constant.
 _VAR_FLOOR = 1e-12
@@ -28,7 +28,6 @@ class MetricGraph:
 
     adjacency: np.ndarray  # D x D binary, symmetric, zero diagonal
     normalized: np.ndarray = field(init=False)  # (A + I) scaled by inverse sqrt degrees
-    threshold: float
 
     def __post_init__(self):
         object.__setattr__(self, "normalized", normalize_adjacency(self.adjacency))
@@ -96,13 +95,13 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return (a + np.eye(a.shape[0])) * np.outer(inv, inv)
 
 
-def build_graph(corr: np.ndarray, threshold: float = DEFAULT_CORR_THRESHOLD) -> MetricGraph:
+def build_graph(corr: np.ndarray, threshold: float = CORR_THRESHOLD) -> MetricGraph:
     """Edge (i, j) iff |corr_ij| >= threshold for i != j, from a (D, D) correlation matrix."""
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"correlation threshold must lie in [0, 1], got {threshold}")
     adjacency = (np.abs(corr) >= threshold).astype(np.float64)
     np.fill_diagonal(adjacency, 0.0)
-    return MetricGraph(adjacency=adjacency, threshold=float(threshold))
+    return MetricGraph(adjacency)
 
 
 def identity_graph(dim: int) -> MetricGraph:
@@ -113,7 +112,7 @@ def identity_graph(dim: int) -> MetricGraph:
     """
     if dim < 1:
         raise ShapeError(f"graph needs at least one vertex, got {dim}")
-    return MetricGraph(adjacency=np.zeros((dim, dim)), threshold=1.0)
+    return MetricGraph(np.zeros((dim, dim)))
 
 
 def graph_stats(g: MetricGraph) -> GraphStats:

@@ -108,11 +108,11 @@ MAX_FILL_LIMIT = 64
 
 # Data lines per block. Each line numpy refuses costs a failed np.loadtxt call
 # and a second reading of the lines before it, so larger blocks pay less call
-# overhead and more re-reading. ingest_csv time against 16-line blocks sent
-# whole to the csv loop on one refused row, on a clean trace, the benchmark's
-# ingest trace (0.5% malformed rows) and one with 5%: 64 lines 0.80, 0.84,
-# 0.86; 128 lines 0.80, 0.81, 0.88; 256 lines 0.75, 0.85, 0.88 (paired medians
-# of 21 in-process rounds, 2-core VM, Python 3.11, numpy 2.4).
+# overhead and more re-reading. ingest_csv time over its time at 128 lines, on
+# a clean trace, the benchmark's ingest trace (0.5% malformed rows) and one
+# with 5%: 32 lines 1.16, 1.05, 0.99; 64 lines 1.06, 1.00, 0.97; 256 lines
+# 0.97, 1.04, 1.02; 512 lines 0.95, 1.11, 1.04 (paired medians of 21
+# in-process rounds, 2-core VM, Python 3.11, numpy 2.4).
 BLOCK_LINES = 128
 # Characters of a block numpy may parse: printable ASCII and the line feed.
 PLAIN = bytes(range(ord(" "), ord("~") + 1)) + b"\n"
@@ -168,15 +168,14 @@ def _segments(stamps: np.ndarray, values: np.ndarray, step: int, max_fill: int):
         first = int(buckets[lo])
         offsets = (buckets[lo:hi] - buckets[lo]).view(np.int64)
         n = int(offsets[-1]) + 1
-        sums = np.zeros((n, values.shape[1]))
-        # a bucket that sums past the double range turns inf or nan here, and
-        # the window check downstream reports it as a data error
-        with np.errstate(over="ignore", invalid="ignore"):
-            # adds in row order, so each bucket sums exactly as a sequential +=
-            np.add.at(sums, offsets, values[lo:hi])
-            counts = np.bincount(offsets, minlength=n)
-            observed = counts > 0
-            sums[observed] /= counts[observed, None]
+        # adds each bucket's rows in row order from 0.0, as a sequential += would; a
+        # sum past the double range turns inf here, silently, and the window check
+        # downstream reports it as a data error
+        sums = np.stack([np.bincount(offsets, weights=col, minlength=n)
+                         for col in values[lo:hi].T], axis=1)
+        counts = np.bincount(offsets, minlength=n)
+        observed = counts > 0
+        sums[observed] /= counts[observed, None]
         last = np.maximum.accumulate(np.where(observed, np.arange(n), 0))
         yield first, sums[last]
 
@@ -206,6 +205,7 @@ def ingest_csv(
     with fh, warnings.catch_warnings():
         # older numpy reads an integer cell such as "1.5" via float, warning only
         warnings.simplefilter("error", DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # blank lines
         reader = csv.reader(fh)
         try:
             index = {name: i for i, name in enumerate(next(reader, []))}
@@ -283,10 +283,10 @@ def ingest_csv(
                     # a quoted field may span lines, and csv ends a record at a lone CR
                     read_rows(chain(block, fh))
                     break
-                lines = [line for line in text.split("\n") if line]  # csv skips blank lines
                 if len(text) <= limit and not text.encode().translate(None, PLAIN):
-                    read_plain(lines)
+                    read_plain(block)  # both readers skip blank lines and take LF or CRLF
                     continue
+                lines = [line for line in text.split("\n") if line]
                 # numpy reads some non-printable cells that float() refuses, such as "\x1c5",
                 # and has no field size limit: the csv loop reads such lines one by one
                 start = 0

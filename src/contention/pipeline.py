@@ -41,14 +41,13 @@ def split_parts(data: Dataset, split_rng: RngStream) -> tuple[Dataset, Dataset, 
     return tuple(data.subset(i) for i in split(data.labels, split_rng))
 
 
-def prepare(train_d: Dataset, val_d: Dataset, test_d: Dataset,
-            corr_threshold: float) -> PreparedData:
+def prepare(train_d: Dataset, val_d: Dataset, test_d: Dataset) -> PreparedData:
     """Normalize the parts with the train part's statistics and build the graph
     from the normalized train part. Writes its parts, in place: pass arrays no
     one else holds, such as split_parts returns."""
     norm = fit_norm(train_d)
     train_d, val_d, test_d = (norm_in_place(d, norm) for d in (train_d, val_d, test_d))
-    graph = build_graph(pearson_matrix(train_d), corr_threshold)
+    graph = build_graph(pearson_matrix(train_d))
     return PreparedData(train=train_d, val=val_d, test=test_d, norm=norm, graph=graph)
 
 
@@ -61,14 +60,13 @@ class RunResult:
     prepared: PreparedData
 
 
-def prepare_synthetic(scenario: ScenarioConfig, n_windows: int, data_seed: int,
-                      corr_threshold: float) -> PreparedData:
+def prepare_synthetic(scenario: ScenarioConfig, n_windows: int, data_seed: int) -> PreparedData:
     """Generate and prepare one synthetic dataset, as `contention gen` then
     `contention train` do at seed data_seed: substream 0 drives generation
     and substream 1 the split."""
     rng = RngStream(data_seed)
     return prepare(*split_parts(generate(scenario, n_windows, rng.substream(0)),
-                                rng.substream(1)), corr_threshold)
+                                rng.substream(1)))
 
 
 def run_prepared(

@@ -73,8 +73,7 @@ def _grid(kind: str, setting_name: str, settings: Sequence, seeds: Sequence[int]
 
 def _prepare_seeds(cfg: RunConfig, seeds: Sequence[int]) -> dict[int, PreparedData]:
     """Each seed's synthetic data at cfg, prepared as gen then train at that seed prepare it."""
-    return {seed: prepare_synthetic(cfg.scenario, cfg.n_windows, seed, cfg.corr_threshold)
-            for seed in seeds}
+    return {seed: prepare_synthetic(cfg.scenario, cfg.n_windows, seed) for seed in seeds}
 
 
 def sweep_batch(cfg: RunConfig, sizes: Sequence[int] = BATCH_SIZES,
@@ -117,8 +116,7 @@ def sweep_dim(cfg: RunConfig, dims: Sequence[int] = METRIC_DIMS,
     """Regenerate data per metric count; the model config never changes,
     exercising the D-independence of the parameterization."""
     def cell(dim: int, seed: int) -> RunResult:
-        data = prepare_synthetic(replace(cfg.scenario, metric_count=dim), cfg.n_windows, seed,
-                                 cfg.corr_threshold)
+        data = prepare_synthetic(replace(cfg.scenario, metric_count=dim), cfg.n_windows, seed)
         return run_prepared(data, cfg.model, replace(cfg.train, seed=seed))
 
     return _grid("dim", "metric_count", dims, seeds, cell)

@@ -128,7 +128,7 @@ def test_criterion_03_task_weight_invariants():
     train_cfg = TrainConfig(
         batch_size=32, max_epochs=50, patience=50, learning_rate=0.01, seed=0
     )
-    prepared = prepare_synthetic(TINY_SCENARIO, 240, 3, corr_threshold=0.3)
+    prepared = prepare_synthetic(TINY_SCENARIO, 240, 3)
     result = run_prepared(prepared, TINY_MODEL, train_cfg)
     records = result.history.records
     ran_full = len(records) == 50
@@ -175,7 +175,7 @@ def test_criterion_04_synthetic_recovery():
     )
 
     gate = baseline_accuracy(test_d, scenario)  # before prepare normalizes test_d in place
-    prepared = prepare(train_d, val_d, test_d, corr_threshold=0.3)
+    prepared = prepare(train_d, val_d, test_d)
     result = run_prepared(prepared, ModelConfig(), TrainConfig())
     m = result.test_metrics
     elapsed = time.perf_counter() - start
@@ -357,7 +357,7 @@ def test_criterion_08_determinism(tmp_path):
     history_identical = histories[0] == histories[1]
 
     result = run_prepared(
-        prepare_synthetic(TINY_SCENARIO, 120, 5, corr_threshold=0.3),
+        prepare_synthetic(TINY_SCENARIO, 120, 5),
         TINY_MODEL,
         TrainConfig(batch_size=16, max_epochs=2, seed=0),
     )

@@ -1,8 +1,7 @@
 """Checkpoint and run-config serialization tests.
 
 The load-save-load identity is checked at the byte level: the base64 of
-the float64 bytes and the 17-significant-digit graph threshold round-trip
-IEEE doubles exactly, so resaving a loaded checkpoint must reproduce the file
+the float64 bytes round-trips IEEE doubles exactly, so resaving a loaded checkpoint must reproduce the file
 bit for bit, and reloaded parameters must produce bitwise-identical logits.
 """
 
@@ -76,7 +75,6 @@ class TestRoundTrip:
         assert back.params.window_len == ckpt.params.window_len == 8
         assert np.array_equal(back.params.flat, ckpt.params.flat)
         assert np.array_equal(back.graph.adjacency, ckpt.graph.adjacency)
-        assert back.graph.threshold == ckpt.graph.threshold
         assert np.array_equal(back.norm.mean, ckpt.norm.mean)
         assert np.array_equal(back.norm.std, ckpt.norm.std)
         assert back.metric_names == ckpt.metric_names
@@ -179,9 +177,9 @@ class TestRoundTrip:
         assert isinstance(payload["params"], str)
         assert isinstance(payload["normalization"]["mean"], str)
         assert isinstance(payload["normalization"]["std"], str)
-        # the graph stays readable: 0/1 integers and a decimal threshold
+        # the graph stays readable: 0/1 integers, and no threshold, a constant
         assert payload["graph"]["adjacency"][0][0] in (0, 1)
-        assert payload["graph"]["threshold"] == "0.25"
+        assert set(payload["graph"]) == {"dim", "adjacency"}
         assert payload["window_len"] == 8
         assert "window_len" not in payload["model"]
 
@@ -213,13 +211,13 @@ class TestLoadValidation:
         with pytest.raises(SchemaError, match="normalization"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 99, 4.0, 5.0])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 99, 4.0, 5.0, 6.0])
     def test_version_mismatch(self, tmp_path, version):
         """Version 1 stored enc_w1 transposed, version 2 a class count and class
-        names, version 3 the window length in the model section, and version 4
-        every float as a decimal string in nested lists; their checkpoints must be
-        retrained. The version is read before any other key, and it is an
-        integer: 5.0 is refused too."""
+        names, version 3 the window length in the model section, version 4
+        every float as a decimal string in nested lists, and version 5 the graph's
+        correlation threshold; their checkpoints must be retrained. The version is
+        read before any other key, and it is an integer: 6.0 is refused too."""
         path = self._saved(tmp_path)
 
         def older(p):
@@ -228,7 +226,7 @@ class TestLoadValidation:
 
         self._rewrite(path, older)
         # a SchemaError is a DataError, which the CLI maps to exit 3
-        message = rf"ckpt\.json has format_version {version}, not 5; regenerate it"
+        message = rf"ckpt\.json has format_version {version}, not 6; regenerate it"
         with pytest.raises(SchemaError, match=message):
             load_checkpoint(path)
 
@@ -309,13 +307,6 @@ class TestLoadValidation:
         with pytest.raises(DataError, match="0 or 1"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("threshold", ["nan", "-0.5", "1.5"])
-    def test_threshold_must_lie_in_unit_interval(self, tmp_path, threshold):
-        path = self._saved(tmp_path)
-        self._rewrite(path, lambda p: p["graph"].update(threshold=threshold))
-        with pytest.raises(DataError, match=r"threshold must lie in \[0, 1\]"):
-            load_checkpoint(path)
-
     @pytest.mark.parametrize("std", ["0", "-1", "1e-300"])
     def test_std_below_the_fit_floor(self, tmp_path, std):
         """fit_norm floors every std at NormStats.STD_FLOOR; a smaller one would
@@ -353,11 +344,11 @@ class TestLoadValidation:
         [
             ("graph", "dim", None),
             ("graph", "adjacency", None),
-            ("graph", "threshold", None),
+            ("normalization", "mean", 0.5),
             ("normalization", "mean", None),
             ("normalization", "std", None),
             ("graph", "dim", "four"),
-            ("graph", "threshold", [0.5]),
+            ("graph", "dim", 4.0),
             ("graph", None, []),
             ("normalization", None, "none"),
         ],
@@ -385,7 +376,6 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.n_windows == 3000
-        assert cfg.corr_threshold == 0.3
         assert cfg.schema is None
 
     def test_from_dict_nested_sections(self):
@@ -394,7 +384,6 @@ class TestRunConfig:
                 "scenario": {"metric_count": 8, "window_len": 16},
                 "model": {"encoder_hidden": 32},
                 "train": {"batch_size": 32, "max_epochs": 5},
-                "corr_threshold": 0.5,
                 "n_windows": 100,
             }
         )
@@ -402,7 +391,6 @@ class TestRunConfig:
         assert cfg.scenario.window_len == 16
         assert cfg.model.encoder_hidden == 32
         assert cfg.train.batch_size == 32
-        assert cfg.corr_threshold == 0.5
         assert cfg.n_windows == 100
 
     def test_unknown_keys_rejected_with_path(self):
@@ -411,8 +399,8 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown config key 'frobnicate'"):
             run_config_from_dict({"frobnicate": 1})
         # the ablation switch, Adam's constants, the DWA temperature, the AR
-        # coefficient, the split and the output directory are no longer
-        # settings, and ingested windows never overlap
+        # coefficient, the split, the correlation cutoff and the output directory
+        # are no longer settings, and ingested windows never overlap
         removed = {"graph_propagation": False, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8,
                    "dwa_temperature": 2.0}
         for key, value in removed.items():
@@ -422,7 +410,8 @@ class TestRunConfig:
             run_config_from_dict({"ingest": {"stride": 32}})
         with pytest.raises(ConfigError, match="unknown config key 'scenario.ar_coeff'"):
             run_config_from_dict({"scenario": {"ar_coeff": 0.8}})
-        for key, value in {"split_fractions": [0.7, 0.15, 0.15], "out_dir": "runs"}.items():
+        for key, value in {"split_fractions": [0.7, 0.15, 0.15], "corr_threshold": 0.3,
+                           "out_dir": "runs"}.items():
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 run_config_from_dict({key: value})
 
@@ -482,8 +471,6 @@ class TestRunConfig:
             load_run_config(path)
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="corr_threshold"):
-            RunConfig(corr_threshold=1.5)
         with pytest.raises(ConfigError, match="n_windows"):
             RunConfig(n_windows=0)
 
@@ -500,7 +487,8 @@ class TestDigestAndOutDir:
 
     def test_out_dir_is_the_flag_alone(self, monkeypatch):
         monkeypatch.setenv("CONTENTION_OUT_DIR", "from_env")
-        assert resolve_out_dir(None) is None
-        assert resolve_out_dir("from_cli") == Path("from_cli")
+        assert resolve_out_dir(None, ()) is None
+        assert resolve_out_dir("from_cli", ()) == Path("from_cli")
         with pytest.raises(ConfigError, match="empty"):
-            resolve_out_dir("")
+            resolve_out_dir("", ())
+

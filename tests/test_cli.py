@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contention import cli
+from contention import cli, sweeps
 from contention.checkpoint import load_checkpoint
 from contention.cli import (
     EXIT_CONFIG,
@@ -86,6 +86,14 @@ def write_config(path: Path, **overrides) -> Path:
     data.update(overrides)
     path.write_text(json.dumps(data, indent=2))
     return path
+
+
+def _exit_code(argv: list[str]) -> int:
+    """main's exit code, or the code of the SystemExit argparse raises on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture(scope="module")
@@ -423,7 +431,7 @@ def test_graph_prints_structure_summary(workspace, capsys):
     rc = main(["graph", "--data", str(workspace["data"])])
     assert rc == EXIT_OK
     captured = capsys.readouterr().out
-    assert "metric graph over 4 metrics" in captured
+    assert "metric graph over 4 metrics at |corr| >= 0.3\n" in captured
     assert "edges" in captured
     assert "density" in captured
     assert "isolated" in captured
@@ -436,6 +444,13 @@ def test_graph_has_no_out_option(workspace, tmp_path):
         main(["graph", "--data", str(workspace["data"]), "--out", str(tmp_path / "out")])
     assert excinfo.value.code == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_graph_has_no_config_option(workspace, tmp_path, capsys):
+    """graph's one setting, the correlation cutoff, is a constant: --config is a usage error."""
+    cfg = write_config(tmp_path / "cfg.json")
+    assert _exit_code(["graph", "--config", str(cfg), "--data", str(workspace["data"])]) == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_graph_missing_dataset_is_a_data_error(tmp_path, capsys):
@@ -551,9 +566,7 @@ def test_train_prints_the_held_out_test_metrics(workspace, tmp_path, capsys):
     test_at = lines.index("test metrics (held-out split)")
     assert test_at == val_at + 1 + len(METRIC_FIELDS)
     # the test split of seed 0, scored by the checkpoint train wrote
-    cfg = load_run_config(workspace["cfg"])
-    prepared = prepare(*split_parts(read_dataset(workspace["data"]), RngStream(0).substream(1)),
-                       cfg.corr_threshold)
+    prepared = prepare(*split_parts(read_dataset(workspace["data"]), RngStream(0).substream(1)))
     ckpt = load_checkpoint(tmp_path / "o" / "checkpoint.json")
     metrics = evaluate(ckpt.params, ckpt.graph, prepared.test)
     width = max(len(m) for m in METRIC_FIELDS)
@@ -567,8 +580,11 @@ def test_train_prepares_and_trains_as_a_sweep_cell(tmp_path, seed):
     """`gen --seed s` then `train --seed s` give, bit for bit, the norm, graph
     and parameters of run_prepared on prepare_synthetic at seed s, the path
     every sweep cell takes."""
-    # the largest train-split |corr| reads 0.198 at seed 0 and 0.268 at seed 3
-    cfg_path = write_config(tmp_path / "config.json", corr_threshold=0.15)
+    # leakage 0.8 lifts the largest train-split |corr| over CORR_THRESHOLD, to 0.367
+    # at seed 0 and 0.478 at seed 3 (0.198 and 0.268 at the default leakage)
+    cfg_path = write_config(tmp_path / "config.json", scenario={
+        "metric_count": 4, "window_len": 8, "separation": 3.0, "leakage": 0.8, "noise_std": 0.1,
+        "leak_lag": 2})
     cfg = load_run_config(cfg_path)
     data = tmp_path / "data"
     assert main(["gen", "--config", str(cfg_path), "--out", str(data),
@@ -577,7 +593,7 @@ def test_train_prepares_and_trains_as_a_sweep_cell(tmp_path, seed):
                  "--out", str(tmp_path / "run"), "--seed", str(seed)]) == EXIT_OK
     ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.json")
     want = run_prepared(
-        prepare_synthetic(cfg.scenario, cfg.n_windows, seed, cfg.corr_threshold),
+        prepare_synthetic(cfg.scenario, cfg.n_windows, seed),
         cfg.model, replace(cfg.train, seed=seed))
     assert want.prepared.graph.adjacency.any()  # so the graph pins something
     for got, expected in [
@@ -588,7 +604,6 @@ def test_train_prepares_and_trains_as_a_sweep_cell(tmp_path, seed):
         (ckpt.params.flat, want.params.flat),
     ]:
         assert got.tobytes() == expected.tobytes()
-    assert ckpt.graph.threshold == want.prepared.graph.threshold
 
 
 def _traced_peak(argv: list[str]) -> int:
@@ -782,7 +797,7 @@ def test_eval_and_predict_refuse_a_format_4_checkpoint(workspace, tmp_path, caps
         assert rc == EXIT_DATA
         captured = capsys.readouterr()
         assert captured.err.startswith(
-            f"error: checkpoint {old} has format_version 4, not 5; regenerate ")
+            f"error: checkpoint {old} has format_version 4, not 6; regenerate ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()
@@ -1083,7 +1098,7 @@ def _valid_flags(command: str, workspace, tmp_path: Path) -> dict[str, str]:
         "gen": {"--config": cfg, "--n": "8", "--out": out},
         "ingest": {"--config": str(ingest_config(tmp_path / "ingest.json")),
                    "--trace": str(_write_trace(tmp_path / "trace.csv", cpu=0.95)), "--out": out},
-        "graph": {"--config": cfg, "--data": data},
+        "graph": {"--data": data},
         "train": {"--config": cfg, "--data": data, "--out": out},
         "eval": {"--checkpoint": str(workspace["ckpt"]), "--data": data, "--out": out},
         "predict": {"--checkpoint": str(workspace["ckpt"]), "--data": data, "--out": out},
@@ -1094,7 +1109,6 @@ def _valid_flags(command: str, workspace, tmp_path: Path) -> dict[str, str]:
 @pytest.mark.parametrize("command, flag, code, what", [
     ("gen", "--config", EXIT_CONFIG, "config"),
     ("ingest", "--config", EXIT_CONFIG, "config"),
-    ("graph", "--config", EXIT_CONFIG, "config"),
     ("train", "--config", EXIT_CONFIG, "config"),
     ("sweep", "--config", EXIT_CONFIG, "config"),
     ("eval", "--checkpoint", EXIT_DATA, "checkpoint"),
@@ -1153,12 +1167,19 @@ def test_empty_out_exits_before_any_work(workspace, tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("command, blocked", [
     ("gen", "dataset.npy"), ("ingest", "dataset.npy"), ("train", "checkpoint.json"),
     ("eval", "metrics.csv"), ("predict", "predictions.csv"), ("sweep", "sweep_batch.csv"),
+    ("gen", "dataset.manifest.json"), ("ingest", "dataset.manifest.json"),
+    ("train", "history.csv"), ("train", "run_manifest.json"), ("eval", "confusion.csv"),
+    ("eval", "per_class.csv"), ("sweep", "run_manifest.json"),
 ])
 def test_output_file_that_cannot_be_written_is_a_config_error(workspace, tmp_path, capsys,
-                                                              command, blocked):
-    """A directory where an output file goes: one error line naming the file, no traceback."""
+                                                              monkeypatch, command, blocked):
+    """A directory where an output file goes: one error line naming the file, no
+    traceback, before any work starts."""
     flags = _valid_flags(command, workspace, tmp_path)
     (tmp_path / "out" / blocked).mkdir(parents=True)
+    for stage in ("generate", "ingest_csv", "read_dataset", "load_checkpoint", "run_prepared"):
+        monkeypatch.setattr(cli, stage, lambda *a: pytest.fail("work started"))
+    monkeypatch.setattr(sweeps, "run_prepared", lambda *a: pytest.fail("work started"))
     rc = main([command] + [arg for pair in flags.items() for arg in pair])
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -1169,7 +1190,7 @@ def test_output_file_that_cannot_be_written_is_a_config_error(workspace, tmp_pat
 
 def test_config_int_is_accepted_where_a_float_is_expected(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"train": {"learning_rate": 1}, "corr_threshold": 0}))
+    path.write_text(json.dumps({"train": {"learning_rate": 1}, "scenario": {"leakage": 0}}))
     rc = main(["gen", "--config", str(path), "--out", str(tmp_path / "o"), "--n", "1"])
     assert rc == EXIT_OK
 
@@ -1192,15 +1213,17 @@ def test_learning_rate_above_one_exits_before_writing(workspace, tmp_path, capsy
 def test_bad_split_fractions_exit_before_writing(workspace, tmp_path, capsys, command,
                                                  fractions, old_message):
     """The split is a constant: fractions that were once refused by value are now an
-    unknown key, which gen and graph refuse before writing as train does."""
+    unknown key, which gen refuses before writing as train does. graph reads no config
+    and refuses --config itself."""
     path = write_config(tmp_path / "cfg.json", split_fractions=fractions)
     out = tmp_path / "data"
     inputs = (["--n", "8", "--out", str(out)] if command == "gen"
               else ["--data", str(workspace["data"])])
-    rc = main([command, "--config", str(path)] + inputs)
+    rc = _exit_code([command, "--config", str(path)] + inputs)
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == f"error: config {path}: unknown config key 'split_fractions'\n"
+    assert (err == f"error: config {path}: unknown config key 'split_fractions'\n"
+            if command == "gen" else "unrecognized arguments: --config" in err)
     assert old_message not in err
     assert not out.exists()
 
@@ -1215,22 +1238,25 @@ def _readme_retired_keys() -> list[str]:
 
 def test_readme_lists_the_retired_keys():
     assert {"scenario.ar_coeff", "split_fractions", "out_dir", "train.dwa_temperature",
-            "ingest.stride"} <= set(_readme_retired_keys())
+            "ingest.stride", "corr_threshold"} <= set(_readme_retired_keys())
 
 
 @pytest.mark.parametrize("key", _readme_retired_keys())
 @pytest.mark.parametrize("command", ["gen", "graph"])
 def test_readme_retired_key_exits_before_writing(workspace, tmp_path, capsys, command, key):
-    """gen and graph never train, yet they refuse each retired key as train does."""
+    """gen never trains, yet it refuses each retired key as train does; graph reads no
+    config and refuses --config itself."""
     section, _, name = key.rpartition(".")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({section: {name: 1}} if section else {name: 1}))
     out = tmp_path / "data"
     inputs = (["--n", "8", "--out", str(out)] if command == "gen"
               else ["--data", str(workspace["data"])])
-    rc = main([command, "--config", str(path)] + inputs)
+    rc = _exit_code([command, "--config", str(path)] + inputs)
     assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: config {path}: unknown config key '{key}'\n"
+    err = capsys.readouterr().err
+    assert (err == f"error: config {path}: unknown config key '{key}'\n" if command == "gen"
+            else "unrecognized arguments: --config" in err)
     assert not out.exists()
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from contention.data import Dataset
 from contention.errors import ConfigError, ShapeError
 from contention.graph import (
-    DEFAULT_CORR_THRESHOLD,
+    CORR_THRESHOLD,
     MetricGraph,
     build_graph,
     graph_stats,
@@ -207,7 +207,12 @@ class TestBuildGraph:
         build_graph(c, threshold=1.0)
 
     def test_default_threshold(self):
-        assert DEFAULT_CORR_THRESHOLD == 0.3
+        """build_graph cuts at CORR_THRESHOLD unless given another cutoff, as
+        criterion 06's sweep and graphs of other densities in tests give it."""
+        assert CORR_THRESHOLD == 0.3
+        c = np.array([[1.0, 0.3, 0.2999], [0.3, 1.0, 0.0], [0.2999, 0.0, 1.0]])
+        assert np.array_equal(build_graph(c).adjacency, build_graph(c, 0.3).adjacency)
+        assert graph_stats(build_graph(c)).edges == 1
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 10), st.integers(0, 10_000))
@@ -235,7 +240,7 @@ class TestMetricGraph:
         edge-free graph's is exactly the identity at every size."""
         for d, seed in ((1, 0), (5, 1), (12, 2)):
             adj = random_graph(d, seed=seed, threshold=0.2).adjacency
-            g = MetricGraph(adjacency=adj, threshold=0.2)
+            g = MetricGraph(adj)
             assert g.normalized.tobytes() == normalize_adjacency(adj).tobytes()
         for d in (1, 4, 12, 1024):
             assert identity_graph(d).normalized.tobytes() == np.eye(d).tobytes()
@@ -258,7 +263,7 @@ class TestGraphStats:
         adj = np.zeros((4, 4))
         for a, b in ((0, 1), (1, 2), (0, 2)):
             adj[a, b] = adj[b, a] = 1.0
-        stats = graph_stats(MetricGraph(adjacency=adj, threshold=0.5))
+        stats = graph_stats(MetricGraph(adj))
         assert stats.edges == 3
         assert stats.density == pytest.approx(0.5)
         assert stats.isolated == 1

@@ -10,6 +10,7 @@ reference implementation kept in this file.
 import csv
 import operator
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,20 @@ class TestIngestCsv:
         result = ingest_csv(path, SCHEMA, IngestConfig(window_len=4))
         assert (result.rows_read, result.skipped_rows, len(result.windows)) == (4, 0, 1)
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_blocks_of_blank_lines_read_silently(self, tmp_path, eol):
+        """numpy warns on lines that hold no data; whole blocks of blank lines, before
+        and after a refused line, read as nothing and warn of nothing."""
+        blank = eol * (2 * ingest.BLOCK_LINES)
+        rows = "".join(f"m1,{60 * k},1.0,1.0{eol}" for k in range(4))
+        path = tmp_path / "trace.csv"
+        path.write_text(f"machine,ts,cpu_util,mem_util{eol}{blank}{rows}{blank}m1,x,1,1{eol}"
+                        f"{blank}", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = ingest_csv(path, SCHEMA, IngestConfig(window_len=4))
+        assert (result.rows_read, result.rows_unparseable, len(result.windows)) == (5, 1, 1)
+
     def test_repeated_header_name_reads_its_last_column(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(
@@ -337,7 +352,6 @@ class TestIngestCsv:
         with pytest.raises(DataError, match="not found"):
             ingest_csv(tmp_path / "nope.csv", SCHEMA, IngestConfig())
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow
     def test_overflowing_bucket_sum_names_the_window(self, tmp_path):
         rows = [("m1", 60 * k, 1.0, 1.0) for k in range(4)]
         rows += [("m2", 0, 1e308, 1.0), ("m2", 30, 1e308, 1.0)]
@@ -345,6 +359,26 @@ class TestIngestCsv:
         path = _write_trace(tmp_path, rows)
         with pytest.raises(DataError, match=r"window 'm2@0' contains non-finite values"):
             ingest_csv(path, SCHEMA, IngestConfig(window_len=4))
+
+    @pytest.mark.parametrize("samples, want", [
+        ([-0.0, -0.0], 0.0),
+        ([1.0, -1.0, 3.765029776713339e-121], 3.765029776713339e-121 / 3),
+        ([-1e308, -1e308], None),
+    ], ids=["negative-zeros", "cancelling-in-row-order", "sum-past-double-range"])
+    def test_bucket_sums_its_samples_from_zero_in_row_order(self, tmp_path, samples, want):
+        """A bucket's mean is its samples added one by one in row order to +0.0, then
+        divided by their count: -0.0 samples give +0.0, and 1.0 and -1.0 cancel before
+        the tiny third sample is added. A sum past the double range makes the window
+        non-finite, a data error that names it."""
+        rows = [("m1", 10 * i, v, 1.0) for i, v in enumerate(samples)]
+        rows += [("m1", 60 * k, 1.0, 1.0) for k in range(1, 4)]
+        path = _write_trace(tmp_path, rows)
+        if want is None:
+            with pytest.raises(DataError, match=r"window 'm1@0' contains non-finite values"):
+                ingest_csv(path, SCHEMA, IngestConfig(window_len=4))
+            return
+        got = ingest_csv(path, SCHEMA, IngestConfig(window_len=4)).windows.values[0, 0, 0]
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
     def test_unsorted_timestamps_handled(self, tmp_path):
         rows = [

@@ -39,7 +39,6 @@ CONFIG = {
                  "leak_lag": 2},
     "model": {"encoder_hidden": 4, "embed_width": 3, "propagation_width": 3, "head_hidden": 3},
     "train": {"batch_size": 16, "max_epochs": 1, "learning_rate": 0.01, "seed": 0},
-    "corr_threshold": 0.3,
     "n_windows": N,
 }
 
@@ -187,7 +186,6 @@ NAMES = f"'metric_names' must be an empty list or a list of {D} strings, "
     "path, value, message",
     [
         (("metric_names",), [1, 2, 3, 4], NAMES + "got \\[1,"),
-        (("graph", "threshold"), 10**400, "'graph.threshold' must be a decimal string, got 1000"),
         (("graph", "dim"), float("inf"), "'graph.dim' must be a positive integer, got inf"),
         (("train_seed",), float("inf"), "'train_seed' must be a non-negative integer, got inf"),
         (("train_seed",), MISSING, "missing key 'train_seed'"),
@@ -213,18 +211,15 @@ NAMES = f"'metric_names' must be an empty list or a list of {D} strings, "
         (("graph", "adjacency", 0, 1), True, "adjacency must hold JSON integers, got True"),
         (("graph", "adjacency", 0, 1), 1.0, "adjacency must hold JSON integers, got 1.0"),
         (("graph", "adjacency", 0, 1), "1", "adjacency must hold JSON integers, got '1'"),
-        (("graph", "threshold"), True, "'graph.threshold' must be a decimal string, got True"),
-        (("graph", "threshold"), 0.3, "'graph.threshold' must be a decimal string, got 0.3"),
         # a checkpoint trained without names holds an empty list, never null
         (("metric_names",), None, NAMES + "got None"),
     ],
-    ids=["int-metric-names", "huge-threshold", "infinite-dim",
+    ids=["int-metric-names", "infinite-dim",
          "infinite-seed", "missing-seed", "huge-mean", "huge-weight",
          "string-dim", "fractional-dim", "bool-seed", "negative-seed", "int-digest",
          "one-metric-name", "string-window-len", "bool-window-len", "zero-window-len",
          "missing-window-len", "bool-weight", "number-weight", "number-std", "bool-adjacency",
-         "float-adjacency", "string-adjacency", "bool-threshold", "number-threshold",
-         "null-metric-names"],
+         "float-adjacency", "string-adjacency", "null-metric-names"],
 )
 def test_checkpoint_values_the_loader_rejects(original, tmp_path_factory, capsys, path, value,
                                               message):

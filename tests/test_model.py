@@ -235,7 +235,7 @@ class TestPropagate:
         p = init_params(tiny_model_cfg, TINY_T, RngStream(4))
         adj = np.zeros((4, 4))
         adj[0, 2] = adj[2, 0] = 1.0
-        g = MetricGraph(adjacency=adj, threshold=0.5)
+        g = MetricGraph(adj)
         x = _window(8, 4, 5)
         y = x.copy()
         y[:, 2] += 10.0
@@ -316,7 +316,7 @@ class TestForward:
         x = _window(8, 6, 8)
         perm = np.array([4, 2, 0, 5, 3, 1])
         adj_p = g.adjacency[np.ix_(perm, perm)]
-        g_p = MetricGraph(adjacency=adj_p, threshold=g.threshold)
+        g_p = MetricGraph(adj_p)
         a, _ = forward(x, g, p)
         b, _ = forward(x[:, perm], g_p, p)
         assert np.max(np.abs(a.logits - b.logits)) <= 1e-12

@@ -153,8 +153,8 @@ SMALL_RUN = {
 
 def _synthetic_run(tmp_path):
     cfg = run_config_from_dict(SMALL_RUN)
-    run_prepared(prepare_synthetic(cfg.scenario, cfg.n_windows, cfg.train.seed,
-                                   cfg.corr_threshold), cfg.model, cfg.train)
+    run_prepared(prepare_synthetic(cfg.scenario, cfg.n_windows, cfg.train.seed),
+                 cfg.model, cfg.train)
 
 
 def _cli_train(tmp_path):

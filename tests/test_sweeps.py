@@ -15,7 +15,13 @@ from contention.config import RunConfig
 from contention.data import ScenarioConfig, apply_norm, fit_norm, generate
 from contention import sweeps
 from contention.errors import ConfigError
-from contention.graph import build_graph, graph_stats, identity_graph, pearson_matrix
+from contention.graph import (
+    CORR_THRESHOLD,
+    build_graph,
+    graph_stats,
+    identity_graph,
+    pearson_matrix,
+)
 from contention.model import ModelConfig
 from contention.pipeline import (
     prepare,
@@ -42,8 +48,11 @@ from contention.train import METRIC_FIELDS, EvalMetrics, TrainConfig
 
 from conftest import random_dataset
 
+# leakage 0.8 lifts the largest train-split |corr| of 100 to 120 windows from
+# about 0.22, at the default leakage, to 0.41-0.45: over CORR_THRESHOLD, so
+# propagation has edges to work over
 TINY_SCENARIO = ScenarioConfig(
-    metric_count=4, window_len=8, separation=3.0, noise_std=0.1, leak_lag=2
+    metric_count=4, window_len=8, separation=3.0, leakage=0.8, noise_std=0.1, leak_lag=2
 )
 TINY_MODEL = ModelConfig(encoder_hidden=8, embed_width=6, propagation_width=6, head_hidden=4)
 TINY_TRAIN = TrainConfig(batch_size=16, max_epochs=2, patience=5, seed=0)
@@ -51,15 +60,7 @@ def _generated(n, rng):
     return generate(TINY_SCENARIO, n, rng)
 
 
-# the tiny scenario's train splits hold correlations of about 0.2 and none
-# of 0.3, so this threshold gives propagation edges to work over
-TINY_CFG = RunConfig(
-    scenario=TINY_SCENARIO,
-    n_windows=120,
-    model=TINY_MODEL,
-    train=TINY_TRAIN,
-    corr_threshold=0.2,
-)
+TINY_CFG = RunConfig(scenario=TINY_SCENARIO, n_windows=120, model=TINY_MODEL, train=TINY_TRAIN)
 # task weights first move in the third epoch; four epochs at a faster rate
 # let them change the test metrics of a seed
 ABLATION_CFG = replace(TINY_CFG, train=replace(TINY_TRAIN, max_epochs=4, learning_rate=1e-2))
@@ -68,7 +69,7 @@ ABLATION_CFG = replace(TINY_CFG, train=replace(TINY_TRAIN, max_epochs=4, learnin
 class TestPrepare:
     def test_norm_comes_from_train_split_only(self):
         data = _generated(90, RngStream(0, (60,)))
-        prepared = prepare(*split_parts(data, RngStream(1, (60,))), 0.3)
+        prepared = prepare(*split_parts(data, RngStream(1, (60,))))
         stacked = prepared.train.values.reshape(-1, 4)
         assert np.max(np.abs(stacked.mean(axis=0))) <= 1e-10
         assert np.max(np.abs(stacked.std(axis=0) - 1.0)) <= 1e-10
@@ -79,15 +80,14 @@ class TestPrepare:
 
     def test_graph_built_from_normalized_train(self):
         data = _generated(90, RngStream(2, (60,)))
-        prepared = prepare(*split_parts(data, RngStream(3, (60,))), 0.3)
-        want = build_graph(pearson_matrix(prepared.train), 0.3)
+        prepared = prepare(*split_parts(data, RngStream(3, (60,))))
+        want = build_graph(pearson_matrix(prepared.train), CORR_THRESHOLD)
         assert np.array_equal(prepared.graph.adjacency, want.adjacency)
-        assert prepared.graph.threshold == 0.3
 
     def test_prepare_respects_given_parts(self):
         data = _generated(62, RngStream(4, (60,)))
         parts = (np.arange(22, 62), np.arange(10), np.arange(10, 22))
-        prepared = prepare(*(data.subset(i) for i in parts), corr_threshold=0.3)
+        prepared = prepare(*(data.subset(i) for i in parts))
         assert len(prepared.train) == 40
         assert len(prepared.val) == 10
         assert len(prepared.test) == 12
@@ -103,8 +103,8 @@ class TestPrepare:
         data = _generated(62, RngStream(4, (60,)))
         before = data.values.tobytes()
         parts = (np.arange(22, 62), np.arange(10), np.arange(10, 22))
-        prepared = prepare(*(data.subset(i) for i in parts), corr_threshold=0.3)
-        prepare(*split_parts(data, RngStream(1, (60,))), 0.3)
+        prepared = prepare(*(data.subset(i) for i in parts))
+        prepare(*split_parts(data, RngStream(1, (60,))))
         assert data.values.tobytes() == before
         for part, index in zip((prepared.train, prepared.val, prepared.test), parts):
             want = apply_norm(data.subset(index), prepared.norm).values
@@ -115,13 +115,13 @@ class TestPrepare:
 
     def test_split_sizes_follow_fractions(self):
         data = _generated(100, RngStream(7, (60,)))
-        prepared = prepare(*split_parts(data, RngStream(8, (60,))), 0.3)
+        prepared = prepare(*split_parts(data, RngStream(8, (60,))))
         assert len(prepared.train) + len(prepared.val) + len(prepared.test) == 100
         assert abs(len(prepared.train) - 70) <= 3
 
 
 def _tiny_run(data_seed):
-    prepared = prepare_synthetic(TINY_SCENARIO, 100, data_seed, TINY_CFG.corr_threshold)
+    prepared = prepare_synthetic(TINY_SCENARIO, 100, data_seed)
     return run_prepared(prepared, TINY_MODEL, TINY_TRAIN)
 
 
@@ -206,8 +206,7 @@ class TestSweeps:
         full_row = table.rows[1]
         for i, seed in enumerate((0, 1)):
             unswept = run_prepared(
-                prepare_synthetic(TINY_CFG.scenario, TINY_CFG.n_windows, seed,
-                                  TINY_CFG.corr_threshold),
+                prepare_synthetic(TINY_CFG.scenario, TINY_CFG.n_windows, seed),
                 TINY_CFG.model,
                 replace(TINY_CFG.train, seed=seed),
             )
@@ -233,7 +232,7 @@ class TestSweeps:
         for i, seed in enumerate((0, 1)):
             rng = RngStream(seed)
             data = generate(TINY_SCENARIO, ABLATION_CFG.n_windows, rng.substream(0))
-            prepared = prepare(*split_parts(data, rng.substream(1)), ABLATION_CFG.corr_threshold)
+            prepared = prepare(*split_parts(data, rng.substream(1)))
             assert graph_stats(prepared.graph).edges > 0  # so the identity graph changes the run
             train_cfg = replace(ABLATION_CFG.train, seed=seed)
             runs = {
