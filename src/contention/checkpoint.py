@@ -13,9 +13,10 @@ their little-endian float64 bytes, which round-trip IEEE doubles exactly;
 the graph stays readable, its adjacency entries the JSON integers 0 and 1.
 Loading and saving again produces a byte-identical file, and reloaded
 parameters yield bitwise-equal logits. The loader takes each field only as
-the JSON type save_checkpoint writes, checks a base64 field's length before
-it decodes it, and through `data.read_json_object` turns every fault, a
-missing or mistyped field too, into one SchemaError naming the file.
+the JSON type save_checkpoint writes, refuses a key it does not write,
+checks a base64 field's length before it decodes it, and through
+`data.read_json_object` turns every fault, a missing, unknown or mistyped
+field too, into one SchemaError naming the file.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ from contention.graph import MetricGraph
 from contention.model import ModelConfig, ModelParams
 
 CHECKPOINT_FORMAT_VERSION = 6
+# The keys save_checkpoint writes, at the top level beside format_version and in
+# the two sections it writes as objects; `model` is checked against ModelConfig.
+TOP_KEYS = ("model", "window_len", "params", "graph", "normalization", "metric_names",
+            "train_seed", "config_digest")
+SECTION_KEYS = {"graph": ("dim", "adjacency"), "normalization": ("mean", "std")}
 
 
 def _encode_floats(arr: np.ndarray) -> str:
@@ -93,12 +99,21 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     return read_json_object(Path(path), "checkpoint", SchemaError, _from_payload,
-                            CHECKPOINT_FORMAT_VERSION,
-                            ("model", "window_len", "params", "graph", "normalization",
-                             "metric_names", "train_seed", "config_digest"))
+                            CHECKPOINT_FORMAT_VERSION, TOP_KEYS)
+
+
+def _refuse_unknown_keys(payload: dict) -> None:
+    """A SchemaError naming, dotted, the first key save_checkpoint does not write."""
+    sections = [("", payload, ("format_version", *TOP_KEYS))]
+    sections += [(f"{name}.", payload[name], keys) for name, keys in SECTION_KEYS.items()]
+    for prefix, section, keys in sections:
+        if isinstance(section, dict):  # a section of another type fails where it is read
+            if unknown := [key for key in section if key not in keys]:
+                raise SchemaError(f"unknown key '{prefix}{unknown[0]}'")
 
 
 def _from_payload(payload: dict) -> Checkpoint:
+    _refuse_unknown_keys(payload)
     t = json_int(payload["window_len"], "'window_len'")
     cfg = ModelConfig(**strict_kwargs("model", payload["model"], ModelConfig))
     n = ModelParams.layout(cfg, t)[-1][2].stop  # the parameter bound, before anything is read

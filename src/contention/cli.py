@@ -24,6 +24,7 @@ import numpy as np
 from contention.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from contention.config import RunConfig, config_digest, load_run_config, resolve_out_dir
 from contention.data import (
+    BLOCK_BYTES,
     CLASS_NAMES,
     NUM_CLASSES,
     generate,
@@ -41,6 +42,7 @@ from contention.rng import RngStream
 from contention.sweeps import SWEEPS, write_sweep_csv
 from contention.train import (
     METRIC_FIELDS,
+    SCORE_CHUNK,
     EvalMetrics,
     csv_text,
     evaluate,
@@ -55,7 +57,6 @@ EXIT_NUMERIC = 4
 
 
 DATASET_FILES = ("dataset.npy", "dataset.manifest.json")  # what write_dataset writes
-HASH_BLOCK = 1 << 20  # bytes read at a time by git_blob_sha1
 # BLAS reductions split by thread count, so these set the last bits of a trained model
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -65,7 +66,7 @@ def git_blob_sha1(path: str | Path) -> str:
     path = Path(path)
     digest = hashlib.sha1(f"blob {path.stat().st_size}\x00".encode("ascii"))
     with path.open("rb") as fh:
-        while block := fh.read(HASH_BLOCK):
+        while block := fh.read(BLOCK_BYTES):
             digest.update(block)
     return digest.hexdigest()
 
@@ -191,8 +192,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else cfg.train.seed
     train_cfg = replace(cfg.train, seed=seed)
     out_dir = resolve_out_dir(args.out, ("checkpoint.json", "history.csv", "run_manifest.json"))
-    # the whole set is only split_parts' argument, so it is freed before prepare runs
-    prepared = prepare(*split_parts(read_dataset(args.data), RngStream(seed).substream(1)))
+    # read straight into the three parts: the whole set never exists in memory
+    prepared = prepare(*split_parts(args.data, RngStream(seed).substream(1)))
     result = run_prepared(prepared, cfg.model, train_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = Checkpoint(
@@ -270,19 +271,26 @@ def cmd_predict(args: argparse.Namespace) -> int:
     out_dir = resolve_out_dir(args.out, ("predictions.csv",))
     ckpt, data = _load_eval_inputs(args)
     pred = score(ckpt.params, ckpt.graph, data)
+    del data  # scored: the rows below are formatted without the values alive
     header = ["window_id", *(f"logit_{c}" for c in CLASS_NAMES), *(f"p_{c}" for c in CLASS_NAMES),
               "predicted_class"]
-    cells = np.concatenate([pred.logits, softmax(pred.logits)], axis=1).tolist()
-    text = csv_text([header] + [
-        [str(wid), *map(repr, row), CLASS_NAMES[label]]
-        for wid, (row, label) in enumerate(zip(cells, pred.label.tolist()))
-    ])
+    cells = np.concatenate([pred.logits, softmax(pred.logits)], axis=1)
+
+    def write(fh) -> None:  # SCORE_CHUNK rows at a time, never the whole text
+        fh.write(csv_text([header]))
+        for lo in range(0, len(cells), SCORE_CHUNK):
+            rows = zip(cells[lo : lo + SCORE_CHUNK].tolist(),
+                       pred.label[lo : lo + SCORE_CHUNK].tolist())
+            fh.write(csv_text([str(wid), *map(repr, row), CLASS_NAMES[label]]
+                              for wid, (row, label) in enumerate(rows, lo)))
+
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "predictions.csv").write_text(text)
-        print(f"wrote {len(data)} predictions to {out_dir / 'predictions.csv'}")
+        with (out_dir / "predictions.csv").open("w") as fh:
+            write(fh)
+        print(f"wrote {len(cells)} predictions to {out_dir / 'predictions.csv'}")
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
     return EXIT_OK
 
 

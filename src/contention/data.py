@@ -11,9 +11,9 @@ Each window draws its label and its noise from its own Philox counter block
 under the dataset's one key, so a dataset does not depend on the order in
 which windows are made. The generator builds all windows at once in one
 (N, T, D) buffer: the AR(1) recursion runs over the whole stack one time
-step at a time, and each class's signals are computed once and added to
-that class's windows. Both orders of work give the same bits as building
-one window at a time.
+step at a time, and each class's signals are computed once and added in
+place to that class's windows, one metric column at a time. Both orders of
+work give the same bits as building one window at a time.
 MAX_METRIC_COUNT, MAX_GENERATED_VALUES and MAX_SCENARIO_SCALE bound what a
 scenario may ask for.
 
@@ -28,15 +28,22 @@ splitting into index arrays, and the dataset files: one (N, T, D) float64
 .npy array of window values beside a JSON manifest that holds the sizes,
 metric names and one label per window. `read_json_object` reads it, as it
 reads every JSON file of the program.
+
+No pass over a dataset holds more than one copy of its values plus blocks
+of BLOCK_BYTES: `read_parts` reads a file a block of windows at a time into
+the parts of a split (`gather`), and `fit_norm`, the Pearson sums of
+graph.py and `first_nonfinite` reduce a block at a time (`row_blocks`,
+`add_rows`), with the bits of the whole-array reductions.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -154,10 +161,60 @@ class Dataset:
                                self.metric_names)
 
 
+# The most bytes of values that a blockwise pass reads or reduces at once.
+BLOCK_BYTES = 1 << 20
+
+
+def _block_spans(n: int, item_bytes: int) -> Iterator[slice]:
+    """Consecutive slices that cover range(n) in order, each of as many items of
+    item_bytes as BLOCK_BYTES holds, and at least one."""
+    step = max(1, BLOCK_BYTES // max(1, item_bytes))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def window_blocks(values: np.ndarray) -> Iterator[np.ndarray]:
+    """The windows of an (N, T, D) stack in order, as views of a block of them at a time."""
+    return (values[s] for s in _block_spans(len(values), values.nbytes // max(1, len(values))))
+
+
+def row_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows of an (M, D) array in order, as views of a block of them at a time.
+
+    numpy reduces axis 0 of a C-order array with D > 1 one row after another,
+    so add_rows over these blocks repeats the additions of `rows.sum(axis=0)`.
+    A single column it sums pairwise, an order no blockwise sum repeats: for
+    D = 1 the one block is the whole array.
+    """
+    if rows.shape[1] == 1:
+        return iter((rows,))
+    return (rows[s] for s in _block_spans(len(rows), rows.shape[1] * rows.itemsize))
+
+
+def add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """total (None before the first block) plus the column sums of rows, with
+    total as the first row of the reduction, so that the sums over row_blocks
+    equal the whole array's bit for bit."""
+    return np.add.reduce(rows if total is None else np.concatenate([total[None], rows]), axis=0)
+
+
+def column_mean(rows: np.ndarray) -> np.ndarray:
+    """rows.mean(axis=0) of an (M, D) array, bit for bit, a block of rows at a time."""
+    total = None
+    for block in row_blocks(rows):
+        total = add_rows(total, block)
+    return total / len(rows)
+
+
 def first_nonfinite(values: np.ndarray) -> int:
-    """Index of the first window of an (N, T, D) stack holding a non-finite value, or -1."""
-    finite = np.isfinite(values).all(axis=(1, 2))
-    return -1 if finite.all() else int(np.argmin(finite))
+    """Index of the first window of an (N, T, D) stack holding a non-finite value,
+    or -1; checked a block of windows at a time."""
+    lo = 0
+    for block in window_blocks(values):
+        finite = np.isfinite(block).all(axis=(1, 2))
+        if not finite.all():
+            return lo + int(np.argmin(finite))
+        lo += len(block)
+    return -1
 
 
 def default_groups(metric_count: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -286,7 +343,8 @@ def generate(cfg: ScenarioConfig, n: int, rng: RngStream) -> Dataset:
     concurrency) produced it. The windows are built together in one
     (N, T, D) buffer: the noise is written straight into it, the AR(1)
     recursion runs in place over the whole stack one step at a time, and
-    each class's signals are built once and added to that class's rows.
+    each class's signals are built once and added in place to that class's
+    windows, one group column at a time, so no copy of them is made.
     That buffer is returned as a Dataset with source "synthetic:{rng.seed}".
     """
     if n < 1:
@@ -308,11 +366,10 @@ def generate(cfg: ScenarioConfig, n: int, rng: RngStream) -> Dataset:
     group_map = cfg.group_map
     for label in range(NUM_CLASSES):
         rows = np.flatnonzero(labels == label)
-        block = x[rows]
         # the groups are disjoint, so each cell gets at most one add
         for name, sig in class_signals(cfg, label).items():
-            block[:, :, list(group_map[name])] += sig[:, None]
-        x[rows] = block
+            for column in group_map[name]:
+                x[rows, :, column] += sig
     bad = first_nonfinite(x)
     if bad >= 0:
         raise DataError(f"window 'synthetic:{rng.seed}:{bad}' contains non-finite values")
@@ -334,12 +391,18 @@ class NormStats:
 
 
 def fit_norm(data: Dataset) -> NormStats:
-    """Population mean/std per metric over all rows of all windows."""
+    """Population mean/std per metric over all rows of all windows: rows.mean(axis=0) and
+    rows.std(axis=0) bit for bit, with the squared deviations made a block of rows at a time."""
     if not len(data):
         raise DataError("cannot fit normalization on an empty split")
     rows = data.values.reshape(-1, data.metric_count)
-    mean = rows.mean(axis=0)
-    std = np.maximum(rows.std(axis=0), NormStats.STD_FLOOR)
+    mean = column_mean(rows)
+    squares = None
+    for block in row_blocks(rows):  # rows.std(axis=0) without its (M, D) temporary
+        block = block - mean
+        block *= block
+        squares = add_rows(squares, block)
+    std = np.maximum(np.sqrt(squares / len(rows)), NormStats.STD_FLOOR)
     return NormStats(mean=mean, std=std)
 
 
@@ -518,17 +581,13 @@ def _manifest_fields(manifest: dict) -> tuple[tuple[int, ...], tuple[str, ...], 
     return shape, names, source, labels
 
 
-def read_dataset(path: str | Path) -> Dataset:
-    """The dataset written by write_dataset, checked against its manifest.
-
-    Every malformed file ends in a DataError naming the file. The array's
-    header, dtype and shape are checked against the manifest through a memory
-    map whose pages are never read, so a header or manifest claiming more than
-    the file holds allocates nothing. The values are then read once, in the
-    file's own C or Fortran order, into one new array. Unlabeled windows get
-    the label UNLABELED.
-    """
-    path = Path(path)
+@contextmanager
+def _checked_file(path: Path) -> Iterator[tuple[BinaryIO, np.memmap, tuple[str, ...], str,
+                                                np.ndarray]]:
+    """The open .npy at path, its memory map, and the metric names, source and
+    labels of its manifest, once the manifest and then the array's header,
+    dtype and shape against it are checked. The map's pages are never read, so
+    a header or manifest claiming more than the file holds allocates nothing."""
     if not path.exists():
         raise DataError(f"dataset {path} is not found")
     try:
@@ -552,11 +611,92 @@ def read_dataset(path: str | Path) -> Dataset:
                 f"dataset {path} holds a {mapped.dtype.str} array of shape {mapped.shape}; "
                 f"the manifest needs {VALUES_DTYPE.str} of shape {shape}"
             )
-        values = np.empty_like(mapped, subok=False)
         fh.seek(mapped.offset)
-        if fh.readinto(values.ravel(order="K")) != values.nbytes:  # ravel: a view in memory order
-            raise DataError(f"dataset {path} holds fewer values than its header declares")
-    bad = first_nonfinite(values)
+        yield fh, mapped, names, source, labels
+
+
+def _read_into(fh: BinaryIO, values: np.ndarray, path: Path) -> np.ndarray:
+    """values, filled with the file's next values.nbytes bytes in values' own memory order."""
+    if fh.readinto(values.ravel(order="K")) != values.nbytes:  # ravel: a view in memory order
+        raise DataError(f"dataset {path} holds fewer values than its header declares")
+    return values
+
+
+def _check_finite(blocks: Iterable[np.ndarray], path: Path) -> Iterator[np.ndarray]:
+    """The blocks of windows, passed on; after the last, a DataError names the
+    first window that holds a non-finite value."""
+    lo, bad = 0, -1
+    for block in blocks:
+        if bad < 0 and (found := first_nonfinite(block)) >= 0:
+            bad = lo + found
+        lo += len(block)
+        yield block
     if bad >= 0:
         raise DataError(f"dataset {path}: window {bad} has a non-finite value")
+
+
+def read_dataset(path: str | Path) -> Dataset:
+    """The dataset written by write_dataset, checked against its manifest.
+
+    Every malformed file ends in a DataError naming the file. The manifest,
+    then the array's header, dtype and shape are checked first (see
+    _checked_file); the values are then read once, in the file's own C or
+    Fortran order, into one new array, and checked to be finite. Unlabeled
+    windows get the label UNLABELED.
+    """
+    path = Path(path)
+    with _checked_file(path) as (fh, mapped, names, source, labels):
+        # one block, the whole array; unpacking runs the check past it
+        (values,) = _check_finite([_read_into(fh, np.empty_like(mapped, subok=False), path)],
+                                  path)
     return Dataset(values, labels, names, source)
+
+
+def gather(blocks: Iterable[np.ndarray], parts: Sequence[np.ndarray],
+           window_shape: tuple[int, ...]) -> list[np.ndarray]:
+    """One new (len(part), T, D) array per index array in parts, whose row p is window part[p].
+
+    `blocks` yields the windows in order, a block of them at a time, and each
+    block's windows are copied to the rows that name them as it comes, so
+    only one block need exist at a time. Every block is consumed.
+    """
+    out = [np.empty((len(part), *window_shape)) for part in parts]
+    order = [np.argsort(part, kind="stable") for part in parts]
+    wanted = [part[o] for part, o in zip(parts, order)]  # each part's windows, ascending
+    lo = 0
+    for block in blocks:
+        hi = lo + len(block)
+        for values, o, w in zip(out, order, wanted):
+            a, b = np.searchsorted(w, (lo, hi))
+            values[o[a:b]] = block[w[a:b] - lo]
+        lo = hi
+    return out
+
+
+def read_parts(path: str | Path,
+               part_index: Callable[[np.ndarray], Sequence[np.ndarray]]) -> list[Dataset]:
+    """The parts of read_dataset(path) whose windows the index arrays of
+    `part_index(labels)` name, each gathered into a new array, without the
+    whole set in memory: the labels come from the manifest, and the values are
+    read a block of windows at a time, in file order, and copied into the parts.
+
+    Every check of read_dataset runs, in its order and with its message; a
+    ContentionError of part_index is raised after them. A Fortran-order file,
+    which only other writers make, is read whole first.
+    """
+    path = Path(path)
+    with _checked_file(path) as (fh, mapped, names, source, labels):
+        try:
+            parts, fault = part_index(labels), None
+        except ContentionError as exc:  # a set too small to split: the file's faults come first
+            parts, fault = (), exc
+        if mapped.flags.c_contiguous:  # every block is read into one buffer
+            spans = list(_block_spans(len(mapped), mapped.nbytes // len(mapped)))
+            buffer = np.empty((spans[0].stop, *mapped.shape[1:]))
+            blocks = (_read_into(fh, buffer[: s.stop - s.start], path) for s in spans)
+        else:
+            blocks = window_blocks(_read_into(fh, np.empty_like(mapped, subok=False), path))
+        values = gather(_check_finite(blocks, path), parts, mapped.shape[1:])
+    if fault is not None:
+        raise fault
+    return [Dataset(v, labels[part], names, source) for v, part in zip(values, parts)]

@@ -51,7 +51,7 @@ from contention.ingest import IngestConfig, TraceSchema
 from contention.model import ModelConfig, ModelParams, softmax
 from contention.pipeline import prepare, prepare_synthetic, run_prepared, split_parts
 from contention.rng import RngStream
-from contention.train import METRIC_FIELDS, TrainConfig, evaluate, score
+from contention.train import METRIC_FIELDS, SCORE_CHUNK, TrainConfig, evaluate, score
 
 # sha1("blob 6\0hello\n"), the id git itself assigns to that blob
 GIT_HELLO_SHA = "ce013625030ba8dba906f756967f9e9ca394464a"
@@ -127,7 +127,7 @@ def test_git_blob_sha1_matches_git_semantics(tmp_path):
     empty.write_bytes(b"")
     assert git_blob_sha1(empty) == GIT_EMPTY_SHA
     # larger than one read block, with the block boundary inside the data
-    data = bytes(range(256)) * (cli.HASH_BLOCK // 256 * 2 + 3)
+    data = bytes(range(256)) * (cli.BLOCK_BYTES // 256 * 2 + 3)
     big = tmp_path / "big"
     big.write_bytes(data)
     assert git_blob_sha1(big) == hashlib.sha1(b"blob %d\x00" % len(data) + data).hexdigest()
@@ -618,38 +618,90 @@ def _traced_peak(argv: list[str]) -> int:
         tracemalloc.stop()
 
 
-def test_train_eval_and_predict_memory_is_bounded_by_dataset_copies(tmp_path):
-    """Peak traced memory over the dataset's N*T*D*8 bytes, on 600 windows of 32 x 16.
-
-    Measured: train 3.14, eval and predict 2.06 with the whole set, its raw
-    parts, their normalized copies and two Pearson temporaries alive at once;
-    train 2.03, eval and predict 1.29 with parts and read arrays normalized in
-    place and the whole set freed after the split. Scoring's 64-window stacks
-    make most of what eval holds beyond the one copy.
-    """
-    n, t, d = 600, 32, 16
+def _peaks_in_dataset_copies(tmp_path, n: int, t: int, d: int) -> dict[str, float]:
+    """Traced peak of gen, train, eval and predict over the dataset's N*T*D*8 bytes, on n
+    windows of t x d with a small model trained one epoch."""
     cfg = write_config(
         tmp_path / "config.json",
         scenario={"metric_count": d, "window_len": t, "separation": 3.0, "noise_std": 0.1},
         model={"encoder_hidden": 8, "embed_width": 6, "propagation_width": 6, "head_hidden": 4},
         train={"batch_size": 16, "max_epochs": 1, "learning_rate": 0.01, "seed": 0},
     )
-    rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "data"),
-               "--n", str(n), "--seed", "1"])
-    assert rc == EXIT_OK
     data, ckpt = tmp_path / "data" / "dataset.npy", tmp_path / "run" / "checkpoint.json"
-    nbytes = n * t * d * 8
-    train_peak = _traced_peak(["train", "--config", str(cfg), "--data", str(data),
-                               "--out", str(tmp_path / "run")])
-    eval_peak = _traced_peak(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
-    predict_peak = _traced_peak(["predict", "--checkpoint", str(ckpt), "--data", str(data),
-                                 "--out", str(tmp_path / "pred")])
-    assert train_peak < 2.5 * nbytes
-    assert eval_peak < 1.6 * nbytes
-    assert predict_peak < 1.6 * nbytes
+    commands = {
+        "gen": ["gen", "--config", str(cfg), "--out", str(tmp_path / "data"), "--n", str(n),
+                "--seed", "1"],
+        "train": ["train", "--config", str(cfg), "--data", str(data),
+                  "--out", str(tmp_path / "run")],
+        "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(data)],
+        "predict": ["predict", "--checkpoint", str(ckpt), "--data", str(data),
+                    "--out", str(tmp_path / "pred")],
+    }
+    return {name: _traced_peak(argv) / (n * t * d * 8) for name, argv in commands.items()}
+
+
+def test_train_eval_and_predict_memory_is_bounded_by_dataset_copies(tmp_path):
+    """Peak traced memory in dataset copies, on 600 windows of 32 x 16 (2.5 MB).
+
+    Measured: train 3.14, eval and predict 2.06 with the whole set, its raw
+    parts, their normalized copies and two Pearson temporaries alive at once;
+    train 2.03, eval 1.29 and predict 1.46 with parts and read arrays
+    normalized in place and the whole set freed after the split; train 1.89,
+    eval 1.29 and predict 1.29 with the split read, the statistics a block at
+    a time and the prediction CSV written in chunks.
+    At this size one 1 MiB block is 0.4 copies, and scoring's 64-window
+    stacks make most of what eval holds beyond the one copy.
+    """
+    peaks = _peaks_in_dataset_copies(tmp_path, 600, 32, 16)
+    assert peaks["train"] < 2.5
+    assert peaks["eval"] < 1.6
+    assert peaks["predict"] < 1.6
+
+
+def test_every_stage_holds_near_one_dataset_copy(tmp_path):
+    """Peak traced memory in dataset copies, on 3000 windows of 32 x 12 (9.2 MB), the
+    benchmark's dataset.
+
+    Measured: gen 1.41, train 2.01, eval 1.14 and predict 1.60 with the whole
+    set read before the split, whole-array statistics, the class signals added
+    to gathered copies and the prediction CSV built as one text; gen 1.05,
+    train 1.24, eval 1.07 and predict 1.07 with the split read, blockwise
+    statistics, the signals added in place and the CSV written in chunks.
+    """
+    peaks = _peaks_in_dataset_copies(tmp_path, 3000, 32, 12)
+    assert peaks["gen"] < 1.15
+    assert peaks["train"] < 1.5
+    assert peaks["eval"] < 1.15
+    assert peaks["predict"] < 1.15
+
+
+def test_predict_writes_the_same_bytes_to_stdout_and_to_out(workspace, tmp_path, capsys):
+    """80 windows: one full chunk of SCORE_CHUNK rows and a partial one."""
+    assert 80 % SCORE_CHUNK
+    argv = ["predict", "--checkpoint", str(workspace["ckpt"]), "--data", str(workspace["data"])]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "pred")]) == EXIT_OK
+    assert (tmp_path / "pred" / "predictions.csv").read_bytes() == printed.encode()
 
 
 # ---------------------------------------------------------------- eval
+
+
+@pytest.mark.parametrize("section, key, dotted", [
+    ("graph", "threshold", "graph.threshold"),  # format 5's field, which format 6 dropped
+    (None, "extra_key", "extra_key"),
+    ("normalization", "var", "normalization.var"),
+])
+def test_eval_refuses_a_checkpoint_key_that_is_never_written(workspace, tmp_path, capsys,
+                                                             section, key, dotted):
+    payload = json.loads(workspace["ckpt"].read_text())
+    (payload if section is None else payload[section])[key] = "0.9"
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(payload))
+    rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"])])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == f"error: checkpoint {ckpt}: unknown key '{dotted}'\n"
 
 
 def test_eval_prints_metrics_and_confusion(workspace, capsys):
