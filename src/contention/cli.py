@@ -163,7 +163,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     write_dataset(dataset_path, data)
     print(
         f"ingested {result.machines} machines -> {len(data)} windows "
-        f"({result.skipped_rows} rows skipped, {dropped} windows unlabeled/dropped)"
+        f"({result.skipped_rows} rows skipped, {result.windows_lost} windows lost to gaps, "
+        f"{dropped} windows unlabeled/dropped)"
     )
     print(
         f"  of {result.rows_read} rows read: {result.rows_unparseable} unparseable, "

@@ -30,7 +30,8 @@ longer than forward fill may bridge; shorter runs are filled with the last
 observed value. Windows are cut back to back from each segment, on the
 machine's grid of window_len buckets from its first bucket, and stacked once
 into an unlabeled Dataset; a parallel tuple names each window's machine and
-start time.
+start time. The windows lost to gaps are counted: per machine, the windows
+its span from first to last bucket holds on its grid, less those it kept.
 
 Real traces carry no contention labels, so weak labeling assigns classes by
 per-group utilization thresholds, computed over the dataset's windows.
@@ -145,6 +146,7 @@ class IngestResult:
     rows_unparseable: int
     rows_nonfinite: int
     rows_no_machine: int
+    windows_lost: int  # windows the machines' spans hold on their grids, less those kept
 
     @property
     def skipped_rows(self) -> int:
@@ -317,15 +319,19 @@ def ingest_csv(
     t, step = cfg.window_len, cfg.resample_step
     blocks: list[np.ndarray] = []
     sources: list[str] = []
+    lost = 0
     for machine, lo, hi in zip(machines, bounds, bounds[1:]):
         mine = rows[lo:hi]
         t0 = int(stamps[mine[0]])
+        kept = len(sources)
         for first, filled in _segments(stamps[mine], values[mine], step, cfg.max_fill):
             # k windows back to back, on the machine's grid of t buckets from its first
             start = -first % t
             k = max(len(filled) - start, 0) // t
             blocks.append(filled[start : start + k * t].reshape(k, t, len(names)))
             sources += (f"{machine}@{t0 + (first + start + i * t) * step}" for i in range(k))
+        span = (int(stamps[mine[-1]]) - t0) // step + 1  # buckets, first to last
+        lost += span // t - (len(sources) - kept)
     nonfinite = int(np.count_nonzero(~finite))
     no_machine = int(np.count_nonzero(finite & ~named))
     if not sources:
@@ -348,6 +354,7 @@ def ingest_csv(
         rows_unparseable=unparseable,
         rows_nonfinite=nonfinite,
         rows_no_machine=no_machine,
+        windows_lost=lost,
     )
 
 

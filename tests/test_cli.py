@@ -281,7 +281,21 @@ def test_ingest_weak_labels_hot_cpu(tmp_path, capsys):
     assert data.labels.tolist() == [0, 0]  # CPU class
     captured = capsys.readouterr().out
     assert "ingested 1 machines -> 2 windows" in captured
-    assert "0 rows skipped" in captured
+    assert "0 rows skipped, 0 windows lost to gaps" in captured
+
+
+def test_ingest_prints_the_windows_lost_to_gaps(tmp_path, capsys):
+    """Buckets 4-7 missing, a gap longer than max_fill 3: one of 3 grid windows is lost."""
+    cfg = ingest_config(tmp_path / "cfg.json")
+    trace = tmp_path / "trace.csv"
+    rows = [f"m1,{b * 60},0.95,0.2" for b in (*range(4), *range(8, 12))]
+    trace.write_text("\n".join(["machine,ts,cpu_util,mem_util", *rows]) + "\n")
+    rc = main(["ingest", "--config", str(cfg), "--trace", str(trace),
+               "--out", str(tmp_path / "out"), "--no-weak-label"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "ingested 1 machines -> 2 windows "
+        "(0 rows skipped, 1 windows lost to gaps, 0 windows unlabeled/dropped)")
 
 
 def test_ingest_without_weak_labels_keeps_unlabeled_windows(tmp_path):

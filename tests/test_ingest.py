@@ -197,6 +197,20 @@ class TestIngestCsv:
         assert np.array_equal(result.windows.values[0][:, 0], [0.0, 1.0, 2.0, 3.0])
         assert np.array_equal(result.windows.values[1][:, 0], [2.0, 3.0, 4.0, 5.0])
 
+    def test_windows_lost_to_a_gap_longer_than_max_fill(self, tmp_path):
+        # m1 covers buckets 0-5 and 10-17, a gap of 4 > max_fill 2: its span of 18
+        # buckets holds grid windows at 0, 4, 8 and 12, of which 4 and 8 touch the gap;
+        # m2's 7 buckets hold one grid window, kept, and a remainder that is no window
+        rows = [("m1", 60 * b, 0.5, 0.5) for b in (*range(6), *range(10, 18))]
+        rows += [("m2", 60 * b, 0.5, 0.5) for b in range(7)]
+        result = ingest_csv(_write_trace(tmp_path, rows), SCHEMA,
+                            IngestConfig(window_len=4, max_fill=2))
+        assert list(result.sources) == ["m1@0", "m1@720", "m2@0"]
+        assert result.windows_lost == 2
+        bridged = ingest_csv(_write_trace(tmp_path, rows), SCHEMA,
+                             IngestConfig(window_len=4, max_fill=4))
+        assert len(bridged.sources) == 5 and bridged.windows_lost == 0
+
     def test_segment_too_short_for_a_window_on_the_grid_adds_none(self, tmp_path):
         rows = [("m0", 60 * k, 9.0, 9.0) for k in range(3)]  # 3 buckets for windows of 4
         rows += [("m1", 60 * k, float(k), 0.0) for k in range(4)]
@@ -506,7 +520,12 @@ class TestWeakLabels:
 
 
 def _reference_ingest(path, schema, cfg):
-    """(windows, machines, counts) of a DictReader pass with one array per row."""
+    """(windows, machines, row counts, windows lost to gaps) of a DictReader pass
+    with one array per row.
+
+    A grid window is lost when it holds a bucket of a gap forward fill may not
+    bridge: each gap's windows are counted, once each, up to the last grid
+    window that ends inside the machine's span."""
     names = schema.metric_names
     per_machine = {}
     counts = {"read": 0, "unparseable": 0, "nonfinite": 0, "no_machine": 0}
@@ -548,8 +567,16 @@ def _reference_ingest(path, schema, cfg):
 
     t, step = cfg.window_len, cfg.resample_step
     windows = []
+    lost = 0
     for machine in sorted(per_machine):
         samples = sorted(per_machine[machine], key=lambda pair: pair[0])
+        buckets = [(ts - samples[0][0]) // step for ts, _ in samples]
+        last_window, counted = (buckets[-1] + 1) // t - 1, -1
+        for b0, b1 in zip(buckets, buckets[1:]):
+            if b1 - b0 > cfg.max_fill + 1:  # buckets b0 + 1 to b1 - 1 are a gap
+                lo, hi = max((b0 + 1) // t, counted + 1), min((b1 - 1) // t, last_window)
+                lost += max(hi - lo + 1, 0)
+                counted = max(counted, hi)
         for first, filled in segments(samples, step, cfg.max_fill):
             for start in range(-first % t, len(filled) - t + 1, t):
                 windows.append(
@@ -566,7 +593,7 @@ def _reference_ingest(path, schema, cfg):
             f"trace {path} produced no complete windows "
             f"(T={t}, step={cfg.resample_step}s, {skipped} rows skipped)"
         )
-    return windows, len(per_machine), counts
+    return windows, len(per_machine), counts, lost
 
 
 def _reference_weak_labels(windows, groups):
@@ -681,7 +708,7 @@ def _ingest_both(path, schema, cfg):
     """(ingest_csv's result, the reference's windows) after checking that the two
     agree bit for bit, counts included; None when both raised the same DataError."""
     try:
-        want, machines, counts = _reference_ingest(path, schema, cfg)
+        want, machines, counts, lost = _reference_ingest(path, schema, cfg)
     except DataError as exc:
         with pytest.raises(DataError) as got:
             ingest_csv(path, schema, cfg)
@@ -694,6 +721,7 @@ def _ingest_both(path, schema, cfg):
     assert result.rows_nonfinite == counts["nonfinite"]
     assert result.rows_no_machine == counts["no_machine"]
     assert result.skipped_rows == sum(counts.values()) - counts["read"]
+    assert result.windows_lost == lost
     assert list(result.sources) == [w.source for w in want]
     for got, ref in zip(result.windows.values, want, strict=True):
         assert got.tobytes() == ref.values.tobytes()

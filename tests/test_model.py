@@ -4,7 +4,8 @@ The backward pass is verified against central finite differences of the
 scalar objective dz . logits(theta), treating the whole parameter set as one
 flat vector. That oracle exercises every weight block at once and would
 catch a wrong transpose, a dropped term, or a stale cache slot. A stack of
-windows is checked against the same windows passed one at a time.
+windows is checked against the same windows passed one at a time, and one window,
+which takes a kernel of its own, against a stack of one bit for bit.
 """
 
 import tracemalloc
@@ -530,8 +531,66 @@ class TestForwardCache:
             f.name for f in fields(ForwardCache)}
 
 
+class TestSingleWindowKernel:
+    """One (T, D) window takes its own kernel and gets the bits of a stack of one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.integers(1, 9), d=st.integers(1, 6), widths=st.tuples(*[st.integers(1, 7)] * 4),
+           graph=st.sampled_from(["random", "identity", "complete"]),
+           layout=st.sampled_from(["C", "F", "strided"]), seed=st.integers(0, 10_000))
+    def test_window_equals_a_stack_of_one_bit_for_bit(self, t, d, widths, graph, layout, seed):
+        p = init_params(ModelConfig(*widths), t, RngStream(seed))
+        g = {"random": lambda: random_graph(d, seed=seed),
+             "identity": lambda: identity_graph(d),
+             "complete": lambda: MetricGraph(np.ones((d, d)) - np.eye(d))}[graph]()
+        gen = RngStream(seed, (28,)).generator()
+        x = gen.normal(size=(t, d))
+        if layout == "F":
+            x = np.asfortranarray(x)
+        elif layout == "strided":  # window 1 of a stack stored metric-major
+            buf = gen.normal(size=(d, t, 3))
+            buf[:, :, 1] = x.T
+            x = buf.transpose(2, 1, 0)[1]
+        dz = gen.normal(size=NUM_CLASSES)
+        one, one_cache = forward(x, g, p)
+        stack, stack_cache = forward(x[None], g, p)
+        assert one.logits.tobytes() == stack.logits[0].tobytes()
+        assert isinstance(one.label, int) and one.label == stack.label[0]
+        for f in fields(ForwardCache):
+            a, b = getattr(one_cache, f.name), getattr(stack_cache, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.shape == b.shape[1:] and a.tobytes() == b[0].tobytes(), f.name
+            else:
+                assert a is b, f.name
+        grads = backward(one_cache, dz, ModelParams.zeros(p.cfg, t)).flat
+        assert grads.tobytes() == backward(
+            stack_cache, dz[None], ModelParams.zeros(p.cfg, t)).flat.tobytes()
+
+    def test_shape_errors_of_one_window(self, tiny_model_cfg):
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(12))
+        with pytest.raises(ShapeError, match="window has 9 timesteps, encoder expects 8"):
+            forward(_window(9, 4, 1), identity_graph(4), p)
+        with pytest.raises(ShapeError, match="graph has 5 vertices but the embeddings cover 4"):
+            forward(_window(8, 4, 1), identity_graph(5), p)
+        for shape in ((8,), (2, 2, 8, 4)):
+            with pytest.raises(ShapeError, match=r"expected a \(T, D\) window or an \(N, T, D\)"):
+                forward(np.zeros(shape), identity_graph(4), p)
+
+    def test_lists_and_int_arrays_are_read_as_float64(self, tiny_model_cfg):
+        p = init_params(tiny_model_cfg, TINY_T, RngStream(13))
+        g = random_graph(4, seed=6)
+        x = _window(8, 4, 2)
+        ints = np.arange(32).reshape(8, 4) % 5 - 2
+        for given_as, as_float in ((x.tolist(), x), (ints, ints.astype(np.float64)),
+                                   (ints.tolist(), ints.astype(np.float64))):
+            got, cache = forward(given_as, g, p)
+            want, _ = forward(as_float, g, p)
+            assert cache.x.dtype == np.float64
+            assert got.logits.tobytes() == want.logits.tobytes() and got.label == want.label
+
+
 class TestBatched:
-    """A stack of windows goes through the same code as one window at a time."""
+    """A stack of windows scores each window as one window alone does."""
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(1, 9), st.integers(1, 6), st.integers(0, 10_000))
