@@ -68,6 +68,9 @@ def _decode_floats(text, n: int, what: str) -> np.ndarray:
 
 @dataclass
 class Checkpoint:
+    """A trained model as eval and predict load it: weights, graph and normalization,
+    with the training set's metric names, the seed and the config digest."""
+
     params: ModelParams  # params.cfg is the model config, params.window_len T
     graph: MetricGraph
     norm: NormStats

@@ -27,25 +27,28 @@ from contention.data import (
     BLOCK_BYTES,
     CLASS_NAMES,
     NUM_CLASSES,
+    SCORE_CHUNK,
     generate,
     manifest_path,
     norm_in_place,
+    read_blocks,
     read_dataset,
     write_dataset,
 )
 from contention.errors import ConfigError, ContentionError, DataError, NumericError, ShapeError
 from contention.graph import CORR_THRESHOLD, build_graph, graph_stats, pearson_matrix
 from contention.ingest import apply_weak_labels, ingest_csv
-from contention.model import softmax
+from contention.model import Prediction, predict, softmax
 from contention.pipeline import prepare, run_prepared, split_parts
 from contention.rng import RngStream
 from contention.sweeps import SWEEPS, write_sweep_csv
 from contention.train import (
     METRIC_FIELDS,
-    SCORE_CHUNK,
     EvalMetrics,
+    check_labeled,
+    confusion_matrix,
     csv_text,
-    evaluate,
+    metrics_from_confusion,
     score,
     write_history_csv,
 )
@@ -56,7 +59,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-DATASET_FILES = ("dataset.npy", "dataset.manifest.json")  # what write_dataset writes
+DATASET_FILES = ("dataset.npy", manifest_path("dataset.npy").name)  # what write_dataset writes
 # BLAS reductions split by thread count, so these set the last bits of a trained model
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -222,31 +225,33 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_eval_inputs(args: argparse.Namespace):
-    """Shared eval/predict plumbing: checkpoint plus the normalized dataset."""
+def _score_file(args: argparse.Namespace) -> tuple[Prediction, np.ndarray]:
+    """The prediction for every window of the dataset file, and its labels. The
+    checks against the checkpoint run before any value is read; then each block
+    is normalized in its buffer and scored, one block of values in memory."""
     ckpt = load_checkpoint(args.checkpoint)
-    data = read_dataset(args.data)
-    if data.window_len != ckpt.params.window_len:
-        raise ShapeError(f"dataset windows have {data.window_len} timesteps, "
-                         f"checkpoint expects {ckpt.params.window_len}")
-    # normalization and graph come from the training split only, never from scored data
-    if data.metric_count != ckpt.graph.dim:
-        raise ShapeError(f"dataset windows have {data.metric_count} metrics, "
-                         f"checkpoint graph covers {ckpt.graph.dim}")
-    if ckpt.metric_names and ckpt.metric_names != data.metric_names:
-        print(
-            "warning: dataset metric names differ from the ones the "
-            "checkpoint was trained on",
-            file=sys.stderr,
-        )
-    return ckpt, norm_in_place(data, ckpt.norm)
+    with read_blocks(args.data) as (blocks, (window_len, metric_count), names, _, labels):
+        if window_len != ckpt.params.window_len:
+            raise ShapeError(f"dataset windows have {window_len} timesteps, "
+                             f"checkpoint expects {ckpt.params.window_len}")
+        # normalization and graph come from the training split only, never from scored data
+        if metric_count != ckpt.graph.dim:
+            raise ShapeError(f"dataset windows have {metric_count} metrics, "
+                             f"checkpoint graph covers {ckpt.graph.dim}")
+        if ckpt.metric_names and ckpt.metric_names != names:
+            print("warning: dataset metric names differ from the ones the checkpoint was "
+                  "trained on", file=sys.stderr)
+        logits = [score(ckpt.params, ckpt.graph, norm_in_place(block, ckpt.norm)).logits
+                  for block in blocks]
+    return predict(np.concatenate(logits)), labels
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = resolve_out_dir(args.out, ("metrics.csv", "confusion.csv", "per_class.csv"))
-    ckpt, data = _load_eval_inputs(args)
-    metrics = evaluate(ckpt.params, ckpt.graph, data)
-    _print_metrics(f"evaluation over {len(data)} windows", metrics)
+    pred, labels = _score_file(args)
+    metrics = metrics_from_confusion(
+        confusion_matrix(check_labeled(labels, "evaluation"), pred.label, NUM_CLASSES))
+    _print_metrics(f"evaluation over {len(labels)} windows", metrics)
     _print_per_class(metrics)
     _print_confusion(metrics.confusion)
     if out_dir is not None:
@@ -270,9 +275,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     out_dir = resolve_out_dir(args.out, ("predictions.csv",))
-    ckpt, data = _load_eval_inputs(args)
-    pred = score(ckpt.params, ckpt.graph, data)
-    del data  # scored: the rows below are formatted without the values alive
+    pred, _ = _score_file(args)
     header = ["window_id", *(f"logit_{c}" for c in CLASS_NAMES), *(f"p_{c}" for c in CLASS_NAMES),
               "predicted_class"]
     cells = np.concatenate([pred.logits, softmax(pred.logits)], axis=1)

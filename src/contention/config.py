@@ -30,6 +30,9 @@ from contention.train import TrainConfig
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The settings of a run config file: the scenario, model, training, trace schema
+    and ingest sections, and the window count `gen` makes."""
+
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)

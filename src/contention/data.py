@@ -29,11 +29,13 @@ splitting into index arrays, and the dataset files: one (N, T, D) float64
 metric names and one label per window. `read_json_object` reads it, as it
 reads every JSON file of the program.
 
-No pass over a dataset holds more than one copy of its values plus blocks
-of BLOCK_BYTES: `read_parts` reads a file a block of windows at a time into
-the parts of a split (`gather`), and `fit_norm`, the Pearson sums of
-graph.py and `first_nonfinite` reduce a block at a time (`row_blocks`,
-`add_rows`), with the bits of the whole-array reductions.
+One reader, `read_blocks`, reads a dataset file: a block of windows at a
+time into one buffer of about BLOCK_BYTES, cut at multiples of SCORE_CHUNK,
+so `eval` and `predict` score each block as it comes with the bits of the
+whole set. `read_parts` copies the blocks into the parts of a split
+(`gather`); `read_dataset` is its one part of every window. `fit_norm`, the
+Pearson sums of graph.py and `first_nonfinite` reduce a block at a time
+(`row_blocks`, `add_rows`), with the bits of the whole-array reductions.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ MAX_SCENARIO_SCALE = 1e6
 AR_COEFF = 0.8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricWindow:
     """One T x D slice of aligned metric series, optionally labeled."""
 
@@ -116,7 +118,7 @@ class MetricWindow:
 UNLABELED = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """N windows of T x D aligned metric series as one array, with their labels."""
 
@@ -163,18 +165,17 @@ class Dataset:
 
 # The most bytes of values that a blockwise pass reads or reduces at once.
 BLOCK_BYTES = 1 << 20
+# Windows per forward pass when scoring: one pass over a whole dataset would keep
+# every window's intermediates alive, about 25 kB each, and stacks of 64 score as
+# fast per window as larger ones. read_blocks' blocks are multiples of it.
+SCORE_CHUNK = 64
 
 
-def _block_spans(n: int, item_bytes: int) -> Iterator[slice]:
-    """Consecutive slices that cover range(n) in order, each of as many items of
-    item_bytes as BLOCK_BYTES holds, and at least one."""
-    step = max(1, BLOCK_BYTES // max(1, item_bytes))
+def _block_spans(n: int, item_bytes: int, multiple: int = 1) -> Iterator[slice]:
+    """Consecutive slices that cover range(n) in order, each of the most items of
+    item_bytes that BLOCK_BYTES holds in a multiple of `multiple`, and at least `multiple`."""
+    step = max(1, BLOCK_BYTES // max(1, item_bytes) // multiple) * multiple
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
-
-
-def window_blocks(values: np.ndarray) -> Iterator[np.ndarray]:
-    """The windows of an (N, T, D) stack in order, as views of a block of them at a time."""
-    return (values[s] for s in _block_spans(len(values), values.nbytes // max(1, len(values))))
 
 
 def row_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
@@ -208,12 +209,10 @@ def column_mean(rows: np.ndarray) -> np.ndarray:
 def first_nonfinite(values: np.ndarray) -> int:
     """Index of the first window of an (N, T, D) stack holding a non-finite value,
     or -1; checked a block of windows at a time."""
-    lo = 0
-    for block in window_blocks(values):
-        finite = np.isfinite(block).all(axis=(1, 2))
+    for s in _block_spans(len(values), values.nbytes // max(1, len(values))):
+        finite = np.isfinite(values[s]).all(axis=(1, 2))
         if not finite.all():
-            return lo + int(np.argmin(finite))
-        lo += len(block)
+            return s.start + int(np.argmin(finite))
     return -1
 
 
@@ -376,7 +375,7 @@ def generate(cfg: ScenarioConfig, n: int, rng: RngStream) -> Dataset:
     return Dataset(x, labels, cfg.metric_names(), f"synthetic:{rng.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormStats:
     """Per-metric z-score statistics fitted on the training split only."""
 
@@ -582,12 +581,22 @@ def _manifest_fields(manifest: dict) -> tuple[tuple[int, ...], tuple[str, ...], 
 
 
 @contextmanager
-def _checked_file(path: Path) -> Iterator[tuple[BinaryIO, np.memmap, tuple[str, ...], str,
-                                                np.ndarray]]:
-    """The open .npy at path, its memory map, and the metric names, source and
-    labels of its manifest, once the manifest and then the array's header,
-    dtype and shape against it are checked. The map's pages are never read, so
-    a header or manifest claiming more than the file holds allocates nothing."""
+def read_blocks(path: str | Path) -> Iterator[tuple[Iterator[Dataset], tuple[int, ...],
+                                                    tuple[str, ...], str, np.ndarray]]:
+    """An iterator of the Dataset blocks of the file write_dataset wrote at path,
+    and the (T, D) window shape, metric names, source and labels (UNLABELED for
+    null) of its manifest. Every malformed file ends in a DataError naming it.
+
+    On entry the manifest, then the array's header, dtype and shape are
+    checked, through a memory map whose pages are never read, so a header or
+    manifest claiming more than the file holds allocates nothing. Each block
+    drawn is read, in file order, into one buffer that its holder may write
+    until the next is drawn: a multiple of SCORE_CHUNK windows. A Fortran-order
+    file, which only other writers make, is read whole at the first draw and
+    cut alike. No block is passed on from the first holding a non-finite value;
+    after the last is read, a DataError names that window.
+    """
+    path = Path(path)
     if not path.exists():
         raise DataError(f"dataset {path} is not found")
     try:
@@ -612,7 +621,16 @@ def _checked_file(path: Path) -> Iterator[tuple[BinaryIO, np.memmap, tuple[str, 
                 f"the manifest needs {VALUES_DTYPE.str} of shape {shape}"
             )
         fh.seek(mapped.offset)
-        yield fh, mapped, names, source, labels
+        spans = list(_block_spans(shape[0], mapped.nbytes // shape[0], SCORE_CHUNK))
+        if mapped.flags.c_contiguous:  # every block is read into one buffer
+            buffer = np.empty((spans[0].stop, *shape[1:]))
+            values = (_read_into(fh, buffer[: s.stop - s.start], path) for s in spans)
+        else:  # read whole, in its own order, when the first block is drawn
+            whole = (_read_into(fh, np.empty_like(mapped, subok=False), path) for _ in range(1))
+            values = (v[s] for v in whole for s in spans)
+        blocks = (Dataset(v, labels[s], names, source)
+                  for v, s in zip(_check_finite(values, path), spans))
+        yield blocks, shape[1:], names, source, labels
 
 
 def _read_into(fh: BinaryIO, values: np.ndarray, path: Path) -> np.ndarray:
@@ -623,33 +641,24 @@ def _read_into(fh: BinaryIO, values: np.ndarray, path: Path) -> np.ndarray:
 
 
 def _check_finite(blocks: Iterable[np.ndarray], path: Path) -> Iterator[np.ndarray]:
-    """The blocks of windows, passed on; after the last, a DataError names the
-    first window that holds a non-finite value."""
+    """The blocks of windows, passed on up to the first that holds a non-finite
+    value; every block is drawn, and after the last a DataError names that window."""
     lo, bad = 0, -1
     for block in blocks:
         if bad < 0 and (found := first_nonfinite(block)) >= 0:
             bad = lo + found
         lo += len(block)
-        yield block
+        if bad < 0:
+            yield block
     if bad >= 0:
         raise DataError(f"dataset {path}: window {bad} has a non-finite value")
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    """The dataset written by write_dataset, checked against its manifest.
-
-    Every malformed file ends in a DataError naming the file. The manifest,
-    then the array's header, dtype and shape are checked first (see
-    _checked_file); the values are then read once, in the file's own C or
-    Fortran order, into one new array, and checked to be finite. Unlabeled
-    windows get the label UNLABELED.
-    """
-    path = Path(path)
-    with _checked_file(path) as (fh, mapped, names, source, labels):
-        # one block, the whole array; unpacking runs the check past it
-        (values,) = _check_finite([_read_into(fh, np.empty_like(mapped, subok=False), path)],
-                                  path)
-    return Dataset(values, labels, names, source)
+    """The dataset file at path as one Dataset: read_parts' one part of every
+    window in order, with every check of read_blocks."""
+    (data,) = read_parts(path, lambda labels: [np.arange(len(labels))])
+    return data
 
 
 def gather(blocks: Iterable[np.ndarray], parts: Sequence[np.ndarray],
@@ -675,28 +684,20 @@ def gather(blocks: Iterable[np.ndarray], parts: Sequence[np.ndarray],
 
 def read_parts(path: str | Path,
                part_index: Callable[[np.ndarray], Sequence[np.ndarray]]) -> list[Dataset]:
-    """The parts of read_dataset(path) whose windows the index arrays of
-    `part_index(labels)` name, each gathered into a new array, without the
-    whole set in memory: the labels come from the manifest, and the values are
-    read a block of windows at a time, in file order, and copied into the parts.
+    """The parts of the dataset file at path whose windows the index arrays of
+    `part_index(labels)` name, each gathered into a new C-order array from the
+    blocks of read_blocks, so the whole set never exists in memory: the labels
+    come from the manifest before any value is read.
 
-    Every check of read_dataset runs, in its order and with its message; a
-    ContentionError of part_index is raised after them. A Fortran-order file,
-    which only other writers make, is read whole first.
+    Every check of read_blocks runs, in its order and with its message; a
+    ContentionError of part_index is raised after them.
     """
-    path = Path(path)
-    with _checked_file(path) as (fh, mapped, names, source, labels):
+    with read_blocks(path) as (blocks, window_shape, names, source, labels):
         try:
             parts, fault = part_index(labels), None
         except ContentionError as exc:  # a set too small to split: the file's faults come first
             parts, fault = (), exc
-        if mapped.flags.c_contiguous:  # every block is read into one buffer
-            spans = list(_block_spans(len(mapped), mapped.nbytes // len(mapped)))
-            buffer = np.empty((spans[0].stop, *mapped.shape[1:]))
-            blocks = (_read_into(fh, buffer[: s.stop - s.start], path) for s in spans)
-        else:
-            blocks = window_blocks(_read_into(fh, np.empty_like(mapped, subok=False), path))
-        values = gather(_check_finite(blocks, path), parts, mapped.shape[1:])
+        values = gather((block.values for block in blocks), parts, window_shape)
     if fault is not None:
         raise fault
     return [Dataset(v, labels[part], names, source) for v, part in zip(values, parts)]

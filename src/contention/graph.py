@@ -23,7 +23,7 @@ CORR_THRESHOLD = 0.3
 _VAR_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricGraph:
     """Thresholded metric graph plus its propagation operator, derived once and stored."""
 
@@ -40,6 +40,8 @@ class MetricGraph:
 
 @dataclass(frozen=True)
 class GraphStats:
+    """What `contention graph` prints of a metric graph."""
+
     edges: int
     density: float
     isolated: int

@@ -121,6 +121,8 @@ PLAIN = bytes(range(ord(" "), ord("~") + 1)) + b"\n"
 
 @dataclass(frozen=True)
 class IngestConfig:
+    """How a trace is resampled and cut into windows."""
+
     window_len: int = 32
     resample_step: int = 60  # seconds per bucket, < 2**63 so buckets stay 64-bit
     max_fill: int = 3  # longest run of missing buckets forward fill may bridge, <= MAX_FILL_LIMIT
@@ -139,6 +141,8 @@ class IngestConfig:
 
 @dataclass(frozen=True)
 class IngestResult:
+    """The windows cut from a trace, with the counts of the rows and windows left out."""
+
     windows: Dataset  # unlabeled, source "trace:{file name}"
     sources: tuple[str, ...]  # "{machine}@{start timestamp}" per window
     machines: int  # machines with at least one kept row

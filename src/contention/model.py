@@ -144,13 +144,15 @@ def init_params(cfg: ModelConfig, t: int, rng: RngStream) -> ModelParams:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prediction:
+    """The logits of a window or a stack, and the class each picks."""
+
     logits: np.ndarray  # (K,) for a window, (N, K) for a stack
     label: int | np.ndarray  # argmax of each logit row, lowest index on ties
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class ForwardCache:
     """The forward pass's inputs and the intermediates the backward pass reads.
 

@@ -6,16 +6,15 @@ normalization statistics and the metric graph both come from the training
 split only, and the validation and test splits are transformed with those
 frozen artifacts.
 
-It also keeps the memory near one copy of the dataset: split_parts copies
-the windows into the three parts a block at a time, from the dataset file
-(`contention train`) or from the generated array (sweeps), and prepare
-normalizes the parts in place and reduces the train part a block of rows at
-a time.
+It also keeps the memory near one copy of the dataset: split_parts gathers
+the three parts from the dataset file a block at a time (`contention train`)
+or from the generated array (sweeps), and prepare normalizes the parts in
+place and reduces the train part a block of rows at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from contention.data import (
@@ -23,12 +22,10 @@ from contention.data import (
     NormStats,
     ScenarioConfig,
     fit_norm,
-    gather,
     generate,
     norm_in_place,
     read_parts,
     split,
-    window_blocks,
 )
 from contention.graph import MetricGraph, build_graph, pearson_matrix
 from contention.model import ModelConfig, ModelParams
@@ -38,6 +35,8 @@ from contention.train import EvalMetrics, TrainConfig, TrainHistory, evaluate, t
 
 @dataclass
 class PreparedData:
+    """Three normalized parts, with the statistics and graph fitted on the train part."""
+
     train: Dataset
     val: Dataset
     test: Dataset
@@ -48,15 +47,12 @@ class PreparedData:
 def split_parts(source: Dataset | str | Path,
                 split_rng: RngStream) -> tuple[Dataset, Dataset, Dataset]:
     """The train, val and test parts of a stratified split of a Dataset, or of
-    the dataset file at a path, each gathered into a new array a block of
-    windows at a time. A file is split by the labels of its manifest before any
-    value is read (`read_parts`), so the whole set never exists in memory; a
-    Dataset is not written, and one no caller keeps is freed on return."""
+    the dataset file at a path, each gathered into a new array. A file is split
+    by the labels of its manifest before any value is read (`read_parts`), so
+    the whole set never exists in memory; a Dataset is not written, and one no
+    caller keeps is freed on return."""
     if isinstance(source, Dataset):
-        parts = split(source.labels, split_rng)
-        values = gather(window_blocks(source.values), parts, source.values.shape[1:])
-        return tuple(replace(source, values=v, labels=source.labels[i])
-                     for v, i in zip(values, parts))
+        return tuple(source.subset(part) for part in split(source.labels, split_rng))
     return tuple(read_parts(source, lambda labels: split(labels, split_rng)))
 
 
@@ -72,6 +68,8 @@ def prepare(train_d: Dataset, val_d: Dataset, test_d: Dataset) -> PreparedData:
 
 @dataclass
 class RunResult:
+    """A trained model, its history, its scores on val and test, and the data it ran on."""
+
     params: ModelParams
     history: TrainHistory
     val_metrics: EvalMetrics

@@ -40,6 +40,8 @@ def _check_index(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class RngStream:
+    """One named stream of random draws: a seed and a path of substream indices."""
+
     seed: int
     path: tuple[int, ...] = ()
 

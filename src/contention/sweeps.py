@@ -39,6 +39,8 @@ ABLATION_ARMS = ("full", "no-propagation", "static-weights")
 
 @dataclass
 class SweepRow:
+    """One setting of a sweep and its test metrics, one per seed."""
+
     setting: float | str  # an arm name in the ablation sweep
     per_seed: list[EvalMetrics]
 
@@ -55,6 +57,8 @@ class SweepRow:
 
 @dataclass
 class SweepTable:
+    """A sweep: one row per setting, each over the same seeds."""
+
     kind: str
     setting_name: str
     seeds: tuple[int, ...]

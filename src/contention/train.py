@@ -9,7 +9,8 @@ two epochs' mean task losses. The learning rate is a setting; Adam's other
 constants and the DWA temperature are fixed. The run propagates over the
 graph it is given (the no-propagation ablation gives it the identity graph).
 Initialization and shuffles draw from the seed's training streams (see the
-stream map in rng.py). Evaluation scores windows in stacks of SCORE_CHUNK.
+stream map in rng.py). Evaluation scores windows in stacks of SCORE_CHUNK,
+which data.py owns, since its block reader cuts blocks at multiples of it.
 Given the same config and seed the whole trajectory is bit-reproducible,
 which the acceptance suite checks at the file level.
 
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from contention.data import CLASS_NAMES, NUM_CLASSES, Dataset
+from contention.data import CLASS_NAMES, NUM_CLASSES, SCORE_CHUNK, Dataset
 from contention.errors import ConfigError, DataError, NumericError
 from contention.graph import MetricGraph
 from contention.losses import task_losses, update_weights
@@ -52,6 +53,8 @@ DWA_TEMPERATURE = 2.0
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The settings of a training run."""
+
     batch_size: int = 64
     max_epochs: int = 50
     learning_rate: float = 1e-3
@@ -72,8 +75,10 @@ class TrainConfig:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
+    """Adam's two moment estimates and the count of steps taken."""
+
     m: np.ndarray
     v: np.ndarray
     step: int = 0
@@ -125,8 +130,10 @@ def adam_step(
     return AdamState(m=m, v=v, step=t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalMetrics:
+    """Accuracy, macro and per-class scores, and the confusion matrix they come from."""
+
     accuracy: float
     macro_precision: float
     macro_recall: float
@@ -192,19 +199,14 @@ def metrics_from_confusion(c: np.ndarray) -> EvalMetrics:
     )
 
 
-def _check_labeled(data: Dataset, what: str) -> np.ndarray:
-    if not len(data):
+def check_labeled(labels: np.ndarray, what: str) -> np.ndarray:
+    """labels, once checked to name at least one window and a class for each."""
+    if not labels.size:
         raise DataError(f"{what} set is empty")
-    unlabeled = np.flatnonzero(data.labels < 0)
+    unlabeled = np.flatnonzero(labels < 0)
     if unlabeled.size:
         raise DataError(f"{what} window {int(unlabeled[0])} has no label")
-    return data.labels
-
-
-# Windows per forward pass when scoring. One pass over a whole dataset would
-# keep every window's intermediates alive at once, about 25 kB per window;
-# stacks of 64 score as fast per window as larger ones.
-SCORE_CHUNK = 64
+    return labels
 
 
 def score(params: ModelParams, graph: MetricGraph, data: Dataset) -> Prediction:
@@ -216,13 +218,15 @@ def score(params: ModelParams, graph: MetricGraph, data: Dataset) -> Prediction:
 
 
 def evaluate(params: ModelParams, graph: MetricGraph, data: Dataset) -> EvalMetrics:
-    labels = _check_labeled(data, "evaluation")
+    labels = check_labeled(data.labels, "evaluation")
     preds = score(params, graph, data).label
     return metrics_from_confusion(confusion_matrix(labels, preds, NUM_CLASSES))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpochRecord:
+    """One epoch of training: its mean task losses, the weights it ran with and val's scores."""
+
     epoch: int
     task_losses: np.ndarray  # (K,) epoch-mean per task
     weights: np.ndarray  # (K,) weights in effect during this epoch
@@ -232,6 +236,8 @@ class EpochRecord:
 
 @dataclass
 class TrainHistory:
+    """Every epoch run, and the one whose parameters train returns."""
+
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1
 
@@ -248,8 +254,8 @@ def train(
     Splits arrive already normalized and the graph already built from the
     training split alone; this function never touches raw statistics.
     """
-    train_labels = _check_labeled(train_data, "training")
-    _check_labeled(val_data, "validation")
+    train_labels = check_labeled(train_data.labels, "training")
+    check_labeled(val_data.labels, "validation")
     if graph.dim != train_data.metric_count:
         raise ConfigError(
             f"graph covers {graph.dim} metrics, windows carry {train_data.metric_count}"

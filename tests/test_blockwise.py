@@ -1,11 +1,12 @@
 """Blockwise passes over a dataset against their whole-array forms.
 
 `fit_norm`, `first_nonfinite`, the Pearson sums and the split read of a
-dataset file each work a block of BLOCK_BYTES at a time. Each test sets the
-block size so that the data spans many blocks, a last partial block, or one
-block larger than the data, and compares with the form that holds the whole
-array: bit for bit, except the Pearson cross products, whose blockwise sum
-may move their last bits (checked within 1e-12).
+dataset file each work a block of BLOCK_BYTES at a time (the split read in
+multiples of SCORE_CHUNK windows, which these tests set to 1). Each test
+sets the block size so that the data spans many blocks, a last partial
+block, or one block larger than the data, and compares with the form that
+holds the whole array: bit for bit, except the Pearson cross products,
+whose blockwise sum may move their last bits (checked within 1e-12).
 """
 
 from contextlib import contextmanager
@@ -37,8 +38,10 @@ from conftest import random_dataset
 
 @contextmanager
 def blocks_of(items: int, item_bytes: int):
-    """BLOCK_BYTES set so that one block holds `items` items of item_bytes."""
-    with mock.patch.object(data_module, "BLOCK_BYTES", items * item_bytes):
+    """BLOCK_BYTES set so that one block holds `items` items of item_bytes, and the
+    block reader's SCORE_CHUNK set to 1 so that its blocks may hold any count."""
+    with mock.patch.object(data_module, "BLOCK_BYTES", items * item_bytes), \
+            mock.patch.object(data_module, "SCORE_CHUNK", 1):
         yield
 
 

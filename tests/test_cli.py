@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from contention import cli, sweeps
+from contention import data as data_module
 from contention.checkpoint import load_checkpoint
 from contention.cli import (
     EXIT_CONFIG,
@@ -632,9 +633,11 @@ def _traced_peak(argv: list[str]) -> int:
         tracemalloc.stop()
 
 
-def _peaks_in_dataset_copies(tmp_path, n: int, t: int, d: int) -> dict[str, float]:
-    """Traced peak of gen, train, eval and predict over the dataset's N*T*D*8 bytes, on n
-    windows of t x d with a small model trained one epoch."""
+def _peaks_in_dataset_copies(tmp_path, n: int, t: int, d: int,
+                             traced=("gen", "train", "eval", "predict")) -> dict[str, float]:
+    """Traced peak of gen, train, eval and predict, or of those named in `traced` (the others
+    run untraced), over the dataset's N*T*D*8 bytes, on n windows of t x d with a small model
+    trained one epoch."""
     cfg = write_config(
         tmp_path / "config.json",
         scenario={"metric_count": d, "window_len": t, "separation": 3.0, "noise_std": 0.1},
@@ -651,7 +654,13 @@ def _peaks_in_dataset_copies(tmp_path, n: int, t: int, d: int) -> dict[str, floa
         "predict": ["predict", "--checkpoint", str(ckpt), "--data", str(data),
                     "--out", str(tmp_path / "pred")],
     }
-    return {name: _traced_peak(argv) / (n * t * d * 8) for name, argv in commands.items()}
+    peaks = {}
+    for name, argv in commands.items():
+        if name in traced:
+            peaks[name] = _traced_peak(argv) / (n * t * d * 8)
+        else:
+            assert main(argv) == EXIT_OK
+    return peaks
 
 
 def test_train_eval_and_predict_memory_is_bounded_by_dataset_copies(tmp_path):
@@ -662,9 +671,10 @@ def test_train_eval_and_predict_memory_is_bounded_by_dataset_copies(tmp_path):
     train 2.03, eval 1.29 and predict 1.46 with parts and read arrays
     normalized in place and the whole set freed after the split; train 1.89,
     eval 1.29 and predict 1.29 with the split read, the statistics a block at
-    a time and the prediction CSV written in chunks.
+    a time and the prediction CSV written in chunks; eval and predict 0.72
+    with the file scored as it is read.
     At this size one 1 MiB block is 0.4 copies, and scoring's 64-window
-    stacks make most of what eval holds beyond the one copy.
+    stacks make most of what eval holds beyond its block.
     """
     peaks = _peaks_in_dataset_copies(tmp_path, 600, 32, 16)
     assert peaks["train"] < 2.5
@@ -680,13 +690,68 @@ def test_every_stage_holds_near_one_dataset_copy(tmp_path):
     set read before the split, whole-array statistics, the class signals added
     to gathered copies and the prediction CSV built as one text; gen 1.05,
     train 1.24, eval 1.07 and predict 1.07 with the split read, blockwise
-    statistics, the signals added in place and the CSV written in chunks.
+    statistics, the signals added in place and the CSV written in chunks;
+    eval and predict 0.18 with the file scored as it is read.
     """
     peaks = _peaks_in_dataset_copies(tmp_path, 3000, 32, 12)
     assert peaks["gen"] < 1.15
     assert peaks["train"] < 1.5
     assert peaks["eval"] < 1.15
     assert peaks["predict"] < 1.15
+
+
+def test_eval_and_predict_hold_a_fraction_of_the_dataset(tmp_path):
+    """eval and predict normalize and score each block of the file as it is read, so
+    what they hold grows with the N x 5 logits, not with the windows.
+
+    Measured at 3000 windows of 32 x 12 (9.2 MB): eval 0.180 and predict 0.179
+    dataset copies, against 1.07 each with the whole set read first; at 12000
+    windows 0.057 and 0.059 copies, 1.27 and 1.31 times the bytes at 3000.
+    """
+    (tmp_path / "small").mkdir()
+    (tmp_path / "large").mkdir()
+    small = _peaks_in_dataset_copies(tmp_path / "small", 3000, 32, 12, ("eval", "predict"))
+    large = _peaks_in_dataset_copies(tmp_path / "large", 12000, 32, 12, ("eval", "predict"))
+    for stage in ("eval", "predict"):
+        assert small[stage] < 0.4
+        assert large[stage] * 4 < 1.5 * small[stage]
+
+
+def _write_machines_trace(path: Path, machines: int, buckets: int) -> tuple[str, ...]:
+    """A trace of `machines` machines sampled every 60 s for `buckets` buckets, rows
+    interleaved by time, with three metric columns per resource group and about one
+    sample in 500 missing; returns the metric columns."""
+    columns = tuple(f"{group}{j}" for group in ("cpu", "mem", "disk", "net") for j in range(3))
+    gen = np.random.default_rng(0)
+    values = gen.uniform(0.0, 1.0, size=(buckets, machines, len(columns)))
+    present = gen.random((buckets, machines)) > 0.002
+    with path.open("w") as fh:
+        fh.write(",".join(("machine", "ts", *columns)) + "\n")
+        for i in range(buckets):
+            for m in np.flatnonzero(present[i]).tolist():
+                fh.write(f"m{m},{60 * i}," + ",".join(map(repr, values[i, m].tolist())) + "\n")
+    return columns
+
+
+def test_ingest_holds_under_three_copies_of_its_windows(tmp_path):
+    """Traced peak of `contention ingest` over the bytes of the windows it keeps, on a
+    trace of 8 machines x 3000 buckets (5.6 MB of CSV, 744 windows of 32 x 12).
+
+    Measured: 2.70 copies (6.17 MB for 2.29 MB of windows), with or without weak
+    labels: the trace's parsed rows, one copy of what it keeps and more, and
+    the windows cut from them. The benchmark's 8 x 12500 trace peaks at 2.65.
+    """
+    columns = _write_machines_trace(tmp_path / "trace.csv", 8, 3000)
+    cfg = write_config(tmp_path / "cfg.json",
+                       schema={"machine_column": "machine", "timestamp_column": "ts",
+                               "metric_columns": {c: c[:-1] for c in columns}},
+                       ingest={"window_len": 32, "resample_step": 60, "max_fill": 3})
+    out = tmp_path / "out"
+    peak = _traced_peak(["ingest", "--config", str(cfg), "--trace", str(tmp_path / "trace.csv"),
+                         "--out", str(out), "--no-weak-label"])
+    windows = read_dataset(out / "dataset.npy").values
+    assert windows.shape == (744, 32, 12)
+    assert peak / windows.nbytes < 3.0
 
 
 def test_predict_writes_the_same_bytes_to_stdout_and_to_out(workspace, tmp_path, capsys):
@@ -697,6 +762,66 @@ def test_predict_writes_the_same_bytes_to_stdout_and_to_out(workspace, tmp_path,
     printed = capsys.readouterr().out
     assert main([*argv, "--out", str(tmp_path / "pred")]) == EXIT_OK
     assert (tmp_path / "pred" / "predictions.csv").read_bytes() == printed.encode()
+
+
+def _scored_outputs(workspace, out: Path, capsys) -> dict[str, bytes]:
+    """eval's and predict's files and stdout on the workspace dataset."""
+    flags = ["--checkpoint", str(workspace["ckpt"]), "--data", str(workspace["data"])]
+    assert main(["eval", *flags, "--out", str(out / "eval")]) == EXIT_OK
+    assert main(["predict", *flags]) == EXIT_OK
+    printed = capsys.readouterr().out.replace(str(out), "OUT")
+    files = {p.name: p.read_bytes() for p in sorted((out / "eval").iterdir())}
+    return {"stdout": printed.encode(), **files}
+
+
+@pytest.mark.parametrize("block_windows", [1, 64, 65, 128])
+def test_eval_and_predict_give_the_same_bytes_at_any_block_size(workspace, tmp_path, capsys,
+                                                                 monkeypatch, block_windows):
+    """80 windows, one block by default; with smaller blocks the reader still cuts at
+    multiples of SCORE_CHUNK (64 windows at least), so every forward pass meets the same
+    stacks and the outputs keep their bytes."""
+    whole = _scored_outputs(workspace, tmp_path / "whole", capsys)
+    monkeypatch.setattr(data_module, "BLOCK_BYTES", block_windows * 8 * 4 * 8)
+    assert _scored_outputs(workspace, tmp_path / "blocks", capsys) == whole
+
+
+def test_a_non_finite_value_in_the_last_partial_block_writes_nothing(workspace, tmp_path,
+                                                                     capsys, monkeypatch):
+    """Blocks of 64 of the 80 windows: window 79 is in the last, partial block, and
+    the error comes once it is read, before any line of output."""
+    data = read_dataset(workspace["data"])
+    data.values[79, 7, 3] = np.nan
+    path = tmp_path / "bad.npy"
+    write_dataset(path, data)
+    monkeypatch.setattr(data_module, "BLOCK_BYTES", 64 * 8 * 4 * 8)
+    for command in ("eval", "predict"):
+        out = tmp_path / command
+        rc = main([command, "--checkpoint", str(workspace["ckpt"]), "--data", str(path),
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_DATA
+        assert captured.err == f"error: dataset {path}: window 79 has a non-finite value\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+def test_eval_and_predict_check_the_checkpoint_before_any_value(workspace, tmp_path, capsys):
+    """The manifest and the array's header come first, then the window shape against
+    the checkpoint, and only then the values: a file with too many metrics and a
+    non-finite value is refused for its metrics. graph has no checkpoint to check."""
+    data = read_dataset(workspace["data"])
+    wide = replace(data, values=np.concatenate([data.values, data.values], axis=2),
+                   metric_names=tuple(f"x{i}" for i in range(8)))
+    wide.values[3, 0, 0] = np.inf
+    path = tmp_path / "wide.npy"
+    write_dataset(path, wide)
+    for command in ("eval", "predict"):
+        rc = main([command, "--checkpoint", str(workspace["ckpt"]), "--data", str(path)])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: dataset windows have 8 metrics, checkpoint graph covers 4\n")
+    assert main(["graph", "--data", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: dataset {path}: window 3 has a non-finite value\n"
 
 
 # ---------------------------------------------------------------- eval

@@ -7,6 +7,7 @@ the chi-square bound 18.467 is the 0.001 tail for 4 degrees of freedom while
 the observed statistic is under 1.
 """
 
+import copy
 import json
 import math
 import re
@@ -15,9 +16,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from contention import data as data_module
+from contention.checkpoint import Checkpoint
 from contention.data import (
     AR_COEFF,
     CLASS_NAMES,
@@ -41,13 +44,16 @@ from contention.data import (
     generate,
     manifest_path,
     norm_in_place,
+    read_blocks,
     read_dataset,
     split,
     write_dataset,
 )
 from contention.errors import ConfigError, DataError, SchemaError, ShapeError
-from contention.graph import pearson_from_series
+from contention.graph import MetricGraph, build_graph, pearson_from_series, pearson_matrix
+from contention.model import ForwardCache, ModelParams, Prediction, forward, init_params, predict
 from contention.rng import RngStream
+from contention.train import AdamState, EpochRecord, EvalMetrics, metrics_from_confusion
 from contention.sweeps import subsample_stratified
 
 from conftest import baseline_accuracy, baseline_predict, random_dataset, random_windows
@@ -939,3 +945,91 @@ class TestDatasetFiles:
 
     def test_manifest_path_shape(self):
         assert manifest_path("runs/foo.npy").name == "foo.manifest.json"
+
+
+class TestReadBlocks:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 40), t=st.integers(1, 4), d=st.integers(1, 3),
+           block_windows=st.integers(1, 50), chunk=st.integers(1, 7),
+           seed=st.integers(0, 10_000), fortran=st.booleans())
+    def test_blocks_are_the_file_cut_at_multiples_of_the_chunk(
+            self, tmp_path_factory, monkeypatch, n, t, d, block_windows, chunk, seed, fortran):
+        data = random_dataset(n, t, d, seed=seed)
+        path = tmp_path_factory.mktemp("blocks") / "dataset.npy"
+        write_dataset(path, data)
+        if fortran:  # only other writers make one; it is read whole, then cut
+            with path.open("wb") as fh:
+                np.save(fh, np.asfortranarray(data.values))
+        monkeypatch.setattr(data_module, "BLOCK_BYTES", block_windows * 8 * t * d)
+        monkeypatch.setattr(data_module, "SCORE_CHUNK", chunk)
+        step = max(1, block_windows // chunk) * chunk
+        with read_blocks(path) as (blocks, window_shape, names, source, labels):
+            assert window_shape == (t, d)
+            assert (names, source, labels.tolist()) == (
+                data.metric_names, data.source, data.labels.tolist())
+            lo = 0
+            for block in blocks:
+                assert len(block) == min(step, n - lo)
+                assert block.values.tobytes() == data.values[lo : lo + len(block)].tobytes()
+                assert block.labels.tolist() == data.labels[lo : lo + len(block)].tolist()
+                assert (block.metric_names, block.source) == (names, source)
+                block.values[...] = np.nan  # a block is its holder's to write
+                lo += len(block)
+        assert lo == n
+
+    def test_blocks_of_a_c_order_file_share_one_buffer(self, tmp_path, monkeypatch):
+        path = tmp_path / "dataset.npy"
+        write_dataset(path, random_dataset(10, 2, 3, seed=0))
+        monkeypatch.setattr(data_module, "BLOCK_BYTES", 4 * 48)
+        monkeypatch.setattr(data_module, "SCORE_CHUNK", 2)
+        with read_blocks(path) as (blocks, *_):
+            blocks = list(blocks)
+        assert [len(b) for b in blocks] == [4, 4, 2]
+        assert all(np.shares_memory(b.values, blocks[0].values) for b in blocks)
+
+    def test_no_block_from_the_first_non_finite_one_on_is_passed_on(self, tmp_path,
+                                                                    monkeypatch):
+        data = random_dataset(10, 2, 3, seed=1)
+        data.values[5, 1, 2] = np.inf
+        path = tmp_path / "dataset.npy"
+        write_dataset(path, data)
+        monkeypatch.setattr(data_module, "BLOCK_BYTES", 2 * 48)
+        monkeypatch.setattr(data_module, "SCORE_CHUNK", 1)
+        seen = []
+        with pytest.raises(DataError, match="window 5 has a non-finite value"):
+            with read_blocks(path) as (blocks, *_):
+                for block in blocks:
+                    seen.append(len(block))
+        assert seen == [2, 2]
+
+    def test_nothing_is_read_before_the_first_block_is_drawn(self, tmp_path):
+        data = random_dataset(3, 2, 3, seed=2)
+        data.values[0, 0, 0] = np.nan
+        path = tmp_path / "dataset.npy"
+        write_dataset(path, data)
+        with read_blocks(path) as (_, window_shape, *_):
+            assert window_shape == (2, 3)  # the header's checks pass; no value is checked
+
+
+def test_records_that_hold_arrays_compare_and_hash_by_identity(tiny_model_cfg):
+    """A generated == would compare arrays and raise; a generated hash would hash them."""
+    records = (MetricWindow, Dataset, NormStats, MetricGraph, Prediction, ForwardCache,
+               AdamState, EvalMetrics, EpochRecord, ModelParams)
+    assert all(cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+               for cls in records)
+    data = random_dataset(4, 8, 3, seed=3)
+    norm, graph = fit_norm(data), build_graph(pearson_matrix(data))
+    params = init_params(tiny_model_cfg, 8, RngStream(0))
+    pred, cache = forward(data.values, graph, params)
+    metrics = metrics_from_confusion(np.eye(5, dtype=np.int64))
+    made = (next(iter(data)), data, norm, graph, pred, cache, AdamState.zeros(3), metrics,
+            EpochRecord(0, np.ones(5), np.ones(5), 5.0, metrics), params)
+    for record in made:
+        twin = copy.copy(record)
+        assert record == record and record != twin
+        assert hash(record) == hash(record) != hash(twin)
+        assert record in {record} and twin not in {record}
+    ckpt = Checkpoint(params, graph, norm)
+    assert ckpt == Checkpoint(params, graph, norm) != Checkpoint(params, graph, fit_norm(data))
+    assert predict(pred.logits) != pred

@@ -16,7 +16,9 @@ Likewise every option of every CLI subcommand must be read as `args.<dest>`
 by the command's function or by a function it passes `args` to.
 The program keeps one JSON reader and one CSV writer: `json.load` or
 `json.loads` is called in one function of src/contention/ only, and
-`csv.writer` and `csv.DictWriter` appear nowhere in it. One function there,
+`csv.writer` and `csv.DictWriter` appear nowhere in it. It keeps one dataset
+reader too: only `data.read_blocks` calls `_read_into` or
+`np.lib.format.open_memmap`, the two ways to a dataset file's values. One function there,
 `data.read_json_object`, holds an `except` clause that names KeyError,
 LookupError or TypeError: the net that turns a missing or malformed field of
 any JSON file into one error naming the file.
@@ -328,6 +330,36 @@ def test_one_json_reader_and_no_csv_writer():
     readers, writers = json_and_csv_io(files)
     assert len(readers) == 1, readers
     assert writers == []
+
+
+def dataset_readers(paths: list[Path]) -> list[str]:
+    """The functions (`file:name`) that call `_read_into` or `np.lib.format.open_memmap`."""
+    readers = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+                owner = f"{path.name}:{getattr(node, 'name', '<module>')}"
+                readers |= {owner for n in _own_nodes(node) if isinstance(n, ast.Call) and (
+                    isinstance(n.func, ast.Name) and n.func.id == "_read_into"
+                    or isinstance(n.func, ast.Attribute) and n.func.attr == "open_memmap")}
+    return sorted(readers)
+
+
+def test_scan_finds_dataset_readers(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import numpy as np\n"
+                      "def reader(p):\n    return np.lib.format.open_memmap(p)\n"
+                      "def blocks(fh):\n    return (_read_into(fh, b) for b in range(2))\n"
+                      "def outer(fh):\n    def inner():\n        return _read_into(fh, 1)\n"
+                      "    return inner\n"
+                      "def names_only():\n    return _read_into, np.lib.format.open_memmap\n")
+    assert dataset_readers([module]) == ["m.py:blocks", "m.py:inner", "m.py:reader"]
+
+
+def test_one_dataset_reader():
+    files = sorted((ROOT / "src" / "contention").glob("*.py"))
+    assert dataset_readers(files) == ["data.py:read_blocks"]
 
 
 def error_nets(paths: list[Path]) -> list[str]:
