@@ -106,13 +106,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def _refuse_unknown_keys(payload: dict) -> None:
-    """A SchemaError naming, dotted, the first key save_checkpoint does not write."""
-    sections = [("", payload, ("format_version", *TOP_KEYS))]
-    sections += [(f"{name}.", payload[name], keys) for name, keys in SECTION_KEYS.items()]
-    for prefix, section, keys in sections:
-        if isinstance(section, dict):  # a section of another type fails where it is read
+    """A SchemaError naming the first key of a section that save_checkpoint does not write."""
+    for name, keys in SECTION_KEYS.items():
+        if isinstance(section := payload[name], dict):  # another type fails where it is read
             if unknown := [key for key in section if key not in keys]:
-                raise SchemaError(f"unknown key '{prefix}{unknown[0]}'")
+                raise SchemaError(f"unknown key '{name}.{unknown[0]}'")
 
 
 def _from_payload(payload: dict) -> Checkpoint:

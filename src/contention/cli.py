@@ -225,10 +225,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _score_file(args: argparse.Namespace) -> tuple[Prediction, np.ndarray]:
+def _score_file(args: argparse.Namespace, labeled: bool) -> tuple[Prediction, np.ndarray]:
     """The prediction for every window of the dataset file, and its labels. The
-    checks against the checkpoint run before any value is read; then each block
-    is normalized in its buffer and scored, one block of values in memory."""
+    checks against the checkpoint, then with `labeled` that every window has a
+    label, run before any value is read; then each block is normalized in its
+    buffer and scored, one block of values in memory."""
     ckpt = load_checkpoint(args.checkpoint)
     with read_blocks(args.data) as (blocks, (window_len, metric_count), names, _, labels):
         if window_len != ckpt.params.window_len:
@@ -238,6 +239,8 @@ def _score_file(args: argparse.Namespace) -> tuple[Prediction, np.ndarray]:
         if metric_count != ckpt.graph.dim:
             raise ShapeError(f"dataset windows have {metric_count} metrics, "
                              f"checkpoint graph covers {ckpt.graph.dim}")
+        if labeled:
+            check_labeled(labels, "evaluation")
         if ckpt.metric_names and ckpt.metric_names != names:
             print("warning: dataset metric names differ from the ones the checkpoint was "
                   "trained on", file=sys.stderr)
@@ -248,9 +251,8 @@ def _score_file(args: argparse.Namespace) -> tuple[Prediction, np.ndarray]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = resolve_out_dir(args.out, ("metrics.csv", "confusion.csv", "per_class.csv"))
-    pred, labels = _score_file(args)
-    metrics = metrics_from_confusion(
-        confusion_matrix(check_labeled(labels, "evaluation"), pred.label, NUM_CLASSES))
+    pred, labels = _score_file(args, labeled=True)
+    metrics = metrics_from_confusion(confusion_matrix(labels, pred.label, NUM_CLASSES))
     _print_metrics(f"evaluation over {len(labels)} windows", metrics)
     _print_per_class(metrics)
     _print_confusion(metrics.confusion)
@@ -275,7 +277,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     out_dir = resolve_out_dir(args.out, ("predictions.csv",))
-    pred, _ = _score_file(args)
+    pred, _ = _score_file(args, labeled=False)
     header = ["window_id", *(f"logit_{c}" for c in CLASS_NAMES), *(f"p_{c}" for c in CLASS_NAMES),
               "predicted_class"]
     cells = np.concatenate([pred.logits, softmax(pred.logits)], axis=1)

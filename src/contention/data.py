@@ -29,13 +29,14 @@ splitting into index arrays, and the dataset files: one (N, T, D) float64
 metric names and one label per window. `read_json_object` reads it, as it
 reads every JSON file of the program.
 
-One reader, `read_blocks`, reads a dataset file: a block of windows at a
-time into one buffer of about BLOCK_BYTES, cut at multiples of SCORE_CHUNK,
-so `eval` and `predict` score each block as it comes with the bits of the
-whole set. `read_parts` copies the blocks into the parts of a split
-(`gather`); `read_dataset` is its one part of every window. `fit_norm`, the
-Pearson sums of graph.py and `first_nonfinite` reduce a block at a time
-(`row_blocks`, `add_rows`), with the bits of the whole-array reductions.
+One reader, `read_blocks`, reads a dataset file, and the first fault it meets
+ends the read. It reads a block of windows at a time into one buffer: a
+multiple of SCORE_CHUNK windows no larger than BLOCK_BYTES, or SCORE_CHUNK
+windows where those are larger, so `eval` and `predict` score each block as
+it comes with the bits of the whole set. `read_parts` copies the blocks into the
+parts of a split (`gather`); `read_dataset` is its one part of every window.
+`fit_norm`, the Pearson sums of graph.py and `first_nonfinite` reduce a block
+at a time (`row_blocks`, `add_rows`), with the bits of the whole-array sums.
 """
 
 from __future__ import annotations
@@ -534,8 +535,9 @@ def read_json_object(path: Path, what: str, error: type[ContentionError],
                      keys: tuple[str, ...] = ()) -> Built:
     """`build` of the top-level object of the JSON file at path, which is first checked to be
     readable UTF-8 JSON, an object, of format_version `version` if one is given, and then (an
-    older format lacks newer keys) to hold `keys`. Every fault, a ContentionError or KeyError,
-    TypeError, ValueError or OverflowError of `build` too, is an `error` naming `what` and path."""
+    older format lacks newer keys) to hold `keys`, and when `version` is given no other key.
+    Every fault, a ContentionError or KeyError, TypeError, ValueError or OverflowError of
+    `build` too, is an `error` naming `what` and path."""
     if not path.exists():
         raise error(f"{what} {path} is not found")
     try:
@@ -550,9 +552,10 @@ def read_json_object(path: Path, what: str, error: type[ContentionError],
     if version is not None and (type(found) is not int or found != version):  # 4.0, true refused
         raise error(f"{what} {path} has format_version {found!r}, not {version}; "
                     "regenerate it with this version's `contention gen`, `ingest` or `train`")
-    for key in keys:
-        if key not in data:
-            raise error(f"{what} {path} is missing key '{key}'")
+    if missing := [key for key in keys if key not in data]:
+        raise error(f"{what} {path} is missing key '{missing[0]}'")
+    if version is not None and (unknown := [k for k in data if k not in ("format_version", *keys)]):
+        raise error(f"{what} {path}: unknown key '{unknown[0]}'")
     try:
         return build(data)
     except ContentionError as exc:  # first: every ContentionError but NumericError is a ValueError
@@ -567,6 +570,9 @@ def _manifest_fields(manifest: dict) -> tuple[tuple[int, ...], tuple[str, ...], 
     shape = tuple(json_int(manifest[key], f"'{key}'")
                   for key in ("n_windows", "window_len", "metric_count"))
     names = json_names(manifest["metric_names"], shape[2], "'metric_names'")
+    for key, fixed in (("num_classes", NUM_CLASSES), ("class_names", list(CLASS_NAMES))):
+        if type(manifest[key]) is not type(fixed) or manifest[key] != fixed:  # 5.0 refused
+            raise SchemaError(f"'{key}' must be {fixed!r}, got {manifest[key]!r}")
     source, labels = manifest["source"], manifest["labels"]
     if not isinstance(source, str):
         raise SchemaError(f"'source' must be a string, got {source!r}")
@@ -593,8 +599,9 @@ def read_blocks(path: str | Path) -> Iterator[tuple[Iterator[Dataset], tuple[int
     drawn is read, in file order, into one buffer that its holder may write
     until the next is drawn: a multiple of SCORE_CHUNK windows. A Fortran-order
     file, which only other writers make, is read whole at the first draw and
-    cut alike. No block is passed on from the first holding a non-finite value;
-    after the last is read, a DataError names that window.
+    cut alike. The first fault ends the read: a block holding a non-finite
+    value is a DataError naming its first such window, raised before the block
+    is passed on and before the next is read.
     """
     path = Path(path)
     if not path.exists():
@@ -606,7 +613,8 @@ def read_blocks(path: str | Path) -> Iterator[tuple[Iterator[Dataset], tuple[int
     with fh:
         shape, names, source, labels = read_json_object(
             manifest_path(path), "manifest", SchemaError, _manifest_fields, DATASET_FORMAT_VERSION,
-            ("n_windows", "window_len", "metric_count", "metric_names", "source", "labels"))
+            ("n_windows", "window_len", "metric_count", "num_classes", "metric_names",
+             "class_names", "source", "labels"))
         # numpy's header parser answers hostile bytes with ValueError, OSError,
         # SyntaxError, IndexError, OverflowError or tokenize.TokenError, and warns
         # before it rejects a shape whose size overflows
@@ -628,9 +636,15 @@ def read_blocks(path: str | Path) -> Iterator[tuple[Iterator[Dataset], tuple[int
         else:  # read whole, in its own order, when the first block is drawn
             whole = (_read_into(fh, np.empty_like(mapped, subok=False), path) for _ in range(1))
             values = (v[s] for v in whole for s in spans)
-        blocks = (Dataset(v, labels[s], names, source)
-                  for v, s in zip(_check_finite(values, path), spans))
-        yield blocks, shape[1:], names, source, labels
+
+        def blocks() -> Iterator[Dataset]:
+            for v, s in zip(values, spans):
+                if (bad := first_nonfinite(v)) >= 0:
+                    raise DataError(f"dataset {path}: window {s.start + bad} "
+                                    "has a non-finite value")
+                yield Dataset(v, labels[s], names, source)
+
+        yield blocks(), shape[1:], names, source, labels
 
 
 def _read_into(fh: BinaryIO, values: np.ndarray, path: Path) -> np.ndarray:
@@ -638,20 +652,6 @@ def _read_into(fh: BinaryIO, values: np.ndarray, path: Path) -> np.ndarray:
     if fh.readinto(values.ravel(order="K")) != values.nbytes:  # ravel: a view in memory order
         raise DataError(f"dataset {path} holds fewer values than its header declares")
     return values
-
-
-def _check_finite(blocks: Iterable[np.ndarray], path: Path) -> Iterator[np.ndarray]:
-    """The blocks of windows, passed on up to the first that holds a non-finite
-    value; every block is drawn, and after the last a DataError names that window."""
-    lo, bad = 0, -1
-    for block in blocks:
-        if bad < 0 and (found := first_nonfinite(block)) >= 0:
-            bad = lo + found
-        lo += len(block)
-        if bad < 0:
-            yield block
-    if bad >= 0:
-        raise DataError(f"dataset {path}: window {bad} has a non-finite value")
 
 
 def read_dataset(path: str | Path) -> Dataset:
@@ -686,18 +686,11 @@ def read_parts(path: str | Path,
                part_index: Callable[[np.ndarray], Sequence[np.ndarray]]) -> list[Dataset]:
     """The parts of the dataset file at path whose windows the index arrays of
     `part_index(labels)` name, each gathered into a new C-order array from the
-    blocks of read_blocks, so the whole set never exists in memory: the labels
-    come from the manifest before any value is read.
-
-    Every check of read_blocks runs, in its order and with its message; a
-    ContentionError of part_index is raised after them.
+    blocks of read_blocks, so the whole set never exists in memory. The labels
+    come from the manifest, so part_index's faults (a set too small to split)
+    end the read after those of the manifest and header, before any value.
     """
     with read_blocks(path) as (blocks, window_shape, names, source, labels):
-        try:
-            parts, fault = part_index(labels), None
-        except ContentionError as exc:  # a set too small to split: the file's faults come first
-            parts, fault = (), exc
+        parts = part_index(labels)
         values = gather((block.values for block in blocks), parts, window_shape)
-    if fault is not None:
-        raise fault
     return [Dataset(v, labels[part], names, source) for v, part in zip(values, parts)]

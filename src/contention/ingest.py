@@ -332,7 +332,8 @@ def ingest_csv(
             # k windows back to back, on the machine's grid of t buckets from its first
             start = -first % t
             k = max(len(filled) - start, 0) // t
-            blocks.append(filled[start : start + k * t].reshape(k, t, len(names)))
+            if k:  # no empty block: its (0, t, D) shape may overflow for a huge t
+                blocks.append(filled[start : start + k * t].reshape(k, t, len(names)))
             sources += (f"{machine}@{t0 + (first + start + i * t) * step}" for i in range(k))
         span = (int(stamps[mine[-1]]) - t0) // step + 1  # buckets, first to last
         lost += span // t - (len(sources) - kept)

@@ -30,7 +30,7 @@ from contention.data import (
 from contention.graph import MetricGraph, build_graph, pearson_matrix
 from contention.model import ModelConfig, ModelParams
 from contention.rng import RngStream
-from contention.train import EvalMetrics, TrainConfig, TrainHistory, evaluate, train
+from contention.train import EvalMetrics, TrainConfig, TrainHistory, check_labeled, evaluate, train
 
 
 @dataclass
@@ -47,13 +47,17 @@ class PreparedData:
 def split_parts(source: Dataset | str | Path,
                 split_rng: RngStream) -> tuple[Dataset, Dataset, Dataset]:
     """The train, val and test parts of a stratified split of a Dataset, or of
-    the dataset file at a path, each gathered into a new array. A file is split
-    by the labels of its manifest before any value is read (`read_parts`), so
-    the whole set never exists in memory; a Dataset is not written, and one no
-    caller keeps is freed on return."""
+    the dataset file at a path, each gathered into a new array. The labels are
+    checked (a window without one is named by its index in the set) and split
+    first: a file's come from its manifest, before any value is read
+    (`read_parts`), so the whole set never exists in memory. A Dataset is not
+    written, and one no caller keeps is freed on return."""
+    def part_index(labels):
+        return split(check_labeled(labels, "training"), split_rng)
+
     if isinstance(source, Dataset):
-        return tuple(source.subset(part) for part in split(source.labels, split_rng))
-    return tuple(read_parts(source, lambda labels: split(labels, split_rng)))
+        return tuple(source.subset(part) for part in part_index(source.labels))
+    return tuple(read_parts(source, part_index))
 
 
 def prepare(train_d: Dataset, val_d: Dataset, test_d: Dataset) -> PreparedData:

@@ -167,13 +167,12 @@ class TestSplitRead:
             assert g.labels.tolist() == w.labels.tolist() == whole.labels[index].tolist()
             assert (g.metric_names, g.source) == (whole.metric_names, whole.source)
 
-    def test_a_file_cut_after_its_header_check_reports_the_cut_first(self, tmp_path,
-                                                                     monkeypatch):
-        """As read_dataset: the short read, though an earlier block holds a non-finite value."""
+    def test_a_non_finite_block_before_a_cut_ends_the_read(self, tmp_path, monkeypatch):
+        """As read_dataset: the first fault in file order ends the read. A file cut after
+        its header check reports the non-finite value of its first block, not the cut
+        that a later block would meet; with that value finite, it reports the cut."""
         data = random_dataset(40, 4, 3, seed=1)
-        data.values[0, 0, 0] = np.nan
         path = tmp_path / "dataset.npy"
-        write_dataset(path, data)
         open_memmap = np.lib.format.open_memmap
 
         def then_cut(*args, **kwargs):
@@ -183,19 +182,23 @@ class TestSplitRead:
             return mapped
 
         monkeypatch.setattr(np.lib.format, "open_memmap", then_cut)
-        with blocks_of(4, data.values[0].nbytes):
-            with pytest.raises(DataError, match="holds fewer values than its header declares"):
-                split_parts(path, RngStream(0).substream(1))
+        for value, message in ((np.nan, "window 0 has a non-finite value"),
+                               (0.0, "holds fewer values than its header declares")):
+            data.values[0, 0, 0] = value
+            write_dataset(path, data)
+            with blocks_of(4, data.values[0].nbytes):
+                with pytest.raises(DataError, match=message):
+                    split_parts(path, RngStream(0).substream(1))
 
-    def test_a_file_too_small_to_split_reports_its_own_fault_first(self, tmp_path):
-        """As read_dataset then split: the non-finite window, not the empty part."""
+    def test_a_file_too_small_to_split_fails_before_its_values(self, tmp_path):
+        """The split comes from the manifest's labels, so a set too small to split
+        fails with the split's message before any value is read: a non-finite one
+        is not reported."""
         data = random_dataset(2, 4, 3, seed=0)
         data.values[1, 2, 0] = np.inf
         path = tmp_path / "dataset.npy"
         write_dataset(path, data)
-        with pytest.raises(DataError, match="window 1 has a non-finite value"):
-            split_parts(path, RngStream(0).substream(1))
-        data.values[1, 2, 0] = 0.0
-        write_dataset(path, data)
         with pytest.raises(DataError, match="split empty"):
             split_parts(path, RngStream(0).substream(1))
+        with pytest.raises(DataError, match="window 1 has a non-finite value"):
+            read_dataset(path)

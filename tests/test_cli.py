@@ -393,6 +393,19 @@ def test_ingest_config_fault_exits_before_reading_the_trace(tmp_path, capsys, ex
     assert not (tmp_path / "out").exists()
 
 
+def test_ingest_window_too_long_for_numpy_to_shape_exits_3(tmp_path, capsys):
+    """2**60 buckets of two float64 metrics, 2**64 bytes, overflow numpy's size check even
+    for an empty (0, T, D) block: no machine fills a window, so none is shaped."""
+    cfg = ingest_config(tmp_path / "cfg.json",
+                        ingest={"window_len": 2**60, "resample_step": 60, "max_fill": 3})
+    trace = _write_trace(tmp_path / "trace.csv", cpu=0.95)
+    rc = main(["ingest", "--config", str(cfg), "--trace", str(trace),
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_DATA
+    assert "produced no complete windows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_model_over_the_parameter_bound_exits_before_allocating(workspace, tmp_path, capsys):
     """7.28 TiB of weights: the config path exits 2, the checkpoint path 3."""
     huge = {"encoder_hidden": 1_000_000, "embed_width": 1_000_000}
@@ -822,6 +835,99 @@ def test_eval_and_predict_check_the_checkpoint_before_any_value(workspace, tmp_p
             "error: dataset windows have 8 metrics, checkpoint graph covers 4\n")
     assert main(["graph", "--data", str(path)]) == EXIT_DATA
     assert capsys.readouterr().err == f"error: dataset {path}: window 3 has a non-finite value\n"
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The byte counts of every block the dataset reader reads, in order."""
+    counts, read_into = [], data_module._read_into
+
+    def counted(fh, values, path):
+        counts.append(values.nbytes)
+        return read_into(fh, values, path)
+
+    monkeypatch.setattr(data_module, "_read_into", counted)
+    return counts
+
+
+def _repeated(workspace, windows: int):
+    """The workspace dataset's windows repeated up to `windows`, in a new array."""
+    data = read_dataset(workspace["data"])
+    return data.subset(np.arange(windows) % len(data))
+
+
+def _commands(workspace, path: Path, out: Path) -> dict[str, list[str]]:
+    """argv of each command that reads the dataset at path, each with its own --out."""
+    scored = ["--checkpoint", str(workspace["ckpt"]), "--data", str(path)]
+    return {
+        "train": ["train", "--config", str(workspace["cfg"]), "--data", str(path),
+                  "--out", str(out / "train")],
+        "eval": ["eval", *scored, "--out", str(out / "eval")],
+        "predict": ["predict", *scored, "--out", str(out / "predict")],
+        "graph": ["graph", "--data", str(path)],
+    }
+
+
+def test_a_non_finite_value_in_the_first_block_ends_every_read_there(workspace, tmp_path,
+                                                                    capsys, monkeypatch, reads):
+    """Five blocks of 64 windows, a NaN in window 0: each command reads one block,
+    exits 3 with the non-finite error and writes nothing."""
+    data = _repeated(workspace, 320)
+    data.values[0, 0, 0] = np.nan
+    path = tmp_path / "bad.npy"
+    write_dataset(path, data)
+    block = 64 * 8 * 4 * 8
+    monkeypatch.setattr(data_module, "BLOCK_BYTES", block)
+    for command, argv in _commands(workspace, path, tmp_path).items():
+        reads.clear()
+        assert main(argv) == EXIT_DATA, command
+        captured = capsys.readouterr()
+        assert captured.err == f"error: dataset {path}: window 0 has a non-finite value\n"
+        assert captured.out == ""
+        assert reads == [block], command
+        assert not (tmp_path / command).exists()
+
+
+def test_train_checks_the_labels_and_the_split_before_any_value(workspace, tmp_path, capsys,
+                                                               reads):
+    """A window without a label is named by its place in the file, and a set too small
+    to split is refused, before the reader reads a block."""
+    unlabeled = _repeated(workspace, 80)
+    unlabeled.labels[79] = UNLABELED
+    cases = {"training window 79 has no label": unlabeled,
+             "2 windows leave the val part of the per-class 70/15/15 split empty":
+                 _repeated(workspace, 2)}
+    for message, data in cases.items():
+        write_dataset(tmp_path / "dataset.npy", data)
+        reads.clear()
+        assert main(_commands(workspace, tmp_path / "dataset.npy", tmp_path)["train"]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert reads == []
+        assert not (tmp_path / "train").exists()
+
+
+def test_eval_checks_the_labels_after_the_checkpoint_and_before_any_value(workspace, tmp_path,
+                                                                         capsys, reads):
+    """eval refuses an unlabeled window once the window shape matches the checkpoint, and
+    before the reader reads a block; predict, which needs no label, scores every window."""
+    data = _repeated(workspace, 80)
+    data.labels[5] = UNLABELED
+    path = tmp_path / "unlabeled.npy"
+    write_dataset(path, data)
+    argv = _commands(workspace, path, tmp_path)
+    reads.clear()
+    assert main(argv["eval"]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: evaluation window 5 has no label\n"
+    assert reads == []
+    assert not (tmp_path / "eval").exists()
+    assert main(argv["predict"]) == EXIT_OK
+    assert len((tmp_path / "predict" / "predictions.csv").read_text().splitlines()) == 81
+    wide = replace(data, values=np.concatenate([data.values, data.values], axis=2),
+                   metric_names=tuple(f"x{i}" for i in range(8)))
+    write_dataset(path, wide)
+    assert main(argv["eval"]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: dataset windows have 8 metrics, checkpoint graph covers 4\n")
 
 
 # ---------------------------------------------------------------- eval

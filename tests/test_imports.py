@@ -21,7 +21,9 @@ reader too: only `data.read_blocks` calls `_read_into` or
 `np.lib.format.open_memmap`, the two ways to a dataset file's values. One function there,
 `data.read_json_object`, holds an `except` clause that names KeyError,
 LookupError or TypeError: the net that turns a missing or malformed field of
-any JSON file into one error naming the file.
+any JSON file into one error naming the file. Only it and `cli.main` catch
+an error of the package's own, so the first fault met ends a run: none is
+held for later.
 No module of src/contention/ imports another module's `_`-prefixed name or
 reads a `_`-prefixed attribute of a class defined in another module: what
 one module keeps private, no other depends on.
@@ -32,6 +34,7 @@ import ast
 from pathlib import Path
 
 from contention import cli
+from contention import errors as errors_module
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_CLASSES = ("ScenarioConfig", "ModelConfig", "TrainConfig", "IngestConfig", "RunConfig")
@@ -362,19 +365,23 @@ def test_one_dataset_reader():
     assert dataset_readers(files) == ["data.py:read_blocks"]
 
 
-def error_nets(paths: list[Path]) -> list[str]:
-    """The functions (`file:name`) holding an `except` clause that names KeyError,
-    LookupError or TypeError, a net for a missing or malformed field."""
-    nets = set()
+def catchers(paths: list[Path], errors: set[str]) -> list[str]:
+    """The functions (`file:name`) holding an `except` clause that names one of `errors`."""
+    found = set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
                 owner = f"{path.name}:{getattr(node, 'name', '<module>')}"
-                nets |= {owner for n in _own_nodes(node) if isinstance(n, ast.ExceptHandler)
-                         and n.type is not None
-                         and _named(n.type) & {"KeyError", "LookupError", "TypeError"}}
-    return sorted(nets)
+                found |= {owner for n in _own_nodes(node) if isinstance(n, ast.ExceptHandler)
+                          and n.type is not None and _named(n.type) & errors}
+    return sorted(found)
+
+
+# the errors whose net turns a missing or malformed field into one error
+FIELD_ERRORS = {"KeyError", "LookupError", "TypeError"}
+PACKAGE_ERRORS = {name for name, value in vars(errors_module).items()
+                  if isinstance(value, type) and issubclass(value, errors_module.ContentionError)}
 
 
 def test_scan_finds_error_nets(tmp_path):
@@ -388,12 +395,33 @@ def test_scan_finds_error_nets(tmp_path):
                       "        except LookupError as exc:\n            raise ValueError from exc\n"
                       "    return inner\n"
                       "try:\n    rows(1)\nexcept builtins.TypeError:\n    pass\n")
-    assert error_nets([module]) == ["m.py:<module>", "m.py:inner", "m.py:net"]
+    assert catchers([module], FIELD_ERRORS) == ["m.py:<module>", "m.py:inner", "m.py:net"]
+
+
+def test_scan_finds_package_error_catchers(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from contention import errors\n"
+                      "from contention.errors import ContentionError\n"
+                      "def held(x):\n    try:\n        return x()\n"
+                      "    except errors.SchemaError as exc:\n        return exc\n"
+                      "def mapped(x):\n    try:\n        return x()\n"
+                      "    except (OSError, ContentionError):\n        return 3\n"
+                      "def broad(x):\n    try:\n        return x()\n"
+                      "    except ValueError:\n        return 0\n")
+    assert catchers([module], PACKAGE_ERRORS) == ["m.py:held", "m.py:mapped"]
 
 
 def test_one_error_net_for_malformed_fields():
     files = sorted((ROOT / "src" / "contention").glob("*.py"))
-    assert error_nets(files) == ["data.py:read_json_object"]
+    assert catchers(files, FIELD_ERRORS) == ["data.py:read_json_object"]
+
+
+def test_the_first_fault_ends_the_run():
+    """No function holds a package error for later or turns it into another outcome:
+    read_json_object re-labels one with its file, and main turns it into an exit code."""
+    files = sorted((ROOT / "src" / "contention").glob("*.py"))
+    assert PACKAGE_ERRORS >= {"ContentionError", "DataError", "SchemaError", "NumericError"}
+    assert catchers(files, PACKAGE_ERRORS) == ["cli.py:main", "data.py:read_json_object"]
 
 
 def _private(name: str) -> bool:

@@ -267,6 +267,14 @@ CONTENT = {
         "string-n-windows": (_set("n_windows", str(N)),
                              f"'n_windows' must be a positive integer, got '{N}'"),
         "label-7": (_set("labels", 0, 7), "label 7 of window 0 is neither null nor an integer"),
+        # the manifest holds the nine keys write_dataset writes and no other, the classes fixed
+        "unknown-key": (_set("classes", 7), ": unknown key 'classes'"),
+        "missing-class-names": (_set("class_names", MISSING), "is missing key 'class_names'"),
+        "num-classes-7": (_set("num_classes", 7), "'num_classes' must be 5, got 7"),
+        "float-num-classes": (_set("num_classes", 5.0), "'num_classes' must be 5, got 5.0"),
+        "reordered-class-names": (_set("class_names", lambda names: names[::-1]),
+                                  "'class_names' must be ['CPU', 'IO', 'MEM', 'NET', 'HYBRID'], "
+                                  "got ['HYBRID', 'NET', 'MEM', 'IO', 'CPU']"),
     },
     "checkpoint": {
         "zero-encoder-hidden": (_set("model", "encoder_hidden", 0),
