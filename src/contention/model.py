@@ -9,16 +9,14 @@ training data gives D to the graph and T to the weights. The weights are
 shaped only by T and the layer widths, never by D, so they serve any D;
 `ModelParams.layout` is the one table of their blocks.
 
-Every stage takes one (T, D) window or an (N, T, D) stack of windows.
-`forward` chains the stages over a stack, and they fill one `ForwardCache`;
-it passes one window to a kernel of its own, which runs the same operations
-in the same order on 2-D arrays with less dispatch, and whose logits and
-cache equal a stack of one's bit for bit. `backward` returns the gradient
-summed over the stack. All gradients
-are exact reverse-mode derivatives, checked against central differences in
-the test suite. tanh keeps every layer smooth so those checks are
-well-defined everywhere. `init_params` draws Glorot-uniform weights;
-`softmax` gives the confidence scores that `predict` writes beside the labels.
+`forward` is the one body of the pass, for one (T, D) window and an
+(N, T, D) stack of windows alike. It builds one `ForwardCache`, and a
+window's logits and cache equal a stack of one's bit for bit. `backward`
+returns the gradient summed over the stack. All gradients are exact
+reverse-mode derivatives, checked against central differences in the test
+suite. tanh keeps every layer smooth so those checks are well-defined
+everywhere. `init_params` draws Glorot-uniform weights; `softmax` gives the
+confidence scores that `predict` writes beside the labels.
 
 Each activation and each tanh derivative is computed in place in a fresh
 array, with the same operations in the same order as the textbook
@@ -154,12 +152,10 @@ class Prediction:
 
 @dataclass(slots=True, eq=False)
 class ForwardCache:
-    """The forward pass's inputs and the intermediates the backward pass reads.
+    """The forward pass's inputs and every intermediate the backward pass reads.
 
-    `forward` builds it from its inputs. Given it as `saved`, `encode` sets
-    xt, z1 and h, `propagate` ah to ht, and `heads` r and head_tanh; the
-    single-window kernel sets them all at once. Shapes are those of a stack;
-    the arrays of one window lack the leading N.
+    `forward` builds it once, with every field set. Shapes are those of a
+    stack; the arrays of one window lack the leading N.
     """
 
     x: np.ndarray  # (N, T, D) normalized input
@@ -168,87 +164,15 @@ class ForwardCache:
     # (N, D, T) transpose of x, the encoder's input rows: a C-contiguous copy for one
     # window too, since a product with a transposed or strided view of x can take
     # another BLAS path, in forward or in backward, and round differently
-    xt: np.ndarray | None = None
-    z1: np.ndarray | None = None  # (N, D, encoder_hidden) first encoder activation
-    h: np.ndarray | None = None  # (N, D, embed_width) encoded nodes
-    ah: np.ndarray | None = None  # (N, D, embed_width) operator applied to h
-    h1: np.ndarray | None = None  # (N, D, propagation_width) first propagation activation
-    ah1: np.ndarray | None = None  # (N, D, propagation_width) operator applied to h1
-    ht: np.ndarray | None = None  # (N, D, propagation_width) propagated nodes
-    r: np.ndarray | None = None  # (N, propagation_width) mean readout
-    head_tanh: np.ndarray | None = None  # (N, K, head_hidden)
-
-
-def encode(x: np.ndarray, params: ModelParams, saved: ForwardCache | None = None) -> np.ndarray:
-    """Shared two-layer temporal encoder applied to every metric column.
-
-    Maps a (T, D) window to (D, embed_width) node rows, or an (N, T, D)
-    stack to (N, D, embed_width). For each column x_i:
-    h_i = tanh(W2 tanh(W1 x_i + b1) + b2). The same weights serve every
-    metric, which is what makes the model independent of D and equivariant
-    to metric permutations. `saved`, when given, receives the activations
-    backward needs.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"expected a (T, D) window or an (N, T, D) stack, got shape {x.shape}")
-    t = params.window_len
-    if x.shape[-2] != t:
-        raise ShapeError(f"window has {x.shape[-2]} timesteps, encoder expects {t}")
-    xt = np.ascontiguousarray(x.swapaxes(-1, -2))
-    z1 = xt @ params.enc_w1
-    z1 += params.enc_b1
-    np.tanh(z1, out=z1)
-    h = z1 @ params.enc_w2.T
-    h += params.enc_b2
-    np.tanh(h, out=h)
-    if saved is not None:
-        saved.xt, saved.z1, saved.h = xt, z1, h
-    return h
-
-
-def propagate(
-    g: MetricGraph, h: np.ndarray, params: ModelParams, saved: ForwardCache | None = None
-) -> np.ndarray:
-    """Two rounds of normalized-adjacency mixing with dense layer weights.
-
-    Two hops let a metric's influence reach the neighbors of its neighbors,
-    which is how chained cross-resource effects show up in the embedding.
-    """
-    if g.dim != h.shape[-2]:
-        raise ShapeError(
-            f"graph has {g.dim} vertices but the embeddings cover {h.shape[-2]} metrics"
-        )
-    ah = g.normalized @ h
-    h1 = ah @ params.prop_w1
-    h1 += params.prop_b1
-    np.tanh(h1, out=h1)
-    ah1 = g.normalized @ h1
-    ht = ah1 @ params.prop_w2
-    ht += params.prop_b2
-    np.tanh(ht, out=ht)
-    if saved is not None:
-        saved.ah, saved.h1, saved.ah1, saved.ht = ah, h1, ah1, ht
-    return ht
-
-
-def heads(ht: np.ndarray, params: ModelParams, saved: ForwardCache | None = None) -> np.ndarray:
-    """Mean readout followed by K parameter-disjoint scoring heads.
-
-    r = mean over node rows; z_k = u_k . tanh(Wh_k r + bh_k) + c_k. Head k's
-    logit depends on no other head's parameters.
-    """
-    k, dd, dp = params.head_w.shape
-    r = np.add.reduce(ht, axis=-2)  # the mean, without np.mean's call overhead
-    r /= ht.shape[-2]
-    t = (r @ params.head_w.reshape(k * dd, dp).T).reshape(r.shape[:-1] + (k, dd))
-    t += params.head_b
-    np.tanh(t, out=t)
-    if saved is not None:
-        saved.r, saved.head_tanh = r, t
-    z = np.add.reduce(params.head_u * t, axis=-1)
-    z += params.head_c
-    return z
+    xt: np.ndarray
+    z1: np.ndarray  # (N, D, encoder_hidden) first encoder activation
+    h: np.ndarray  # (N, D, embed_width) encoded nodes
+    ah: np.ndarray  # (N, D, embed_width) operator applied to h
+    h1: np.ndarray  # (N, D, propagation_width) first propagation activation
+    ah1: np.ndarray  # (N, D, propagation_width) operator applied to h1
+    ht: np.ndarray  # (N, D, propagation_width) propagated nodes
+    r: np.ndarray  # (N, propagation_width) mean readout
+    head_tanh: np.ndarray  # (N, K, head_hidden)
 
 
 def predict(logits: np.ndarray) -> Prediction:
@@ -283,58 +207,62 @@ def forward(
     """Full pass over a (T, D) window or an (N, T, D) stack, retaining intermediates.
 
     A window gives (K,) logits and an int label, a stack (N, K) logits and
-    (N,) labels. The input's rank alone picks the path: a stack goes through
-    the stages, a window through `_forward_window`, with the same bits.
+    (N,) labels. Per window, with A the graph's normalized operator:
+    - encoder, shared by every metric column x_i:
+      h_i = tanh(W2 tanh(W1 x_i + b1) + b2). The same weights serve every
+      metric, which is what makes the model independent of D and
+      equivariant to metric permutations;
+    - propagation, two hops: h1 = tanh(A h Wp1 + bp1) and
+      ht = tanh(A h1 Wp2 + bp2). Two hops let a metric's influence reach the
+      neighbours of its neighbours, which is how chained cross-resource
+      effects show up in the embedding;
+    - readout and heads: r = the mean of ht's node rows, and
+      z_k = u_k . tanh(Wh_k r + bh_k) + c_k, so head k's logit depends on no
+      other head's parameters.
+
+    One body serves both ranks. Its products go through `np.dot` for a
+    window and `np.matmul` for a stack: the same BLAS calls, so a window's
+    logits, label and cache equal the [0] of a stack of one bit for bit,
+    and `np.dot` dispatches faster on the small 2-D products of batch-1
+    scoring. The shape checks all run before the first product.
     """
     x = np.asarray(values, dtype=np.float64)
-    if x.ndim == 2:
-        return _forward_window(x, g, params)
-    cache = ForwardCache(x, g, params)
-    z = heads(propagate(g, encode(x, params, cache), params, cache), params, cache)
-    return predict(z), cache
-
-
-def _forward_window(x: np.ndarray, g: MetricGraph, params: ModelParams
-                    ) -> tuple[Prediction, ForwardCache]:
-    """`forward` of one (T, D) window: the stages' operations in their order, on 2-D arrays.
-
-    `np.dot` makes the same BLAS calls as the stages' `@` with less dispatch,
-    so the logits, the label and every cache array equal the [0] of a stack
-    of one, bit for bit. The products are small: at the default widths the
-    dispatch, the stage calls and their checks took about a seventh of a
-    batch-1 score. The stages' two shape checks stay, with their messages.
-    """
-    t, d = x.shape
+    window = x.ndim == 2
+    if not window and x.ndim != 3:
+        raise ShapeError(f"expected a (T, D) window or an (N, T, D) stack, got shape {x.shape}")
+    t, d = x.shape[-2:]
     if t != params.window_len:
         raise ShapeError(f"window has {t} timesteps, encoder expects {params.window_len}")
     if g.dim != d:
         raise ShapeError(f"graph has {g.dim} vertices but the embeddings cover {d} metrics")
-    xt = np.ascontiguousarray(x.T)
-    z1 = np.dot(xt, params.enc_w1)
+    mm = np.dot if window else np.matmul
+    xt = np.ascontiguousarray(x.swapaxes(-1, -2))
+    z1 = mm(xt, params.enc_w1)
     z1 += params.enc_b1
     np.tanh(z1, out=z1)
-    h = np.dot(z1, params.enc_w2.T)
+    h = mm(z1, params.enc_w2.T)
     h += params.enc_b2
     np.tanh(h, out=h)
     a = g.normalized
-    ah = np.dot(a, h)
-    h1 = np.dot(ah, params.prop_w1)
+    ah = mm(a, h)
+    h1 = mm(ah, params.prop_w1)
     h1 += params.prop_b1
     np.tanh(h1, out=h1)
-    ah1 = np.dot(a, h1)
-    ht = np.dot(ah1, params.prop_w2)
+    ah1 = mm(a, h1)
+    ht = mm(ah1, params.prop_w2)
     ht += params.prop_b2
     np.tanh(ht, out=ht)
-    r = np.add.reduce(ht, axis=0)
+    r = np.add.reduce(ht, axis=-2)  # the mean, without np.mean's call overhead
     r /= d
     k, dd, dp = params.head_w.shape
-    ta = np.dot(r, params.head_w.reshape(k * dd, dp).T).reshape(k, dd)
+    ta = mm(r, params.head_w.reshape(k * dd, dp).T).reshape(r.shape[:-1] + (k, dd))
     ta += params.head_b
     np.tanh(ta, out=ta)
     z = np.add.reduce(params.head_u * ta, axis=-1)
     z += params.head_c
-    cache = ForwardCache(x, g, params, xt, z1, h, ah, h1, ah1, ht, r, ta)
-    return Prediction(z, int(z.argmax())), cache
+    label = z.argmax(axis=-1)  # `predict`'s rule, without its call in the batch-1 path
+    return (Prediction(z, int(label) if window else label),
+            ForwardCache(x, g, params, xt, z1, h, ah, h1, ah1, ht, r, ta))
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

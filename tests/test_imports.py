@@ -24,6 +24,8 @@ LookupError or TypeError: the net that turns a missing or malformed field of
 any JSON file into one error naming the file. Only it and `cli.main` catch
 an error of the package's own, so the first fault met ends a run: none is
 held for later.
+The program keeps one forward pass: `np.tanh` is named in one function of
+src/contention/ only, `model.forward`, so no stage or kernel repeats its math.
 No module of src/contention/ imports another module's `_`-prefixed name or
 reads a `_`-prefixed attribute of a class defined in another module: what
 one module keeps private, no other depends on.
@@ -422,6 +424,34 @@ def test_the_first_fault_ends_the_run():
     files = sorted((ROOT / "src" / "contention").glob("*.py"))
     assert PACKAGE_ERRORS >= {"ContentionError", "DataError", "SchemaError", "NumericError"}
     assert catchers(files, PACKAGE_ERRORS) == ["cli.py:main", "data.py:read_json_object"]
+
+
+def tanh_users(paths: list[Path]) -> list[str]:
+    """The functions (`file:name`) that name `np.tanh`."""
+    users = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+                owner = f"{path.name}:{getattr(node, 'name', '<module>')}"
+                users |= {owner for n in _own_nodes(node) if _is_attr(n, "np", "tanh")}
+    return sorted(users)
+
+
+def test_scan_finds_tanh_users(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import numpy as np\n"
+                      "def forward(x):\n    return np.tanh(x, out=x)\n"
+                      "def stage(x):\n    def inner():\n        return np.tanh(x)\n"
+                      "    return inner\n"
+                      "ACTIVATION = np.tanh\n"
+                      "def other(x):\n    return np.arctanh(x), x.tanh\n")
+    assert tanh_users([module]) == ["m.py:<module>", "m.py:forward", "m.py:inner"]
+
+
+def test_one_forward_implementation():
+    files = sorted((ROOT / "src" / "contention").glob("*.py"))
+    assert tanh_users(files) == ["model.py:forward"]
 
 
 def _private(name: str) -> bool:

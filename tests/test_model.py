@@ -4,12 +4,14 @@ The backward pass is verified against central finite differences of the
 scalar objective dz . logits(theta), treating the whole parameter set as one
 flat vector. That oracle exercises every weight block at once and would
 catch a wrong transpose, a dropped term, or a stale cache slot. A stack of
-windows is checked against the same windows passed one at a time, and one window,
-which takes a kernel of its own, against a stack of one bit for bit.
+windows is checked against the same windows passed one at a time, and one window
+against a stack of one, bit for bit. The stages' properties are read from the
+cache, which holds every stage's output.
 """
 
+import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -26,12 +28,9 @@ from contention.model import (
     ForwardCache,
     ModelParams,
     backward,
-    encode,
     forward,
-    heads,
     init_params,
     predict,
-    propagate,
 )
 from contention.rng import RngStream
 
@@ -169,54 +168,61 @@ class TestInit:
 
 
 class TestEncode:
+    """The shared encoder's output, `cache.h`."""
+
     def test_shape_and_stage(self, tiny_model_cfg):
         p = init_params(tiny_model_cfg, TINY_T, RngStream(0))
         x = _window(8, 4, 1)
-        assert encode(x, p).shape == (4, tiny_model_cfg.embed_width)
-        assert encode(np.stack([x, x, x]), p).shape == (3, 4, tiny_model_cfg.embed_width)
+        assert forward(x, identity_graph(4), p)[1].h.shape == (4, tiny_model_cfg.embed_width)
+        stacked = forward(np.stack([x, x, x]), identity_graph(4), p)[1].h
+        assert stacked.shape == (3, 4, tiny_model_cfg.embed_width)
 
     def test_columns_encoded_independently(self, tiny_model_cfg):
         """Shared encoder: batch output equals one-column-at-a-time output."""
         p = init_params(tiny_model_cfg, TINY_T, RngStream(1))
         x = _window(8, 5, 2)
-        h = encode(x, p)
+        h = forward(x, random_graph(5, seed=2), p)[1].h
         for j in range(5):
-            single = encode(x[:, j : j + 1], p)
+            single = forward(x[:, j : j + 1], identity_graph(1), p)[1].h
             assert np.max(np.abs(single[0] - h[j])) <= 1e-15
 
     def test_metric_permutation_equivariance(self, tiny_model_cfg):
         p = init_params(tiny_model_cfg, TINY_T, RngStream(2))
         x = _window(8, 6, 3)
         perm = np.array([3, 0, 5, 1, 4, 2])
-        a = encode(x, p)[perm]
-        b = encode(x[:, perm], p)
+        a = forward(x, identity_graph(6), p)[1].h[perm]
+        b = forward(x[:, perm], identity_graph(6), p)[1].h
         assert np.array_equal(a, b)
 
     def test_wrong_window_len(self, tiny_model_cfg):
         p = init_params(tiny_model_cfg, TINY_T, RngStream(3))
-        with pytest.raises(ShapeError, match="timesteps"):
-            encode(_window(9, 4, 4), p)
+        for lead in ((), (3,)):
+            with pytest.raises(ShapeError, match="^window has 9 timesteps, encoder expects 8$"):
+                forward(np.zeros(lead + (9, 5)), identity_graph(4), p)
 
     def test_rejects_1d(self, tiny_model_cfg):
         p = init_params(tiny_model_cfg, TINY_T, RngStream(3))
-        with pytest.raises(ShapeError):
-            encode(np.zeros(8), p)
-        with pytest.raises(ShapeError):
-            encode(np.zeros((2, 2, 8, 4)), p)
+        for shape in ((8,), (2, 2, 8, 4)):
+            with pytest.raises(ShapeError, match=re.escape(
+                    f"expected a (T, D) window or an (N, T, D) stack, got shape {shape}")):
+                forward(np.zeros(shape), identity_graph(4), p)
 
 
 class TestPropagate:
+    """The two propagation hops' output, `cache.ht`."""
+
     def test_stage_and_shape(self, tiny_model_cfg):
         p = init_params(tiny_model_cfg, TINY_T, RngStream(0))
         g = random_graph(4, seed=0)
-        ht = propagate(g, encode(_window(8, 4, 1), p), p)
-        assert ht.shape == (4, tiny_model_cfg.propagation_width)
+        _, cache = forward(_window(8, 4, 1), g, p)
+        assert cache.ht.shape == (4, tiny_model_cfg.propagation_width)
 
     def test_dim_mismatch(self, tiny_model_cfg):
         p = init_params(tiny_model_cfg, TINY_T, RngStream(0))
-        h = encode(_window(8, 4, 1), p)
-        with pytest.raises(ShapeError, match="vertices"):
-            propagate(random_graph(5, seed=0), h, p)
+        for lead in ((), (3,)):
+            with pytest.raises(ShapeError, match=(
+                    "^graph has 5 vertices but the embeddings cover 4 metrics$")):
+                forward(np.zeros(lead + (8, 4)), random_graph(5, seed=0), p)
 
     def test_identity_graph_keeps_nodes_independent(self, tiny_model_cfg):
         """With no edges each node's output depends only on its own series."""
@@ -224,8 +230,8 @@ class TestPropagate:
         x = _window(8, 4, 5)
         y = x.copy()
         y[:, 2] += 10.0
-        a = propagate(identity_graph(4), encode(x, p), p)
-        b = propagate(identity_graph(4), encode(y, p), p)
+        a = forward(x, identity_graph(4), p)[1].ht
+        b = forward(y, identity_graph(4), p)[1].ht
         changed = np.abs(a - b).max(axis=1)
         assert changed[2] > 1e-6
         for j in (0, 1, 3):
@@ -240,8 +246,8 @@ class TestPropagate:
         x = _window(8, 4, 5)
         y = x.copy()
         y[:, 2] += 10.0
-        a = propagate(g, encode(x, p), p)
-        b = propagate(g, encode(y, p), p)
+        a = forward(x, g, p)[1].ht
+        b = forward(y, g, p)[1].ht
         changed = np.abs(a - b).max(axis=1)
         assert changed[0] > 1e-9 and changed[2] > 1e-9
         # 1 and 3 are two hops away from nothing: untouched
@@ -252,32 +258,32 @@ class TestHeadsAndPredict:
     def test_logit_count(self, tiny_model_cfg):
         p = init_params(tiny_model_cfg, TINY_T, RngStream(0))
         g = random_graph(4, seed=1)
-        z = heads(propagate(g, encode(_window(8, 4, 2), p), p), p)
-        assert z.shape == (NUM_CLASSES,)
+        pred, _ = forward(_window(8, 4, 2), g, p)
+        assert pred.logits.shape == (NUM_CLASSES,) and isinstance(pred.label, int)
 
     def test_heads_are_parameter_disjoint(self, tiny_model_cfg):
         """Perturbing head j's weights must not move any other logit."""
         p = init_params(tiny_model_cfg, TINY_T, RngStream(1))
         g = random_graph(4, seed=2)
-        ht = propagate(g, encode(_window(8, 4, 3), p), p)
-        before = heads(ht, p)
+        x = _window(8, 4, 3)
+        before = forward(x, g, p)[0].logits
         q = p.copy()
         q.head_w[1] += 0.5
         q.head_u[1] -= 0.25
         q.head_c[1] += 1.0
-        after = heads(ht, q)
+        after = forward(x, g, q)[0].logits
         assert after[1] != before[1]
-        for k in (0, 2):
+        for k in (0, 2, 3, 4):
             assert after[k] == before[k]
 
     def test_readout_is_node_mean(self, tiny_model_cfg):
-        """Duplicating every node leaves the logits unchanged."""
+        """The readout is the mean of the propagated node rows, for a window and a stack."""
         p = init_params(tiny_model_cfg, TINY_T, RngStream(2))
-        vals = RngStream(3, (21,)).generator().normal(
-            size=(4, tiny_model_cfg.propagation_width)
-        )
-        doubled = np.vstack([vals, vals])
-        assert np.max(np.abs(heads(vals, p) - heads(doubled, p))) <= 1e-12
+        for shape in ((8, 4), (3, 8, 4)):
+            x = RngStream(3, (21,)).generator().normal(size=shape)
+            _, cache = forward(x, random_graph(4, seed=3), p)
+            assert cache.r.shape == shape[:-2] + (tiny_model_cfg.propagation_width,)
+            assert np.array_equal(cache.r, cache.ht.mean(axis=-2))
 
     def test_predict_fields(self):
         z = np.array([0.2, 1.4, -0.3])
@@ -291,18 +297,6 @@ class TestHeadsAndPredict:
 
 
 class TestForward:
-    def test_composition(self, tiny_model_cfg):
-        p = init_params(tiny_model_cfg, TINY_T, RngStream(5))
-        g = random_graph(4, seed=3)
-        x = _window(8, 4, 6)
-        pred, cache = forward(x, g, p)
-        staged = heads(propagate(g, encode(x, p), p), p)
-        assert np.array_equal(pred.logits, staged)
-        assert isinstance(pred.label, int) and pred.logits.shape == (NUM_CLASSES,)
-        assert cache.x.shape == (8, 4)
-        assert cache.params is p
-        assert cache.graph is g
-
     def test_metric_count_agnostic(self, tiny_model_cfg):
         """One parameter set serves windows of any D without reshaping."""
         p = init_params(tiny_model_cfg, TINY_T, RngStream(6))
@@ -323,9 +317,15 @@ class TestForward:
         assert np.max(np.abs(a.logits - b.logits)) <= 1e-12
 
     def test_graph_window_mismatch(self, tiny_model_cfg):
+        """The checks run rank, then T, then D, on a window and on a stack."""
         p = init_params(tiny_model_cfg, TINY_T, RngStream(8))
-        with pytest.raises(ShapeError, match="metrics"):
-            forward(_window(8, 4, 9), identity_graph(5), p)
+        with pytest.raises(ShapeError, match="expected a"):
+            forward(np.zeros((2, 2, 9, 4)), identity_graph(5), p)
+        for lead in ((), (3,)):
+            with pytest.raises(ShapeError, match="timesteps"):
+                forward(np.zeros(lead + (9, 4)), identity_graph(5), p)
+            with pytest.raises(ShapeError, match="metrics"):
+                forward(np.zeros(lead + (8, 4)), identity_graph(5), p)
 
 
 class TestBackward:
@@ -474,14 +474,19 @@ class TestInPlaceKernels:
 
     @STACK_OR_WINDOW
     def test_activations_equal_the_out_of_place_expressions(self, tiny_model_cfg, shape):
-        """Each activation has the bits of tanh(a @ W + b)."""
+        """Each activation has the bits of tanh(a @ W + b), each operator product of A @ h."""
         p, g, x, _ = _inputs(tiny_model_cfg, shape)
         _, c = forward(x, g, p)
         assert np.array_equal(c.xt, x.swapaxes(-1, -2))
         assert np.array_equal(c.z1, np.tanh(c.xt @ p.enc_w1 + p.enc_b1))
         assert np.array_equal(c.h, np.tanh(c.z1 @ p.enc_w2.T + p.enc_b2))
+        assert np.array_equal(c.ah, g.normalized @ c.h)
         assert np.array_equal(c.h1, np.tanh(c.ah @ p.prop_w1 + p.prop_b1))
+        assert np.array_equal(c.ah1, g.normalized @ c.h1)
         assert np.array_equal(c.ht, np.tanh(c.ah1 @ p.prop_w2 + p.prop_b2))
+        k, dd, dp = p.head_w.shape
+        t = (c.r @ p.head_w.reshape(k * dd, dp).T).reshape(c.r.shape[:-1] + (k, dd))
+        assert np.array_equal(c.head_tanh, np.tanh(t + p.head_b))
 
     @STACK_OR_WINDOW
     def test_backward_reads_the_cache_without_writing_it(self, tiny_model_cfg, shape):
@@ -499,40 +504,20 @@ class TestInPlaceKernels:
 
 
 class TestForwardCache:
-    """forward fills every field of the record; each stage fills its own and no other."""
-
-    STAGE_FIELDS = {
-        "encode": {"xt", "z1", "h"},
-        "propagate": {"ah", "h1", "ah1", "ht"},
-        "heads": {"r", "head_tanh"},
-    }
+    """forward builds the record once, with every field set; no field has a default."""
 
     @STACK_OR_WINDOW
     def test_forward_leaves_no_field_empty(self, tiny_model_cfg, shape):
         p, g, x, _ = _inputs(tiny_model_cfg, shape)
         _, cache = forward(x, g, p)
         assert [f.name for f in fields(ForwardCache) if getattr(cache, f.name) is None] == []
-
-    @STACK_OR_WINDOW
-    def test_each_stage_sets_exactly_its_own_fields(self, tiny_model_cfg, shape):
-        p, g, x, _ = _inputs(tiny_model_cfg, shape)
-        _, full = forward(x, g, p)
-        inputs = {"encode": lambda c: encode(x, p, c),
-                  "propagate": lambda c: propagate(g, full.h, p, c),
-                  "heads": lambda c: heads(full.ht, p, c)}
-        for stage, run in inputs.items():
-            record = ForwardCache(full.x, g, p)
-            run(record)
-            filled = {f.name for f in fields(ForwardCache) if getattr(record, f.name) is not None}
-            assert filled - {"x", "graph", "params"} == self.STAGE_FIELDS[stage], stage
-            for name in self.STAGE_FIELDS[stage]:
-                assert np.array_equal(getattr(record, name), getattr(full, name)), name
-        assert set().union(*self.STAGE_FIELDS.values()) | {"x", "graph", "params"} == {
-            f.name for f in fields(ForwardCache)}
+        assert [f.name for f in fields(ForwardCache)
+                if f.default is not MISSING or f.default_factory is not MISSING] == []
+        assert cache.x.shape == shape and cache.params is p and cache.graph is g
 
 
 class TestSingleWindowKernel:
-    """One (T, D) window takes its own kernel and gets the bits of a stack of one."""
+    """One (T, D) window takes `np.dot` products and gets the bits of a stack of one."""
 
     @settings(max_examples=60, deadline=None)
     @given(t=st.integers(1, 9), d=st.integers(1, 6), widths=st.tuples(*[st.integers(1, 7)] * 4),
