@@ -35,8 +35,11 @@ multiple of SCORE_CHUNK windows no larger than BLOCK_BYTES, or SCORE_CHUNK
 windows where those are larger, so `eval` and `predict` score each block as
 it comes with the bits of the whole set. `read_parts` copies the blocks into the
 parts of a split (`gather`); `read_dataset` is its one part of every window.
-`fit_norm`, the Pearson sums of graph.py and `first_nonfinite` reduce a block
-at a time (`row_blocks`, `add_rows`), with the bits of the whole-array sums.
+Work that would make a temporary the size of its input goes a block at a
+time: the centered rows of `centered_sums`, the one pass behind `fit_norm` and
+graph.py's Pearson matrix, the `isfinite` bools of `first_nonfinite` and the
+reads of `read_blocks`. A plain column sum makes none, so the means are
+numpy's own, and the blockwise sums repeat numpy's additions bit for bit.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class ContentionClass(IntEnum):
     HYBRID = 4
 
 
-CLASS_NAMES = ("CPU", "IO", "MEM", "NET", "HYBRID")
+CLASS_NAMES = tuple(ContentionClass.__members__)
 NUM_CLASSES = len(CLASS_NAMES)
 GROUP_NAMES = ("cpu", "mem", "disk", "net")
 # Fixed directed leak map: a contended group bleeds a delayed copy of its
@@ -179,11 +182,11 @@ def _block_spans(n: int, item_bytes: int, multiple: int = 1) -> Iterator[slice]:
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
-def row_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
-    """The rows of an (M, D) array in order, as views of a block of them at a time.
+def _row_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows of a C-order (M, D) array in order, as views of a block of them at a time.
 
     numpy reduces axis 0 of a C-order array with D > 1 one row after another,
-    so add_rows over these blocks repeats the additions of `rows.sum(axis=0)`.
+    so _add_rows over these blocks repeats the additions of `rows.sum(axis=0)`.
     A single column it sums pairwise, an order no blockwise sum repeats: for
     D = 1 the one block is the whole array.
     """
@@ -192,19 +195,32 @@ def row_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
     return (rows[s] for s in _block_spans(len(rows), rows.shape[1] * rows.itemsize))
 
 
-def add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
     """total (None before the first block) plus the column sums of rows, with
-    total as the first row of the reduction, so that the sums over row_blocks
+    total as the first row of the reduction, so that the sums over _row_blocks
     equal the whole array's bit for bit."""
     return np.add.reduce(rows if total is None else np.concatenate([total[None], rows]), axis=0)
 
 
-def column_mean(rows: np.ndarray) -> np.ndarray:
-    """rows.mean(axis=0) of an (M, D) array, bit for bit, a block of rows at a time."""
-    total = None
-    for block in row_blocks(rows):
-        total = add_rows(total, block)
-    return total / len(rows)
+def centered_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, squares, gram) of an (M, D) array: the column means, the column sums of
+    the squared deviations from them, and the (D, D) sum of the deviations' products.
+
+    The deviations are made a block of rows at a time, so no (M, D) temporary exists;
+    the means (`rows.mean(axis=0)`) and the squares have the bits of the whole array's
+    sums. The Gram matrix, summed a block at a time, can differ in its last bits from
+    the one-product `centered.T @ centered` (Higham 2002); within one block it cannot.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.float64)  # C order: _row_blocks' sums are exact
+    mean = rows.mean(axis=0)
+    squares = gram = None
+    for block in _row_blocks(rows):
+        centered = block - mean
+        product = centered.T @ centered
+        gram = product if gram is None else gram + product
+        centered *= centered
+        squares = _add_rows(squares, centered)
+    return mean, squares, gram
 
 
 def first_nonfinite(values: np.ndarray) -> int:
@@ -392,16 +408,11 @@ class NormStats:
 
 def fit_norm(data: Dataset) -> NormStats:
     """Population mean/std per metric over all rows of all windows: rows.mean(axis=0) and
-    rows.std(axis=0) bit for bit, with the squared deviations made a block of rows at a time."""
+    rows.std(axis=0) bit for bit, from `centered_sums`, without std's (M, D) temporary."""
     if not len(data):
         raise DataError("cannot fit normalization on an empty split")
     rows = data.values.reshape(-1, data.metric_count)
-    mean = column_mean(rows)
-    squares = None
-    for block in row_blocks(rows):  # rows.std(axis=0) without its (M, D) temporary
-        block = block - mean
-        block *= block
-        squares = add_rows(squares, block)
+    mean, squares, _ = centered_sums(rows)
     std = np.maximum(np.sqrt(squares / len(rows)), NormStats.STD_FLOOR)
     return NormStats(mean=mean, std=std)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from contention.data import add_rows, column_mean, row_blocks
+from contention.data import centered_sums
 from contention.errors import ConfigError, ShapeError
 
 CORR_THRESHOLD = 0.3
@@ -49,10 +49,7 @@ class GraphStats:
 
 
 def pearson_matrix(data) -> np.ndarray:
-    """Correlation between metrics over all rows of all windows of a Dataset.
-
-    Two-pass computation: per-metric means first, then centered products.
-    """
+    """Correlation between metrics over all rows of all windows of a Dataset."""
     if not len(data):
         raise ShapeError("pearson_matrix needs at least one window")
     return pearson_from_series(data.values.reshape(-1, data.metric_count))
@@ -65,25 +62,15 @@ def pearson_from_series(series: np.ndarray) -> np.ndarray:
     metrics get an all-zero row and column, diagonal included, rather than
     NaN: constant metrics do occur in real traces and must stay inert.
 
-    The means and the squared deviations are summed a block of rows at a
-    time in numpy's own order, so they equal x.mean(axis=0) and the whole
-    array's sums bit for bit. The cross products are summed one block's
-    Gram matrix at a time, which can move their last bits from the
-    one-product form `centered.T @ centered` (Higham 2002); within one block
-    the two are the same.
+    The sums come from one blockwise pass, `data.centered_sums`, without an
+    (N, D) temporary; its cross products can differ in their last bits from
+    the one-product form `centered.T @ centered`.
     """
-    x = np.ascontiguousarray(series, dtype=np.float64)  # C order: row_blocks' sums are exact
+    x = np.asarray(series, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ShapeError(f"need an (N>=2, D) series, got shape {x.shape}")
     n, d = x.shape
-    means = column_mean(x)
-    gram = sq = None
-    for rows in row_blocks(x):  # no (N, D) temporary: the centered rows a block at a time
-        centered = rows - means
-        product = centered.T @ centered
-        gram = product if gram is None else gram + product
-        centered *= centered
-        sq = add_rows(sq, centered)
+    means, sq, gram = centered_sums(x)
     sd = np.sqrt(sq / n)
     live = sd > _VAR_FLOOR * np.maximum(1.0, np.abs(means))
     denom = np.sqrt(np.outer(sq, sq))

@@ -7,8 +7,11 @@ sets the block size so that the data spans many blocks, a last partial
 block, or one block larger than the data, and compares with the form that
 holds the whole array: bit for bit, except the Pearson cross products,
 whose blockwise sum may move their last bits (checked within 1e-12).
+The blocks exist to bound memory, so the memory they bound is pinned too:
+`fit_norm` and the Pearson matrix hold a few blocks, never an (M, D) temporary.
 """
 
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -21,6 +24,7 @@ from contention import data as data_module
 from contention.data import (
     Dataset,
     ScenarioConfig,
+    BLOCK_BYTES,
     fit_norm,
     first_nonfinite,
     generate,
@@ -29,7 +33,7 @@ from contention.data import (
     write_dataset,
 )
 from contention.errors import DataError
-from contention.graph import pearson_from_series
+from contention.graph import pearson_from_series, pearson_matrix
 from contention.pipeline import split_parts
 from contention.rng import RngStream
 
@@ -109,6 +113,29 @@ class TestPearson:
         assert np.array_equal(got == 0.0, want == 0.0)  # the same metrics are constant
         if block_rows >= n or d == 1:  # one block: the one-product form itself
             assert got.tobytes() == want.tobytes()
+
+
+def _traced_peak_above_start(fn) -> int:
+    """Peak traced bytes of fn() above those traced when it is called."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """What the blockwise pass is for: an (M, D) temporary of an 8.2 MiB input
+    would alone exceed the bound of three blocks (2.1 MiB measured)."""
+
+    @pytest.mark.parametrize("statistic", [fit_norm, pearson_matrix])  # pearson_from_series
+    def test_peak_stays_under_three_blocks(self, statistic):
+        data = random_dataset(2800, 32, 12, seed=0)
+        assert data.values.nbytes >= 8 << 20
+        statistic(data)  # imports and caches first
+        assert _traced_peak_above_start(lambda: statistic(data)) < 3 * BLOCK_BYTES
 
 
 class TestFirstNonfinite:
