@@ -311,14 +311,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
     if repeated:
         raise ConfigError(f"--seeds names seed {repeated[0]} more than once")
-    name = f"sweep_{args.kind}.csv"
-    out_dir = resolve_out_dir(args.out, (name, "run_manifest.json"))
+    names = (f"sweep_{args.kind}.csv", f"sweep_{args.kind}_seeds.csv", "run_manifest.json")
+    out_dir = resolve_out_dir(args.out, names)
     table = SWEEPS[args.kind](cfg, seeds=seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    write_sweep_csv(table, path)
+    path = out_dir / names[0]
+    write_sweep_csv(table, path)  # and names[1] beside it
     _write_manifest(out_dir, f"sweep:{args.kind}", cfg, list(seeds), inputs=[],
-                    outputs=[path.name])
+                    outputs=list(names[:2]))
     print(f"{table.setting_name} sweep over seeds {list(table.seeds)}")
     for row in table.rows:
         cells = "  ".join(

@@ -1,22 +1,21 @@
 """Sweeps over one run config: batch size, training-set size, metric count, ablation arm.
 
 Each sweep trains a fresh model per (setting, seed) cell, the seed driving
-both data and training so that one seed's cells are paired, and reports the
-mean and standard deviation of the four test metrics per setting. Trend
-shapes are recorded for inspection, never asserted: they are dataset
-properties, not contracts.
+both data and training so that one seed's cells are paired, and keeps each
+cell's four test metrics and the epochs it trained. Trend shapes are
+recorded for inspection, never asserted: they are dataset properties.
 
 Every cell trains through `run_prepared`. The batch, datasize and ablation
 sweeps prepare each seed's data once: a batch cell sets its batch size, a
-datasize cell trims its training split, the no-propagation arm replaces its
-graph with the identity graph, and the static-weights arm turns task
-weighting off. The dim sweep prepares new data for each (dim, seed) cell.
+datasize cell trims its training split, and an ablation cell runs its arm's
+row of `ARMS`. The dim sweep prepares new data for each (dim, seed) cell.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -25,24 +24,34 @@ from contention.config import RunConfig
 from contention.data import stratified_shuffle
 from contention.errors import ConfigError
 from contention.graph import identity_graph
+from contention.model import ModelConfig
 from contention.pipeline import PreparedData, RunResult, prepare_synthetic, run_prepared
 from contention.rng import RngStream
-from contention.train import METRIC_FIELDS, EvalMetrics, csv_text
+from contention.train import METRIC_FIELDS, EvalMetrics, TrainConfig, csv_text
 
 BATCH_SIZES = (16, 32, 64, 128)
 DATA_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 METRIC_DIMS = (8, 12, 16, 24)
 DEFAULT_SWEEP_SEEDS = (0, 1, 2)
-# the two mechanisms the paper credits, each switched off on its own
-ABLATION_ARMS = ("full", "no-propagation", "static-weights")
+# an ablation arm's cell from the seed's prepared data, the model config and the cell's
+# train config; each arm after `full` switches off one mechanism the paper credits
+ARMS: dict[str, Callable[[PreparedData, ModelConfig, TrainConfig], RunResult]] = {
+    "full": lambda data, model_cfg, train_cfg: run_prepared(data, model_cfg, train_cfg),
+    "no-propagation": lambda data, model_cfg, train_cfg: run_prepared(
+        replace(data, graph=identity_graph(data.graph.dim)), model_cfg, train_cfg),
+    "static-weights": lambda data, model_cfg, train_cfg: run_prepared(
+        data, model_cfg, replace(train_cfg, adaptive_weights=False)),
+}
+ABLATION_ARMS = tuple(ARMS)
 
 
 @dataclass
 class SweepRow:
-    """One setting of a sweep and its test metrics, one per seed."""
+    """One setting of a sweep and, per seed, its test metrics and the epochs it trained."""
 
     setting: float | str  # an arm name in the ablation sweep
     per_seed: list[EvalMetrics]
+    epochs_run: list[int]
 
     @property
     def label(self) -> str:
@@ -69,22 +78,26 @@ def _grid(kind: str, setting_name: str, settings: Sequence, seeds: Sequence[int]
           cell: Callable[..., RunResult]) -> SweepTable:
     """One row per setting, one cell(setting, seed) run per seed in it."""
     seeds = tuple(seeds)
-    rows = [SweepRow(setting if isinstance(setting, str) else float(setting),
-                     [cell(setting, seed).test_metrics for seed in seeds])
-            for setting in settings]
+    rows = []
+    for setting in settings:  # each RunResult, and a dim cell's data in it, goes before the next
+        runs = [attrgetter("test_metrics", "history")(cell(setting, seed)) for seed in seeds]
+        rows.append(SweepRow(setting if isinstance(setting, str) else float(setting),
+                             [m for m, _ in runs], [len(h.records) for _, h in runs]))
     return SweepTable(kind=kind, setting_name=setting_name, seeds=seeds, rows=rows)
 
 
-def _prepare_seeds(cfg: RunConfig, seeds: Sequence[int]) -> dict[int, PreparedData]:
-    """Each seed's synthetic data at cfg, prepared as gen then train at that seed prepare it."""
-    return {seed: prepare_synthetic(cfg.scenario, cfg.n_windows, seed) for seed in seeds}
+def _seeded_grid(kind: str, setting_name: str, settings: Sequence, cfg: RunConfig,
+                 seeds: Sequence[int], run: Callable[..., RunResult]) -> SweepTable:
+    """_grid whose cell is run(setting, the seed's data at cfg prepared once, cfg.train at seed)."""
+    prepared = {seed: prepare_synthetic(cfg.scenario, cfg.n_windows, seed) for seed in seeds}
+    return _grid(kind, setting_name, settings, seeds, lambda setting, seed: run(
+        setting, prepared[seed], replace(cfg.train, seed=seed)))
 
 
 def sweep_batch(cfg: RunConfig, sizes: Sequence[int] = BATCH_SIZES,
                 seeds: Sequence[int] = DEFAULT_SWEEP_SEEDS) -> SweepTable:
-    prepared = _prepare_seeds(cfg, seeds)
-    return _grid("batch", "batch_size", sizes, seeds, lambda size, seed: run_prepared(
-        prepared[seed], cfg.model, replace(cfg.train, seed=seed, batch_size=size)))
+    return _seeded_grid("batch", "batch_size", sizes, cfg, seeds, lambda size, data, train_cfg:
+                        run_prepared(data, cfg.model, replace(train_cfg, batch_size=size)))
 
 
 def subsample_stratified(labels: np.ndarray, fraction: float, rng: RngStream) -> np.ndarray:
@@ -104,15 +117,12 @@ def subsample_stratified(labels: np.ndarray, fraction: float, rng: RngStream) ->
 def sweep_datasize(cfg: RunConfig, fractions: Sequence[float] = DATA_FRACTIONS,
                    seeds: Sequence[int] = DEFAULT_SWEEP_SEEDS) -> SweepTable:
     """Vary only the training split size; validation and test stay fixed."""
-    prepared = _prepare_seeds(cfg, seeds)
+    def cell(fraction: float, data: PreparedData, train_cfg: TrainConfig) -> RunResult:
+        keep = subsample_stratified(data.train.labels, fraction,
+                                    RngStream(train_cfg.seed).substream(2))
+        return run_prepared(replace(data, train=data.train.subset(keep)), cfg.model, train_cfg)
 
-    def cell(fraction: float, seed: int) -> RunResult:
-        full = prepared[seed]
-        keep = subsample_stratified(full.train.labels, fraction, RngStream(seed).substream(2))
-        trimmed = replace(full, train=full.train.subset(keep))
-        return run_prepared(trimmed, cfg.model, replace(cfg.train, seed=seed))
-
-    return _grid("datasize", "train_fraction", fractions, seeds, cell)
+    return _seeded_grid("datasize", "train_fraction", fractions, cfg, seeds, cell)
 
 
 def sweep_dim(cfg: RunConfig, dims: Sequence[int] = METRIC_DIMS,
@@ -128,20 +138,11 @@ def sweep_dim(cfg: RunConfig, dims: Sequence[int] = METRIC_DIMS,
 
 def sweep_ablation(cfg: RunConfig, arms: Sequence[str] = ABLATION_ARMS,
                    seeds: Sequence[int] = DEFAULT_SWEEP_SEEDS) -> SweepTable:
-    """Train each named arm of ABLATION_ARMS on every seed's data split and initialization."""
-    unknown = [arm for arm in arms if arm not in ABLATION_ARMS]
-    if unknown:
-        raise ConfigError(f"unknown ablation arm {unknown[0]!r}, expected one of {ABLATION_ARMS}")
-    prepared = _prepare_seeds(cfg, seeds)
-
-    def cell(arm: str, seed: int) -> RunResult:
-        data = prepared[seed]
-        if arm == "no-propagation":
-            data = replace(data, graph=identity_graph(data.graph.dim))
-        train_cfg = replace(cfg.train, seed=seed, adaptive_weights=arm != "static-weights")
-        return run_prepared(data, cfg.model, train_cfg)
-
-    return _grid("ablation", "arm", arms, seeds, cell)
+    """Train each named arm of ARMS on every seed's data split and initialization."""
+    if unknown := [arm for arm in arms if arm not in ARMS]:
+        raise ConfigError(f"unknown ablation arm {unknown[0]!r}, expected one of {tuple(ARMS)}")
+    return _seeded_grid("ablation", "arm", arms, cfg, seeds, lambda arm, data, train_cfg:
+                        ARMS[arm](data, cfg.model, train_cfg))
 
 
 SWEEPS = {"batch": sweep_batch, "datasize": sweep_datasize, "dim": sweep_dim,
@@ -149,9 +150,17 @@ SWEEPS = {"batch": sweep_batch, "datasize": sweep_datasize, "dim": sweep_dim,
 
 
 def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
+    """The summary at path, one row per setting, and `<stem>_seeds.csv` beside it, one
+    row per setting and seed with the seed's test metrics and epochs trained."""
+    path = Path(path)
     header = [table.setting_name, "n_seeds",
               *(f"{stat}_{m}" for m in METRIC_FIELDS for stat in ("mean", "std"))]
     rows = [[str(row.setting), str(len(row.per_seed))]  # str of a float is its repr
             + [repr(stat(m)) for m in METRIC_FIELDS for stat in (row.mean, row.std)]
             for row in table.rows]
-    Path(path).write_text(csv_text([header, *rows]))
+    path.write_text(csv_text([header, *rows]))
+    per_seed = [[str(row.setting), str(seed), *(repr(float(getattr(m, f))) for f in METRIC_FIELDS),
+                 str(epochs)] for row in table.rows
+                for seed, m, epochs in zip(table.seeds, row.per_seed, row.epochs_run)]
+    path.with_name(f"{path.stem}_seeds.csv").write_text(
+        csv_text([[table.setting_name, "seed", *METRIC_FIELDS, "epochs_run"], *per_seed]))

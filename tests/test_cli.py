@@ -1209,14 +1209,14 @@ def test_sweep_batch_writes_table_and_manifest(tmp_path, capsys):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["command"] == "sweep:batch"
     assert manifest["seed"] == [0]
-    assert manifest["outputs"] == ["sweep_batch.csv"]
+    assert manifest["outputs"] == ["sweep_batch.csv", "sweep_batch_seeds.csv"]
     captured = capsys.readouterr().out
     assert "sweep over seeds [0]" in captured
     assert f"wrote {table_path}" in captured
 
 
 def test_every_csv_output_ends_its_lines_with_lf_and_keeps_its_width(workspace, tmp_path):
-    """history, eval's three files, predictions and a sweep table: no CR, each line
+    """history, eval's three files, predictions and a sweep's two tables: no CR, each line
     as many cells as the header, each float cell Python's repr of that float."""
     ckpt, data = str(workspace["ckpt"]), str(workspace["data"])
     for argv in (["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path)],
@@ -1224,7 +1224,8 @@ def test_every_csv_output_ends_its_lines_with_lf_and_keeps_its_width(workspace, 
                  ["sweep", "--config", str(workspace["cfg"]), "--kind", "batch", "--seeds", "0",
                   "--out", str(tmp_path)]):
         assert main(argv) == EXIT_OK
-    names = ("metrics.csv", "confusion.csv", "per_class.csv", "predictions.csv", "sweep_batch.csv")
+    names = ("metrics.csv", "confusion.csv", "per_class.csv", "predictions.csv", "sweep_batch.csv",
+             "sweep_batch_seeds.csv")
     for path in [workspace["run"] / "history.csv"] + [tmp_path / name for name in names]:
         content = path.read_bytes()
         assert b"\r" not in content, path.name
@@ -1255,7 +1256,7 @@ def test_sweep_ablation_writes_one_row_per_arm(tmp_path, capsys):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["command"] == "sweep:ablation"
     assert manifest["seed"] == [0, 1]
-    assert manifest["outputs"] == ["sweep_ablation.csv"]
+    assert manifest["outputs"] == ["sweep_ablation.csv", "sweep_ablation_seeds.csv"]
     captured = capsys.readouterr().out
     assert "arm sweep over seeds [0, 1]" in captured
     assert "  arm=no-propagation: accuracy=" in captured
@@ -1466,7 +1467,7 @@ def test_empty_out_exits_before_any_work(workspace, tmp_path, capsys, monkeypatc
     ("eval", "metrics.csv"), ("predict", "predictions.csv"), ("sweep", "sweep_batch.csv"),
     ("gen", "dataset.manifest.json"), ("ingest", "dataset.manifest.json"),
     ("train", "history.csv"), ("train", "run_manifest.json"), ("eval", "confusion.csv"),
-    ("eval", "per_class.csv"), ("sweep", "run_manifest.json"),
+    ("eval", "per_class.csv"), ("sweep", "run_manifest.json"), ("sweep", "sweep_batch_seeds.csv"),
 ])
 def test_output_file_that_cannot_be_written_is_a_config_error(workspace, tmp_path, capsys,
                                                               monkeypatch, command, blocked):

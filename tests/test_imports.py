@@ -26,6 +26,9 @@ an error of the package's own, so the first fault met ends a run: none is
 held for later.
 The program keeps one forward pass: `np.tanh` is named in one function of
 src/contention/ only, `model.forward`, so no stage or kernel repeats its math.
+The ablation arms are one table: no arm's name is a string literal in
+`sweeps.py` outside the keys of `sweeps.ARMS`, so no `if` on an arm's name
+picks a treatment there.
 No module of src/contention/ imports another module's `_`-prefixed name or
 reads a `_`-prefixed attribute of a class defined in another module: what
 one module keeps private, no other depends on.
@@ -35,7 +38,7 @@ import argparse
 import ast
 from pathlib import Path
 
-from contention import cli
+from contention import cli, sweeps
 from contention import errors as errors_module
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -452,6 +455,39 @@ def test_scan_finds_tanh_users(tmp_path):
 def test_one_forward_implementation():
     files = sorted((ROOT / "src" / "contention").glob("*.py"))
     assert tanh_users(files) == ["model.py:forward"]
+
+
+def arm_literals(path: Path, arms: tuple[str, ...]) -> list[str]:
+    """`file:line: 'name'` for every string literal equal to one of `arms` that is not
+    a key of the module-level table `ARMS = {...}`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    keys = {id(key) for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Dict)
+            and any(isinstance(t, ast.Name) and t.id == "ARMS"
+                    for t in (node.targets if isinstance(node, ast.Assign) else [node.target]))
+            for key in node.value.keys}
+    found = sorted((n.lineno, n.col_offset, n.value) for n in ast.walk(tree)
+                   if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                   and n.value in arms and id(n) not in keys)
+    return [f"{path.name}:{line}: {value!r}" for line, _, value in found]
+
+
+def test_scan_finds_arm_names_outside_the_table(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("ARMS: dict = {'full': len, 'no-propagation': abs}\n"
+                      "ORDER = ('full',)\n"
+                      "def cell(arm, data):\n"
+                      "    if arm == \"no-propagation\":\n"
+                      "        return data\n"
+                      "    return 'no-propagation arm', {'full' + arm: 1}\n")
+    assert arm_literals(module, ("full", "no-propagation")) == [
+        "m.py:2: 'full'", "m.py:4: 'no-propagation'", "m.py:6: 'full'"]
+
+
+def test_ablation_arms_are_named_in_their_table_only():
+    """An arm's treatment is its row of sweeps.ARMS, so no test of an arm's name
+    picks one anywhere else in sweeps.py."""
+    assert arm_literals(ROOT / "src" / "contention" / "sweeps.py", sweeps.ABLATION_ARMS) == []
 
 
 def _private(name: str) -> bool:

@@ -6,6 +6,8 @@ contracts (who gets normalized with whose statistics, which rows reproduce
 the unswept run, table shape), not score quality.
 """
 
+import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -191,7 +193,8 @@ class TestSweeps:
         assert table.seeds == seeds
         assert [row.setting for row in table.rows] == [float(s) for s in settings]
         for row in table.rows:
-            assert len(row.per_seed) == len(seeds)
+            assert len(row.per_seed) == len(row.epochs_run) == len(seeds)
+            assert all(1 <= epochs <= TINY_TRAIN.max_epochs for epochs in row.epochs_run)
             for metrics in row.per_seed:
                 for field in METRIC_FIELDS:
                     assert 0.0 <= getattr(metrics, field) <= 1.0
@@ -212,6 +215,7 @@ class TestSweeps:
             )
             assert full_row.per_seed[i].accuracy == unswept.test_metrics.accuracy
             assert full_row.per_seed[i].macro_f1 == unswept.test_metrics.macro_f1
+            assert full_row.epochs_run[i] == len(unswept.history.records)
 
     def test_sweep_dim_reuses_one_model_config(self):
         table = sweep_dim(TINY_CFG, dims=(4, 8), seeds=(0,))
@@ -251,7 +255,7 @@ class TestSweeps:
     def test_ablation_arms_switch_one_mechanism_each(self, monkeypatch):
         """Against `full`, no-propagation changes only the graph and
         static-weights only the task weighting."""
-        assert ABLATION_ARMS == ("full", "no-propagation", "static-weights")
+        assert ABLATION_ARMS == tuple(sweeps.ARMS) == ("full", "no-propagation", "static-weights")
         calls = []
 
         def recording(prepared, model_cfg, train_cfg):
@@ -271,9 +275,44 @@ class TestSweeps:
             assert getattr(flat, part) is getattr(full, part)
             assert getattr(static, part) is getattr(full, part)
 
+    def test_no_cell_result_outlives_its_cell(self, monkeypatch):
+        """A row keeps each cell's metrics and epochs, not its RunResult, so a dim
+        cell's regenerated data is freed before the next cell runs."""
+        results = []
+
+        def recording(prepared, model_cfg, train_cfg):
+            assert all(ref() is None for ref in results)
+            result = run_prepared(prepared, model_cfg, train_cfg)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(sweeps, "run_prepared", recording)
+        table = sweep_dim(TINY_CFG, dims=(4, 8), seeds=(0, 1))
+        assert len(results) == 4 and all(len(row.epochs_run) == 2 for row in table.rows)
+
     def test_unknown_ablation_arm_rejected(self):
-        with pytest.raises(ConfigError, match="unknown ablation arm 'no-graph'"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown ablation arm 'no-graph', expected one of "
+                "('full', 'no-propagation', 'static-weights')")):
             sweep_ablation(TINY_CFG, arms=("full", "no-graph"), seeds=(0,))
+
+    def test_an_arm_added_to_the_table_is_run_and_written(self, monkeypatch, tmp_path):
+        """A new row of ARMS needs no other edit: sweep_ablation runs it through
+        run_prepared and write_sweep_csv writes its rows."""
+        def one_epoch(prepared, model_cfg, train_cfg):
+            return sweeps.run_prepared(prepared, model_cfg, replace(train_cfg, max_epochs=1))
+
+        monkeypatch.setitem(sweeps.ARMS, "one-epoch", one_epoch)
+        table = sweep_ablation(TINY_CFG, arms=("one-epoch", "full"), seeds=(0, 1))
+        assert [row.epochs_run for row in table.rows] == [[1, 1], [2, 2]]
+        write_sweep_csv(table, tmp_path / "sweep_ablation.csv")
+        summary = (tmp_path / "sweep_ablation.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in summary[1:]] == [["one-epoch", "2"], ["full", "2"]]
+        per_seed = [line.split(",") for line in
+                    (tmp_path / "sweep_ablation_seeds.csv").read_text().splitlines()[1:]]
+        assert [[r[0], r[1], r[-1]] for r in per_seed] == [
+            ["one-epoch", "0", "1"], ["one-epoch", "1", "1"],
+            ["full", "0", "2"], ["full", "1", "2"]]
 
     def test_row_statistics(self):
         def fake(acc):
@@ -288,7 +327,8 @@ class TestSweeps:
                 f1=np.full(2, acc),
             )
 
-        row = SweepRow(setting=1.0, per_seed=[fake(0.5), fake(0.7), fake(0.9)])
+        row = SweepRow(setting=1.0, per_seed=[fake(0.5), fake(0.7), fake(0.9)],
+                       epochs_run=[2, 2, 2])
         assert row.mean("accuracy") == pytest.approx(0.7)
         assert row.std("accuracy") == pytest.approx(np.std([0.5, 0.7, 0.9]))
 
@@ -311,6 +351,31 @@ class TestSweepCsv:
         for cell in cells[2:]:
             value = float(cell)
             assert 0.0 <= value <= 1.0
+
+    def test_summary_is_the_mean_and_std_of_the_per_seed_rows(self, tmp_path):
+        """Each summary row's n_seeds counts its per-seed rows, and each mean and std
+        is np.mean and np.std (ddof 0) of their cells, bit for bit; epochs_run counts
+        the epochs trained, with early stopping."""
+        cfg = replace(TINY_CFG, train=replace(TINY_TRAIN, max_epochs=6, patience=1))
+        table = sweep_batch(cfg, sizes=(16, 32), seeds=(0, 1, 2))
+        write_sweep_csv(table, tmp_path / "sweep.csv")
+        header, *rows = [line.split(",") for line in
+                         (tmp_path / "sweep.csv").read_text().splitlines()]
+        seed_header, *seed_rows = [line.split(",") for line in
+                                   (tmp_path / "sweep_seeds.csv").read_text().splitlines()]
+        assert seed_header == ["batch_size", "seed", *METRIC_FIELDS, "epochs_run"]
+        assert [r[:2] for r in seed_rows] == [[size, seed] for size in ("16.0", "32.0")
+                                              for seed in ("0", "1", "2")]
+        epochs = [int(r[-1]) for r in seed_rows]
+        assert epochs == [e for row in table.rows for e in row.epochs_run]
+        assert min(epochs) >= 1 and max(epochs) < 6  # patience 1 stops each of these runs early
+        for row in rows:
+            mine = [r for r in seed_rows if r[0] == row[0]]
+            assert row[1] == str(len(mine)) == "3"
+            for i, metric in enumerate(METRIC_FIELDS, start=2):
+                values = [float(r[i]) for r in mine]
+                assert row[header.index(f"mean_{metric}")] == repr(float(np.mean(values)))
+                assert row[header.index(f"std_{metric}")] == repr(float(np.std(values)))
 
     def test_deterministic_bytes(self, tmp_path):
         table = sweep_datasize(TINY_CFG, fractions=(1.0,), seeds=(0,))
