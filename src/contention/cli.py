@@ -41,7 +41,7 @@ from contention.ingest import apply_weak_labels, ingest_csv
 from contention.model import Prediction, predict, softmax
 from contention.pipeline import prepare, run_prepared, split_parts
 from contention.rng import RngStream
-from contention.sweeps import SWEEPS, write_sweep_csv
+from contention.sweeps import SWEEPS, sweep_csv_names, write_sweep_csv
 from contention.train import (
     METRIC_FIELDS,
     EvalMetrics,
@@ -308,22 +308,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seeds must be comma-separated integers: {exc}") from exc
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
-    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
-    if repeated:
+    if repeated := [s for i, s in enumerate(seeds) if s in seeds[:i]]:
         raise ConfigError(f"--seeds names seed {repeated[0]} more than once")
-    names = (f"sweep_{args.kind}.csv", f"sweep_{args.kind}_seeds.csv", "run_manifest.json")
-    out_dir = resolve_out_dir(args.out, names)
+    outputs = list(sweep_csv_names(args.kind))
+    out_dir = resolve_out_dir(args.out, (*outputs, "run_manifest.json"))
     table = SWEEPS[args.kind](cfg, seeds=seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / names[0]
-    write_sweep_csv(table, path)  # and names[1] beside it
-    _write_manifest(out_dir, f"sweep:{args.kind}", cfg, list(seeds), inputs=[],
-                    outputs=list(names[:2]))
+    path = write_sweep_csv(table, out_dir)
+    _write_manifest(out_dir, f"sweep:{args.kind}", cfg, list(seeds), inputs=[], outputs=outputs)
     print(f"{table.setting_name} sweep over seeds {list(table.seeds)}")
     for row in table.rows:
-        cells = "  ".join(
-            f"{m}={row.mean(m):.4f}+/-{row.std(m):.4f}" for m in METRIC_FIELDS
-        )
+        cells = "  ".join(f"{m}={row.mean(m):.4f}+/-{row.std(m):.4f}" for m in METRIC_FIELDS)
         print(f"  {table.setting_name}={row.label}: {cells}")
     print(f"wrote {path}")
     return EXIT_OK

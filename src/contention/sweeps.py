@@ -1,21 +1,18 @@
 """Sweeps over one run config: batch size, training-set size, metric count, ablation arm.
 
-Each sweep trains a fresh model per (setting, seed) cell, the seed driving
-both data and training so that one seed's cells are paired, and keeps each
-cell's four test metrics and the epochs it trained. Trend shapes are
-recorded for inspection, never asserted: they are dataset properties.
+Each sweep trains a fresh model per (setting, seed) cell, the seed driving both data and
+training so that one seed's cells are paired, and keeps each cell's four test metrics and
+the epochs it trained. Trend shapes are recorded for inspection, never asserted.
 
-Every cell trains through `run_prepared`. The batch, datasize and ablation
-sweeps prepare each seed's data once: a batch cell sets its batch size, a
-datasize cell trims its training split, and an ablation cell runs its arm's
-row of `ARMS`. The dim sweep prepares new data for each (dim, seed) cell.
+Every cell trains through `run_prepared`. The batch, datasize and ablation sweeps prepare
+each seed's data once, and an ablation cell runs its arm's row of `ARMS` with adaptive
+weights on. The dim sweep prepares new data for each (dim, seed) cell.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +30,8 @@ BATCH_SIZES = (16, 32, 64, 128)
 DATA_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 METRIC_DIMS = (8, 12, 16, 24)
 DEFAULT_SWEEP_SEEDS = (0, 1, 2)
-# an ablation arm's cell from the seed's prepared data, the model config and the cell's
-# train config; each arm after `full` switches off one mechanism the paper credits
+# an ablation arm's cell from the seed's prepared data, the model config and the cell's train
+# config, adaptive weights on; each arm after `full` switches off one mechanism the paper credits
 ARMS: dict[str, Callable[[PreparedData, ModelConfig, TrainConfig], RunResult]] = {
     "full": lambda data, model_cfg, train_cfg: run_prepared(data, model_cfg, train_cfg),
     "no-propagation": lambda data, model_cfg, train_cfg: run_prepared(
@@ -77,12 +74,15 @@ class SweepTable:
 def _grid(kind: str, setting_name: str, settings: Sequence, seeds: Sequence[int],
           cell: Callable[..., RunResult]) -> SweepTable:
     """One row per setting, one cell(setting, seed) run per seed in it."""
+    def kept(result: RunResult) -> tuple[EvalMetrics, int]:  # a dim cell's data goes with it
+        return result.test_metrics, len(result.history.records)
+
     seeds = tuple(seeds)
     rows = []
-    for setting in settings:  # each RunResult, and a dim cell's data in it, goes before the next
-        runs = [attrgetter("test_metrics", "history")(cell(setting, seed)) for seed in seeds]
+    for setting in settings:  # each cell's RunResult goes before the next cell runs
+        runs = [kept(cell(setting, seed)) for seed in seeds]
         rows.append(SweepRow(setting if isinstance(setting, str) else float(setting),
-                             [m for m, _ in runs], [len(h.records) for _, h in runs]))
+                             [m for m, _ in runs], [epochs for _, epochs in runs]))
     return SweepTable(kind=kind, setting_name=setting_name, seeds=seeds, rows=rows)
 
 
@@ -142,25 +142,31 @@ def sweep_ablation(cfg: RunConfig, arms: Sequence[str] = ABLATION_ARMS,
     if unknown := [arm for arm in arms if arm not in ARMS]:
         raise ConfigError(f"unknown ablation arm {unknown[0]!r}, expected one of {tuple(ARMS)}")
     return _seeded_grid("ablation", "arm", arms, cfg, seeds, lambda arm, data, train_cfg:
-                        ARMS[arm](data, cfg.model, train_cfg))
+                        ARMS[arm](data, cfg.model, replace(train_cfg, adaptive_weights=True)))
 
 
 SWEEPS = {"batch": sweep_batch, "datasize": sweep_datasize, "dim": sweep_dim,
           "ablation": sweep_ablation}
 
 
-def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
-    """The summary at path, one row per setting, and `<stem>_seeds.csv` beside it, one
-    row per setting and seed with the seed's test metrics and epochs trained."""
-    path = Path(path)
+def sweep_csv_names(kind: str) -> tuple[str, str]:
+    """The file names of a sweep's summary and of its per-seed rows."""
+    return f"sweep_{kind}.csv", f"sweep_{kind}_seeds.csv"
+
+
+def write_sweep_csv(table: SweepTable, out_dir: str | Path) -> Path:
+    """Write sweep_csv_names(table.kind) in out_dir, the summary one row per setting and the
+    other one per setting and seed, its test metrics and epochs trained; return the summary."""
+    summary, seeds_path = (Path(out_dir) / name for name in sweep_csv_names(table.kind))
     header = [table.setting_name, "n_seeds",
               *(f"{stat}_{m}" for m in METRIC_FIELDS for stat in ("mean", "std"))]
     rows = [[str(row.setting), str(len(row.per_seed))]  # str of a float is its repr
             + [repr(stat(m)) for m in METRIC_FIELDS for stat in (row.mean, row.std)]
             for row in table.rows]
-    path.write_text(csv_text([header, *rows]))
+    summary.write_text(csv_text([header, *rows]))
     per_seed = [[str(row.setting), str(seed), *(repr(float(getattr(m, f))) for f in METRIC_FIELDS),
                  str(epochs)] for row in table.rows
                 for seed, m, epochs in zip(table.seeds, row.per_seed, row.epochs_run)]
-    path.with_name(f"{path.stem}_seeds.csv").write_text(
-        csv_text([[table.setting_name, "seed", *METRIC_FIELDS, "epochs_run"], *per_seed]))
+    seeds_path.write_text(csv_text([[table.setting_name, "seed", *METRIC_FIELDS, "epochs_run"],
+                                    *per_seed]))
+    return summary

@@ -42,6 +42,7 @@ from contention.sweeps import (
     subsample_stratified,
     sweep_ablation,
     sweep_batch,
+    sweep_csv_names,
     sweep_datasize,
     sweep_dim,
     write_sweep_csv,
@@ -267,6 +268,12 @@ class TestSweeps:
         (full, full_cfg), (flat, flat_cfg), (static, static_cfg) = calls
         assert full_cfg == flat_cfg == replace(ABLATION_CFG.train, seed=3)
         assert static_cfg == replace(full_cfg, adaptive_weights=False)
+        # adaptive weights stay on in full and no-propagation whatever the run config says
+        calls.clear()
+        static_run = replace(ABLATION_CFG, train=replace(ABLATION_CFG.train, adaptive_weights=False))
+        sweep_ablation(static_run, seeds=(3,))
+        assert [cfg.adaptive_weights for _, cfg in calls] == [True, True, False]
+        assert [cfg for _, cfg in calls[:2]] == [full_cfg, full_cfg]
         assert graph_stats(full.graph).edges > 0
         assert graph_stats(flat.graph).edges == 0
         assert np.array_equal(flat.graph.normalized, np.eye(4))
@@ -305,7 +312,7 @@ class TestSweeps:
         monkeypatch.setitem(sweeps.ARMS, "one-epoch", one_epoch)
         table = sweep_ablation(TINY_CFG, arms=("one-epoch", "full"), seeds=(0, 1))
         assert [row.epochs_run for row in table.rows] == [[1, 1], [2, 2]]
-        write_sweep_csv(table, tmp_path / "sweep_ablation.csv")
+        assert write_sweep_csv(table, tmp_path) == tmp_path / "sweep_ablation.csv"
         summary = (tmp_path / "sweep_ablation.csv").read_text().splitlines()
         assert [line.split(",")[:2] for line in summary[1:]] == [["one-epoch", "2"], ["full", "2"]]
         per_seed = [line.split(",") for line in
@@ -336,8 +343,8 @@ class TestSweeps:
 class TestSweepCsv:
     def test_header_and_shape(self, tmp_path):
         table = sweep_batch(TINY_CFG, sizes=(16,), seeds=(0,))
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(table, path)
+        path = write_sweep_csv(table, tmp_path)
+        assert path == tmp_path / "sweep_batch.csv"
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "batch_size,n_seeds,mean_accuracy,std_accuracy,"
@@ -358,11 +365,11 @@ class TestSweepCsv:
         the epochs trained, with early stopping."""
         cfg = replace(TINY_CFG, train=replace(TINY_TRAIN, max_epochs=6, patience=1))
         table = sweep_batch(cfg, sizes=(16, 32), seeds=(0, 1, 2))
-        write_sweep_csv(table, tmp_path / "sweep.csv")
+        write_sweep_csv(table, tmp_path)
         header, *rows = [line.split(",") for line in
-                         (tmp_path / "sweep.csv").read_text().splitlines()]
+                         (tmp_path / "sweep_batch.csv").read_text().splitlines()]
         seed_header, *seed_rows = [line.split(",") for line in
-                                   (tmp_path / "sweep_seeds.csv").read_text().splitlines()]
+                                   (tmp_path / "sweep_batch_seeds.csv").read_text().splitlines()]
         assert seed_header == ["batch_size", "seed", *METRIC_FIELDS, "epochs_run"]
         assert [r[:2] for r in seed_rows] == [[size, seed] for size in ("16.0", "32.0")
                                               for seed in ("0", "1", "2")]
@@ -379,7 +386,9 @@ class TestSweepCsv:
 
     def test_deterministic_bytes(self, tmp_path):
         table = sweep_datasize(TINY_CFG, fractions=(1.0,), seeds=(0,))
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(table, a)
-        write_sweep_csv(table, b)
-        assert a.read_bytes() == b.read_bytes()
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out_dir in (a, b):
+            out_dir.mkdir()
+            write_sweep_csv(table, out_dir)
+        for name in sweep_csv_names("datasize"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
