@@ -41,7 +41,7 @@ from contention.ingest import apply_weak_labels, ingest_csv
 from contention.model import Prediction, predict, softmax
 from contention.pipeline import prepare, run_prepared, split_parts
 from contention.rng import RngStream
-from contention.sweeps import SWEEPS, sweep_csv_names, write_sweep_csv
+from contention.sweeps import DEFAULT_SWEEP_SEEDS, SWEEPS, sweep_csv_names, write_sweep_csv
 from contention.train import (
     METRIC_FIELDS,
     EvalMetrics,
@@ -375,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a sensitivity sweep or the ablation arms")
     common(p)
     p.add_argument("--kind", required=True, choices=tuple(SWEEPS))
-    p.add_argument("--seeds", default="0,1,2", help="comma-separated seed list")
+    p.add_argument("--seeds", default=",".join(map(str, DEFAULT_SWEEP_SEEDS)),
+                   help="comma-separated seed list")
     p.set_defaults(func=cmd_sweep)
     return parser
 

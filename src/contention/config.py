@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,16 +50,14 @@ def _admits(hint, value) -> bool:
     A value given to a float field must also be finite as a float: JSON
     parsing admits NaN, Infinity and integers too large for a double.
     """
-    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
-    kinds = typing.get_args(hint) if union else (hint,)
-    if not all(k in (int, float, bool, str, type(None)) for k in kinds):
+    if hint not in (int, float, bool, str):
         return True
-    if float in kinds and type(value) in (int, float):
+    if hint is float and type(value) in (int, float):
         try:
             return math.isfinite(value)
         except OverflowError:
             return False
-    return type(value) in kinds
+    return type(value) is hint
 
 
 def strict_kwargs(section: str, data: dict, cls) -> dict:

@@ -27,7 +27,7 @@ Also here: z-score normalization fitted on the training split, stratified
 splitting into index arrays, and the dataset files: one (N, T, D) float64
 .npy array of window values beside a JSON manifest that holds the sizes,
 metric names and one label per window. `read_json_object` reads it, as it
-reads every JSON file of the program.
+reads every JSON file of the program; `open_input` opens every input file.
 
 One reader, `read_blocks`, reads a dataset file, and the first fault it meets
 ends the read. It reads a block of windows at a time into one buffer: a
@@ -49,7 +49,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -541,22 +541,30 @@ def json_names(value, count: int, what: str, empty_ok: bool = False) -> tuple[st
     return tuple(value)
 
 
-def read_json_object(path: Path, what: str, error: type[ContentionError],
-                     build: Callable[[dict], Built], version: int | None = None,
-                     keys: tuple[str, ...] = ()) -> Built:
-    """`build` of the top-level object of the JSON file at path, which is first checked to be
-    readable UTF-8 JSON, an object, of format_version `version` if one is given, and then (an
-    older format lacks newer keys) to hold `keys`, and when `version` is given no other key.
-    Every fault, a ContentionError or KeyError, TypeError, ValueError or OverflowError of
-    `build` too, is an `error` naming `what` and path."""
+def open_input(path: Path, what: str, error: type[ContentionError], mode="r", **kwargs) -> IO:
+    """The input file at path opened with `mode` and open()'s `kwargs`; a missing file, or
+    one that cannot be opened (a directory, no read permission), is an `error` naming it."""
     if not path.exists():
         raise error(f"{what} {path} is not found")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:  # a directory, no read permission
+        return path.open(mode, **kwargs)
+    except OSError as exc:
         raise error(f"{what} {path} cannot be read: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long
-        raise error(f"{what} {path} is not valid UTF-8 JSON: {exc}") from exc
+
+
+def read_json_object(path: Path, what: str, error: type[ContentionError],
+                     build: Callable[[dict], Built], version: int | None = None,
+                     keys: tuple[str, ...] = ()) -> Built:
+    """`build` of the top-level object of the JSON file at path, opened by open_input, which
+    is first checked to be UTF-8 JSON, an object, of format_version `version` if one is given,
+    and then (an older format lacks newer keys) to hold `keys`, and when `version` is given no
+    other key. Every fault, a ContentionError or KeyError, TypeError, ValueError or
+    OverflowError of `build` too, is an `error` naming `what` and path."""
+    with open_input(path, what, error, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long
+            raise error(f"{what} {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise error(f"{what} {path} must hold a JSON object, got a {type(data).__name__}")
     found = data.get("format_version")
@@ -608,20 +616,14 @@ def read_blocks(path: str | Path) -> Iterator[tuple[Iterator[Dataset], tuple[int
     checked, through a memory map whose pages are never read, so a header or
     manifest claiming more than the file holds allocates nothing. Each block
     drawn is read, in file order, into one buffer that its holder may write
-    until the next is drawn: a multiple of SCORE_CHUNK windows. A Fortran-order
-    file, which only other writers make, is read whole at the first draw and
-    cut alike. The first fault ends the read: a block holding a non-finite
-    value is a DataError naming its first such window, raised before the block
-    is passed on and before the next is read.
+    until the next is drawn: a multiple of SCORE_CHUNK windows. The array must
+    be in C order, as write_dataset writes it; Fortran order is a SchemaError,
+    like a wrong dtype or shape. The first fault ends the read: a block holding
+    a non-finite value is a DataError naming its first such window, raised
+    before the block is passed on and before the next is read.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset {path} is not found")
-    try:
-        fh = path.open("rb")
-    except OSError as exc:  # a directory, no read permission
-        raise DataError(f"dataset {path} cannot be read: {exc}") from exc
-    with fh:
+    with open_input(path, "dataset", DataError, "rb") as fh:
         shape, names, source, labels = read_json_object(
             manifest_path(path), "manifest", SchemaError, _manifest_fields, DATASET_FORMAT_VERSION,
             ("n_windows", "window_len", "metric_count", "num_classes", "metric_names",
@@ -639,14 +641,12 @@ def read_blocks(path: str | Path) -> Iterator[tuple[Iterator[Dataset], tuple[int
                 f"dataset {path} holds a {mapped.dtype.str} array of shape {mapped.shape}; "
                 f"the manifest needs {VALUES_DTYPE.str} of shape {shape}"
             )
+        if not mapped.flags.c_contiguous:
+            raise SchemaError(f"dataset {path} holds a Fortran-order array, not a C-order one")
         fh.seek(mapped.offset)
         spans = list(_block_spans(shape[0], mapped.nbytes // shape[0], SCORE_CHUNK))
-        if mapped.flags.c_contiguous:  # every block is read into one buffer
-            buffer = np.empty((spans[0].stop, *shape[1:]))
-            values = (_read_into(fh, buffer[: s.stop - s.start], path) for s in spans)
-        else:  # read whole, in its own order, when the first block is drawn
-            whole = (_read_into(fh, np.empty_like(mapped, subok=False), path) for _ in range(1))
-            values = (v[s] for v in whole for s in spans)
+        buffer = np.empty((spans[0].stop, *shape[1:]))  # every block is read into it
+        values = (_read_into(fh, buffer[: s.stop - s.start], path) for s in spans)
 
         def blocks() -> Iterator[Dataset]:
             for v, s in zip(values, spans):
@@ -659,8 +659,8 @@ def read_blocks(path: str | Path) -> Iterator[tuple[Iterator[Dataset], tuple[int
 
 
 def _read_into(fh: BinaryIO, values: np.ndarray, path: Path) -> np.ndarray:
-    """values, filled with the file's next values.nbytes bytes in values' own memory order."""
-    if fh.readinto(values.ravel(order="K")) != values.nbytes:  # ravel: a view in memory order
+    """values, a C-order array, filled with the file's next values.nbytes bytes."""
+    if fh.readinto(values) != values.nbytes:
         raise DataError(f"dataset {path} holds fewer values than its header declares")
     return values
 

@@ -6,16 +6,15 @@ Columns are found by header name; when a name repeats, its last column is
 read; a leading byte-order mark is dropped. The file is parsed in one pass
 into flat buffers: timestamps as int64, metric values as float64 and machine
 ids as small integer codes. The data lines are taken in blocks of
-BLOCK_LINES. numpy's C text reader parses every plain line, one that is
-printable ASCII and no longer than csv's field size limit, and returns its
-machine id cell as text beside the numbers. A csv loop, which
-parses each cell with int() or float(), reads each line that is not plain
-and each line numpy refuses, alone, and from the first block holding a quote
-or a carriage return other than in CRLF it reads the rest of the file. On
-plain text numpy accepts only cells that int() and float() accept, with the
-same values, so both readers give the same rows, counts and errors in file
-order. Blank lines are ignored. A row is skipped
-and counted under the first of these reasons that applies:
+BLOCK_LINES. numpy's C text reader parses the lines up to the first that is
+not plain, one of printable ASCII but the quote, ended by LF or CRLF and no
+longer than csv's field size limit, and returns the machine id cell as text
+beside the numbers. A csv loop, which parses each cell with int() or
+float(), reads each line numpy refuses, alone, and the rest of the file from
+the first line that is not plain. On plain text numpy accepts only cells
+that int() and float() accept, with the same values, so both readers give
+the same rows, counts and errors in file order. Blank lines are ignored. A
+row is skipped and counted under the first of these reasons that applies:
 
 1. unparseable: it is too short to hold the timestamp or a metric cell, the
    timestamp is not an integer in the signed 64-bit range, or a metric cell
@@ -51,7 +50,8 @@ from pathlib import Path
 
 import numpy as np
 
-from contention.data import GROUP_NAMES, UNLABELED, ContentionClass, Dataset, first_nonfinite
+from contention.data import (GROUP_NAMES, UNLABELED, ContentionClass, Dataset, first_nonfinite,
+                             open_input)
 from contention.errors import ConfigError, DataError, SchemaError
 
 GROUP_CLASS = {
@@ -115,8 +115,8 @@ MAX_FILL_LIMIT = 64
 # 0.97, 1.04, 1.02; 512 lines 0.95, 1.11, 1.04 (paired medians of 21
 # in-process rounds, 2-core VM, Python 3.11, numpy 2.4).
 BLOCK_LINES = 128
-# Characters of a block numpy may parse: printable ASCII and the line feed.
-PLAIN = bytes(range(ord(" "), ord("~") + 1)) + b"\n"
+# Characters of a block numpy may parse: printable ASCII but the quote, and the line feed.
+PLAIN = bytes(range(ord(" "), ord("~") + 1)).replace(b'"', b"") + b"\n"
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,13 @@ def _segments(stamps: np.ndarray, values: np.ndarray, step: int, max_fill: int):
         yield first, sums[last]
 
 
+def _plain(text: str) -> bool:
+    """Whether text is PLAIN once CRLF is LF, each line within csv's field size limit."""
+    text = text.replace("\r\n", "\n") if "\r" in text else text  # cheaper than a vain replace
+    return not text.encode().translate(None, PLAIN) and (
+        len(text) <= (limit := csv.field_size_limit()) or max(map(len, text.split("\n"))) <= limit)
+
+
 def ingest_csv(
     path: str | Path, schema: TraceSchema, cfg: IngestConfig
 ) -> IngestResult:
@@ -196,25 +203,17 @@ def ingest_csv(
     complete windows is an error, since silence there would be misleading.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"trace {path} is not found")
     names = schema.metric_names
-    stamps = array("q")
-    values = array("d")
-    machine_of = array("q")
+    stamps, values, machine_of = array("q"), array("d"), array("q")
     code: dict[str, int] = {}
     rows_read = unparseable = 0
-    try:
-        fh = path.open(newline="", encoding="utf-8-sig")
-    except OSError as exc:  # a directory, no read permission
-        raise DataError(f"trace {path} cannot be read: {exc}") from exc
+    fh = open_input(path, "trace", DataError, newline="", encoding="utf-8-sig")
     with fh, warnings.catch_warnings():
         # older numpy reads an integer cell such as "1.5" via float, warning only
         warnings.simplefilter("error", DeprecationWarning)
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # blank lines
-        reader = csv.reader(fh)
         try:
-            index = {name: i for i, name in enumerate(next(reader, []))}
+            index = {name: i for i, name in enumerate(next(csv.reader(fh), []))}
             for column in (schema.machine_column, schema.timestamp_column, *names):
                 if column not in index:
                     raise SchemaError(f"trace {path} is missing required column '{column}'")
@@ -272,7 +271,6 @@ def ingest_csv(
 
             usecols = (mi, ti, *cols)
             dtype = [("m", object), ("ts", "<i8"), ("v", "<f8", (len(cols),))]
-            limit = csv.field_size_limit()
             while True:
                 block = []
                 try:
@@ -282,26 +280,15 @@ def ingest_csv(
                     raise
                 if not block:
                     break
-                text = "".join(block)
-                if "\r" in text:
-                    text = text.replace("\r\n", "\n")
-                if '"' in text or "\r" in text:
-                    # a quoted field may span lines, and csv ends a record at a lone CR
-                    read_rows(chain(block, fh))
-                    break
-                if len(text) <= limit and not text.encode().translate(None, PLAIN):
+                if _plain("".join(block)):
                     read_plain(block)  # both readers skip blank lines and take LF or CRLF
                     continue
-                lines = [line for line in text.split("\n") if line]
-                # numpy reads some non-printable cells that float() refuses, such as "\x1c5",
-                # and has no field size limit: the csv loop reads such lines one by one
-                start = 0
-                for i, line in enumerate(lines):
-                    if not (line.isascii() and line.isprintable() and len(line) <= limit):
-                        read_plain(lines[start:i])
-                        read_rows([line])
-                        start = i + 1
-                read_plain(lines[start:])
+                # numpy reads the plain lines before the first other one; the csv loop
+                # reads the rest of the file, as a quoted field may span lines
+                k = next(i for i, line in enumerate(block) if not _plain(line))
+                read_plain(block[:k])
+                read_rows(chain(block[k:], fh))
+                break
         except (csv.Error, UnicodeDecodeError) as exc:
             raise DataError(f"trace {path}: unreadable CSV: {exc}") from exc
 

@@ -171,15 +171,12 @@ class TestSplitRead:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(n=st.integers(1, 60), t=st.integers(1, 6), d=st.integers(1, 5),
-           block_windows=st.integers(1, 70), seed=st.integers(0, 10_000), fortran=st.booleans())
+           block_windows=st.integers(1, 70), seed=st.integers(0, 10_000))
     def test_equals_the_split_of_the_whole_read(self, tmp_path_factory, n, t, d, block_windows,
-                                                seed, fortran):
+                                                seed):
         data = random_dataset(n, t, d, seed=seed)
         path = tmp_path_factory.mktemp("split") / "dataset.npy"
         write_dataset(path, data)
-        if fortran:  # only other writers make one; it is read whole
-            with path.open("wb") as fh:
-                np.save(fh, np.asfortranarray(data.values))
         rng = RngStream(seed).substream(1)
         with blocks_of(block_windows, 8 * t * d):
             got = _outcome(lambda: split_parts(path, rng))

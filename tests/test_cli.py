@@ -888,6 +888,26 @@ def test_a_non_finite_value_in_the_first_block_ends_every_read_there(workspace, 
         assert not (tmp_path / command).exists()
 
 
+def test_a_fortran_order_file_ends_every_read_before_any_value(workspace, tmp_path, capsys,
+                                                               reads):
+    """The reader reads C order only: each command exits 3 with an error naming the file,
+    reads no block and writes nothing."""
+    data = read_dataset(workspace["data"])
+    path = tmp_path / "fortran.npy"
+    write_dataset(path, data)
+    with path.open("wb") as fh:
+        np.save(fh, np.asfortranarray(data.values))
+    reads.clear()
+    for command, argv in _commands(workspace, path, tmp_path).items():
+        assert main(argv) == EXIT_DATA, command
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: dataset {path} holds a Fortran-order array, not a C-order one\n")
+        assert captured.out == ""
+        assert reads == [], command
+        assert not (tmp_path / command).exists()
+
+
 def test_train_checks_the_labels_and_the_split_before_any_value(workspace, tmp_path, capsys,
                                                                reads):
     """A window without a label is named by its place in the file, and a set too small
@@ -1276,6 +1296,15 @@ def test_sweep_rejects_empty_seed_list(tmp_path, capsys):
                "--seeds", ",", "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert "at least one seed" in capsys.readouterr().err
+
+
+def test_sweep_seeds_default_is_the_sweeps_constant(monkeypatch):
+    """The parser spells no seed list of its own: a changed constant changes its default."""
+    argv = ["sweep", "--kind", "batch"]
+    default = cli.build_parser().parse_args(argv).seeds
+    assert default == ",".join(map(str, sweeps.DEFAULT_SWEEP_SEEDS))
+    monkeypatch.setattr(cli, "DEFAULT_SWEEP_SEEDS", (4, 7))
+    assert cli.build_parser().parse_args(argv).seeds == "4,7"
 
 
 def test_sweep_unknown_kind_is_a_usage_error(tmp_path):

@@ -700,17 +700,24 @@ class TestDatasetFiles:
         assert stacked.reshape(2, -1).tolist() == [[1.0, 2.0, 3.0, 0.1], [5.0, 6.0, 7.0, 8.0]]
         assert json.loads(manifest_path(path).read_text())["labels"] == [4, None]
 
-    def test_read_keeps_the_values_of_a_fortran_order_file(self, tmp_path):
+    def test_read_of_a_fortran_order_file_is_a_schema_error(self, tmp_path, monkeypatch):
+        """Only other writers make one: it is refused beside the dtype and shape checks,
+        before any value is read."""
         data = random_dataset(3, 5, 4, seed=6)
-        c_path, f_path = tmp_path / "c.npy", tmp_path / "f.npy"
-        write_dataset(c_path, data)
-        write_dataset(f_path, data)
-        with f_path.open("wb") as fh:
+        path = tmp_path / "f.npy"
+        write_dataset(path, data)
+        with path.open("wb") as fh:
             np.save(fh, np.asfortranarray(data.values))
-        assert np.lib.format.open_memmap(f_path, mode="r").flags.f_contiguous
-        back_c, back_f = read_dataset(c_path), read_dataset(f_path)
-        assert back_c.values.tobytes() == data.values.tobytes()
-        assert back_f.values.tobytes() == back_c.values.tobytes()
+        assert np.lib.format.open_memmap(path, mode="r").flags.f_contiguous
+        reads = []
+        monkeypatch.setattr(data_module, "_read_into", lambda *args: reads.append(args))
+        message = rf"^dataset {re.escape(str(path))} holds a Fortran-order array, not a C-order"
+        with pytest.raises(SchemaError, match=message):
+            with read_blocks(path):
+                pass
+        with pytest.raises(SchemaError, match=message):
+            read_dataset(path)
+        assert reads == []
 
     def test_read_of_a_file_cut_after_its_header_check_is_a_data_error(self, tmp_path, monkeypatch):
         path = tmp_path / "ds.npy"
@@ -952,15 +959,12 @@ class TestReadBlocks:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(n=st.integers(1, 40), t=st.integers(1, 4), d=st.integers(1, 3),
            block_windows=st.integers(1, 50), chunk=st.integers(1, 7),
-           seed=st.integers(0, 10_000), fortran=st.booleans())
+           seed=st.integers(0, 10_000))
     def test_blocks_are_the_file_cut_at_multiples_of_the_chunk(
-            self, tmp_path_factory, monkeypatch, n, t, d, block_windows, chunk, seed, fortran):
+            self, tmp_path_factory, monkeypatch, n, t, d, block_windows, chunk, seed):
         data = random_dataset(n, t, d, seed=seed)
         path = tmp_path_factory.mktemp("blocks") / "dataset.npy"
         write_dataset(path, data)
-        if fortran:  # only other writers make one; it is read whole, then cut
-            with path.open("wb") as fh:
-                np.save(fh, np.asfortranarray(data.values))
         monkeypatch.setattr(data_module, "BLOCK_BYTES", block_windows * 8 * t * d)
         monkeypatch.setattr(data_module, "SCORE_CHUNK", chunk)
         step = max(1, block_windows // chunk) * chunk

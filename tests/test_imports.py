@@ -18,7 +18,9 @@ The program keeps one JSON reader and one CSV writer: `json.load` or
 `json.loads` is called in one function of src/contention/ only, and
 `csv.writer` and `csv.DictWriter` appear nowhere in it. It keeps one dataset
 reader too: only `data.read_blocks` calls `_read_into` or
-`np.lib.format.open_memmap`, the two ways to a dataset file's values. One function there,
+`np.lib.format.open_memmap`, the two ways to a dataset file's values. Only
+`data.open_input` spells the "is not found" and "cannot be read" errors of an
+input file, so every reader opens its file there. One function,
 `data.read_json_object`, holds an `except` clause that names KeyError,
 LookupError or TypeError: the net that turns a missing or malformed field of
 any JSON file into one error naming the file. Only it and `cli.main` catch
@@ -368,6 +370,40 @@ def test_scan_finds_dataset_readers(tmp_path):
 def test_one_dataset_reader():
     files = sorted((ROOT / "src" / "contention").glob("*.py"))
     assert dataset_readers(files) == ["data.py:read_blocks"]
+
+
+# the messages of an input file that is missing or cannot be opened
+INPUT_ERRORS = ("is not found", "cannot be read")
+
+
+def input_error_messages(paths: list[Path]) -> list[str]:
+    """The functions (`file:name`) holding a string that contains one of INPUT_ERRORS."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+                owner = f"{path.name}:{getattr(node, 'name', '<module>')}"
+                found |= {owner for n in _own_nodes(node) if isinstance(n, ast.Constant)
+                          and isinstance(n.value, str) and any(m in n.value for m in INPUT_ERRORS)}
+    return sorted(found)
+
+
+def test_scan_finds_input_error_messages(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def opener(path, what):\n    raise OSError(f'{what} {path} is not found')\n"
+                      "def reader(path):\n    def inner(exc):\n"
+                      "        return f'trace {path} cannot be read: {exc}'\n    return inner\n"
+                      "def fine(path):\n    return f'{path} is not valid', 'cannot be written'\n"
+                      "NOTE = 'a file that cannot be read'\n")
+    assert input_error_messages([module]) == ["m.py:<module>", "m.py:inner", "m.py:opener"]
+
+
+def test_one_opener_of_input_files():
+    """Every reader opens its file through data.open_input, so no reader grows its own
+    checks and messages for a missing or unopenable file."""
+    files = sorted((ROOT / "src" / "contention").glob("*.py"))
+    assert input_error_messages(files) == ["data.py:open_input"]
 
 
 def catchers(paths: list[Path], errors: set[str]) -> list[str]:

@@ -737,6 +737,8 @@ _METRIC_CELLS = ("1_0.5", "\uff15", "\x1c5", "\t5", "-0", "nan", "-inf", "1e999"
                  "0x1p3", "")
 # the cells numpy reads; the csv loop reads the line of any other cell, and only that line
 _NUMPY_CELLS = {"007", "+5", " 5 ", "-0", "nan", "-inf", "1e999", "4.9e-324"}
+# the cells that make a line not plain: the csv loop reads the rest of the file from it
+_NON_PLAIN_CELLS = {"\uff15", "\x1c5", "\t5"}
 
 # Lines numpy refuses: a bad int, a bad float, a short row and an int64 overflow.
 _REFUSED_LINES = {"bad int": "m0,x,0.5,0.5", "bad float": "m1,60,0.5,1e", "short row": "m0,60",
@@ -802,8 +804,10 @@ class TestColumnarMatchesReference:
         path = _write_lines(tmp_path / "trace.csv", [",".join(row.values()) for row in rows])
         numpy_rows = _count_numpy_rows(monkeypatch)
         assert _ingest_both(path, SCHEMA, IngestConfig(window_len=4)) is not None
-        # numpy reads the 20 rows before a cell it refuses and the 19 after it
-        assert sum(numpy_rows) == (40 if cell in _NUMPY_CELLS else 39)
+        # numpy reads the 20 rows before a cell it refuses and the 19 after it, and only
+        # the 20 before a cell that is not plain
+        want = 40 if cell in _NUMPY_CELLS else 20 if cell in _NON_PLAIN_CELLS else 39
+        assert sum(numpy_rows) == want
 
     @pytest.mark.parametrize("spoilt", [
         {16: _REFUSED_LINES["bad int"]},
@@ -815,7 +819,9 @@ class TestColumnarMatchesReference:
     ], ids=["first-of-block", "last-of-block", "first-and-last", "run-of-three",
             "non-plain-between-refused"])
     def test_csv_loop_reads_only_the_refused_lines(self, tmp_path, monkeypatch, spoilt):
-        """Blocks of 8 lines: lines 16 and 23 are the first and last of the third block."""
+        """Blocks of 8 lines: lines 16 and 23 are the first and last of the third block.
+        A line that is not plain is no refused line: the csv loop reads the rest of the
+        file from it, so numpy reads the lines before it that it does not refuse."""
         monkeypatch.setattr(ingest, "BLOCK_LINES", 8)
         lines = _plain_lines()
         for i, line in spoilt.items():
@@ -823,7 +829,24 @@ class TestColumnarMatchesReference:
         path = _write_lines(tmp_path / "trace.csv", lines)
         numpy_rows = _count_numpy_rows(monkeypatch)
         assert _ingest_both(path, SCHEMA, IngestConfig(window_len=4)) is not None
-        assert sum(numpy_rows) == 40 - len(spoilt)
+        end = min((i for i, line in spoilt.items() if line == _NON_PLAIN_LINE), default=40)
+        assert sum(numpy_rows) == end - sum(i < end for i in spoilt)
+
+    def test_csv_loop_reads_the_rest_of_the_file_from_the_first_non_plain_line(
+            self, tmp_path, monkeypatch):
+        """Blocks of 8 lines, a refused line at 5 and lines that are not plain at 27 and
+        33: numpy reads the plain blocks around line 5 and the 3 lines of the fourth block
+        before line 27, the csv loop line 5 and every line from 27 on, the plain blocks
+        after it included."""
+        monkeypatch.setattr(ingest, "BLOCK_LINES", 8)
+        lines = _plain_lines(60)
+        lines[5] = _REFUSED_LINES["bad int"]
+        lines[27] = lines[33] = _NON_PLAIN_LINE
+        path = _write_lines(tmp_path / "trace.csv", lines)
+        numpy_rows = _count_numpy_rows(monkeypatch)
+        result, _ = _ingest_both(path, SCHEMA, IngestConfig(window_len=4))
+        assert numpy_rows == [5, 2, 8, 8, 3]
+        assert result.rows_read == 60 and result.rows_unparseable == 1
 
     def test_a_numpy_that_reads_ahead_costs_calls_not_results(self, tmp_path, monkeypatch):
         """The refused line is found from how far numpy pulled the lines; wrong, it only costs.
