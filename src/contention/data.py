@@ -541,13 +541,16 @@ def json_names(value, count: int, what: str, empty_ok: bool = False) -> tuple[st
     return tuple(value)
 
 
-def open_input(path: Path, what: str, error: type[ContentionError], mode="r", **kwargs) -> IO:
-    """The input file at path opened with `mode` and open()'s `kwargs`; a missing file, or
-    one that cannot be opened (a directory, no read permission), is an `error` naming it."""
+@contextmanager
+def open_input(path: Path, what: str, error: type[ContentionError], **kwargs) -> Iterator[IO]:
+    """The input file at path, open with open()'s `kwargs` for the block. A missing file is an
+    `error` naming it, and so is every OSError raised while it is open, by open() (a directory)
+    or by a read (an I/O error); so the block writes no output, whose faults it would misname."""
     if not path.exists():
         raise error(f"{what} {path} is not found")
     try:
-        return path.open(mode, **kwargs)
+        with path.open(**kwargs) as fh:
+            yield fh
     except OSError as exc:
         raise error(f"{what} {path} cannot be read: {exc}") from exc
 
@@ -623,7 +626,7 @@ def read_blocks(path: str | Path) -> Iterator[tuple[Iterator[Dataset], tuple[int
     before the block is passed on and before the next is read.
     """
     path = Path(path)
-    with open_input(path, "dataset", DataError, "rb") as fh:
+    with open_input(path, "dataset", DataError, mode="rb") as fh:
         shape, names, source, labels = read_json_object(
             manifest_path(path), "manifest", SchemaError, _manifest_fields, DATASET_FORMAT_VERSION,
             ("n_windows", "window_len", "metric_count", "num_classes", "metric_names",

@@ -32,10 +32,11 @@ into an unlabeled Dataset; a parallel tuple names each window's machine and
 start time. The windows lost to gaps are counted: per machine, the windows
 its span from first to last bucket holds on its grid, less those it kept.
 
-Real traces carry no contention labels, so weak labeling assigns classes by
-per-group utilization thresholds, computed over the dataset's windows.
-Windows where no group runs hot stay unlabeled and are dropped from the
-labeled subset it returns.
+Real traces carry no contention labels. Weak labeling gathers each group's
+window means once (`group_means`); a group is hot above its cutoff, 0.85 for
+cpu, 0.90 for mem and the 95th percentile of its own means for disk and net.
+One hot group names the class, two or more mean HYBRID, and windows where
+none is hot are dropped.
 """
 
 from __future__ import annotations
@@ -207,8 +208,8 @@ def ingest_csv(
     stamps, values, machine_of = array("q"), array("d"), array("q")
     code: dict[str, int] = {}
     rows_read = unparseable = 0
-    fh = open_input(path, "trace", DataError, newline="", encoding="utf-8-sig")
-    with fh, warnings.catch_warnings():
+    with (open_input(path, "trace", DataError, newline="", encoding="utf-8-sig") as fh,
+          warnings.catch_warnings()):
         # older numpy reads an integer cell such as "1.5" via float, warning only
         warnings.simplefilter("error", DeprecationWarning)
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # blank lines
@@ -350,70 +351,53 @@ def ingest_csv(
     )
 
 
-def _group_means(values: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
-    """(N,) mean of each window's cells in columns cols, over an (N, T, D) stack.
+def group_means(values: np.ndarray, groups: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """The (N,) window means of each group that has metrics, over an (N, T, D) stack.
 
-    Each window's cells are summed as one contiguous row taken column by
-    column. That is the order in which numpy sums a single window's
-    `window[:, cols].mean()` (the fancy-indexed slice is laid out column by
-    column), so each mean equals the single window's, bit for bit.
+    Each group's cells are gathered once, each window's as one contiguous row
+    taken column by column. That is the order in which numpy sums a single
+    window's `window[:, cols].mean()` (the fancy-indexed slice is laid out
+    column by column), so each mean equals the single window's, bit for bit.
     """
-    cells = np.ascontiguousarray(values.transpose(0, 2, 1)[:, list(cols)])
-    return cells.reshape(len(values), -1).mean(axis=1)
+    if not len(values):
+        raise DataError("cannot weak-label an empty dataset")
+    # one group's cells at a time, freed before the next group's are gathered
+    return {name: np.ascontiguousarray(values.transpose(0, 2, 1)[:, list(cols)])
+            .reshape(len(values), -1).mean(axis=1) for name, cols in groups.items() if cols}
 
 
-def default_weak_thresholds(
-    values: np.ndarray, groups: dict[str, tuple[int, ...]]
-) -> dict[str, float]:
-    """Hot thresholds per group: fixed for cpu/mem, relative to the (N, T, D) stack for disk/net.
+def default_weak_thresholds(means: dict[str, np.ndarray]) -> dict[str, float]:
+    """The hot cutoff of each group in group_means' table.
 
     CPU and memory utilizations have natural saturation scales, so fixed
-    cutoffs apply; disk and net rates do not, so those cutoffs sit at the
-    95th percentile of the dataset's own window-level group means.
+    cutoffs apply (0.85 and 0.90); disk and net rates do not, so each other
+    group's cutoff sits at the 95th percentile of its own window means.
     """
-    if len(values) == 0:
-        raise DataError("cannot derive thresholds from an empty dataset")
-    out = {"cpu": 0.85, "mem": 0.90}
-    for name in ("disk", "net"):
-        cols = groups.get(name, ())
-        out[name] = float(np.percentile(_group_means(values, cols), 95)) if cols else np.inf
-    return out
+    fixed = {"cpu": 0.85, "mem": 0.90}
+    return {name: fixed[name] if name in fixed else float(np.percentile(m, 95))
+            for name, m in means.items()}
 
 
-def weak_labels(
-    values: np.ndarray,
-    thresholds: dict[str, float],
-    groups: dict[str, tuple[int, ...]],
-) -> np.ndarray:
-    """Label each window of an (N, T, D) stack: one hot group names the class, several mean HYBRID.
+def weak_labels(means: dict[str, np.ndarray], thresholds: dict[str, float]) -> np.ndarray:
+    """Label each window of group_means' table: one hot group names the class, several mean HYBRID.
 
     A group is hot in a window when the window mean of its metrics exceeds
     its threshold. A window with no hot group gets UNLABELED; callers
     drop such windows from supervised splits rather than inventing a sixth
     class.
     """
-    labels = np.full(len(values), UNLABELED)
-    hot = np.zeros(len(values), dtype=np.int64)
-    for name in GROUP_NAMES:
-        cols = groups.get(name, ())
-        if cols:
-            mask = _group_means(values, cols) > thresholds[name]
-            labels[mask] = GROUP_CLASS[name]
-            hot += mask
-    labels[hot >= 2] = ContentionClass.HYBRID
+    hot = np.array([m > thresholds[name] for name, m in means.items()])  # (groups, N)
+    labels = np.full(hot.shape[1], UNLABELED)
+    for name, mask in zip(means, hot):
+        labels[mask] = GROUP_CLASS[name]
+    labels[hot.sum(axis=0) >= 2] = ContentionClass.HYBRID
     return labels
 
 
-def apply_weak_labels(
-    data: Dataset,
-    groups: dict[str, tuple[int, ...]],
-    thresholds: dict[str, float] | None = None,
-) -> tuple[Dataset, int]:
-    """Label every window it can; returns (the labeled windows in order, dropped count)."""
-    if not len(data):
-        raise DataError("cannot weak-label an empty dataset")
-    if thresholds is None:
-        thresholds = default_weak_thresholds(data.values, groups)
-    labels = weak_labels(data.values, thresholds, groups)
+def apply_weak_labels(data: Dataset, groups: dict[str, tuple[int, ...]]) -> tuple[Dataset, int]:
+    """Label every window it can at the default cutoffs; returns (the labeled windows
+    in order, dropped count)."""
+    means = group_means(data.values, groups)
+    labels = weak_labels(means, default_weak_thresholds(means))
     keep = np.flatnonzero(labels >= 0)
     return replace(data, values=data.values[keep], labels=labels[keep]), len(data) - len(keep)

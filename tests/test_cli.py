@@ -6,6 +6,7 @@ outputs are all exercised without spawning subprocesses (except one smoke
 test for the module entry point).
 """
 
+import errno
 import hashlib
 import json
 import os
@@ -43,6 +44,7 @@ from contention.data import (
     UNLABELED,
     ScenarioConfig,
     apply_norm,
+    manifest_path,
     read_dataset,
     split,
     write_dataset,
@@ -1454,6 +1456,61 @@ def test_input_path_that_is_a_directory_is_a_documented_error(workspace, tmp_pat
     assert rc == code
     err = capsys.readouterr().err
     assert err.startswith(f"error: {what} {tmp_path} cannot be read: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+PROC_MEM = Path("/proc/self/mem")  # opens for reading, and a read at offset 0 fails with EIO
+
+
+def _first_read_fails(path: Path) -> bool:
+    try:
+        with path.open("rb") as fh:
+            fh.read(1)
+    except OSError:
+        return True
+    return False
+
+
+def _read_fault(*args):
+    raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+@pytest.mark.parametrize("command, flag, code, what", [
+    ("gen", "--config", EXIT_CONFIG, "config"),
+    ("ingest", "--config", EXIT_CONFIG, "config"),
+    ("eval", "--checkpoint", EXIT_DATA, "checkpoint"),
+    ("predict", "--checkpoint", EXIT_DATA, "checkpoint"),
+    ("ingest", "--trace", EXIT_DATA, "trace"),
+    ("eval", "--data", EXIT_DATA, "manifest"),
+    ("graph", "--data", EXIT_DATA, "dataset"),
+    ("eval", "--data", EXIT_DATA, "dataset"),
+])
+def test_input_that_fails_while_it_is_read_is_a_documented_error(
+        workspace, tmp_path, capsys, monkeypatch, command, flag, code, what):
+    """An I/O error raised by a read after the input opened exits with the input's
+    code, not as an output that cannot be written, and names the file. A dataset's
+    values are read through a patched read; every other input is a link to a file
+    whose first read fails."""
+    flags = _valid_flags(command, workspace, tmp_path)
+    path = Path(flags[flag])
+    if what == "dataset":
+        monkeypatch.setattr(data_module, "_read_into", _read_fault)
+    else:
+        if not _first_read_fails(PROC_MEM):
+            pytest.skip(f"no {PROC_MEM} whose first read fails")
+        path = tmp_path / "input.npy"
+        link = path
+        if what == "manifest":
+            path.write_bytes(workspace["data"].read_bytes())
+            link = manifest_path(path)
+        link.symlink_to(PROC_MEM)
+        flags[flag] = str(path)
+        path = link
+    rc = main([command] + [arg for pair in flags.items() for arg in pair])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} {path} cannot be read: [Errno {errno.EIO}] ")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 

@@ -25,7 +25,10 @@ input file, so every reader opens its file there. One function,
 LookupError or TypeError: the net that turns a missing or malformed field of
 any JSON file into one error naming the file. Only it and `cli.main` catch
 an error of the package's own, so the first fault met ends a run: none is
-held for later.
+held for later. Only `data.open_input` and `cli.main` catch an OSError: the
+first turns every one raised while an input is open into the input's error,
+and the second reports an output that cannot be written, so no reader grows
+an OSError net of its own.
 The program keeps one forward pass: `np.tanh` is named in one function of
 src/contention/ only, `model.forward`, so no stage or kernel repeats its math.
 The ablation arms are one table: no arm's name is a string literal in
@@ -38,6 +41,7 @@ one module keeps private, no other depends on.
 
 import argparse
 import ast
+import builtins
 from pathlib import Path
 
 from contention import cli, sweeps
@@ -463,6 +467,30 @@ def test_the_first_fault_ends_the_run():
     files = sorted((ROOT / "src" / "contention").glob("*.py"))
     assert PACKAGE_ERRORS >= {"ContentionError", "DataError", "SchemaError", "NumericError"}
     assert catchers(files, PACKAGE_ERRORS) == ["cli.py:main", "data.py:read_json_object"]
+
+
+# OSError, its aliases and its subclasses
+OS_ERRORS = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, OSError)}
+
+
+def test_scan_finds_os_error_catchers(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def reader(path):\n    try:\n        return open(path).read()\n"
+                      "    except (ValueError, IOError):\n        return ''\n"
+                      "def missing(path):\n    try:\n        return open(path)\n"
+                      "    except FileNotFoundError:\n        return None\n"
+                      "def broad(x):\n    try:\n        return x()\n"
+                      "    except Exception:\n        return 0\n")
+    assert OS_ERRORS >= {"OSError", "IOError", "EnvironmentError", "FileNotFoundError"}
+    assert catchers([module], OS_ERRORS) == ["m.py:missing", "m.py:reader"]
+
+
+def test_os_errors_are_caught_by_the_input_opener_and_main_only():
+    """An OSError raised while an input is open is that input's error, by data.open_input;
+    main reports every other one as an output that cannot be written."""
+    files = sorted((ROOT / "src" / "contention").glob("*.py"))
+    assert catchers(files, OS_ERRORS) == ["cli.py:main", "data.py:open_input"]
 
 
 def tanh_users(paths: list[Path]) -> list[str]:

@@ -27,6 +27,7 @@ from contention.ingest import (
     TraceSchema,
     apply_weak_labels,
     default_weak_thresholds,
+    group_means,
     ingest_csv,
     weak_labels,
 )
@@ -426,7 +427,7 @@ def _dataset(*windows):
 
 
 def _label(window, th):
-    return int(weak_labels(_stack(window), th, FOUR_GROUPS)[0])
+    return int(weak_labels(group_means(_stack(window), FOUR_GROUPS), th)[0])
 
 
 FOUR_GROUPS = {"cpu": (0,), "mem": (1,), "disk": (2,), "net": (3,)}
@@ -438,23 +439,30 @@ class TestWeakLabels:
         values = _stack(
             *(_flat_window(0.1, 0.1, d, n) for d, n in ((1.0, 10.0), (2.0, 20.0), (3.0, 30.0)))
         )
-        th = default_weak_thresholds(values, FOUR_GROUPS)
+        means = group_means(values, FOUR_GROUPS)
+        assert list(means) == list(FOUR_GROUPS)
+        assert means["disk"].tolist() == [1.0, 2.0, 3.0]
+        th = default_weak_thresholds(means)
         assert th["cpu"] == 0.85
         assert th["mem"] == 0.90
         # 95th percentile of [1, 2, 3] under linear interpolation
         assert th["disk"] == pytest.approx(2.9)
         assert th["net"] == pytest.approx(29.0)
 
-    def test_empty_group_gets_infinite_threshold(self):
-        groups = dict(FOUR_GROUPS, disk=())
-        th = default_weak_thresholds(_stack(_flat_window(0.1, 0.1, 0.0, 0.0)), groups)
-        assert th["disk"] == np.inf
+    def test_group_without_metrics_gets_no_cutoff_and_no_label(self):
+        groups = dict(FOUR_GROUPS, disk=(), cpu=())
+        values = _stack(_flat_window(0.9, 0.1, 9.0, 0.0), _flat_window(0.9, 0.1, 0.0, 0.0))
+        means = group_means(values, groups)
+        assert list(means) == ["mem", "net"]
+        assert list(default_weak_thresholds(means)) == ["mem", "net"]
+        # cpu and disk run hot in window 0, but neither has a metric to say so
+        assert weak_labels(means, TH).tolist() == [-1, -1]
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(DataError):
-            default_weak_thresholds(np.zeros((0, 8, 4)), FOUR_GROUPS)
-        with pytest.raises(DataError):
-            apply_weak_labels(Dataset(np.zeros((0, 8, 4)), np.zeros(0), "cmdn"), FOUR_GROUPS, TH)
+        with pytest.raises(DataError, match="cannot weak-label an empty dataset"):
+            group_means(np.zeros((0, 8, 4)), FOUR_GROUPS)
+        with pytest.raises(DataError, match="cannot weak-label an empty dataset"):
+            apply_weak_labels(Dataset(np.zeros((0, 8, 4)), np.zeros(0), "cmdn"), FOUR_GROUPS)
 
     def test_single_hot_group_names_class(self):
         assert _label(_flat_window(0.9, 0.1, 0, 0), TH) == ContentionClass.CPU
@@ -478,7 +486,7 @@ class TestWeakLabels:
             _flat_window(0.9, 0.95, 6.0, 6.0),
             _flat_window(0.1, 0.1, 0, 6),
         )
-        labels = weak_labels(values, TH, FOUR_GROUPS)
+        labels = weak_labels(group_means(values, FOUR_GROUPS), TH)
         assert labels.tolist() == [
             ContentionClass.CPU,
             -1,
@@ -492,7 +500,11 @@ class TestWeakLabels:
             _flat_window(0.1, 0.1, 0.0, 0.0),
             _flat_window(0.9, 0.95, 0.0, 0.0),
         )
-        labeled, dropped = apply_weak_labels(data, FOUR_GROUPS, TH)
+        # at the custom cutoffs TH
+        labels = weak_labels(group_means(data.values, FOUR_GROUPS), TH)
+        assert labels.tolist() == [ContentionClass.CPU, -1, ContentionClass.HYBRID]
+        # at the default ones: disk and net are nowhere above their own 95th percentile
+        labeled, dropped = apply_weak_labels(data, FOUR_GROUPS)
         assert dropped == 1
         assert [w.label for w in labeled] == [
             int(ContentionClass.CPU),
@@ -510,6 +522,35 @@ class TestWeakLabels:
         # so neither group is strictly above them; only cpu runs hot
         assert dropped == 0
         assert all(w.label == int(ContentionClass.CPU) for w in labeled)
+
+    def test_apply_gathers_each_group_once(self, monkeypatch):
+        gathered = []
+        gather = np.ascontiguousarray
+
+        def counted(cells, *args, **kwargs):
+            gathered.append(cells.shape)
+            return gather(cells, *args, **kwargs)
+
+        monkeypatch.setattr(ingest.np, "ascontiguousarray", counted)
+        values = np.random.default_rng(0).uniform(size=(50, 8, 6))
+        groups = {"cpu": (0, 3), "mem": (1,), "disk": (2, 4, 5), "net": ()}
+        apply_weak_labels(Dataset(values, np.full(50, UNLABELED), tuple("abcdef")), groups)
+        # one (N, cols, T) gather per group that has metrics: cpu, mem, disk
+        assert gathered == [(50, 2, 8), (50, 1, 8), (50, 3, 8)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_labels_follow_the_windows_when_they_are_permuted(self, n, seed, data):
+        """The cutoffs read the set of window means, not their order."""
+        gen = np.random.default_rng(seed)
+        values = gen.uniform(0.0, 1.2, size=(n, 5, 4)) * gen.choice([1.0, 50.0], size=(n, 1, 4))
+        perm = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+
+        def labels(stack):
+            means = group_means(stack, FOUR_GROUPS)
+            return weak_labels(means, default_weak_thresholds(means))
+
+        assert labels(values[perm]).tolist() == labels(values)[perm].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -912,15 +953,15 @@ class TestColumnarMatchesReference:
         cols = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
         # a threshold at one window's own mean: strict > must agree bit for bit
         th = {name: float(values[0][:, cols].mean()) for name in GROUP_NAMES}
-        groups = {"cpu": tuple(cols)}
         windows = [MetricWindow(v, None, "w", tuple(f"m{j}" for j in range(d))) for v in values]
         want = [
             int(ContentionClass.CPU) if float(w.values[:, cols].mean()) > th["cpu"] else -1
             for w in windows
         ]
-        assert weak_labels(values, th, groups).tolist() == want
-        groups = {"disk": tuple(cols)}
-        got = default_weak_thresholds(values, groups)["disk"]
+        means = group_means(values, {"cpu": tuple(cols)})
+        assert means["cpu"].tolist() == [float(w.values[:, cols].mean()) for w in windows]
+        assert weak_labels(means, th).tolist() == want
+        got = default_weak_thresholds(group_means(values, {"disk": tuple(cols)}))["disk"]
         ref = float(np.percentile([float(w.values[:, cols].mean()) for w in windows], 95))
         assert got == ref
 
